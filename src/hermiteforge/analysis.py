@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isfinite
 from typing import Sequence
 
 from .exactalg import LaurentMatrix, LaurentPoly
@@ -324,6 +325,10 @@ def check_convergence(
     """
     if levels < 3:
         raise ValueError("need at least 3 levels for a meaningful verdict")
+    if not (isfinite(ratio_bound) and ratio_bound > 0):
+        raise ValueError(f"ratio_bound must be a positive finite number, got {ratio_bound}")
+    if not (isfinite(residual_tol) and residual_tol >= 0):
+        raise ValueError(f"residual_tol must be a nonnegative finite number, got {residual_tol}")
     grids = cascade(mask, levels, "delta", window, exact=False)
     d = mask.d
     diffs: list[float] = []

@@ -41,6 +41,7 @@ from .taylor import (
     InvalidOperator,
     NotAChain,
     TaylorOperator,
+    WindowTooSmall,
     allones_operator,
     annihilator,
     chain_for,
@@ -452,7 +453,10 @@ def _cmd_cascade(args) -> int:
             init = DyadicGrid.from_json(_load_json(args.init))
         except (KeyError, TypeError, ValueError) as exc:
             raise MalformedInput(f"{args.init}: {exc}") from exc
-    grids = run_cascade(mask, args.levels, init, window, exact=args.exact)
+    try:
+        grids = run_cascade(mask, args.levels, init, window, exact=args.exact)
+    except WindowTooSmall as exc:
+        raise MalformedInput(f"{args.init}: {exc}") from exc
     final = grids[-1]
     if args.format == "csv":
         _emit(args, final.to_csv())

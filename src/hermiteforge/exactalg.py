@@ -40,7 +40,13 @@ def rat_to_str(q: RationalLike) -> str:
 
 
 def rat_from_str(s: str) -> Fraction:
-    return Fraction(s.strip())
+    """Parse "p/q" or a decimal; ValueError for anything else, "1/0" included."""
+    if not isinstance(s, str):
+        raise ValueError(f"expected a rational string, got {s!r}")
+    try:
+        return Fraction(s.strip())
+    except ZeroDivisionError as exc:
+        raise ValueError(f"zero denominator in {s!r}") from exc
 
 
 def falling_factorial(e: int, r: int) -> int:

@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import factorial
 from typing import Mapping, Sequence
 
-from .exactalg import LaurentPoly, RationalLike, rat_from_str, rat_to_str
+from .exactalg import RationalLike, rat_from_str, rat_to_str
 
 
 class NotInVd(Exception):
@@ -235,18 +235,6 @@ def antidifference(p: Poly, constant: RationalLike = 0) -> Poly:
         if v:
             q = q + newton_basis(k + 1) * v
     return q
-
-
-def poly_to_laurent(p: Poly) -> LaurentPoly:
-    return LaurentPoly({k: v for k, v in enumerate(p.coeffs)})
-
-
-def laurent_to_poly(f: LaurentPoly) -> Poly:
-    if f.is_zero:
-        return Poly.zero()
-    if f.lo < 0:
-        raise ValueError("Laurent polynomial has negative exponents; not an ordinary polynomial")
-    return Poly(tuple(f.coeff(k) for k in range(f.hi + 1)))
 
 
 @dataclass(frozen=True)

@@ -12,13 +12,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, factorial
 from typing import Sequence
 
 from .exactalg import LaurentMatrix, LaurentPoly, RationalLike
 from .factor import Factorization, taylor_factorize, verify_spectral_chain
 from .polybasis import Poly, PolyVec
-from .subdivision import Mask
+from .subdivision import Mask, subdivide
 from .taylor import Chain, allones_operator, chain_for, chain_validate, classical_operator
 
 
@@ -75,26 +76,18 @@ def spline_eigenpoly(r: int, i: int) -> Poly:
 def scalar_eigen_check(
     coeffs: Sequence[RationalLike], support_min: int, p: Poly, eigenvalue: RationalLike
 ) -> tuple[int, Fraction, Fraction] | None:
-    """Exact check of S_a p = lambda p for a scalar mask; None on success."""
+    """Exact check of S_a p = lambda p for a scalar mask; None on success,
+    else the first counterexample (alpha, got, want)."""
     lam = Fraction(eigenvalue)
-    a = [Fraction(v) for v in coeffs]
-    s_min = support_min
-    s_max = support_min + len(a) - 1
-    deg = max(p.degree, 0)
-    half = deg + 3 + (s_max - s_min)
-    lo_beta, hi_beta = -half, half
-    out_lo = 2 * lo_beta + s_max - 1
-    out_hi = 2 * hi_beta + s_min + 1
-    pvals = {beta: p.evaluate(beta) for beta in range(lo_beta, hi_beta + 1)}
-    for alpha in range(out_lo, out_hi + 1):
-        acc = Fraction(0)
-        for beta in range(lo_beta, hi_beta + 1):
-            g = alpha - 2 * beta
-            if s_min <= g <= s_max and a[g - s_min]:
-                acc += a[g - s_min] * pvals[beta]
-        want = lam * p.evaluate(alpha)
-        if acc != want:
-            return (alpha, acc, want)
+    mask = Mask(support_min, tuple(((v,),) for v in coeffs))
+    s_min, s_max = mask.support
+    half = max(p.degree, 0) + 3 + (s_max - s_min)
+    samples = [(p.evaluate(beta),) for beta in range(-half, half + 1)]
+    out, out_lo = subdivide(mask, samples, -half)
+    for n, (got,) in enumerate(out):
+        want = lam * p.evaluate(out_lo + n)
+        if got != want:
+            return (out_lo + n, got, want)
     return None
 
 
@@ -113,18 +106,47 @@ def spline_chain(r: int, d: int) -> Chain:
     return Chain(tuple(vecs))
 
 
+@lru_cache(maxsize=32)
+def _bspline_pieces(r: int) -> tuple[tuple[int, ...], ...]:
+    """Integer coefficients, lowest degree first, of r! B_r on [m, m+1) for
+    m = 0..r, from the truncated-power formula
+    r! B_r(x) = sum_j (-1)^j binom(r+1, j) (x - j)_+^r."""
+    pieces = []
+    coeffs = [0] * (r + 1)
+    for m in range(r + 1):
+        w = (-1) ** m * comb(r + 1, m)
+        for t in range(r + 1):
+            coeffs[t] += w * comb(r, t) * (-m) ** (r - t)
+        pieces.append(tuple(coeffs))
+    return tuple(pieces)
+
+
+def _scaled_bspline(r: int, num: int, den: int) -> int:
+    """r! den^r B_r(num/den) for den > 0, by integer Horner on the piece."""
+    if r == 0:
+        return 1 if 0 <= num < den else 0
+    if num <= 0 or num >= (r + 1) * den:
+        return 0
+    c = _bspline_pieces(r)[num // den]
+    acc = c[r]
+    power = 1
+    for t in range(r - 1, -1, -1):
+        power *= den
+        acc = acc * num + c[t] * power
+    return acc
+
+
 def bspline_value(r: int, x: RationalLike) -> Fraction:
     """Exact value of the cardinal B-spline of degree r with support [0, r+1].
 
-    Cox-de Boor on integer knots; the degree-0 spline is 1 on [0, 1)."""
+    Evaluates the exact polynomial piece of the interval holding x; the
+    degree-0 spline is 1 on [0, 1)."""
     if r < 0:
         raise BadOrder(f"spline degree must be nonnegative, got r={r}")
     x = Fraction(x)
-    if r == 0:
-        return Fraction(1) if 0 <= x < 1 else Fraction(0)
-    if x <= 0 or x >= r + 1:
-        return Fraction(0)
-    return (x * bspline_value(r - 1, x) + (r + 1 - x) * bspline_value(r - 1, x - 1)) / r
+    return Fraction(
+        _scaled_bspline(r, x.numerator, x.denominator), factorial(r) * x.denominator**r
+    )
 
 
 def bspline_derivative(r: int, k: int, x: RationalLike) -> Fraction:
@@ -133,14 +155,13 @@ def bspline_derivative(r: int, k: int, x: RationalLike) -> Fraction:
     if not 0 <= k <= r:
         raise BadOrder(f"derivative order must satisfy 0 <= k <= r, got {k}")
     x = Fraction(x)
-    out = Fraction(0)
+    num, den = x.numerator, x.denominator
+    q = r - k
+    total = 0
     for i in range(k + 1):
-        c = comb(k, i)
-        if i % 2:
-            out -= c * bspline_value(r - k, x - i)
-        else:
-            out += c * bspline_value(r - k, x - i)
-    return out
+        term = comb(k, i) * _scaled_bspline(q, num - i * den, den)
+        total += -term if i % 2 else term
+    return Fraction(total, factorial(q) * den**q)
 
 
 @dataclass(frozen=True)

@@ -11,10 +11,11 @@ f_{n+1} = D^{-(n+1)} S_A (D^n f_n) with D = diag(1, 1/2, ..., 2^-d).
 
 from __future__ import annotations
 
-import json
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from functools import cached_property
+from math import lcm
 
 from .exactalg import LaurentMatrix, LaurentPoly, RationalLike, rat_from_str, rat_to_str
 from .polybasis import PolyVec
@@ -29,6 +30,23 @@ def _as_matrix(rows: Sequence[Sequence[RationalLike]]) -> Matrix:
 
 def _is_zero_matrix(m: Matrix) -> bool:
     return all(v == 0 for row in m for v in row)
+
+
+@dataclass(frozen=True)
+class _Stencil:
+    """A mask compiled for the subdivision loop, split by the parity of alpha.
+
+    Both tables list, at [p][i], the terms of output row i at alpha = 2m + p
+    as (offset, k, coefficient): the entry A(alpha - 2 beta)[i][k], which
+    multiplies component k of the column at beta = m + offset. Terms run
+    beta ascending, then k ascending, and skip zero entries. `floats` holds
+    the entries as floats; `numerators` holds them as integers over
+    `denominator`.
+    """
+
+    floats: tuple[tuple[tuple[tuple[int, int, float], ...], ...], ...]
+    numerators: tuple[tuple[tuple[tuple[int, int, int], ...], ...], ...]
+    denominator: int
 
 
 @dataclass(frozen=True)
@@ -67,6 +85,28 @@ class Mask:
     @property
     def support(self) -> tuple[int, int]:
         return (self.support_min, self.support_min + len(self.coeffs) - 1)
+
+    @cached_property
+    def _stencil(self) -> _Stencil:
+        s_min, s_max = self.support
+        den = lcm(*(v.denominator for m in self.coeffs for row in m for v in row))
+        floats, numerators = [], []
+        for parity in (0, 1):
+            float_rows, int_rows = [], []
+            for i in range(self.d + 1):
+                float_row, int_row = [], []
+                # alpha - 2 beta = g, so beta ascending is g descending.
+                for g in range(s_max - (s_max - parity) % 2, s_min - 1, -2):
+                    offset = (parity - g) // 2
+                    for k, c in enumerate(self.coeffs[g - s_min][i]):
+                        if c:
+                            float_row.append((offset, k, float(c)))
+                            int_row.append((offset, k, c.numerator * (den // c.denominator)))
+                float_rows.append(tuple(float_row))
+                int_rows.append(tuple(int_row))
+            floats.append(tuple(float_rows))
+            numerators.append(tuple(int_rows))
+        return _Stencil(tuple(floats), tuple(numerators), den)
 
     def matrix(self, alpha: int) -> Matrix:
         n = alpha - self.support_min
@@ -138,12 +178,40 @@ class Mask:
 def subdivide(
     mask: Mask, values: Sequence[Sequence], start: int
 ) -> tuple[list[tuple], int]:
-    """One exact subdivision step on a finite window.
+    """One subdivision step on a finite window.
 
     values[n] is the column at beta = start + n. Only output positions whose
     full stencil lies inside the window are returned; the new window is
     [2a + s_max - 1, 2b + s_min + 1] for input [a, b] and support
-    [s_min, s_max].
+    [s_min, s_max]. Exact data (Fraction or int) gives Fractions; any other
+    data gives floats. Both are computed as hermite_step describes.
+    """
+    return _refine(mask, values, start, 0, 0)
+
+
+def hermite_step(
+    mask: Mask, values: Sequence[Sequence], start: int, level: int
+) -> tuple[list[tuple], int]:
+    """Refine level-n Hermite data to level n+1 with derivative rescaling.
+
+    Works for exact (Fraction or int) and floating data alike. Float mode
+    uses the mask converted to floats once and exact power-of-two rescaling,
+    so every value is bit-identical to the same sums taken over
+    Fraction * float products. Exact mode runs on integer numerators over one
+    common denominator (the mask's times the data's) and builds one Fraction
+    per output value.
+    """
+    return _refine(mask, values, start, level, level + 1)
+
+
+def _refine(
+    mask: Mask, values: Sequence[Sequence], start: int, pre: int, post: int
+) -> tuple[list[tuple], int]:
+    """D^-post S_A D^pre on a window, with D = diag(1, 1/2, ..., 2^-d).
+
+    Each output row is accumulated one stencil term at a time across all
+    outputs of a parity class; every output still adds its terms in the
+    order beta ascending, then k ascending.
     """
     size = mask.d + 1
     for col in values:
@@ -158,42 +226,43 @@ def subdivide(
         raise WindowTooSmall(
             f"window [{a},{b}] too small for support [{s_min},{s_max}]"
         )
-    out = []
-    for alpha in range(out_lo, out_hi + 1):
-        beta_lo = -((s_max - alpha) // 2)  # ceil((alpha - s_max) / 2)
-        beta_hi = (alpha - s_min) // 2
-        acc = [0] * size
-        for beta in range(max(beta_lo, a), min(beta_hi, b) + 1):
-            m = mask.matrix(alpha - 2 * beta)
-            col = values[beta - a]
-            for i in range(size):
-                mi = m[i]
-                s = acc[i]
-                for k in range(size):
-                    if mi[k]:
-                        s += mi[k] * col[k]
-                acc[i] = s
-        out.append(tuple(acc))
+    stencil = mask._stencil
+    cols = list(zip(*values))
+    exact = all(isinstance(v, (int, Fraction)) for col in cols for v in col)
+    if exact:
+        # Values v = u / q become integers u * (Q / q) over Q; the scaling
+        # 2^-(pre k) becomes a shift by pre (d - k) over 2^(pre d).
+        d = size - 1
+        den_q = lcm(*{v.denominator for col in cols for v in col})
+        cols = [
+            [v.numerator * (den_q // v.denominator) << pre * (d - k) for v in col]
+            for k, col in enumerate(cols)
+        ]
+        den = stencil.denominator * den_q << pre * d
+        table, zero = stencil.numerators, 0
+    else:
+        scales = [1 / (1 << pre * k) for k in range(size)]
+        cols = [[v * f for v in col] for f, col in zip(scales, cols)]
+        table, zero = stencil.floats, 0.0
+    out: list = [None] * (out_hi - out_lo + 1)
+    for parity, rows in enumerate(table):
+        first = out_lo + (parity - out_lo) % 2
+        count = (out_hi - first) // 2 + 1
+        base = (first - parity) // 2 - a
+        results = []
+        for i, terms in enumerate(rows):
+            acc = [zero] * count
+            for offset, k, c in terms:
+                lo = base + offset
+                acc = [s + c * v for s, v in zip(acc, cols[k][lo : lo + count])]
+            if exact:
+                acc = [Fraction(s << post * i, den) for s in acc]
+            else:
+                scale = float(1 << post * i)
+                acc = [s * scale for s in acc]
+            results.append(acc)
+        out[first - out_lo :: 2] = zip(*results)
     return out, out_lo
-
-
-def hermite_step(
-    mask: Mask, values: Sequence[Sequence], start: int, level: int
-) -> tuple[list[tuple], int]:
-    """Refine level-n Hermite data to level n+1 with derivative rescaling.
-
-    Works for exact (Fraction) and floating data alike; the rescaling factors
-    stay exact either way.
-    """
-    size = mask.d + 1
-    pre = [
-        tuple(col[k] * Fraction(1, 2**(level * k)) for k in range(size)) for col in values
-    ]
-    mid, out_start = subdivide(mask, pre, start)
-    post = [
-        tuple(col[k] * Fraction(2**((level + 1) * k)) for k in range(size)) for col in mid
-    ]
-    return post, out_start
 
 
 def polyvec_applied(
@@ -291,14 +360,14 @@ class DyadicGrid:
 
     @classmethod
     def from_json(cls, obj: Mapping) -> "DyadicGrid":
+        if not isinstance(obj, Mapping):
+            raise TypeError(f"a grid must be a JSON object, got {type(obj).__name__}")
         kind = obj.get("kind", "exact")
         if kind == "exact":
             vals = tuple(tuple(rat_from_str(v) for v in col) for col in obj["values"])
         else:
             vals = tuple(tuple(float(v) for v in col) for col in obj["values"])
+        if not vals or not vals[0] or any(len(col) != len(vals[0]) for col in vals):
+            raise ValueError("grid values must be nonempty columns of one height")
         return cls(int(obj["level"]), int(obj["start"]), vals)
 
-
-def load_mask(path: str) -> Mask:
-    with open(path, "r", encoding="utf-8") as fh:
-        return Mask.from_json(json.load(fh))

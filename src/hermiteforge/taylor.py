@@ -121,13 +121,20 @@ class TaylorOperator:
         return op
 
 
+def _check_size(d: int) -> None:
+    if d < 0:
+        raise InvalidOperator(f"operator presets need d >= 0, got d={d}")
+
+
 def delta_operator(d: int) -> TaylorOperator:
     """All strict-upper weights zero: rows are iterated forward differences."""
+    _check_size(d)
     return TaylorOperator(tuple(tuple(Fraction(int(m == j)) for m in range(1, j + 1)) for j in range(1, d + 1)))
 
 
 def classical_operator(d: int) -> TaylorOperator:
     """w_{k,m} = 1/(k-m+1)!, the Taylor-remainder weights."""
+    _check_size(d)
     return TaylorOperator(
         tuple(tuple(Fraction(1, factorial(j - m + 1)) for m in range(1, j + 1)) for j in range(1, d + 1))
     )
@@ -135,6 +142,7 @@ def classical_operator(d: int) -> TaylorOperator:
 
 def allones_operator(d: int) -> TaylorOperator:
     """Every weight 1; annihilates the difference vectors of spline schemes."""
+    _check_size(d)
     return TaylorOperator(tuple(tuple(Fraction(1) for _ in range(j)) for j in range(1, d + 1)))
 
 

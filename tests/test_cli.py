@@ -260,3 +260,48 @@ def test_nmax_env_var(tmp_path):
         env=env,
     )
     assert proc.returncode == 2
+
+
+def _malformed_argv(case, tmp_path):
+    hat = tmp_path / "hat.json"
+    hat.write_text(json.dumps(spline_mask(1, 1).to_json()))
+    if case == "zero-denominator":
+        mask = mask_from_entries(REF2_MASK, 2).to_json()
+        mask["coeffs"][0][0][0] = "1/0"
+        bad = tmp_path / "zero_den.json"
+        bad.write_text(json.dumps(mask))
+        return ["verify-spectral", "--mask", str(bad), "--chain", "delta:d=2"]
+    if case == "grid-not-an-object":
+        bad = tmp_path / "grid_list.json"
+        bad.write_text("[]")
+        return ["cascade", "--mask", str(hat), "--init", str(bad)]
+    if case in ("grid-too-small", "grid-without-values"):
+        values = [["1", "0"]] if case == "grid-too-small" else []
+        bad = tmp_path / "grid.json"
+        bad.write_text(json.dumps({"level": 0, "start": 0, "values": values}))
+        return ["cascade", "--mask", str(hat), "--init", str(bad)]
+    if case == "negative-preset-size":
+        return ["chain", "--taylor", "delta:d=-1"]
+    if case == "nan-ratio-bound":
+        return ["check-convergence", "--mask", str(hat), "--ratio-bound", "nan"]
+    assert case == "nan-residual-tol"
+    return ["check-convergence", "--mask", str(hat), "--residual-tol", "nan"]
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        "zero-denominator",
+        "grid-not-an-object",
+        "grid-too-small",
+        "grid-without-values",
+        "negative-preset-size",
+        "nan-ratio-bound",
+        "nan-residual-tol",
+    ],
+)
+def test_malformed_input_exits_two(case, capsys, tmp_path):
+    assert run(_malformed_argv(case, tmp_path)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")

@@ -1,12 +1,14 @@
 """Cardinal B-spline schemes: masks, eigen-structure, cascade accuracy."""
 
 from fractions import Fraction as F
+from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from goldens import SPLINE_R4_D3_ROW, SPLINE_R4_D3_SCALE
+from reference_kernels import bspline_value_reference
 from hermiteforge import (
     BadOrder,
     LaurentPoly,
@@ -29,8 +31,6 @@ def sym_coeffs(p):
 
 
 def test_scalar_symbol_is_binomial():
-    from math import comb
-
     for r in range(1, 7):
         p = scalar_spline_symbol(r)
         assert p.lo == 0 and p.hi == r + 1
@@ -186,3 +186,25 @@ def test_bspline_values_are_cached_consistently(r, num):
     direct = bspline_value(r, x)
     assert direct == bspline_value(r, x)
     assert 0 <= direct <= 1
+
+
+def test_bspline_pieces_match_recursion():
+    for r in range(6):
+        for n in range(-8, 8 * (r + 2) + 1):
+            x = F(n, 8)
+            assert bspline_value(r, x) == bspline_value_reference(r, x)
+            for k in range(r + 1):
+                want = sum(
+                    (-1) ** i * comb(k, i) * bspline_value_reference(r - k, x - i)
+                    for i in range(k + 1)
+                )
+                assert bspline_derivative(r, k, x) == want
+
+
+@given(
+    st.integers(min_value=0, max_value=6),
+    st.fractions(min_value=F(-1), max_value=F(8), max_denominator=1000),
+)
+@settings(max_examples=100, deadline=None)
+def test_bspline_value_matches_recursion_at_rationals(r, x):
+    assert bspline_value(r, x) == bspline_value_reference(r, x)

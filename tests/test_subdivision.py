@@ -3,7 +3,7 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from goldens import REF2_MASK, REF2_SPECTRAL_CHAIN, mask_from_entries
@@ -12,12 +12,15 @@ from hermiteforge import (
     Mask,
     Poly,
     PolyVec,
+    cascade,
     eigen_check,
     hermite_step,
     iterated_symbol,
     polyvec_applied,
     subdivide,
 )
+from hermiteforge.taylor import WindowTooSmall
+from reference_kernels import hermite_step_reference, subdivide_reference
 
 
 def hat_mask():
@@ -155,3 +158,94 @@ def test_chain_container():
     ch = Chain(vecs)
     assert ch.d == 2
     assert ch.last == vecs[-1]
+
+
+@st.composite
+def sparse_masks(draw):
+    """Random masks with whole rows zeroed, or one row zeroed in one parity
+    class of alpha, so that some stencil rows have no terms."""
+    d = draw(st.integers(min_value=0, max_value=3))
+    length = draw(st.integers(min_value=1, max_value=6))
+    s_min = draw(st.integers(min_value=-4, max_value=3))
+    entry = st.one_of(
+        st.just(F(0)), st.fractions(min_value=F(-3), max_value=F(3), max_denominator=12)
+    )
+    coeffs = [
+        [[draw(entry) for _ in range(d + 1)] for _ in range(d + 1)] for _ in range(length)
+    ]
+    for i in range(d + 1):
+        drop = draw(st.sampled_from([None, "all", 0, 1]))
+        for n in range(length):
+            if drop == "all" or drop == (s_min + n) % 2:
+                coeffs[n][i] = [F(0)] * (d + 1)
+    assume(any(v for m in coeffs for row in m for v in row))
+    return Mask(s_min, tuple(tuple(tuple(row) for row in m) for m in coeffs))
+
+
+float_values = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+    st.floats(min_value=-1e3, max_value=1e3),
+    st.floats(min_value=-1e-300, max_value=1e-300),
+)
+exact_values = st.one_of(
+    st.integers(min_value=-9, max_value=9),
+    st.fractions(min_value=F(-9), max_value=F(9), max_denominator=64),
+)
+
+
+def assert_same_columns(got, want, exact):
+    """Exact data must be equal Fractions; floats must be floats whose bits
+    equal the reference's."""
+    assert len(got) == len(want)
+    for got_col, want_col in zip(got, want):
+        assert len(got_col) == len(want_col)
+        for g, w in zip(got_col, want_col):
+            if exact:
+                assert type(g) is F and g == w
+            else:
+                assert type(g) is float and g.hex() == float(w).hex()
+
+
+@given(
+    sparse_masks(),
+    st.booleans(),
+    st.integers(min_value=0, max_value=6),
+    st.integers(min_value=-5, max_value=5),
+    st.data(),
+)
+@settings(max_examples=150, deadline=None)
+def test_kernel_matches_fraction_reference(mask, exact, level, start, data):
+    size = mask.d + 1
+    column = st.lists(
+        exact_values if exact else float_values, min_size=size, max_size=size
+    ).map(tuple)
+    values = data.draw(st.lists(column, min_size=1, max_size=14))
+    try:
+        want = subdivide_reference(mask, values, start)
+    except WindowTooSmall:
+        with pytest.raises(WindowTooSmall):
+            subdivide(mask, values, start)
+        return
+    got = subdivide(mask, values, start)
+    assert got[1] == want[1]
+    assert_same_columns(got[0], want[0], exact)
+    got = hermite_step(mask, values, start, level)
+    want = hermite_step_reference(mask, values, start, level)
+    assert got[1] == want[1]
+    assert_same_columns(got[0], want[0], exact)
+
+
+def test_float_cascade_holds_only_floats():
+    # Row 0 has no entry at even alpha; those outputs were once int 0 and
+    # then Fraction(0), which made the grid report itself exact.
+    m = Mask(
+        -1,
+        (
+            ((F(1, 2), 0), (F(1, 4), 0)),
+            ((0, 0), (0, F(1, 2))),
+            ((F(1, 2), 0), (F(-1, 4), 0)),
+        ),
+    )
+    final = cascade(m, 2, exact=False)[-1]
+    assert all(type(v) is float for col in final.values for v in col)
+    assert final.to_json()["kind"] == "float"
