@@ -17,10 +17,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from math import isfinite
-from typing import Sequence
+from typing import Iterator
 
-from .exactalg import LaurentMatrix, LaurentPoly
+from .exactalg import LaurentMatrix
 from .subdivision import DyadicGrid, Mask, hermite_step
 from .taylor import TaylorOperator, WindowTooSmall, delta_operator
 
@@ -36,25 +37,69 @@ def iterated_symbol(mask: Mask, n: int) -> LaurentMatrix:
     return out
 
 
-def _matrix_inf_norm(m: Sequence[Sequence[Fraction]]) -> Fraction:
-    return max(sum(abs(v) for v in row) for row in m)
+def _integer_entries(mask: Mask) -> tuple[list[list[list[int]]], int]:
+    """Entry (i, k) of the mask as dense integer coefficients at alpha =
+    s_min, s_min + 1, ..., all over the mask's common denominator D.
+    Returns (entries, D)."""
+    den = mask._stencil.denominator
+
+    def whole(v: Fraction) -> int:
+        return v.numerator * (den // v.denominator)
+
+    size = mask.d + 1
+    entries = [[[whole(m[i][k]) for m in mask.coeffs] for k in range(size)] for i in range(size)]
+    return entries, den
+
+
+def _iterated_norms(entries: list[list[list[int]]], den: int) -> Iterator[Fraction]:
+    """Yield the joint norms ||S_B^[n]|| for n = 1, 2, ... of the mask whose
+    entries are given as integer coefficients over den.
+
+    The n-fold mask P_n, as integers over den^n, is extended one factor at a
+    time by P_n(g + 2^(n-1) beta) += P_(n-1)(g) B(beta), and only when the
+    next norm is asked for. Residue classes are taken relative to the first
+    coefficient; that permutes the classes, not their sums.
+    """
+    size = len(entries)
+    width = len(entries[0][0])
+    power = den
+    current = entries
+    modulus = 2
+    while True:
+        entry_norms = None
+        for row in current:
+            sums = [sum(map(abs, vals)) for vals in zip(*row)]
+            entry_norms = sums if entry_norms is None else list(map(max, entry_norms, sums))
+        length = len(entry_norms)
+        classes = range(min(modulus, length))
+        yield Fraction(max(sum(entry_norms[r::modulus]) for r in classes), power)
+        grown_length = length + modulus * (width - 1)
+        grown = [[[0] * grown_length for _ in range(size)] for _ in range(size)]
+        for i in range(size):
+            for l in range(size):
+                p = current[i][l]
+                if not any(p):
+                    continue
+                for k in range(size):
+                    target = grown[i][k]
+                    for beta, c in enumerate(entries[l][k]):
+                        if c:
+                            lo = beta * modulus
+                            target[lo : lo + length] = [
+                                t + c * x for t, x in zip(target[lo : lo + length], p)
+                            ]
+        current = grown
+        power *= den
+        modulus *= 2
 
 
 def scheme_norm(mask: Mask, n: int = 1) -> Fraction:
-    """Exact joint norm of the n-fold scheme."""
-    iterated = Mask.from_symbol(iterated_symbol(mask, n))
-    s_min, s_max = iterated.support
-    modulus = 2**n
-    best = Fraction(0)
-    for eps in range(modulus):
-        total = Fraction(0)
-        alpha = s_min + ((eps - s_min) % modulus)
-        while alpha <= s_max:
-            total += _matrix_inf_norm(iterated.matrix(alpha))
-            alpha += modulus
-        if total > best:
-            best = total
-    return best
+    """Exact joint norm of the n-fold scheme, computed on integer numerators
+    over one denominator."""
+    if n < 1:
+        raise ValueError("need n >= 1")
+    entries, den = _integer_entries(mask)
+    return next(islice(_iterated_norms(entries, den), n - 1, None))
 
 
 def is_lower_triangular(mask: Mask) -> bool:
@@ -62,13 +107,6 @@ def is_lower_triangular(mask: Mask) -> bool:
     return all(
         m[i][k] == 0 for m in mask.coeffs for i in range(d + 1) for k in range(i + 1, d + 1)
     )
-
-
-def _diagonal_scalar_mask(mask: Mask, i: int) -> Mask | None:
-    sym = mask.entry_symbol(i, i)
-    if sym.is_zero:
-        return None
-    return Mask.from_symbol(LaurentMatrix([[sym]]))
 
 
 @dataclass(frozen=True)
@@ -105,37 +143,34 @@ def check_contractive(mask: Mask, n_max: int = 8) -> ContractivityReport:
 
     The joint norms are computed for n = 1, 2, ... until one drops below 1;
     for lower-triangular masks the diagonal scalar norms run alongside as the
-    cheap certificate.
+    cheap certificate. Each sequence extends its iterated mask one factor at
+    a time and stops at the last norm it reports.
     """
     if n_max < 1:
         raise ValueError("need n_max >= 1")
     triangular = is_lower_triangular(mask)
-    norms: list[Fraction] = []
-    n_star = None
-    for n in range(1, n_max + 1):
-        v = scheme_norm(mask, n)
-        norms.append(v)
-        if v < 1:
-            n_star = n
-            break
+    entries, den = _integer_entries(mask)
+
+    def first_below_one(of) -> tuple[list[Fraction], int | None]:
+        norms = []
+        for n, v in zip(range(1, n_max + 1), _iterated_norms(of, den)):
+            norms.append(v)
+            if v < 1:
+                return norms, n
+        return norms, None
+
+    norms, n_star = first_below_one(entries)
     diagonal_norms: list[Fraction] = []
     diagonal_n_star: int | None = None
     if triangular:
         worst_n = 0
         certified = True
         for i in range(mask.d + 1):
-            sm = _diagonal_scalar_mask(mask, i)
-            if sm is None:
+            if not any(entries[i][i]):
                 diagonal_norms.append(Fraction(0))
                 continue
-            found = None
-            value = None
-            for n in range(1, n_max + 1):
-                value = scheme_norm(sm, n)
-                if value < 1:
-                    found = n
-                    break
-            diagonal_norms.append(value)
+            values, found = first_below_one([[entries[i][i]]])
+            diagonal_norms.append(values[-1])
             if found is None:
                 certified = False
             else:

@@ -531,6 +531,13 @@ def difference_split_check(p: Poly, n: int) -> bool:
 
 
 def _cmd_identity_tests(args) -> int:
+    for flag, value, least in (
+        ("--polys", args.polys, 1),
+        ("--max-n", args.max_n, 1),
+        ("--max-degree", args.max_degree, 0),
+    ):
+        if value < least:
+            raise MalformedInput(f"{flag} must be at least {least}, got {value}")
     rng = random.Random(args.seed)
     split_total = 0
     split_ok = True

@@ -23,7 +23,7 @@ from .exactalg import (
     rat_to_str,
 )
 from .polybasis import Poly, PolyVec
-from .subdivision import Mask, eigen_check, polyvec_applied
+from .subdivision import Mask, _image_rows, eigen_check
 from .taylor import Chain, TaylorOperator, chain_for
 from .taylor import chain_validate as _chain_validate
 
@@ -351,15 +351,17 @@ def spectral_chain_from_factorization(
         raise ValueError("factor does not reproduce the constant top-derivative data")
 
     size = d + 1
-    samples: list[tuple[list[tuple[Fraction, ...]], int]] = []
-    for v in chain.vecs:
-        samples.append(polyvec_applied(mask, v))
+    images = [_image_rows(mask, v) for v in chain.vecs]
+    # Every image shares the default output window; sample the chain on it once.
+    start = images[0][2]
+    stop = start + len(images[0][0][0]) - 1
+    chain_rows = [v.sample_rows(start, stop, ambient=d) for v in chain.vecs]
     umat = [[Fraction(0)] * size for _ in range(size)]
     for j in range(size):
-        cols, start = samples[j]
-        work = [list(c) for c in cols]
+        # The image of level j, as integer rows over den.
+        work, den, _ = images[j]
         for k in range(size - 1, -1, -1):
-            vals = {work[n][k] for n in range(len(work))}
+            vals = set(work[k])
             if len(vals) != 1:
                 raise SpanHypothesisFailed(
                     f"image of level {j} is not constant on row {k}; "
@@ -372,11 +374,11 @@ def spectral_chain_from_factorization(
                 raise SpanHypothesisFailed(
                     f"image of level {j} has a component on level {k}"
                 )
-            umat[k][j] = c
-            for n in range(len(work)):
-                col = chain.vecs[k].column_at(start + n, ambient=d)
-                for i in range(size):
-                    work[n][i] -= c * col[i]
+            umat[k][j] = Fraction(c, den)
+            # work / den - (c / den) (rows / q) = (q work - c rows) / (den q)
+            rows, q = chain_rows[k]
+            work = [[q * w - c * x for w, x in zip(wi, xi)] for wi, xi in zip(work, rows)]
+            den *= q
     for j in range(size):
         want = Fraction(1, 2**j)
         if umat[j][j] != want:

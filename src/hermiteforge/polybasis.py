@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 from typing import Mapping, Sequence
 
 from .exactalg import RationalLike, rat_from_str, rat_to_str
@@ -269,16 +269,31 @@ class PolyVec:
     def component(self, degree: int) -> Poly:
         return self.components[degree]
 
-    def column_at(self, alpha: RationalLike, ambient: int | None = None) -> tuple[Fraction, ...]:
-        """Sample as a column in the degree-descending layout, zero-padded at
-        the bottom to ambient dimension ambient+1 when requested."""
+    def sample_rows(
+        self, lo: int, hi: int, ambient: int | None = None
+    ) -> tuple[list[list[int]], int]:
+        """Samples at the integers lo..hi as integer numerators over one
+        denominator Q, returned as (rows, Q).
+
+        rows[i][n] belongs to abscissa lo + n in the degree-descending layout
+        (component d - i), with zero rows padding to ambient + 1 rows when
+        requested. Each row is evaluated by integer Horner.
+        """
         d = self.d
         amb = d if ambient is None else ambient
         if amb < d:
             raise ValueError("ambient dimension smaller than the vector's own")
-        col = [self.components[d - i].evaluate(alpha) for i in range(d + 1)]
-        col.extend(Fraction(0) for _ in range(amb - d))
-        return tuple(col)
+        den = lcm(*(c.denominator for p in self.components for c in p.coeffs))
+        xs = range(lo, hi + 1)
+        rows = []
+        for i in range(d + 1):
+            nums = [c.numerator * (den // c.denominator) for c in self.components[d - i].coeffs]
+            row = [nums[-1]] * len(xs)
+            for c in reversed(nums[:-1]):
+                row = [r * x + c for r, x in zip(row, xs)]
+            rows.append(row)
+        rows.extend([0] * len(xs) for _ in range(amb - d))
+        return rows, den
 
     def to_json(self) -> dict:
         return {"d": self.d, "components": [p.to_json() for p in self.components]}

@@ -149,6 +149,17 @@ def bspline_value(r: int, x: RationalLike) -> Fraction:
     )
 
 
+def _scaled_bspline_derivative(r: int, k: int, num: int, den: int) -> int:
+    """(r-k)! den^(r-k) B_r^(k)(num/den) for den > 0, by the difference formula
+    sum_i (-1)^i binom(k,i) B_(r-k)(x - i)."""
+    q = r - k
+    total = 0
+    for i in range(k + 1):
+        term = comb(k, i) * _scaled_bspline(q, num - i * den, den)
+        total += -term if i % 2 else term
+    return total
+
+
 def bspline_derivative(r: int, k: int, x: RationalLike) -> Fraction:
     """Exact k-th derivative via the difference formula
     sum_i (-1)^i binom(k,i) bspline_value(r-k, x-i); k <= r."""
@@ -157,11 +168,7 @@ def bspline_derivative(r: int, k: int, x: RationalLike) -> Fraction:
     x = Fraction(x)
     num, den = x.numerator, x.denominator
     q = r - k
-    total = 0
-    for i in range(k + 1):
-        term = comb(k, i) * _scaled_bspline(q, num - i * den, den)
-        total += -term if i % 2 else term
-    return Fraction(total, factorial(q) * den**q)
+    return Fraction(_scaled_bspline_derivative(r, k, num, den), factorial(q) * den**q)
 
 
 @dataclass(frozen=True)
@@ -206,23 +213,25 @@ def check_spline_cascade(
     window = (-(r + 2), r + 2)
     grids = cascade(mask, levels, "delta", window, exact=False)
     final = grids[-1]
-    n = final.level
-    kappa = Fraction(r + 1, 2)
+    # Component k sits at x = (2 alpha + r + 1 - k) / 2^(n+1).
+    den = 2 ** (final.level + 1)
+    end = (r + 1) * den
     errors = []
     points = []
     for k in range(d + 1):
+        scale = factorial(r - k) * den ** (r - k)
         worst = 0.0
         count = 0
         for idx in range(final.npoints):
-            alpha = final.start + idx
-            x = (Fraction(alpha) + kappa - Fraction(k, 2)) / 2**n
-            if x <= 0 or x >= r + 1:
+            num = 2 * (final.start + idx) + r + 1 - k
+            if num <= 0 or num >= end:
                 continue
-            if k == r and x.denominator == 1:
+            if k == r and num % den == 0:
                 continue
-            exact = bspline_derivative(r, k, x)
+            exact = _scaled_bspline_derivative(r, k, num, den)
             got = float(final.values[idx][k])
-            err = abs(got - float(exact))
+            # int / int rounds correctly, exactly as float(Fraction) does
+            err = abs(got - exact / scale)
             count += 1
             if err > worst:
                 worst = err

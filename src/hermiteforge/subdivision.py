@@ -204,21 +204,8 @@ def hermite_step(
     return _refine(mask, values, start, level, level + 1)
 
 
-def _refine(
-    mask: Mask, values: Sequence[Sequence], start: int, pre: int, post: int
-) -> tuple[list[tuple], int]:
-    """D^-post S_A D^pre on a window, with D = diag(1, 1/2, ..., 2^-d).
-
-    Each output row is accumulated one stencil term at a time across all
-    outputs of a parity class; every output still adds its terms in the
-    order beta ascending, then k ascending.
-    """
-    size = mask.d + 1
-    for col in values:
-        if len(col) != size:
-            raise ValueError(f"expected columns of height {size}")
-    a = start
-    b = start + len(values) - 1
+def _output_window(mask: Mask, a: int, b: int) -> tuple[int, int]:
+    """The outputs of one step on input [a, b] whose full stencil lies inside it."""
     s_min, s_max = mask.support
     out_lo = 2 * a + s_max - 1
     out_hi = 2 * b + s_min + 1
@@ -226,43 +213,87 @@ def _refine(
         raise WindowTooSmall(
             f"window [{a},{b}] too small for support [{s_min},{s_max}]"
         )
-    stencil = mask._stencil
-    cols = list(zip(*values))
-    exact = all(isinstance(v, (int, Fraction)) for col in cols for v in col)
-    if exact:
-        # Values v = u / q become integers u * (Q / q) over Q; the scaling
-        # 2^-(pre k) becomes a shift by pre (d - k) over 2^(pre d).
-        d = size - 1
-        den_q = lcm(*{v.denominator for col in cols for v in col})
-        cols = [
-            [v.numerator * (den_q // v.denominator) << pre * (d - k) for v in col]
-            for k, col in enumerate(cols)
-        ]
-        den = stencil.denominator * den_q << pre * d
-        table, zero = stencil.numerators, 0
-    else:
-        scales = [1 / (1 << pre * k) for k in range(size)]
-        cols = [[v * f for v in col] for f, col in zip(scales, cols)]
-        table, zero = stencil.floats, 0.0
-    out: list = [None] * (out_hi - out_lo + 1)
-    for parity, rows in enumerate(table):
+    return out_lo, out_hi
+
+
+def _stencil_sums(
+    table: tuple, rows: Sequence[Sequence], a: int, out_lo: int, out_hi: int, zero
+) -> list[list]:
+    """Raw sums sum_beta A(alpha - 2 beta)[i][k] rows[k][beta - a] for alpha in
+    [out_lo, out_hi], one list per output row i, with the coefficients of one
+    stencil table (floats, or integer numerators over its denominator).
+
+    Each output row is accumulated one stencil term at a time across all
+    outputs of a parity class; every output still adds its terms in the
+    order beta ascending, then k ascending.
+    """
+    out = [[zero] * (out_hi - out_lo + 1) for _ in table[0]]
+    for parity, terms_by_row in enumerate(table):
         first = out_lo + (parity - out_lo) % 2
         count = (out_hi - first) // 2 + 1
         base = (first - parity) // 2 - a
-        results = []
-        for i, terms in enumerate(rows):
+        for i, terms in enumerate(terms_by_row):
             acc = [zero] * count
             for offset, k, c in terms:
                 lo = base + offset
-                acc = [s + c * v for s, v in zip(acc, cols[k][lo : lo + count])]
-            if exact:
-                acc = [Fraction(s << post * i, den) for s in acc]
-            else:
-                scale = float(1 << post * i)
-                acc = [s * scale for s in acc]
-            results.append(acc)
-        out[first - out_lo :: 2] = zip(*results)
-    return out, out_lo
+                acc = [s + c * v for s, v in zip(acc, rows[k][lo : lo + count])]
+            out[i][first - out_lo :: 2] = acc
+    return out
+
+
+def _refine(
+    mask: Mask, values: Sequence[Sequence], start: int, pre: int, post: int
+) -> tuple[list[tuple], int]:
+    """D^-post S_A D^pre on a window, with D = diag(1, 1/2, ..., 2^-d)."""
+    size = mask.d + 1
+    for col in values:
+        if len(col) != size:
+            raise ValueError(f"expected columns of height {size}")
+    a = start
+    out_lo, out_hi = _output_window(mask, a, start + len(values) - 1)
+    stencil = mask._stencil
+    rows = list(zip(*values))
+    if all(isinstance(v, (int, Fraction)) for row in rows for v in row):
+        # Values v = u / q become integers u * (Q / q) over Q; the scaling
+        # 2^-(pre k) becomes a shift by pre (d - k) over 2^(pre d).
+        d = size - 1
+        den_q = lcm(*{v.denominator for row in rows for v in row})
+        rows = [
+            [v.numerator * (den_q // v.denominator) << pre * (d - k) for v in row]
+            for k, row in enumerate(rows)
+        ]
+        den = stencil.denominator * den_q << pre * d
+        sums = _stencil_sums(stencil.numerators, rows, a, out_lo, out_hi, 0)
+        out = [[Fraction(s << post * i, den) for s in row] for i, row in enumerate(sums)]
+    else:
+        scales = [1 / (1 << pre * k) for k in range(size)]
+        rows = [[v * f for v in row] for f, row in zip(scales, rows)]
+        sums = _stencil_sums(stencil.floats, rows, a, out_lo, out_hi, 0.0)
+        out = [[s * float(1 << post * i) for s in row] for i, row in enumerate(sums)]
+    return list(zip(*out)), out_lo
+
+
+def _image_rows(
+    mask: Mask, v: PolyVec, window: tuple[int, int] | None = None
+) -> tuple[list[list[int]], int, int]:
+    """S_A applied to the zero-padded samples of v on a window, in integers.
+
+    Returns the output rows as numerators over one denominator, that
+    denominator, and the first output abscissa. The default window is wide
+    enough that, per parity class, the output determines its (componentwise)
+    polynomial of degree <= d.
+    """
+    if v.d > mask.d:
+        raise ValueError("vector does not fit the mask's dimension")
+    if window is None:
+        s_min, s_max = mask.support
+        half = mask.d + 3 + (s_max - s_min)
+        window = (-half, half)
+    a, b = window
+    out_lo, out_hi = _output_window(mask, a, b)
+    samples, den_q = v.sample_rows(a, b, ambient=mask.d)
+    sums = _stencil_sums(mask._stencil.numerators, samples, a, out_lo, out_hi, 0)
+    return sums, mask._stencil.denominator * den_q, out_lo
 
 
 def polyvec_applied(
@@ -273,16 +304,8 @@ def polyvec_applied(
     The default window is wide enough that, per parity class, the output
     determines its (componentwise) polynomial of degree <= d.
     """
-    d = mask.d
-    if v.d > d:
-        raise ValueError("vector does not fit the mask's dimension")
-    if window is None:
-        s_min, s_max = mask.support
-        half = d + 3 + (s_max - s_min)
-        window = (-half, half)
-    a, b = window
-    cols = [v.column_at(beta, ambient=d) for beta in range(a, b + 1)]
-    return subdivide(mask, cols, a)
+    sums, den, out_lo = _image_rows(mask, v, window)
+    return [tuple(Fraction(s, den) for s in col) for col in zip(*sums)], out_lo
 
 
 def eigen_check(
@@ -292,18 +315,23 @@ def eigen_check(
 
     Checking every integer in a conclusive window per parity class settles
     the polynomial identity. Returns None on success, else the first
-    counterexample (alpha, row, got, want).
+    counterexample (alpha, row, got, want). The comparison runs on integer
+    numerators: got / D == lambda want / Q is cross-multiplied.
     """
     lam = Fraction(eigenvalue)
-    out, out_start = polyvec_applied(mask, v)
-    d = mask.d
-    for n, col in enumerate(out):
-        alpha = out_start + n
-        want = v.column_at(alpha, ambient=d)
-        for i in range(d + 1):
-            if col[i] != lam * want[i]:
-                return (alpha, i, col[i], lam * want[i])
-    return None
+    got, den, out_lo = _image_rows(mask, v)
+    want, den_q = v.sample_rows(out_lo, out_lo + len(got[0]) - 1, ambient=mask.d)
+    got_scale, want_scale = lam.denominator * den_q, lam.numerator * den
+    hits = [
+        (n, i)
+        for i, (got_row, want_row) in enumerate(zip(got, want))
+        for n, (g, w) in enumerate(zip(got_row, want_row))
+        if g * got_scale != want_scale * w
+    ]
+    if not hits:
+        return None
+    n, i = min(hits)
+    return (out_lo + n, i, Fraction(got[i][n], den), lam * Fraction(want[i][n], den_q))
 
 
 @dataclass(frozen=True)

@@ -1,0 +1,44 @@
+"""Hypothesis strategies shared by the kernel property tests."""
+
+from fractions import Fraction as F
+from math import factorial
+
+from hypothesis import assume
+from hypothesis import strategies as st
+
+from hermiteforge import Mask, Poly, PolyVec
+
+
+@st.composite
+def sparse_masks(draw):
+    """Random masks with whole rows zeroed, or one row zeroed in one parity
+    class of alpha, so that some stencil rows have no terms."""
+    d = draw(st.integers(min_value=0, max_value=3))
+    length = draw(st.integers(min_value=1, max_value=6))
+    s_min = draw(st.integers(min_value=-4, max_value=3))
+    entry = st.one_of(
+        st.just(F(0)), st.fractions(min_value=F(-3), max_value=F(3), max_denominator=12)
+    )
+    coeffs = [
+        [[draw(entry) for _ in range(d + 1)] for _ in range(d + 1)] for _ in range(length)
+    ]
+    for i in range(d + 1):
+        drop = draw(st.sampled_from([None, "all", 0, 1]))
+        for n in range(length):
+            if drop == "all" or drop == (s_min + n) % 2:
+                coeffs[n][i] = [F(0)] * (d + 1)
+    assume(any(v for m in coeffs for row in m for v in row))
+    return Mask(s_min, tuple(tuple(tuple(row) for row in m) for m in coeffs))
+
+
+@st.composite
+def poly_vecs(draw, max_d: int):
+    """Random elements of V_d for d <= max_d: the constant 1 on top of
+    components of degree j with leading coefficient 1/j! and random lower
+    coefficients."""
+    d = draw(st.integers(min_value=0, max_value=max_d))
+    lower = st.fractions(min_value=F(-3), max_value=F(3), max_denominator=9)
+    comps = [Poly.one()]
+    for j in range(1, d + 1):
+        comps.append(Poly([draw(lower) for _ in range(j)] + [F(1, factorial(j))]))
+    return PolyVec(tuple(comps))

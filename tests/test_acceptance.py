@@ -174,11 +174,13 @@ def test_criterion_07_contractivity_certificates():
     ref = synthesize(delta_operator(2), seed_poly(), {(1, 0): LaurentPoly({0: F(1)})})
     rep = check_contractive(ref.factorization.factor, n_max=4)
     assert rep.contractive
+    assert rep.norms == (F(9, 2), F(17, 4), F(5, 2), F(63, 32))
+    assert rep.certified_by == "diagonal"
     print(
         "PASS: criterion 7 - zero-g factors at d = 1,2,3 report diagonal "
         "norm 1/2 at n = 1; the reference factor is contractive within "
-        "n_max = 4 (diagonal certificate; see the decisions ledger on the "
-        "joint norm reading)"
+        "n_max = 4 by its diagonal certificate, while its joint norms read "
+        "9/2, 17/4, 5/2, 63/32 for n = 1..4"
     )
 
 

@@ -3,7 +3,7 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from goldens import (
@@ -28,6 +28,8 @@ from hermiteforge import (
     subdivide,
     synthesize,
 )
+from reference_kernels import check_contractive_reference, scheme_norm_reference
+from strategies import sparse_masks
 
 
 def scalar_mask(p):
@@ -70,6 +72,17 @@ def test_identity_upsampler_norms_stick_at_one():
     assert not check_contractive(m, n_max=5).contractive
 
 
+def test_nilpotent_mask_has_norm_zero():
+    # B*(z) = E_10 squares to zero, so every iterate beyond the first
+    # vanishes; the zero iterate once raised "zero symbol has no mask"
+    m = Mask(0, (((F(0), F(0)), (F(1), F(0))),))
+    assert scheme_norm(m, 1) == 1
+    assert scheme_norm(m, 2) == 0
+    rep = check_contractive(m, n_max=3)
+    assert rep.norms == (F(1), F(0))
+    assert rep.certified_by == "joint" and rep.n_star == 2
+
+
 @st.composite
 def small_scalar_masks(draw):
     lo = draw(st.integers(min_value=-3, max_value=0))
@@ -93,6 +106,26 @@ def test_reference_factor_norm_sequence(ref2):
     bt = ref2.factorization.factor
     for n, want in enumerate(REF2_FACTOR_NORMS, start=1):
         assert scheme_norm(bt, n) == want
+
+
+@given(
+    sparse_masks(),
+    st.booleans(),
+    st.sampled_from([F(1), F(1, 4), F(1, 16)]),
+    st.integers(min_value=1, max_value=5),
+)
+@settings(max_examples=40, deadline=None)
+def test_integer_norms_match_fraction_reference(mask, lower, scale, n_max):
+    if lower:
+        d = mask.d
+        coeffs = [[row[: i + 1] + (0,) * (d - i) for i, row in enumerate(m)] for m in mask.coeffs]
+        assume(any(v for m in coeffs for row in m for v in row))
+        mask = Mask(mask.support_min, coeffs)
+    mask = mask.scale(scale)
+    for n in range(1, n_max + 1):
+        assert scheme_norm(mask, n) == scheme_norm_reference(mask, n)
+    got = check_contractive(mask, n_max=n_max)
+    assert got.to_json() == check_contractive_reference(mask, n_max=n_max).to_json()
 
 
 def test_reference_factor_certificates(ref2):

@@ -284,8 +284,14 @@ def _malformed_argv(case, tmp_path):
         return ["chain", "--taylor", "delta:d=-1"]
     if case == "nan-ratio-bound":
         return ["check-convergence", "--mask", str(hat), "--ratio-bound", "nan"]
-    assert case == "nan-residual-tol"
-    return ["check-convergence", "--mask", str(hat), "--residual-tol", "nan"]
+    if case == "nan-residual-tol":
+        return ["check-convergence", "--mask", str(hat), "--residual-tol", "nan"]
+    flag, value = {
+        "no-polys": ("--polys", "-3"),
+        "no-max-n": ("--max-n", "0"),
+        "negative-max-degree": ("--max-degree", "-1"),
+    }[case]
+    return ["identity-tests", flag, value]
 
 
 @pytest.mark.parametrize(
@@ -298,10 +304,16 @@ def _malformed_argv(case, tmp_path):
         "negative-preset-size",
         "nan-ratio-bound",
         "nan-residual-tol",
+        "no-polys",
+        "no-max-n",
+        "negative-max-degree",
     ],
 )
 def test_malformed_input_exits_two(case, capsys, tmp_path):
-    assert run(_malformed_argv(case, tmp_path)) == 2
+    argv = _malformed_argv(case, tmp_path)
+    assert run(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:")
+    if argv[0] == "identity-tests":
+        assert argv[1] in captured.err

@@ -14,6 +14,7 @@ from goldens import (
 from hermiteforge import (
     NotAnnihilated,
     NotDivisible,
+    SpanHypothesisFailed,
     chain_for,
     classical_operator,
     complete_from_incomplete,
@@ -96,6 +97,16 @@ def test_spectral_chain_recovered_from_factorization():
     got = tuple(tuple(p.coeffs for p in v.components) for v in ch.vecs)
     assert got == REF2_SPECTRAL_CHAIN
     assert verify_spectral_chain(ref2_mask(), ch).ok
+
+
+def test_spectral_chain_rejects_a_chain_outside_the_span():
+    # the classical chain's top vector leaves the span of the chain under S_A
+    fac = taylor_factorize(ref2_mask(), delta_chain())
+    b = incomplete_from_complete(fac.factor)
+    with pytest.raises(SpanHypothesisFailed, match="image of level 2 is not constant on row 1"):
+        spectral_chain_from_factorization(
+            ref2_mask(), b, fac.taylor, chain=chain_for(classical_operator(2)), scale=fac.scale
+        )
 
 
 def test_classical_chain_is_not_spectral_for_reference_scheme():

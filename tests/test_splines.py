@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from goldens import SPLINE_R4_D3_ROW, SPLINE_R4_D3_SCALE
-from reference_kernels import bspline_value_reference
+from reference_kernels import bspline_value_reference, spline_cascade_reference
 from hermiteforge import (
     BadOrder,
     LaurentPoly,
@@ -208,3 +208,11 @@ def test_bspline_pieces_match_recursion():
 @settings(max_examples=100, deadline=None)
 def test_bspline_value_matches_recursion_at_rationals(r, x):
     assert bspline_value(r, x) == bspline_value_reference(r, x)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_spline_cascade_matches_fraction_abscissae(r):
+    for d in range(r + 1):
+        for levels in (0, 1, 4):
+            got = check_spline_cascade(r, d, levels=levels, tol=1e-3)
+            assert got == spline_cascade_reference(r, d, levels, 1e-3)

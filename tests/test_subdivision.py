@@ -3,7 +3,7 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from goldens import REF2_MASK, REF2_SPECTRAL_CHAIN, mask_from_entries
@@ -20,7 +20,13 @@ from hermiteforge import (
     subdivide,
 )
 from hermiteforge.taylor import WindowTooSmall
-from reference_kernels import hermite_step_reference, subdivide_reference
+from reference_kernels import (
+    eigen_check_reference,
+    hermite_step_reference,
+    polyvec_applied_reference,
+    subdivide_reference,
+)
+from strategies import poly_vecs, sparse_masks
 
 
 def hat_mask():
@@ -160,28 +166,6 @@ def test_chain_container():
     assert ch.last == vecs[-1]
 
 
-@st.composite
-def sparse_masks(draw):
-    """Random masks with whole rows zeroed, or one row zeroed in one parity
-    class of alpha, so that some stencil rows have no terms."""
-    d = draw(st.integers(min_value=0, max_value=3))
-    length = draw(st.integers(min_value=1, max_value=6))
-    s_min = draw(st.integers(min_value=-4, max_value=3))
-    entry = st.one_of(
-        st.just(F(0)), st.fractions(min_value=F(-3), max_value=F(3), max_denominator=12)
-    )
-    coeffs = [
-        [[draw(entry) for _ in range(d + 1)] for _ in range(d + 1)] for _ in range(length)
-    ]
-    for i in range(d + 1):
-        drop = draw(st.sampled_from([None, "all", 0, 1]))
-        for n in range(length):
-            if drop == "all" or drop == (s_min + n) % 2:
-                coeffs[n][i] = [F(0)] * (d + 1)
-    assume(any(v for m in coeffs for row in m for v in row))
-    return Mask(s_min, tuple(tuple(tuple(row) for row in m) for m in coeffs))
-
-
 float_values = st.one_of(
     st.sampled_from([0.0, -0.0, 1.0, -1.0]),
     st.floats(min_value=-1e3, max_value=1e3),
@@ -249,3 +233,34 @@ def test_float_cascade_holds_only_floats():
     final = cascade(m, 2, exact=False)[-1]
     assert all(type(v) is float for col in final.values for v in col)
     assert final.to_json()["kind"] == "float"
+
+
+eigenvalues = st.sampled_from([F(0), F(1), F(1, 2), F(1, 4), F(-3, 7)])
+
+
+@given(sparse_masks(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_eigen_check_matches_fraction_reference(mask, data):
+    # v.d may be below mask.d, so the samples are zero-padded at the bottom
+    v = data.draw(poly_vecs(mask.d))
+    lam = data.draw(eigenvalues)
+    assert eigen_check(mask, v, lam) == eigen_check_reference(mask, v, lam)
+    got = polyvec_applied(mask, v)
+    want = polyvec_applied_reference(mask, v)
+    assert got == want
+    assert all(type(x) is F for col in got[0] for x in col)
+
+
+@given(
+    st.sampled_from(sorted(REF2_MASK)),
+    st.fractions(min_value=F(-2), max_value=F(2), max_denominator=16).filter(bool),
+)
+@settings(max_examples=60, deadline=None)
+def test_eigen_check_first_failure_on_perturbed_masks(key, delta):
+    entries = dict(REF2_MASK)
+    entries[key] += delta
+    m = mask_from_entries(entries, 2)
+    for j, vec in enumerate(REF2_SPECTRAL_CHAIN):
+        v = PolyVec(tuple(Poly(cs) for cs in vec))
+        got = eigen_check(m, v, F(1, 2**j))
+        assert got == eigen_check_reference(m, v, F(1, 2**j))
