@@ -522,12 +522,14 @@ def difference_split_check(p: Poly, n: int) -> bool:
     Delta p = sum_{k=1}^{n-1} (Delta^k p)(. - k) + (Delta^n p)(. - (n-1))."""
     if n < 1 or p.degree > n:
         raise ValueError("the identity needs 1 <= n and deg p <= n")
-    lhs = p.forward_difference()
+    ladder = [p.forward_difference()]  # ladder[k - 1] = Delta^k p
+    for _ in range(1, n):
+        ladder.append(ladder[-1].forward_difference())
     rhs = Poly.zero()
     for k in range(1, n):
-        rhs = rhs + p.forward_difference(k).shift(-k)
-    rhs = rhs + p.forward_difference(n).shift(-(n - 1))
-    return lhs == rhs
+        rhs = rhs + ladder[k - 1].shift(-k)
+    rhs = rhs + ladder[n - 1].shift(-(n - 1))
+    return ladder[0] == rhs
 
 
 def _cmd_identity_tests(args) -> int:
@@ -538,6 +540,11 @@ def _cmd_identity_tests(args) -> int:
     ):
         if value < least:
             raise MalformedInput(f"{flag} must be at least {least}, got {value}")
+    if args.max_degree > args.max_n:
+        # A polynomial of degree above n takes part in no identity up to n.
+        raise MalformedInput(
+            f"--max-degree ({args.max_degree}) must not exceed --max-n ({args.max_n})"
+        )
     rng = random.Random(args.seed)
     split_total = 0
     split_ok = True
@@ -695,7 +702,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("identity-tests", help="exact difference/binomial identity suites")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--polys", type=int, default=100)
-    p.add_argument("--max-degree", type=int, default=8)
+    p.add_argument("--max-degree", type=int, default=8, help="at most --max-n")
     p.add_argument("--max-n", type=int, default=10)
     add_out(p)
     p.set_defaults(func=_cmd_identity_tests)

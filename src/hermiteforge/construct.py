@@ -19,6 +19,7 @@ from .exactalg import (
     LaurentMatrix,
     LaurentPoly,
     NotDivisible,
+    _over_one_denominator,
     falling_factorial,
     rat_to_str,
 )
@@ -84,25 +85,46 @@ class LastRowSystem:
 def _solve_square(
     rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]
 ) -> tuple[list[Fraction], Fraction]:
-    """Exact Gaussian elimination with determinant tracking."""
+    """Exact solution and determinant by fraction-free (Bareiss) elimination.
+
+    Each augmented row is cleared to integers by the lcm of its denominators.
+    The pivot is the first nonzero entry at or below the diagonal. Bareiss
+    entries are the Gaussian ones times nonzero minors, so the row swaps are
+    the same as in rational elimination. The last pivot is the determinant
+    of the permuted integer matrix. Back-substitution on the numerators
+    y = det * x stays in integers, because y solves the system by Cramer's
+    rule.
+    """
     n = len(rows)
-    a = [list(r) + [rhs[i]] for i, r in enumerate(rows)]
-    det = Fraction(1)
+    a = []
+    scale = 1
+    for i, r in enumerate(rows):
+        nums, den = _over_one_denominator([*r, rhs[i]])
+        a.append(nums)
+        scale *= den
+    sign, prev = 1, 1
     for col in range(n):
         piv = next((r for r in range(col, n) if a[r][col] != 0), None)
         if piv is None:
             raise SingularSystem("last-row system is singular")
         if piv != col:
             a[col], a[piv] = a[piv], a[col]
-            det = -det
-        det *= a[col][col]
-        inv = 1 / a[col][col]
-        a[col] = [v * inv for v in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [v - f * w for v, w in zip(a[r], a[col])]
-    return [a[i][n] for i in range(n)], det
+            sign = -sign
+        top = a[col]
+        p = top[col]
+        for r in range(col + 1, n):
+            row = a[r]
+            f = row[col]
+            a[r] = row[: col + 1] + [
+                (v * p - f * w) // prev for v, w in zip(row[col + 1 :], top[col + 1 :])
+            ]
+        prev = p
+    det = prev
+    y = [0] * n
+    for i in range(n - 1, -1, -1):
+        row = a[i]
+        y[i] = (det * row[n] - sum(row[j] * y[j] for j in range(i + 1, n))) // row[i]
+    return [Fraction(v, det) for v in y], Fraction(sign * det, scale)
 
 
 def build_last_row_system(op: TaylorOperator, seed: LaurentPoly) -> LastRowSystem:

@@ -1,7 +1,10 @@
 """Exact arithmetic over Q: Laurent polynomials, Laurent matrices, and the
 triangular-inverse decomposition used by the factorization routines.
 
-Everything here is exact; floats never enter. Rationals are plain
+Everything here is exact; floats never enter. A Laurent polynomial keeps
+its coefficients as integer numerators over one positive denominator, and
+the integer kernel below (shared with ``polybasis.Poly``) does its
+arithmetic. Single rationals that enter or leave are
 ``fractions.Fraction`` values and serialize as "p/q" strings.
 """
 
@@ -9,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 Rational = Fraction
@@ -57,31 +61,195 @@ def falling_factorial(e: int, r: int) -> int:
     return out
 
 
+# ---------------------------------------------------------------------------
+# The integer kernel shared by LaurentPoly and polybasis.Poly.
+#
+# A polynomial is a tuple of integer numerators, dense from an offset, over
+# one positive denominator. The helpers below work on plain int lists and
+# leave stripping and reduction to the classes, which normalize once per
+# operation.
+
+
+def _over_one_denominator(values: Sequence[RationalLike]) -> tuple[list[int], int]:
+    """Numerators of the values over the lcm of their denominators."""
+    vals = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values]
+    den = lcm(*(v.denominator for v in vals))
+    return [v.numerator * (den // v.denominator) for v in vals], den
+
+
+def _reduce(nums: Sequence[int], den: int) -> tuple[tuple[int, ...], int]:
+    """Divide out gcd(den, nums); nums must hold a nonzero entry."""
+    if den != 1:
+        g = gcd(den, *nums)
+        if g != 1:
+            return tuple(n // g for n in nums), den // g
+    return tuple(nums), den
+
+
+def _canonical(lo: int, nums: Sequence[int], den: int) -> tuple[int, tuple[int, ...], int]:
+    """(lo, nums, den > 0) with the zero numerators at both ends stripped and
+    the common factor divided out; the zero polynomial is (0, (), 1)."""
+    i, j = 0, len(nums)
+    while j > i and not nums[j - 1]:
+        j -= 1
+    while i < j and not nums[i]:
+        i += 1
+    if i == j:
+        return 0, (), 1
+    return (lo + i, *_reduce(nums[i:j], den))
+
+
+def _add(
+    alo: int, a: Sequence[int], ad: int, blo: int, b: Sequence[int], bd: int
+) -> tuple[int, list[int], int]:
+    """a/ad z^alo + b/bd z^blo as (lo, numerators, den), unreduced."""
+    den = ad if ad == bd else lcm(ad, bd)
+    fa, fb = den // ad, den // bd
+    lo = min(alo, blo)
+    out = [0] * (max(alo + len(a), blo + len(b)) - lo)
+    i = alo - lo
+    out[i : i + len(a)] = a if fa == 1 else [n * fa for n in a]
+    i = blo - lo
+    out[i : i + len(b)] = [o + n * fb for o, n in zip(out[i : i + len(b)], b)]
+    return lo, out, den
+
+
+def _mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Product of two integer coefficient lists."""
+    if len(a) < len(b):
+        a, b = b, a
+    n = len(a)
+    out = [0] * (n + len(b) - 1)
+    for j, y in enumerate(b):
+        if y:
+            out[j : j + n] = [o + x * y for o, x in zip(out[j : j + n], a)]
+    return out
+
+
+def _scale(nums: Sequence[int], den: int, q: RationalLike) -> tuple[list[int], int]:
+    """nums/den times a nonzero int or Fraction q, unreduced."""
+    return [n * q.numerator for n in nums], den * q.denominator
+
+
+def _horner(nums: Sequence[int], p: int, q: int) -> int:
+    """q^m * sum_i nums[i] (p/q)^i for m = len(nums) - 1."""
+    out = nums[-1]
+    if q == 1:
+        for c in reversed(nums[:-1]):
+            out = out * p + c
+        return out
+    qk = 1
+    for c in reversed(nums[:-1]):
+        qk *= q
+        out = out * p + c * qk
+    return out
+
+
+def _taylor_shift(nums: Sequence[int], a: int) -> list[int]:
+    """Ascending coefficients of p(x + a) for integer p and a."""
+    c = list(nums)
+    m = len(c) - 1
+    for i in range(m):
+        for j in range(m - 1, i - 1, -1):
+            c[j] += a * c[j + 1]
+    return c
+
+
+def _divide(num: Sequence[int], div: Sequence[int]) -> tuple[list[int], int]:
+    """(quot, c) with num / div = quot / c, c the content gcd(div) > 0.
+
+    Both lists have nonzero ends. By Gauss's lemma the primitive part
+    div / c divides num over Q exactly when it divides it over Z, so long
+    division by it with integer quotients finds every exact quotient; any
+    other input leaves a nonzero entry in the work list, and NotDivisible
+    is raised.
+    """
+    m = len(div) - 1
+    k = len(num) - m
+    c = gcd(*div)
+    prim = div if c == 1 else [x // c for x in div]
+    lead = prim[-1]
+    work = list(num)
+    quot = [0] * max(k, 0)
+    for t in range(k - 1, -1, -1):
+        top = work[t + m]
+        if top:
+            q = top // lead
+            quot[t] = q
+            work[t : t + m + 1] = [w - q * x for w, x in zip(work[t : t + m + 1], prim)]
+    if any(work):
+        raise NotDivisible("Laurent division leaves a nonzero remainder")
+    return quot, c
+
+
+def _ratio_str(n: int, d: int) -> str:
+    """rat_to_str(Fraction(n, d)) for d > 0, without building the Fraction."""
+    if d != 1:
+        g = gcd(n, d)
+        n, d = n // g, d // g
+    return str(n) if d == 1 else f"{n}/{d}"
+
+
+def _display(lo: int, nums: Sequence[int], den: int, var: str) -> str:
+    """sum_i nums[i]/den var^(lo+i) as text, highest power first."""
+    parts: list[str] = []
+    for i in range(len(nums) - 1, -1, -1):
+        n = nums[i]
+        if not n:
+            continue
+        e = lo + i
+        size = _ratio_str(abs(n), den)
+        if e == 0:
+            body = size
+        else:
+            power = var if e == 1 else f"{var}^{e}"
+            body = power if abs(n) == den else f"{size}*{power}"
+        if not parts:
+            parts.append(body if n > 0 else f"-{body}")
+        else:
+            parts.append(f"+ {body}" if n > 0 else f"- {body}")
+    return " ".join(parts) or "0"
+
+
 class LaurentPoly:
     """A Laurent polynomial sum c_e z^e with rational coefficients.
 
-    Immutable in practice: all operations return new instances. The internal
-    dict maps exponent -> nonzero Fraction.
+    Immutable: all operations return new instances. The coefficients of
+    z^lo, z^(lo+1), ... are integer numerators over one positive denominator,
+    in canonical form: no zero numerator at either end and no common factor
+    of the denominator and the numerators, so equal polynomials have equal
+    fields. The zero polynomial is (0, (), 1).
     """
 
-    __slots__ = ("_c",)
+    __slots__ = ("_lo", "_num", "_den")
 
     def __init__(self, coeffs: Mapping[int, RationalLike] | None = None):
-        c: dict[int, Fraction] = {}
-        if coeffs:
-            for e, v in coeffs.items():
-                v = Fraction(v)
-                if v != 0:
-                    c[int(e)] = v
-        self._c = c
+        terms = {int(e): v for e, v in coeffs.items()} if coeffs else {0: 0}
+        lo = min(terms)
+        dense = [0] * (max(terms) - lo + 1)
+        for e, v in terms.items():
+            dense[e - lo] = v
+        self._lo, self._num, self._den = _canonical(lo, *_over_one_denominator(dense))
+
+    @classmethod
+    def _raw(cls, lo: int, nums: tuple[int, ...], den: int) -> "LaurentPoly":
+        """An instance from fields already in canonical form."""
+        out = object.__new__(cls)
+        out._lo, out._num, out._den = lo, nums, den
+        return out
+
+    @classmethod
+    def _make(cls, lo: int, nums: Sequence[int], den: int) -> "LaurentPoly":
+        """An instance from numerators over den > 0, brought to canonical form."""
+        return cls._raw(*_canonical(lo, nums, den))
 
     @classmethod
     def zero(cls) -> "LaurentPoly":
-        return cls()
+        return cls._raw(0, (), 1)
 
     @classmethod
     def one(cls) -> "LaurentPoly":
-        return cls({0: 1})
+        return cls._raw(0, (1,), 1)
 
     @classmethod
     def constant(cls, v: RationalLike) -> "LaurentPoly":
@@ -93,55 +261,63 @@ class LaurentPoly:
 
     @property
     def support(self) -> tuple[int, ...]:
-        return tuple(sorted(self._c))
+        lo = self._lo
+        return tuple(lo + i for i, n in enumerate(self._num) if n)
 
     @property
     def is_zero(self) -> bool:
-        return not self._c
+        return not self._num
 
     @property
     def lo(self) -> int:
-        if not self._c:
+        if not self._num:
             raise ValueError("zero polynomial has no degree bounds")
-        return min(self._c)
+        return self._lo
 
     @property
     def hi(self) -> int:
-        if not self._c:
+        if not self._num:
             raise ValueError("zero polynomial has no degree bounds")
-        return max(self._c)
+        return self._lo + len(self._num) - 1
 
     def coeff(self, e: int) -> Fraction:
-        return self._c.get(e, Fraction(0))
+        i = e - self._lo
+        if 0 <= i < len(self._num):
+            return Fraction(self._num[i], self._den)
+        return Fraction(0)
 
     def items(self) -> Iterator[tuple[int, Fraction]]:
-        return iter(sorted(self._c.items()))
+        lo, den = self._lo, self._den
+        return iter([(lo + i, Fraction(n, den)) for i, n in enumerate(self._num) if n])
 
     def __bool__(self) -> bool:
-        return bool(self._c)
+        return bool(self._num)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, LaurentPoly):
-            return self._c == other._c
+            return self._num == other._num and self._lo == other._lo and self._den == other._den
         if isinstance(other, (int, Fraction)):
             return self == LaurentPoly.constant(other)
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._c.items()))
+        return hash(frozenset(self.items()))
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly({e: -v for e, v in self._c.items()})
+        return LaurentPoly._raw(self._lo, tuple(-n for n in self._num), self._den)
 
     def __add__(self, other: "LaurentPoly | RationalLike") -> "LaurentPoly":
         if isinstance(other, (int, Fraction)):
             other = LaurentPoly.constant(other)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        c = dict(self._c)
-        for e, v in other._c.items():
-            c[e] = c.get(e, Fraction(0)) + v
-        return LaurentPoly(c)
+        if not other._num:
+            return self
+        if not self._num:
+            return other
+        return LaurentPoly._make(
+            *_add(self._lo, self._num, self._den, other._lo, other._num, other._den)
+        )
 
     __radd__ = __add__
 
@@ -153,15 +329,17 @@ class LaurentPoly:
 
     def __mul__(self, other: "LaurentPoly | RationalLike") -> "LaurentPoly":
         if isinstance(other, (int, Fraction)):
-            return LaurentPoly({e: v * other for e, v in self._c.items()})
+            if not other or not self._num:
+                return LaurentPoly.zero()
+            return LaurentPoly._make(self._lo, *_scale(self._num, self._den, other))
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        c: dict[int, Fraction] = {}
-        for e1, v1 in self._c.items():
-            for e2, v2 in other._c.items():
-                e = e1 + e2
-                c[e] = c.get(e, Fraction(0)) + v1 * v2
-        return LaurentPoly(c)
+        if not self._num or not other._num:
+            return LaurentPoly.zero()
+        # A product of canonical polynomials has nonzero ends; only the
+        # common factor can need removing.
+        num, den = _reduce(_mul(self._num, other._num), self._den * other._den)
+        return LaurentPoly._raw(self._lo + other._lo, num, den)
 
     __rmul__ = __mul__
 
@@ -185,64 +363,59 @@ class LaurentPoly:
 
     def shift(self, k: int) -> "LaurentPoly":
         """Multiply by z^k."""
-        return LaurentPoly({e + k: v for e, v in self._c.items()})
+        if not self._num:
+            return self
+        return LaurentPoly._raw(self._lo + k, self._num, self._den)
 
     def substitute_power(self, m: int) -> "LaurentPoly":
         """Return f(z^m). m may be negative, not zero."""
         if m == 0:
             raise ValueError("substitute_power requires a nonzero exponent")
-        return LaurentPoly({e * m: v for e, v in self._c.items()})
+        if not self._num:
+            return self
+        step = abs(m)
+        out = [0] * ((len(self._num) - 1) * step + 1)
+        out[::step] = self._num if m > 0 else self._num[::-1]
+        lo = self._lo if m > 0 else self.hi
+        return LaurentPoly._raw(lo * m, tuple(out), self._den)
 
     def evaluate(self, x: RationalLike) -> Fraction:
         x = Fraction(x)
-        if x == 0 and self._c and self.lo < 0:
+        nums, lo = self._num, self._lo
+        if not nums:
+            return Fraction(0)
+        p, q = x.numerator, x.denominator
+        if p == 0 and lo < 0:
             raise ZeroDivisionError("pole at 0")
-        out = Fraction(0)
-        for e, v in self._c.items():
-            out += v * x**e
-        return out
+        # sum_i nums[i] x^(lo+i) = x^lo * horner / q^m over den.
+        top, bottom = _horner(nums, p, q), self._den * q ** (len(nums) - 1)
+        if lo >= 0:
+            return Fraction(top * p**lo, bottom * q**lo)
+        return Fraction(top * q**-lo, bottom * p**-lo)
 
     def derivative_at_one(self, r: int) -> Fraction:
         """r-th derivative evaluated at z = 1, via falling factorials."""
-        out = Fraction(0)
-        for e, v in self._c.items():
-            out += v * falling_factorial(e, r)
-        return out
+        lo = self._lo
+        total = sum(n * falling_factorial(lo + i, r) for i, n in enumerate(self._num) if n)
+        return Fraction(total, self._den)
 
     def abs_coeff_sum(self) -> Fraction:
-        return sum((abs(v) for v in self._c.values()), Fraction(0))
+        return Fraction(sum(abs(n) for n in self._num), self._den)
 
     def divide_exact(self, divisor: "LaurentPoly") -> "LaurentPoly":
-        """Exact division in the Laurent ring; raise NotDivisible otherwise."""
+        """Exact division in the Laurent ring; raise NotDivisible otherwise.
+
+        z^lo is a unit, so this is division of the numerator lists as
+        ordinary polynomials: (N1/d1) / (N2/d2) = Q d2 / (c d1) for
+        N1 / N2 = Q / c.
+        """
         if divisor.is_zero:
             raise ZeroDivisionError("division of Laurent polynomial by zero")
         if self.is_zero:
             return LaurentPoly.zero()
-        # Normalize both to ordinary polynomials by factoring out z^lo.
-        num = {e - self.lo: v for e, v in self._c.items()}
-        den = {e - divisor.lo: v for e, v in divisor._c.items()}
-        dn = max(den)
-        lead = den[dn]
-        quot: dict[int, Fraction] = {}
-        work = dict(num)
-        deg = max(work)
-        while work and deg >= dn:
-            top = work.get(deg)
-            if top:
-                q = top / lead
-                quot[deg - dn] = q
-                for e, v in den.items():
-                    k = deg - dn + e
-                    nv = work.get(k, Fraction(0)) - q * v
-                    if nv == 0:
-                        work.pop(k, None)
-                    else:
-                        work[k] = nv
-            deg -= 1
-        if work:
-            raise NotDivisible("Laurent division leaves a nonzero remainder")
-        off = self.lo - divisor.lo
-        return LaurentPoly({e + off: v for e, v in quot.items()})
+        quot, c = _divide(self._num, divisor._num)
+        d2 = divisor._den
+        return LaurentPoly._make(self._lo - divisor._lo, [n * d2 for n in quot], self._den * c)
 
     def zero_order_at_one(self) -> int:
         """Order of the zero at z = 1 (0 if f(1) != 0)."""
@@ -251,37 +424,39 @@ class LaurentPoly:
         f = self
         order = 0
         zm1 = LaurentPoly({1: 1, 0: -1})
-        while f.evaluate(1) == 0:
+        while not sum(f._num):
             f = f.divide_exact(zm1)
             order += 1
         return order
 
     def to_json(self) -> dict[str, str]:
-        return {str(e): rat_to_str(v) for e, v in sorted(self._c.items())}
+        lo, den = self._lo, self._den
+        return {str(lo + i): _ratio_str(n, den) for i, n in enumerate(self._num) if n}
 
     @classmethod
     def from_json(cls, obj: Mapping[str, str]) -> "LaurentPoly":
         return cls({int(e): rat_from_str(v) for e, v in obj.items()})
 
     def __str__(self) -> str:
-        if not self._c:
-            return "0"
-        parts: list[str] = []
-        for e in sorted(self._c, reverse=True):
-            v = self._c[e]
-            if e == 0:
-                body = rat_to_str(abs(v))
-            else:
-                zp = "z" if e == 1 else f"z^{e}"
-                body = zp if abs(v) == 1 else f"{rat_to_str(abs(v))}*{zp}"
-            if not parts:
-                parts.append(body if v > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if v > 0 else f"- {body}")
-        return " ".join(parts)
+        return _display(self._lo, self._num, self._den, "z")
 
     def __repr__(self) -> str:
-        return f"LaurentPoly({dict(sorted(self._c.items()))!r})"
+        return f"LaurentPoly({dict(self.items())!r})"
+
+
+def _dot(pairs: Iterable[tuple[LaurentPoly, LaurentPoly]]) -> LaurentPoly:
+    """The sum of the products a * b, normalized once at the end."""
+    lo, acc, den = 0, None, 1
+    for a, b in pairs:
+        if a._num and b._num:
+            plo, prod, pden = a._lo + b._lo, _mul(a._num, b._num), a._den * b._den
+            if acc is None:
+                lo, acc, den = plo, prod, pden
+            else:
+                lo, acc, den = _add(lo, acc, den, plo, prod, pden)
+    if acc is None:
+        return LaurentPoly.zero()
+    return LaurentPoly._make(lo, acc, den)
 
 
 # The deltas z^-1 - 1 and z^-2 - 1 come up constantly in the factorization
@@ -364,19 +539,8 @@ class LaurentMatrix:
         if isinstance(other, LaurentMatrix):
             if self.ncols != other.nrows:
                 raise ValueError("matrix shape mismatch in product")
-            out = []
-            for i in range(self.nrows):
-                row = []
-                for k in range(other.ncols):
-                    acc = LaurentPoly.zero()
-                    for j in range(self.ncols):
-                        a = self._rows[i][j]
-                        b = other._rows[j][k]
-                        if a and b:
-                            acc = acc + a * b
-                    row.append(acc)
-                out.append(row)
-            return LaurentMatrix(out)
+            cols = list(zip(*other._rows))
+            return LaurentMatrix([[_dot(zip(row, col)) for col in cols] for row in self._rows])
         return self.scale(other)
 
     def scale(self, f: "LaurentPoly | RationalLike") -> "LaurentMatrix":
@@ -447,8 +611,10 @@ def lm_triangular_inverse(t: LaurentMatrix) -> TriangularInverse:
     zero = LaurentPoly.zero()
     nmat = LaurentMatrix([[-t[i][k] if k > i else zero for k in range(n)] for i in range(n)])
     powers = [LaurentMatrix.identity(n)]
+    upow = [LaurentPoly.one()]
     for _ in range(n - 1):
         powers.append(powers[-1] * nmat)
+        upow.append(upow[-1] * u)
     rows = []
     for j in range(n):
         row = []
@@ -456,12 +622,7 @@ def lm_triangular_inverse(t: LaurentMatrix) -> TriangularInverse:
             if l < j:
                 row.append(zero)
                 continue
-            acc = LaurentPoly.zero()
-            for m in range(l - j + 1):
-                c = powers[m][j][l]
-                if c:
-                    acc = acc + c * u ** (l - j - m)
-            row.append(acc)
+            row.append(_dot((powers[m][j][l], upow[l - j - m]) for m in range(l - j + 1)))
         rows.append(row)
     return TriangularInverse(size=n, p=LaurentMatrix(rows))
 

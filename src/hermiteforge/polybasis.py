@@ -1,6 +1,9 @@
 """Ordinary polynomials over Q, the normalized falling-factorial basis, and
 the graded vectors of polynomials that Taylor chains are made of.
 
+A polynomial keeps integer numerators over one denominator and runs on the
+integer kernel of ``exactalg``; coefficients are read out as Fractions.
+
 A vector lives in V_d when it has d+1 polynomial components of degrees
 exactly 0..d, the degree-j component has leading coefficient 1/j!, and the
 degree-0 component is the constant 1. Components are stored in ascending
@@ -16,7 +19,19 @@ from fractions import Fraction
 from math import factorial, lcm
 from typing import Mapping, Sequence
 
-from .exactalg import RationalLike, rat_from_str, rat_to_str
+from .exactalg import (
+    RationalLike,
+    _add,
+    _display,
+    _horner,
+    _mul,
+    _over_one_denominator,
+    _ratio_str,
+    _reduce,
+    _scale,
+    _taylor_shift,
+    rat_from_str,
+)
 
 
 class NotInVd(Exception):
@@ -24,15 +39,38 @@ class NotInVd(Exception):
 
 
 class Poly:
-    """Dense univariate polynomial with Fraction coefficients, ascending order."""
+    """Dense univariate polynomial with rational coefficients, ascending order.
 
-    __slots__ = ("_c",)
+    Immutable: the coefficients of 1, x, x^2, ... are integer numerators over
+    one positive denominator, in canonical form (no trailing zero numerator,
+    no common factor of the denominator and the numerators), the same integer
+    kernel as LaurentPoly. The zero polynomial is ((), 1).
+    """
+
+    __slots__ = ("_num", "_den")
 
     def __init__(self, coeffs: Sequence[RationalLike] = ()):
-        c = [Fraction(v) for v in coeffs]
-        while c and c[-1] == 0:
-            c.pop()
-        self._c = tuple(c)
+        nums, den = _over_one_denominator(coeffs)
+        while nums and not nums[-1]:
+            nums.pop()
+        self._num, self._den = tuple(nums), den if nums else 1
+
+    @classmethod
+    def _raw(cls, nums: tuple[int, ...], den: int) -> "Poly":
+        """An instance from fields already in canonical form."""
+        out = object.__new__(cls)
+        out._num, out._den = nums, den
+        return out
+
+    @classmethod
+    def _make(cls, nums: Sequence[int], den: int) -> "Poly":
+        """An instance from numerators over den > 0, brought to canonical form."""
+        j = len(nums)
+        while j and not nums[j - 1]:
+            j -= 1
+        if not j:
+            return cls._raw((), 1)
+        return cls._raw(*_reduce(nums[:j], den))
 
     @classmethod
     def zero(cls) -> "Poly":
@@ -52,47 +90,52 @@ class Poly:
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
-        return self._c
+        den = self._den
+        return tuple(Fraction(n, den) for n in self._num)
 
     @property
     def degree(self) -> int:
         """Degree, with the zero polynomial at -1."""
-        return len(self._c) - 1
+        return len(self._num) - 1
 
     def coeff(self, k: int) -> Fraction:
-        if 0 <= k < len(self._c):
-            return self._c[k]
+        if 0 <= k < len(self._num):
+            return Fraction(self._num[k], self._den)
         return Fraction(0)
 
     @property
     def leading(self) -> Fraction:
-        if not self._c:
+        if not self._num:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self._c[-1]
+        return Fraction(self._num[-1], self._den)
 
     def __bool__(self) -> bool:
-        return bool(self._c)
+        return bool(self._num)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Poly):
-            return self._c == other._c
+            return self._num == other._num and self._den == other._den
         if isinstance(other, (int, Fraction)):
             return self == Poly.constant(other)
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self._c)
+        return hash(self.coeffs)
 
     def __neg__(self) -> "Poly":
-        return Poly(tuple(-v for v in self._c))
+        return Poly._raw(tuple(-n for n in self._num), self._den)
 
     def __add__(self, other: "Poly | RationalLike") -> "Poly":
         if isinstance(other, (int, Fraction)):
             other = Poly.constant(other)
         if not isinstance(other, Poly):
             return NotImplemented
-        n = max(len(self._c), len(other._c))
-        return Poly(tuple(self.coeff(k) + other.coeff(k) for k in range(n)))
+        if not other._num:
+            return self
+        if not self._num:
+            return other
+        _, nums, den = _add(0, self._num, self._den, 0, other._num, other._den)
+        return Poly._make(nums, den)
 
     __radd__ = __add__
 
@@ -108,17 +151,14 @@ class Poly:
 
     def __mul__(self, other: "Poly | RationalLike") -> "Poly":
         if isinstance(other, (int, Fraction)):
-            return Poly(tuple(v * other for v in self._c))
+            if not other or not self._num:
+                return Poly.zero()
+            return Poly._make(*_scale(self._num, self._den, other))
         if not isinstance(other, Poly):
             return NotImplemented
-        if not self._c or not other._c:
+        if not self._num or not other._num:
             return Poly.zero()
-        out = [Fraction(0)] * (len(self._c) + len(other._c) - 1)
-        for i, a in enumerate(self._c):
-            if a:
-                for j, b in enumerate(other._c):
-                    out[i + j] += a * b
-        return Poly(out)
+        return Poly._raw(*_reduce(_mul(self._num, other._num), self._den * other._den))
 
     __rmul__ = __mul__
 
@@ -127,63 +167,55 @@ class Poly:
 
     def evaluate(self, x: RationalLike) -> Fraction:
         x = Fraction(x)
-        out = Fraction(0)
-        for v in reversed(self._c):
-            out = out * x + v
-        return out
+        if not self._num:
+            return Fraction(0)
+        q = x.denominator
+        return Fraction(_horner(self._num, x.numerator, q), self._den * q ** self.degree)
 
     def shift(self, a: RationalLike) -> "Poly":
-        """Return p(x + a)."""
+        """Return p(x + a).
+
+        For a = s/q, q^m p(y/q) has integer coefficients, and its integer
+        Taylor shift by s, read at y = q x, is q^m p(x + a).
+        """
         a = Fraction(a)
-        if a == 0 or not self._c:
+        if a == 0 or not self._num:
             return self
-        out = Poly.zero()
-        xa = Poly((a, 1))
-        for v in reversed(self._c):
-            out = out * xa + v
-        return out
+        s, q = a.numerator, a.denominator
+        if q == 1:
+            # An integer shift keeps the leading numerator and the content.
+            return Poly._raw(tuple(_taylor_shift(self._num, s)), self._den)
+        m = self.degree
+        scaled = [n * q ** (m - k) for k, n in enumerate(self._num)]
+        shifted = [n * q**k for k, n in enumerate(_taylor_shift(scaled, s))]
+        return Poly._make(shifted, self._den * q**m)
 
     def derivative(self, order: int = 1) -> "Poly":
-        p = self
+        nums = self._num
         for _ in range(order):
-            p = Poly(tuple(k * v for k, v in enumerate(p._c) if k >= 1))
-        return p
+            nums = [k * n for k, n in enumerate(nums) if k >= 1]
+        return Poly._make(nums, self._den)
 
     def forward_difference(self, order: int = 1) -> "Poly":
         """Delta p = p(x+1) - p(x), iterated."""
-        p = self
+        nums = self._num
         for _ in range(order):
-            p = p.shift(1) - p
-        return p
+            # The leading terms cancel, so each difference drops one degree.
+            nums = [a - b for a, b in zip(_taylor_shift(nums, 1), nums[:-1])]
+        return Poly._make(nums, self._den)
 
     def to_json(self) -> list[str]:
-        return [rat_to_str(v) for v in self._c]
+        return [_ratio_str(n, self._den) for n in self._num]
 
     @classmethod
     def from_json(cls, obj: Sequence[str]) -> "Poly":
         return cls(tuple(rat_from_str(v) for v in obj))
 
     def __str__(self) -> str:
-        if not self._c:
-            return "0"
-        parts = []
-        for k in range(len(self._c) - 1, -1, -1):
-            v = self._c[k]
-            if v == 0:
-                continue
-            if k == 0:
-                body = rat_to_str(abs(v))
-            else:
-                xp = "x" if k == 1 else f"x^{k}"
-                body = xp if abs(v) == 1 else f"{rat_to_str(abs(v))}*{xp}"
-            if not parts:
-                parts.append(body if v > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if v > 0 else f"- {body}")
-        return " ".join(parts)
+        return _display(0, self._num, self._den, "x")
 
     def __repr__(self) -> str:
-        return f"Poly({[str(v) for v in self._c]})"
+        return f"Poly({[str(v) for v in self.coeffs]})"
 
 
 def falling_power(j: int) -> Poly:
@@ -283,11 +315,12 @@ class PolyVec:
         amb = d if ambient is None else ambient
         if amb < d:
             raise ValueError("ambient dimension smaller than the vector's own")
-        den = lcm(*(c.denominator for p in self.components for c in p.coeffs))
+        den = lcm(*(p._den for p in self.components))
         xs = range(lo, hi + 1)
         rows = []
         for i in range(d + 1):
-            nums = [c.numerator * (den // c.denominator) for c in self.components[d - i].coeffs]
+            p = self.components[d - i]
+            nums = [n * (den // p._den) for n in p._num]
             row = [nums[-1]] * len(xs)
             for c in reversed(nums[:-1]):
                 row = [r * x + c for r, x in zip(row, xs)]

@@ -1,14 +1,19 @@
 """Reference implementations that the fast kernels are tested against.
 
-These are the direct loops: one Fraction product per mask entry in the
-subdivision step, Fraction samples of polynomial vectors for the eigen
-check, contraction norms read off the Laurent-product iterated symbol,
-Fraction abscissae for the spline cascade check, and the Cox-de Boor
-recursion for B-spline values. They are slow and obviously
-right, which is all they are for.
+These are the direct loops: Laurent and dense polynomials that keep one
+Fraction per coefficient, Gauss-Jordan elimination over Fractions, the
+difference-split identity with each difference taken from scratch, one
+Fraction product per mask entry in the subdivision step, Fraction samples
+of polynomial vectors for the eigen check, contraction norms read off the
+Laurent-product iterated symbol, Fraction abscissae for the spline cascade
+check, and the Cox-de Boor recursion for B-spline values. They are slow
+and obviously right, which is all they are for.
 """
 
+from __future__ import annotations
+
 from fractions import Fraction
+from typing import Iterator, Mapping, Sequence
 
 from hermiteforge import (
     ContractivityReport,
@@ -21,7 +26,440 @@ from hermiteforge import (
     spline_mask,
 )
 from hermiteforge.analysis import is_lower_triangular
+from hermiteforge.construct import SingularSystem
+from hermiteforge.exactalg import (
+    NotDivisible,
+    RationalLike,
+    falling_factorial,
+    rat_from_str,
+    rat_to_str,
+)
 from hermiteforge.taylor import WindowTooSmall
+
+
+class FractionLaurentPoly:
+    """The Fraction-per-coefficient Laurent polynomial: a dict from exponent to
+    nonzero Fraction.
+    """
+
+    __slots__ = ("_c",)
+
+    def __init__(self, coeffs: Mapping[int, RationalLike] | None = None):
+        c: dict[int, Fraction] = {}
+        if coeffs:
+            for e, v in coeffs.items():
+                v = Fraction(v)
+                if v != 0:
+                    c[int(e)] = v
+        self._c = c
+
+    @classmethod
+    def zero(cls) -> "FractionLaurentPoly":
+        return cls()
+
+    @classmethod
+    def one(cls) -> "FractionLaurentPoly":
+        return cls({0: 1})
+
+    @classmethod
+    def constant(cls, v: RationalLike) -> "FractionLaurentPoly":
+        return cls({0: v})
+
+    @classmethod
+    def monomial(cls, e: int, v: RationalLike = 1) -> "FractionLaurentPoly":
+        return cls({e: v})
+
+    @property
+    def support(self) -> tuple[int, ...]:
+        return tuple(sorted(self._c))
+
+    @property
+    def is_zero(self) -> bool:
+        return not self._c
+
+    @property
+    def lo(self) -> int:
+        if not self._c:
+            raise ValueError("zero polynomial has no degree bounds")
+        return min(self._c)
+
+    @property
+    def hi(self) -> int:
+        if not self._c:
+            raise ValueError("zero polynomial has no degree bounds")
+        return max(self._c)
+
+    def coeff(self, e: int) -> Fraction:
+        return self._c.get(e, Fraction(0))
+
+    def items(self) -> Iterator[tuple[int, Fraction]]:
+        return iter(sorted(self._c.items()))
+
+    def __bool__(self) -> bool:
+        return bool(self._c)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, FractionLaurentPoly):
+            return self._c == other._c
+        if isinstance(other, (int, Fraction)):
+            return self == FractionLaurentPoly.constant(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self._c.items()))
+
+    def __neg__(self) -> "FractionLaurentPoly":
+        return FractionLaurentPoly({e: -v for e, v in self._c.items()})
+
+    def __add__(self, other: "FractionLaurentPoly | RationalLike") -> "FractionLaurentPoly":
+        if isinstance(other, (int, Fraction)):
+            other = FractionLaurentPoly.constant(other)
+        if not isinstance(other, FractionLaurentPoly):
+            return NotImplemented
+        c = dict(self._c)
+        for e, v in other._c.items():
+            c[e] = c.get(e, Fraction(0)) + v
+        return FractionLaurentPoly(c)
+
+    __radd__ = __add__
+
+    def __sub__(self, other: "FractionLaurentPoly | RationalLike") -> "FractionLaurentPoly":
+        return self + (-other if isinstance(other, FractionLaurentPoly) else FractionLaurentPoly.constant(-Fraction(other)))
+
+    def __rsub__(self, other: RationalLike) -> "FractionLaurentPoly":
+        return FractionLaurentPoly.constant(other) - self
+
+    def __mul__(self, other: "FractionLaurentPoly | RationalLike") -> "FractionLaurentPoly":
+        if isinstance(other, (int, Fraction)):
+            return FractionLaurentPoly({e: v * other for e, v in self._c.items()})
+        if not isinstance(other, FractionLaurentPoly):
+            return NotImplemented
+        c: dict[int, Fraction] = {}
+        for e1, v1 in self._c.items():
+            for e2, v2 in other._c.items():
+                e = e1 + e2
+                c[e] = c.get(e, Fraction(0)) + v1 * v2
+        return FractionLaurentPoly(c)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other: RationalLike) -> "FractionLaurentPoly":
+        q = Fraction(other)
+        if q == 0:
+            raise ZeroDivisionError("division of Laurent polynomial by zero")
+        return self * (1 / q)
+
+    def __pow__(self, n: int) -> "FractionLaurentPoly":
+        if n < 0:
+            raise ValueError("negative powers of Laurent polynomials are not defined here")
+        out = FractionLaurentPoly.one()
+        base = self
+        while n:
+            if n & 1:
+                out = out * base
+            base = base * base
+            n >>= 1
+        return out
+
+    def shift(self, k: int) -> "FractionLaurentPoly":
+        """Multiply by z^k."""
+        return FractionLaurentPoly({e + k: v for e, v in self._c.items()})
+
+    def substitute_power(self, m: int) -> "FractionLaurentPoly":
+        """Return f(z^m). m may be negative, not zero."""
+        if m == 0:
+            raise ValueError("substitute_power requires a nonzero exponent")
+        return FractionLaurentPoly({e * m: v for e, v in self._c.items()})
+
+    def evaluate(self, x: RationalLike) -> Fraction:
+        x = Fraction(x)
+        if x == 0 and self._c and self.lo < 0:
+            raise ZeroDivisionError("pole at 0")
+        out = Fraction(0)
+        for e, v in self._c.items():
+            out += v * x**e
+        return out
+
+    def derivative_at_one(self, r: int) -> Fraction:
+        """r-th derivative evaluated at z = 1, via falling factorials."""
+        out = Fraction(0)
+        for e, v in self._c.items():
+            out += v * falling_factorial(e, r)
+        return out
+
+    def abs_coeff_sum(self) -> Fraction:
+        return sum((abs(v) for v in self._c.values()), Fraction(0))
+
+    def divide_exact(self, divisor: "FractionLaurentPoly") -> "FractionLaurentPoly":
+        """Exact division in the Laurent ring; raise NotDivisible otherwise."""
+        if divisor.is_zero:
+            raise ZeroDivisionError("division of Laurent polynomial by zero")
+        if self.is_zero:
+            return FractionLaurentPoly.zero()
+        # Normalize both to ordinary polynomials by factoring out z^lo.
+        num = {e - self.lo: v for e, v in self._c.items()}
+        den = {e - divisor.lo: v for e, v in divisor._c.items()}
+        dn = max(den)
+        lead = den[dn]
+        quot: dict[int, Fraction] = {}
+        work = dict(num)
+        deg = max(work)
+        while work and deg >= dn:
+            top = work.get(deg)
+            if top:
+                q = top / lead
+                quot[deg - dn] = q
+                for e, v in den.items():
+                    k = deg - dn + e
+                    nv = work.get(k, Fraction(0)) - q * v
+                    if nv == 0:
+                        work.pop(k, None)
+                    else:
+                        work[k] = nv
+            deg -= 1
+        if work:
+            raise NotDivisible("Laurent division leaves a nonzero remainder")
+        off = self.lo - divisor.lo
+        return FractionLaurentPoly({e + off: v for e, v in quot.items()})
+
+    def zero_order_at_one(self) -> int:
+        """Order of the zero at z = 1 (0 if f(1) != 0)."""
+        if self.is_zero:
+            raise ValueError("zero polynomial vanishes to every order")
+        f = self
+        order = 0
+        zm1 = FractionLaurentPoly({1: 1, 0: -1})
+        while f.evaluate(1) == 0:
+            f = f.divide_exact(zm1)
+            order += 1
+        return order
+
+    def to_json(self) -> dict[str, str]:
+        return {str(e): rat_to_str(v) for e, v in sorted(self._c.items())}
+
+    @classmethod
+    def from_json(cls, obj: Mapping[str, str]) -> "FractionLaurentPoly":
+        return cls({int(e): rat_from_str(v) for e, v in obj.items()})
+
+    def __str__(self) -> str:
+        if not self._c:
+            return "0"
+        parts: list[str] = []
+        for e in sorted(self._c, reverse=True):
+            v = self._c[e]
+            if e == 0:
+                body = rat_to_str(abs(v))
+            else:
+                zp = "z" if e == 1 else f"z^{e}"
+                body = zp if abs(v) == 1 else f"{rat_to_str(abs(v))}*{zp}"
+            if not parts:
+                parts.append(body if v > 0 else f"-{body}")
+            else:
+                parts.append(f"+ {body}" if v > 0 else f"- {body}")
+        return " ".join(parts)
+
+    def __repr__(self) -> str:
+        return f"LaurentPoly({dict(sorted(self._c.items()))!r})"
+
+
+
+class FractionPoly:
+    """The Fraction-per-coefficient dense polynomial, ascending order."""
+
+    __slots__ = ("_c",)
+
+    def __init__(self, coeffs: Sequence[RationalLike] = ()):
+        c = [Fraction(v) for v in coeffs]
+        while c and c[-1] == 0:
+            c.pop()
+        self._c = tuple(c)
+
+    @classmethod
+    def zero(cls) -> "FractionPoly":
+        return cls()
+
+    @classmethod
+    def one(cls) -> "FractionPoly":
+        return cls((1,))
+
+    @classmethod
+    def constant(cls, v: RationalLike) -> "FractionPoly":
+        return cls((v,))
+
+    @classmethod
+    def monomial(cls, k: int, v: RationalLike = 1) -> "FractionPoly":
+        return cls((0,) * k + (v,))
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        return self._c
+
+    @property
+    def degree(self) -> int:
+        """Degree, with the zero polynomial at -1."""
+        return len(self._c) - 1
+
+    def coeff(self, k: int) -> Fraction:
+        if 0 <= k < len(self._c):
+            return self._c[k]
+        return Fraction(0)
+
+    @property
+    def leading(self) -> Fraction:
+        if not self._c:
+            raise ValueError("zero polynomial has no leading coefficient")
+        return self._c[-1]
+
+    def __bool__(self) -> bool:
+        return bool(self._c)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, FractionPoly):
+            return self._c == other._c
+        if isinstance(other, (int, Fraction)):
+            return self == FractionPoly.constant(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._c)
+
+    def __neg__(self) -> "FractionPoly":
+        return FractionPoly(tuple(-v for v in self._c))
+
+    def __add__(self, other: "FractionPoly | RationalLike") -> "FractionPoly":
+        if isinstance(other, (int, Fraction)):
+            other = FractionPoly.constant(other)
+        if not isinstance(other, FractionPoly):
+            return NotImplemented
+        n = max(len(self._c), len(other._c))
+        return FractionPoly(tuple(self.coeff(k) + other.coeff(k) for k in range(n)))
+
+    __radd__ = __add__
+
+    def __sub__(self, other: "FractionPoly | RationalLike") -> "FractionPoly":
+        if isinstance(other, (int, Fraction)):
+            other = FractionPoly.constant(other)
+        if not isinstance(other, FractionPoly):
+            return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other: RationalLike) -> "FractionPoly":
+        return FractionPoly.constant(other) - self
+
+    def __mul__(self, other: "FractionPoly | RationalLike") -> "FractionPoly":
+        if isinstance(other, (int, Fraction)):
+            return FractionPoly(tuple(v * other for v in self._c))
+        if not isinstance(other, FractionPoly):
+            return NotImplemented
+        if not self._c or not other._c:
+            return FractionPoly.zero()
+        out = [Fraction(0)] * (len(self._c) + len(other._c) - 1)
+        for i, a in enumerate(self._c):
+            if a:
+                for j, b in enumerate(other._c):
+                    out[i + j] += a * b
+        return FractionPoly(out)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other: RationalLike) -> "FractionPoly":
+        return self * (1 / Fraction(other))
+
+    def evaluate(self, x: RationalLike) -> Fraction:
+        x = Fraction(x)
+        out = Fraction(0)
+        for v in reversed(self._c):
+            out = out * x + v
+        return out
+
+    def shift(self, a: RationalLike) -> "FractionPoly":
+        """Return p(x + a)."""
+        a = Fraction(a)
+        if a == 0 or not self._c:
+            return self
+        out = FractionPoly.zero()
+        xa = FractionPoly((a, 1))
+        for v in reversed(self._c):
+            out = out * xa + v
+        return out
+
+    def derivative(self, order: int = 1) -> "FractionPoly":
+        p = self
+        for _ in range(order):
+            p = FractionPoly(tuple(k * v for k, v in enumerate(p._c) if k >= 1))
+        return p
+
+    def forward_difference(self, order: int = 1) -> "FractionPoly":
+        """Delta p = p(x+1) - p(x), iterated."""
+        p = self
+        for _ in range(order):
+            p = p.shift(1) - p
+        return p
+
+    def to_json(self) -> list[str]:
+        return [rat_to_str(v) for v in self._c]
+
+    @classmethod
+    def from_json(cls, obj: Sequence[str]) -> "FractionPoly":
+        return cls(tuple(rat_from_str(v) for v in obj))
+
+    def __str__(self) -> str:
+        if not self._c:
+            return "0"
+        parts = []
+        for k in range(len(self._c) - 1, -1, -1):
+            v = self._c[k]
+            if v == 0:
+                continue
+            if k == 0:
+                body = rat_to_str(abs(v))
+            else:
+                xp = "x" if k == 1 else f"x^{k}"
+                body = xp if abs(v) == 1 else f"{rat_to_str(abs(v))}*{xp}"
+            if not parts:
+                parts.append(body if v > 0 else f"-{body}")
+            else:
+                parts.append(f"+ {body}" if v > 0 else f"- {body}")
+        return " ".join(parts)
+
+    def __repr__(self) -> str:
+        return f"Poly({[str(v) for v in self._c]})"
+
+
+def solve_square_reference(
+    rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]
+) -> tuple[list[Fraction], Fraction]:
+    """Gauss-Jordan elimination over Fractions with determinant tracking."""
+    n = len(rows)
+    a = [list(r) + [rhs[i]] for i, r in enumerate(rows)]
+    det = Fraction(1)
+    for col in range(n):
+        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
+        if piv is None:
+            raise SingularSystem("last-row system is singular")
+        if piv != col:
+            a[col], a[piv] = a[piv], a[col]
+            det = -det
+        det *= a[col][col]
+        inv = 1 / a[col][col]
+        a[col] = [v * inv for v in a[col]]
+        for r in range(n):
+            if r != col and a[r][col] != 0:
+                f = a[r][col]
+                a[r] = [v - f * w for v, w in zip(a[r], a[col])]
+    return [a[i][n] for i in range(n)], det
+
+
+def difference_split_reference(p: FractionPoly, n: int) -> bool:
+    """The difference-split identity with each Delta^k p taken from scratch."""
+    if n < 1 or p.degree > n:
+        raise ValueError("the identity needs 1 <= n and deg p <= n")
+    lhs = p.forward_difference()
+    rhs = FractionPoly.zero()
+    for k in range(1, n):
+        rhs = rhs + p.forward_difference(k).shift(-k)
+    rhs = rhs + p.forward_difference(n).shift(-(n - 1))
+    return lhs == rhs
 
 
 def subdivide_reference(mask: Mask, values, start: int):

@@ -286,6 +286,8 @@ def _malformed_argv(case, tmp_path):
         return ["check-convergence", "--mask", str(hat), "--ratio-bound", "nan"]
     if case == "nan-residual-tol":
         return ["check-convergence", "--mask", str(hat), "--residual-tol", "nan"]
+    if case == "max-degree-above-max-n":
+        return ["identity-tests", "--max-degree", "12", "--max-n", "3", "--seed", "1", "--polys", "5"]
     flag, value = {
         "no-polys": ("--polys", "-3"),
         "no-max-n": ("--max-n", "0"),
@@ -307,6 +309,7 @@ def _malformed_argv(case, tmp_path):
         "no-polys",
         "no-max-n",
         "negative-max-degree",
+        "max-degree-above-max-n",
     ],
 )
 def test_malformed_input_exits_two(case, capsys, tmp_path):
@@ -317,3 +320,5 @@ def test_malformed_input_exits_two(case, capsys, tmp_path):
     assert captured.err.startswith("error:")
     if argv[0] == "identity-tests":
         assert argv[1] in captured.err
+    if case == "max-degree-above-max-n":
+        assert "--max-n" in captured.err

@@ -1,0 +1,262 @@
+"""The integer polynomial kernel against the Fraction-per-coefficient
+reference classes, on random sparse rationals."""
+
+from fractions import Fraction as F
+from math import gcd
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hermiteforge import LaurentPoly, NotDivisible, Poly
+from hermiteforge.cli import difference_split_check
+from hermiteforge.construct import SingularSystem, _solve_square
+from reference_kernels import (
+    FractionLaurentPoly,
+    FractionPoly,
+    difference_split_reference,
+    solve_square_reference,
+)
+
+entries = st.one_of(
+    st.just(F(0)),
+    st.integers(min_value=-5, max_value=5).map(F),
+    st.fractions(min_value=F(-20), max_value=F(20), max_denominator=24),
+)
+points = st.one_of(
+    st.just(F(0)),
+    st.just(F(1)),
+    st.fractions(min_value=F(-5), max_value=F(5), max_denominator=7),
+)
+
+
+@st.composite
+def laurent_terms(draw, min_exp=-6, max_exp=6, max_terms=6):
+    exps = draw(
+        st.lists(st.integers(min_value=min_exp, max_value=max_exp), max_size=max_terms, unique=True)
+    )
+    return {e: draw(entries) for e in exps}
+
+
+def laurent_pair(terms):
+    return LaurentPoly(terms), FractionLaurentPoly(terms)
+
+
+def poly_pair(coeffs):
+    return Poly(coeffs), FractionPoly(coeffs)
+
+
+poly_coeffs = st.lists(entries, max_size=8)
+# The divisors the factorization code uses: z^-1 - 1, z^-2 - 1, z^-1 + 1,
+# z - 1 and their powers.
+src_divisors = st.sampled_from(
+    [{-1: 1, 0: -1}, {-2: 1, 0: -1}, {-1: 1, 0: 1}, {1: 1, 0: -1}]
+).flatmap(lambda t: st.integers(min_value=1, max_value=4).map(lambda k: (t, k)))
+
+
+def assert_canonical_laurent(p):
+    lo, nums, den = p._lo, p._num, p._den
+    assert type(nums) is tuple and all(type(n) is int for n in nums)
+    assert den > 0
+    if not nums:
+        assert (lo, den) == (0, 1)
+        return
+    assert nums[0] != 0 and nums[-1] != 0
+    assert gcd(den, *nums) == 1
+
+
+def assert_canonical_poly(p):
+    nums, den = p._num, p._den
+    assert type(nums) is tuple and all(type(n) is int for n in nums)
+    assert den > 0
+    if not nums:
+        assert den == 1
+        return
+    assert nums[-1] != 0
+    assert gcd(den, *nums) == 1
+
+
+def assert_same_laurent(fast, ref):
+    assert isinstance(fast, LaurentPoly)
+    assert_canonical_laurent(fast)
+    assert fast.to_json() == ref.to_json()
+    assert str(fast) == str(ref)
+    assert repr(fast) == repr(ref)
+    assert hash(fast) == hash(ref)
+    assert fast.support == ref.support
+    assert list(fast.items()) == list(ref.items())
+    assert bool(fast) == bool(ref) and fast.is_zero == ref.is_zero
+    if ref.is_zero:
+        for bound in ("lo", "hi"):
+            with pytest.raises(ValueError):
+                getattr(fast, bound)
+    else:
+        assert (fast.lo, fast.hi) == (ref.lo, ref.hi)
+        for e in range(ref.lo - 1, ref.hi + 2):
+            assert fast.coeff(e) == ref.coeff(e)
+            assert type(fast.coeff(e)) is F
+
+
+def assert_same_poly(fast, ref):
+    assert isinstance(fast, Poly)
+    assert_canonical_poly(fast)
+    assert fast.coeffs == ref.coeffs
+    assert all(type(c) is F for c in fast.coeffs)
+    assert fast.to_json() == ref.to_json()
+    assert str(fast) == str(ref)
+    assert repr(fast) == repr(ref)
+    assert hash(fast) == hash(ref)
+    assert fast.degree == ref.degree and bool(fast) == bool(ref)
+    if ref:
+        assert fast.leading == ref.leading
+    for k in range(-1, ref.degree + 2):
+        assert fast.coeff(k) == ref.coeff(k)
+
+
+def same_outcome(fast_call, ref_call, compare):
+    """Run both calls; they must raise the same exception type or agree."""
+    try:
+        want = ref_call()
+    except (ArithmeticError, ValueError, NotDivisible) as exc:
+        with pytest.raises(type(exc)):
+            fast_call()
+        return
+    compare(fast_call(), want)
+
+
+def equal(got, want):
+    assert got == want
+    assert type(got) is type(want)
+
+
+@given(laurent_terms(), laurent_terms(), entries, points, st.integers(min_value=-3, max_value=3))
+@settings(max_examples=150, deadline=None)
+def test_laurent_kernel_matches_reference(t1, t2, c, x, m):
+    p, rp = laurent_pair(t1)
+    q, rq = laurent_pair(t2)
+    assert_same_laurent(p, rp)
+    assert_same_laurent(p + q, rp + rq)
+    assert_same_laurent(p - q, rp - rq)
+    assert_same_laurent(-p, -rp)
+    assert_same_laurent(p * q, rp * rq)
+    assert_same_laurent(p * c, rp * c)
+    assert_same_laurent(c - p, c - rp)
+    assert_same_laurent(p**2, rp**2)
+    assert_same_laurent(p.shift(m), rp.shift(m))
+    assert (p == q) == (rp == rq)
+    assert (p == c) == (rp == c)
+    if c:
+        assert_same_laurent(p / c, rp / c)
+    if m:
+        assert_same_laurent(p.substitute_power(m), rp.substitute_power(m))
+    same_outcome(lambda: p.evaluate(x), lambda: rp.evaluate(x), equal)
+    for r in range(4):
+        equal(p.derivative_at_one(r), rp.derivative_at_one(r))
+    equal(p.abs_coeff_sum(), rp.abs_coeff_sum())
+    same_outcome(lambda: p.divide_exact(q), lambda: rp.divide_exact(rq), assert_same_laurent)
+    same_outcome(
+        lambda: (p * q).divide_exact(q), lambda: (rp * rq).divide_exact(rq), assert_same_laurent
+    )
+    same_outcome(p.zero_order_at_one, rp.zero_order_at_one, equal)
+
+
+@given(laurent_terms(min_exp=-3, max_exp=3, max_terms=4), src_divisors, st.integers(0, 3))
+@settings(max_examples=80, deadline=None)
+def test_divide_exact_by_the_factorization_divisors(terms, divisor, extra):
+    base, k = divisor
+    u, ru = laurent_pair(base)
+    p, rp = laurent_pair(terms)
+    # p * u^extra is divisible by u^k exactly when extra >= k, unless p
+    # itself holds the missing factors.
+    same_outcome(
+        lambda: (p * u**extra).divide_exact(u**k),
+        lambda: (rp * ru**extra).divide_exact(ru**k),
+        assert_same_laurent,
+    )
+    if not p.is_zero:
+        equal((p * u**extra).zero_order_at_one(), (rp * ru**extra).zero_order_at_one())
+
+
+@pytest.mark.parametrize(
+    "num, div",
+    [
+        ({0: 1, 1: 3}, {0: 1, 1: 2}),  # only the top entry is left over
+        ({0: 1, 1: 1}, {0: 2, 1: 2}),  # divisor numerators share a factor
+        ({0: 1, 1: 2, 2: 1}, {0: F(2, 3), 1: F(2, 3)}),
+        ({0: 1, 3: 1}, {0: 1, 1: 1}),
+        ({-2: 1, 0: -1}, {-1: 1, 0: -1}),
+        ({0: 3}, {0: 6}),
+        ({2: F(1, 2)}, {0: 4, 1: 4}),
+    ],
+)
+def test_divide_exact_edge_cases(num, div):
+    p, rp = laurent_pair(num)
+    q, rq = laurent_pair(div)
+    same_outcome(lambda: p.divide_exact(q), lambda: rp.divide_exact(rq), assert_same_laurent)
+
+
+@given(poly_coeffs, poly_coeffs, entries, points, st.integers(min_value=0, max_value=4))
+@settings(max_examples=150, deadline=None)
+def test_poly_kernel_matches_reference(c1, c2, c, x, k):
+    p, rp = poly_pair(c1)
+    q, rq = poly_pair(c2)
+    assert_same_poly(p, rp)
+    assert_same_poly(p + q, rp + rq)
+    assert_same_poly(p - q, rp - rq)
+    assert_same_poly(-p, -rp)
+    assert_same_poly(p * q, rp * rq)
+    assert_same_poly(p * c, rp * c)
+    assert_same_poly(c - p, c - rp)
+    assert (p == q) == (rp == rq)
+    assert (p == c) == (rp == c)
+    if c:
+        assert_same_poly(p / c, rp / c)
+    equal(p.evaluate(x), rp.evaluate(x))
+    assert_same_poly(p.shift(x), rp.shift(x))
+    assert_same_poly(p.shift(k - 2), rp.shift(k - 2))
+    assert_same_poly(p.forward_difference(k), rp.forward_difference(k))
+    assert_same_poly(p.derivative(k), rp.derivative(k))
+
+
+@given(poly_coeffs, st.integers(min_value=1, max_value=10))
+@settings(max_examples=80, deadline=None)
+def test_difference_split_matches_per_k_reference(coeffs, n):
+    p, rp = poly_pair(coeffs)
+    if p.degree > n:
+        with pytest.raises(ValueError):
+            difference_split_check(p, n)
+        return
+    assert difference_split_check(p, n) == difference_split_reference(rp, n)
+
+
+square_entries = st.one_of(
+    st.just(F(0)), st.fractions(min_value=F(-6), max_value=F(6), max_denominator=8)
+)
+
+
+@st.composite
+def square_systems(draw):
+    n = draw(st.integers(min_value=1, max_value=6))
+    rows = [[draw(square_entries) for _ in range(n)] for _ in range(n)]
+    if n > 1 and draw(st.booleans()):
+        # A row that repeats a multiple of another makes the system singular.
+        i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        f = draw(square_entries)
+        rows[i] = [f * v for v in rows[j]]
+    rhs = [draw(square_entries) for _ in range(n)]
+    return rows, rhs
+
+
+@given(square_systems())
+@settings(max_examples=200, deadline=None)
+def test_solve_square_matches_gauss_jordan(system):
+    rows, rhs = system
+    try:
+        want = solve_square_reference(rows, rhs)
+    except SingularSystem:
+        with pytest.raises(SingularSystem):
+            _solve_square(rows, rhs)
+        return
+    sol, det = _solve_square(rows, rhs)
+    assert (sol, det) == want
+    assert all(type(v) is F for v in sol) and type(det) is F
