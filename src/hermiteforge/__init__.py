@@ -52,7 +52,6 @@ from .factor import (
     SpanHypothesisFailed,
     SpectralReport,
     complete_from_incomplete,
-    factor_through,
     incomplete_from_complete,
     spectral_chain_from_factorization,
     taylor_factorize,

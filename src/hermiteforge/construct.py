@@ -345,6 +345,9 @@ def synthesize(
     strategy: "system" solves the square derivative system, "recurrence"
     multiplies the seed up by (z+1) (pure-difference operators only), "auto"
     picks the recurrence exactly when it applies.
+
+    The factorization identity is checked exactly once, inside unfactor,
+    which raises if it fails: the returned result.factorization holds.
     """
     op = op.as_complete()
     if strategy not in ("auto", "system", "recurrence"):

@@ -89,46 +89,6 @@ def verify_spectral_chain(mask: Mask, chain: Chain) -> SpectralReport:
     return SpectralReport(ok=not failures, d=chain.d, failures=tuple(failures))
 
 
-def factor_through(c_mask: Mask, chain: Chain) -> Mask:
-    """Solve C* = B* T-tilde*(z^2) for B, column by column.
-
-    Requires S_C to annihilate every padded chain vector; that is exactly
-    what makes each column division exact.
-    """
-    op = chain.operator()
-    d = c_mask.d
-    if op.d != d or chain.d != d:
-        raise ValueError("chain and mask dimensions differ")
-    for j, v in enumerate(chain.vecs):
-        hit = eigen_check(c_mask, v, 0)
-        if hit is not None:
-            alpha, row, got, _ = hit
-            raise NotAnnihilated(
-                f"level {j} is not annihilated: row {row} at alpha={alpha} gives {got}"
-            )
-    u2 = delta_symbol(2)
-    csym = c_mask.symbol()
-    size = d + 1
-    b: list[list[LaurentPoly]] = [[LaurentPoly.zero()] * size for _ in range(size)]
-    for k in range(size):
-        for i in range(size):
-            num = csym[i][k]
-            for l in range(k):
-                wv = op.w[k - 1][l]
-                if wv:
-                    num = num + b[i][l] * wv
-            try:
-                b[i][k] = num.divide_exact(u2)
-            except NotDivisible as exc:
-                raise NotDivisible(
-                    f"column division failed at entry ({i},{k}): {exc}"
-                ) from exc
-    bsym = LaurentMatrix(b)
-    if csym != bsym * op.as_complete().symbol().substitute_power(2):
-        raise AssertionError("column solve did not reproduce the target symbol")
-    return Mask.from_symbol(bsym)
-
-
 @dataclass(frozen=True)
 class Factorization:
     """A mask, the Taylor operator it factors through, the factor mask, and
@@ -170,18 +130,46 @@ def taylor_factorize(
 ) -> Factorization:
     """Factor a mask through the complete operator of a chain.
 
-    The difference scheme C = T-tilde o S_A always annihilates the padded
-    chain when the factorization exists, so the gate is the exact
-    divisibility in the column solve, not the spectral property itself.
+    C* = T-tilde* A* is solved for B-tilde* column by column, each column by an
+    exact division by z^-2 - 1. A mask that factors annihilates the padded
+    chain, so the sampled annihilation check runs only after a division
+    fails, to name the first level left alive (NotAnnihilated); if there is
+    none, the NotDivisible stands. The identity is checked exactly once, here,
+    and a failure raises: every returned factorization carries a proven one.
     """
     d = mask.d
+    if chain.d != d:
+        raise ValueError("chain and mask dimensions differ")
     if scale is None:
         scale = Fraction(1, 2**d)
+    elif scale == 0:
+        raise ValueError("the factorization scale must be nonzero")
     op = chain.operator().as_complete()
     csym = op.symbol() * mask.symbol()
-    c_mask = Mask.from_symbol(csym)
-    b_raw = factor_through(c_mask, chain)
-    fac = Factorization(mask=mask, taylor=op, factor=b_raw.scale(1 / scale), scale=scale)
+    u2 = delta_symbol(2)
+    size = d + 1
+    b: list[list[LaurentPoly]] = [[LaurentPoly.zero()] * size for _ in range(size)]
+    for k in range(size):
+        for i in range(size):
+            num = csym[i][k]
+            for l in range(k):
+                wv = op.w[k - 1][l]
+                if wv:
+                    num = num + b[i][l] * wv
+            try:
+                b[i][k] = num.divide_exact(u2)
+            except NotDivisible as exc:
+                c_mask = Mask.from_symbol(csym)
+                for j, v in enumerate(chain.vecs):
+                    hit = eigen_check(c_mask, v, 0)
+                    if hit is not None:
+                        alpha, row, got, _ = hit
+                        raise NotAnnihilated(
+                            f"level {j} is not annihilated: row {row} at alpha={alpha} gives {got}"
+                        ) from exc
+                raise NotDivisible(f"column division failed at entry ({i},{k}): {exc}") from exc
+    factor = Mask.from_symbol(LaurentMatrix(b)).scale(1 / scale)
+    fac = Factorization(mask=mask, taylor=op, factor=factor, scale=scale)
     if not fac.verify():
         raise AssertionError("factorization identity failed after the column solve")
     return fac

@@ -18,9 +18,9 @@ from typing import Sequence
 
 from .exactalg import LaurentMatrix, LaurentPoly, RationalLike
 from .factor import Factorization, taylor_factorize, verify_spectral_chain
-from .polybasis import Poly, PolyVec
+from .polybasis import NotInVd, Poly, PolyVec
 from .subdivision import Mask, subdivide
-from .taylor import Chain, allones_operator, chain_for, chain_validate, classical_operator
+from .taylor import Chain, NotAChain, allones_operator, chain_for, chain_validate, classical_operator
 
 
 class BadOrder(Exception):
@@ -275,14 +275,16 @@ def spline_verify(r: int, d: int) -> tuple[SplineVerifyReport, Factorization]:
 
     The classical-condition verdict is informational: for d = 0 the classical
     and spline chains coincide, so it holds there and fails once genuine
-    derivative components enter."""
+    derivative components enter. factorization_ok reports the one identity
+    check inside taylor_factorize, which raises rather than return an
+    unproven factorization."""
     _check_rd(r, d)
     mask = spline_mask(r, d)
     chain = spline_chain(r, d)
     try:
         chain_validate(chain)
         chain_ok = True
-    except Exception:
+    except (NotAChain, NotInVd):
         chain_ok = False
     operator_allones = chain.operator().w == allones_operator(d).w
     spectral = verify_spectral_chain(mask, chain)
@@ -296,7 +298,7 @@ def spline_verify(r: int, d: int) -> tuple[SplineVerifyReport, Factorization]:
             operator_allones=operator_allones,
             spectral_ok=spectral.ok,
             classical_spectral_holds=classical.ok,
-            factorization_ok=fac.verify(),
+            factorization_ok=True,
         ),
         fac,
     )

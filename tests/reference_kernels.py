@@ -6,8 +6,9 @@ difference-split identity with each difference taken from scratch, one
 Fraction product per mask entry in the subdivision step, Fraction samples
 of polynomial vectors for the eigen check, contraction norms read off the
 Laurent-product iterated symbol, Fraction abscissae for the spline cascade
-check, and the Cox-de Boor recursion for B-spline values. They are slow
-and obviously right, which is all they are for.
+check, the Cox-de Boor recursion for B-spline values, and a factorization
+that gates on annihilation before dividing and checks its identity twice.
+They are slow and obviously right, which is all they are for.
 """
 
 from __future__ import annotations
@@ -17,11 +18,16 @@ from typing import Iterator, Mapping, Sequence
 
 from hermiteforge import (
     ContractivityReport,
+    Factorization,
     LaurentMatrix,
+    LaurentPoly,
     Mask,
+    NotAnnihilated,
     SplineCascadeReport,
     bspline_derivative,
     cascade,
+    delta_symbol,
+    eigen_check,
     iterated_symbol,
     spline_mask,
 )
@@ -34,7 +40,7 @@ from hermiteforge.exactalg import (
     rat_from_str,
     rat_to_str,
 )
-from hermiteforge.taylor import WindowTooSmall
+from hermiteforge.taylor import Chain, WindowTooSmall
 
 
 class FractionLaurentPoly:
@@ -649,3 +655,55 @@ def spline_cascade_reference(r: int, d: int, levels: int, tol: float) -> SplineC
         r=r, d=d, levels=levels, tol=tol, errors=tuple(errors), points=tuple(points),
         ok=all(e <= tol for e in errors),
     )
+
+
+def factor_through_reference(c_mask: Mask, chain: Chain) -> Mask:
+    """Solve C* = B* T-tilde*(z^2) for B column by column, after checking up
+    front that S_C annihilates every padded chain vector."""
+    op = chain.operator()
+    d = c_mask.d
+    if op.d != d or chain.d != d:
+        raise ValueError("chain and mask dimensions differ")
+    for j, v in enumerate(chain.vecs):
+        hit = eigen_check(c_mask, v, 0)
+        if hit is not None:
+            alpha, row, got, _ = hit
+            raise NotAnnihilated(
+                f"level {j} is not annihilated: row {row} at alpha={alpha} gives {got}"
+            )
+    u2 = delta_symbol(2)
+    csym = c_mask.symbol()
+    size = d + 1
+    b = [[LaurentPoly.zero()] * size for _ in range(size)]
+    for k in range(size):
+        for i in range(size):
+            num = csym[i][k]
+            for l in range(k):
+                wv = op.w[k - 1][l]
+                if wv:
+                    num = num + b[i][l] * wv
+            try:
+                b[i][k] = num.divide_exact(u2)
+            except NotDivisible as exc:
+                raise NotDivisible(
+                    f"column division failed at entry ({i},{k}): {exc}"
+                ) from exc
+    bsym = LaurentMatrix(b)
+    if csym != bsym * op.as_complete().symbol().substitute_power(2):
+        raise AssertionError("column solve did not reproduce the target symbol")
+    return Mask.from_symbol(bsym)
+
+
+def taylor_factorize_reference(mask: Mask, chain: Chain, scale=None) -> Factorization:
+    """The gate-first factorization: annihilation check, column solve, the
+    solve's own identity check, then the full identity check."""
+    d = mask.d
+    if scale is None:
+        scale = Fraction(1, 2**d)
+    op = chain.operator().as_complete()
+    csym = op.symbol() * mask.symbol()
+    b_raw = factor_through_reference(Mask.from_symbol(csym), chain)
+    fac = Factorization(mask=mask, taylor=op, factor=b_raw.scale(1 / scale), scale=scale)
+    if not fac.verify():
+        raise AssertionError("factorization identity failed after the column solve")
+    return fac

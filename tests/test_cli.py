@@ -19,6 +19,7 @@ from hermiteforge import (
     spline_mask,
     synthesize,
 )
+from hermiteforge import cli
 from hermiteforge.cli import MalformedInput, parse_laurent, run
 
 
@@ -103,7 +104,18 @@ def test_factor_failure_exits_one(capsys, tmp_path):
     assert code == 1
     doc = json.loads(out)
     assert doc["ok"] is False
-    assert "error" in doc
+    assert doc["error"] == "level 0 is not annihilated: row 0 at alpha=-25 gives 1"
+
+
+def test_parser_is_shared_without_state_leaking_between_runs(capsys, monkeypatch):
+    with_constant = run_ok(capsys, ["chain", "--taylor", "classical:d=2", "--constant", "1,1:2"])
+    parser = cli._parser
+    shared = run_ok(capsys, ["chain", "--taylor", "classical:d=2"])
+    assert cli._parser is parser
+    monkeypatch.setattr(cli, "_parser", None)
+    fresh = run_ok(capsys, ["chain", "--taylor", "classical:d=2"])
+    assert cli._parser is not parser
+    assert shared == fresh != with_constant
 
 
 def test_annihilate_vector(capsys, tmp_path):
@@ -271,6 +283,11 @@ def _malformed_argv(case, tmp_path):
         bad = tmp_path / "zero_den.json"
         bad.write_text(json.dumps(mask))
         return ["verify-spectral", "--mask", str(bad), "--chain", "delta:d=2"]
+    if case == "zero-scale":
+        ref2 = tmp_path / "ref2.json"
+        ref2.write_text(json.dumps(mask_from_entries(REF2_MASK, 2).to_json()))
+        # The "=" form, which also carries negative scales past argparse.
+        return ["factor", "--mask", str(ref2), "--chain", "delta:d=2", "--scale=0"]
     if case == "grid-not-an-object":
         bad = tmp_path / "grid_list.json"
         bad.write_text("[]")
@@ -300,6 +317,7 @@ def _malformed_argv(case, tmp_path):
     "case",
     [
         "zero-denominator",
+        "zero-scale",
         "grid-not-an-object",
         "grid-too-small",
         "grid-without-values",

@@ -1,8 +1,12 @@
 """Factorization through Taylor operators and spectral chains."""
 
+import json
+import re
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from goldens import (
     REF2_FACTOR,
@@ -11,21 +15,29 @@ from goldens import (
     REF2_SPECTRAL_CHAIN,
     mask_from_entries,
 )
+from reference_kernels import taylor_factorize_reference
 from hermiteforge import (
+    LaurentMatrix,
+    LaurentPoly,
+    Mask,
     NotAnnihilated,
     NotDivisible,
     SpanHypothesisFailed,
+    allones_operator,
     chain_for,
     classical_operator,
     complete_from_incomplete,
     delta_operator,
     incomplete_from_complete,
     spectral_chain_from_factorization,
+    spline_mask,
     spline_verify,
+    synthesize,
     taylor_factorize,
     unfactor,
     verify_spectral_chain,
 )
+from hermiteforge.cli import run
 
 
 def ref2_mask():
@@ -70,8 +82,92 @@ def test_factor_unfactor_roundtrip_on_splines():
 def test_factorize_rejects_perturbed_mask():
     entries = dict(REF2_MASK)
     entries[(0, 0, -4)] = entries[(0, 0, -4)] + 1
-    with pytest.raises((NotAnnihilated, NotDivisible)):
+    want = "level 0 is not annihilated: row 0 at alpha=-25 gives 1"
+    with pytest.raises(NotAnnihilated, match=f"^{re.escape(want)}$"):
         taylor_factorize(mask_from_entries(entries, 2), delta_chain())
+
+
+@st.composite
+def perturbed_masks(draw):
+    """The reference d = 2 mask or a spline mask, with up to two entries moved
+    by a small rational (none moved leaves a mask that factors)."""
+    base = draw(st.sampled_from(["ref2", (1, 1), (2, 1), (2, 2), (3, 2), (3, 3)]))
+    mask = ref2_mask() if base == "ref2" else spline_mask(*base)
+    coeffs = [[list(row) for row in m] for m in mask.coeffs]
+    shift = st.fractions(min_value=-2, max_value=2, max_denominator=8).filter(bool)
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        n = draw(st.integers(min_value=0, max_value=len(coeffs) - 1))
+        i = draw(st.integers(min_value=0, max_value=mask.d))
+        k = draw(st.integers(min_value=0, max_value=mask.d))
+        coeffs[n][i][k] += draw(shift)
+    return Mask(mask.support_min, tuple(tuple(tuple(row) for row in m) for m in coeffs))
+
+
+def _factorize_outcome(factorize, mask, chain):
+    try:
+        return ("ok", factorize(mask, chain).to_json())
+    except (NotAnnihilated, NotDivisible) as exc:
+        return (type(exc).__name__, str(exc))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    mask=perturbed_masks(),
+    make_op=st.sampled_from([delta_operator, classical_operator, allones_operator]),
+)
+def test_factorize_matches_the_gate_first_reference(mask, make_op):
+    # Annihilation is checked only after a failed division; the exception,
+    # its message and every successful factorization stay those of the
+    # path that checks annihilation first.
+    chain = chain_for(make_op(mask.d))
+    got = _factorize_outcome(taylor_factorize, mask, chain)
+    assert got == _factorize_outcome(taylor_factorize_reference, mask, chain)
+
+
+def _ref2_seed_and_g():
+    return LaurentPoly({0: F(1, 2), 1: F(1, 2)}), {(1, 0): LaurentPoly({0: F(1)})}
+
+
+def _entry_point_call(name, tmp_path):
+    """A no-argument call of one public entry point on the reference scheme,
+    with its inputs built beforehand."""
+    if name == "taylor_factorize":
+        mask, chain = ref2_mask(), delta_chain()
+        return lambda: taylor_factorize(mask, chain)
+    if name == "synthesize":
+        op, (seed, g) = delta_operator(2), _ref2_seed_and_g()
+        return lambda: synthesize(op, seed, g)
+    if name == "spline_verify":
+        return lambda: spline_verify(2, 2)
+    if name == "cli factor":
+        mask_file = tmp_path / "mask.json"
+        mask_file.write_text(json.dumps(ref2_mask().to_json()))
+        argv = ["factor", "--mask", str(mask_file), "--chain", "delta:d=2"]
+    else:
+        argv = ["construct", "--taylor", "delta:d=2", "--hdd", "(z+1)/2", "--g", "1,0:1"]
+    argv += ["--out", str(tmp_path / "report.json")]
+    return lambda: run(argv)
+
+
+@pytest.mark.parametrize(
+    "name", ["taylor_factorize", "synthesize", "spline_verify", "cli factor", "cli construct"]
+)
+def test_each_entry_point_checks_the_identity_once(name, tmp_path, monkeypatch):
+    call = _entry_point_call(name, tmp_path)
+    calls = []
+    matrix_eq = LaurentMatrix.__eq__
+
+    def counting_eq(self, other):
+        calls.append(None)
+        return matrix_eq(self, other)
+
+    monkeypatch.setattr(LaurentMatrix, "__eq__", counting_eq)
+    result = call()
+    assert len(calls) == 1
+    if name.startswith("cli"):
+        assert result == 0
+        doc = json.loads((tmp_path / "report.json").read_text())
+        assert doc["checks"]["identity"] is True
 
 
 def test_incomplete_complete_roundtrip():

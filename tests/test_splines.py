@@ -216,3 +216,13 @@ def test_spline_cascade_matches_fraction_abscissae(r):
         for levels in (0, 1, 4):
             got = check_spline_cascade(r, d, levels=levels, tol=1e-3)
             assert got == spline_cascade_reference(r, d, levels, 1e-3)
+
+
+def test_spline_verify_lets_internal_errors_through(monkeypatch):
+    # Only NotAChain and NotInVd mean "not a chain"; anything else is a fault.
+    def broken(chain, op=None):
+        raise RuntimeError("internal fault")
+
+    monkeypatch.setattr("hermiteforge.splines.chain_validate", broken)
+    with pytest.raises(RuntimeError, match="internal fault"):
+        spline_verify(2, 1)
