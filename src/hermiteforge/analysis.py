@@ -21,20 +21,8 @@ from itertools import islice
 from math import isfinite
 from typing import Iterator
 
-from .exactalg import LaurentMatrix
 from .subdivision import DyadicGrid, Mask, hermite_step
 from .taylor import TaylorOperator, WindowTooSmall, delta_operator
-
-
-def iterated_symbol(mask: Mask, n: int) -> LaurentMatrix:
-    """Symbol of the n-fold scheme: B*(z) B*(z^2) ... B*(z^(2^(n-1)))."""
-    if n < 1:
-        raise ValueError("need n >= 1")
-    sym = mask.symbol()
-    out = sym
-    for k in range(1, n):
-        out = out * sym.substitute_power(2**k)
-    return out
 
 
 def _integer_entries(mask: Mask) -> tuple[list[list[list[int]]], int]:

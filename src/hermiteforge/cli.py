@@ -33,7 +33,7 @@ from .exactalg import (
     rat_from_str,
 )
 from .factor import NotAnnihilated, taylor_factorize, verify_spectral_chain
-from .polybasis import NotInVd, Poly, PolyVec
+from .polybasis import NotInVd, Poly, PolyVec, difference_split_check
 from .splines import BadOrder, spline_chain, spline_mask, spline_verify
 from .subdivision import DyadicGrid, Mask
 from .taylor import (
@@ -408,7 +408,7 @@ def _cmd_construct(args) -> int:
         result = synthesize(op, seed, g, strategy=args.strategy)
     except BadSeed as exc:
         raise MalformedInput(str(exc)) from exc
-    except (NotDivisible, ValueError) as exc:
+    except NotDivisible as exc:
         _emit(args, _dump_json({"ok": False, "error": str(exc)}))
         return 1
     payload = {
@@ -517,21 +517,6 @@ def _random_operator(rng: random.Random, d: int) -> TaylorOperator:
         row.append(Fraction(1))
         w.append(tuple(row))
     return TaylorOperator(tuple(w))
-
-
-def difference_split_check(p: Poly, n: int) -> bool:
-    """Exact identity for deg p <= n:
-    Delta p = sum_{k=1}^{n-1} (Delta^k p)(. - k) + (Delta^n p)(. - (n-1))."""
-    if n < 1 or p.degree > n:
-        raise ValueError("the identity needs 1 <= n and deg p <= n")
-    ladder = [p.forward_difference()]  # ladder[k - 1] = Delta^k p
-    for _ in range(1, n):
-        ladder.append(ladder[-1].forward_difference())
-    rhs = Poly.zero()
-    for k in range(1, n):
-        rhs = rhs + ladder[k - 1].shift(-k)
-    rhs = rhs + ladder[n - 1].shift(-(n - 1))
-    return ladder[0] == rhs
 
 
 def _cmd_identity_tests(args) -> int:

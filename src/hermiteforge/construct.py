@@ -371,16 +371,3 @@ def synthesize(
         factor=factor,
         mask=mask,
     )
-
-
-def parse_g_table(obj: Mapping[str, Mapping[str, str]]) -> dict[tuple[int, int], LaurentPoly]:
-    """Decode {"j,k": laurent-json} free-parameter tables."""
-    out = {}
-    for key, val in obj.items():
-        j_s, k_s = key.split(",")
-        out[(int(j_s), int(k_s))] = LaurentPoly.from_json(val)
-    return out
-
-
-def g_table_to_json(g: Mapping[tuple[int, int], LaurentPoly]) -> dict[str, dict[str, str]]:
-    return {f"{j},{k}": v.to_json() for (j, k), v in sorted(g.items())}

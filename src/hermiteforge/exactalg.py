@@ -3,8 +3,9 @@ triangular-inverse decomposition used by the factorization routines.
 
 Everything here is exact; floats never enter. A Laurent polynomial keeps
 its coefficients as integer numerators over one positive denominator, and
-the integer kernel below (shared with ``polybasis.Poly``) does its
-arithmetic. Single rationals that enter or leave are
+the integer kernel below does its arithmetic. ``polybasis.Poly`` is the
+LaurentPoly subclass with no negative exponent: it inherits the canonical
+form and the arithmetic. Single rationals that enter or leave are
 ``fractions.Fraction`` values and serialize as "p/q" strings.
 """
 
@@ -15,7 +16,6 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
-Rational = Fraction
 RationalLike = Union[Fraction, int]
 
 
@@ -62,7 +62,7 @@ def falling_factorial(e: int, r: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# The integer kernel shared by LaurentPoly and polybasis.Poly.
+# The integer kernel of LaurentPoly (and so of its subclass polybasis.Poly).
 #
 # A polynomial is a tuple of integer numerators, dense from an offset, over
 # one positive denominator. The helpers below work on plain int lists and
@@ -219,6 +219,10 @@ class LaurentPoly:
     in canonical form: no zero numerator at either end and no common factor
     of the denominator and the numerators, so equal polynomials have equal
     fields. The zero polynomial is (0, (), 1).
+
+    The arithmetic returns the type of its left operand and takes an int, a
+    Fraction or an operand of exactly that type, so ``polybasis.Poly`` (the
+    subclass with no negative exponent) and LaurentPoly never mix.
     """
 
     __slots__ = ("_lo", "_num", "_den")
@@ -253,11 +257,20 @@ class LaurentPoly:
 
     @classmethod
     def constant(cls, v: RationalLike) -> "LaurentPoly":
-        return cls({0: v})
+        return cls._make(0, *_over_one_denominator((v,)))
 
     @classmethod
     def monomial(cls, e: int, v: RationalLike = 1) -> "LaurentPoly":
-        return cls({e: v})
+        return cls._make(e, *_over_one_denominator((v,)))
+
+    def _operand(self, other: object) -> "LaurentPoly | None":
+        """other as a polynomial of this type, or None if it is not an int, a
+        Fraction or a polynomial of exactly this type."""
+        if type(other) is type(self):
+            return other
+        if isinstance(other, (int, Fraction)):
+            return self.constant(other)
+        return None
 
     @property
     def support(self) -> tuple[int, ...]:
@@ -294,65 +307,68 @@ class LaurentPoly:
         return bool(self._num)
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, LaurentPoly):
-            return self._num == other._num and self._lo == other._lo and self._den == other._den
-        if isinstance(other, (int, Fraction)):
-            return self == LaurentPoly.constant(other)
-        return NotImplemented
+        other = self._operand(other)
+        if other is None:
+            return NotImplemented
+        return self._num == other._num and self._lo == other._lo and self._den == other._den
 
     def __hash__(self) -> int:
         return hash(frozenset(self.items()))
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly._raw(self._lo, tuple(-n for n in self._num), self._den)
+        return self._raw(self._lo, tuple(-n for n in self._num), self._den)
 
     def __add__(self, other: "LaurentPoly | RationalLike") -> "LaurentPoly":
-        if isinstance(other, (int, Fraction)):
-            other = LaurentPoly.constant(other)
-        if not isinstance(other, LaurentPoly):
+        other = self._operand(other)
+        if other is None:
             return NotImplemented
         if not other._num:
             return self
         if not self._num:
             return other
-        return LaurentPoly._make(
-            *_add(self._lo, self._num, self._den, other._lo, other._num, other._den)
-        )
+        return self._make(*_add(self._lo, self._num, self._den, other._lo, other._num, other._den))
 
     __radd__ = __add__
 
     def __sub__(self, other: "LaurentPoly | RationalLike") -> "LaurentPoly":
-        return self + (-other if isinstance(other, LaurentPoly) else LaurentPoly.constant(-Fraction(other)))
+        other = self._operand(other)
+        if other is None:
+            return NotImplemented
+        return self + (-other)
 
     def __rsub__(self, other: RationalLike) -> "LaurentPoly":
-        return LaurentPoly.constant(other) - self
+        other = self._operand(other)
+        if other is None:
+            return NotImplemented
+        return other - self
 
     def __mul__(self, other: "LaurentPoly | RationalLike") -> "LaurentPoly":
         if isinstance(other, (int, Fraction)):
             if not other or not self._num:
-                return LaurentPoly.zero()
-            return LaurentPoly._make(self._lo, *_scale(self._num, self._den, other))
-        if not isinstance(other, LaurentPoly):
+                return self.zero()
+            return self._make(self._lo, *_scale(self._num, self._den, other))
+        if type(other) is not type(self):
             return NotImplemented
         if not self._num or not other._num:
-            return LaurentPoly.zero()
+            return self.zero()
         # A product of canonical polynomials has nonzero ends; only the
         # common factor can need removing.
         num, den = _reduce(_mul(self._num, other._num), self._den * other._den)
-        return LaurentPoly._raw(self._lo + other._lo, num, den)
+        return self._raw(self._lo + other._lo, num, den)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other: RationalLike) -> "LaurentPoly":
-        q = Fraction(other)
-        if q == 0:
+        if not isinstance(other, (int, Fraction)):
+            return NotImplemented
+        if other == 0:
             raise ZeroDivisionError("division of Laurent polynomial by zero")
-        return self * (1 / q)
+        return self * (1 / Fraction(other))
 
     def __pow__(self, n: int) -> "LaurentPoly":
         if n < 0:
             raise ValueError("negative powers of Laurent polynomials are not defined here")
-        out = LaurentPoly.one()
+        out = self.one()
         base = self
         while n:
             if n & 1:
@@ -360,12 +376,6 @@ class LaurentPoly:
             base = base * base
             n >>= 1
         return out
-
-    def shift(self, k: int) -> "LaurentPoly":
-        """Multiply by z^k."""
-        if not self._num:
-            return self
-        return LaurentPoly._raw(self._lo + k, self._num, self._den)
 
     def substitute_power(self, m: int) -> "LaurentPoly":
         """Return f(z^m). m may be negative, not zero."""
@@ -480,7 +490,7 @@ class LaurentMatrix:
             if len(r) != width:
                 raise ValueError("ragged matrix rows")
             for x in r:
-                if not isinstance(x, LaurentPoly):
+                if type(x) is not LaurentPoly:
                     raise TypeError("matrix entries must be LaurentPoly")
         self._rows = tup
 
@@ -489,12 +499,6 @@ class LaurentMatrix:
         one = LaurentPoly.one()
         zero = LaurentPoly.zero()
         return cls([[one if i == k else zero for k in range(n)] for i in range(n)])
-
-    @classmethod
-    def zeros(cls, n: int, m: int | None = None) -> "LaurentMatrix":
-        m = n if m is None else m
-        zero = LaurentPoly.zero()
-        return cls([[zero for _ in range(m)] for _ in range(n)])
 
     @property
     def nrows(self) -> int:
@@ -562,14 +566,6 @@ class LaurentMatrix:
     def __repr__(self) -> str:
         return f"LaurentMatrix({self.nrows}x{self.ncols})"
 
-    def pretty(self) -> str:
-        cells = [[str(x) for x in r] for r in self._rows]
-        widths = [max(len(cells[i][k]) for i in range(self.nrows)) for k in range(self.ncols)]
-        lines = []
-        for r in cells:
-            lines.append("[ " + "   ".join(c.rjust(w) for c, w in zip(r, widths)) + " ]")
-        return "\n".join(lines)
-
 
 @dataclass(frozen=True)
 class TriangularInverse:
@@ -584,9 +580,6 @@ class TriangularInverse:
 
     size: int
     p: LaurentMatrix
-
-    def denominator_exponent(self, j: int, l: int) -> int:
-        return l - j + 1
 
 
 def lm_triangular_inverse(t: LaurentMatrix) -> TriangularInverse:
@@ -625,23 +618,3 @@ def lm_triangular_inverse(t: LaurentMatrix) -> TriangularInverse:
             row.append(_dot((powers[m][j][l], upow[l - j - m]) for m in range(l - j + 1)))
         rows.append(row)
     return TriangularInverse(size=n, p=LaurentMatrix(rows))
-
-
-def triangular_inverse_check(t: LaurentMatrix, inv: TriangularInverse) -> bool:
-    """Exact recombination check: sum_l t[j][l] p[l][k] u^(l-j) must equal
-    delta_jk u^(k-j+1). Clearing the denominators this way avoids rational
-    functions entirely."""
-    n = t.nrows
-    u = delta_symbol(1)
-    for j in range(n):
-        for k in range(n):
-            acc = LaurentPoly.zero()
-            for l in range(j, min(k, n - 1) + 1):
-                a = t[j][l]
-                b = inv.p[l][k]
-                if a and b:
-                    acc = acc + a * b * u ** (l - j)
-            want = u ** (k - j + 1) if j == k else LaurentPoly.zero()
-            if acc != want:
-                return False
-    return True

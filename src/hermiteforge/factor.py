@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from .exactalg import (
     LaurentMatrix,
@@ -229,35 +229,6 @@ def unfactor(
     if tsym * asym != (bsym * tsym.substitute_power(2)).scale(LaurentPoly.constant(scale)):
         raise AssertionError("unfactor did not satisfy the factorization identity")
     return mask
-
-
-def complete_from_incomplete(b: Mask) -> Mask:
-    """Translate the incomplete-operator factor B into the complete one.
-
-    Defining identity: diag(I, z^-1 - 1) B*(z) = B-tilde*(z) diag(I, z^-2 - 1),
-    so the last column picks up a 1/(z^-2 - 1) and the last row a (z^-1 - 1),
-    which cancel to (z^-1 + 1)^-1 on the corner.
-    """
-    d = b.d
-    u = delta_symbol(1)
-    u2 = delta_symbol(2)
-    zp1 = LaurentPoly({-1: 1, 0: 1})  # z^-1 + 1
-    sym = b.symbol()
-    rows = []
-    for i in range(d + 1):
-        row = []
-        for k in range(d + 1):
-            f = sym[i][k]
-            if i < d and k < d:
-                row.append(f)
-            elif i < d and k == d:
-                row.append(f.divide_exact(u2) if f else f)
-            elif i == d and k < d:
-                row.append(f * u)
-            else:
-                row.append(f.divide_exact(zp1) if f else f)
-        rows.append(row)
-    return Mask.from_symbol(LaurentMatrix(rows))
 
 
 def incomplete_from_complete(btilde: Mask) -> Mask:

@@ -1,8 +1,10 @@
 """Ordinary polynomials over Q, the normalized falling-factorial basis, and
 the graded vectors of polynomials that Taylor chains are made of.
 
-A polynomial keeps integer numerators over one denominator and runs on the
-integer kernel of ``exactalg``; coefficients are read out as Fractions.
+A polynomial is a ``exactalg.LaurentPoly`` with no negative exponent: it
+keeps the same canonical integer numerators over one denominator and the
+same arithmetic, and adds the views of an ordinary polynomial (dense
+coefficients from x^0, degree, p(x + a), derivatives, forward differences).
 
 A vector lives in V_d when it has d+1 polynomial components of degrees
 exactly 0..d, the degree-j component has leading coefficient 1/j!, and the
@@ -20,15 +22,12 @@ from math import factorial, lcm
 from typing import Mapping, Sequence
 
 from .exactalg import (
+    LaurentPoly,
     RationalLike,
-    _add,
+    _canonical,
     _display,
-    _horner,
-    _mul,
     _over_one_denominator,
     _ratio_str,
-    _reduce,
-    _scale,
     _taylor_shift,
     rat_from_str,
 )
@@ -38,70 +37,33 @@ class NotInVd(Exception):
     """Raised when a polynomial vector violates the graded-degree shape."""
 
 
-class Poly:
-    """Dense univariate polynomial with rational coefficients, ascending order.
+class Poly(LaurentPoly):
+    """Univariate polynomial with rational coefficients, read in x.
 
-    Immutable: the coefficients of 1, x, x^2, ... are integer numerators over
-    one positive denominator, in canonical form (no trailing zero numerator,
-    no common factor of the denominator and the numerators), the same integer
-    kernel as LaurentPoly. The zero polynomial is ((), 1).
+    The LaurentPoly with no negative exponent: same canonical fields and
+    arithmetic, constructed from and read as the coefficients of 1, x, x^2,
+    ... The arithmetic takes an int, a Fraction or another Poly, never a
+    LaurentPoly, and a Poly never equals a LaurentPoly.
     """
 
-    __slots__ = ("_num", "_den")
+    __slots__ = ()
 
     def __init__(self, coeffs: Sequence[RationalLike] = ()):
-        nums, den = _over_one_denominator(coeffs)
-        while nums and not nums[-1]:
-            nums.pop()
-        self._num, self._den = tuple(nums), den if nums else 1
+        self._lo, self._num, self._den = _canonical(0, *_over_one_denominator(coeffs))
 
-    @classmethod
-    def _raw(cls, nums: tuple[int, ...], den: int) -> "Poly":
-        """An instance from fields already in canonical form."""
-        out = object.__new__(cls)
-        out._num, out._den = nums, den
-        return out
-
-    @classmethod
-    def _make(cls, nums: Sequence[int], den: int) -> "Poly":
-        """An instance from numerators over den > 0, brought to canonical form."""
-        j = len(nums)
-        while j and not nums[j - 1]:
-            j -= 1
-        if not j:
-            return cls._raw((), 1)
-        return cls._raw(*_reduce(nums[:j], den))
-
-    @classmethod
-    def zero(cls) -> "Poly":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "Poly":
-        return cls((1,))
-
-    @classmethod
-    def constant(cls, v: RationalLike) -> "Poly":
-        return cls((v,))
-
-    @classmethod
-    def monomial(cls, k: int, v: RationalLike = 1) -> "Poly":
-        return cls((0,) * k + (v,))
+    def _dense(self) -> tuple[int, ...]:
+        """The numerators of 1, x, ..., x^degree, zeros below _lo included."""
+        return (0,) * self._lo + self._num if self._lo else self._num
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
         den = self._den
-        return tuple(Fraction(n, den) for n in self._num)
+        return tuple(Fraction(n, den) for n in self._dense())
 
     @property
     def degree(self) -> int:
         """Degree, with the zero polynomial at -1."""
-        return len(self._num) - 1
-
-    def coeff(self, k: int) -> Fraction:
-        if 0 <= k < len(self._num):
-            return Fraction(self._num[k], self._den)
-        return Fraction(0)
+        return self._lo + len(self._num) - 1
 
     @property
     def leading(self) -> Fraction:
@@ -109,68 +71,8 @@ class Poly:
             raise ValueError("zero polynomial has no leading coefficient")
         return Fraction(self._num[-1], self._den)
 
-    def __bool__(self) -> bool:
-        return bool(self._num)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, Poly):
-            return self._num == other._num and self._den == other._den
-        if isinstance(other, (int, Fraction)):
-            return self == Poly.constant(other)
-        return NotImplemented
-
     def __hash__(self) -> int:
         return hash(self.coeffs)
-
-    def __neg__(self) -> "Poly":
-        return Poly._raw(tuple(-n for n in self._num), self._den)
-
-    def __add__(self, other: "Poly | RationalLike") -> "Poly":
-        if isinstance(other, (int, Fraction)):
-            other = Poly.constant(other)
-        if not isinstance(other, Poly):
-            return NotImplemented
-        if not other._num:
-            return self
-        if not self._num:
-            return other
-        _, nums, den = _add(0, self._num, self._den, 0, other._num, other._den)
-        return Poly._make(nums, den)
-
-    __radd__ = __add__
-
-    def __sub__(self, other: "Poly | RationalLike") -> "Poly":
-        if isinstance(other, (int, Fraction)):
-            other = Poly.constant(other)
-        if not isinstance(other, Poly):
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other: RationalLike) -> "Poly":
-        return Poly.constant(other) - self
-
-    def __mul__(self, other: "Poly | RationalLike") -> "Poly":
-        if isinstance(other, (int, Fraction)):
-            if not other or not self._num:
-                return Poly.zero()
-            return Poly._make(*_scale(self._num, self._den, other))
-        if not isinstance(other, Poly):
-            return NotImplemented
-        if not self._num or not other._num:
-            return Poly.zero()
-        return Poly._raw(*_reduce(_mul(self._num, other._num), self._den * other._den))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other: RationalLike) -> "Poly":
-        return self * (1 / Fraction(other))
-
-    def evaluate(self, x: RationalLike) -> Fraction:
-        x = Fraction(x)
-        if not self._num:
-            return Fraction(0)
-        q = x.denominator
-        return Fraction(_horner(self._num, x.numerator, q), self._den * q ** self.degree)
 
     def shift(self, a: RationalLike) -> "Poly":
         """Return p(x + a).
@@ -182,40 +84,56 @@ class Poly:
         if a == 0 or not self._num:
             return self
         s, q = a.numerator, a.denominator
+        nums = self._dense()
         if q == 1:
-            # An integer shift keeps the leading numerator and the content.
-            return Poly._raw(tuple(_taylor_shift(self._num, s)), self._den)
+            return self._make(0, _taylor_shift(nums, s), self._den)
         m = self.degree
-        scaled = [n * q ** (m - k) for k, n in enumerate(self._num)]
+        scaled = [n * q ** (m - k) for k, n in enumerate(nums)]
         shifted = [n * q**k for k, n in enumerate(_taylor_shift(scaled, s))]
-        return Poly._make(shifted, self._den * q**m)
+        return self._make(0, shifted, self._den * q**m)
 
     def derivative(self, order: int = 1) -> "Poly":
-        nums = self._num
+        nums = self._dense()
         for _ in range(order):
             nums = [k * n for k, n in enumerate(nums) if k >= 1]
-        return Poly._make(nums, self._den)
+        return self._make(0, nums, self._den)
 
     def forward_difference(self, order: int = 1) -> "Poly":
         """Delta p = p(x+1) - p(x), iterated."""
-        nums = self._num
+        nums = self._dense()
         for _ in range(order):
             # The leading terms cancel, so each difference drops one degree.
             nums = [a - b for a, b in zip(_taylor_shift(nums, 1), nums[:-1])]
-        return Poly._make(nums, self._den)
+        return self._make(0, nums, self._den)
 
     def to_json(self) -> list[str]:
-        return [_ratio_str(n, self._den) for n in self._num]
+        den = self._den
+        return [_ratio_str(n, den) for n in self._dense()]
 
     @classmethod
     def from_json(cls, obj: Sequence[str]) -> "Poly":
         return cls(tuple(rat_from_str(v) for v in obj))
 
     def __str__(self) -> str:
-        return _display(0, self._num, self._den, "x")
+        return _display(self._lo, self._num, self._den, "x")
 
     def __repr__(self) -> str:
         return f"Poly({[str(v) for v in self.coeffs]})"
+
+
+def difference_split_check(p: Poly, n: int) -> bool:
+    """Exact identity for deg p <= n:
+    Delta p = sum_{k=1}^{n-1} (Delta^k p)(. - k) + (Delta^n p)(. - (n-1))."""
+    if n < 1 or p.degree > n:
+        raise ValueError("the identity needs 1 <= n and deg p <= n")
+    ladder = [p.forward_difference()]  # ladder[k - 1] = Delta^k p
+    for _ in range(1, n):
+        ladder.append(ladder[-1].forward_difference())
+    rhs = Poly.zero()
+    for k in range(1, n):
+        rhs = rhs + ladder[k - 1].shift(-k)
+    rhs = rhs + ladder[n - 1].shift(-(n - 1))
+    return ladder[0] == rhs
 
 
 def falling_power(j: int) -> Poly:
@@ -246,14 +164,6 @@ def to_newton_coeffs(p: Poly) -> tuple[Fraction, ...]:
         out.append(q.evaluate(0))
         q = q.forward_difference()
     return tuple(out)
-
-
-def from_newton_coeffs(coeffs: Sequence[RationalLike]) -> Poly:
-    p = Poly.zero()
-    for k, v in enumerate(coeffs):
-        if v:
-            p = p + newton_basis(k) * Fraction(v)
-    return p
 
 
 def antidifference(p: Poly, constant: RationalLike = 0) -> Poly:
@@ -320,7 +230,7 @@ class PolyVec:
         rows = []
         for i in range(d + 1):
             p = self.components[d - i]
-            nums = [n * (den // p._den) for n in p._num]
+            nums = [n * (den // p._den) for n in p._dense()]
             row = [nums[-1]] * len(xs)
             for c in reversed(nums[:-1]):
                 row = [r * x + c for r, x in zip(row, xs)]
@@ -342,13 +252,3 @@ class PolyVec:
     def __str__(self) -> str:
         rows = [str(self.components[self.d - i]) for i in range(self.d + 1)]
         return "[" + "; ".join(rows) + "]"
-
-
-def classical_vector(d: int) -> PolyVec:
-    """The monomial vector with components x^j / j!."""
-    return PolyVec(tuple(Poly.monomial(j, Fraction(1, factorial(j))) for j in range(d + 1)))
-
-
-def newton_vector(d: int) -> PolyVec:
-    """The vector whose components are the normalized falling powers."""
-    return PolyVec(tuple(newton_basis(j) for j in range(d + 1)))

@@ -14,12 +14,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
-from typing import Sequence
 
 from .exactalg import LaurentMatrix, LaurentPoly, RationalLike
 from .factor import Factorization, taylor_factorize, verify_spectral_chain
 from .polybasis import NotInVd, Poly, PolyVec
-from .subdivision import Mask, subdivide
+from .subdivision import Mask
 from .taylor import Chain, NotAChain, allones_operator, chain_for, chain_validate, classical_operator
 
 
@@ -71,24 +70,6 @@ def spline_eigenpoly(r: int, i: int) -> Poly:
     if not 0 <= i <= r:
         raise BadOrder(f"eigenpolynomial index must satisfy 0 <= i <= r, got {i}")
     return ell_polynomial(r).derivative(r - i)
-
-
-def scalar_eigen_check(
-    coeffs: Sequence[RationalLike], support_min: int, p: Poly, eigenvalue: RationalLike
-) -> tuple[int, Fraction, Fraction] | None:
-    """Exact check of S_a p = lambda p for a scalar mask; None on success,
-    else the first counterexample (alpha, got, want)."""
-    lam = Fraction(eigenvalue)
-    mask = Mask(support_min, tuple(((v,),) for v in coeffs))
-    s_min, s_max = mask.support
-    half = max(p.degree, 0) + 3 + (s_max - s_min)
-    samples = [(p.evaluate(beta),) for beta in range(-half, half + 1)]
-    out, out_lo = subdivide(mask, samples, -half)
-    for n, (got,) in enumerate(out):
-        want = lam * p.evaluate(out_lo + n)
-        if got != want:
-            return (out_lo + n, got, want)
-    return None
 
 
 def spline_chain(r: int, d: int) -> Chain:

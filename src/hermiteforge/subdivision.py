@@ -296,18 +296,6 @@ def _image_rows(
     return sums, mask._stencil.denominator * den_q, out_lo
 
 
-def polyvec_applied(
-    mask: Mask, v: PolyVec, window: tuple[int, int] | None = None
-) -> tuple[list[tuple[Fraction, ...]], int]:
-    """Exact samples of S_A applied to the zero-padded vector of v.
-
-    The default window is wide enough that, per parity class, the output
-    determines its (componentwise) polynomial of degree <= d.
-    """
-    sums, den, out_lo = _image_rows(mask, v, window)
-    return [tuple(Fraction(s, den) for s in col) for col in zip(*sums)], out_lo
-
-
 def eigen_check(
     mask: Mask, v: PolyVec, eigenvalue: RationalLike
 ) -> tuple[int, int, Fraction, Fraction] | None:
@@ -356,9 +344,6 @@ class DyadicGrid:
 
     def x(self, n: int) -> float:
         return (self.start + n) / 2**self.level
-
-    def x_exact(self, n: int) -> Fraction:
-        return Fraction(self.start + n, 2**self.level)
 
     @property
     def is_exact(self) -> bool:

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from .exactalg import LaurentMatrix, LaurentPoly, RationalLike, delta_symbol, rat_from_str, rat_to_str
 from .polybasis import NotInVd, Poly, PolyVec, antidifference
@@ -146,67 +146,6 @@ def allones_operator(d: int) -> TaylorOperator:
     return TaylorOperator(tuple(tuple(Fraction(1) for _ in range(j)) for j in range(1, d + 1)))
 
 
-def padded_rows(v: PolyVec, ambient: int) -> list[Poly]:
-    """Degree-descending polynomial rows of v, zero-padded to ambient+1 rows."""
-    if ambient < v.d:
-        raise ValueError("ambient dimension smaller than the vector's own")
-    rows = [v.components[v.d - i] for i in range(v.d + 1)]
-    rows.extend(Poly.zero() for _ in range(ambient - v.d))
-    return rows
-
-
-def apply_operator_polys(op: TaylorOperator, rows: Sequence[Poly]) -> list[Poly]:
-    """Apply the operator to a column of polynomial sequences."""
-    d = op.d
-    if len(rows) != d + 1:
-        raise ValueError(f"expected {d + 1} rows, got {len(rows)}")
-    out = []
-    for i in range(d + 1):
-        if i == d and not op.complete:
-            out.append(rows[d])
-            continue
-        acc = rows[i].forward_difference()
-        for k in range(i + 1, d + 1):
-            wv = op.w[k - 1][i]
-            if wv:
-                acc = acc - rows[k] * wv
-        out.append(acc)
-    return out
-
-
-def apply_operator(
-    op: TaylorOperator, values: Sequence[Sequence[RationalLike]], start: int
-) -> tuple[list[tuple], int]:
-    """Apply the operator to sampled columns on an integer window.
-
-    values[n] is the column at alpha = start + n. The output loses the last
-    point (the forward difference looks one step ahead).
-    """
-    d = op.d
-    if len(values) < 2:
-        raise WindowTooSmall("need at least two samples for a forward difference")
-    for col in values:
-        if len(col) != d + 1:
-            raise ValueError(f"expected columns of height {d + 1}")
-    out = []
-    for n in range(len(values) - 1):
-        here = values[n]
-        ahead = values[n + 1]
-        col = []
-        for i in range(d + 1):
-            if i == d and not op.complete:
-                col.append(here[d])
-                continue
-            acc = ahead[i] - here[i]
-            for k in range(i + 1, d + 1):
-                wv = op.w[k - 1][i]
-                if wv:
-                    acc = acc - wv * here[k]
-            col.append(acc)
-        out.append(tuple(col))
-    return out, start
-
-
 def annihilator(v: PolyVec) -> TaylorOperator:
     """The unique complete operator of size d+1 annihilating v's rows.
 
@@ -278,13 +217,6 @@ def chain_validate(chain: Chain, op: TaylorOperator | None = None) -> None:
         raise NotAChain("chain does not belong to the supplied operator")
 
 
-def compatibility_vector(chain: Chain, j: int) -> tuple[Fraction, ...]:
-    """The weight vector w_{j+1} linking level j to level j+1."""
-    if not 0 <= j < chain.d:
-        raise IndexError("levels run from 0 to d-1")
-    return annihilator(chain.vecs[j + 1]).w[j]
-
-
 def chain_for(
     op: TaylorOperator, constants: Mapping[tuple[int, int], RationalLike] | None = None
 ) -> Chain:
@@ -307,15 +239,5 @@ def chain_for(
             comps.append(antidifference(rhs, consts.get((j, k), 0)))
         vecs.append(PolyVec(tuple(comps)))
     chain = Chain(tuple(vecs))
-    chain_validate(chain, op)
-    return chain
-
-
-def chain_with_last(v: PolyVec) -> Chain:
-    """The chain whose top vector is v: lower levels come from v's own
-    annihilator, then the top is swapped in."""
-    op = annihilator(v)
-    base = chain_for(op)
-    chain = Chain(base.vecs[: v.d] + (v,))
     chain_validate(chain, op)
     return chain

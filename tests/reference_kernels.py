@@ -9,37 +9,46 @@ Laurent-product iterated symbol, Fraction abscissae for the spline cascade
 check, the Cox-de Boor recursion for B-spline values, and a factorization
 that gates on annihilation before dividing and checks its identity twice.
 They are slow and obviously right, which is all they are for.
+
+The oracles at the end state a property by its defining formula: the
+iterated symbol as a product of Laurent matrices, the triangular inverse
+recombined, the operator applied to sampled or polynomial rows, the Newton
+and monomial vectors, the inverse corner transform of a factor, and the
+scalar eigen relation checked by subdivision of samples.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import factorial
 from typing import Iterator, Mapping, Sequence
 
 from hermiteforge import (
-    ContractivityReport,
-    Factorization,
     LaurentMatrix,
     LaurentPoly,
     Mask,
     NotAnnihilated,
-    SplineCascadeReport,
-    bspline_derivative,
+    Poly,
+    PolyVec,
+    TaylorOperator,
     cascade,
-    delta_symbol,
-    eigen_check,
-    iterated_symbol,
     spline_mask,
 )
-from hermiteforge.analysis import is_lower_triangular
+from hermiteforge.analysis import ContractivityReport, is_lower_triangular
 from hermiteforge.construct import SingularSystem
 from hermiteforge.exactalg import (
     NotDivisible,
     RationalLike,
+    TriangularInverse,
+    delta_symbol,
     falling_factorial,
     rat_from_str,
     rat_to_str,
 )
+from hermiteforge.factor import Factorization
+from hermiteforge.polybasis import newton_basis
+from hermiteforge.splines import SplineCascadeReport, bspline_derivative
+from hermiteforge.subdivision import eigen_check, subdivide
 from hermiteforge.taylor import Chain, WindowTooSmall
 
 
@@ -166,10 +175,6 @@ class FractionLaurentPoly:
             base = base * base
             n >>= 1
         return out
-
-    def shift(self, k: int) -> "FractionLaurentPoly":
-        """Multiply by z^k."""
-        return FractionLaurentPoly({e + k: v for e, v in self._c.items()})
 
     def substitute_power(self, m: int) -> "FractionLaurentPoly":
         """Return f(z^m). m may be negative, not zero."""
@@ -707,3 +712,165 @@ def taylor_factorize_reference(mask: Mask, chain: Chain, scale=None) -> Factoriz
     if not fac.verify():
         raise AssertionError("factorization identity failed after the column solve")
     return fac
+
+
+# ---------------------------------------------------------------------------
+# Oracles that the tests check the library against: each states a property
+# directly, by the defining formula, rather than by the fast path.
+
+
+def iterated_symbol(mask: Mask, n: int) -> LaurentMatrix:
+    """Symbol of the n-fold scheme: B*(z) B*(z^2) ... B*(z^(2^(n-1)))."""
+    if n < 1:
+        raise ValueError("need n >= 1")
+    sym = mask.symbol()
+    out = sym
+    for k in range(1, n):
+        out = out * sym.substitute_power(2**k)
+    return out
+
+
+def triangular_inverse_check(t: LaurentMatrix, inv: TriangularInverse) -> bool:
+    """Exact recombination check: sum_l t[j][l] p[l][k] u^(l-j) must equal
+    delta_jk u^(k-j+1). Clearing the denominators this way avoids rational
+    functions entirely."""
+    n = t.nrows
+    u = delta_symbol(1)
+    for j in range(n):
+        for k in range(n):
+            acc = LaurentPoly.zero()
+            for l in range(j, min(k, n - 1) + 1):
+                a = t[j][l]
+                b = inv.p[l][k]
+                if a and b:
+                    acc = acc + a * b * u ** (l - j)
+            want = u ** (k - j + 1) if j == k else LaurentPoly.zero()
+            if acc != want:
+                return False
+    return True
+
+
+def from_newton_coeffs(coeffs: Sequence[RationalLike]) -> Poly:
+    p = Poly.zero()
+    for k, v in enumerate(coeffs):
+        if v:
+            p = p + newton_basis(k) * Fraction(v)
+    return p
+
+
+def newton_vector(d: int) -> PolyVec:
+    """The vector whose components are the normalized falling powers."""
+    return PolyVec(tuple(newton_basis(j) for j in range(d + 1)))
+
+
+def classical_vector(d: int) -> PolyVec:
+    """The monomial vector with components x^j / j!."""
+    return PolyVec(tuple(Poly.monomial(j, Fraction(1, factorial(j))) for j in range(d + 1)))
+
+
+def padded_rows(v: PolyVec, ambient: int) -> list[Poly]:
+    """Degree-descending polynomial rows of v, zero-padded to ambient+1 rows."""
+    if ambient < v.d:
+        raise ValueError("ambient dimension smaller than the vector's own")
+    rows = [v.components[v.d - i] for i in range(v.d + 1)]
+    rows.extend(Poly.zero() for _ in range(ambient - v.d))
+    return rows
+
+
+def apply_operator_polys(op: TaylorOperator, rows: Sequence[Poly]) -> list[Poly]:
+    """Apply the operator to a column of polynomial sequences."""
+    d = op.d
+    if len(rows) != d + 1:
+        raise ValueError(f"expected {d + 1} rows, got {len(rows)}")
+    out = []
+    for i in range(d + 1):
+        if i == d and not op.complete:
+            out.append(rows[d])
+            continue
+        acc = rows[i].forward_difference()
+        for k in range(i + 1, d + 1):
+            wv = op.w[k - 1][i]
+            if wv:
+                acc = acc - rows[k] * wv
+        out.append(acc)
+    return out
+
+
+def apply_operator(
+    op: TaylorOperator, values: Sequence[Sequence[RationalLike]], start: int
+) -> tuple[list[tuple], int]:
+    """Apply the operator to sampled columns on an integer window.
+
+    values[n] is the column at alpha = start + n. The output loses the last
+    point (the forward difference looks one step ahead).
+    """
+    d = op.d
+    if len(values) < 2:
+        raise WindowTooSmall("need at least two samples for a forward difference")
+    for col in values:
+        if len(col) != d + 1:
+            raise ValueError(f"expected columns of height {d + 1}")
+    out = []
+    for n in range(len(values) - 1):
+        here = values[n]
+        ahead = values[n + 1]
+        col = []
+        for i in range(d + 1):
+            if i == d and not op.complete:
+                col.append(here[d])
+                continue
+            acc = ahead[i] - here[i]
+            for k in range(i + 1, d + 1):
+                wv = op.w[k - 1][i]
+                if wv:
+                    acc = acc - wv * here[k]
+            col.append(acc)
+        out.append(tuple(col))
+    return out, start
+
+
+def scalar_eigen_check(
+    coeffs: Sequence[RationalLike], support_min: int, p: Poly, eigenvalue: RationalLike
+) -> tuple[int, Fraction, Fraction] | None:
+    """Exact check of S_a p = lambda p for a scalar mask; None on success,
+    else the first counterexample (alpha, got, want)."""
+    lam = Fraction(eigenvalue)
+    mask = Mask(support_min, tuple(((v,),) for v in coeffs))
+    s_min, s_max = mask.support
+    half = max(p.degree, 0) + 3 + (s_max - s_min)
+    samples = [(p.evaluate(beta),) for beta in range(-half, half + 1)]
+    out, out_lo = subdivide(mask, samples, -half)
+    for n, (got,) in enumerate(out):
+        want = lam * p.evaluate(out_lo + n)
+        if got != want:
+            return (out_lo + n, got, want)
+    return None
+
+
+def complete_from_incomplete(b: Mask) -> Mask:
+    """Translate the incomplete-operator factor B into the complete one.
+
+    Defining identity: diag(I, z^-1 - 1) B*(z) = B-tilde*(z) diag(I, z^-2 - 1),
+    so the last column picks up a 1/(z^-2 - 1) and the last row a (z^-1 - 1),
+    which cancel to (z^-1 + 1)^-1 on the corner.
+    """
+    d = b.d
+    u = delta_symbol(1)
+    u2 = delta_symbol(2)
+    zp1 = LaurentPoly({-1: 1, 0: 1})  # z^-1 + 1
+    sym = b.symbol()
+    rows = []
+    for i in range(d + 1):
+        row = []
+        for k in range(d + 1):
+            f = sym[i][k]
+            if i < d and k < d:
+                row.append(f)
+            elif i < d and k == d:
+                row.append(f.divide_exact(u2) if f else f)
+            elif i == d and k < d:
+                row.append(f * u)
+            else:
+                row.append(f.divide_exact(zp1) if f else f)
+        rows.append(row)
+    return Mask.from_symbol(LaurentMatrix(rows))

@@ -25,7 +25,6 @@ from hermiteforge import (
     Poly,
     TaylorOperator,
     annihilator,
-    build_last_row_system,
     chain_for,
     check_contractive,
     check_convergence,
@@ -33,18 +32,18 @@ from hermiteforge import (
     classical_operator,
     delta_operator,
     incomplete_from_complete,
-    lm_triangular_inverse,
-    scalar_eigen_check,
-    scalar_spline_symbol,
     spectral_chain_from_factorization,
-    spline_eigenpoly,
     spline_verify,
     synthesize,
     taylor_factorize,
     unfactor,
     verify_spectral_chain,
 )
-from hermiteforge.cli import difference_split_check
+from hermiteforge.construct import build_last_row_system
+from hermiteforge.exactalg import lm_triangular_inverse
+from hermiteforge.splines import scalar_spline_symbol, spline_eigenpoly
+from reference_kernels import scalar_eigen_check
+from hermiteforge.polybasis import difference_split_check
 
 
 def seed_poly(n=1):

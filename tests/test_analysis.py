@@ -22,12 +22,11 @@ from hermiteforge import (
     cascade,
     check_contractive,
     check_convergence,
-    delta_grid,
-    reconstruct_limits,
     scheme_norm,
-    subdivide,
     synthesize,
 )
+from hermiteforge.analysis import delta_grid, reconstruct_limits
+from hermiteforge.subdivision import subdivide
 from reference_kernels import check_contractive_reference, scheme_norm_reference
 from strategies import sparse_masks
 

@@ -15,12 +15,12 @@ from hermiteforge import (
     chain_for,
     classical_operator,
     delta_operator,
-    newton_vector,
     spline_mask,
     synthesize,
 )
 from hermiteforge import cli
 from hermiteforge.cli import MalformedInput, parse_laurent, run
+from reference_kernels import newton_vector
 
 
 def run_ok(capsys, argv):
@@ -288,6 +288,11 @@ def _malformed_argv(case, tmp_path):
         ref2.write_text(json.dumps(mask_from_entries(REF2_MASK, 2).to_json()))
         # The "=" form, which also carries negative scales past argparse.
         return ["factor", "--mask", str(ref2), "--chain", "delta:d=2", "--scale=0"]
+    if case == "g-outside-lower-triangle":
+        return ["construct", "--taylor", "delta:d=2", "--hdd", "(z+1)/2", "--g", "0,1:1"]
+    if case == "recurrence-for-classical":
+        # The recurrence needs all strict-upper weights zero.
+        return ["construct", "--taylor", "classical:d=2", "--hdd", "(z+1)/2", "--strategy", "recurrence"]
     if case == "grid-not-an-object":
         bad = tmp_path / "grid_list.json"
         bad.write_text("[]")
@@ -318,6 +323,8 @@ def _malformed_argv(case, tmp_path):
     [
         "zero-denominator",
         "zero-scale",
+        "g-outside-lower-triangle",
+        "recurrence-for-classical",
         "grid-not-an-object",
         "grid-too-small",
         "grid-without-values",

@@ -11,15 +11,15 @@ from hermiteforge import (
     BadSeed,
     LaurentPoly,
     TaylorOperator,
-    assemble_factor,
-    build_last_row_system,
     classical_operator,
     delta_operator,
-    g_table_to_json,
-    last_row_symbols,
-    parse_g_table,
-    recurrence_last_row,
     synthesize,
+)
+from hermiteforge.construct import (
+    assemble_factor,
+    build_last_row_system,
+    last_row_symbols,
+    recurrence_last_row,
 )
 
 rationals = st.fractions(min_value=F(-4), max_value=F(4), max_denominator=6)
@@ -121,11 +121,6 @@ def test_free_parameter_outside_lower_triangle_rejected():
     row = recurrence_last_row(op, seed_power(1))
     with pytest.raises(ValueError):
         assemble_factor(op, row, {(0, 1): LaurentPoly({0: F(1)})})
-
-
-def test_g_table_json_roundtrip():
-    g = {(1, 0): LaurentPoly({0: F(1)}), (2, 1): LaurentPoly({-1: F(1, 3), 2: F(-2)})}
-    assert parse_g_table(g_table_to_json(g)) == g
 
 
 def test_masks_have_expected_support(ref2, zero_g):

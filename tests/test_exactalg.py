@@ -11,15 +11,9 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hermiteforge import (
-    LaurentMatrix,
-    LaurentPoly,
-    NotDivisible,
-    Poly,
-    delta_symbol,
-    lm_triangular_inverse,
-    triangular_inverse_check,
-)
+from hermiteforge import LaurentMatrix, LaurentPoly, NotDivisible, Poly
+from hermiteforge.exactalg import delta_symbol, lm_triangular_inverse
+from reference_kernels import triangular_inverse_check
 
 rationals = st.fractions(
     min_value=F(-20), max_value=F(20), max_denominator=12

@@ -15,7 +15,7 @@ from goldens import (
     REF2_SPECTRAL_CHAIN,
     mask_from_entries,
 )
-from reference_kernels import taylor_factorize_reference
+from reference_kernels import complete_from_incomplete, taylor_factorize_reference
 from hermiteforge import (
     LaurentMatrix,
     LaurentPoly,
@@ -26,7 +26,6 @@ from hermiteforge import (
     allones_operator,
     chain_for,
     classical_operator,
-    complete_from_incomplete,
     delta_operator,
     incomplete_from_complete,
     spectral_chain_from_factorization,

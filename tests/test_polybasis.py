@@ -3,17 +3,9 @@ from fractions import Fraction as F
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hermiteforge import (
-    Poly,
-    antidifference,
-    classical_vector,
-    falling_power,
-    from_newton_coeffs,
-    newton_basis,
-    newton_vector,
-    padded_rows,
-    to_newton_coeffs,
-)
+from hermiteforge import Poly
+from hermiteforge.polybasis import antidifference, falling_power, newton_basis, to_newton_coeffs
+from reference_kernels import classical_vector, from_newton_coeffs, newton_vector, padded_rows
 
 rationals = st.fractions(min_value=F(-10), max_value=F(10), max_denominator=10)
 polys = st.lists(rationals, min_size=0, max_size=7).map(lambda cs: Poly(tuple(cs)))

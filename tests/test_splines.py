@@ -8,22 +8,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from goldens import SPLINE_R4_D3_ROW, SPLINE_R4_D3_SCALE
-from reference_kernels import bspline_value_reference, spline_cascade_reference
-from hermiteforge import (
-    BadOrder,
-    LaurentPoly,
+from reference_kernels import bspline_value_reference, scalar_eigen_check, spline_cascade_reference
+from hermiteforge import BadOrder, LaurentPoly, check_spline_cascade, spline_mask, spline_verify
+from hermiteforge.splines import (
     bspline_derivative,
     bspline_value,
-    chain_validate,
-    check_spline_cascade,
     ell_polynomial,
-    scalar_eigen_check,
     scalar_spline_symbol,
     spline_chain,
     spline_eigenpoly,
-    spline_mask,
-    spline_verify,
 )
+from hermiteforge.taylor import chain_validate
 
 
 def sym_coeffs(p):

@@ -7,23 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from goldens import REF2_MASK, REF2_SPECTRAL_CHAIN, mask_from_entries
-from hermiteforge import (
-    Chain,
-    Mask,
-    Poly,
-    PolyVec,
-    cascade,
-    eigen_check,
-    hermite_step,
-    iterated_symbol,
-    polyvec_applied,
-    subdivide,
-)
+from hermiteforge import Chain, Mask, Poly, PolyVec, cascade
+from hermiteforge.subdivision import eigen_check, hermite_step, subdivide
 from hermiteforge.taylor import WindowTooSmall
 from reference_kernels import (
     eigen_check_reference,
     hermite_step_reference,
-    polyvec_applied_reference,
+    iterated_symbol,
     subdivide_reference,
 )
 from strategies import poly_vecs, sparse_masks
@@ -138,14 +128,6 @@ def test_eigen_check_reports_failure():
     assert hit is not None
 
 
-def test_polyvec_applied_covers_both_parities():
-    m = ref2_mask()
-    v = PolyVec(tuple(Poly(cs) for cs in REF2_SPECTRAL_CHAIN[1]))
-    rows, start = polyvec_applied(m, v)
-    assert len(rows) >= 2 * (2 + 1)  # enough points per parity class
-    assert all(len(r) == 3 for r in rows)
-
-
 def test_mask_scale():
     m = hat_mask().scale(F(1, 2))
     out, _ = subdivide(m, [[F(1)]] * 9, -4)
@@ -245,10 +227,6 @@ def test_eigen_check_matches_fraction_reference(mask, data):
     v = data.draw(poly_vecs(mask.d))
     lam = data.draw(eigenvalues)
     assert eigen_check(mask, v, lam) == eigen_check_reference(mask, v, lam)
-    got = polyvec_applied(mask, v)
-    want = polyvec_applied_reference(mask, v)
-    assert got == want
-    assert all(type(x) is F for col in got[0] for x in col)
 
 
 @given(

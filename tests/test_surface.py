@@ -1,0 +1,77 @@
+"""The package root exports every name that the bench, the scripts and the
+README example read from it, and nothing that is not an object."""
+
+import ast
+import importlib
+import pkgutil
+import re
+import types
+from pathlib import Path
+
+import pytest
+
+import hermiteforge
+
+ROOT = Path(__file__).resolve().parent.parent
+SUBMODULES = {m.name for m in pkgutil.iter_modules(hermiteforge.__path__)}
+
+
+def _bench_names() -> set[str]:
+    """Every hf.<name> in perfbench/, where hf is the imported package."""
+    names = set()
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        names.update(re.findall(r"\bhf\.(\w+)", path.read_text()))
+    return names
+
+
+def _imports(source: str) -> list[tuple[str, str]]:
+    """(module, name) for each `from hermiteforge[.x] import name`."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("hermiteforge"):
+            out.extend((node.module, a.name) for a in node.names)
+    return out
+
+
+def _readme_python() -> str:
+    text = (ROOT / "README.md").read_text()
+    blocks = re.findall(r"```python\n(.*?)```", text, re.S)
+    assert blocks, "README has no python example"
+    return "\n".join(blocks)
+
+
+def _script_imports() -> list[tuple[str, str]]:
+    out = []
+    for path in sorted((ROOT / "scripts").glob("*.py")):
+        out.extend(_imports(path.read_text()))
+    return out
+
+
+def test_all_is_explicit_and_resolves():
+    names = hermiteforge.__all__
+    assert type(names) is list and len(names) == len(set(names))
+    for name in names:
+        obj = getattr(hermiteforge, name)
+        assert not isinstance(obj, types.ModuleType), name
+
+
+def test_bench_reads_only_exported_names():
+    names = _bench_names()
+    assert {"LaurentPoly", "synthesize", "cli"} <= names
+    for name in sorted(names):
+        if name in SUBMODULES:
+            # A submodule (hf.cli, hf.factor) is an attribute once imported.
+            importlib.import_module(f"hermiteforge.{name}")
+            continue
+        assert name in hermiteforge.__all__, name
+        getattr(hermiteforge, name)
+
+
+@pytest.mark.parametrize("where", ["scripts", "README"])
+def test_examples_import_only_exported_names(where):
+    pairs = _script_imports() if where == "scripts" else _imports(_readme_python())
+    assert pairs
+    for module, name in pairs:
+        if module == "hermiteforge":
+            assert name in hermiteforge.__all__, name
+        getattr(importlib.import_module(module), name)

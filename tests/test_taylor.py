@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hermiteforge import (
+    Chain,
     InvalidOperator,
     NotAChain,
     NotInVd,
@@ -15,14 +16,15 @@ from hermiteforge import (
     TaylorOperator,
     allones_operator,
     annihilator,
+    chain_for,
+    classical_operator,
+    delta_operator,
+)
+from hermiteforge.taylor import chain_validate
+from reference_kernels import (
     apply_operator,
     apply_operator_polys,
-    chain_for,
-    chain_validate,
-    chain_with_last,
-    classical_operator,
     classical_vector,
-    delta_operator,
     newton_vector,
     padded_rows,
 )
@@ -149,8 +151,6 @@ def test_vector_membership_enforced_at_construction():
 
 
 def test_chain_validate_detects_mismatch():
-    from hermiteforge import Chain
-
     # levels 0..2 carry Newton weights, level 3 carries classical ones;
     # the level-2 annihilator then fails to nest into level 3
     bad = Chain(
@@ -173,7 +173,10 @@ def test_chain_validate_checks_ownership():
 
 def test_chain_with_last_builds_valid_chain():
     v = chain_for(classical_operator(3)).last
-    ch = chain_with_last(v)
+    # Lower levels from v's own annihilator, then v on top.
+    op = annihilator(v)
+    ch = Chain(chain_for(op).vecs[: v.d] + (v,))
+    chain_validate(ch, op)
     chain_validate(ch)
     assert ch.last == v
     assert ch.d == 3
