@@ -21,7 +21,7 @@ from itertools import islice
 from math import isfinite
 from typing import Iterator
 
-from .subdivision import DyadicGrid, Mask, hermite_step
+from .subdivision import DyadicGrid, Mask, hermite_step, integer_step
 from .taylor import TaylorOperator, WindowTooSmall, delta_operator
 
 
@@ -188,10 +188,12 @@ def delta_grid(d: int, window: tuple[int, int], exact: bool = True) -> DyadicGri
     a, b = window
     if not a <= 0 <= b:
         raise ValueError("the delta window must contain 0")
-    one = Fraction(1) if exact else 1.0
-    zero = Fraction(0) if exact else 0.0
+    if exact:
+        rows = [[0] * (b - a + 1) for _ in range(d + 1)]
+        rows[0][-a] = 1
+        return DyadicGrid._from_rows(0, a, rows, 1)
     values = tuple(
-        tuple((one if (alpha == 0 and k == 0) else zero) for k in range(d + 1))
+        tuple((1.0 if (alpha == 0 and k == 0) else 0.0) for k in range(d + 1))
         for alpha in range(a, b + 1)
     )
     return DyadicGrid(level=0, start=a, values=values)
@@ -220,7 +222,12 @@ def cascade(
 
     init "delta" starts from the canonical delta data on a window wide
     enough to keep the target window conclusive at every level; an explicit
-    DyadicGrid is used as given (and must be wide enough itself).
+    DyadicGrid is used as given (and must be wide enough itself). Its entries
+    must be ints and Fractions when exact is set and floats otherwise.
+
+    Exact mode carries integer rows over one denominator from level to level
+    through integer_step; no Fraction is built until a grid's values are
+    read.
     """
     if levels < 0:
         raise ValueError("levels must be nonnegative")
@@ -233,10 +240,24 @@ def cascade(
         grid = init
         if grid.d != mask.d:
             raise ValueError("initial data dimension does not match the mask")
+        if not exact and not all(isinstance(v, float) for col in grid.values for v in col):
+            raise ValueError("exact=False needs initial data of floats")
     out = [grid]
+    level, start = grid.level, grid.start
+    if exact:
+        data = grid._exact_rows()
+        if data is None:
+            raise ValueError("exact=True needs initial data of ints and Fractions")
+        rows, den = data
+        for _ in range(levels):
+            rows, den, start = integer_step(mask, rows, den, start, level, level + 1)
+            level += 1
+            out.append(DyadicGrid._from_rows(level, start, rows, den))
+        return out
     for _ in range(levels):
-        vals, start = hermite_step(mask, grid.values, grid.start, grid.level)
-        grid = DyadicGrid(level=grid.level + 1, start=start, values=tuple(vals))
+        vals, start = hermite_step(mask, grid.values, start, level)
+        level += 1
+        grid = DyadicGrid(level=level, start=start, values=tuple(vals))
         out.append(grid)
     return out
 
@@ -305,6 +326,8 @@ def taylor_residuals(
         taylor = delta_operator(d)
     if taylor.d != d:
         raise ValueError("pairing operator dimension does not match the grid")
+    values, start, npoints = grid.values, grid.start, grid.npoints
+    alphas = _window_slice(grid, window)
     out = []
     for k in range(d):
         weights = [
@@ -312,13 +335,14 @@ def taylor_residuals(
             for ell in range(1, d - k + 1)
         ]
         worst = 0.0
-        for alpha in _window_slice(grid, window):
-            i0 = alpha - grid.start
-            if i0 + 1 >= grid.npoints:
+        for alpha in alphas:
+            i0 = alpha - start
+            if i0 + 1 >= npoints:
                 continue
-            v = float(grid.values[i0 + 1][k]) - float(grid.values[i0][k])
+            col = values[i0]
+            v = float(values[i0 + 1][k]) - float(col[k])
             for ell, wgt in enumerate(weights, start=1):
-                v -= wgt * float(grid.values[i0][k + ell])
+                v -= wgt * float(col[k + ell])
             worst = max(worst, abs(v))
         out.append(worst)
     return tuple(out)
@@ -357,13 +381,15 @@ def check_convergence(
     diffs: list[float] = []
     for n in range(levels):
         g0, g1 = grids[n], grids[n + 1]
+        values0, start0 = g0.values, g0.start
+        values1, start1, end1 = g1.values, g1.start, g1.start + g1.npoints
         worst = 0.0
         for alpha in _window_slice(g0, window):
-            c0 = g0.values[alpha - g0.start]
+            c0 = values0[alpha - start0]
             for beta in (2 * alpha, 2 * alpha + 1):
-                if not (g1.start <= beta < g1.start + g1.npoints):
+                if not (start1 <= beta < end1):
                     continue
-                c1 = g1.values[beta - g1.start]
+                c1 = values1[beta - start1]
                 for i in range(d + 1):
                     dv = abs(float(c0[i]) - float(c1[i]))
                     if dv > worst:
@@ -420,7 +446,8 @@ def reconstruct_limits(grid: DyadicGrid) -> tuple[tuple[tuple[float, ...], ...],
     zero_idx = -grid.start
     if not 0 <= zero_idx < n:
         raise WindowTooSmall("grid must contain the abscissa 0 to anchor integration")
-    cols = [[float(grid.values[i][k]) for i in range(n)] for k in range(d + 1)]
+    values = grid.values
+    cols = [[float(col[k]) for col in values] for k in range(d + 1)]
     rebuilt: list[list[float]] = [cols[d]]
     for k in range(d - 1, -1, -1):
         upper = rebuilt[0]

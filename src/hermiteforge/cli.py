@@ -455,6 +455,10 @@ def _cmd_cascade(args) -> int:
             init = DyadicGrid.from_json(_load_json(args.init))
         except (KeyError, TypeError, ValueError) as exc:
             raise MalformedInput(f"{args.init}: {exc}") from exc
+        if init.is_exact and not args.exact:
+            raise MalformedInput(f"{args.init}: an exact grid needs --exact")
+        if args.exact and not init.is_exact:
+            raise MalformedInput(f"{args.init}: a float grid cannot be refined with --exact")
     try:
         grids = run_cascade(mask, args.levels, init, window, exact=args.exact)
     except WindowTooSmall as exc:

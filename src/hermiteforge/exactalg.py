@@ -70,9 +70,18 @@ def falling_factorial(e: int, r: int) -> int:
 # operation.
 
 
+def _rational(v: object) -> RationalLike:
+    """v if it is an int or a Fraction; a float or anything else is never
+    coerced and raises TypeError."""
+    if isinstance(v, (int, Fraction)):
+        return v
+    raise TypeError(f"expected an int or a Fraction, got {type(v).__name__}")
+
+
 def _over_one_denominator(values: Sequence[RationalLike]) -> tuple[list[int], int]:
-    """Numerators of the values over the lcm of their denominators."""
-    vals = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values]
+    """Numerators of the values (ints and Fractions) over the lcm of their
+    denominators."""
+    vals = [_rational(v) for v in values]
     den = lcm(*(v.denominator for v in vals))
     return [v.numerator * (den // v.denominator) for v in vals], den
 
@@ -387,10 +396,10 @@ class LaurentPoly:
         out = [0] * ((len(self._num) - 1) * step + 1)
         out[::step] = self._num if m > 0 else self._num[::-1]
         lo = self._lo if m > 0 else self.hi
-        return LaurentPoly._raw(lo * m, tuple(out), self._den)
+        return self._raw(lo * m, tuple(out), self._den)
 
     def evaluate(self, x: RationalLike) -> Fraction:
-        x = Fraction(x)
+        x = _rational(x)
         nums, lo = self._num, self._lo
         if not nums:
             return Fraction(0)
@@ -422,10 +431,10 @@ class LaurentPoly:
         if divisor.is_zero:
             raise ZeroDivisionError("division of Laurent polynomial by zero")
         if self.is_zero:
-            return LaurentPoly.zero()
+            return self
         quot, c = _divide(self._num, divisor._num)
         d2 = divisor._den
-        return LaurentPoly._make(self._lo - divisor._lo, [n * d2 for n in quot], self._den * c)
+        return self._make(self._lo - divisor._lo, [n * d2 for n in quot], self._den * c)
 
     def zero_order_at_one(self) -> int:
         """Order of the zero at z = 1 (0 if f(1) != 0)."""

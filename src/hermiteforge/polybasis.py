@@ -23,11 +23,13 @@ from typing import Mapping, Sequence
 
 from .exactalg import (
     LaurentPoly,
+    NotDivisible,
     RationalLike,
     _canonical,
     _display,
     _over_one_denominator,
     _ratio_str,
+    _rational,
     _taylor_shift,
     rat_from_str,
 )
@@ -80,7 +82,7 @@ class Poly(LaurentPoly):
         For a = s/q, q^m p(y/q) has integer coefficients, and its integer
         Taylor shift by s, read at y = q x, is q^m p(x + a).
         """
-        a = Fraction(a)
+        a = _rational(a)
         if a == 0 or not self._num:
             return self
         s, q = a.numerator, a.denominator
@@ -91,6 +93,20 @@ class Poly(LaurentPoly):
         scaled = [n * q ** (m - k) for k, n in enumerate(nums)]
         shifted = [n * q**k for k, n in enumerate(_taylor_shift(scaled, s))]
         return self._make(0, shifted, self._den * q**m)
+
+    def substitute_power(self, m: int) -> "Poly":
+        """Return p(x^m) for m > 0."""
+        if m < 0:
+            raise ValueError("a Poly has no negative powers: substitute_power needs m > 0")
+        return super().substitute_power(m)
+
+    def divide_exact(self, divisor: LaurentPoly) -> "Poly":
+        """The exact quotient as a Poly; NotDivisible if it has a remainder
+        or a negative power of x."""
+        quot = super().divide_exact(divisor)
+        if quot._lo < 0:
+            raise NotDivisible("the quotient has a negative power of x")
+        return quot
 
     def derivative(self, order: int = 1) -> "Poly":
         nums = self._dense()

@@ -194,6 +194,7 @@ def check_spline_cascade(
     window = (-(r + 2), r + 2)
     grids = cascade(mask, levels, "delta", window, exact=False)
     final = grids[-1]
+    values, start = final.values, final.start
     # Component k sits at x = (2 alpha + r + 1 - k) / 2^(n+1).
     den = 2 ** (final.level + 1)
     end = (r + 1) * den
@@ -204,13 +205,13 @@ def check_spline_cascade(
         worst = 0.0
         count = 0
         for idx in range(final.npoints):
-            num = 2 * (final.start + idx) + r + 1 - k
+            num = 2 * (start + idx) + r + 1 - k
             if num <= 0 or num >= end:
                 continue
             if k == r and num % den == 0:
                 continue
             exact = _scaled_bspline_derivative(r, k, num, den)
-            got = float(final.values[idx][k])
+            got = float(values[idx][k])
             # int / int rounds correctly, exactly as float(Fraction) does
             err = abs(got - exact / scale)
             count += 1

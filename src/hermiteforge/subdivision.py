@@ -12,12 +12,20 @@ f_{n+1} = D^{-(n+1)} S_A (D^n f_n) with D = diag(1, 1/2, ..., 2^-d).
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from itertools import chain
+from math import gcd, lcm
 
-from .exactalg import LaurentMatrix, LaurentPoly, RationalLike, rat_from_str, rat_to_str
+from .exactalg import (
+    LaurentMatrix,
+    LaurentPoly,
+    RationalLike,
+    _ratio_str,
+    rat_from_str,
+    rat_to_str,
+)
 from .polybasis import PolyVec
 from .taylor import WindowTooSmall
 
@@ -197,9 +205,10 @@ def hermite_step(
     Works for exact (Fraction or int) and floating data alike. Float mode
     uses the mask converted to floats once and exact power-of-two rescaling,
     so every value is bit-identical to the same sums taken over
-    Fraction * float products. Exact mode runs on integer numerators over one
-    common denominator (the mask's times the data's) and builds one Fraction
-    per output value.
+    Fraction * float products. Exact mode brings the data to integer
+    numerators over one denominator, runs integer_step, and turns its output
+    back into Fractions; cascade calls integer_step itself and so builds no
+    Fraction between levels.
     """
     return _refine(mask, values, start, level, level + 1)
 
@@ -224,8 +233,8 @@ def _stencil_sums(
     stencil table (floats, or integer numerators over its denominator).
 
     Each output row is accumulated one stencil term at a time across all
-    outputs of a parity class; every output still adds its terms in the
-    order beta ascending, then k ascending.
+    outputs of a parity class, starting from zero; every output still adds
+    its terms in the order beta ascending, then k ascending.
     """
     out = [[zero] * (out_hi - out_lo + 1) for _ in table[0]]
     for parity, terms_by_row in enumerate(table):
@@ -233,42 +242,75 @@ def _stencil_sums(
         count = (out_hi - first) // 2 + 1
         base = (first - parity) // 2 - a
         for i, terms in enumerate(terms_by_row):
-            acc = [zero] * count
-            for offset, k, c in terms:
+            if not terms:
+                continue
+            (offset, k, c), *rest = terms
+            lo = base + offset
+            acc = [zero + c * v for v in rows[k][lo : lo + count]]
+            for offset, k, c in rest:
                 lo = base + offset
                 acc = [s + c * v for s, v in zip(acc, rows[k][lo : lo + count])]
             out[i][first - out_lo :: 2] = acc
     return out
 
 
+def _integer_rows(rows: Sequence[Sequence[RationalLike]]) -> tuple[list[list[int]], int]:
+    """Rows of ints and Fractions as integer numerators over the lcm of their
+    denominators."""
+    den = lcm(*{v.denominator for row in rows for v in row})
+    return [[v.numerator * (den // v.denominator) for v in row] for row in rows], den
+
+
+def integer_step(
+    mask: Mask, rows: Sequence[Sequence[int]], den: int, start: int, pre: int, post: int
+) -> tuple[list[list[int]], int, int]:
+    """D^-post S_A D^pre on integer data, with D = diag(1, 1/2, ..., 2^-d).
+
+    rows[k][n] / den is component k of the column at beta = start + n.
+    Returns the output rows as numerators over their denominator, that
+    denominator, and the first output abscissa. The scaling 2^-(pre k) is
+    2^(pre (d - k)) over 2^(pre d), so the stencil term that carries
+    component k into output row i is shifted left by pre (d - k) + post i
+    and the denominator by pre d. The result is divided by the common factor
+    gcd(den, *numerators), so equal data always has equal integers.
+    """
+    d = len(rows) - 1
+    out_lo, out_hi = _output_window(mask, start, start + len(rows[0]) - 1)
+    stencil = mask._stencil
+    table = tuple(
+        tuple(
+            tuple((offset, k, c << (pre * (d - k) + post * i)) for offset, k, c in terms)
+            for i, terms in enumerate(terms_by_row)
+        )
+        for terms_by_row in stencil.numerators
+    )
+    sums = _stencil_sums(table, rows, start, out_lo, out_hi, 0)
+    den = stencil.denominator * den << pre * d
+    g = gcd(den, *chain.from_iterable(sums))
+    if g != 1:
+        sums = [[v // g for v in row] for row in sums]
+        den //= g
+    return sums, den, out_lo
+
+
 def _refine(
     mask: Mask, values: Sequence[Sequence], start: int, pre: int, post: int
 ) -> tuple[list[tuple], int]:
-    """D^-post S_A D^pre on a window, with D = diag(1, 1/2, ..., 2^-d)."""
+    """D^-post S_A D^pre on a window of columns, exact or float."""
     size = mask.d + 1
     for col in values:
         if len(col) != size:
             raise ValueError(f"expected columns of height {size}")
     a = start
     out_lo, out_hi = _output_window(mask, a, start + len(values) - 1)
-    stencil = mask._stencil
     rows = list(zip(*values))
     if all(isinstance(v, (int, Fraction)) for row in rows for v in row):
-        # Values v = u / q become integers u * (Q / q) over Q; the scaling
-        # 2^-(pre k) becomes a shift by pre (d - k) over 2^(pre d).
-        d = size - 1
-        den_q = lcm(*{v.denominator for row in rows for v in row})
-        rows = [
-            [v.numerator * (den_q // v.denominator) << pre * (d - k) for v in row]
-            for k, row in enumerate(rows)
-        ]
-        den = stencil.denominator * den_q << pre * d
-        sums = _stencil_sums(stencil.numerators, rows, a, out_lo, out_hi, 0)
-        out = [[Fraction(s << post * i, den) for s in row] for i, row in enumerate(sums)]
+        nums, den, out_lo = integer_step(mask, *_integer_rows(rows), start, pre, post)
+        out = [[Fraction(n, den) for n in row] for row in nums]
     else:
         scales = [1 / (1 << pre * k) for k in range(size)]
         rows = [[v * f for v in row] for f, row in zip(scales, rows)]
-        sums = _stencil_sums(stencil.floats, rows, a, out_lo, out_hi, 0.0)
+        sums = _stencil_sums(mask._stencil.floats, rows, a, out_lo, out_hi, 0.0)
         out = [[s * float(1 << post * i) for s in row] for i, row in enumerate(sums)]
     return list(zip(*out)), out_lo
 
@@ -322,47 +364,122 @@ def eigen_check(
     return (out_lo + n, i, Fraction(got[i][n], den), lam * Fraction(want[i][n], den_q))
 
 
-@dataclass(frozen=True)
 class DyadicGrid:
     """Hermite data sampled on the dyadic grid 2^-level * (start + n).
 
     values[n] is the column (f, f', ..., f^(d)) at that abscissa; entries are
     Fractions in exact mode or floats in numeric mode.
+
+    The exact grids that cascade builds hold integer rows over one positive
+    denominator instead: row k lists the numerators of f^(k), and the
+    denominator shares no factor with all of them. Their values are built
+    from those integers on first read and kept; to_json and to_csv read the
+    integers directly. Grids are immutable and equal when level, start and
+    values are.
     """
 
-    level: int
-    start: int
-    values: tuple[tuple, ...]
+    __slots__ = ("level", "start", "npoints", "_values", "_rows", "_den")
+
+    def __init__(self, level: int, start: int, values: tuple[tuple, ...]):
+        put = object.__setattr__
+        put(self, "level", level)
+        put(self, "start", start)
+        put(self, "npoints", len(values))
+        put(self, "_values", values)
+        put(self, "_rows", None)
+        put(self, "_den", 1)
+
+    @classmethod
+    def _from_rows(cls, level: int, start: int, rows: list[list[int]], den: int) -> "DyadicGrid":
+        """An exact grid from integer rows over den > 0 without a common factor."""
+        out = object.__new__(cls)
+        put = object.__setattr__
+        put(out, "level", level)
+        put(out, "start", start)
+        put(out, "npoints", len(rows[0]))
+        put(out, "_values", None)
+        put(out, "_rows", rows)
+        put(out, "_den", den)
+        return out
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    @property
+    def values(self) -> tuple[tuple, ...]:
+        vals = self._values
+        if vals is None:
+            den = self._den
+            vals = tuple(zip(*([Fraction(n, den) for n in row] for row in self._rows)))
+            object.__setattr__(self, "_values", vals)
+        return vals
+
+    def _exact_rows(self) -> tuple[list[list[int]], int] | None:
+        """The data as integer rows over one denominator, or None unless every
+        entry is an int or a Fraction."""
+        if self._rows is not None:
+            return self._rows, self._den
+        if not all(isinstance(v, (int, Fraction)) for col in self._values for v in col):
+            return None
+        return _integer_rows(list(zip(*self._values)))
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not DyadicGrid:
+            return NotImplemented
+        if self.level != other.level or self.start != other.start:
+            return False
+        if self._rows is not None and other._rows is not None:
+            return self._den == other._den and self._rows == other._rows
+        return self.values == other.values
+
+    def __hash__(self) -> int:
+        return hash((self.level, self.start, self.values))
+
+    def __repr__(self) -> str:
+        return f"DyadicGrid(level={self.level!r}, start={self.start!r}, values={self.values!r})"
 
     @property
     def d(self) -> int:
-        return len(self.values[0]) - 1
-
-    @property
-    def npoints(self) -> int:
-        return len(self.values)
+        if self._rows is not None:
+            return len(self._rows) - 1
+        return len(self._values[0]) - 1
 
     def x(self, n: int) -> float:
         return (self.start + n) / 2**self.level
 
     @property
     def is_exact(self) -> bool:
-        return bool(self.values) and isinstance(self.values[0][0], Fraction)
+        if self._rows is not None:
+            return True
+        return bool(self._values) and isinstance(self._values[0][0], Fraction)
 
     def to_csv(self) -> str:
         header = "x," + ",".join(f"f{k}" for k in range(self.d + 1))
+        if self._rows is None:
+            cols = ([f"{float(v):.17g}" for v in col] for col in self._values)
+        else:
+            # int / int rounds correctly, exactly as float(Fraction) does
+            den = self._den
+            cols = zip(*([f"{n / den:.17g}" for n in row] for row in self._rows))
         lines = [header]
-        for n, col in enumerate(self.values):
-            xs = f"{self.x(n):.17g}"
-            lines.append(xs + "," + ",".join(f"{float(v):.17g}" for v in col))
+        for n, col in enumerate(cols):
+            lines.append(f"{self.x(n):.17g}," + ",".join(col))
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> dict:
-        if self.is_exact:
-            vals = [[rat_to_str(v) for v in col] for col in self.values]
+        if self._rows is not None:
+            den = self._den
+            rows = ([_ratio_str(n, den) for n in row] for row in self._rows)
+            vals = [list(col) for col in zip(*rows)]
+            kind = "exact"
+        elif self.is_exact:
+            vals = [[rat_to_str(v) for v in col] for col in self._values]
             kind = "exact"
         else:
-            vals = [[f"{float(v):.17g}" for v in col] for col in self.values]
+            vals = [[f"{float(v):.17g}" for v in col] for col in self._values]
             kind = "float"
         return {
             "level": self.level,

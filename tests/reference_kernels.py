@@ -3,11 +3,12 @@
 These are the direct loops: Laurent and dense polynomials that keep one
 Fraction per coefficient, Gauss-Jordan elimination over Fractions, the
 difference-split identity with each difference taken from scratch, one
-Fraction product per mask entry in the subdivision step, Fraction samples
-of polynomial vectors for the eigen check, contraction norms read off the
-Laurent-product iterated symbol, Fraction abscissae for the spline cascade
-check, the Cox-de Boor recursion for B-spline values, and a factorization
-that gates on annihilation before dividing and checks its identity twice.
+Fraction product per mask entry in the subdivision step and in every level
+of the exact cascade, Fraction samples of polynomial vectors for the eigen
+check, contraction norms read off the Laurent-product iterated symbol,
+Fraction abscissae for the spline cascade check, the Cox-de Boor recursion
+for B-spline values, and a factorization that gates on annihilation before
+dividing and checks its identity twice.
 They are slow and obviously right, which is all they are for.
 
 The oracles at the end state a property by its defining formula: the
@@ -24,6 +25,7 @@ from math import factorial
 from typing import Iterator, Mapping, Sequence
 
 from hermiteforge import (
+    DyadicGrid,
     LaurentMatrix,
     LaurentPoly,
     Mask,
@@ -517,6 +519,17 @@ def hermite_step_reference(mask: Mask, values, start: int, level: int):
         tuple(col[k] * Fraction(2 ** ((level + 1) * k)) for k in range(size)) for col in mid
     ]
     return post, out_start
+
+
+def cascade_reference(mask: Mask, levels: int, init: DyadicGrid) -> list[DyadicGrid]:
+    """The exact cascade from an explicit grid: hermite_step_reference level
+    by level, every grid built from its Fraction values."""
+    grids = [init]
+    for _ in range(levels):
+        g = grids[-1]
+        values, start = hermite_step_reference(mask, g.values, g.start, g.level)
+        grids.append(DyadicGrid(g.level + 1, start, tuple(values)))
+    return grids
 
 
 def bspline_value_reference(r: int, x) -> Fraction:

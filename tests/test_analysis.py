@@ -1,6 +1,8 @@
 """Norms, contractivity certificates, cascades, convergence verdicts."""
 
+import json
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
 from hypothesis import assume, given, settings
@@ -27,7 +29,11 @@ from hermiteforge import (
 )
 from hermiteforge.analysis import delta_grid, reconstruct_limits
 from hermiteforge.subdivision import subdivide
-from reference_kernels import check_contractive_reference, scheme_norm_reference
+from reference_kernels import (
+    cascade_reference,
+    check_contractive_reference,
+    scheme_norm_reference,
+)
 from strategies import sparse_masks
 
 
@@ -158,6 +164,74 @@ def test_exact_and_float_cascades_agree(ref2):
     )
     # every value is a dyadic rational, exactly representable in a double
     assert worst == 0.0
+
+
+# Ints, and Fractions over mixed denominators of either sign.
+grid_entries = st.one_of(
+    st.integers(min_value=-4, max_value=4),
+    st.builds(F, st.integers(min_value=-24, max_value=24), st.integers(min_value=1, max_value=12)),
+)
+
+
+@st.composite
+def exact_init_grids(draw, d):
+    """Explicit exact level-n data; about one column in four is all zero,
+    as int 0 or Fraction 0."""
+    columns = []
+    for _ in range(draw(st.integers(min_value=1, max_value=8))):
+        if draw(st.integers(min_value=0, max_value=3)) == 0:
+            zero = draw(st.sampled_from([0, F(0)]))
+            columns.append((zero,) * (d + 1))
+        else:
+            columns.append(tuple(draw(grid_entries) for _ in range(d + 1)))
+    level = draw(st.integers(min_value=0, max_value=3))
+    return DyadicGrid(level, draw(st.integers(min_value=-6, max_value=6)), tuple(columns))
+
+
+@given(sparse_masks(), st.integers(min_value=0, max_value=6), st.data())
+@settings(max_examples=50, deadline=None)
+def test_exact_cascade_matches_fraction_reference(mask, levels, data):
+    init = data.draw(exact_init_grids(mask.d))
+    try:
+        want = cascade_reference(mask, levels, init)
+    except WindowTooSmall:
+        with pytest.raises(WindowTooSmall):
+            cascade(mask, levels, init, exact=True)
+        return
+    got = cascade(mask, levels, init, exact=True)
+    assert len(got) == levels + 1 and got[0] is init
+    for g, w in zip(got[1:], want[1:]):
+        assert (g.level, g.start, g.npoints, g.d) == (w.level, w.start, w.npoints, w.d)
+        assert g.is_exact
+        # The bytes are written from the integers, before values is read.
+        assert json.dumps(g.to_json()) == json.dumps(w.to_json())
+        assert g.to_csv() == w.to_csv()
+        # One denominator per level, with the common factor divided out.
+        assert g._den == lcm(*(v.denominator for col in w.values for v in col))
+        assert all(type(v) is F for col in g.values for v in col)
+        assert g.values == w.values and g == w
+
+
+def test_exact_grid_builds_values_once():
+    g = cascade(half_delta(), 3, exact=True)[-1]
+    assert g.values is g.values
+    assert g == DyadicGrid(g.level, g.start, tuple(tuple(col) for col in g.values))
+    assert "__getattr__" not in vars(DyadicGrid)
+    with pytest.raises(AttributeError):
+        g.level = 0
+
+
+def test_cascade_rejects_init_of_the_other_kind():
+    m = half_delta()
+    floats = DyadicGrid(0, -4, tuple((float(i == 4),) for i in range(9)))
+    ints = DyadicGrid(0, -4, tuple((int(i == 4),) for i in range(9)))
+    mixed = DyadicGrid(0, -4, tuple((F(1) if i == 4 else 0.0,) for i in range(9)))
+    for grid, exact in ((floats, True), (ints, False), (mixed, True), (mixed, False)):
+        with pytest.raises(ValueError):
+            cascade(m, 2, grid, exact=exact)
+    fractions = DyadicGrid(0, -4, tuple((F(int(i == 4)),) for i in range(9)))
+    assert cascade(m, 2, ints, exact=True)[-1] == cascade(m, 2, fractions, exact=True)[-1]
+    assert not cascade(m, 2, floats)[-1].is_exact
 
 
 def test_cascade_grids_cover_window(ref2):

@@ -298,10 +298,18 @@ def _malformed_argv(case, tmp_path):
         bad.write_text("[]")
         return ["cascade", "--mask", str(hat), "--init", str(bad)]
     if case in ("grid-too-small", "grid-without-values"):
+        # A grid without "kind" is exact, so it is refined with --exact.
         values = [["1", "0"]] if case == "grid-too-small" else []
         bad = tmp_path / "grid.json"
         bad.write_text(json.dumps({"level": 0, "start": 0, "values": values}))
-        return ["cascade", "--mask", str(hat), "--init", str(bad)]
+        return ["cascade", "--mask", str(hat), "--init", str(bad), "--exact"]
+    if case in ("float-grid-with-exact", "exact-grid-without-exact"):
+        kind = "float" if case == "float-grid-with-exact" else "exact"
+        values = [["1", "0"] if n == 4 else ["0", "0"] for n in range(9)]
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"level": 0, "start": -4, "kind": kind, "values": values}))
+        flags = ["--exact"] if kind == "float" else []
+        return ["cascade", "--mask", str(hat), "--init", str(grid), *flags]
     if case == "negative-preset-size":
         return ["chain", "--taylor", "delta:d=-1"]
     if case == "nan-ratio-bound":
@@ -328,6 +336,8 @@ def _malformed_argv(case, tmp_path):
         "grid-not-an-object",
         "grid-too-small",
         "grid-without-values",
+        "float-grid-with-exact",
+        "exact-grid-without-exact",
         "negative-preset-size",
         "nan-ratio-bound",
         "nan-residual-tol",
@@ -347,3 +357,7 @@ def test_malformed_input_exits_two(case, capsys, tmp_path):
         assert argv[1] in captured.err
     if case == "max-degree-above-max-n":
         assert "--max-n" in captured.err
+    if case == "grid-too-small":
+        assert "too small" in captured.err
+    if case in ("float-grid-with-exact", "exact-grid-without-exact"):
+        assert "--exact" in captured.err

@@ -228,6 +228,22 @@ def test_poly_and_laurent_never_mix():
     assert type(p**2) is Poly and type(-p) is Poly
 
 
+def test_poly_methods_return_poly():
+    p = Poly((0, 1))
+    assert type(p.substitute_power(2)) is Poly and p.substitute_power(2) == Poly((0, 0, 1))
+    quotient = Poly((0, 0, 1)).divide_exact(p)
+    assert type(quotient) is Poly and quotient == p
+    assert type(Poly.zero().divide_exact(p)) is Poly
+    with pytest.raises(ValueError):
+        p.substitute_power(-1)
+    # x / x^2 = x^-1 is a Laurent quotient, not a polynomial one.
+    with pytest.raises(NotDivisible):
+        p.divide_exact(Poly((0, 0, 1)))
+    f = LaurentPoly({1: 1})
+    assert f.substitute_power(-1) == LaurentPoly({-1: 1})
+    assert f.divide_exact(LaurentPoly({2: 1})) == LaurentPoly({-1: 1})
+
+
 @pytest.mark.parametrize("cls", [LaurentPoly, Poly])
 @pytest.mark.parametrize(
     "op", [operator.add, operator.sub, operator.mul, operator.truediv], ids=lambda op: op.__name__
@@ -239,6 +255,18 @@ def test_float_operands_are_rejected(cls, op):
     if op is not operator.truediv:
         with pytest.raises(TypeError):
             op(0.1, p)
+    # Nor do the constructors and the methods that take a rational.
+    calls = [
+        lambda: cls.constant(0.1),
+        lambda: cls.monomial(1, 0.1),
+        lambda: p.evaluate(0.1),
+        lambda: LaurentPoly({0: 0.1}) if cls is LaurentPoly else Poly((0.1,)),
+    ]
+    if cls is Poly:
+        calls.append(lambda: p.shift(0.1))
+    for call in calls:
+        with pytest.raises(TypeError):
+            call()
 
 
 @given(poly_coeffs, st.integers(min_value=1, max_value=10))
