@@ -10,18 +10,21 @@ scalar symbols certify on their own, which is much cheaper; both paths are
 exposed and consistent (per-diagonal norms are dominated by the joint norm).
 
 Cascade iterations render Hermite data at finer and finer dyadic levels with
-the derivative renormalization built into hermite_step.
+the derivative renormalization of hermite_step, carried as rows of the
+components from level to level; the convergence diagnostics read those rows
+as whole slices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+from itertools import chain, islice
 from math import isfinite
+from operator import sub
 from typing import Iterator
 
-from .subdivision import DyadicGrid, Mask, hermite_step, integer_step
+from .subdivision import DyadicGrid, Mask, float_step, integer_step
 from .taylor import TaylorOperator, WindowTooSmall, delta_operator
 
 
@@ -188,15 +191,10 @@ def delta_grid(d: int, window: tuple[int, int], exact: bool = True) -> DyadicGri
     a, b = window
     if not a <= 0 <= b:
         raise ValueError("the delta window must contain 0")
-    if exact:
-        rows = [[0] * (b - a + 1) for _ in range(d + 1)]
-        rows[0][-a] = 1
-        return DyadicGrid._from_rows(0, a, rows, 1)
-    values = tuple(
-        tuple((1.0 if (alpha == 0 and k == 0) else 0.0) for k in range(d + 1))
-        for alpha in range(a, b + 1)
-    )
-    return DyadicGrid(level=0, start=a, values=values)
+    zero, one, den = (0, 1, 1) if exact else (0.0, 1.0, None)
+    rows = [[zero] * (b - a + 1) for _ in range(d + 1)]
+    rows[0][-a] = one
+    return DyadicGrid._from_rows(0, a, rows, den)
 
 
 def initial_window(mask: Mask, target: tuple[int, int], levels: int) -> tuple[int, int]:
@@ -225,9 +223,10 @@ def cascade(
     DyadicGrid is used as given (and must be wide enough itself). Its entries
     must be ints and Fractions when exact is set and floats otherwise.
 
-    Exact mode carries integer rows over one denominator from level to level
-    through integer_step; no Fraction is built until a grid's values are
-    read.
+    Both modes carry rows (row k = component f^(k)) from level to level
+    through one row step: exact mode integer rows over one denominator
+    through integer_step, float mode float rows through float_step. No
+    column, and no Fraction, is built until a grid's values are read.
     """
     if levels < 0:
         raise ValueError("levels must be nonnegative")
@@ -240,25 +239,24 @@ def cascade(
         grid = init
         if grid.d != mask.d:
             raise ValueError("initial data dimension does not match the mask")
-        if not exact and not all(isinstance(v, float) for col in grid.values for v in col):
-            raise ValueError("exact=False needs initial data of floats")
-    out = [grid]
-    level, start = grid.level, grid.start
     if exact:
         data = grid._exact_rows()
         if data is None:
             raise ValueError("exact=True needs initial data of ints and Fractions")
         rows, den = data
-        for _ in range(levels):
-            rows, den, start = integer_step(mask, rows, den, start, level, level + 1)
-            level += 1
-            out.append(DyadicGrid._from_rows(level, start, rows, den))
-        return out
+    else:
+        rows, den = grid._float_rows(), None
+        if rows is None:
+            raise ValueError("exact=False needs initial data of floats")
+    out = [grid]
+    level, start = grid.level, grid.start
     for _ in range(levels):
-        vals, start = hermite_step(mask, grid.values, start, level)
+        if den is None:
+            rows, start = float_step(mask, rows, start, level, level + 1)
+        else:
+            rows, den, start = integer_step(mask, rows, den, start, level, level + 1)
         level += 1
-        grid = DyadicGrid(level=level, start=start, values=tuple(vals))
-        out.append(grid)
+        out.append(DyadicGrid._from_rows(level, start, rows, den))
     return out
 
 
@@ -326,25 +324,22 @@ def taylor_residuals(
         taylor = delta_operator(d)
     if taylor.d != d:
         raise ValueError("pairing operator dimension does not match the grid")
-    values, start, npoints = grid.values, grid.start, grid.npoints
     alphas = _window_slice(grid, window)
+    # The window's points and the grid point right of it, if there is one;
+    # a point without a right neighbour drops out of the differences.
+    lo = alphas.start - grid.start
+    rows = grid._rows_as_floats(lo, lo + len(alphas) + 1)
     out = []
     for k in range(d):
         weights = [
             float(taylor.w[k + ell - 1][k]) / 2.0 ** (grid.level * ell)
             for ell in range(1, d - k + 1)
         ]
-        worst = 0.0
-        for alpha in alphas:
-            i0 = alpha - start
-            if i0 + 1 >= npoints:
-                continue
-            col = values[i0]
-            v = float(values[i0 + 1][k]) - float(col[k])
-            for ell, wgt in enumerate(weights, start=1):
-                v -= wgt * float(col[k + ell])
-            worst = max(worst, abs(v))
-        out.append(worst)
+        f = rows[k]
+        v = list(map(sub, f[1:], f))
+        for ell, wgt in enumerate(weights, start=1):
+            v = [x - wgt * y for x, y in zip(v, rows[k + ell])]
+        out.append(max(chain((0.0,), map(abs, v))))
     return tuple(out)
 
 
@@ -377,23 +372,40 @@ def check_convergence(
     if not (isfinite(residual_tol) and residual_tol >= 0):
         raise ValueError(f"residual_tol must be a nonnegative finite number, got {residual_tol}")
     grids = cascade(mask, levels, "delta", window, exact=False)
-    d = mask.d
+    return _convergence_report(grids, window, ratio_bound, residual_tol, taylor)
+
+
+def _convergence_report(
+    grids: list[DyadicGrid],
+    window: tuple[int, int],
+    ratio_bound: float,
+    residual_tol: float,
+    taylor: TaylorOperator | None,
+) -> ConvergenceReport:
+    """check_convergence's diagnostics and verdict on a float cascade of at
+    least two grids."""
+    levels = len(grids) - 1
+    d = grids[0].d
+    rows = [g._rows_as_floats() for g in grids]
     diffs: list[float] = []
     for n in range(levels):
         g0, g1 = grids[n], grids[n + 1]
-        values0, start0 = g0.values, g0.start
-        values1, start1, end1 = g1.values, g1.start, g1.start + g1.npoints
+        start0, start1, end1 = g0.start, g1.start, g1.start + g1.npoints
+        alphas = _window_slice(g0, window)
         worst = 0.0
-        for alpha in _window_slice(g0, window):
-            c0 = values0[alpha - start0]
-            for beta in (2 * alpha, 2 * alpha + 1):
-                if not (start1 <= beta < end1):
-                    continue
-                c1 = values1[beta - start1]
-                for i in range(d + 1):
-                    dv = abs(float(c0[i]) - float(c1[i]))
-                    if dv > worst:
-                        worst = dv
+        # Each sample at alpha against its child at 2 alpha + parity, for the
+        # alphas whose child lies on the finer grid.
+        for parity in (0, 1):
+            first = max(alphas.start, -((parity - start1) // 2))
+            last = min(alphas.stop - 1, (end1 - 1 - parity) // 2)
+            if first > last:
+                continue
+            lo0, lo1 = first - start0, 2 * first + parity - start1
+            count = last - first + 1
+            for r0, r1 in zip(rows[n], rows[n + 1]):
+                coarse = r0[lo0 : lo0 + count]
+                fine = r1[lo1 : lo1 + 2 * count - 1 : 2]
+                worst = max(chain((worst,), map(abs, map(sub, coarse, fine))))
         diffs.append(worst)
     ratios = [diffs[n + 1] / diffs[n] if diffs[n] > 0 else 0.0 for n in range(levels - 1)]
     burn_in = min(2, max(0, len(ratios) - 1))
@@ -446,8 +458,7 @@ def reconstruct_limits(grid: DyadicGrid) -> tuple[tuple[tuple[float, ...], ...],
     zero_idx = -grid.start
     if not 0 <= zero_idx < n:
         raise WindowTooSmall("grid must contain the abscissa 0 to anchor integration")
-    values = grid.values
-    cols = [[float(col[k]) for col in values] for k in range(d + 1)]
+    cols = grid._rows_as_floats()
     rebuilt: list[list[float]] = [cols[d]]
     for k in range(d - 1, -1, -1):
         upper = rebuilt[0]
@@ -459,10 +470,6 @@ def reconstruct_limits(grid: DyadicGrid) -> tuple[tuple[tuple[float, ...], ...],
             out[i] = out[i + 1] - 0.5 * h * (upper[i] + upper[i + 1])
         rebuilt.insert(0, out)
     worst = 0.0
-    for k in range(d + 1):
-        for i in range(n):
-            dv = abs(rebuilt[k][i] - cols[k][i])
-            if dv > worst:
-                worst = dv
-    columns = tuple(tuple(rebuilt[k][i] for k in range(d + 1)) for i in range(n))
-    return columns, worst
+    for got, want in zip(rebuilt, cols):
+        worst = max(chain((worst,), map(abs, map(sub, got, want))))
+    return tuple(zip(*rebuilt)), worst

@@ -37,7 +37,7 @@ class SingularDiagonal(ExactAlgError):
 
 
 def rat_to_str(q: RationalLike) -> str:
-    q = Fraction(q)
+    q = Fraction(_rational(q))
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"

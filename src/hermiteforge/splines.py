@@ -194,13 +194,13 @@ def check_spline_cascade(
     window = (-(r + 2), r + 2)
     grids = cascade(mask, levels, "delta", window, exact=False)
     final = grids[-1]
-    values, start = final.values, final.start
+    start = final.start
     # Component k sits at x = (2 alpha + r + 1 - k) / 2^(n+1).
     den = 2 ** (final.level + 1)
     end = (r + 1) * den
     errors = []
     points = []
-    for k in range(d + 1):
+    for k, row in enumerate(final._rows):
         scale = factorial(r - k) * den ** (r - k)
         worst = 0.0
         count = 0
@@ -211,9 +211,8 @@ def check_spline_cascade(
             if k == r and num % den == 0:
                 continue
             exact = _scaled_bspline_derivative(r, k, num, den)
-            got = float(values[idx][k])
             # int / int rounds correctly, exactly as float(Fraction) does
-            err = abs(got - exact / scale)
+            err = abs(row[idx] - exact / scale)
             count += 1
             if err > worst:
                 worst = err

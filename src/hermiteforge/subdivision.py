@@ -23,6 +23,7 @@ from .exactalg import (
     LaurentPoly,
     RationalLike,
     _ratio_str,
+    _rational,
     rat_from_str,
     rat_to_str,
 )
@@ -33,7 +34,7 @@ Matrix = tuple[tuple[Fraction, ...], ...]
 
 
 def _as_matrix(rows: Sequence[Sequence[RationalLike]]) -> Matrix:
-    return tuple(tuple(Fraction(v) for v in row) for row in rows)
+    return tuple(tuple(Fraction(_rational(v)) for v in row) for row in rows)
 
 
 def _is_zero_matrix(m: Matrix) -> bool:
@@ -157,7 +158,7 @@ class Mask:
         return cls(lo, tuple(coeffs))
 
     def scale(self, v: RationalLike) -> "Mask":
-        v = Fraction(v)
+        v = Fraction(_rational(v))
         return Mask(
             self.support_min,
             tuple(tuple(tuple(x * v for x in row) for row in m) for m in self.coeffs),
@@ -202,13 +203,12 @@ def hermite_step(
 ) -> tuple[list[tuple], int]:
     """Refine level-n Hermite data to level n+1 with derivative rescaling.
 
-    Works for exact (Fraction or int) and floating data alike. Float mode
-    uses the mask converted to floats once and exact power-of-two rescaling,
-    so every value is bit-identical to the same sums taken over
-    Fraction * float products. Exact mode brings the data to integer
-    numerators over one denominator, runs integer_step, and turns its output
-    back into Fractions; cascade calls integer_step itself and so builds no
-    Fraction between levels.
+    Works for exact (Fraction or int) and floating data alike. Both modes
+    turn the columns into rows (row k = component k), run one row step and
+    turn its output back into columns: exact mode brings the data to integer
+    numerators over one denominator and runs integer_step, float mode runs
+    float_step. cascade calls the row steps itself and so builds no column
+    between levels.
     """
     return _refine(mask, values, start, level, level + 1)
 
@@ -293,6 +293,27 @@ def integer_step(
     return sums, den, out_lo
 
 
+def float_step(
+    mask: Mask, rows: Sequence[Sequence[float]], start: int, pre: int, post: int
+) -> tuple[list[list[float]], int]:
+    """D^-post S_A D^pre on float data, with D = diag(1, 1/2, ..., 2^-d).
+
+    rows[k][n] is component k of the column at beta = start + n. Returns the
+    output rows and the first output abscissa. Row k is multiplied by
+    2^-(pre k) before the stencil and output row i by 2^(post i) after it,
+    each an exact power of two, so every value is bit-identical to the same
+    sums taken over Fraction * float products. A row whose factor is 1 is
+    left as it is, which changes no bits.
+    """
+    out_lo, out_hi = _output_window(mask, start, start + len(rows[0]) - 1)
+    size = len(rows)
+    scales = [1 / (1 << pre * k) for k in range(size)]
+    rows = [row if f == 1.0 else [v * f for v in row] for f, row in zip(scales, rows)]
+    sums = _stencil_sums(mask._stencil.floats, rows, start, out_lo, out_hi, 0.0)
+    scales = [float(1 << post * i) for i in range(size)]
+    return [row if f == 1.0 else [s * f for s in row] for f, row in zip(scales, sums)], out_lo
+
+
 def _refine(
     mask: Mask, values: Sequence[Sequence], start: int, pre: int, post: int
 ) -> tuple[list[tuple], int]:
@@ -301,17 +322,13 @@ def _refine(
     for col in values:
         if len(col) != size:
             raise ValueError(f"expected columns of height {size}")
-    a = start
-    out_lo, out_hi = _output_window(mask, a, start + len(values) - 1)
+    _output_window(mask, start, start + len(values) - 1)
     rows = list(zip(*values))
     if all(isinstance(v, (int, Fraction)) for row in rows for v in row):
         nums, den, out_lo = integer_step(mask, *_integer_rows(rows), start, pre, post)
         out = [[Fraction(n, den) for n in row] for row in nums]
     else:
-        scales = [1 / (1 << pre * k) for k in range(size)]
-        rows = [[v * f for v in row] for f, row in zip(scales, rows)]
-        sums = _stencil_sums(mask._stencil.floats, rows, a, out_lo, out_hi, 0.0)
-        out = [[s * float(1 << post * i) for s in row] for i, row in enumerate(sums)]
+        out, out_lo = float_step(mask, rows, start, pre, post)
     return list(zip(*out)), out_lo
 
 
@@ -370,12 +387,12 @@ class DyadicGrid:
     values[n] is the column (f, f', ..., f^(d)) at that abscissa; entries are
     Fractions in exact mode or floats in numeric mode.
 
-    The exact grids that cascade builds hold integer rows over one positive
-    denominator instead: row k lists the numerators of f^(k), and the
-    denominator shares no factor with all of them. Their values are built
-    from those integers on first read and kept; to_json and to_csv read the
-    integers directly. Grids are immutable and equal when level, start and
-    values are.
+    The grids that cascade builds hold rows instead, row k listing the
+    samples of f^(k): an exact grid holds integer rows over one positive
+    denominator that shares no factor with all of them, a float grid holds
+    float rows and no denominator. Their values are built from the rows on
+    first read and kept; to_json and to_csv read the rows directly. Grids
+    are immutable and equal when level, start and values are.
     """
 
     __slots__ = ("level", "start", "npoints", "_values", "_rows", "_den")
@@ -387,11 +404,14 @@ class DyadicGrid:
         put(self, "npoints", len(values))
         put(self, "_values", values)
         put(self, "_rows", None)
-        put(self, "_den", 1)
+        put(self, "_den", None)
 
     @classmethod
-    def _from_rows(cls, level: int, start: int, rows: list[list[int]], den: int) -> "DyadicGrid":
-        """An exact grid from integer rows over den > 0 without a common factor."""
+    def _from_rows(
+        cls, level: int, start: int, rows: list[list], den: int | None
+    ) -> "DyadicGrid":
+        """An exact grid from integer rows over den > 0 without a common
+        factor, or a float grid from float rows when den is None."""
         out = object.__new__(cls)
         put = object.__setattr__
         put(out, "level", level)
@@ -413,7 +433,10 @@ class DyadicGrid:
         vals = self._values
         if vals is None:
             den = self._den
-            vals = tuple(zip(*([Fraction(n, den) for n in row] for row in self._rows)))
+            if den is None:
+                vals = tuple(zip(*self._rows))
+            else:
+                vals = tuple(zip(*([Fraction(n, den) for n in row] for row in self._rows)))
             object.__setattr__(self, "_values", vals)
         return vals
 
@@ -421,17 +444,43 @@ class DyadicGrid:
         """The data as integer rows over one denominator, or None unless every
         entry is an int or a Fraction."""
         if self._rows is not None:
-            return self._rows, self._den
+            return None if self._den is None else (self._rows, self._den)
         if not all(isinstance(v, (int, Fraction)) for col in self._values for v in col):
             return None
         return _integer_rows(list(zip(*self._values)))
+
+    def _float_rows(self) -> list[list[float]] | None:
+        """The data as float rows, or None unless every entry is a float."""
+        if self._rows is not None:
+            return self._rows if self._den is None else None
+        if not all(isinstance(v, float) for col in self._values for v in col):
+            return None
+        return [list(row) for row in zip(*self._values)]
+
+    def _rows_as_floats(self, lo: int = 0, hi: int | None = None) -> list[list[float]]:
+        """f^(k) at the points lo, ..., hi - 1 as floats, one list per k; the
+        default is every point. Exact entries are rounded as float() rounds
+        them."""
+        rows = self._rows
+        if rows is None:
+            cols = self._values[lo:hi]
+            return [[float(col[k]) for col in cols] for k in range(self.d + 1)]
+        den = self._den
+        if den is None:
+            return [row[lo:hi] for row in rows]
+        # int / int rounds correctly, exactly as float(Fraction) does
+        return [[n / den for n in row[lo:hi]] for row in rows]
 
     def __eq__(self, other: object) -> bool:
         if type(other) is not DyadicGrid:
             return NotImplemented
         if self.level != other.level or self.start != other.start:
             return False
-        if self._rows is not None and other._rows is not None:
+        if (
+            self._rows is not None
+            and other._rows is not None
+            and (self._den is None) == (other._den is None)
+        ):
             return self._den == other._den and self._rows == other._rows
         return self.values == other.values
 
@@ -453,28 +502,34 @@ class DyadicGrid:
     @property
     def is_exact(self) -> bool:
         if self._rows is not None:
-            return True
+            return self._den is not None
         return bool(self._values) and isinstance(self._values[0][0], Fraction)
 
     def to_csv(self) -> str:
         header = "x," + ",".join(f"f{k}" for k in range(self.d + 1))
-        if self._rows is None:
+        rows, den = self._rows, self._den
+        if rows is None:
             cols = ([f"{float(v):.17g}" for v in col] for col in self._values)
+        elif den is None:
+            cols = zip(*([f"{v:.17g}" for v in row] for row in rows))
         else:
             # int / int rounds correctly, exactly as float(Fraction) does
-            den = self._den
-            cols = zip(*([f"{n / den:.17g}" for n in row] for row in self._rows))
+            cols = zip(*([f"{n / den:.17g}" for n in row] for row in rows))
         lines = [header]
         for n, col in enumerate(cols):
             lines.append(f"{self.x(n):.17g}," + ",".join(col))
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> dict:
-        if self._rows is not None:
-            den = self._den
-            rows = ([_ratio_str(n, den) for n in row] for row in self._rows)
-            vals = [list(col) for col in zip(*rows)]
-            kind = "exact"
+        rows, den = self._rows, self._den
+        if rows is not None:
+            if den is None:
+                strs = ([f"{v:.17g}" for v in row] for row in rows)
+                kind = "float"
+            else:
+                strs = ([_ratio_str(n, den) for n in row] for row in rows)
+                kind = "exact"
+            vals = [list(col) for col in zip(*strs)]
         elif self.is_exact:
             vals = [[rat_to_str(v) for v in col] for col in self._values]
             kind = "exact"

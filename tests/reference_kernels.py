@@ -4,7 +4,8 @@ These are the direct loops: Laurent and dense polynomials that keep one
 Fraction per coefficient, Gauss-Jordan elimination over Fractions, the
 difference-split identity with each difference taken from scratch, one
 Fraction product per mask entry in the subdivision step and in every level
-of the exact cascade, Fraction samples of polynomial vectors for the eigen
+of the exact cascade, the float cascade and its convergence diagnostics one
+column and one component at a time, Fraction samples of polynomial vectors for the eigen
 check, contraction norms read off the Laurent-product iterated symbol,
 Fraction abscissae for the spline cascade check, the Cox-de Boor recursion
 for B-spline values, and a factorization that gates on annihilation before
@@ -36,7 +37,7 @@ from hermiteforge import (
     cascade,
     spline_mask,
 )
-from hermiteforge.analysis import ContractivityReport, is_lower_triangular
+from hermiteforge.analysis import ContractivityReport, ConvergenceReport, is_lower_triangular
 from hermiteforge.construct import SingularSystem
 from hermiteforge.exactalg import (
     NotDivisible,
@@ -51,7 +52,7 @@ from hermiteforge.factor import Factorization
 from hermiteforge.polybasis import newton_basis
 from hermiteforge.splines import SplineCascadeReport, bspline_derivative
 from hermiteforge.subdivision import eigen_check, subdivide
-from hermiteforge.taylor import Chain, WindowTooSmall
+from hermiteforge.taylor import Chain, WindowTooSmall, delta_operator
 
 
 class FractionLaurentPoly:
@@ -530,6 +531,133 @@ def cascade_reference(mask: Mask, levels: int, init: DyadicGrid) -> list[DyadicG
         values, start = hermite_step_reference(mask, g.values, g.start, g.level)
         grids.append(DyadicGrid(g.level + 1, start, tuple(values)))
     return grids
+
+
+def float_cascade_reference(mask: Mask, levels: int, init: DyadicGrid) -> list[DyadicGrid]:
+    """The float cascade one column at a time in plain float arithmetic.
+
+    At level n, component k of each column is multiplied by 2^-(n k); each
+    output column sums float(A(alpha - 2 beta)[i][k]) * c[k] from 0.0, one
+    nonzero entry at a time, beta ascending, then k ascending; component i
+    is then multiplied by 2^((n+1) i). Every grid is built from its float
+    columns."""
+    size = mask.d + 1
+    s_min, s_max = mask.support
+    grids = [init]
+    for _ in range(levels):
+        g = grids[-1]
+        n, a = g.level, g.start
+        b = a + g.npoints - 1
+        out_lo = 2 * a + s_max - 1
+        out_hi = 2 * b + s_min + 1
+        if out_hi < out_lo:
+            raise WindowTooSmall(f"window [{a},{b}] too small for support [{s_min},{s_max}]")
+        pre = [2.0 ** -(n * k) for k in range(size)]
+        post = [2.0 ** ((n + 1) * i) for i in range(size)]
+        cols = [[c[k] * pre[k] for k in range(size)] for c in g.values]
+        out = []
+        for alpha in range(out_lo, out_hi + 1):
+            beta_lo = -((s_max - alpha) // 2)  # ceil((alpha - s_max) / 2)
+            beta_hi = (alpha - s_min) // 2
+            acc = [0.0] * size
+            for beta in range(max(beta_lo, a), min(beta_hi, b) + 1):
+                m = mask.matrix(alpha - 2 * beta)
+                col = cols[beta - a]
+                for i in range(size):
+                    for k in range(size):
+                        if m[i][k]:
+                            acc[i] += float(m[i][k]) * col[k]
+            out.append(tuple(acc[i] * post[i] for i in range(size)))
+        grids.append(DyadicGrid(n + 1, out_lo, tuple(out)))
+    return grids
+
+
+def _window_range(grid: DyadicGrid, window: tuple[int, int]) -> range:
+    lo = window[0] * 2**grid.level
+    hi = window[1] * 2**grid.level
+    return range(max(lo, grid.start), min(hi, grid.start + grid.npoints - 1) + 1)
+
+
+def taylor_residuals_reference(grid: DyadicGrid, window, taylor=None) -> tuple[float, ...]:
+    """taylor_residuals one window point at a time: v = f^(k)(a+1) - f^(k)(a),
+    then v -= w_l f^(k+l)(a) for l = 1, 2, ..., and a running max."""
+    d = grid.d
+    if taylor is None:
+        taylor = delta_operator(d)
+    values, start, npoints = grid.values, grid.start, grid.npoints
+    out = []
+    for k in range(d):
+        weights = [
+            float(taylor.w[k + ell - 1][k]) / 2.0 ** (grid.level * ell)
+            for ell in range(1, d - k + 1)
+        ]
+        worst = 0.0
+        for alpha in _window_range(grid, window):
+            i0 = alpha - start
+            if i0 + 1 >= npoints:
+                continue
+            col = values[i0]
+            v = float(values[i0 + 1][k]) - float(col[k])
+            for ell, wgt in enumerate(weights, start=1):
+                v -= wgt * float(col[k + ell])
+            worst = max(worst, abs(v))
+        out.append(worst)
+    return tuple(out)
+
+
+def convergence_reference(
+    grids: Sequence[DyadicGrid], window, ratio_bound: float, residual_tol: float, taylor=None
+) -> ConvergenceReport:
+    """check_convergence's report on a given cascade, one column and one
+    component at a time: each coarse sample against both of its children,
+    with an `if dv > worst` running max."""
+    levels = len(grids) - 1
+    d = grids[0].d
+    diffs = []
+    for n in range(levels):
+        g0, g1 = grids[n], grids[n + 1]
+        start1, end1 = g1.start, g1.start + g1.npoints
+        worst = 0.0
+        for alpha in _window_range(g0, window):
+            c0 = g0.values[alpha - g0.start]
+            for beta in (2 * alpha, 2 * alpha + 1):
+                if not (start1 <= beta < end1):
+                    continue
+                c1 = g1.values[beta - start1]
+                for i in range(d + 1):
+                    dv = abs(float(c0[i]) - float(c1[i]))
+                    if dv > worst:
+                        worst = dv
+        diffs.append(worst)
+    ratios = [diffs[n + 1] / diffs[n] if diffs[n] > 0 else 0.0 for n in range(levels - 1)]
+    burn_in = min(2, max(0, len(ratios) - 1))
+    tail = ratios[burn_in:]
+    max_tail_ratio = max(tail) if tail else 0.0
+    residuals = tuple(taylor_residuals_reference(g, window, taylor) for g in grids)
+    residual_decay_ok = True
+    for k in range(d):
+        prev, last = residuals[-2][k], residuals[-1][k]
+        if prev == 0.0:
+            if last != 0.0:
+                residual_decay_ok = False
+        elif last / prev > ratio_bound:
+            residual_decay_ok = False
+    return ConvergenceReport(
+        ok=max_tail_ratio <= ratio_bound and residual_decay_ok,
+        levels=levels,
+        window=window,
+        sup_differences=tuple(diffs),
+        ratios=tuple(ratios),
+        burn_in=burn_in,
+        max_tail_ratio=max_tail_ratio,
+        ratio_bound=ratio_bound,
+        residuals=residuals,
+        final_residuals=residuals[-1],
+        residual_tol=residual_tol,
+        residuals_below_tol=all(r <= residual_tol for r in residuals[-1]),
+        residual_decay_ok=residual_decay_ok,
+        differences_decay_ok=max_tail_ratio <= ratio_bound,
+    )
 
 
 def bspline_value_reference(r: int, x) -> Fraction:

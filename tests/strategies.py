@@ -16,12 +16,17 @@ def sparse_masks(draw):
     d = draw(st.integers(min_value=0, max_value=3))
     length = draw(st.integers(min_value=1, max_value=6))
     s_min = draw(st.integers(min_value=-4, max_value=3))
-    entry = st.one_of(
-        st.just(F(0)), st.fractions(min_value=F(-3), max_value=F(3), max_denominator=12)
-    )
-    coeffs = [
-        [[draw(entry) for _ in range(d + 1)] for _ in range(d + 1)] for _ in range(length)
-    ]
+
+    def entry() -> F:
+        # An explicit zero half the time, else p/q in [-3, 3] with its own
+        # denominator q <= 12: a denominator first, then an integer
+        # numerator, which is much cheaper to draw than st.fractions.
+        if draw(st.booleans()):
+            return F(0)
+        q = draw(st.integers(min_value=1, max_value=12))
+        return F(draw(st.integers(min_value=-3 * q, max_value=3 * q)), q)
+
+    coeffs = [[[entry() for _ in range(d + 1)] for _ in range(d + 1)] for _ in range(length)]
     for i in range(d + 1):
         drop = draw(st.sampled_from([None, "all", 0, 1]))
         for n in range(length):

@@ -2,7 +2,7 @@
 
 import json
 from fractions import Fraction as F
-from math import lcm
+from math import ceil, floor, inf, lcm, nan
 
 import pytest
 from hypothesis import assume, given, settings
@@ -21,18 +21,29 @@ from hermiteforge import (
     Mask,
     TaylorOperator,
     WindowTooSmall,
+    allones_operator,
     cascade,
     check_contractive,
     check_convergence,
+    classical_operator,
     scheme_norm,
     synthesize,
 )
-from hermiteforge.analysis import delta_grid, reconstruct_limits
+from hermiteforge.analysis import (
+    _convergence_report,
+    delta_grid,
+    initial_window,
+    reconstruct_limits,
+    taylor_residuals,
+)
 from hermiteforge.subdivision import subdivide
 from reference_kernels import (
     cascade_reference,
     check_contractive_reference,
+    convergence_reference,
+    float_cascade_reference,
     scheme_norm_reference,
+    taylor_residuals_reference,
 )
 from strategies import sparse_masks
 
@@ -217,6 +228,105 @@ def test_exact_grid_builds_values_once():
     assert g.values is g.values
     assert g == DyadicGrid(g.level, g.start, tuple(tuple(col) for col in g.values))
     assert "__getattr__" not in vars(DyadicGrid)
+    with pytest.raises(AttributeError):
+        g.level = 0
+
+
+# Signed zeros, and values near 1e-300 that the level rescaling takes into
+# the subnormal range.
+finite_floats = st.one_of(
+    st.sampled_from([0.0, -0.0, 1e-300, -1e-300, 1.0]),
+    st.floats(min_value=-1e3, max_value=1e3),
+    st.floats(min_value=-1e-300, max_value=1e-300),
+)
+
+
+@st.composite
+def float_init_grids(draw, d):
+    """Explicit float level-n data; in about one grid in two, one entry is a
+    NaN or an infinity, often in the first or the last column, where a
+    window clipped at the grid's edge starts or ends."""
+    columns = [
+        [draw(finite_floats) for _ in range(d + 1)]
+        for _ in range(draw(st.integers(min_value=1, max_value=16)))
+    ]
+    if draw(st.booleans()):
+        last = len(columns) - 1
+        n = draw(st.one_of(st.sampled_from([0, last]), st.integers(min_value=0, max_value=last)))
+        columns[n][draw(st.integers(min_value=0, max_value=d))] = draw(
+            st.sampled_from([nan, inf, -inf])
+        )
+    level = draw(st.integers(min_value=0, max_value=3))
+    start = draw(st.integers(min_value=-6, max_value=6))
+    return DyadicGrid(level, start, tuple(tuple(col) for col in columns))
+
+
+def float_hex(grid):
+    return [v.hex() for col in grid.values for v in col]
+
+
+@given(sparse_masks(), st.integers(min_value=0, max_value=6), st.data())
+@settings(max_examples=80, deadline=None)
+def test_float_cascade_matches_column_reference(mask, levels, data):
+    init = data.draw(float_init_grids(mask.d))
+    taylor = data.draw(
+        st.sampled_from([None, classical_operator(mask.d), allones_operator(mask.d)])
+    )
+    # Integer x-coordinates around the grid's span [x0, x1], so that the
+    # window is often clipped at one edge of the grid or at both.
+    x0, x1 = floor(init.x(0)), ceil(init.x(init.npoints - 1))
+    lo = data.draw(st.integers(min_value=x0 - 2, max_value=x1))
+    window = (lo, data.draw(st.integers(min_value=lo, max_value=x1 + 2)))
+    try:
+        want = float_cascade_reference(mask, levels, init)
+    except WindowTooSmall:
+        with pytest.raises(WindowTooSmall):
+            cascade(mask, levels, init)
+        return
+    got = cascade(mask, levels, init)
+    assert len(got) == levels + 1 and got[0] is init
+    for g, w in zip(got, want):
+        assert (g.level, g.start, g.npoints, g.d) == (w.level, w.start, w.npoints, w.d)
+        assert not g.is_exact
+        # The bytes are written from the rows, before values is read.
+        assert json.dumps(g.to_json()) == json.dumps(w.to_json())
+        assert g.to_csv() == w.to_csv()
+        assert all(type(v) is float for col in g.values for v in col)
+        assert float_hex(g) == float_hex(w)
+        # repr tells every float apart by its bits, except NaN payloads.
+        got_res = taylor_residuals(g, window, taylor)
+        assert repr(got_res) == repr(taylor_residuals_reference(w, window, taylor))
+    if levels:
+        got_rep = _convergence_report(got, window, 0.9, 1e-4, taylor)
+        assert repr(got_rep) == repr(convergence_reference(want, window, 0.9, 1e-4, taylor))
+
+
+@given(sparse_masks(), st.integers(min_value=3, max_value=6), st.data())
+@settings(max_examples=30, deadline=None)
+def test_convergence_matches_column_reference(mask, levels, data):
+    window = (data.draw(st.integers(-4, 0)), data.draw(st.integers(0, 4)))
+    taylor = data.draw(st.sampled_from([None, classical_operator(mask.d)]))
+    a, b = initial_window(mask, window, levels)
+    # A support far off the origin leaves the delta outside the window.
+    assume(a <= 0 <= b)
+    delta = tuple(
+        tuple(1.0 if (alpha == 0 and k == 0) else 0.0 for k in range(mask.d + 1))
+        for alpha in range(a, b + 1)
+    )
+    grids = float_cascade_reference(mask, levels, DyadicGrid(0, a, delta))
+    want = convergence_reference(grids, window, 0.9, 1e-4, taylor)
+    got = check_convergence(mask, levels, window, taylor=taylor)
+    assert repr(got) == repr(want)
+
+
+def test_float_grid_builds_values_once():
+    g = cascade(half_delta(), 3)[-1]
+    assert g.values is g.values
+    assert all(type(v) is float for col in g.values for v in col)
+    assert g == DyadicGrid(g.level, g.start, tuple(tuple(col) for col in g.values))
+    # Dyadic data: the float and exact cascades hold equal values.
+    assert g == cascade(half_delta(), 3, exact=True)[-1]
+    assert not g.is_exact
     with pytest.raises(AttributeError):
         g.level = 0
 

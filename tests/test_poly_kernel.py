@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hermiteforge import LaurentPoly, NotDivisible, Poly
+from hermiteforge import LaurentPoly, Mask, NotDivisible, Poly
 from hermiteforge.construct import SingularSystem, _solve_square
+from hermiteforge.exactalg import rat_to_str
 from hermiteforge.polybasis import difference_split_check
 from reference_kernels import (
     FractionLaurentPoly,
@@ -255,12 +256,16 @@ def test_float_operands_are_rejected(cls, op):
     if op is not operator.truediv:
         with pytest.raises(TypeError):
             op(0.1, p)
-    # Nor do the constructors and the methods that take a rational.
+    # Nor do the constructors and the methods that take a rational, nor the
+    # masks and the rational writer.
     calls = [
         lambda: cls.constant(0.1),
         lambda: cls.monomial(1, 0.1),
         lambda: p.evaluate(0.1),
         lambda: LaurentPoly({0: 0.1}) if cls is LaurentPoly else Poly((0.1,)),
+        lambda: Mask(0, (((0.1,),),)),
+        lambda: Mask(0, (((1,),),)).scale(0.1),
+        lambda: rat_to_str(0.1),
     ]
     if cls is Poly:
         calls.append(lambda: p.shift(0.1))
