@@ -219,35 +219,35 @@ def cascade(
     """Run the Hermite refinement for a number of levels.
 
     init "delta" starts from the canonical delta data on a window wide
-    enough to keep the target window conclusive at every level; an explicit
-    DyadicGrid is used as given (and must be wide enough itself). Its entries
-    must be ints and Fractions when exact is set and floats otherwise.
+    enough to keep the target window conclusive at every level, widened to
+    contain the origin when the mask's support lies off it; an explicit
+    DyadicGrid is used as given (and must be wide enough itself). Its kind
+    must match the mode: exact (built from ints and Fractions) when exact is
+    set, float otherwise.
 
-    Both modes carry rows (row k = component f^(k)) from level to level
-    through one row step: exact mode integer rows over one denominator
-    through integer_step, float mode float rows through float_step. No
-    column, and no Fraction, is built until a grid's values are read.
+    Both modes carry the grid's rows (row k = component f^(k)) from level
+    to level through one row step: exact mode integer rows over one
+    denominator through integer_step, float mode float rows through
+    float_step. No column, and no Fraction, is built until a grid's values
+    are read.
     """
     if levels < 0:
         raise ValueError("levels must be nonnegative")
     if isinstance(init, str):
         if init != "delta":
             raise ValueError(f"unknown initial data {init!r}")
-        w0 = initial_window(mask, window, levels)
-        grid = delta_grid(mask.d, w0, exact=exact)
+        a, b = initial_window(mask, window, levels)
+        # A wider level-0 window only widens the window of every level.
+        grid = delta_grid(mask.d, (min(a, 0), max(b, 0)), exact=exact)
     else:
         grid = init
         if grid.d != mask.d:
             raise ValueError("initial data dimension does not match the mask")
-    if exact:
-        data = grid._exact_rows()
-        if data is None:
-            raise ValueError("exact=True needs initial data of ints and Fractions")
-        rows, den = data
-    else:
-        rows, den = grid._float_rows(), None
-        if rows is None:
-            raise ValueError("exact=False needs initial data of floats")
+    rows, den = grid._rows, grid._den
+    if exact and den is None:
+        raise ValueError("exact=True needs initial data of ints and Fractions")
+    if not exact and den is not None:
+        raise ValueError("exact=False needs initial data of floats")
     out = [grid]
     level, start = grid.level, grid.start
     for _ in range(levels):

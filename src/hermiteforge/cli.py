@@ -211,6 +211,16 @@ def _load_json(path: str):
         raise MalformedInput(f"{path} is not valid JSON: {exc}") from exc
 
 
+def _from_file(cls, path: str, *errors: type[Exception], label: str | None = None):
+    """cls.from_json of the JSON in a file. A KeyError, TypeError or ValueError
+    (a file that is not UTF-8 included), or one of errors, is malformed
+    input, reported under label (default: the path)."""
+    try:
+        return cls.from_json(_load_json(path))
+    except (KeyError, TypeError, ValueError, *errors) as exc:
+        raise MalformedInput(f"{label or path}: {exc}") from exc
+
+
 def _parse_preset_params(body: str, spec: str) -> dict[str, int]:
     params = {}
     if body:
@@ -236,12 +246,20 @@ def _taylor_from_preset(spec: str) -> TaylorOperator:
     return makers[name](params["d"])
 
 
+def _spline_preset(spec: str, what: str, make):
+    """make(r, d) for a preset 'spline:r=<int>,d=<int>'."""
+    params = _parse_preset_params(spec.partition(":")[2], spec)
+    if set(params) != {"r", "d"}:
+        raise MalformedInput(f"{what} preset spline takes r=<int>,d=<int>")
+    try:
+        return make(params["r"], params["d"])
+    except BadOrder as exc:
+        raise MalformedInput(str(exc)) from exc
+
+
 def _load_taylor_arg(spec: str) -> TaylorOperator:
     if os.path.exists(spec):
-        try:
-            return TaylorOperator.from_json(_load_json(spec))
-        except (InvalidOperator, KeyError, TypeError, ValueError) as exc:
-            raise MalformedInput(f"{spec}: {exc}") from exc
+        return _from_file(TaylorOperator, spec, InvalidOperator)
     if ":" in spec:
         return _taylor_from_preset(spec)
     raise MalformedInput(f"{spec!r} is neither a file nor an operator preset")
@@ -249,35 +267,17 @@ def _load_taylor_arg(spec: str) -> TaylorOperator:
 
 def _load_mask_arg(spec: str) -> Mask:
     if os.path.exists(spec):
-        try:
-            return Mask.from_json(_load_json(spec))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise MalformedInput(f"{spec}: {exc}") from exc
+        return _from_file(Mask, spec)
     if spec.startswith("spline:"):
-        params = _parse_preset_params(spec.partition(":")[2], spec)
-        if set(params) != {"r", "d"}:
-            raise MalformedInput("mask preset spline takes r=<int>,d=<int>")
-        try:
-            return spline_mask(params["r"], params["d"])
-        except BadOrder as exc:
-            raise MalformedInput(str(exc)) from exc
+        return _spline_preset(spec, "mask", spline_mask)
     raise MalformedInput(f"{spec!r} is neither a file nor a mask preset")
 
 
 def _load_chain_arg(spec: str) -> Chain:
     if os.path.exists(spec):
-        try:
-            return Chain.from_json(_load_json(spec))
-        except (NotAChain, NotInVd, KeyError, TypeError, ValueError) as exc:
-            raise MalformedInput(f"{spec}: {exc}") from exc
+        return _from_file(Chain, spec, NotAChain, NotInVd)
     if spec.startswith("spline:"):
-        params = _parse_preset_params(spec.partition(":")[2], spec)
-        if set(params) != {"r", "d"}:
-            raise MalformedInput("chain preset spline takes r=<int>,d=<int>")
-        try:
-            return spline_chain(params["r"], params["d"])
-        except BadOrder as exc:
-            raise MalformedInput(str(exc)) from exc
+        return _spline_preset(spec, "chain", spline_chain)
     if ":" in spec:
         return chain_for(_taylor_from_preset(spec))
     raise MalformedInput(f"{spec!r} is neither a file nor a chain preset")
@@ -329,10 +329,7 @@ def _cmd_annihilate(args) -> int:
     if bool(args.vec) == bool(args.chain):
         raise MalformedInput("annihilate needs exactly one of --vec or --chain")
     if args.vec:
-        try:
-            vec = PolyVec.from_json(_load_json(args.vec))
-        except (NotInVd, KeyError, TypeError, ValueError) as exc:
-            raise MalformedInput(f"{args.vec}: {exc}") from exc
+        vec = _from_file(PolyVec, args.vec, NotInVd)
     else:
         vec = _load_chain_arg(args.chain).last
     op = annihilator(vec)
@@ -395,14 +392,13 @@ def _cmd_factor(args) -> int:
 
 def _cmd_construct(args) -> int:
     op = _load_taylor_arg(args.taylor)
-    try:
-        seed = (
-            LaurentPoly.from_json(_load_json(args.hdd_file))
-            if args.hdd_file
-            else parse_laurent(args.hdd)
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise MalformedInput(f"seed polynomial: {exc}") from exc
+    if args.hdd_file:
+        seed = _from_file(LaurentPoly, args.hdd_file, label="seed polynomial")
+    else:
+        try:
+            seed = parse_laurent(args.hdd)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise MalformedInput(f"seed polynomial: {exc}") from exc
     g = _parse_g_flag(args.g or [])
     try:
         result = synthesize(op, seed, g, strategy=args.strategy)
@@ -451,10 +447,7 @@ def _cmd_cascade(args) -> int:
     if args.init == "delta":
         init = "delta"
     else:
-        try:
-            init = DyadicGrid.from_json(_load_json(args.init))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise MalformedInput(f"{args.init}: {exc}") from exc
+        init = _from_file(DyadicGrid, args.init)
         if init.is_exact and not args.exact:
             raise MalformedInput(f"{args.init}: an exact grid needs --exact")
         if args.exact and not init.is_exact:

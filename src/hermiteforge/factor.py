@@ -89,6 +89,14 @@ def verify_spectral_chain(mask: Mask, chain: Chain) -> SpectralReport:
     return SpectralReport(ok=not failures, d=chain.d, failures=tuple(failures))
 
 
+def _identity_holds(
+    tsym: LaurentMatrix, asym: LaurentMatrix, bsym: LaurentMatrix, scale: Fraction
+) -> bool:
+    """T*(z) A*(z) == scale * B*(z) T*(z^2), decided by one matrix comparison."""
+    rhs = (bsym * tsym.substitute_power(2)).scale(LaurentPoly.constant(scale))
+    return tsym * asym == rhs
+
+
 @dataclass(frozen=True)
 class Factorization:
     """A mask, the Taylor operator it factors through, the factor mask, and
@@ -100,12 +108,9 @@ class Factorization:
     scale: Fraction
 
     def verify(self) -> bool:
-        t = self.taylor.symbol()
-        lhs = t * self.mask.symbol()
-        rhs = (self.factor.symbol() * t.substitute_power(2)).scale(
-            LaurentPoly.constant(self.scale)
+        return _identity_holds(
+            self.taylor.symbol(), self.mask.symbol(), self.factor.symbol(), self.scale
         )
-        return lhs == rhs
 
     def to_json(self) -> dict:
         return {
@@ -225,8 +230,7 @@ def unfactor(
         rows.append(row)
     asym = LaurentMatrix(rows)
     mask = Mask.from_symbol(asym)
-    tsym = op.symbol()
-    if tsym * asym != (bsym * tsym.substitute_power(2)).scale(LaurentPoly.constant(scale)):
+    if not _identity_holds(op.symbol(), asym, bsym, scale):
         raise AssertionError("unfactor did not satisfy the factorization identity")
     return mask
 
@@ -299,12 +303,7 @@ def spectral_chain_from_factorization(
     opi = op.as_incomplete()
     if chain is None:
         chain = chain_for(op.as_complete())
-    t = opi.symbol()
-    lhs = t * mask.symbol()
-    rhs = (factor_incomplete.symbol() * t.substitute_power(2)).scale(
-        LaurentPoly.constant(scale)
-    )
-    if lhs != rhs:
+    if not _identity_holds(opi.symbol(), mask.symbol(), factor_incomplete.symbol(), scale):
         raise ValueError("incomplete factorization identity does not hold")
     if not _last_column_partition_of_unity(factor_incomplete):
         raise ValueError("factor does not reproduce the constant top-derivative data")

@@ -192,8 +192,9 @@ def subdivide(
     values[n] is the column at beta = start + n. Only output positions whose
     full stencil lies inside the window are returned; the new window is
     [2a + s_max - 1, 2b + s_min + 1] for input [a, b] and support
-    [s_min, s_max]. Exact data (Fraction or int) gives Fractions; any other
-    data gives floats. Both are computed as hermite_step describes.
+    [s_min, s_max]. The data's kind follows the rule of DyadicGrid: all ints
+    and Fractions give Fractions, all floats give floats, and anything else
+    raises TypeError. Both are computed as hermite_step describes.
     """
     return _refine(mask, values, start, 0, 0)
 
@@ -203,12 +204,12 @@ def hermite_step(
 ) -> tuple[list[tuple], int]:
     """Refine level-n Hermite data to level n+1 with derivative rescaling.
 
-    Works for exact (Fraction or int) and floating data alike. Both modes
-    turn the columns into rows (row k = component k), run one row step and
-    turn its output back into columns: exact mode brings the data to integer
-    numerators over one denominator and runs integer_step, float mode runs
-    float_step. cascade calls the row steps itself and so builds no column
-    between levels.
+    The columns become rows (row k = component k) by the rule that builds a
+    DyadicGrid: all ints and Fractions give integer numerators over one
+    denominator, which integer_step refines into Fractions; all floats give
+    float rows, which float_step refines into floats; a mix of the two, or
+    any other entry, raises TypeError. cascade calls the row steps on a
+    grid's rows itself and so builds no column between levels.
     """
     return _refine(mask, values, start, level, level + 1)
 
@@ -254,10 +255,23 @@ def _stencil_sums(
     return out
 
 
-def _integer_rows(rows: Sequence[Sequence[RationalLike]]) -> tuple[list[list[int]], int]:
-    """Rows of ints and Fractions as integer numerators over the lcm of their
-    denominators."""
-    den = lcm(*{v.denominator for row in rows for v in row})
+def _as_rows(values: Sequence[Sequence]) -> tuple[list[list], int | None]:
+    """Columns as rows (row k = component k), in the one form a grid holds.
+
+    All ints and Fractions give integer rows over the lcm of their
+    denominators, which shares no factor with all of them, and that lcm;
+    all floats give float rows and None. Any other entry, or a mix of the
+    two kinds, raises TypeError; empty or ragged columns raise ValueError.
+    """
+    if not values or not values[0] or any(len(col) != len(values[0]) for col in values):
+        raise ValueError("grid values must be nonempty columns of one height")
+    rows = list(zip(*values))
+    entries = list(chain.from_iterable(rows))
+    if all(isinstance(v, float) for v in entries):
+        return [list(row) for row in rows], None
+    if not all(isinstance(v, (int, Fraction)) for v in entries):
+        raise TypeError("grid entries must be all ints and Fractions, or all floats")
+    den = lcm(*{v.denominator for v in entries})
     return [[v.numerator * (den // v.denominator) for v in row] for row in rows], den
 
 
@@ -323,12 +337,12 @@ def _refine(
         if len(col) != size:
             raise ValueError(f"expected columns of height {size}")
     _output_window(mask, start, start + len(values) - 1)
-    rows = list(zip(*values))
-    if all(isinstance(v, (int, Fraction)) for row in rows for v in row):
-        nums, den, out_lo = integer_step(mask, *_integer_rows(rows), start, pre, post)
-        out = [[Fraction(n, den) for n in row] for row in nums]
-    else:
+    rows, den = _as_rows(values)
+    if den is None:
         out, out_lo = float_step(mask, rows, start, pre, post)
+    else:
+        nums, den, out_lo = integer_step(mask, rows, den, start, pre, post)
+        out = [[Fraction(n, den) for n in row] for row in nums]
     return list(zip(*out)), out_lo
 
 
@@ -384,27 +398,21 @@ def eigen_check(
 class DyadicGrid:
     """Hermite data sampled on the dyadic grid 2^-level * (start + n).
 
-    values[n] is the column (f, f', ..., f^(d)) at that abscissa; entries are
-    Fractions in exact mode or floats in numeric mode.
-
-    The grids that cascade builds hold rows instead, row k listing the
-    samples of f^(k): an exact grid holds integer rows over one positive
-    denominator that shares no factor with all of them, a float grid holds
-    float rows and no denominator. Their values are built from the rows on
-    first read and kept; to_json and to_csv read the rows directly. Grids
-    are immutable and equal when level, start and values are.
+    A grid holds rows, row k listing the samples of f^(k): an exact grid
+    holds integer rows over one positive denominator that shares no factor
+    with all of them, a float grid holds float rows and no denominator.
+    DyadicGrid(level, start, values) takes columns, values[n] being the
+    column (f, f', ..., f^(d)) at start + n, and turns them into rows once:
+    all ints and Fractions make an exact grid, all floats a float grid, and
+    anything else raises TypeError. values is built from the rows on first
+    read (Fractions in exact mode) and kept; to_json and to_csv read the
+    rows. Grids are immutable and equal when level, start and values are.
     """
 
     __slots__ = ("level", "start", "npoints", "_values", "_rows", "_den")
 
-    def __init__(self, level: int, start: int, values: tuple[tuple, ...]):
-        put = object.__setattr__
-        put(self, "level", level)
-        put(self, "start", start)
-        put(self, "npoints", len(values))
-        put(self, "_values", values)
-        put(self, "_rows", None)
-        put(self, "_den", None)
+    def __init__(self, level: int, start: int, values: Sequence[Sequence]):
+        self._fill(level, start, *_as_rows(values))
 
     @classmethod
     def _from_rows(
@@ -413,14 +421,17 @@ class DyadicGrid:
         """An exact grid from integer rows over den > 0 without a common
         factor, or a float grid from float rows when den is None."""
         out = object.__new__(cls)
-        put = object.__setattr__
-        put(out, "level", level)
-        put(out, "start", start)
-        put(out, "npoints", len(rows[0]))
-        put(out, "_values", None)
-        put(out, "_rows", rows)
-        put(out, "_den", den)
+        out._fill(level, start, rows, den)
         return out
+
+    def _fill(self, level: int, start: int, rows: list[list], den: int | None) -> None:
+        put = object.__setattr__
+        put(self, "level", level)
+        put(self, "start", start)
+        put(self, "npoints", len(rows[0]))
+        put(self, "_values", None)
+        put(self, "_rows", rows)
+        put(self, "_den", den)
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -440,48 +451,24 @@ class DyadicGrid:
             object.__setattr__(self, "_values", vals)
         return vals
 
-    def _exact_rows(self) -> tuple[list[list[int]], int] | None:
-        """The data as integer rows over one denominator, or None unless every
-        entry is an int or a Fraction."""
-        if self._rows is not None:
-            return None if self._den is None else (self._rows, self._den)
-        if not all(isinstance(v, (int, Fraction)) for col in self._values for v in col):
-            return None
-        return _integer_rows(list(zip(*self._values)))
-
-    def _float_rows(self) -> list[list[float]] | None:
-        """The data as float rows, or None unless every entry is a float."""
-        if self._rows is not None:
-            return self._rows if self._den is None else None
-        if not all(isinstance(v, float) for col in self._values for v in col):
-            return None
-        return [list(row) for row in zip(*self._values)]
-
     def _rows_as_floats(self, lo: int = 0, hi: int | None = None) -> list[list[float]]:
         """f^(k) at the points lo, ..., hi - 1 as floats, one list per k; the
         default is every point. Exact entries are rounded as float() rounds
         them."""
-        rows = self._rows
-        if rows is None:
-            cols = self._values[lo:hi]
-            return [[float(col[k]) for col in cols] for k in range(self.d + 1)]
         den = self._den
         if den is None:
-            return [row[lo:hi] for row in rows]
+            return [row[lo:hi] for row in self._rows]
         # int / int rounds correctly, exactly as float(Fraction) does
-        return [[n / den for n in row[lo:hi]] for row in rows]
+        return [[n / den for n in row[lo:hi]] for row in self._rows]
 
     def __eq__(self, other: object) -> bool:
         if type(other) is not DyadicGrid:
             return NotImplemented
         if self.level != other.level or self.start != other.start:
             return False
-        if (
-            self._rows is not None
-            and other._rows is not None
-            and (self._den is None) == (other._den is None)
-        ):
+        if (self._den is None) == (other._den is None):
             return self._den == other._den and self._rows == other._rows
+        # An exact and a float grid are equal when their values are.
         return self.values == other.values
 
     def __hash__(self) -> int:
@@ -492,67 +479,40 @@ class DyadicGrid:
 
     @property
     def d(self) -> int:
-        if self._rows is not None:
-            return len(self._rows) - 1
-        return len(self._values[0]) - 1
+        return len(self._rows) - 1
 
     def x(self, n: int) -> float:
         return (self.start + n) / 2**self.level
 
     @property
     def is_exact(self) -> bool:
-        if self._rows is not None:
-            return self._den is not None
-        return bool(self._values) and isinstance(self._values[0][0], Fraction)
+        return self._den is not None
 
     def to_csv(self) -> str:
         header = "x," + ",".join(f"f{k}" for k in range(self.d + 1))
-        rows, den = self._rows, self._den
-        if rows is None:
-            cols = ([f"{float(v):.17g}" for v in col] for col in self._values)
-        elif den is None:
-            cols = zip(*([f"{v:.17g}" for v in row] for row in rows))
-        else:
-            # int / int rounds correctly, exactly as float(Fraction) does
-            cols = zip(*([f"{n / den:.17g}" for n in row] for row in rows))
+        cols = zip(*([f"{v:.17g}" for v in row] for row in self._rows_as_floats()))
         lines = [header]
         for n, col in enumerate(cols):
             lines.append(f"{self.x(n):.17g}," + ",".join(col))
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> dict:
-        rows, den = self._rows, self._den
-        if rows is not None:
-            if den is None:
-                strs = ([f"{v:.17g}" for v in row] for row in rows)
-                kind = "float"
-            else:
-                strs = ([_ratio_str(n, den) for n in row] for row in rows)
-                kind = "exact"
-            vals = [list(col) for col in zip(*strs)]
-        elif self.is_exact:
-            vals = [[rat_to_str(v) for v in col] for col in self._values]
-            kind = "exact"
+        den = self._den
+        if den is None:
+            strs = ([f"{v:.17g}" for v in row] for row in self._rows)
         else:
-            vals = [[f"{float(v):.17g}" for v in col] for col in self._values]
-            kind = "float"
+            strs = ([_ratio_str(n, den) for n in row] for row in self._rows)
         return {
             "level": self.level,
             "start": self.start,
-            "kind": kind,
-            "values": vals,
+            "kind": "float" if den is None else "exact",
+            "values": [list(col) for col in zip(*strs)],
         }
 
     @classmethod
     def from_json(cls, obj: Mapping) -> "DyadicGrid":
         if not isinstance(obj, Mapping):
             raise TypeError(f"a grid must be a JSON object, got {type(obj).__name__}")
-        kind = obj.get("kind", "exact")
-        if kind == "exact":
-            vals = tuple(tuple(rat_from_str(v) for v in col) for col in obj["values"])
-        else:
-            vals = tuple(tuple(float(v) for v in col) for col in obj["values"])
-        if not vals or not vals[0] or any(len(col) != len(vals[0]) for col in vals):
-            raise ValueError("grid values must be nonempty columns of one height")
-        return cls(int(obj["level"]), int(obj["start"]), vals)
-
+        parse = rat_from_str if obj.get("kind", "exact") == "exact" else float
+        rows, den = _as_rows(tuple(tuple(parse(v) for v in col) for col in obj["values"]))
+        return cls._from_rows(int(obj["level"]), int(obj["start"]), rows, den)

@@ -5,7 +5,8 @@ Fraction per coefficient, Gauss-Jordan elimination over Fractions, the
 difference-split identity with each difference taken from scratch, one
 Fraction product per mask entry in the subdivision step and in every level
 of the exact cascade, the float cascade and its convergence diagnostics one
-column and one component at a time, Fraction samples of polynomial vectors for the eigen
+column and one component at a time, the grid JSON and CSV writers one value
+at a time, Fraction samples of polynomial vectors for the eigen
 check, contraction norms read off the Laurent-product iterated symbol,
 Fraction abscissae for the spline cascade check, the Cox-de Boor recursion
 for B-spline values, and a factorization that gates on annihilation before
@@ -570,6 +571,26 @@ def float_cascade_reference(mask: Mask, levels: int, init: DyadicGrid) -> list[D
             out.append(tuple(acc[i] * post[i] for i in range(size)))
         grids.append(DyadicGrid(n + 1, out_lo, tuple(out)))
     return grids
+
+
+def grid_json_reference(grid: DyadicGrid) -> dict:
+    """DyadicGrid.to_json column by column: rat_to_str of each value when
+    the first one is a Fraction, else f"{float(v):.17g}"."""
+    vals = grid.values
+    if isinstance(vals[0][0], Fraction):
+        kind, strs = "exact", [[rat_to_str(v) for v in col] for col in vals]
+    else:
+        kind, strs = "float", [[f"{float(v):.17g}" for v in col] for col in vals]
+    return {"level": grid.level, "start": grid.start, "kind": kind, "values": strs}
+
+
+def grid_csv_reference(grid: DyadicGrid) -> str:
+    """DyadicGrid.to_csv column by column, each value through float()."""
+    lines = ["x," + ",".join(f"f{k}" for k in range(grid.d + 1))]
+    for n, col in enumerate(grid.values):
+        x = (grid.start + n) / 2**grid.level
+        lines.append(f"{x:.17g}," + ",".join(f"{float(v):.17g}" for v in col))
+    return "\n".join(lines) + "\n"
 
 
 def _window_range(grid: DyadicGrid, window: tuple[int, int]) -> range:

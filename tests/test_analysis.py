@@ -36,12 +36,14 @@ from hermiteforge.analysis import (
     reconstruct_limits,
     taylor_residuals,
 )
-from hermiteforge.subdivision import subdivide
+from hermiteforge.subdivision import hermite_step, subdivide
 from reference_kernels import (
     cascade_reference,
     check_contractive_reference,
     convergence_reference,
     float_cascade_reference,
+    grid_csv_reference,
+    grid_json_reference,
     scheme_norm_reference,
     taylor_residuals_reference,
 )
@@ -215,8 +217,8 @@ def test_exact_cascade_matches_fraction_reference(mask, levels, data):
         assert (g.level, g.start, g.npoints, g.d) == (w.level, w.start, w.npoints, w.d)
         assert g.is_exact
         # The bytes are written from the integers, before values is read.
-        assert json.dumps(g.to_json()) == json.dumps(w.to_json())
-        assert g.to_csv() == w.to_csv()
+        assert json.dumps(g.to_json()) == json.dumps(grid_json_reference(w))
+        assert g.to_csv() == grid_csv_reference(w)
         # One denominator per level, with the common factor divided out.
         assert g._den == lcm(*(v.denominator for col in w.values for v in col))
         assert all(type(v) is F for col in g.values for v in col)
@@ -289,8 +291,8 @@ def test_float_cascade_matches_column_reference(mask, levels, data):
         assert (g.level, g.start, g.npoints, g.d) == (w.level, w.start, w.npoints, w.d)
         assert not g.is_exact
         # The bytes are written from the rows, before values is read.
-        assert json.dumps(g.to_json()) == json.dumps(w.to_json())
-        assert g.to_csv() == w.to_csv()
+        assert json.dumps(g.to_json()) == json.dumps(grid_json_reference(w))
+        assert g.to_csv() == grid_csv_reference(w)
         assert all(type(v) is float for col in g.values for v in col)
         assert float_hex(g) == float_hex(w)
         # repr tells every float apart by its bits, except NaN payloads.
@@ -307,8 +309,9 @@ def test_convergence_matches_column_reference(mask, levels, data):
     window = (data.draw(st.integers(-4, 0)), data.draw(st.integers(0, 4)))
     taylor = data.draw(st.sampled_from([None, classical_operator(mask.d)]))
     a, b = initial_window(mask, window, levels)
-    # A support far off the origin leaves the delta outside the window.
-    assume(a <= 0 <= b)
+    # A support far off the origin leaves the delta outside that window;
+    # cascade widens it.
+    a, b = min(a, 0), max(b, 0)
     delta = tuple(
         tuple(1.0 if (alpha == 0 and k == 0) else 0.0 for k in range(mask.d + 1))
         for alpha in range(a, b + 1)
@@ -335,13 +338,41 @@ def test_cascade_rejects_init_of_the_other_kind():
     m = half_delta()
     floats = DyadicGrid(0, -4, tuple((float(i == 4),) for i in range(9)))
     ints = DyadicGrid(0, -4, tuple((int(i == 4),) for i in range(9)))
-    mixed = DyadicGrid(0, -4, tuple((F(1) if i == 4 else 0.0,) for i in range(9)))
-    for grid, exact in ((floats, True), (ints, False), (mixed, True), (mixed, False)):
+    for grid, exact in ((floats, True), (ints, False)):
         with pytest.raises(ValueError):
             cascade(m, 2, grid, exact=exact)
     fractions = DyadicGrid(0, -4, tuple((F(int(i == 4)),) for i in range(9)))
     assert cascade(m, 2, ints, exact=True)[-1] == cascade(m, 2, fractions, exact=True)[-1]
     assert not cascade(m, 2, floats)[-1].is_exact
+    # Plain ints make an exact grid.
+    assert ints.is_exact and ints.to_json()["kind"] == "exact"
+    assert all(type(v) is F for col in ints.values for v in col)
+    # Mixed columns are refused when a grid is built, and by the steps.
+    mixed = tuple((F(1) if i == 4 else 0.0,) for i in range(9))
+    with pytest.raises(TypeError):
+        DyadicGrid(0, -4, mixed)
+    with pytest.raises(TypeError):
+        subdivide(m, mixed, -4)
+    with pytest.raises(TypeError):
+        hermite_step(m, mixed, -4, 1)
+    for columns in ((), ((),), ((F(1),), (F(1), F(0)))):
+        with pytest.raises(ValueError):
+            DyadicGrid(0, -4, columns)
+
+
+def test_delta_cascade_of_a_mask_off_the_origin():
+    # The hat moved from alpha = -1..1 to 5..7: initial_window leaves out
+    # the origin, so cascade widens the level-0 window to hold the delta.
+    hat = scalar_mask(LaurentPoly({-1: F(1, 2), 0: F(1), 1: F(1, 2)}))
+    moved = Mask(5, hat.coeffs)
+    assert initial_window(moved, (-4, 4), 5) == (-10, -1)
+    wide = cascade(hat, 5, window=(-12, 4), exact=True)
+    for n, g in enumerate(cascade(moved, 5, exact=True)):
+        # Each level moves the data by 6 more points than twice the last.
+        lo = g.start - 6 * (2**n - 1) - wide[n].start
+        assert 0 <= lo and lo + g.npoints <= wide[n].npoints
+        assert g.values == wide[n].values[lo : lo + g.npoints]
+        assert any(col[0] for col in g.values)
 
 
 def test_cascade_grids_cover_window(ref2):

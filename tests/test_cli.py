@@ -11,6 +11,7 @@ import pytest
 from goldens import REF2_MASK, mask_from_entries
 from hermiteforge import (
     LaurentPoly,
+    Mask,
     TaylorOperator,
     chain_for,
     classical_operator,
@@ -170,6 +171,19 @@ def test_cascade_json_exact(capsys, tmp_path):
     )
     doc = json.loads(out)
     assert doc["grid"]["level"] == 1
+
+
+def test_mask_off_the_origin_exits_zero(capsys, tmp_path):
+    # The hat (1/2, 1, 1/2) at alpha = 5..7, whose delta cascade needs a
+    # level-0 window widened to contain 0.
+    mask_file = tmp_path / "moved_hat.json"
+    mask_file.write_text(json.dumps(Mask(5, (((F(1, 2),),), ((F(1),),), ((F(1, 2),),))).to_json()))
+    doc = json.loads(
+        run_ok(capsys, ["check-convergence", "--mask", str(mask_file), "--levels", "4"])
+    )
+    assert doc["ok"] is True
+    out = run_ok(capsys, ["cascade", "--mask", str(mask_file), "--levels", "3"])
+    assert out.startswith("x,f0\n")
 
 
 def test_contractivity_and_convergence(capsys, tmp_path):
