@@ -33,7 +33,13 @@ from .factor import (
     verify_spectral_chain,
 )
 from .construct import BadSeed, synthesize
-from .analysis import cascade, check_contractive, check_convergence, scheme_norm
+from .analysis import (
+    DeltaMissesWindow,
+    cascade,
+    check_contractive,
+    check_convergence,
+    scheme_norm,
+)
 from .splines import BadOrder, check_spline_cascade, spline_mask, spline_verify
 
 __version__ = "0.1.0"
@@ -74,6 +80,7 @@ __all__ = [
     "BadSeed",
     "synthesize",
     # analysis
+    "DeltaMissesWindow",
     "cascade",
     "check_contractive",
     "check_convergence",

@@ -186,6 +186,12 @@ def check_contractive(mask: Mask, n_max: int = 8) -> ContractivityReport:
     )
 
 
+class DeltaMissesWindow(ValueError):
+    """Raised when the delta at the origin does not reach the target window
+    at the last level, so every sample there would be 0 and any verdict on
+    them empty. The mask's support lies too far off the window."""
+
+
 def delta_grid(d: int, window: tuple[int, int], exact: bool = True) -> DyadicGrid:
     """Level-0 data: value 1 at the origin, zero derivatives, zero elsewhere."""
     a, b = window
@@ -219,9 +225,11 @@ def cascade(
     """Run the Hermite refinement for a number of levels.
 
     init "delta" starts from the canonical delta data on a window wide
-    enough to keep the target window conclusive at every level, widened to
-    contain the origin when the mask's support lies off it; an explicit
-    DyadicGrid is used as given (and must be wide enough itself). Its kind
+    enough to keep the target window conclusive at every level. When that
+    window leaves out the origin, the delta never reaches the target window
+    (the mask's support lies too far off it) and DeltaMissesWindow is
+    raised. An explicit DyadicGrid is used as given (and must be wide
+    enough itself). Its kind
     must match the mode: exact (built from ints and Fractions) when exact is
     set, float otherwise.
 
@@ -237,8 +245,14 @@ def cascade(
         if init != "delta":
             raise ValueError(f"unknown initial data {init!r}")
         a, b = initial_window(mask, window, levels)
-        # A wider level-0 window only widens the window of every level.
-        grid = delta_grid(mask.d, (min(a, 0), max(b, 0)), exact=exact)
+        if not a <= 0 <= b:
+            s_min, s_max = mask.support
+            raise DeltaMissesWindow(
+                f"the delta at the origin does not reach the window {window} in "
+                f"{levels} levels: the mask's support is {s_min}..{s_max}; "
+                "choose a window nearer it"
+            )
+        grid = delta_grid(mask.d, (a, b), exact=exact)
     else:
         grid = init
         if grid.d != mask.d:
@@ -363,7 +377,8 @@ def check_convergence(
     final-level residuals sit below it (residuals_below_tol), which is the
     quantitative claim callers tend to assert for provably smooth limits.
     The pairing weights default to the difference-type operator; pass the
-    scheme's own Taylor operator for generalized pairings.
+    scheme's own Taylor operator for generalized pairings. A window that the
+    delta never reaches raises DeltaMissesWindow, as in cascade.
     """
     if levels < 3:
         raise ValueError("need at least 3 levels for a meaningful verdict")

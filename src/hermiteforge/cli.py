@@ -21,8 +21,8 @@ import sys
 from fractions import Fraction
 from math import comb
 
+from .analysis import DeltaMissesWindow, check_contractive, check_convergence
 from .analysis import cascade as run_cascade
-from .analysis import check_contractive, check_convergence
 from .construct import BadSeed, synthesize
 from .exactalg import (
     LaurentPoly,
@@ -706,7 +706,7 @@ def run(argv=None) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         return args.func(args)
-    except MalformedInput as exc:
+    except (MalformedInput, DeltaMissesWindow) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (

@@ -514,5 +514,5 @@ class DyadicGrid:
         if not isinstance(obj, Mapping):
             raise TypeError(f"a grid must be a JSON object, got {type(obj).__name__}")
         parse = rat_from_str if obj.get("kind", "exact") == "exact" else float
-        rows, den = _as_rows(tuple(tuple(parse(v) for v in col) for col in obj["values"]))
-        return cls._from_rows(int(obj["level"]), int(obj["start"]), rows, den)
+        values = tuple(tuple(parse(v) for v in col) for col in obj["values"])
+        return cls(int(obj["level"]), int(obj["start"]), values)

@@ -16,6 +16,7 @@ from goldens import (
     ZERO_G_FACTOR_NORMS,
 )
 from hermiteforge import (
+    DeltaMissesWindow,
     DyadicGrid,
     LaurentPoly,
     Mask,
@@ -309,9 +310,11 @@ def test_convergence_matches_column_reference(mask, levels, data):
     window = (data.draw(st.integers(-4, 0)), data.draw(st.integers(0, 4)))
     taylor = data.draw(st.sampled_from([None, classical_operator(mask.d)]))
     a, b = initial_window(mask, window, levels)
-    # A support far off the origin leaves the delta outside that window;
-    # cascade widens it.
-    a, b = min(a, 0), max(b, 0)
+    if not a <= 0 <= b:
+        # A support far off the origin: the delta never reaches the window.
+        with pytest.raises(DeltaMissesWindow):
+            check_convergence(mask, levels, window, taylor=taylor)
+        return
     delta = tuple(
         tuple(1.0 if (alpha == 0 and k == 0) else 0.0 for k in range(mask.d + 1))
         for alpha in range(a, b + 1)
@@ -361,13 +364,24 @@ def test_cascade_rejects_init_of_the_other_kind():
 
 
 def test_delta_cascade_of_a_mask_off_the_origin():
-    # The hat moved from alpha = -1..1 to 5..7: initial_window leaves out
-    # the origin, so cascade widens the level-0 window to hold the delta.
+    # The hat moved from alpha = -1..1 to 5..7: on the default window
+    # initial_window leaves out the origin, so the delta would never reach
+    # the window and every verdict on it would be empty. Both entry points
+    # refuse it, at the parent's cost however far off the support lies.
     hat = scalar_mask(LaurentPoly({-1: F(1, 2), 0: F(1), 1: F(1, 2)}))
     moved = Mask(5, hat.coeffs)
     assert initial_window(moved, (-4, 4), 5) == (-10, -1)
-    wide = cascade(hat, 5, window=(-12, 4), exact=True)
-    for n, g in enumerate(cascade(moved, 5, exact=True)):
+    for m in (moved, Mask(10**6, hat.coeffs), Mask(5, (((F(3),),),))):
+        with pytest.raises(DeltaMissesWindow, match="choose a window nearer it"):
+            cascade(m, 5)
+        with pytest.raises(DeltaMissesWindow):
+            check_convergence(m, 5)
+    # On a window nearer the support the hat still converges, and a
+    # divergent mask moved as far is still caught.
+    assert check_convergence(moved, 8, (4, 8)).ok
+    assert not check_convergence(Mask(5, (((F(3),),),)), 8, (4, 8)).ok
+    wide = cascade(hat, 5, window=(-12, 12), exact=True)
+    for n, g in enumerate(cascade(moved, 5, window=(2, 10), exact=True)):
         # Each level moves the data by 6 more points than twice the last.
         lo = g.start - 6 * (2**n - 1) - wide[n].start
         assert 0 <= lo and lo + g.npoints <= wide[n].npoints

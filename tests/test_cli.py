@@ -173,17 +173,27 @@ def test_cascade_json_exact(capsys, tmp_path):
     assert doc["grid"]["level"] == 1
 
 
-def test_mask_off_the_origin_exits_zero(capsys, tmp_path):
-    # The hat (1/2, 1, 1/2) at alpha = 5..7, whose delta cascade needs a
-    # level-0 window widened to contain 0.
-    mask_file = tmp_path / "moved_hat.json"
+def test_mask_off_the_origin_is_refused_not_passed(capsys, tmp_path):
+    # The divergent mask 3 at alpha = 5: the delta at the origin never
+    # reaches the default window, so no verdict is given on empty data.
+    mask_file = tmp_path / "moved.json"
+    mask_file.write_text(json.dumps(Mask(5, (((F(3),),),)).to_json()))
+    for cmd in ("check-convergence", "cascade"):
+        code = run([cmd, "--mask", str(mask_file), "--levels", "4"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error: the delta at the origin does not reach")
+        assert "malformed" not in captured.err
+    # On a window nearer the support the divergence is reported.
+    code = run(["check-convergence", "--mask", str(mask_file), "--window", "4,8"])
+    assert code == 1
+    assert json.loads(capsys.readouterr().out)["ok"] is False
+    # The hat (1/2, 1, 1/2) at alpha = 5..7 converges there.
     mask_file.write_text(json.dumps(Mask(5, (((F(1, 2),),), ((F(1),),), ((F(1, 2),),))).to_json()))
     doc = json.loads(
-        run_ok(capsys, ["check-convergence", "--mask", str(mask_file), "--levels", "4"])
+        run_ok(capsys, ["check-convergence", "--mask", str(mask_file), "--window", "4,8"])
     )
     assert doc["ok"] is True
-    out = run_ok(capsys, ["cascade", "--mask", str(mask_file), "--levels", "3"])
-    assert out.startswith("x,f0\n")
 
 
 def test_contractivity_and_convergence(capsys, tmp_path):
