@@ -20,29 +20,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, islice
-from math import isfinite
+from math import inf, isfinite
 from operator import sub
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .subdivision import DyadicGrid, Mask, float_step, integer_step
 from .taylor import TaylorOperator, WindowTooSmall, delta_operator
 
 
-def _integer_entries(mask: Mask) -> tuple[list[list[list[int]]], int]:
-    """Entry (i, k) of the mask as dense integer coefficients at alpha =
-    s_min, s_min + 1, ..., all over the mask's common denominator D.
-    Returns (entries, D)."""
-    den = mask._stencil.denominator
-
-    def whole(v: Fraction) -> int:
-        return v.numerator * (den // v.denominator)
-
-    size = mask.d + 1
-    entries = [[[whole(m[i][k]) for m in mask.coeffs] for k in range(size)] for i in range(size)]
-    return entries, den
-
-
-def _iterated_norms(entries: list[list[list[int]]], den: int) -> Iterator[Fraction]:
+def _iterated_norms(entries: Sequence[Sequence[Sequence[int]]], den: int) -> Iterator[Fraction]:
     """Yield the joint norms ||S_B^[n]|| for n = 1, 2, ... of the mask whose
     entries are given as integer coefficients over den.
 
@@ -89,15 +75,11 @@ def scheme_norm(mask: Mask, n: int = 1) -> Fraction:
     over one denominator."""
     if n < 1:
         raise ValueError("need n >= 1")
-    entries, den = _integer_entries(mask)
-    return next(islice(_iterated_norms(entries, den), n - 1, None))
+    return next(islice(_iterated_norms(mask._num, mask._den), n - 1, None))
 
 
 def is_lower_triangular(mask: Mask) -> bool:
-    d = mask.d
-    return all(
-        m[i][k] == 0 for m in mask.coeffs for i in range(d + 1) for k in range(i + 1, d + 1)
-    )
+    return not any(any(e) for i, row in enumerate(mask._num) for e in row[i + 1 :])
 
 
 @dataclass(frozen=True)
@@ -140,7 +122,7 @@ def check_contractive(mask: Mask, n_max: int = 8) -> ContractivityReport:
     if n_max < 1:
         raise ValueError("need n_max >= 1")
     triangular = is_lower_triangular(mask)
-    entries, den = _integer_entries(mask)
+    entries, den = mask._num, mask._den
 
     def first_below_one(of) -> tuple[list[Fraction], int | None]:
         norms = []
@@ -422,7 +404,8 @@ def _convergence_report(
                 fine = r1[lo1 : lo1 + 2 * count - 1 : 2]
                 worst = max(chain((worst,), map(abs, map(sub, coarse, fine))))
         diffs.append(worst)
-    ratios = [diffs[n + 1] / diffs[n] if diffs[n] > 0 else 0.0 for n in range(levels - 1)]
+    # Growth from a zero difference is unbounded growth, not decay.
+    ratios = [b / a if a > 0 else 0.0 if b == 0 else inf for a, b in zip(diffs, diffs[1:])]
     burn_in = min(2, max(0, len(ratios) - 1))
     tail = ratios[burn_in:]
     max_tail_ratio = max(tail) if tail else 0.0

@@ -454,6 +454,8 @@ class LaurentPoly:
 
     @classmethod
     def from_json(cls, obj: Mapping[str, str]) -> "LaurentPoly":
+        if not isinstance(obj, Mapping):
+            raise TypeError(f"a polynomial must be a JSON object, got {type(obj).__name__}")
         return cls({int(e): rat_from_str(v) for e, v in obj.items()})
 
     def __str__(self) -> str:

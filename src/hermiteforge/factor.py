@@ -269,18 +269,12 @@ def incomplete_from_complete(btilde: Mask) -> Mask:
 
 def _last_column_partition_of_unity(mask: Mask) -> bool:
     """S_B e_d = e_d: per parity, the last columns must sum to e_d."""
-    d = mask.d
-    s_min, s_max = mask.support
-    for parity in (0, 1):
-        total = [Fraction(0)] * (d + 1)
-        for alpha in range(s_min, s_max + 1):
-            if (alpha - parity) % 2 == 0:
-                m = mask.matrix(alpha)
-                for i in range(d + 1):
-                    total[i] += m[i][d]
-        if any(total[i] != (1 if i == d else 0) for i in range(d + 1)):
-            return False
-    return True
+    d, den = mask.d, mask._den
+    return all(
+        sum(row[d][parity::2]) == (den if i == d else 0)
+        for parity in (0, 1)
+        for i, row in enumerate(mask._num)
+    )
 
 
 def spectral_chain_from_factorization(

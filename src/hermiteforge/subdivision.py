@@ -22,23 +22,15 @@ from .exactalg import (
     LaurentMatrix,
     LaurentPoly,
     RationalLike,
+    _over_one_denominator,
     _ratio_str,
     _rational,
     rat_from_str,
-    rat_to_str,
 )
 from .polybasis import PolyVec
 from .taylor import WindowTooSmall
 
 Matrix = tuple[tuple[Fraction, ...], ...]
-
-
-def _as_matrix(rows: Sequence[Sequence[RationalLike]]) -> Matrix:
-    return tuple(tuple(Fraction(_rational(v)) for v in row) for row in rows)
-
-
-def _is_zero_matrix(m: Matrix) -> bool:
-    return all(v == 0 for row in m for v in row)
 
 
 @dataclass(frozen=True)
@@ -58,59 +50,88 @@ class _Stencil:
     denominator: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Mask:
     """Finitely supported matrix mask, normalized to a tight support window.
 
-    coeffs[n] is the matrix at alpha = support_min + n.
+    Mask(support_min, coeffs) takes coeffs[n], the matrix at alpha =
+    support_min + n, as ints and Fractions and converts it once to the form
+    LaurentPoly and DyadicGrid keep: _num[i][k] lists the numerators of entry
+    (i, k) at alpha = support_min, support_min + 1, ..., over one positive
+    denominator _den. No end matrix is zero and no factor is common to _den
+    and all numerators, so equal masks have equal fields. coeffs (built on
+    first read and kept) and matrix(alpha) are Fraction views.
     """
 
     support_min: int
-    coeffs: tuple[Matrix, ...]
+    _num: tuple[tuple[tuple[int, ...], ...], ...]
+    _den: int
 
-    def __post_init__(self):
-        mats = [_as_matrix(m) for m in self.coeffs]
-        if not mats:
+    def __init__(self, support_min: int, coeffs: Sequence[Sequence[Sequence[RationalLike]]]):
+        if not coeffs:
             raise ValueError("empty mask")
-        size = len(mats[0])
-        for m in mats:
-            if len(m) != size or any(len(r) != size for r in m):
-                raise ValueError("mask matrices must be square and equally sized")
-        smin = self.support_min
-        while mats and _is_zero_matrix(mats[-1]):
-            mats.pop()
-        while mats and _is_zero_matrix(mats[0]):
-            mats.pop(0)
-            smin += 1
-        if not mats:
+        size = len(coeffs[0])
+        if any(len(m) != size or any(len(r) != size for r in m) for m in coeffs):
+            raise ValueError("mask matrices must be square and equally sized")
+        nums, den = _over_one_denominator([v for m in coeffs for row in m for v in row])
+        step = size * size
+        entries = [[nums[i * size + k :: step] for k in range(size)] for i in range(size)]
+        self._fill(support_min, entries, den)
+
+    @classmethod
+    def _raw(cls, support_min: int, entries: list, den: int) -> "Mask":
+        """A mask from entries[i][k], numerators dense from support_min over den > 0."""
+        out = object.__new__(cls)
+        out._fill(support_min, entries, den)
+        return out
+
+    def _fill(self, support_min: int, entries: list, den: int) -> None:
+        """Set the fields in canonical form: strip the all-zero end matrices
+        and divide out gcd(den, numerators)."""
+        flat = [e for row in entries for e in row]
+        live = [any(col) for col in zip(*flat)]
+        if True not in live:
             raise ValueError("mask is identically zero")
-        object.__setattr__(self, "support_min", smin)
-        object.__setattr__(self, "coeffs", tuple(mats))
+        lo, hi = live.index(True), len(live) - live[::-1].index(True)
+        g = gcd(den, *chain.from_iterable(e[lo:hi] for e in flat))
+        num = tuple(tuple(tuple(n // g for n in e[lo:hi]) for e in row) for row in entries)
+        put = object.__setattr__
+        put(self, "support_min", support_min + lo)
+        put(self, "_num", num)
+        put(self, "_den", den // g)
 
     @property
     def d(self) -> int:
-        return len(self.coeffs[0]) - 1
+        return len(self._num) - 1
 
     @property
     def support(self) -> tuple[int, int]:
-        return (self.support_min, self.support_min + len(self.coeffs) - 1)
+        return (self.support_min, self.support_min + len(self._num[0][0]) - 1)
+
+    @cached_property
+    def coeffs(self) -> tuple[Matrix, ...]:
+        den = self._den
+        mats = zip(*(zip(*row) for row in self._num))
+        return tuple(tuple(tuple(Fraction(n, den) for n in row) for row in m) for m in mats)
 
     @cached_property
     def _stencil(self) -> _Stencil:
         s_min, s_max = self.support
-        den = lcm(*(v.denominator for m in self.coeffs for row in m for v in row))
+        den = self._den
         floats, numerators = [], []
         for parity in (0, 1):
             float_rows, int_rows = [], []
-            for i in range(self.d + 1):
+            for row in self._num:
                 float_row, int_row = [], []
                 # alpha - 2 beta = g, so beta ascending is g descending.
                 for g in range(s_max - (s_max - parity) % 2, s_min - 1, -2):
                     offset = (parity - g) // 2
-                    for k, c in enumerate(self.coeffs[g - s_min][i]):
+                    for k, entry in enumerate(row):
+                        c = entry[g - s_min]
                         if c:
-                            float_row.append((offset, k, float(c)))
-                            int_row.append((offset, k, c.numerator * (den // c.denominator)))
+                            # int / int rounds correctly, exactly as float(Fraction) does
+                            float_row.append((offset, k, c / den))
+                            int_row.append((offset, k, c))
                 float_rows.append(tuple(float_row))
                 int_rows.append(tuple(int_row))
             floats.append(tuple(float_rows))
@@ -119,16 +140,13 @@ class Mask:
 
     def matrix(self, alpha: int) -> Matrix:
         n = alpha - self.support_min
-        if 0 <= n < len(self.coeffs):
+        if 0 <= n < len(self._num[0][0]):
             return self.coeffs[n]
-        size = self.d + 1
-        zero = Fraction(0)
-        return tuple(tuple(zero for _ in range(size)) for _ in range(size))
+        zero = (Fraction(0),) * (self.d + 1)
+        return (zero,) * (self.d + 1)
 
     def entry_symbol(self, i: int, k: int) -> LaurentPoly:
-        return LaurentPoly(
-            {self.support_min + n: m[i][k] for n, m in enumerate(self.coeffs) if m[i][k]}
-        )
+        return LaurentPoly._make(self.support_min, self._num[i][k], self._den)
 
     def symbol(self) -> LaurentMatrix:
         size = self.d + 1
@@ -140,35 +158,32 @@ class Mask:
     def from_symbol(cls, sym: LaurentMatrix) -> "Mask":
         if sym.nrows != sym.ncols:
             raise ValueError("symbol must be square")
-        exps: set[int] = set()
-        for row in sym.rows:
-            for f in row:
-                exps.update(f.support)
-        if not exps:
+        polys = [f for row in sym.rows for f in row if f]
+        if not polys:
             raise ValueError("zero symbol has no mask")
-        lo, hi = min(exps), max(exps)
-        coeffs = []
-        for alpha in range(lo, hi + 1):
-            coeffs.append(
-                tuple(
-                    tuple(sym[i][k].coeff(alpha) for k in range(sym.ncols))
-                    for i in range(sym.nrows)
-                )
-            )
-        return cls(lo, tuple(coeffs))
+        lo, hi = min(f._lo for f in polys), max(f.hi for f in polys)
+        den = lcm(*(f._den for f in polys))
+        entries = [[[0] * (hi - lo + 1) for _ in row] for row in sym.rows]
+        for out, row in zip(entries, sym.rows):
+            for e, f in zip(out, row):
+                # The entry's numerators (none if it is zero), moved to lo
+                # and brought over den.
+                at, scale = f._lo - lo, den // f._den
+                e[at : at + len(f._num)] = [n * scale for n in f._num]
+        return cls._raw(lo, entries, den)
 
     def scale(self, v: RationalLike) -> "Mask":
-        v = Fraction(_rational(v))
-        return Mask(
-            self.support_min,
-            tuple(tuple(tuple(x * v for x in row) for row in m) for m in self.coeffs),
-        )
+        p, q = _rational(v).as_integer_ratio()
+        entries = [[[n * p for n in e] for e in row] for row in self._num]
+        return self._raw(self.support_min, entries, self._den * q)
 
     def to_json(self) -> dict:
+        den = self._den
+        mats = zip(*(zip(*row) for row in self._num))
         return {
             "d": self.d,
             "support_min": self.support_min,
-            "coeffs": [[[rat_to_str(x) for x in row] for row in m] for m in self.coeffs],
+            "coeffs": [[[_ratio_str(n, den) for n in row] for row in m] for m in mats],
         }
 
     @classmethod

@@ -4,7 +4,9 @@ These are the direct loops: Laurent and dense polynomials that keep one
 Fraction per coefficient, Gauss-Jordan elimination over Fractions, the
 difference-split identity with each difference taken from scratch, one
 Fraction product per mask entry in the subdivision step and in every level
-of the exact cascade, the float cascade and its convergence diagnostics one
+of the exact cascade, masks read and built one Fraction entry at a time
+(symbol, from_symbol, scale, JSON, stencil, integer entries, and the
+triangle and partition tests), the float cascade and its convergence diagnostics one
 column and one component at a time, the grid JSON and CSV writers one value
 at a time, Fraction samples of polynomial vectors for the eigen
 check, contraction norms read off the Laurent-product iterated symbol,
@@ -23,7 +25,7 @@ scalar eigen relation checked by subdivision of samples.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, inf, lcm
 from typing import Iterator, Mapping, Sequence
 
 from hermiteforge import (
@@ -38,7 +40,7 @@ from hermiteforge import (
     cascade,
     spline_mask,
 )
-from hermiteforge.analysis import ContractivityReport, ConvergenceReport, is_lower_triangular
+from hermiteforge.analysis import ContractivityReport, ConvergenceReport
 from hermiteforge.construct import SingularSystem
 from hermiteforge.exactalg import (
     NotDivisible,
@@ -477,6 +479,123 @@ def difference_split_reference(p: FractionPoly, n: int) -> bool:
     return lhs == rhs
 
 
+def mask_symbol_reference(mask: Mask) -> LaurentMatrix:
+    """A*(z), each entry symbol built from the Fraction matrices."""
+    size = mask.d + 1
+    return LaurentMatrix(
+        [
+            [
+                LaurentPoly(
+                    {mask.support_min + n: m[i][k] for n, m in enumerate(mask.coeffs) if m[i][k]}
+                )
+                for k in range(size)
+            ]
+            for i in range(size)
+        ]
+    )
+
+
+def mask_from_symbol_reference(sym: LaurentMatrix) -> Mask:
+    """The mask of a square symbol, one Fraction coefficient at a time."""
+    if sym.nrows != sym.ncols:
+        raise ValueError("symbol must be square")
+    exps: set[int] = set()
+    for row in sym.rows:
+        for f in row:
+            exps.update(f.support)
+    if not exps:
+        raise ValueError("zero symbol has no mask")
+    lo, hi = min(exps), max(exps)
+    coeffs = []
+    for alpha in range(lo, hi + 1):
+        coeffs.append(
+            tuple(
+                tuple(sym[i][k].coeff(alpha) for k in range(sym.ncols))
+                for i in range(sym.nrows)
+            )
+        )
+    return Mask(lo, tuple(coeffs))
+
+
+def mask_scale_reference(mask: Mask, v: RationalLike) -> Mask:
+    """v times every Fraction entry."""
+    v = Fraction(v)
+    return Mask(
+        mask.support_min,
+        tuple(tuple(tuple(x * v for x in row) for row in m) for m in mask.coeffs),
+    )
+
+
+def mask_json_reference(mask: Mask) -> dict:
+    """Mask.to_json with rat_to_str of each Fraction entry."""
+    return {
+        "d": mask.d,
+        "support_min": mask.support_min,
+        "coeffs": [[[rat_to_str(x) for x in row] for row in m] for m in mask.coeffs],
+    }
+
+
+def stencil_reference(mask: Mask) -> tuple[tuple, tuple, int]:
+    """The compiled stencil (floats, numerators, denominator) from the
+    Fraction entries: float(c) and c over the lcm of the denominators."""
+    s_min, s_max = mask.support
+    den = lcm(*(v.denominator for m in mask.coeffs for row in m for v in row))
+    floats, numerators = [], []
+    for parity in (0, 1):
+        float_rows, int_rows = [], []
+        for i in range(mask.d + 1):
+            float_row, int_row = [], []
+            # alpha - 2 beta = g, so beta ascending is g descending.
+            for g in range(s_max - (s_max - parity) % 2, s_min - 1, -2):
+                offset = (parity - g) // 2
+                for k, c in enumerate(mask.coeffs[g - s_min][i]):
+                    if c:
+                        float_row.append((offset, k, float(c)))
+                        int_row.append((offset, k, c.numerator * (den // c.denominator)))
+            float_rows.append(tuple(float_row))
+            int_rows.append(tuple(int_row))
+        floats.append(tuple(float_rows))
+        numerators.append(tuple(int_rows))
+    return tuple(floats), tuple(numerators), den
+
+
+def integer_entries_reference(mask: Mask) -> tuple[list[list[list[int]]], int]:
+    """Entry (i, k) as dense integer coefficients at alpha = s_min, s_min + 1,
+    ..., all over the lcm D of the Fraction denominators. Returns (entries, D)."""
+    den = lcm(*(v.denominator for m in mask.coeffs for row in m for v in row))
+
+    def whole(v: Fraction) -> int:
+        return v.numerator * (den // v.denominator)
+
+    size = mask.d + 1
+    entries = [[[whole(m[i][k]) for m in mask.coeffs] for k in range(size)] for i in range(size)]
+    return entries, den
+
+
+def is_lower_triangular_reference(mask: Mask) -> bool:
+    d = mask.d
+    return all(
+        m[i][k] == 0 for m in mask.coeffs for i in range(d + 1) for k in range(i + 1, d + 1)
+    )
+
+
+def last_column_partition_reference(mask: Mask) -> bool:
+    """S_B e_d = e_d: per parity, the last columns, summed as Fractions,
+    must be e_d."""
+    d = mask.d
+    s_min, s_max = mask.support
+    for parity in (0, 1):
+        total = [Fraction(0)] * (d + 1)
+        for alpha in range(s_min, s_max + 1):
+            if (alpha - parity) % 2 == 0:
+                m = mask.matrix(alpha)
+                for i in range(d + 1):
+                    total[i] += m[i][d]
+        if any(total[i] != (1 if i == d else 0) for i in range(d + 1)):
+            return False
+    return True
+
+
 def subdivide_reference(mask: Mask, values, start: int):
     """(S_A c)(alpha) = sum_beta A(alpha - 2 beta) c(beta), summed beta
     ascending, then k ascending, one `s += a * c` at a time."""
@@ -650,7 +769,14 @@ def convergence_reference(
                     if dv > worst:
                         worst = dv
         diffs.append(worst)
-    ratios = [diffs[n + 1] / diffs[n] if diffs[n] > 0 else 0.0 for n in range(levels - 1)]
+    ratios = []
+    for n in range(levels - 1):
+        if diffs[n] > 0:
+            ratios.append(diffs[n + 1] / diffs[n])
+        elif diffs[n + 1] == 0:
+            ratios.append(0.0)
+        else:
+            ratios.append(inf)
     burn_in = min(2, max(0, len(ratios) - 1))
     tail = ratios[burn_in:]
     max_tail_ratio = max(tail) if tail else 0.0
@@ -759,7 +885,7 @@ def check_contractive_reference(mask: Mask, n_max: int = 8) -> ContractivityRepo
         if norms[-1] < 1:
             n_star = n
             break
-    triangular = is_lower_triangular(mask)
+    triangular = is_lower_triangular_reference(mask)
     diagonal_norms = []
     diagonal_n_star = None
     if triangular:

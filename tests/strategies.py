@@ -1,12 +1,21 @@
 """Hypothesis strategies shared by the kernel property tests."""
 
 from fractions import Fraction as F
-from math import factorial
+from math import ceil, factorial, floor
 
 from hypothesis import assume
 from hypothesis import strategies as st
 
 from hermiteforge import Mask, Poly, PolyVec
+
+
+@st.composite
+def rationals(draw, lo, hi, max_den: int) -> F:
+    """p/q in [lo, hi] with 1 <= q <= max_den: a denominator first, then an
+    integer numerator. This is the kernels' own form, and much cheaper to
+    draw than st.fractions over the same range."""
+    q = draw(st.integers(min_value=1, max_value=max_den))
+    return F(draw(st.integers(min_value=ceil(lo * q), max_value=floor(hi * q))), q)
 
 
 @st.composite
@@ -19,12 +28,8 @@ def sparse_masks(draw):
 
     def entry() -> F:
         # An explicit zero half the time, else p/q in [-3, 3] with its own
-        # denominator q <= 12: a denominator first, then an integer
-        # numerator, which is much cheaper to draw than st.fractions.
-        if draw(st.booleans()):
-            return F(0)
-        q = draw(st.integers(min_value=1, max_value=12))
-        return F(draw(st.integers(min_value=-3 * q, max_value=3 * q)), q)
+        # denominator q <= 12.
+        return F(0) if draw(st.booleans()) else draw(rationals(-3, 3, 12))
 
     coeffs = [[[entry() for _ in range(d + 1)] for _ in range(d + 1)] for _ in range(length)]
     for i in range(d + 1):
@@ -42,7 +47,7 @@ def poly_vecs(draw, max_d: int):
     components of degree j with leading coefficient 1/j! and random lower
     coefficients."""
     d = draw(st.integers(min_value=0, max_value=max_d))
-    lower = st.fractions(min_value=F(-3), max_value=F(3), max_denominator=9)
+    lower = rationals(-3, 3, 9)
     comps = [Poly.one()]
     for j in range(1, d + 1):
         comps.append(Poly([draw(lower) for _ in range(j)] + [F(1, factorial(j))]))

@@ -48,7 +48,7 @@ from reference_kernels import (
     scheme_norm_reference,
     taylor_residuals_reference,
 )
-from strategies import sparse_masks
+from strategies import rationals, sparse_masks
 
 
 def scalar_mask(p):
@@ -106,10 +106,7 @@ def test_nilpotent_mask_has_norm_zero():
 def small_scalar_masks(draw):
     lo = draw(st.integers(min_value=-3, max_value=0))
     width = draw(st.integers(min_value=1, max_value=4))
-    coeffs = [
-        draw(st.fractions(min_value=F(-3), max_value=F(3), max_denominator=6))
-        for _ in range(width)
-    ]
+    coeffs = [draw(rationals(-3, 3, 6)) for _ in range(width)]
     if not any(coeffs):
         coeffs[0] = F(1)
     return scalar_mask(LaurentPoly({lo + i: c for i, c in enumerate(coeffs)}))
@@ -380,6 +377,11 @@ def test_delta_cascade_of_a_mask_off_the_origin():
     # divergent mask moved as far is still caught.
     assert check_convergence(moved, 8, (4, 8)).ok
     assert not check_convergence(Mask(5, (((F(3),),),)), 8, (4, 8)).ok
+    # At 3 levels its differences on that window are 0, 0 and 27: growth
+    # from nothing is an infinite ratio, not decay.
+    short = check_convergence(Mask(5, (((F(3),),),)), 3, (4, 8))
+    assert short.sup_differences == (0.0, 0.0, 27.0)
+    assert short.ratios == (0.0, inf) and not short.ok
     wide = cascade(hat, 5, window=(-12, 12), exact=True)
     for n, g in enumerate(cascade(moved, 5, window=(2, 10), exact=True)):
         # Each level moves the data by 6 more points than twice the last.

@@ -317,6 +317,10 @@ def _malformed_argv(case, tmp_path):
     if case == "recurrence-for-classical":
         # The recurrence needs all strict-upper weights zero.
         return ["construct", "--taylor", "classical:d=2", "--hdd", "(z+1)/2", "--strategy", "recurrence"]
+    if case in ("seed-not-an-object", "seed-a-number"):
+        bad = tmp_path / "seed.json"
+        bad.write_text("[1, 2]" if case == "seed-not-an-object" else "3")
+        return ["construct", "--taylor", "delta:d=2", "--hdd-file", str(bad)]
     if case == "grid-not-an-object":
         bad = tmp_path / "grid_list.json"
         bad.write_text("[]")
@@ -357,6 +361,8 @@ def _malformed_argv(case, tmp_path):
         "zero-scale",
         "g-outside-lower-triangle",
         "recurrence-for-classical",
+        "seed-not-an-object",
+        "seed-a-number",
         "grid-not-an-object",
         "grid-too-small",
         "grid-without-values",
@@ -383,5 +389,7 @@ def test_malformed_input_exits_two(case, capsys, tmp_path):
         assert "--max-n" in captured.err
     if case == "grid-too-small":
         assert "too small" in captured.err
+    if case.startswith("seed-"):
+        assert captured.err.startswith("error: seed polynomial: ")
     if case in ("float-grid-with-exact", "exact-grid-without-exact"):
         assert "--exact" in captured.err

@@ -21,8 +21,9 @@ from hermiteforge.construct import (
     last_row_symbols,
     recurrence_last_row,
 )
+from strategies import rationals
 
-rationals = st.fractions(min_value=F(-4), max_value=F(4), max_denominator=6)
+rational_values = rationals(-4, 4, 6)
 
 
 def seed_power(n):
@@ -52,7 +53,7 @@ def test_last_row_moment_table():
         assert abs(res.system.determinant) == 1
 
 
-@given(rationals, st.integers(min_value=1, max_value=6))
+@given(rational_values, st.integers(min_value=1, max_value=6))
 @settings(max_examples=30, deadline=None)
 def test_last_row_moments_closed_form(w21, n):
     # the closed forms describe the square solve; w21 = 0 would otherwise
@@ -69,7 +70,7 @@ def operators(draw, max_d=5):
     d = draw(st.integers(min_value=1, max_value=max_d))
     w = []
     for j in range(1, d + 1):
-        w.append(tuple([draw(rationals) for _ in range(j - 1)] + [F(1)]))
+        w.append(tuple([draw(rational_values) for _ in range(j - 1)] + [F(1)]))
     return TaylorOperator(w=tuple(w), complete=False)
 
 

@@ -14,10 +14,9 @@ from hypothesis import strategies as st
 from hermiteforge import LaurentMatrix, LaurentPoly, NotDivisible, Poly
 from hermiteforge.exactalg import delta_symbol, lm_triangular_inverse
 from reference_kernels import triangular_inverse_check
+from strategies import rationals
 
-rationals = st.fractions(
-    min_value=F(-20), max_value=F(20), max_denominator=12
-)
+rational_values = rationals(-20, 20, 12)
 
 
 @st.composite
@@ -31,7 +30,7 @@ def laurent_polys(draw, min_exp=-5, max_exp=5, max_terms=6):
             unique=True,
         )
     )
-    coeffs = draw(st.lists(rationals, min_size=n, max_size=n))
+    coeffs = draw(st.lists(rational_values, min_size=n, max_size=n))
     return LaurentPoly(dict(zip(exps, coeffs)))
 
 
@@ -129,7 +128,7 @@ def test_poly_forward_difference():
     assert Poly((F(5),)).forward_difference() == Poly()
 
 
-@given(st.lists(rationals, min_size=0, max_size=6))
+@given(st.lists(rational_values, min_size=0, max_size=6))
 @settings(max_examples=40, deadline=None)
 def test_poly_evaluate_horner(coeffs):
     p = Poly(tuple(coeffs))

@@ -16,6 +16,7 @@ from goldens import (
     mask_from_entries,
 )
 from reference_kernels import complete_from_incomplete, taylor_factorize_reference
+from strategies import rationals
 from hermiteforge import (
     LaurentMatrix,
     LaurentPoly,
@@ -93,7 +94,7 @@ def perturbed_masks(draw):
     base = draw(st.sampled_from(["ref2", (1, 1), (2, 1), (2, 2), (3, 2), (3, 3)]))
     mask = ref2_mask() if base == "ref2" else spline_mask(*base)
     coeffs = [[list(row) for row in m] for m in mask.coeffs]
-    shift = st.fractions(min_value=-2, max_value=2, max_denominator=8).filter(bool)
+    shift = rationals(-2, 2, 8).filter(bool)
     for _ in range(draw(st.integers(min_value=0, max_value=2))):
         n = draw(st.integers(min_value=0, max_value=len(coeffs) - 1))
         i = draw(st.integers(min_value=0, max_value=mask.d))

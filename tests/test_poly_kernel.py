@@ -19,16 +19,17 @@ from reference_kernels import (
     difference_split_reference,
     solve_square_reference,
 )
+from strategies import rationals
 
 entries = st.one_of(
     st.just(F(0)),
     st.integers(min_value=-5, max_value=5).map(F),
-    st.fractions(min_value=F(-20), max_value=F(20), max_denominator=24),
+    rationals(-20, 20, 24),
 )
 points = st.one_of(
     st.just(F(0)),
     st.just(F(1)),
-    st.fractions(min_value=F(-5), max_value=F(5), max_denominator=7),
+    rationals(-5, 5, 7),
 )
 
 
@@ -286,7 +287,7 @@ def test_difference_split_matches_per_k_reference(coeffs, n):
 
 
 square_entries = st.one_of(
-    st.just(F(0)), st.fractions(min_value=F(-6), max_value=F(6), max_denominator=8)
+    st.just(F(0)), rationals(-6, 6, 8)
 )
 
 

@@ -6,9 +6,10 @@ from hypothesis import strategies as st
 from hermiteforge import Poly
 from hermiteforge.polybasis import antidifference, falling_power, newton_basis, to_newton_coeffs
 from reference_kernels import classical_vector, from_newton_coeffs, newton_vector, padded_rows
+from strategies import rationals
 
-rationals = st.fractions(min_value=F(-10), max_value=F(10), max_denominator=10)
-polys = st.lists(rationals, min_size=0, max_size=7).map(lambda cs: Poly(tuple(cs)))
+rational_values = rationals(-10, 10, 10)
+polys = st.lists(rational_values, min_size=0, max_size=7).map(lambda cs: Poly(tuple(cs)))
 
 
 def test_newton_basis_difference_ladder():
@@ -49,7 +50,7 @@ def test_newton_coeff_roundtrip(p):
     assert from_newton_coeffs(to_newton_coeffs(p)) == p
 
 
-@given(polys, rationals)
+@given(polys, rational_values)
 @settings(max_examples=60, deadline=None)
 def test_antidifference_inverts_difference(p, c):
     q = antidifference(p, c)

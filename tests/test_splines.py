@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from goldens import SPLINE_R4_D3_ROW, SPLINE_R4_D3_SCALE
 from reference_kernels import bspline_value_reference, scalar_eigen_check, spline_cascade_reference
+from strategies import rationals
 from hermiteforge import BadOrder, LaurentPoly, check_spline_cascade, spline_mask, spline_verify
 from hermiteforge.splines import (
     bspline_derivative,
@@ -198,7 +199,7 @@ def test_bspline_pieces_match_recursion():
 
 @given(
     st.integers(min_value=0, max_value=6),
-    st.fractions(min_value=F(-1), max_value=F(8), max_denominator=1000),
+    rationals(-1, 8, 1000),
 )
 @settings(max_examples=100, deadline=None)
 def test_bspline_value_matches_recursion_at_rationals(r, x):

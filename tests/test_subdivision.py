@@ -8,15 +8,25 @@ from hypothesis import strategies as st
 
 from goldens import REF2_MASK, REF2_SPECTRAL_CHAIN, mask_from_entries
 from hermiteforge import Chain, Mask, Poly, PolyVec, cascade
+from hermiteforge.analysis import is_lower_triangular
+from hermiteforge.factor import _last_column_partition_of_unity
 from hermiteforge.subdivision import eigen_check, hermite_step, subdivide
 from hermiteforge.taylor import WindowTooSmall
 from reference_kernels import (
     eigen_check_reference,
     hermite_step_reference,
+    integer_entries_reference,
+    is_lower_triangular_reference,
     iterated_symbol,
+    last_column_partition_reference,
+    mask_from_symbol_reference,
+    mask_json_reference,
+    mask_scale_reference,
+    mask_symbol_reference,
+    stencil_reference,
     subdivide_reference,
 )
-from strategies import poly_vecs, sparse_masks
+from strategies import poly_vecs, rationals, sparse_masks
 
 
 def hat_mask():
@@ -83,9 +93,9 @@ def test_iterated_symbol_composes_left_to_right():
 
 rational_rows = st.lists(
     st.tuples(
-        st.fractions(min_value=F(-5), max_value=F(5), max_denominator=8),
-        st.fractions(min_value=F(-5), max_value=F(5), max_denominator=8),
-        st.fractions(min_value=F(-5), max_value=F(5), max_denominator=8),
+        rationals(-5, 5, 8),
+        rationals(-5, 5, 8),
+        rationals(-5, 5, 8),
     ),
     min_size=8,
     max_size=14,
@@ -134,6 +144,52 @@ def test_mask_scale():
     assert all(row == (F(1, 2),) for row in out)
 
 
+def float_bits(table):
+    """A stencil table with every coefficient written as float.hex()."""
+    return tuple(
+        tuple(tuple((offset, k, c.hex()) for offset, k, c in terms) for terms in rows)
+        for rows in table
+    )
+
+
+@given(sparse_masks(), rationals(-4, 4, 9).filter(bool))
+@settings(max_examples=100, deadline=None)
+def test_integer_mask_matches_fraction_reference(mask, q):
+    sym = mask.symbol()
+    assert sym == mask_symbol_reference(mask)
+    assert Mask.from_symbol(sym) == mask_from_symbol_reference(sym) == mask
+    scaled = mask.scale(q)
+    assert scaled == mask_scale_reference(mask, q)
+    assert Mask.from_symbol(scaled.symbol()) == scaled
+    assert scaled.scale(1 / q) == mask
+    assert mask.to_json() == mask_json_reference(mask)
+    assert scaled.to_json() == mask_json_reference(scaled)
+    floats, numerators, den = stencil_reference(scaled)
+    stencil = scaled._stencil
+    assert float_bits(stencil.floats) == float_bits(floats)
+    assert (stencil.numerators, stencil.denominator) == (numerators, den)
+    entries, den = integer_entries_reference(scaled)
+    assert (scaled._num, scaled._den) == (tuple(tuple(map(tuple, row)) for row in entries), den)
+    # The last columns made to sum to e_d in each parity class the support
+    # covers: the partition test then holds exactly when it covers both.
+    d = mask.d
+    coeffs = [[list(row) for row in m] for m in mask.coeffs]
+    for n in range(min(2, len(coeffs))):
+        for i in range(d + 1):
+            coeffs[n][i][d] += (i == d) - sum(m[i][d] for m in coeffs[n::2])
+    unit = Mask(mask.support_min, coeffs)
+    assert _last_column_partition_of_unity(unit) == (len(coeffs) > 1)
+    # Its lower triangle keeps entry (d, d), so it is never zero.
+    lower = Mask(
+        mask.support_min,
+        [[row[: i + 1] + [0] * (d - i) for i, row in enumerate(m)] for m in coeffs],
+    )
+    assert is_lower_triangular(lower)
+    for m in (mask, unit, lower):
+        assert _last_column_partition_of_unity(m) == last_column_partition_reference(m)
+        assert is_lower_triangular(m) == is_lower_triangular_reference(m)
+
+
 def test_mask_validates_shape():
     with pytest.raises(Exception):
         Mask(0, (((F(1),), (F(0),)),))  # ragged rows
@@ -155,7 +211,7 @@ float_values = st.one_of(
 )
 exact_values = st.one_of(
     st.integers(min_value=-9, max_value=9),
-    st.fractions(min_value=F(-9), max_value=F(9), max_denominator=64),
+    rationals(-9, 9, 64),
 )
 
 
@@ -231,7 +287,7 @@ def test_eigen_check_matches_fraction_reference(mask, data):
 
 @given(
     st.sampled_from(sorted(REF2_MASK)),
-    st.fractions(min_value=F(-2), max_value=F(2), max_denominator=16).filter(bool),
+    rationals(-2, 2, 16).filter(bool),
 )
 @settings(max_examples=60, deadline=None)
 def test_eigen_check_first_failure_on_perturbed_masks(key, delta):

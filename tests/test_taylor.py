@@ -28,8 +28,9 @@ from reference_kernels import (
     newton_vector,
     padded_rows,
 )
+from strategies import rationals
 
-rationals = st.fractions(min_value=F(-6), max_value=F(6), max_denominator=6)
+rational_values = rationals(-6, 6, 6)
 
 
 @st.composite
@@ -37,7 +38,7 @@ def operators(draw, max_d=6):
     d = draw(st.integers(min_value=1, max_value=max_d))
     w = []
     for j in range(1, d + 1):
-        row = [draw(rationals) for _ in range(j - 1)] + [F(1)]
+        row = [draw(rational_values) for _ in range(j - 1)] + [F(1)]
         w.append(tuple(row))
     return TaylorOperator(w=tuple(w), complete=True)
 
