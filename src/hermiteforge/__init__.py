@@ -3,7 +3,7 @@ subdivision schemes via generalized Taylor operators.
 
 The package root exports the entry points, the value types they take and
 return, and the exceptions they raise. Everything else is imported from its
-module (``hermiteforge.subdivision.subdivide``, ``hermiteforge.exactalg.
+module (``hermiteforge.subdivision.integer_step``, ``hermiteforge.exactalg.
 lm_triangular_inverse``, ...).
 """
 

@@ -10,9 +10,9 @@ scalar symbols certify on their own, which is much cheaper; both paths are
 exposed and consistent (per-diagonal norms are dominated by the joint norm).
 
 Cascade iterations render Hermite data at finer and finer dyadic levels with
-the derivative renormalization of hermite_step, carried as rows of the
-components from level to level; the convergence diagnostics read those rows
-as whole slices.
+the derivative renormalization f_{n+1} = D^-(n+1) S_A D^n f_n of integer_step
+and float_step, carried as rows of the components from level to level; the
+convergence diagnostics read those rows as whole slices.
 """
 
 from __future__ import annotations

@@ -209,6 +209,8 @@ def _load_json(path: str):
         raise MalformedInput(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise MalformedInput(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise MalformedInput(f"{path} nests JSON too deeply to read") from exc
 
 
 def _from_file(cls, path: str, *errors: type[Exception], label: str | None = None):

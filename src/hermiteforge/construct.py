@@ -18,7 +18,6 @@ from typing import Mapping, Sequence
 from .exactalg import (
     LaurentMatrix,
     LaurentPoly,
-    NotDivisible,
     _over_one_denominator,
     falling_factorial,
     rat_to_str,
@@ -211,9 +210,10 @@ def _taylor_poly_at_one(constant: Fraction, derivs: Sequence[tuple[int, Fraction
 def last_row_symbols(system: LastRowSystem) -> tuple[LaurentPoly, ...]:
     """The polynomials h_0, ..., h_d built from the solved derivative data.
 
-    Each synthesized row is verified to satisfy its divisibility condition:
-    q_j = (z+1) h_j - sum_m w_{j,m+1} (z-1)^(j-1-m) h_m must vanish to order
-    at least j at z = 1.
+    The row they make must satisfy the divisibility condition: q_j = (z+1) h_j
+    - sum_m w_{j,m+1} (z-1)^(j-1-m) h_m must vanish to order at least j at
+    z = 1. That is unfactor's test that row d of B*(z) T*(z^2) is divisible by
+    (z^-1 - 1)^(d+1), so it is checked once, by unfactor inside synthesize.
     """
     d = system.d
     hs: list[LaurentPoly] = []
@@ -221,32 +221,16 @@ def last_row_symbols(system: LastRowSystem) -> tuple[LaurentPoly, ...]:
         derivs = [(r, system.solution[(m, r)]) for r in range(1, m + 2)]
         hs.append(_taylor_poly_at_one(Fraction(2 ** (d - m)), derivs))
     hs.append(system.seed)
-    _check_divisibility(system.taylor, hs)
     return tuple(hs)
-
-
-def _check_divisibility(op: TaylorOperator, hs: Sequence[LaurentPoly]) -> None:
-    d = op.d
-    zm1 = LaurentPoly({1: 1, 0: -1})
-    zp1 = LaurentPoly({1: 1, 0: 1})
-    for j in range(1, d + 1):
-        q = zp1 * hs[j]
-        for m in range(j):
-            wv = op.w[j - 1][m]
-            if wv:
-                q = q - zm1 ** (j - 1 - m) * hs[m] * wv
-        if not q.is_zero and q.zero_order_at_one() < j:
-            raise NotDivisible(
-                f"last-row divisibility failed at level {j}: the combined row "
-                f"vanishes to order {q.zero_order_at_one()} at z = 1, needs {j}"
-            )
 
 
 def recurrence_last_row(op: TaylorOperator, seed: LaurentPoly) -> tuple[LaurentPoly, ...]:
     """Last-row symbols for pure-difference operators: h_j = (z+1) h_{j+1}.
 
     Unlike the square system, this keeps the full degree of the seed at every
-    level, and for seed (z+1)/2 gives (z+1)^(d-j+1) / 2 exactly.
+    level, and for seed (z+1)/2 gives (z+1)^(d-j+1) / 2 exactly. Like
+    last_row_symbols, it leaves the divisibility condition to unfactor inside
+    synthesize.
     """
     if not op.is_difference_type:
         raise ValueError("the multiplicative recurrence needs all strict-upper weights zero")
@@ -258,7 +242,6 @@ def recurrence_last_row(op: TaylorOperator, seed: LaurentPoly) -> tuple[LaurentP
     hs[d] = seed
     for j in range(d - 1, -1, -1):
         hs[j] = zp1 * hs[j + 1]
-    _check_divisibility(op, hs)
     return tuple(hs)
 
 

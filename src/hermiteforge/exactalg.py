@@ -53,6 +53,17 @@ def rat_from_str(s: str) -> Fraction:
         raise ValueError(f"zero denominator in {s!r}") from exc
 
 
+def _json_field(obj: Mapping, key: str, kind: type, default: object = None):
+    """obj[key] (obj.get(key, default) when a default is given), which must be
+    of exactly this kind, int or bool: anything else raises TypeError rather
+    than being coerced, so "1", 1.0 and true are not read as the integer 1."""
+    v = obj[key] if default is None else obj.get(key, default)
+    if type(v) is not kind:
+        name = "an integer" if kind is int else "a boolean"
+        raise TypeError(f"{key!r} must be {name}, got {v!r}")
+    return v
+
+
 def falling_factorial(e: int, r: int) -> int:
     """e * (e-1) * ... * (e-r+1); valid for negative e as well."""
     out = 1
@@ -322,7 +333,12 @@ class LaurentPoly:
         return self._num == other._num and self._lo == other._lo and self._den == other._den
 
     def __hash__(self) -> int:
-        return hash(frozenset(self.items()))
+        # A constant equals its value, so it hashes as that value does.
+        nums, den = self._num, self._den
+        if self._lo == 0 and len(nums) <= 1:
+            n = nums[0] if nums else 0
+            return hash(n) if den == 1 else hash(Fraction(n, den))
+        return hash((self._lo, nums, den))
 
     def __neg__(self) -> "LaurentPoly":
         return self._raw(self._lo, tuple(-n for n in self._num), self._den)
@@ -418,9 +434,6 @@ class LaurentPoly:
         total = sum(n * falling_factorial(lo + i, r) for i, n in enumerate(self._num) if n)
         return Fraction(total, self._den)
 
-    def abs_coeff_sum(self) -> Fraction:
-        return Fraction(sum(abs(n) for n in self._num), self._den)
-
     def divide_exact(self, divisor: "LaurentPoly") -> "LaurentPoly":
         """Exact division in the Laurent ring; raise NotDivisible otherwise.
 
@@ -435,18 +448,6 @@ class LaurentPoly:
         quot, c = _divide(self._num, divisor._num)
         d2 = divisor._den
         return self._make(self._lo - divisor._lo, [n * d2 for n in quot], self._den * c)
-
-    def zero_order_at_one(self) -> int:
-        """Order of the zero at z = 1 (0 if f(1) != 0)."""
-        if self.is_zero:
-            raise ValueError("zero polynomial vanishes to every order")
-        f = self
-        order = 0
-        zm1 = LaurentPoly({1: 1, 0: -1})
-        while not sum(f._num):
-            f = f.divide_exact(zm1)
-            order += 1
-        return order
 
     def to_json(self) -> dict[str, str]:
         lo, den = self._lo, self._den

@@ -27,6 +27,7 @@ from .exactalg import (
     RationalLike,
     _canonical,
     _display,
+    _json_field,
     _over_one_denominator,
     _ratio_str,
     _rational,
@@ -72,9 +73,6 @@ class Poly(LaurentPoly):
         if not self._num:
             raise ValueError("zero polynomial has no leading coefficient")
         return Fraction(self._num[-1], self._den)
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
 
     def shift(self, a: RationalLike) -> "Poly":
         """Return p(x + a).
@@ -261,7 +259,7 @@ class PolyVec:
     def from_json(cls, obj: Mapping) -> "PolyVec":
         comps = tuple(Poly.from_json(c) for c in obj["components"])
         pv = cls(comps)
-        if pv.d != int(obj["d"]):
+        if pv.d != _json_field(obj, "d", int):
             raise NotInVd("declared d does not match the number of components")
         return pv
 

@@ -22,6 +22,7 @@ from .exactalg import (
     LaurentMatrix,
     LaurentPoly,
     RationalLike,
+    _json_field,
     _over_one_denominator,
     _ratio_str,
     _rational,
@@ -189,44 +190,14 @@ class Mask:
     @classmethod
     def from_json(cls, obj: Mapping) -> "Mask":
         mask = cls(
-            int(obj["support_min"]),
+            _json_field(obj, "support_min", int),
             tuple(
                 tuple(tuple(rat_from_str(x) for x in row) for row in m) for m in obj["coeffs"]
             ),
         )
-        if mask.d != int(obj["d"]):
+        if mask.d != _json_field(obj, "d", int):
             raise ValueError("declared d does not match the matrices")
         return mask
-
-
-def subdivide(
-    mask: Mask, values: Sequence[Sequence], start: int
-) -> tuple[list[tuple], int]:
-    """One subdivision step on a finite window.
-
-    values[n] is the column at beta = start + n. Only output positions whose
-    full stencil lies inside the window are returned; the new window is
-    [2a + s_max - 1, 2b + s_min + 1] for input [a, b] and support
-    [s_min, s_max]. The data's kind follows the rule of DyadicGrid: all ints
-    and Fractions give Fractions, all floats give floats, and anything else
-    raises TypeError. Both are computed as hermite_step describes.
-    """
-    return _refine(mask, values, start, 0, 0)
-
-
-def hermite_step(
-    mask: Mask, values: Sequence[Sequence], start: int, level: int
-) -> tuple[list[tuple], int]:
-    """Refine level-n Hermite data to level n+1 with derivative rescaling.
-
-    The columns become rows (row k = component k) by the rule that builds a
-    DyadicGrid: all ints and Fractions give integer numerators over one
-    denominator, which integer_step refines into Fractions; all floats give
-    float rows, which float_step refines into floats; a mix of the two, or
-    any other entry, raises TypeError. cascade calls the row steps on a
-    grid's rows itself and so builds no column between levels.
-    """
-    return _refine(mask, values, start, level, level + 1)
 
 
 def _output_window(mask: Mask, a: int, b: int) -> tuple[int, int]:
@@ -341,24 +312,6 @@ def float_step(
     sums = _stencil_sums(mask._stencil.floats, rows, start, out_lo, out_hi, 0.0)
     scales = [float(1 << post * i) for i in range(size)]
     return [row if f == 1.0 else [s * f for s in row] for f, row in zip(scales, sums)], out_lo
-
-
-def _refine(
-    mask: Mask, values: Sequence[Sequence], start: int, pre: int, post: int
-) -> tuple[list[tuple], int]:
-    """D^-post S_A D^pre on a window of columns, exact or float."""
-    size = mask.d + 1
-    for col in values:
-        if len(col) != size:
-            raise ValueError(f"expected columns of height {size}")
-    _output_window(mask, start, start + len(values) - 1)
-    rows, den = _as_rows(values)
-    if den is None:
-        out, out_lo = float_step(mask, rows, start, pre, post)
-    else:
-        nums, den, out_lo = integer_step(mask, rows, den, start, pre, post)
-        out = [[Fraction(n, den) for n in row] for row in nums]
-    return list(zip(*out)), out_lo
 
 
 def _image_rows(
@@ -530,4 +483,4 @@ class DyadicGrid:
             raise TypeError(f"a grid must be a JSON object, got {type(obj).__name__}")
         parse = rat_from_str if obj.get("kind", "exact") == "exact" else float
         values = tuple(tuple(parse(v) for v in col) for col in obj["values"])
-        return cls(int(obj["level"]), int(obj["start"]), values)
+        return cls(_json_field(obj, "level", int), _json_field(obj, "start", int), values)

@@ -20,7 +20,15 @@ from fractions import Fraction
 from math import factorial
 from typing import Mapping
 
-from .exactalg import LaurentMatrix, LaurentPoly, RationalLike, delta_symbol, rat_from_str, rat_to_str
+from .exactalg import (
+    LaurentMatrix,
+    LaurentPoly,
+    RationalLike,
+    _json_field,
+    delta_symbol,
+    rat_from_str,
+    rat_to_str,
+)
 from .polybasis import NotInVd, Poly, PolyVec, antidifference
 
 
@@ -64,10 +72,6 @@ class TaylorOperator:
         if not 0 <= i < k <= self.d:
             raise IndexError("constant entries live strictly above the diagonal")
         return -self.w[k - 1][i]
-
-    def sub_operator(self, j: int) -> "TaylorOperator":
-        """The size-(j+1) operator acting on the top of the column."""
-        return TaylorOperator(self.w[:j], self.complete)
 
     def as_complete(self) -> "TaylorOperator":
         return self if self.complete else TaylorOperator(self.w, True)
@@ -114,9 +118,9 @@ class TaylorOperator:
     def from_json(cls, obj: Mapping) -> "TaylorOperator":
         op = cls(
             tuple(tuple(rat_from_str(v) for v in row) for row in obj["w"]),
-            bool(obj.get("complete", True)),
+            _json_field(obj, "complete", bool, True),
         )
-        if op.d != int(obj["d"]):
+        if op.d != _json_field(obj, "d", int):
             raise InvalidOperator("declared d does not match the weight table")
         return op
 
@@ -198,7 +202,7 @@ class Chain:
     @classmethod
     def from_json(cls, obj: Mapping) -> "Chain":
         ch = cls(tuple(PolyVec.from_json(v) for v in obj["vecs"]))
-        if ch.d != int(obj["d"]):
+        if ch.d != _json_field(obj, "d", int):
             raise NotAChain("declared d does not match the number of vectors")
         return ch
 

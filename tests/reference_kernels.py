@@ -11,8 +11,9 @@ column and one component at a time, the grid JSON and CSV writers one value
 at a time, Fraction samples of polynomial vectors for the eigen
 check, contraction norms read off the Laurent-product iterated symbol,
 Fraction abscissae for the spline cascade check, the Cox-de Boor recursion
-for B-spline values, and a factorization that gates on annihilation before
-dividing and checks its identity twice.
+for B-spline values, a factorization that gates on annihilation before
+dividing and checks its identity twice, and the order-of-zero test of a
+synthesized last row that unfactor's division by (z^-1 - 1)^(d+1) replaces.
 They are slow and obviously right, which is all they are for.
 
 The oracles at the end state a property by its defining formula: the
@@ -54,8 +55,20 @@ from hermiteforge.exactalg import (
 from hermiteforge.factor import Factorization
 from hermiteforge.polybasis import newton_basis
 from hermiteforge.splines import SplineCascadeReport, bspline_derivative
-from hermiteforge.subdivision import eigen_check, subdivide
+from hermiteforge.subdivision import eigen_check
 from hermiteforge.taylor import Chain, WindowTooSmall, delta_operator
+
+
+def _canonical_hash(terms: Mapping[int, Fraction]) -> int:
+    """The kernel's hash of the polynomial with these nonzero terms: a
+    constant hashes as its value, anything else as its lowest exponent, its
+    numerators from there over the lcm of the denominators, and that lcm."""
+    if not terms or set(terms) == {0}:
+        return hash(terms.get(0, Fraction(0)))
+    lo, hi = min(terms), max(terms)
+    den = lcm(*(v.denominator for v in terms.values()))
+    nums = tuple((terms.get(e, Fraction(0)) * den).numerator for e in range(lo, hi + 1))
+    return hash((lo, nums, den))
 
 
 class FractionLaurentPoly:
@@ -127,7 +140,7 @@ class FractionLaurentPoly:
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._c.items()))
+        return _canonical_hash(self._c)
 
     def __neg__(self) -> "FractionLaurentPoly":
         return FractionLaurentPoly({e: -v for e, v in self._c.items()})
@@ -204,9 +217,6 @@ class FractionLaurentPoly:
             out += v * falling_factorial(e, r)
         return out
 
-    def abs_coeff_sum(self) -> Fraction:
-        return sum((abs(v) for v in self._c.values()), Fraction(0))
-
     def divide_exact(self, divisor: "FractionLaurentPoly") -> "FractionLaurentPoly":
         """Exact division in the Laurent ring; raise NotDivisible otherwise."""
         if divisor.is_zero:
@@ -238,18 +248,6 @@ class FractionLaurentPoly:
             raise NotDivisible("Laurent division leaves a nonzero remainder")
         off = self.lo - divisor.lo
         return FractionLaurentPoly({e + off: v for e, v in quot.items()})
-
-    def zero_order_at_one(self) -> int:
-        """Order of the zero at z = 1 (0 if f(1) != 0)."""
-        if self.is_zero:
-            raise ValueError("zero polynomial vanishes to every order")
-        f = self
-        order = 0
-        zm1 = FractionLaurentPoly({1: 1, 0: -1})
-        while f.evaluate(1) == 0:
-            f = f.divide_exact(zm1)
-            order += 1
-        return order
 
     def to_json(self) -> dict[str, str]:
         return {str(e): rat_to_str(v) for e, v in sorted(self._c.items())}
@@ -338,7 +336,7 @@ class FractionPoly:
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self._c)
+        return _canonical_hash({k: v for k, v in enumerate(self._c) if v})
 
     def __neg__(self) -> "FractionPoly":
         return FractionPoly(tuple(-v for v in self._c))
@@ -1007,6 +1005,30 @@ def taylor_factorize_reference(mask: Mask, chain: Chain, scale=None) -> Factoriz
 # directly, by the defining formula, rather than by the fast path.
 
 
+def last_row_divisibility_reference(op: TaylorOperator, hs: Sequence[LaurentPoly]) -> None:
+    """Raise NotDivisible unless, for j = 1..d, q_j = (z+1) h_j - sum_m
+    w_{j,m+1} (z-1)^(j-1-m) h_m vanishes to order at least j at z = 1, with
+    every h_m a Fraction polynomial."""
+    zm1 = FractionLaurentPoly({1: 1, 0: -1})
+    zp1 = FractionLaurentPoly({1: 1, 0: 1})
+    hs = [FractionLaurentPoly(dict(h.items())) for h in hs]
+    for j in range(1, op.d + 1):
+        q = zp1 * hs[j]
+        for m in range(j):
+            wv = op.w[j - 1][m]
+            if wv:
+                q = q - zm1 ** (j - 1 - m) * hs[m] * wv
+        order = 0
+        while not q.is_zero and order < j and q.evaluate(1) == 0:
+            q = q.divide_exact(zm1)
+            order += 1
+        if not q.is_zero and order < j:
+            raise NotDivisible(
+                f"last-row divisibility failed at level {j}: the combined row "
+                f"vanishes to order {order} at z = 1, needs {j}"
+            )
+
+
 def iterated_symbol(mask: Mask, n: int) -> LaurentMatrix:
     """Symbol of the n-fold scheme: B*(z) B*(z^2) ... B*(z^(2^(n-1)))."""
     if n < 1:
@@ -1127,7 +1149,7 @@ def scalar_eigen_check(
     s_min, s_max = mask.support
     half = max(p.degree, 0) + 3 + (s_max - s_min)
     samples = [(p.evaluate(beta),) for beta in range(-half, half + 1)]
-    out, out_lo = subdivide(mask, samples, -half)
+    out, out_lo = subdivide_reference(mask, samples, -half)
     for n, (got,) in enumerate(out):
         want = lam * p.evaluate(out_lo + n)
         if got != want:

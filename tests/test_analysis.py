@@ -37,7 +37,7 @@ from hermiteforge.analysis import (
     reconstruct_limits,
     taylor_residuals,
 )
-from hermiteforge.subdivision import hermite_step, subdivide
+from hermiteforge.subdivision import float_step, integer_step
 from reference_kernels import (
     cascade_reference,
     check_contractive_reference,
@@ -347,14 +347,10 @@ def test_cascade_rejects_init_of_the_other_kind():
     # Plain ints make an exact grid.
     assert ints.is_exact and ints.to_json()["kind"] == "exact"
     assert all(type(v) is F for col in ints.values for v in col)
-    # Mixed columns are refused when a grid is built, and by the steps.
+    # Mixed columns are refused when a grid is built.
     mixed = tuple((F(1) if i == 4 else 0.0,) for i in range(9))
     with pytest.raises(TypeError):
         DyadicGrid(0, -4, mixed)
-    with pytest.raises(TypeError):
-        subdivide(m, mixed, -4)
-    with pytest.raises(TypeError):
-        hermite_step(m, mixed, -4, 1)
     for columns in ((), ((),), ((F(1),), (F(1), F(0)))):
         with pytest.raises(ValueError):
             DyadicGrid(0, -4, columns)
@@ -488,4 +484,6 @@ def test_reconstruct_needs_anchor():
 def test_subdivide_rejects_empty_output_window():
     wide = Mask(-6, tuple(((F(1),),) for _ in range(7)))
     with pytest.raises(WindowTooSmall):
-        subdivide(wide, [[F(1)]], 0)
+        integer_step(wide, [[1]], 1, 0, 0, 0)
+    with pytest.raises(WindowTooSmall):
+        float_step(wide, [[1.0]], 0, 0, 0)

@@ -338,6 +338,20 @@ def _malformed_argv(case, tmp_path):
         grid.write_text(json.dumps({"level": 0, "start": -4, "kind": kind, "values": values}))
         flags = ["--exact"] if kind == "float" else []
         return ["cascade", "--mask", str(hat), "--init", str(grid), *flags]
+    if case == "deeply-nested-json":
+        bad = tmp_path / "nested.json"
+        bad.write_text("[" * 100_000 + "]" * 100_000)
+        return ["contractivity", "--mask", str(bad)]
+    if case == "fractional-d":
+        doc = Mask(0, (((F(1, 2),),), ((F(1),),), ((F(1, 2),),))).to_json()
+        doc.update(d=0.9, support_min=0.7)
+        bad = tmp_path / "fractional.json"
+        bad.write_text(json.dumps(doc))
+        return ["contractivity", "--mask", str(bad)]
+    if case == "complete-as-string":
+        bad = tmp_path / "op.json"
+        bad.write_text(json.dumps(dict(classical_operator(2).to_json(), complete="false")))
+        return ["chain", "--taylor", str(bad)]
     if case == "negative-preset-size":
         return ["chain", "--taylor", "delta:d=-1"]
     if case == "nan-ratio-bound":
@@ -363,6 +377,9 @@ def _malformed_argv(case, tmp_path):
         "recurrence-for-classical",
         "seed-not-an-object",
         "seed-a-number",
+        "deeply-nested-json",
+        "fractional-d",
+        "complete-as-string",
         "grid-not-an-object",
         "grid-too-small",
         "grid-without-values",

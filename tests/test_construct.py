@@ -10,10 +10,12 @@ from goldens import H_TABLE, REF2_FACTOR, REF2_MASK, REF2_SCALE, h_closed_forms,
 from hermiteforge import (
     BadSeed,
     LaurentPoly,
+    NotDivisible,
     TaylorOperator,
     classical_operator,
     delta_operator,
     synthesize,
+    unfactor,
 )
 from hermiteforge.construct import (
     assemble_factor,
@@ -21,6 +23,7 @@ from hermiteforge.construct import (
     last_row_symbols,
     recurrence_last_row,
 )
+from reference_kernels import last_row_divisibility_reference
 from strategies import rationals
 
 rational_values = rationals(-4, 4, 6)
@@ -80,6 +83,28 @@ def test_last_row_system_is_unimodular(op):
     system = build_last_row_system(op, seed_power(1))
     assert abs(system.determinant) == 1
     assert last_row_symbols(system) == synthesize(op, seed_power(1), strategy="system").last_row
+
+
+@given(operators(max_d=3), st.integers(min_value=1, max_value=2), st.data())
+@settings(max_examples=60, deadline=None)
+def test_unfactor_refuses_exactly_the_last_rows_that_fail_divisibility(op, n, data):
+    # A synthesized last row passes; one entry moved by a low-degree
+    # polynomial, times (z - 1)^k half the time, may or may not.
+    hs = list(synthesize(op, seed_power(n)).last_row)
+    m = data.draw(st.integers(min_value=0, max_value=op.d))
+    bump = LaurentPoly(
+        data.draw(st.dictionaries(st.integers(0, 2), rational_values, min_size=1, max_size=3))
+    )
+    if data.draw(st.booleans()):
+        bump = bump * LaurentPoly({1: 1, 0: -1}) ** data.draw(st.integers(1, op.d + 1))
+    hs[m] = hs[m] + bump
+    try:
+        last_row_divisibility_reference(op, hs)
+    except NotDivisible:
+        with pytest.raises(NotDivisible):
+            unfactor(op, assemble_factor(op, hs))
+    else:
+        unfactor(op, assemble_factor(op, hs))
 
 
 def test_auto_strategy_picks_recurrence_for_difference_type(zero_g):

@@ -10,7 +10,7 @@ from goldens import REF2_MASK, REF2_SPECTRAL_CHAIN, mask_from_entries
 from hermiteforge import Chain, Mask, Poly, PolyVec, cascade
 from hermiteforge.analysis import is_lower_triangular
 from hermiteforge.factor import _last_column_partition_of_unity
-from hermiteforge.subdivision import eigen_check, hermite_step, subdivide
+from hermiteforge.subdivision import _as_rows, eigen_check, float_step, integer_step
 from hermiteforge.taylor import WindowTooSmall
 from reference_kernels import (
     eigen_check_reference,
@@ -31,6 +31,18 @@ from strategies import poly_vecs, rationals, sparse_masks
 
 def hat_mask():
     return Mask(0, (((F(1, 2),),), ((F(1),),), ((F(1, 2),),)))
+
+
+def step(mask, values, start, pre, post):
+    """D^-post S_A D^pre on columns: integer_step on exact data (Fractions
+    out), float_step on float data."""
+    rows, den = _as_rows(values)
+    if den is None:
+        out, out_lo = float_step(mask, rows, start, pre, post)
+    else:
+        nums, den, out_lo = integer_step(mask, rows, den, start, pre, post)
+        out = [[F(n, den) for n in row] for row in nums]
+    return list(zip(*out)), out_lo
 
 
 def ref2_mask():
@@ -63,17 +75,15 @@ def test_entry_symbol_matches_matrix_walk():
 
 def test_subdivide_reproduces_constants():
     # partition of unity: S applied to all-ones data returns all ones
-    out, start = subdivide(hat_mask(), [[F(1)]] * 9, -4)
-    assert all(row == (F(1),) for row in out)
-    assert start == -7
+    assert integer_step(hat_mask(), [[1] * 9], 1, -4, 0, 0) == ([[1] * 17], 1, -7)
+    assert float_step(hat_mask(), [[1.0] * 9], -4, 0, 0) == ([[1.0] * 17], -7)
 
 
 def test_subdivide_window_shrinks_to_determined_outputs():
     # a single data point only determines the output where no missing
     # neighbour could contribute
-    out, start = subdivide(hat_mask(), [[F(1)]], 0)
-    assert start == 1
-    assert out == [(F(1),)]
+    assert integer_step(hat_mask(), [[1]], 1, 0, 0, 0) == ([[1]], 1, 1)
+    assert float_step(hat_mask(), [[1.0]], 0, 0, 0) == ([[1.0]], 1)
 
 
 def test_iterated_symbol_composes_left_to_right():
@@ -104,16 +114,16 @@ rational_rows = st.lists(
 
 @given(rational_rows, st.integers(min_value=0, max_value=3))
 @settings(max_examples=25, deadline=None)
-def test_hermite_step_is_rescaled_subdivision(rows, level):
-    # level-aware step == pre-scale by 2^-(level*k), subdivide, post-scale
+def test_level_step_is_rescaled_plain_step(rows, level):
+    # level-aware step == pre-scale by 2^-(level*k), plain step, post-scale
     # by 2^((level+1)*k) componentwise
     m = ref2_mask()
     start = -5
-    got, gstart = hermite_step(m, rows, start, level)
+    got, gstart = step(m, rows, start, level, level + 1)
     pre = [
         [c * F(1, 2 ** (level * k)) for k, c in enumerate(row)] for row in rows
     ]
-    mid, mstart = subdivide(m, pre, start)
+    mid, mstart = step(m, pre, start, 0, 0)
     want = [
         tuple(c * F(2 ** ((level + 1) * k)) for k, c in enumerate(row))
         for row in mid
@@ -140,8 +150,7 @@ def test_eigen_check_reports_failure():
 
 def test_mask_scale():
     m = hat_mask().scale(F(1, 2))
-    out, _ = subdivide(m, [[F(1)]] * 9, -4)
-    assert all(row == (F(1, 2),) for row in out)
+    assert integer_step(m, [[1] * 9], 1, -4, 0, 0) == ([[1] * 17], 2, -7)
 
 
 def float_bits(table):
@@ -246,12 +255,12 @@ def test_kernel_matches_fraction_reference(mask, exact, level, start, data):
         want = subdivide_reference(mask, values, start)
     except WindowTooSmall:
         with pytest.raises(WindowTooSmall):
-            subdivide(mask, values, start)
+            step(mask, values, start, 0, 0)
         return
-    got = subdivide(mask, values, start)
+    got = step(mask, values, start, 0, 0)
     assert got[1] == want[1]
     assert_same_columns(got[0], want[0], exact)
-    got = hermite_step(mask, values, start, level)
+    got = step(mask, values, start, level, level + 1)
     want = hermite_step_reference(mask, values, start, level)
     assert got[1] == want[1]
     assert_same_columns(got[0], want[0], exact)

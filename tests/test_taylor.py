@@ -183,13 +183,6 @@ def test_chain_with_last_builds_valid_chain():
     assert ch.d == 3
 
 
-def test_sub_operator_truncates():
-    op = classical_operator(4)
-    sub = op.sub_operator(2)
-    assert sub.d == 2
-    assert sub.w == op.w[:2]
-
-
 def test_apply_operator_kills_newton_samples():
     # integer samples of (value, derivative-like) rows for the chain tail
     op = delta_operator(1)
