@@ -2,26 +2,27 @@
 subdivision schemes via generalized Taylor operators.
 
 The package root exports the entry points, the value types they take and
-return, and the exceptions they raise. Everything else is imported from its
-module (``hermiteforge.subdivision.integer_step``, ``hermiteforge.exactalg.
+return, and the exceptions they raise. A square matrix symbol, a Taylor
+operator's included, is a ``Mask``: integer numerators over one denominator,
+with ``*`` the symbol product. Everything else is imported from its module
+(``hermiteforge.subdivision.integer_step``, ``hermiteforge.exactalg.
 lm_triangular_inverse``, ...).
 """
 
-from .exactalg import ExactAlgError, LaurentMatrix, LaurentPoly, NotDivisible
+from .exactalg import ExactAlgError, LaurentPoly, NotDivisible
 from .polybasis import NotInVd, Poly, PolyVec
+from .subdivision import DyadicGrid, Mask, WindowTooSmall
 from .taylor import (
     Chain,
     InvalidOperator,
     NotAChain,
     TaylorOperator,
-    WindowTooSmall,
     allones_operator,
     annihilator,
     chain_for,
     classical_operator,
     delta_operator,
 )
-from .subdivision import DyadicGrid, Mask
 from .factor import (
     EigenvalueClash,
     NotAnnihilated,
@@ -47,7 +48,6 @@ __version__ = "0.1.0"
 __all__ = [
     # exact algebra and polynomial vectors
     "ExactAlgError",
-    "LaurentMatrix",
     "LaurentPoly",
     "NotDivisible",
     "NotInVd",
@@ -58,7 +58,6 @@ __all__ = [
     "InvalidOperator",
     "NotAChain",
     "TaylorOperator",
-    "WindowTooSmall",
     "allones_operator",
     "annihilator",
     "chain_for",
@@ -67,6 +66,7 @@ __all__ = [
     # masks and grids
     "DyadicGrid",
     "Mask",
+    "WindowTooSmall",
     # factorization
     "EigenvalueClash",
     "NotAnnihilated",

@@ -24,8 +24,8 @@ from math import inf, isfinite
 from operator import sub
 from typing import Iterator, Sequence
 
-from .subdivision import DyadicGrid, Mask, float_step, integer_step
-from .taylor import TaylorOperator, WindowTooSmall, delta_operator
+from .subdivision import DyadicGrid, Mask, WindowTooSmall, float_step, integer_step
+from .taylor import TaylorOperator, delta_operator
 
 
 def _iterated_norms(entries: Sequence[Sequence[Sequence[int]]], den: int) -> Iterator[Fraction]:

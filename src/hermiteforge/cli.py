@@ -35,13 +35,12 @@ from .exactalg import (
 from .factor import NotAnnihilated, taylor_factorize, verify_spectral_chain
 from .polybasis import NotInVd, Poly, PolyVec, difference_split_check
 from .splines import BadOrder, spline_chain, spline_mask, spline_verify
-from .subdivision import DyadicGrid, Mask
+from .subdivision import DyadicGrid, Mask, WindowTooSmall
 from .taylor import (
     Chain,
     InvalidOperator,
     NotAChain,
     TaylorOperator,
-    WindowTooSmall,
     allones_operator,
     annihilator,
     chain_for,
@@ -285,6 +284,15 @@ def _load_chain_arg(spec: str) -> Chain:
     raise MalformedInput(f"{spec!r} is neither a file nor a chain preset")
 
 
+def _load_mask_and_chain(args) -> tuple[Mask, Chain]:
+    """--mask and --chain, which must have one dimension."""
+    mask = _load_mask_arg(args.mask)
+    chain = _load_chain_arg(args.chain)
+    if chain.d != mask.d:
+        raise MalformedInput(f"mask has dimension {mask.d + 1}, chain has {chain.d + 1}")
+    return mask, chain
+
+
 def _parse_window(text: str) -> tuple[int, int]:
     try:
         a_s, b_s = text.split(",")
@@ -357,24 +365,14 @@ def _cmd_chain(args) -> int:
 
 
 def _cmd_verify_spectral(args) -> int:
-    mask = _load_mask_arg(args.mask)
-    chain = _load_chain_arg(args.chain)
-    if chain.d != mask.d:
-        raise MalformedInput(
-            f"mask has dimension {mask.d + 1}, chain has {chain.d + 1}"
-        )
+    mask, chain = _load_mask_and_chain(args)
     report = verify_spectral_chain(mask, chain)
     _emit(args, _dump_json({"ok": report.ok, "spectral": report.to_json()}))
     return 0 if report.ok else 1
 
 
 def _cmd_factor(args) -> int:
-    mask = _load_mask_arg(args.mask)
-    chain = _load_chain_arg(args.chain)
-    if chain.d != mask.d:
-        raise MalformedInput(
-            f"mask has dimension {mask.d + 1}, chain has {chain.d + 1}"
-        )
+    mask, chain = _load_mask_and_chain(args)
     scale = rat_from_str(args.scale) if args.scale else None
     try:
         fac = taylor_factorize(mask, chain, scale)

@@ -16,7 +16,6 @@ from math import factorial
 from typing import Mapping, Sequence
 
 from .exactalg import (
-    LaurentMatrix,
     LaurentPoly,
     _over_one_denominator,
     falling_factorial,
@@ -279,7 +278,7 @@ def assemble_factor(
         hk = last_row[k]
         bottom.append(u ** (d - k) * hk.substitute_power(-1) if hk else zero)
     rows.append(bottom)
-    return Mask.from_symbol(LaurentMatrix(rows))
+    return Mask.from_symbol(rows)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
-"""Exact arithmetic over Q: Laurent polynomials, Laurent matrices, and the
-triangular-inverse decomposition used by the factorization routines.
+"""Exact arithmetic over Q: Laurent polynomials, and the triangular-inverse
+decomposition of a Taylor operator's symbol used by the factorization
+routines.
 
 Everything here is exact; floats never enter. A Laurent polynomial keeps
 its coefficients as integer numerators over one positive denominator, and
@@ -14,7 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import TYPE_CHECKING, Iterator, Mapping, Sequence, Union
+
+if TYPE_CHECKING:
+    from .subdivision import Mask
 
 RationalLike = Union[Fraction, int]
 
@@ -73,7 +77,8 @@ def falling_factorial(e: int, r: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# The integer kernel of LaurentPoly (and so of its subclass polybasis.Poly).
+# The integer kernel of LaurentPoly (and so of its subclass polybasis.Poly)
+# and of the symbol product of subdivision.Mask.
 #
 # A polynomial is a tuple of integer numerators, dense from an offset, over
 # one positive denominator. The helpers below work on plain int lists and
@@ -466,21 +471,6 @@ class LaurentPoly:
         return f"LaurentPoly({dict(self.items())!r})"
 
 
-def _dot(pairs: Iterable[tuple[LaurentPoly, LaurentPoly]]) -> LaurentPoly:
-    """The sum of the products a * b, normalized once at the end."""
-    lo, acc, den = 0, None, 1
-    for a, b in pairs:
-        if a._num and b._num:
-            plo, prod, pden = a._lo + b._lo, _mul(a._num, b._num), a._den * b._den
-            if acc is None:
-                lo, acc, den = plo, prod, pden
-            else:
-                lo, acc, den = _add(lo, acc, den, plo, prod, pden)
-    if acc is None:
-        return LaurentPoly.zero()
-    return LaurentPoly._make(lo, acc, den)
-
-
 # The deltas z^-1 - 1 and z^-2 - 1 come up constantly in the factorization
 # identities, so build them once.
 def delta_symbol(step: int = 1) -> LaurentPoly:
@@ -488,100 +478,9 @@ def delta_symbol(step: int = 1) -> LaurentPoly:
     return LaurentPoly({-step: 1, 0: -1})
 
 
-class LaurentMatrix:
-    """A rectangular matrix of LaurentPoly entries."""
-
-    __slots__ = ("_rows",)
-
-    def __init__(self, rows: Sequence[Sequence[LaurentPoly]]):
-        tup = tuple(tuple(r) for r in rows)
-        if not tup or not tup[0]:
-            raise ValueError("empty matrix")
-        width = len(tup[0])
-        for r in tup:
-            if len(r) != width:
-                raise ValueError("ragged matrix rows")
-            for x in r:
-                if type(x) is not LaurentPoly:
-                    raise TypeError("matrix entries must be LaurentPoly")
-        self._rows = tup
-
-    @classmethod
-    def identity(cls, n: int) -> "LaurentMatrix":
-        one = LaurentPoly.one()
-        zero = LaurentPoly.zero()
-        return cls([[one if i == k else zero for k in range(n)] for i in range(n)])
-
-    @property
-    def nrows(self) -> int:
-        return len(self._rows)
-
-    @property
-    def ncols(self) -> int:
-        return len(self._rows[0])
-
-    @property
-    def rows(self) -> tuple[tuple[LaurentPoly, ...], ...]:
-        return self._rows
-
-    def __getitem__(self, i: int) -> tuple[LaurentPoly, ...]:
-        return self._rows[i]
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, LaurentMatrix):
-            return NotImplemented
-        return self._rows == other._rows
-
-    def __hash__(self) -> int:
-        return hash(self._rows)
-
-    def __add__(self, other: "LaurentMatrix") -> "LaurentMatrix":
-        self._check_shape(other)
-        return LaurentMatrix(
-            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self._rows, other._rows)]
-        )
-
-    def __sub__(self, other: "LaurentMatrix") -> "LaurentMatrix":
-        self._check_shape(other)
-        return LaurentMatrix(
-            [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self._rows, other._rows)]
-        )
-
-    def _check_shape(self, other: "LaurentMatrix") -> None:
-        if self.nrows != other.nrows or self.ncols != other.ncols:
-            raise ValueError("matrix shape mismatch")
-
-    def __mul__(self, other: "LaurentMatrix | LaurentPoly | RationalLike") -> "LaurentMatrix":
-        if isinstance(other, LaurentMatrix):
-            if self.ncols != other.nrows:
-                raise ValueError("matrix shape mismatch in product")
-            cols = list(zip(*other._rows))
-            return LaurentMatrix([[_dot(zip(row, col)) for col in cols] for row in self._rows])
-        return self.scale(other)
-
-    def scale(self, f: "LaurentPoly | RationalLike") -> "LaurentMatrix":
-        return LaurentMatrix([[x * f for x in r] for r in self._rows])
-
-    def substitute_power(self, m: int) -> "LaurentMatrix":
-        return LaurentMatrix([[x.substitute_power(m) for x in r] for r in self._rows])
-
-    def is_zero(self) -> bool:
-        return all(x.is_zero for r in self._rows for x in r)
-
-    def to_json(self) -> list[list[dict[str, str]]]:
-        return [[x.to_json() for x in r] for r in self._rows]
-
-    @classmethod
-    def from_json(cls, obj: Sequence[Sequence[Mapping[str, str]]]) -> "LaurentMatrix":
-        return cls([[LaurentPoly.from_json(x) for x in r] for r in obj])
-
-    def __repr__(self) -> str:
-        return f"LaurentMatrix({self.nrows}x{self.ncols})"
-
-
 @dataclass(frozen=True)
 class TriangularInverse:
-    """Inverse of an upper-triangular Laurent matrix whose diagonal entries
+    """Inverse of an upper-triangular matrix symbol whose diagonal entries
     all equal u = z^-1 - 1.
 
     The (j, l) entry of the inverse is p[j][l] / u^(l-j+1); the numerators
@@ -591,42 +490,37 @@ class TriangularInverse:
     """
 
     size: int
-    p: LaurentMatrix
+    p: tuple[tuple[LaurentPoly, ...], ...]
 
 
-def lm_triangular_inverse(t: LaurentMatrix) -> TriangularInverse:
-    """Invert an upper-triangular matrix with constant diagonal u = z^-1 - 1.
+def lm_triangular_inverse(t: Mask) -> TriangularInverse:
+    """Invert an upper-triangular mask symbol with constant diagonal u = z^-1 - 1.
 
-    Uses the nilpotent expansion: writing t = u I + C with C strictly upper,
-    the inverse is sum_m (-C)^m u^-(m+1), and the (j,l) numerator over the
-    common denominator u^(l-j+1) is sum_m ((-C)^m)[j][l] u^(l-j-m).
+    T T^-1 = I gives the numerators by back substitution, one column at a
+    time: p[l][l] = 1 and p[j][l] = -sum_{j<m<=l} t[j][m] p[m][l] u^(m-j-1).
     """
-    n = t.nrows
-    if t.ncols != n:
-        raise NotTriangular("matrix is not square")
+    n = t.d + 1
+    rows = [[t.entry_symbol(i, k) for k in range(n)] for i in range(n)]
     u = delta_symbol(1)
     for i in range(n):
-        for k in range(n):
-            if k < i and t[i][k]:
+        for k in range(i + 1):
+            if k < i and rows[i][k]:
                 raise NotTriangular(f"nonzero entry below the diagonal at ({i},{k})")
-            if k == i and t[i][k] != u:
+            if k == i and rows[i][k] != u:
                 raise SingularDiagonal(
                     f"diagonal entry ({i},{i}) is not z^-1 - 1; cannot invert in this form"
                 )
-    zero = LaurentPoly.zero()
-    nmat = LaurentMatrix([[-t[i][k] if k > i else zero for k in range(n)] for i in range(n)])
-    powers = [LaurentMatrix.identity(n)]
-    upow = [LaurentPoly.one()]
+    zero, one = LaurentPoly.zero(), LaurentPoly.one()
+    upow = [one]
     for _ in range(n - 1):
-        powers.append(powers[-1] * nmat)
         upow.append(upow[-1] * u)
-    rows = []
-    for j in range(n):
-        row = []
-        for l in range(n):
-            if l < j:
-                row.append(zero)
-                continue
-            row.append(_dot((powers[m][j][l], upow[l - j - m]) for m in range(l - j + 1)))
-        rows.append(row)
-    return TriangularInverse(size=n, p=LaurentMatrix(rows))
+    p = [[zero] * n for _ in range(n)]
+    for l in range(n):
+        p[l][l] = one
+        for j in range(l - 1, -1, -1):
+            acc = zero
+            for m in range(j + 1, l + 1):
+                if rows[j][m] and p[m][l]:
+                    acc = acc + rows[j][m] * p[m][l] * upow[m - j - 1]
+            p[j][l] = -acc
+    return TriangularInverse(size=n, p=tuple(tuple(row) for row in p))

@@ -14,7 +14,6 @@ from fractions import Fraction
 from typing import Mapping
 
 from .exactalg import (
-    LaurentMatrix,
     LaurentPoly,
     NotDivisible,
     delta_symbol,
@@ -89,12 +88,10 @@ def verify_spectral_chain(mask: Mask, chain: Chain) -> SpectralReport:
     return SpectralReport(ok=not failures, d=chain.d, failures=tuple(failures))
 
 
-def _identity_holds(
-    tsym: LaurentMatrix, asym: LaurentMatrix, bsym: LaurentMatrix, scale: Fraction
-) -> bool:
-    """T*(z) A*(z) == scale * B*(z) T*(z^2), decided by one matrix comparison."""
-    rhs = (bsym * tsym.substitute_power(2)).scale(LaurentPoly.constant(scale))
-    return tsym * asym == rhs
+def _identity_holds(t: Mask, a: Mask, b: Mask, scale: Fraction) -> bool:
+    """T*(z) A*(z) == scale * B*(z) T*(z^2), decided by one mask comparison
+    (no mask is zero, so a zero scale never holds)."""
+    return scale != 0 and t * a == (b * t.substitute_power(2)).scale(scale)
 
 
 @dataclass(frozen=True)
@@ -108,9 +105,7 @@ class Factorization:
     scale: Fraction
 
     def verify(self) -> bool:
-        return _identity_holds(
-            self.taylor.symbol(), self.mask.symbol(), self.factor.symbol(), self.scale
-        )
+        return _identity_holds(self.taylor.symbol(), self.mask, self.factor, self.scale)
 
     def to_json(self) -> dict:
         return {
@@ -150,13 +145,14 @@ def taylor_factorize(
     elif scale == 0:
         raise ValueError("the factorization scale must be nonzero")
     op = chain.operator().as_complete()
-    csym = op.symbol() * mask.symbol()
+    t = op.symbol()
+    c_mask = t * mask
     u2 = delta_symbol(2)
     size = d + 1
     b: list[list[LaurentPoly]] = [[LaurentPoly.zero()] * size for _ in range(size)]
     for k in range(size):
         for i in range(size):
-            num = csym[i][k]
+            num = c_mask.entry_symbol(i, k)
             for l in range(k):
                 wv = op.w[k - 1][l]
                 if wv:
@@ -164,7 +160,6 @@ def taylor_factorize(
             try:
                 b[i][k] = num.divide_exact(u2)
             except NotDivisible as exc:
-                c_mask = Mask.from_symbol(csym)
                 for j, v in enumerate(chain.vecs):
                     hit = eigen_check(c_mask, v, 0)
                     if hit is not None:
@@ -173,11 +168,10 @@ def taylor_factorize(
                             f"level {j} is not annihilated: row {row} at alpha={alpha} gives {got}"
                         ) from exc
                 raise NotDivisible(f"column division failed at entry ({i},{k}): {exc}") from exc
-    factor = Mask.from_symbol(LaurentMatrix(b)).scale(1 / scale)
-    fac = Factorization(mask=mask, taylor=op, factor=factor, scale=scale)
-    if not fac.verify():
+    factor = Mask.from_symbol(b).scale(1 / scale)
+    if c_mask != (factor * t.substitute_power(2)).scale(scale):
         raise AssertionError("factorization identity failed after the column solve")
-    return fac
+    return Factorization(mask=mask, taylor=op, factor=factor, scale=scale)
 
 
 def unfactor(
@@ -195,28 +189,24 @@ def unfactor(
     if scale is None:
         scale = Fraction(1, 2**d)
     u = delta_symbol(1)
-    u2 = delta_symbol(2)
-    bsym = factor.symbol()
+    t = op.symbol()
+    g = factor * t.substitute_power(2)
     size = d + 1
-    # g = B* T-tilde*(z^2), written entrywise to keep the divisions visible.
+    # Row l of G = B* T-tilde*(z^2) must be divisible by (z^-1 - 1)^(l+1).
     e: list[list[LaurentPoly]] = [[LaurentPoly.zero()] * size for _ in range(size)]
     for l in range(size):
         for k in range(size):
-            g = bsym[l][k] * u2
-            for r in range(k):
-                wv = op.w[k - 1][r]
-                if wv:
-                    g = g - bsym[l][r] * wv
-            if g.is_zero:
+            entry = g.entry_symbol(l, k)
+            if entry.is_zero:
                 continue
             try:
-                e[l][k] = g.divide_exact(u ** (l + 1))
+                e[l][k] = entry.divide_exact(u ** (l + 1))
             except NotDivisible as exc:
                 raise NotDivisible(
                     f"divisibility condition failed at entry ({l},{k}): "
                     f"row {l} requires a factor (z^-1 - 1)^{l + 1}"
                 ) from exc
-    inv = lm_triangular_inverse(op.symbol())
+    inv = lm_triangular_inverse(t)
     rows = []
     for j in range(size):
         row = []
@@ -228,9 +218,8 @@ def unfactor(
                     acc = acc + p * e[l][k]
             row.append(acc * u**j * scale)
         rows.append(row)
-    asym = LaurentMatrix(rows)
-    mask = Mask.from_symbol(asym)
-    if not _identity_holds(op.symbol(), asym, bsym, scale):
+    mask = Mask.from_symbol(rows)
+    if t * mask != g.scale(scale):
         raise AssertionError("unfactor did not satisfy the factorization identity")
     return mask
 
@@ -244,12 +233,11 @@ def incomplete_from_complete(btilde: Mask) -> Mask:
     u = delta_symbol(1)
     u2 = delta_symbol(2)
     zp1 = LaurentPoly({-1: 1, 0: 1})
-    sym = btilde.symbol()
     rows = []
     for i in range(d + 1):
         row = []
         for k in range(d + 1):
-            f = sym[i][k]
+            f = btilde.entry_symbol(i, k)
             if i < d and k < d:
                 row.append(f)
             elif i < d and k == d:
@@ -264,7 +252,7 @@ def incomplete_from_complete(btilde: Mask) -> Mask:
             else:
                 row.append(f * zp1)
         rows.append(row)
-    return Mask.from_symbol(LaurentMatrix(rows))
+    return Mask.from_symbol(rows)
 
 
 def _last_column_partition_of_unity(mask: Mask) -> bool:
@@ -297,7 +285,7 @@ def spectral_chain_from_factorization(
     opi = op.as_incomplete()
     if chain is None:
         chain = chain_for(op.as_complete())
-    if not _identity_holds(opi.symbol(), mask.symbol(), factor_incomplete.symbol(), scale):
+    if not _identity_holds(opi.symbol(), mask, factor_incomplete, scale):
         raise ValueError("incomplete factorization identity does not hold")
     if not _last_column_partition_of_unity(factor_incomplete):
         raise ValueError("factor does not reproduce the constant top-derivative data")

@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
-from .exactalg import LaurentMatrix, LaurentPoly, RationalLike
+from .exactalg import LaurentPoly, RationalLike
 from .factor import Factorization, taylor_factorize, verify_spectral_chain
 from .polybasis import NotInVd, Poly, PolyVec
 from .subdivision import Mask
@@ -54,7 +54,7 @@ def spline_mask(r: int, d: int) -> Mask:
     for i in range(d + 1):
         row = [onemz**i * base] + [zero] * d
         rows.append(row)
-    return Mask.from_symbol(LaurentMatrix(rows))
+    return Mask.from_symbol(rows)
 
 
 def ell_polynomial(r: int) -> Poly:

@@ -19,19 +19,22 @@ from itertools import chain
 from math import gcd, lcm
 
 from .exactalg import (
-    LaurentMatrix,
     LaurentPoly,
     RationalLike,
     _json_field,
+    _mul,
     _over_one_denominator,
     _ratio_str,
     _rational,
     rat_from_str,
 )
 from .polybasis import PolyVec
-from .taylor import WindowTooSmall
 
 Matrix = tuple[tuple[Fraction, ...], ...]
+
+
+class WindowTooSmall(Exception):
+    """Raised when sampled data is too short for a difference stencil."""
 
 
 @dataclass(frozen=True)
@@ -62,6 +65,9 @@ class Mask:
     denominator _den. No end matrix is zero and no factor is common to _den
     and all numerators, so equal masks have equal fields. coeffs (built on
     first read and kept) and matrix(alpha) are Fraction views.
+
+    A mask is also the one form of a square matrix symbol: * is the symbol
+    product, substitute_power(m) gives A*(z^m), and == compares symbols.
     """
 
     support_min: int
@@ -149,29 +155,63 @@ class Mask:
     def entry_symbol(self, i: int, k: int) -> LaurentPoly:
         return LaurentPoly._make(self.support_min, self._num[i][k], self._den)
 
-    def symbol(self) -> LaurentMatrix:
-        size = self.d + 1
-        return LaurentMatrix(
-            [[self.entry_symbol(i, k) for k in range(size)] for i in range(size)]
-        )
-
     @classmethod
-    def from_symbol(cls, sym: LaurentMatrix) -> "Mask":
-        if sym.nrows != sym.ncols:
+    def from_symbol(cls, rows: Sequence[Sequence[LaurentPoly]]) -> "Mask":
+        """The mask whose symbol has these rows of LaurentPoly entries."""
+        if not rows or any(len(row) != len(rows) for row in rows):
             raise ValueError("symbol must be square")
-        polys = [f for row in sym.rows for f in row if f]
+        if any(type(f) is not LaurentPoly for row in rows for f in row):
+            raise TypeError("matrix entries must be LaurentPoly")
+        polys = [f for row in rows for f in row if f]
         if not polys:
             raise ValueError("zero symbol has no mask")
         lo, hi = min(f._lo for f in polys), max(f.hi for f in polys)
         den = lcm(*(f._den for f in polys))
-        entries = [[[0] * (hi - lo + 1) for _ in row] for row in sym.rows]
-        for out, row in zip(entries, sym.rows):
+        entries = [[[0] * (hi - lo + 1) for _ in row] for row in rows]
+        for out, row in zip(entries, rows):
             for e, f in zip(out, row):
                 # The entry's numerators (none if it is zero), moved to lo
                 # and brought over den.
                 at, scale = f._lo - lo, den // f._den
                 e[at : at + len(f._num)] = [n * scale for n in f._num]
         return cls._raw(lo, entries, den)
+
+    def __mul__(self, other: "Mask") -> "Mask":
+        """The symbol product A*(z) B*(z). Every entry of a mask spans its
+        whole support, so entry (i, k) is a sum of integer convolutions of
+        one length, over den_a * den_b, normalized once."""
+        if not isinstance(other, Mask):
+            return NotImplemented
+        if other.d != self.d:
+            raise ValueError("matrix shape mismatch in product")
+        width = len(self._num[0][0]) + len(other._num[0][0]) - 1
+        cols = list(zip(*other._num))
+        entries = []
+        for row in self._num:
+            out = []
+            for col in cols:
+                acc = [0] * width
+                for a, b in zip(row, col):
+                    if any(a) and any(b):
+                        acc = [x + y for x, y in zip(acc, _mul(a, b))]
+                out.append(acc)
+            entries.append(out)
+        return self._raw(self.support_min + other.support_min, entries, self._den * other._den)
+
+    def substitute_power(self, m: int) -> "Mask":
+        """The mask of A*(z^m), for m >= 1."""
+        if m < 1:
+            raise ValueError("substitute_power needs m >= 1")
+        width = (len(self._num[0][0]) - 1) * m + 1
+        entries = []
+        for row in self._num:
+            out = []
+            for e in row:
+                spread = [0] * width
+                spread[::m] = e
+                out.append(spread)
+            entries.append(out)
+        return self._raw(self.support_min * m, entries, self._den)
 
     def scale(self, v: RationalLike) -> "Mask":
         p, q = _rational(v).as_integer_ratio()
@@ -481,6 +521,9 @@ class DyadicGrid:
     def from_json(cls, obj: Mapping) -> "DyadicGrid":
         if not isinstance(obj, Mapping):
             raise TypeError(f"a grid must be a JSON object, got {type(obj).__name__}")
-        parse = rat_from_str if obj.get("kind", "exact") == "exact" else float
+        kind = obj.get("kind", "exact")
+        if kind not in ("exact", "float"):
+            raise ValueError(f"grid kind must be 'exact' or 'float', got {kind!r}")
+        parse = rat_from_str if kind == "exact" else float
         values = tuple(tuple(parse(v) for v in col) for col in obj["values"])
         return cls(_json_field(obj, "level", int), _json_field(obj, "start", int), values)

@@ -20,16 +20,9 @@ from fractions import Fraction
 from math import factorial
 from typing import Mapping
 
-from .exactalg import (
-    LaurentMatrix,
-    LaurentPoly,
-    RationalLike,
-    _json_field,
-    delta_symbol,
-    rat_from_str,
-    rat_to_str,
-)
+from .exactalg import RationalLike, _json_field, _rational, rat_from_str, rat_to_str
 from .polybasis import NotInVd, Poly, PolyVec, antidifference
+from .subdivision import Mask
 
 
 class InvalidOperator(Exception):
@@ -38,10 +31,6 @@ class InvalidOperator(Exception):
 
 class NotAChain(Exception):
     """Raised when a purported chain fails compatibility between levels."""
-
-
-class WindowTooSmall(Exception):
-    """Raised when sampled data is too short for a difference stencil."""
 
 
 @dataclass(frozen=True)
@@ -55,7 +44,7 @@ class TaylorOperator:
     complete: bool = True
 
     def __post_init__(self):
-        rows = tuple(tuple(Fraction(v) for v in row) for row in self.w)
+        rows = tuple(tuple(Fraction(_rational(v)) for v in row) for row in self.w)
         object.__setattr__(self, "w", rows)
         for j, row in enumerate(rows, start=1):
             if len(row) != j:
@@ -85,27 +74,21 @@ class TaylorOperator:
         plain iterated forward difference."""
         return all(v == 0 for row in self.w for v in row[:-1])
 
-    def symbol(self) -> LaurentMatrix:
-        """(d+1)x(d+1) Laurent matrix: u = z^-1 - 1 on the diagonal (the last
-        diagonal entry is 1 for the incomplete variant), constants above."""
-        d = self.d
-        u = delta_symbol(1)
-        zero = LaurentPoly.zero()
-        rows = []
-        for i in range(d + 1):
-            row = []
-            for k in range(d + 1):
-                if k < i:
-                    row.append(zero)
-                elif k == i:
-                    if i == d and not self.complete:
-                        row.append(LaurentPoly.one())
-                    else:
-                        row.append(u)
-                else:
-                    row.append(LaurentPoly.constant(self.constant_entry(i, k)))
-            rows.append(row)
-        return LaurentMatrix(rows)
+    def symbol(self) -> Mask:
+        """The (d+1)x(d+1) symbol as a mask on alpha = -1, 0: u = z^-1 - 1 on
+        the diagonal (the last diagonal entry is 1 for the incomplete
+        variant), constants above."""
+        size = self.d + 1
+        at_minus_one = [[0] * size for _ in range(size)]
+        at_zero = [
+            [self.constant_entry(i, k) if k > i else 0 for k in range(size)] for i in range(size)
+        ]
+        for i in range(size):
+            if i == self.d and not self.complete:
+                at_zero[i][i] = 1
+            else:
+                at_minus_one[i][i], at_zero[i][i] = 1, -1
+        return Mask(-1, (at_minus_one, at_zero))
 
     def to_json(self) -> dict:
         return {
@@ -229,8 +212,14 @@ def chain_for(
     Level j is grown one degree at a time: the difference of the degree-k
     component is prescribed by the weights, and its antidifference is fixed
     by the free constant constants[(j, k)] (default 0) as the value at 0.
+    A key outside 1 <= k <= j <= d raises ValueError and a value that is
+    not an int or a Fraction TypeError.
     """
-    consts = {k: Fraction(v) for k, v in (constants or {}).items()}
+    consts = {}
+    for (j, k), v in (constants or {}).items():
+        if not 1 <= k <= j <= op.d:
+            raise ValueError(f"constant ({j},{k}) is outside 1 <= k <= j <= {op.d}")
+        consts[(j, k)] = _rational(v)
     vecs = []
     for j in range(op.d + 1):
         comps: list[Poly] = [Poly.one()]

@@ -12,8 +12,11 @@ at a time, Fraction samples of polynomial vectors for the eigen
 check, contraction norms read off the Laurent-product iterated symbol,
 Fraction abscissae for the spline cascade check, the Cox-de Boor recursion
 for B-spline values, a factorization that gates on annihilation before
-dividing and checks its identity twice, and the order-of-zero test of a
-synthesized last row that unfactor's division by (z^-1 - 1)^(d+1) replaces.
+dividing and checks its identity twice, the order-of-zero test of a
+synthesized last row that unfactor's division by (z^-1 - 1)^(d+1) replaces,
+the Laurent matrix that keeps one canonical LaurentPoly per entry and
+normalizes each product entry on its own, and the triangular inverse by
+nilpotent expansion.
 They are slow and obviously right, which is all they are for.
 
 The oracles at the end state a property by its defining formula: the
@@ -27,11 +30,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial, inf, lcm
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from hermiteforge import (
     DyadicGrid,
-    LaurentMatrix,
     LaurentPoly,
     Mask,
     NotAnnihilated,
@@ -45,8 +47,12 @@ from hermiteforge.analysis import ContractivityReport, ConvergenceReport
 from hermiteforge.construct import SingularSystem
 from hermiteforge.exactalg import (
     NotDivisible,
+    NotTriangular,
     RationalLike,
+    SingularDiagonal,
     TriangularInverse,
+    _add,
+    _mul,
     delta_symbol,
     falling_factorial,
     rat_from_str,
@@ -55,8 +61,8 @@ from hermiteforge.exactalg import (
 from hermiteforge.factor import Factorization
 from hermiteforge.polybasis import newton_basis
 from hermiteforge.splines import SplineCascadeReport, bspline_derivative
-from hermiteforge.subdivision import eigen_check
-from hermiteforge.taylor import Chain, WindowTooSmall, delta_operator
+from hermiteforge.subdivision import WindowTooSmall, eigen_check
+from hermiteforge.taylor import Chain, delta_operator
 
 
 def _canonical_hash(terms: Mapping[int, Fraction]) -> int:
@@ -477,6 +483,117 @@ def difference_split_reference(p: FractionPoly, n: int) -> bool:
     return lhs == rhs
 
 
+# ---------------------------------------------------------------------------
+# The Laurent matrix that Mask replaced as the form of a matrix symbol: one
+# canonical LaurentPoly per entry, each product entry normalized on its own.
+
+
+def _dot(pairs: Iterable[tuple[LaurentPoly, LaurentPoly]]) -> LaurentPoly:
+    """The sum of the products a * b, normalized once at the end."""
+    lo, acc, den = 0, None, 1
+    for a, b in pairs:
+        if a._num and b._num:
+            plo, prod, pden = a._lo + b._lo, _mul(a._num, b._num), a._den * b._den
+            if acc is None:
+                lo, acc, den = plo, prod, pden
+            else:
+                lo, acc, den = _add(lo, acc, den, plo, prod, pden)
+    if acc is None:
+        return LaurentPoly.zero()
+    return LaurentPoly._make(lo, acc, den)
+
+
+class LaurentMatrix:
+    """A rectangular matrix of LaurentPoly entries."""
+
+    __slots__ = ("_rows",)
+
+    def __init__(self, rows: Sequence[Sequence[LaurentPoly]]):
+        tup = tuple(tuple(r) for r in rows)
+        if not tup or not tup[0]:
+            raise ValueError("empty matrix")
+        width = len(tup[0])
+        for r in tup:
+            if len(r) != width:
+                raise ValueError("ragged matrix rows")
+            for x in r:
+                if type(x) is not LaurentPoly:
+                    raise TypeError("matrix entries must be LaurentPoly")
+        self._rows = tup
+
+    @classmethod
+    def identity(cls, n: int) -> "LaurentMatrix":
+        one = LaurentPoly.one()
+        zero = LaurentPoly.zero()
+        return cls([[one if i == k else zero for k in range(n)] for i in range(n)])
+
+    @property
+    def nrows(self) -> int:
+        return len(self._rows)
+
+    @property
+    def ncols(self) -> int:
+        return len(self._rows[0])
+
+    @property
+    def rows(self) -> tuple[tuple[LaurentPoly, ...], ...]:
+        return self._rows
+
+    def __getitem__(self, i: int) -> tuple[LaurentPoly, ...]:
+        return self._rows[i]
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, LaurentMatrix):
+            return NotImplemented
+        return self._rows == other._rows
+
+    def __hash__(self) -> int:
+        return hash(self._rows)
+
+    def __add__(self, other: "LaurentMatrix") -> "LaurentMatrix":
+        self._check_shape(other)
+        return LaurentMatrix(
+            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self._rows, other._rows)]
+        )
+
+    def __sub__(self, other: "LaurentMatrix") -> "LaurentMatrix":
+        self._check_shape(other)
+        return LaurentMatrix(
+            [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self._rows, other._rows)]
+        )
+
+    def _check_shape(self, other: "LaurentMatrix") -> None:
+        if self.nrows != other.nrows or self.ncols != other.ncols:
+            raise ValueError("matrix shape mismatch")
+
+    def __mul__(self, other: "LaurentMatrix | LaurentPoly | RationalLike") -> "LaurentMatrix":
+        if isinstance(other, LaurentMatrix):
+            if self.ncols != other.nrows:
+                raise ValueError("matrix shape mismatch in product")
+            cols = list(zip(*other._rows))
+            return LaurentMatrix([[_dot(zip(row, col)) for col in cols] for row in self._rows])
+        return self.scale(other)
+
+    def scale(self, f: "LaurentPoly | RationalLike") -> "LaurentMatrix":
+        return LaurentMatrix([[x * f for x in r] for r in self._rows])
+
+    def substitute_power(self, m: int) -> "LaurentMatrix":
+        return LaurentMatrix([[x.substitute_power(m) for x in r] for r in self._rows])
+
+    def is_zero(self) -> bool:
+        return all(x.is_zero for r in self._rows for x in r)
+
+    def to_json(self) -> list[list[dict[str, str]]]:
+        return [[x.to_json() for x in r] for r in self._rows]
+
+    @classmethod
+    def from_json(cls, obj: Sequence[Sequence[Mapping[str, str]]]) -> "LaurentMatrix":
+        return cls([[LaurentPoly.from_json(x) for x in r] for r in obj])
+
+    def __repr__(self) -> str:
+        return f"LaurentMatrix({self.nrows}x{self.ncols})"
+
+
 def mask_symbol_reference(mask: Mask) -> LaurentMatrix:
     """A*(z), each entry symbol built from the Fraction matrices."""
     size = mask.d + 1
@@ -859,7 +976,7 @@ def scheme_norm_reference(mask: Mask, n: int = 1) -> Fraction:
     sym = iterated_symbol(mask, n)
     if all(f.is_zero for row in sym.rows for f in row):
         return Fraction(0)
-    iterated = Mask.from_symbol(sym)
+    iterated = Mask.from_symbol(sym.rows)
     s_min, s_max = iterated.support
     modulus = 2**n
     best = Fraction(0)
@@ -893,7 +1010,7 @@ def check_contractive_reference(mask: Mask, n_max: int = 8) -> ContractivityRepo
             if sym.is_zero:
                 diagonal_norms.append(Fraction(0))
                 continue
-            scalar = Mask.from_symbol(LaurentMatrix([[sym]]))
+            scalar = Mask.from_symbol([[sym]])
             found = None
             for n in range(1, n_max + 1):
                 value = scheme_norm_reference(scalar, n)
@@ -963,7 +1080,7 @@ def factor_through_reference(c_mask: Mask, chain: Chain) -> Mask:
                 f"level {j} is not annihilated: row {row} at alpha={alpha} gives {got}"
             )
     u2 = delta_symbol(2)
-    csym = c_mask.symbol()
+    csym = mask_symbol_reference(c_mask)
     size = d + 1
     b = [[LaurentPoly.zero()] * size for _ in range(size)]
     for k in range(size):
@@ -980,9 +1097,9 @@ def factor_through_reference(c_mask: Mask, chain: Chain) -> Mask:
                     f"column division failed at entry ({i},{k}): {exc}"
                 ) from exc
     bsym = LaurentMatrix(b)
-    if csym != bsym * op.as_complete().symbol().substitute_power(2):
+    if csym != bsym * mask_symbol_reference(op.as_complete().symbol()).substitute_power(2):
         raise AssertionError("column solve did not reproduce the target symbol")
-    return Mask.from_symbol(bsym)
+    return mask_from_symbol_reference(bsym)
 
 
 def taylor_factorize_reference(mask: Mask, chain: Chain, scale=None) -> Factorization:
@@ -992,8 +1109,8 @@ def taylor_factorize_reference(mask: Mask, chain: Chain, scale=None) -> Factoriz
     if scale is None:
         scale = Fraction(1, 2**d)
     op = chain.operator().as_complete()
-    csym = op.symbol() * mask.symbol()
-    b_raw = factor_through_reference(Mask.from_symbol(csym), chain)
+    csym = mask_symbol_reference(op.symbol()) * mask_symbol_reference(mask)
+    b_raw = factor_through_reference(mask_from_symbol_reference(csym), chain)
     fac = Factorization(mask=mask, taylor=op, factor=b_raw.scale(1 / scale), scale=scale)
     if not fac.verify():
         raise AssertionError("factorization identity failed after the column solve")
@@ -1003,6 +1120,15 @@ def taylor_factorize_reference(mask: Mask, chain: Chain, scale=None) -> Factoriz
 # ---------------------------------------------------------------------------
 # Oracles that the tests check the library against: each states a property
 # directly, by the defining formula, rather than by the fast path.
+
+
+def identity_reference(fac: Factorization) -> bool:
+    """T*(z) A*(z) == scale * B*(z) T*(z^2), with one LaurentPoly per entry
+    of every matrix."""
+    t = mask_symbol_reference(fac.taylor.symbol())
+    lhs = t * mask_symbol_reference(fac.mask)
+    rhs = mask_symbol_reference(fac.factor) * t.substitute_power(2)
+    return lhs == rhs.scale(LaurentPoly.constant(fac.scale))
 
 
 def last_row_divisibility_reference(op: TaylorOperator, hs: Sequence[LaurentPoly]) -> None:
@@ -1033,11 +1159,49 @@ def iterated_symbol(mask: Mask, n: int) -> LaurentMatrix:
     """Symbol of the n-fold scheme: B*(z) B*(z^2) ... B*(z^(2^(n-1)))."""
     if n < 1:
         raise ValueError("need n >= 1")
-    sym = mask.symbol()
+    sym = mask_symbol_reference(mask)
     out = sym
     for k in range(1, n):
         out = out * sym.substitute_power(2**k)
     return out
+
+
+def triangular_inverse_reference(t: LaurentMatrix) -> TriangularInverse:
+    """Invert an upper-triangular matrix with constant diagonal u = z^-1 - 1.
+
+    Uses the nilpotent expansion: writing t = u I + C with C strictly upper,
+    the inverse is sum_m (-C)^m u^-(m+1), and the (j,l) numerator over the
+    common denominator u^(l-j+1) is sum_m ((-C)^m)[j][l] u^(l-j-m).
+    """
+    n = t.nrows
+    if t.ncols != n:
+        raise NotTriangular("matrix is not square")
+    u = delta_symbol(1)
+    for i in range(n):
+        for k in range(n):
+            if k < i and t[i][k]:
+                raise NotTriangular(f"nonzero entry below the diagonal at ({i},{k})")
+            if k == i and t[i][k] != u:
+                raise SingularDiagonal(
+                    f"diagonal entry ({i},{i}) is not z^-1 - 1; cannot invert in this form"
+                )
+    zero = LaurentPoly.zero()
+    nmat = LaurentMatrix([[-t[i][k] if k > i else zero for k in range(n)] for i in range(n)])
+    powers = [LaurentMatrix.identity(n)]
+    upow = [LaurentPoly.one()]
+    for _ in range(n - 1):
+        powers.append(powers[-1] * nmat)
+        upow.append(upow[-1] * u)
+    rows = []
+    for j in range(n):
+        row = []
+        for l in range(n):
+            if l < j:
+                row.append(zero)
+                continue
+            row.append(_dot((powers[m][j][l], upow[l - j - m]) for m in range(l - j + 1)))
+        rows.append(row)
+    return TriangularInverse(size=n, p=LaurentMatrix(rows))
 
 
 def triangular_inverse_check(t: LaurentMatrix, inv: TriangularInverse) -> bool:
@@ -1168,7 +1332,7 @@ def complete_from_incomplete(b: Mask) -> Mask:
     u = delta_symbol(1)
     u2 = delta_symbol(2)
     zp1 = LaurentPoly({-1: 1, 0: 1})  # z^-1 + 1
-    sym = b.symbol()
+    sym = mask_symbol_reference(b)
     rows = []
     for i in range(d + 1):
         row = []
@@ -1183,4 +1347,4 @@ def complete_from_incomplete(b: Mask) -> Mask:
             else:
                 row.append(f.divide_exact(zp1) if f else f)
         rows.append(row)
-    return Mask.from_symbol(LaurentMatrix(rows))
+    return mask_from_symbol_reference(LaurentMatrix(rows))

@@ -19,10 +19,12 @@ def rationals(draw, lo, hi, max_den: int) -> F:
 
 
 @st.composite
-def sparse_masks(draw):
+def sparse_masks(draw, d=None):
     """Random masks with whole rows zeroed, or one row zeroed in one parity
-    class of alpha, so that some stencil rows have no terms."""
-    d = draw(st.integers(min_value=0, max_value=3))
+    class of alpha, so that some stencil rows have no terms; of size d + 1
+    when d is given."""
+    if d is None:
+        d = draw(st.integers(min_value=0, max_value=3))
     length = draw(st.integers(min_value=1, max_value=6))
     s_min = draw(st.integers(min_value=-4, max_value=3))
 

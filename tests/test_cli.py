@@ -67,7 +67,7 @@ def test_construct_reference_scheme(capsys, tmp_path):
     from hermiteforge import Mask
 
     mask = Mask.from_json(doc["bundle"]["A"])
-    assert mask.symbol() == mask_from_entries(REF2_MASK, 2).symbol()
+    assert mask == mask_from_entries(REF2_MASK, 2)
 
 
 def test_construct_writes_file(capsys, tmp_path):
@@ -338,6 +338,15 @@ def _malformed_argv(case, tmp_path):
         grid.write_text(json.dumps({"level": 0, "start": -4, "kind": kind, "values": values}))
         flags = ["--exact"] if kind == "float" else []
         return ["cascade", "--mask", str(hat), "--init", str(grid), *flags]
+    if case == "misspelt-grid-kind":
+        values = [["1", "0"] if n == 4 else ["0", "0"] for n in range(9)]
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"level": 0, "start": -4, "kind": "exakt", "values": values}))
+        return ["cascade", "--mask", str(hat), "--init", str(grid)]
+    if case in ("constant-outside-operator", "constant-k-above-j"):
+        # Free constants exist for 1 <= k <= j <= d only.
+        key = "5,1" if case == "constant-outside-operator" else "1,2"
+        return ["chain", "--taylor", "delta:d=2", "--constant", f"{key}:3"]
     if case == "deeply-nested-json":
         bad = tmp_path / "nested.json"
         bad.write_text("[" * 100_000 + "]" * 100_000)
@@ -385,6 +394,9 @@ def _malformed_argv(case, tmp_path):
         "grid-without-values",
         "float-grid-with-exact",
         "exact-grid-without-exact",
+        "misspelt-grid-kind",
+        "constant-outside-operator",
+        "constant-k-above-j",
         "negative-preset-size",
         "nan-ratio-bound",
         "nan-residual-tol",
@@ -410,3 +422,7 @@ def test_malformed_input_exits_two(case, capsys, tmp_path):
         assert captured.err.startswith("error: seed polynomial: ")
     if case in ("float-grid-with-exact", "exact-grid-without-exact"):
         assert "--exact" in captured.err
+    if case == "misspelt-grid-kind":
+        assert "'exakt'" in captured.err
+    if case.startswith("constant-"):
+        assert "outside 1 <= k <= j <= 2" in captured.err

@@ -11,9 +11,18 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hermiteforge import LaurentMatrix, LaurentPoly, NotDivisible, Poly
-from hermiteforge.exactalg import delta_symbol, lm_triangular_inverse
-from reference_kernels import triangular_inverse_check
+from hermiteforge import LaurentPoly, Mask, NotDivisible, Poly, delta_operator
+from hermiteforge.exactalg import (
+    NotTriangular,
+    SingularDiagonal,
+    delta_symbol,
+    lm_triangular_inverse,
+)
+from reference_kernels import (
+    mask_symbol_reference,
+    triangular_inverse_check,
+    triangular_inverse_reference,
+)
 from strategies import rationals
 
 rational_values = rationals(-20, 20, 12)
@@ -115,9 +124,21 @@ def test_triangular_inverse(n, data):
             else:
                 row.append(data.draw(laurent_polys(min_exp=-2, max_exp=2, max_terms=3)))
         rows.append(row)
-    t = LaurentMatrix(rows)
+    t = Mask.from_symbol(rows)
     inv = lm_triangular_inverse(t)
-    assert triangular_inverse_check(t, inv)
+    sym = mask_symbol_reference(t)
+    assert triangular_inverse_check(sym, inv)
+    # Back substitution gives the numerators of the nilpotent expansion.
+    assert inv.p == triangular_inverse_reference(sym).p.rows
+
+
+def test_triangular_inverse_refuses_other_shapes():
+    u, one = delta_symbol(), LaurentPoly.one()
+    with pytest.raises(NotTriangular, match=r"below the diagonal at \(1,0\)"):
+        lm_triangular_inverse(Mask.from_symbol([[u, one], [one, u]]))
+    # The incomplete operator keeps 1, not u, in its last diagonal entry.
+    with pytest.raises(SingularDiagonal, match=r"diagonal entry \(2,2\)"):
+        lm_triangular_inverse(delta_operator(2).as_incomplete().symbol())
 
 
 def test_poly_forward_difference():

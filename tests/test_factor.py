@@ -3,6 +3,7 @@
 import json
 import re
 from fractions import Fraction as F
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
@@ -15,10 +16,14 @@ from goldens import (
     REF2_SPECTRAL_CHAIN,
     mask_from_entries,
 )
-from reference_kernels import complete_from_incomplete, taylor_factorize_reference
+from reference_kernels import (
+    complete_from_incomplete,
+    identity_reference,
+    mask_symbol_reference,
+    taylor_factorize_reference,
+)
 from strategies import rationals
 from hermiteforge import (
-    LaurentMatrix,
     LaurentPoly,
     Mask,
     NotAnnihilated,
@@ -38,6 +43,7 @@ from hermiteforge import (
     verify_spectral_chain,
 )
 from hermiteforge.cli import run
+from hermiteforge.factor import Factorization
 
 
 def ref2_mask():
@@ -55,28 +61,26 @@ def delta_chain():
 def test_factorize_reference_scheme_exactly():
     fac = taylor_factorize(ref2_mask(), delta_chain())
     assert fac.scale == REF2_SCALE
-    want = ref2_factor().symbol()
-    got = fac.factor.symbol()
+    want = mask_symbol_reference(ref2_factor())
     for i in range(3):
         for k in range(3):
-            assert got.rows[i][k] == want.rows[i][k]
+            assert fac.factor.entry_symbol(i, k) == want.rows[i][k]
     assert fac.verify()
 
 
 def test_unfactor_reference_scheme_exactly():
     mask = unfactor(delta_operator(2), ref2_factor(), REF2_SCALE)
-    want = ref2_mask().symbol()
-    got = mask.symbol()
+    want = mask_symbol_reference(ref2_mask())
     for i in range(3):
         for k in range(3):
-            assert got.rows[i][k] == want.rows[i][k]
+            assert mask.entry_symbol(i, k) == want.rows[i][k]
 
 
 def test_factor_unfactor_roundtrip_on_splines():
     for r, d in ((1, 1), (2, 1), (2, 2), (3, 2)):
         _, fac = spline_verify(r, d)
         back = unfactor(fac.taylor, fac.factor, fac.scale)
-        assert back.symbol() == fac.mask.symbol()
+        assert back == fac.mask
 
 
 def test_factorize_rejects_perturbed_mask():
@@ -155,13 +159,14 @@ def _entry_point_call(name, tmp_path):
 def test_each_entry_point_checks_the_identity_once(name, tmp_path, monkeypatch):
     call = _entry_point_call(name, tmp_path)
     calls = []
-    matrix_eq = LaurentMatrix.__eq__
+    mask_eq = Mask.__eq__
 
     def counting_eq(self, other):
         calls.append(None)
-        return matrix_eq(self, other)
+        return mask_eq(self, other)
 
-    monkeypatch.setattr(LaurentMatrix, "__eq__", counting_eq)
+    # Every identity comparison is one Mask equality.
+    monkeypatch.setattr(Mask, "__eq__", counting_eq)
     result = call()
     assert len(calls) == 1
     if name.startswith("cli"):
@@ -170,20 +175,63 @@ def test_each_entry_point_checks_the_identity_once(name, tmp_path, monkeypatch):
         assert doc["checks"]["identity"] is True
 
 
+@lru_cache(maxsize=None)
+def _synthesized(name):
+    """A synthesized factorization of the reference scheme or of a preset."""
+    if name == "ref2":
+        return synthesize(delta_operator(2), *_ref2_seed_and_g()).factorization
+    make, d = {"classical3": (classical_operator, 3), "allones2": (allones_operator, 2)}[name]
+    seed = LaurentPoly({0: F(1, 2), 1: F(1, 2)}) ** (d - 1)
+    return synthesize(make(d), seed, strategy="system").factorization
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    name=st.sampled_from(["ref2", "classical3", "allones2"]),
+    moves=st.lists(
+        st.tuples(
+            st.sampled_from(["mask", "factor", "scale"]),
+            st.integers(min_value=0, max_value=40),
+            st.integers(min_value=0, max_value=3),
+            st.integers(min_value=0, max_value=3),
+            rationals(-2, 2, 8).filter(bool),
+        ),
+        max_size=2,
+    ),
+)
+def test_verify_agrees_with_the_laurent_matrix_identity(name, moves):
+    # No move leaves a proven factorization; a moved entry or scale
+    # almost always breaks it, and both checks must say the same.
+    fac = _synthesized(name)
+    parts = {"mask": fac.mask, "factor": fac.factor}
+    scale = fac.scale
+    for part, n, i, k, shift in moves:
+        if part == "scale":
+            scale += shift
+            continue
+        m = parts[part]
+        coeffs = [[list(row) for row in a] for a in m.coeffs]
+        coeffs[n % len(coeffs)][i % (m.d + 1)][k % (m.d + 1)] += shift
+        parts[part] = Mask(m.support_min, coeffs)
+    moved = Factorization(
+        mask=parts["mask"], taylor=fac.taylor, factor=parts["factor"], scale=scale
+    )
+    assert moved.verify() == identity_reference(moved)
+    if not moves:
+        assert moved.verify()
+
+
 def test_incomplete_complete_roundtrip():
     bt = ref2_factor()
     b = incomplete_from_complete(bt)
-    assert complete_from_incomplete(b).symbol() == bt.symbol()
+    assert complete_from_incomplete(b) == bt
     # rows above the last are untouched by the corner transform
-    bs, bts = b.symbol(), bt.symbol()
     for i in range(2):
         for k in range(3):
-            assert bs.rows[i][k] == bts.rows[i][k]
+            assert b.entry_symbol(i, k) == bt.entry_symbol(i, k)
     # bottom-right corner picks up the (z^-1 + 1) factor
-    from hermiteforge import LaurentPoly
-
     lift = LaurentPoly({-1: F(1), 0: F(1)})
-    assert bs.rows[2][2] == bts.rows[2][2] * lift
+    assert b.entry_symbol(2, 2) == bt.entry_symbol(2, 2) * lift
 
 
 def test_spectral_chain_recovered_from_factorization():

@@ -118,11 +118,10 @@ def test_spline_chain_validates():
 def test_mask_small_case_frozen():
     m = spline_mask(1, 1)
     assert m.support == (0, 3)
-    s = m.symbol()
-    assert dict(s.rows[0][0].items()) == {0: F(1, 2), 1: F(1), 2: F(1, 2)}
-    assert s.rows[0][1].is_zero
-    assert dict(s.rows[1][0].items()) == {0: F(1, 2), 1: F(1, 2), 2: F(-1, 2), 3: F(-1, 2)}
-    assert s.rows[1][1].is_zero
+    assert dict(m.entry_symbol(0, 0).items()) == {0: F(1, 2), 1: F(1), 2: F(1, 2)}
+    assert m.entry_symbol(0, 1).is_zero
+    assert dict(m.entry_symbol(1, 0).items()) == {0: F(1, 2), 1: F(1, 2), 2: F(-1, 2), 3: F(-1, 2)}
+    assert m.entry_symbol(1, 1).is_zero
 
 
 def test_order_bounds_enforced():
@@ -137,10 +136,9 @@ def test_factor_rows_r4_d3_frozen():
     assert report.chain_ok and report.operator_allones
     assert report.spectral_ok and not report.classical_spectral_holds
     assert fac.scale == SPLINE_R4_D3_SCALE
-    s = fac.factor.symbol()
     for i in range(4):
         for k in range(4):
-            assert dict(s.rows[i][k].items()) == SPLINE_R4_D3_ROW[k]
+            assert dict(fac.factor.entry_symbol(i, k).items()) == SPLINE_R4_D3_ROW[k]
 
 
 def test_factor_rows_follow_difference_pattern():
@@ -149,7 +147,6 @@ def test_factor_rows_follow_difference_pattern():
     one_minus = LaurentPoly({0: F(1), 1: F(-1)})
     one_plus = LaurentPoly({0: F(1), 1: F(1)})
     _, fac = spline_verify(4, 3)
-    s = fac.factor.symbol()
     for k in range(4):
         gamma = 1 if k == 0 else 3
         want = (
@@ -157,7 +154,7 @@ def test_factor_rows_follow_difference_pattern():
             * one_plus ** (4 - k)
             * LaurentPoly({gamma: F(1, 2)})
         )
-        assert s.rows[0][k] == want
+        assert fac.factor.entry_symbol(0, k) == want
 
 
 def test_cascade_exact_for_piecewise_linear():

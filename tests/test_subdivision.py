@@ -7,11 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from goldens import REF2_MASK, REF2_SPECTRAL_CHAIN, mask_from_entries
-from hermiteforge import Chain, Mask, Poly, PolyVec, cascade
+from hermiteforge import Chain, LaurentPoly, Mask, Poly, PolyVec, cascade
 from hermiteforge.analysis import is_lower_triangular
 from hermiteforge.factor import _last_column_partition_of_unity
-from hermiteforge.subdivision import _as_rows, eigen_check, float_step, integer_step
-from hermiteforge.taylor import WindowTooSmall
+from hermiteforge.subdivision import (
+    WindowTooSmall,
+    _as_rows,
+    eigen_check,
+    float_step,
+    integer_step,
+)
 from reference_kernels import (
     eigen_check_reference,
     hermite_step_reference,
@@ -51,15 +56,14 @@ def ref2_mask():
 
 def test_symbol_roundtrip():
     m = ref2_mask()
-    s = m.symbol()
     for (i, k, e), c in REF2_MASK.items():
-        assert s.rows[i][k].coeff(e) == c
+        assert m.entry_symbol(i, k).coeff(e) == c
     # nothing extra
     total = sum(
         1
         for i in range(3)
         for k in range(3)
-        for _, c in s.rows[i][k].items()
+        for _, c in m.entry_symbol(i, k).items()
         if c
     )
     assert total == len(REF2_MASK)
@@ -67,7 +71,7 @@ def test_symbol_roundtrip():
 
 def test_entry_symbol_matches_matrix_walk():
     m = ref2_mask()
-    s = m.symbol()
+    s = mask_symbol_reference(m)
     for i in range(3):
         for k in range(3):
             assert m.entry_symbol(i, k) == s.rows[i][k]
@@ -88,7 +92,7 @@ def test_subdivide_window_shrinks_to_determined_outputs():
 
 def test_iterated_symbol_composes_left_to_right():
     m = ref2_mask()
-    s = m.symbol()
+    s = mask_symbol_reference(m)
     two = s * s.substitute_power(2)
     got = iterated_symbol(m, 2)
     for i in range(3):
@@ -164,12 +168,13 @@ def float_bits(table):
 @given(sparse_masks(), rationals(-4, 4, 9).filter(bool))
 @settings(max_examples=100, deadline=None)
 def test_integer_mask_matches_fraction_reference(mask, q):
-    sym = mask.symbol()
-    assert sym == mask_symbol_reference(mask)
-    assert Mask.from_symbol(sym) == mask_from_symbol_reference(sym) == mask
+    sym = mask_symbol_reference(mask)
+    size = range(mask.d + 1)
+    assert tuple(tuple(mask.entry_symbol(i, k) for k in size) for i in size) == sym.rows
+    assert Mask.from_symbol(sym.rows) == mask_from_symbol_reference(sym) == mask
     scaled = mask.scale(q)
     assert scaled == mask_scale_reference(mask, q)
-    assert Mask.from_symbol(scaled.symbol()) == scaled
+    assert Mask.from_symbol(mask_symbol_reference(scaled).rows) == scaled
     assert scaled.scale(1 / q) == mask
     assert mask.to_json() == mask_json_reference(mask)
     assert scaled.to_json() == mask_json_reference(scaled)
@@ -197,6 +202,40 @@ def test_integer_mask_matches_fraction_reference(mask, q):
     for m in (mask, unit, lower):
         assert _last_column_partition_of_unity(m) == last_column_partition_reference(m)
         assert is_lower_triangular(m) == is_lower_triangular_reference(m)
+
+
+@given(sparse_masks(), st.data())
+@settings(max_examples=40, deadline=None)
+def test_mask_product_matches_laurent_matrix_reference(a, data):
+    b = data.draw(sparse_masks(d=a.d))
+    sa, sb = mask_symbol_reference(a), mask_symbol_reference(b)
+    product = sa * sb
+    if product.is_zero():
+        # A product of nonzero matrices can vanish, and no mask is zero.
+        with pytest.raises(ValueError):
+            a * b
+    else:
+        assert a * b == mask_from_symbol_reference(product)
+    assert a.substitute_power(2) == mask_from_symbol_reference(sa.substitute_power(2))
+
+
+def test_mask_product_refuses_other_sizes():
+    with pytest.raises(ValueError, match="shape mismatch"):
+        hat_mask() * ref2_mask()
+    with pytest.raises(ValueError):
+        hat_mask().substitute_power(0)
+
+
+def test_from_symbol_checks_shape_and_entries():
+    one = LaurentPoly.one()
+    with pytest.raises(ValueError, match="square"):
+        Mask.from_symbol([[one, one]])
+    with pytest.raises(ValueError, match="square"):
+        Mask.from_symbol([])
+    with pytest.raises(TypeError, match="LaurentPoly"):
+        Mask.from_symbol([[one, 1], [one, one]])
+    with pytest.raises(TypeError, match="LaurentPoly"):
+        Mask.from_symbol([[Poly.one()]])
 
 
 def test_mask_validates_shape():

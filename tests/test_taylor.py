@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from hermiteforge import (
     Chain,
     InvalidOperator,
+    LaurentPoly,
     NotAChain,
     NotInVd,
     Poly,
@@ -91,10 +92,46 @@ def test_symbol_diagonal():
     comp = delta_operator(2).symbol()
     delta = {-1: F(1), 0: F(-1)}
     for i in range(3):
-        assert dict(comp.rows[i][i].items()) == delta
+        assert dict(comp.entry_symbol(i, i).items()) == delta
     inc = delta_operator(2).as_incomplete().symbol()
-    assert dict(inc.rows[2][2].items()) == {0: F(1)}
-    assert dict(inc.rows[1][1].items()) == delta
+    assert dict(inc.entry_symbol(2, 2).items()) == {0: F(1)}
+    assert dict(inc.entry_symbol(1, 1).items()) == delta
+
+
+@pytest.mark.parametrize("complete", [True, False])
+@pytest.mark.parametrize("d", [0, 1, 3])
+def test_symbol_is_the_operator_matrix(d, complete):
+    op = classical_operator(d) if complete else classical_operator(d).as_incomplete()
+    sym = op.symbol()
+    assert sym.d == d
+    u = LaurentPoly({-1: F(1), 0: F(-1)})
+    for i in range(d + 1):
+        for k in range(d + 1):
+            if k > i:
+                want = LaurentPoly.constant(op.constant_entry(i, k))
+            elif k < i:
+                want = LaurentPoly.zero()
+            else:
+                want = LaurentPoly.one() if (i == d and not complete) else u
+            assert sym.entry_symbol(i, k) == want
+
+
+def test_float_weights_are_refused():
+    with pytest.raises(TypeError):
+        TaylorOperator(((1.0,), (0.1, 1.0)))
+    op = TaylorOperator(((1,), (F(1, 10), 1)))
+    assert op.w == ((F(1),), (F(1, 10), F(1)))
+    assert all(type(v) is F for row in op.w for v in row)
+
+
+def test_chain_constants_refuse_floats_and_stray_keys():
+    op = delta_operator(2)
+    with pytest.raises(TypeError):
+        chain_for(op, {(1, 1): 0.1})
+    for key in ((3, 1), (1, 2), (2, 0), (0, 0)):
+        with pytest.raises(ValueError, match="outside 1 <= k <= j <= 2"):
+            chain_for(op, {key: 3})
+    assert chain_for(op, {(2, 2): 3}) == chain_for(op, {(2, 2): F(3)})
 
 
 def test_complete_incomplete_roundtrip():
