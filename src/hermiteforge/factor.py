@@ -13,14 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .exactalg import (
-    LaurentPoly,
-    NotDivisible,
-    delta_symbol,
-    lm_triangular_inverse,
-    rat_from_str,
-    rat_to_str,
-)
+from .exactalg import LaurentPoly, NotDivisible, delta_symbol, rat_from_str, rat_to_str
 from .polybasis import Poly, PolyVec
 from .subdivision import Mask, _image_rows, eigen_check
 from .taylor import Chain, TaylorOperator, chain_for
@@ -88,10 +81,19 @@ def verify_spectral_chain(mask: Mask, chain: Chain) -> SpectralReport:
     return SpectralReport(ok=not failures, d=chain.d, failures=tuple(failures))
 
 
-def _identity_holds(t: Mask, a: Mask, b: Mask, scale: Fraction) -> bool:
+def _identity_holds(op: TaylorOperator, a: Mask, b: Mask, scale: Fraction) -> bool:
     """T*(z) A*(z) == scale * B*(z) T*(z^2), decided by one mask comparison
     (no mask is zero, so a zero scale never holds)."""
-    return scale != 0 and t * a == (b * t.substitute_power(2)).scale(scale)
+    return scale != 0 and op.symbol() * a == (b * op.symbol_z2).scale(scale)
+
+
+def _checked_scale(scale: Fraction | None, d: int) -> Fraction:
+    """The scale of the identity: 2^-d when none is given; zero is refused."""
+    if scale is None:
+        return Fraction(1, 2**d)
+    if scale == 0:
+        raise ValueError("the factorization scale must be nonzero")
+    return scale
 
 
 @dataclass(frozen=True)
@@ -105,7 +107,7 @@ class Factorization:
     scale: Fraction
 
     def verify(self) -> bool:
-        return _identity_holds(self.taylor.symbol(), self.mask, self.factor, self.scale)
+        return _identity_holds(self.taylor, self.mask, self.factor, self.scale)
 
     def to_json(self) -> dict:
         return {
@@ -140,13 +142,9 @@ def taylor_factorize(
     d = mask.d
     if chain.d != d:
         raise ValueError("chain and mask dimensions differ")
-    if scale is None:
-        scale = Fraction(1, 2**d)
-    elif scale == 0:
-        raise ValueError("the factorization scale must be nonzero")
+    scale = _checked_scale(scale, d)
     op = chain.operator().as_complete()
-    t = op.symbol()
-    c_mask = t * mask
+    c_mask = op.symbol() * mask
     u2 = delta_symbol(2)
     size = d + 1
     b: list[list[LaurentPoly]] = [[LaurentPoly.zero()] * size for _ in range(size)]
@@ -169,7 +167,7 @@ def taylor_factorize(
                         ) from exc
                 raise NotDivisible(f"column division failed at entry ({i},{k}): {exc}") from exc
     factor = Mask.from_symbol(b).scale(1 / scale)
-    if c_mask != (factor * t.substitute_power(2)).scale(scale):
+    if c_mask != (factor * op.symbol_z2).scale(scale):
         raise AssertionError("factorization identity failed after the column solve")
     return Factorization(mask=mask, taylor=op, factor=factor, scale=scale)
 
@@ -186,11 +184,12 @@ def unfactor(
     d = op.d
     if factor.d != d:
         raise ValueError("operator and factor dimensions differ")
-    if scale is None:
-        scale = Fraction(1, 2**d)
+    scale = _checked_scale(scale, d)
     u = delta_symbol(1)
-    t = op.symbol()
-    g = factor * t.substitute_power(2)
+    upow = [LaurentPoly.one()]
+    for _ in range(d + 1):
+        upow.append(upow[-1] * u)
+    g = factor * op.symbol_z2
     size = d + 1
     # Row l of G = B* T-tilde*(z^2) must be divisible by (z^-1 - 1)^(l+1).
     e: list[list[LaurentPoly]] = [[LaurentPoly.zero()] * size for _ in range(size)]
@@ -200,13 +199,13 @@ def unfactor(
             if entry.is_zero:
                 continue
             try:
-                e[l][k] = entry.divide_exact(u ** (l + 1))
+                e[l][k] = entry.divide_exact(upow[l + 1])
             except NotDivisible as exc:
                 raise NotDivisible(
                     f"divisibility condition failed at entry ({l},{k}): "
                     f"row {l} requires a factor (z^-1 - 1)^{l + 1}"
                 ) from exc
-    inv = lm_triangular_inverse(t)
+    inv = op.symbol_inverse
     rows = []
     for j in range(size):
         row = []
@@ -216,10 +215,10 @@ def unfactor(
                 p = inv.p[j][l]
                 if p and e[l][k]:
                     acc = acc + p * e[l][k]
-            row.append(acc * u**j * scale)
+            row.append(acc * upow[j] * scale)
         rows.append(row)
     mask = Mask.from_symbol(rows)
-    if t * mask != g.scale(scale):
+    if op.symbol() * mask != g.scale(scale):
         raise AssertionError("unfactor did not satisfy the factorization identity")
     return mask
 
@@ -280,12 +279,10 @@ def spectral_chain_from_factorization(
     ones. The resulting tower is re-verified before being returned.
     """
     d = mask.d
-    if scale is None:
-        scale = Fraction(1, 2**d)
-    opi = op.as_incomplete()
+    scale = _checked_scale(scale, d)
     if chain is None:
         chain = chain_for(op.as_complete())
-    if not _identity_holds(opi.symbol(), mask, factor_incomplete, scale):
+    if not _identity_holds(op.as_incomplete(), mask, factor_incomplete, scale):
         raise ValueError("incomplete factorization identity does not hold")
     if not _last_column_partition_of_unity(factor_incomplete):
         raise ValueError("factor does not reproduce the constant top-derivative data")

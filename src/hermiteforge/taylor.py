@@ -17,10 +17,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache, cached_property, wraps
 from math import factorial
-from typing import Mapping
+from typing import Callable, Mapping
 
-from .exactalg import RationalLike, _json_field, _rational, rat_from_str, rat_to_str
+from .exactalg import (
+    RationalLike,
+    TriangularInverse,
+    _json_field,
+    _rational,
+    lm_triangular_inverse,
+    rat_from_str,
+    rat_to_str,
+)
 from .polybasis import NotInVd, Poly, PolyVec, antidifference
 from .subdivision import Mask
 
@@ -38,6 +47,10 @@ class TaylorOperator:
     """Weight table plus the complete/incomplete flag.
 
     w[j-1] holds (w_{j,1}, ..., w_{j,j}); the table for size d+1 has d rows.
+    The data derived from the weights (the symbol T*(z), T*(z^2), the
+    triangular inverse, the canonical chain and the twin with the other
+    flag) is built on first read and kept on the instance, so it is freed
+    with the operator; fields, ==, hash and repr ignore it.
     """
 
     w: tuple[tuple[Fraction, ...], ...]
@@ -62,11 +75,18 @@ class TaylorOperator:
             raise IndexError("constant entries live strictly above the diagonal")
         return -self.w[k - 1][i]
 
+    @cached_property
+    def _twin(self) -> "TaylorOperator":
+        """The operator with the same weights and the other flag; its twin is self."""
+        twin = TaylorOperator(self.w, not self.complete)
+        twin.__dict__["_twin"] = self
+        return twin
+
     def as_complete(self) -> "TaylorOperator":
-        return self if self.complete else TaylorOperator(self.w, True)
+        return self if self.complete else self._twin
 
     def as_incomplete(self) -> "TaylorOperator":
-        return TaylorOperator(self.w, False) if self.complete else self
+        return self._twin if self.complete else self
 
     @property
     def is_difference_type(self) -> bool:
@@ -77,7 +97,11 @@ class TaylorOperator:
     def symbol(self) -> Mask:
         """The (d+1)x(d+1) symbol as a mask on alpha = -1, 0: u = z^-1 - 1 on
         the diagonal (the last diagonal entry is 1 for the incomplete
-        variant), constants above."""
+        variant), constants above. Built once per operator."""
+        return self._symbol
+
+    @cached_property
+    def _symbol(self) -> Mask:
         size = self.d + 1
         at_minus_one = [[0] * size for _ in range(size)]
         at_zero = [
@@ -89,6 +113,22 @@ class TaylorOperator:
             else:
                 at_minus_one[i][i], at_zero[i][i] = 1, -1
         return Mask(-1, (at_minus_one, at_zero))
+
+    @cached_property
+    def symbol_z2(self) -> Mask:
+        """T*(z^2), the symbol's mask at z^2."""
+        return self._symbol.substitute_power(2)
+
+    @cached_property
+    def symbol_inverse(self) -> TriangularInverse:
+        """The triangular inverse of the symbol, for a complete operator (an
+        incomplete symbol raises SingularDiagonal)."""
+        return lm_triangular_inverse(self._symbol)
+
+    @cached_property
+    def _chain(self) -> "Chain":
+        """The canonical chain, every free constant 0; see chain_for."""
+        return _build_chain(self, {})
 
     def to_json(self) -> dict:
         return {
@@ -108,28 +148,43 @@ class TaylorOperator:
         return op
 
 
-def _check_size(d: int) -> None:
-    if d < 0:
-        raise InvalidOperator(f"operator presets need d >= 0, got d={d}")
+def _preset(make: Callable[[int], TaylorOperator]) -> Callable[[int], TaylorOperator]:
+    """Share one operator per d, so its derived data is built once per
+    process. d must be an int (not a bool) and at least 0, checked before
+    the shared instance is looked up."""
+    shared = cache(make)
+
+    @wraps(make)
+    def preset(d: int) -> TaylorOperator:
+        if isinstance(d, bool) or not isinstance(d, int):
+            raise TypeError(f"operator presets need an integer d, got {d!r}")
+        if d < 0:
+            raise InvalidOperator(f"operator presets need d >= 0, got d={d}")
+        return shared(d)
+
+    return preset
 
 
+@_preset
 def delta_operator(d: int) -> TaylorOperator:
-    """All strict-upper weights zero: rows are iterated forward differences."""
-    _check_size(d)
+    """All strict-upper weights zero: rows are iterated forward differences.
+    One shared instance per d."""
     return TaylorOperator(tuple(tuple(Fraction(int(m == j)) for m in range(1, j + 1)) for j in range(1, d + 1)))
 
 
+@_preset
 def classical_operator(d: int) -> TaylorOperator:
-    """w_{k,m} = 1/(k-m+1)!, the Taylor-remainder weights."""
-    _check_size(d)
+    """w_{k,m} = 1/(k-m+1)!, the Taylor-remainder weights. One shared
+    instance per d."""
     return TaylorOperator(
         tuple(tuple(Fraction(1, factorial(j - m + 1)) for m in range(1, j + 1)) for j in range(1, d + 1))
     )
 
 
+@_preset
 def allones_operator(d: int) -> TaylorOperator:
-    """Every weight 1; annihilates the difference vectors of spline schemes."""
-    _check_size(d)
+    """Every weight 1; annihilates the difference vectors of spline schemes.
+    One shared instance per d."""
     return TaylorOperator(tuple(tuple(Fraction(1) for _ in range(j)) for j in range(1, d + 1)))
 
 
@@ -177,6 +232,13 @@ class Chain:
         return self.vecs[-1]
 
     def operator(self) -> TaylorOperator:
+        """The complete operator annihilating the top vector, built on first
+        call and kept; chain_for sets it to the operator the chain was
+        validated against. A tower with no annihilator raises on every call."""
+        return self._operator
+
+    @cached_property
+    def _operator(self) -> TaylorOperator:
         return annihilator(self.vecs[-1])
 
     def to_json(self) -> dict:
@@ -214,12 +276,24 @@ def chain_for(
     by the free constant constants[(j, k)] (default 0) as the value at 0.
     A key outside 1 <= k <= j <= d raises ValueError and a value that is
     not an int or a Fraction TypeError.
+
+    With no constants (None or an empty mapping) a complete operator returns
+    its own chain, built and validated on the first call and the same object
+    after it. Constants, or an incomplete operator, build and validate a new
+    chain on every call.
     """
+    if not constants and op.complete:
+        return op._chain
     consts = {}
     for (j, k), v in (constants or {}).items():
         if not 1 <= k <= j <= op.d:
             raise ValueError(f"constant ({j},{k}) is outside 1 <= k <= j <= {op.d}")
         consts[(j, k)] = _rational(v)
+    return _build_chain(op, consts)
+
+
+def _build_chain(op: TaylorOperator, consts: Mapping[tuple[int, int], Fraction]) -> Chain:
+    """The chain of op with the given free constants, validated against op."""
     vecs = []
     for j in range(op.d + 1):
         comps: list[Poly] = [Poly.one()]
@@ -233,4 +307,6 @@ def chain_for(
         vecs.append(PolyVec(tuple(comps)))
     chain = Chain(tuple(vecs))
     chain_validate(chain, op)
+    # chain_validate has just proved annihilator(chain.last) has op's weights.
+    chain.__dict__["_operator"] = op.as_complete()
     return chain

@@ -15,8 +15,9 @@ for B-spline values, a factorization that gates on annihilation before
 dividing and checks its identity twice, the order-of-zero test of a
 synthesized last row that unfactor's division by (z^-1 - 1)^(d+1) replaces,
 the Laurent matrix that keeps one canonical LaurentPoly per entry and
-normalizes each product entry on its own, and the triangular inverse by
-nilpotent expansion.
+normalizes each product entry on its own, the triangular inverse by
+nilpotent expansion, and a Taylor operator's symbol and canonical chain
+built afresh on every call.
 They are slow and obviously right, which is all they are for.
 
 The oracles at the end state a property by its defining formula: the
@@ -53,16 +54,17 @@ from hermiteforge.exactalg import (
     TriangularInverse,
     _add,
     _mul,
+    _rational,
     delta_symbol,
     falling_factorial,
     rat_from_str,
     rat_to_str,
 )
 from hermiteforge.factor import Factorization
-from hermiteforge.polybasis import newton_basis
+from hermiteforge.polybasis import antidifference, newton_basis
 from hermiteforge.splines import SplineCascadeReport, bspline_derivative
 from hermiteforge.subdivision import WindowTooSmall, eigen_check
-from hermiteforge.taylor import Chain, delta_operator
+from hermiteforge.taylor import Chain, chain_validate, delta_operator
 
 
 def _canonical_hash(terms: Mapping[int, Fraction]) -> int:
@@ -1153,6 +1155,48 @@ def last_row_divisibility_reference(op: TaylorOperator, hs: Sequence[LaurentPoly
                 f"last-row divisibility failed at level {j}: the combined row "
                 f"vanishes to order {order} at z = 1, needs {j}"
             )
+
+
+def taylor_symbol_reference(op: TaylorOperator) -> LaurentMatrix:
+    """T*(z) entry by entry from the weights: u = z^-1 - 1 on the diagonal
+    (1 in the corner of an incomplete operator), -w_{k,i+1} above it."""
+    u = delta_symbol(1)
+    size = op.d + 1
+
+    def entry(i: int, k: int) -> LaurentPoly:
+        if k > i:
+            return LaurentPoly.constant(-op.w[k - 1][i])
+        if k < i:
+            return LaurentPoly.zero()
+        return LaurentPoly.one() if i == op.d and not op.complete else u
+
+    return LaurentMatrix([[entry(i, k) for k in range(size)] for i in range(size)])
+
+
+def chain_for_reference(
+    op: TaylorOperator, constants: Mapping[tuple[int, int], RationalLike] | None = None
+) -> Chain:
+    """The chain of an operator by exact antidifferencing, built and
+    validated on every call."""
+    consts = {}
+    for (j, k), v in (constants or {}).items():
+        if not 1 <= k <= j <= op.d:
+            raise ValueError(f"constant ({j},{k}) is outside 1 <= k <= j <= {op.d}")
+        consts[(j, k)] = _rational(v)
+    vecs = []
+    for j in range(op.d + 1):
+        comps: list[Poly] = [Poly.one()]
+        for k in range(1, j + 1):
+            rhs = Poly.zero()
+            for l in range(k):
+                wv = op.w[j - l - 1][j - k]
+                if wv:
+                    rhs = rhs + comps[l] * wv
+            comps.append(antidifference(rhs, consts.get((j, k), 0)))
+        vecs.append(PolyVec(tuple(comps)))
+    chain = Chain(tuple(vecs))
+    chain_validate(chain, op)
+    return chain
 
 
 def iterated_symbol(mask: Mask, n: int) -> LaurentMatrix:

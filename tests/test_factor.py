@@ -91,6 +91,19 @@ def test_factorize_rejects_perturbed_mask():
         taylor_factorize(mask_from_entries(entries, 2), delta_chain())
 
 
+def test_every_entry_point_refuses_a_zero_scale():
+    fac = taylor_factorize(ref2_mask(), delta_chain())
+    b = incomplete_from_complete(fac.factor)
+    calls = (
+        lambda: taylor_factorize(ref2_mask(), delta_chain(), F(0)),
+        lambda: unfactor(delta_operator(2), ref2_factor(), 0),
+        lambda: spectral_chain_from_factorization(ref2_mask(), b, fac.taylor, scale=0),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match="^the factorization scale must be nonzero$"):
+            call()
+
+
 @st.composite
 def perturbed_masks(draw):
     """The reference d = 2 mask or a spline mask, with up to two entries moved

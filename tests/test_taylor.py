@@ -1,6 +1,7 @@
 """Generalized Taylor operators: construction, annihilators, chains."""
 
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -21,13 +22,20 @@ from hermiteforge import (
     classical_operator,
     delta_operator,
 )
+from hermiteforge import taylor
+from hermiteforge.exactalg import SingularDiagonal
 from hermiteforge.taylor import chain_validate
 from reference_kernels import (
+    LaurentMatrix,
     apply_operator,
     apply_operator_polys,
+    chain_for_reference,
     classical_vector,
+    mask_symbol_reference,
     newton_vector,
     padded_rows,
+    taylor_symbol_reference,
+    triangular_inverse_reference,
 )
 from strategies import rationals
 
@@ -35,13 +43,14 @@ rational_values = rationals(-6, 6, 6)
 
 
 @st.composite
-def operators(draw, max_d=6):
-    d = draw(st.integers(min_value=1, max_value=max_d))
+def operators(draw, max_d=6, min_d=1, complete=st.just(True)):
+    """A new operator instance on every draw."""
+    d = draw(st.integers(min_value=min_d, max_value=max_d))
     w = []
     for j in range(1, d + 1):
         row = [draw(rational_values) for _ in range(j - 1)] + [F(1)]
         w.append(tuple(row))
-    return TaylorOperator(w=tuple(w), complete=True)
+    return TaylorOperator(w=tuple(w), complete=draw(complete))
 
 
 def _fact(j):
@@ -76,6 +85,17 @@ def test_constant_entries_mirror_weights():
     for k in range(1, 4):
         for i in range(k):
             assert op.constant_entry(i, k) == -op.w[k - 1][i]
+
+
+@pytest.mark.parametrize("make", [delta_operator, classical_operator, allones_operator])
+def test_presets_refuse_a_bool_or_non_integer_d(make):
+    # True == 1 and 2.0 == 2 hash alike, so either would otherwise reach
+    # the shared d = 1 or d = 2 instance.
+    for d in (True, False, 2.0, "2", None):
+        with pytest.raises(TypeError, match="integer d"):
+            make(d)
+    with pytest.raises(InvalidOperator, match="d >= 0"):
+        make(-1)
 
 
 def test_rejects_nonunit_diagonal():
@@ -231,3 +251,85 @@ def test_apply_operator_kills_newton_samples():
     ]
     out, _ = apply_operator(op, values, start)
     assert all(all(x == 0 for x in row) for row in out)
+
+
+@given(operators(max_d=5, min_d=0, complete=st.booleans()))
+@settings(max_examples=60, deadline=None)
+def test_cached_operator_data_equals_fresh_builds(op):
+    # First read: the chain is kept only once chain_validate has passed it,
+    # and an incomplete operator builds and validates a new chain each call.
+    validated = []
+
+    def refuse_first(chain, owner=None):
+        validated.append(chain)
+        if len(validated) == 1:
+            raise NotAChain("refused once")
+        chain_validate(chain, owner)
+
+    with mock.patch.object(taylor, "chain_validate", refuse_first):
+        with pytest.raises(NotAChain, match="refused once"):
+            chain_for(op)
+        chain = chain_for(op)
+        again = chain_for(op)
+    assert len(validated) == (2 if op.complete else 3)
+    assert validated[1] is chain
+    assert (again is chain) == op.complete
+    assert chain == again == chain_for_reference(op)
+    assert chain.operator() == annihilator(chain.last) == op.as_complete()
+
+    sym = taylor_symbol_reference(op)
+    assert mask_symbol_reference(op.symbol()) == sym
+    assert mask_symbol_reference(op.symbol_z2) == sym.substitute_power(2)
+    if op.complete:
+        assert LaurentMatrix(op.symbol_inverse.p) == triangular_inverse_reference(sym).p
+        assert op.symbol_inverse is op.symbol_inverse
+        assert chain_for(op.as_incomplete()) is not chain
+    else:
+        for build in (lambda: op.symbol_inverse, lambda: triangular_inverse_reference(sym)):
+            with pytest.raises(SingularDiagonal):
+                build()
+        assert chain_for(op.as_complete()) is not chain
+    assert op.symbol() is op.symbol()
+    assert op.symbol_z2 is op.symbol_z2
+    twin = op.as_incomplete() if op.complete else op.as_complete()
+    assert twin.w == op.w and twin.complete != op.complete
+    assert twin is (op.as_incomplete() if op.complete else op.as_complete())
+    assert (twin.as_complete() if op.complete else twin.as_incomplete()) is op
+
+
+def test_chains_with_constants_are_never_shared():
+    op = TaylorOperator(delta_operator(3).w)
+    plain = chain_for(op)
+    kept = plain.to_json()
+    bumped = chain_for(op, {(2, 1): 5})
+    assert bumped != plain
+    assert bumped is not chain_for(op, {(2, 1): 5})
+    assert chain_for(op) is plain and plain.to_json() == kept
+    assert chain_for(op, {}) is plain
+
+
+def test_presets_are_shared_and_equal_operators_are_not():
+    assert delta_operator(3) is delta_operator(3)
+    assert classical_operator(2) is classical_operator(2)
+    assert allones_operator(4) is allones_operator(4)
+    op = TaylorOperator(delta_operator(3).w)
+    assert op == delta_operator(3)
+    assert chain_for(op) == chain_for(delta_operator(3))
+    assert chain_for(op) is not chain_for(delta_operator(3))
+
+
+def test_chain_operator_is_kept_and_is_the_annihilator():
+    op = classical_operator(3)
+    ch = chain_for(op)
+    assert ch.operator() is op
+    assert ch.operator() == annihilator(ch.last)
+    loaded = Chain.from_json(ch.to_json())
+    assert loaded.operator() is loaded.operator()
+    assert loaded.operator() == op
+
+
+def test_chain_operator_of_an_empty_tower_raises_on_every_call():
+    ch = Chain.from_json({"d": -1, "vecs": []})
+    for _ in range(2):
+        with pytest.raises(IndexError):
+            ch.operator()
