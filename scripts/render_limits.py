@@ -19,15 +19,11 @@ from fractions import Fraction
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from hermiteforge import cascade, delta_operator, synthesize
-from hermiteforge.cli import parse_laurent
+from hermiteforge.cli import _parse_g_flag, parse_laurent
 
 
 def build_scheme(args):
-    g = {}
-    for item in args.g:
-        head, _, body = item.partition(":")
-        j, _, k = head.partition(",")
-        g[(int(j), int(k))] = parse_laurent(body)
+    g = _parse_g_flag(args.g)
     seed = parse_laurent(args.seed)
     return synthesize(delta_operator(args.d), seed, g or None)
 

@@ -24,6 +24,7 @@ from math import inf, isfinite
 from operator import sub
 from typing import Iterator, Sequence
 
+from .exactalg import _report_json
 from .subdivision import DyadicGrid, Mask, WindowTooSmall, float_step, integer_step
 from .taylor import TaylorOperator, delta_operator
 
@@ -98,17 +99,7 @@ class ContractivityReport:
     certified_by: str | None
 
     def to_json(self) -> dict:
-        return {
-            "n_max": self.n_max,
-            "norms": [str(v) for v in self.norms],
-            "norms_float": [float(v) for v in self.norms],
-            "n_star": self.n_star,
-            "triangular": self.triangular,
-            "diagonal_norms": [str(v) for v in self.diagonal_norms],
-            "diagonal_n_star": self.diagonal_n_star,
-            "contractive": self.contractive,
-            "certified_by": self.certified_by,
-        }
+        return _report_json(self, norms_float=[float(v) for v in self.norms])
 
 
 def check_contractive(mask: Mask, n_max: int = 8) -> ContractivityReport:
@@ -282,22 +273,7 @@ class ConvergenceReport:
     differences_decay_ok: bool
 
     def to_json(self) -> dict:
-        return {
-            "ok": self.ok,
-            "levels": self.levels,
-            "window": list(self.window),
-            "sup_differences": list(self.sup_differences),
-            "ratios": list(self.ratios),
-            "burn_in": self.burn_in,
-            "max_tail_ratio": self.max_tail_ratio,
-            "ratio_bound": self.ratio_bound,
-            "residuals": [list(r) for r in self.residuals],
-            "final_residuals": list(self.final_residuals),
-            "residual_tol": self.residual_tol,
-            "residuals_below_tol": self.residuals_below_tol,
-            "residual_decay_ok": self.residual_decay_ok,
-            "differences_decay_ok": self.differences_decay_ok,
-        }
+        return _report_json(self)
 
 
 def taylor_residuals(

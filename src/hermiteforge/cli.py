@@ -1,10 +1,10 @@
 """Command-line front end tying the library together.
 
 Subcommands: annihilate, chain, verify-spectral, factor, construct,
-contractivity, cascade, check-convergence, spline, identity-tests. Every run
-emits a machine-readable report with an "ok" flag (cascade may emit CSV data
-instead when asked). Exit codes: 0 all requested checks passed, 1 a
-verification failed, 2 malformed input.
+contractivity, cascade, check-convergence, spline, identity-tests. Each one
+returns its report, a JSON object with an "ok" flag (cascade may return CSV
+data instead when asked), and run writes it. Exit codes: 0 the report is ok
+(CSV data counts as ok), 1 a verification failed, 2 malformed input.
 
 Small Laurent polynomials are accepted inline: terms "c*z^k" joined by + or
 -, with "(z+1)/2"-style sugar (a parenthesized sum, optional ^n, optional
@@ -229,8 +229,11 @@ def _parse_preset_params(body: str, spec: str) -> dict[str, int]:
             if "=" not in piece:
                 raise MalformedInput(f"preset {spec!r}: expected k=v pairs")
             k, v = piece.split("=", 1)
+            k = k.strip()
+            if k in params:
+                raise MalformedInput(f"preset {spec!r}: {k} is given twice")
             try:
-                params[k.strip()] = int(v)
+                params[k] = int(v)
             except ValueError as exc:
                 raise MalformedInput(f"preset {spec!r}: {v!r} is not an integer") from exc
     return params
@@ -319,35 +322,32 @@ def _parse_g_flag(items: list[str]) -> dict[tuple[int, int], LaurentPoly]:
     return out
 
 
-def _dump_json(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
-
-
-def _emit(args, text: str) -> None:
+def _emit(args, report: dict | str) -> None:
+    """Write a report as JSON, or CSV text as it is, to --out or stdout."""
+    if not isinstance(report, str):
+        report = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if getattr(args, "out", None):
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.write(report)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(report)
 
 
 # ---------------------------------------------------------------------------
 # Subcommands
 
 
-def _cmd_annihilate(args) -> int:
+def _cmd_annihilate(args) -> dict:
     if bool(args.vec) == bool(args.chain):
         raise MalformedInput("annihilate needs exactly one of --vec or --chain")
     if args.vec:
         vec = _from_file(PolyVec, args.vec, NotInVd)
     else:
         vec = _load_chain_arg(args.chain).last
-    op = annihilator(vec)
-    _emit(args, _dump_json({"ok": True, "taylor": op.to_json()}))
-    return 0
+    return {"ok": True, "taylor": annihilator(vec).to_json()}
 
 
-def _cmd_chain(args) -> int:
+def _cmd_chain(args) -> dict:
     op = _load_taylor_arg(args.taylor)
     constants = {}
     for item in args.constant or []:
@@ -359,55 +359,44 @@ def _cmd_chain(args) -> int:
             constants[(int(j_s), int(k_s))] = rat_from_str(body)
         except ValueError as exc:
             raise MalformedInput(f"--constant {item!r}: {exc}") from exc
-    ch = chain_for(op, constants)
-    _emit(args, _dump_json({"ok": True, "chain": ch.to_json()}))
-    return 0
+    return {"ok": True, "chain": chain_for(op, constants).to_json()}
 
 
-def _cmd_verify_spectral(args) -> int:
-    mask, chain = _load_mask_and_chain(args)
-    report = verify_spectral_chain(mask, chain)
-    _emit(args, _dump_json({"ok": report.ok, "spectral": report.to_json()}))
-    return 0 if report.ok else 1
+def _cmd_verify_spectral(args) -> dict:
+    report = verify_spectral_chain(*_load_mask_and_chain(args))
+    return {"ok": report.ok, "spectral": report.to_json()}
 
 
-def _cmd_factor(args) -> int:
+def _cmd_factor(args) -> dict:
     mask, chain = _load_mask_and_chain(args)
     scale = rat_from_str(args.scale) if args.scale else None
     try:
         fac = taylor_factorize(mask, chain, scale)
     except (NotAnnihilated, NotDivisible) as exc:
-        _emit(args, _dump_json({"ok": False, "error": str(exc)}))
-        return 1
+        return {"ok": False, "error": str(exc)}
     spectral = verify_spectral_chain(mask, chain)
-    payload = {
+    return {
         "ok": True,
         "factorization": fac.to_json(),
         # taylor_factorize has checked the identity, or it would have raised.
         "checks": {"identity": True, "spectral_chain": spectral.ok},
     }
-    _emit(args, _dump_json(payload))
-    return 0
 
 
-def _cmd_construct(args) -> int:
+def _cmd_construct(args) -> dict:
     op = _load_taylor_arg(args.taylor)
     if args.hdd_file:
         seed = _from_file(LaurentPoly, args.hdd_file, label="seed polynomial")
     else:
-        try:
-            seed = parse_laurent(args.hdd)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise MalformedInput(f"seed polynomial: {exc}") from exc
+        seed = parse_laurent(args.hdd)
     g = _parse_g_flag(args.g or [])
     try:
         result = synthesize(op, seed, g, strategy=args.strategy)
     except BadSeed as exc:
         raise MalformedInput(str(exc)) from exc
     except NotDivisible as exc:
-        _emit(args, _dump_json({"ok": False, "error": str(exc)}))
-        return 1
-    payload = {
+        return {"ok": False, "error": str(exc)}
+    return {
         "ok": True,
         "bundle": result.to_json(),
         "checks": {
@@ -416,8 +405,6 @@ def _cmd_construct(args) -> int:
             "strategy": result.strategy,
         },
     }
-    _emit(args, _dump_json(payload))
-    return 0
 
 
 def _default_nmax() -> int:
@@ -433,15 +420,14 @@ def _default_nmax() -> int:
     return v
 
 
-def _cmd_contractivity(args) -> int:
+def _cmd_contractivity(args) -> dict:
     mask = _load_mask_arg(args.mask)
     n_max = args.n_max if args.n_max is not None else _default_nmax()
     report = check_contractive(mask, n_max=n_max)
-    _emit(args, _dump_json({"ok": report.contractive, "contractivity": report.to_json()}))
-    return 0 if report.contractive else 1
+    return {"ok": report.contractive, "contractivity": report.to_json()}
 
 
-def _cmd_cascade(args) -> int:
+def _cmd_cascade(args) -> dict | str:
     mask = _load_mask_arg(args.mask)
     window = _parse_window(args.window)
     if args.init == "delta":
@@ -453,18 +439,15 @@ def _cmd_cascade(args) -> int:
         if args.exact and not init.is_exact:
             raise MalformedInput(f"{args.init}: a float grid cannot be refined with --exact")
     try:
-        grids = run_cascade(mask, args.levels, init, window, exact=args.exact)
+        final = run_cascade(mask, args.levels, init, window, exact=args.exact)[-1]
     except WindowTooSmall as exc:
         raise MalformedInput(f"{args.init}: {exc}") from exc
-    final = grids[-1]
     if args.format == "csv":
-        _emit(args, final.to_csv())
-    else:
-        _emit(args, _dump_json({"ok": True, "grid": final.to_json()}))
-    return 0
+        return final.to_csv()
+    return {"ok": True, "grid": final.to_json()}
 
 
-def _cmd_check_convergence(args) -> int:
+def _cmd_check_convergence(args) -> dict:
     mask = _load_mask_arg(args.mask)
     window = _parse_window(args.window)
     taylor = _load_taylor_arg(args.taylor) if args.taylor else None
@@ -476,27 +459,20 @@ def _cmd_check_convergence(args) -> int:
         residual_tol=args.residual_tol,
         taylor=taylor,
     )
-    _emit(args, _dump_json({"ok": report.ok, "convergence": report.to_json()}))
-    return 0 if report.ok else 1
+    return {"ok": report.ok, "convergence": report.to_json()}
 
 
-def _cmd_spline(args) -> int:
+def _cmd_spline(args) -> dict:
     try:
         mask = spline_mask(args.r, args.d)
         chain = spline_chain(args.r, args.d)
     except BadOrder as exc:
         raise MalformedInput(str(exc)) from exc
-    payload = {"mask": mask.to_json(), "chain": chain.to_json()}
-    if not args.verify:
-        payload["ok"] = True
-        _emit(args, _dump_json(payload))
-        return 0
-    report, fac = spline_verify(args.r, args.d)
-    payload["ok"] = report.ok
-    payload["report"] = report.to_json()
-    payload["factor"] = fac.factor.to_json()
-    _emit(args, _dump_json(payload))
-    return 0 if report.ok else 1
+    payload = {"ok": True, "mask": mask.to_json(), "chain": chain.to_json()}
+    if args.verify:
+        report, fac = spline_verify(args.r, args.d)
+        payload.update(ok=report.ok, report=report.to_json(), factor=fac.factor.to_json())
+    return payload
 
 
 def _random_poly(rng: random.Random, max_degree: int) -> Poly:
@@ -516,7 +492,7 @@ def _random_operator(rng: random.Random, d: int) -> TaylorOperator:
     return TaylorOperator(tuple(w))
 
 
-def _cmd_identity_tests(args) -> int:
+def _cmd_identity_tests(args) -> dict:
     for flag, value, least in (
         ("--polys", args.polys, 1),
         ("--max-n", args.max_n, 1),
@@ -562,9 +538,8 @@ def _cmd_identity_tests(args) -> int:
                 want = 1 if l >= j else 0
                 if inv.p[j][l].evaluate(1) != want:
                     inv_ok = False
-    ok = split_ok and binom_ok and inv_ok
-    payload = {
-        "ok": ok,
+    return {
+        "ok": split_ok and binom_ok and inv_ok,
         "checks": {
             "difference_split": {
                 "polynomials": args.polys,
@@ -576,8 +551,6 @@ def _cmd_identity_tests(args) -> int:
         },
         "seed": args.seed,
     }
-    _emit(args, _dump_json(payload))
-    return 0 if ok else 1
 
 
 # ---------------------------------------------------------------------------
@@ -705,7 +678,8 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
-        return args.func(args)
+        report = args.func(args)
+        _emit(args, report)
     except (MalformedInput, DeltaMissesWindow) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -724,6 +698,7 @@ def run(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return 0 if isinstance(report, str) or report["ok"] else 1
 
 
 def main(argv=None) -> int:

@@ -12,7 +12,7 @@ form and the arithmetic. Single rationals that enter or leave are
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from math import gcd, lcm
 from typing import TYPE_CHECKING, Iterator, Mapping, Sequence, Union
@@ -66,6 +66,21 @@ def _json_field(obj: Mapping, key: str, kind: type, default: object = None):
         name = "an integer" if kind is int else "a boolean"
         raise TypeError(f"{key!r} must be {name}, got {v!r}")
     return v
+
+
+def _report_json(report, **extra) -> dict:
+    """A report dataclass as JSON, one key per field, plus the extra keys: a
+    Fraction is written by rat_to_str, a tuple as a list and an object with
+    to_json as its JSON."""
+
+    def value(v):
+        if isinstance(v, Fraction):
+            return rat_to_str(v)
+        if isinstance(v, tuple):
+            return [value(x) for x in v]
+        return v.to_json() if hasattr(v, "to_json") else v
+
+    return {f.name: value(getattr(report, f.name)) for f in fields(report)} | extra
 
 
 def falling_factorial(e: int, r: int) -> int:

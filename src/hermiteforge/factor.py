@@ -11,9 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
 
-from .exactalg import LaurentPoly, NotDivisible, delta_symbol, rat_from_str, rat_to_str
+from .exactalg import LaurentPoly, NotDivisible, _report_json, delta_symbol, rat_to_str
 from .polybasis import Poly, PolyVec
 from .subdivision import Mask, _image_rows, eigen_check
 from .taylor import Chain, TaylorOperator, chain_for
@@ -42,13 +41,7 @@ class SpectralFailure:
     want: Fraction
 
     def to_json(self) -> dict:
-        return {
-            "level": self.level,
-            "alpha": self.alpha,
-            "row": self.row,
-            "got": rat_to_str(self.got),
-            "want": rat_to_str(self.want),
-        }
+        return _report_json(self)
 
 
 @dataclass(frozen=True)
@@ -60,12 +53,8 @@ class SpectralReport:
     failures: tuple[SpectralFailure, ...]
 
     def to_json(self) -> dict:
-        return {
-            "ok": self.ok,
-            "d": self.d,
-            "eigenvalues": [rat_to_str(Fraction(1, 2**j)) for j in range(self.d + 1)],
-            "failures": [f.to_json() for f in self.failures],
-        }
+        eigenvalues = [rat_to_str(Fraction(1, 2**j)) for j in range(self.d + 1)]
+        return _report_json(self, eigenvalues=eigenvalues)
 
 
 def verify_spectral_chain(mask: Mask, chain: Chain) -> SpectralReport:
@@ -116,15 +105,6 @@ class Factorization:
             "B": self.factor.to_json(),
             "scale": rat_to_str(self.scale),
         }
-
-    @classmethod
-    def from_json(cls, obj: Mapping) -> "Factorization":
-        return cls(
-            mask=Mask.from_json(obj["A"]),
-            taylor=TaylorOperator.from_json(obj["taylor"]),
-            factor=Mask.from_json(obj["B"]),
-            scale=rat_from_str(obj["scale"]),
-        )
 
 
 def taylor_factorize(

@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
-from .exactalg import LaurentPoly, RationalLike
+from .exactalg import LaurentPoly, RationalLike, _report_json
 from .factor import Factorization, taylor_factorize, verify_spectral_chain
 from .polybasis import NotInVd, Poly, PolyVec
 from .subdivision import Mask
@@ -166,15 +166,7 @@ class SplineCascadeReport:
     ok: bool
 
     def to_json(self) -> dict:
-        return {
-            "r": self.r,
-            "d": self.d,
-            "levels": self.levels,
-            "tol": self.tol,
-            "errors": list(self.errors),
-            "points": list(self.points),
-            "ok": self.ok,
-        }
+        return _report_json(self)
 
 
 def check_spline_cascade(
@@ -238,16 +230,7 @@ class SplineVerifyReport:
         return self.chain_ok and self.spectral_ok and self.factorization_ok
 
     def to_json(self) -> dict:
-        return {
-            "r": self.r,
-            "d": self.d,
-            "ok": self.ok,
-            "chain_ok": self.chain_ok,
-            "operator_allones": self.operator_allones,
-            "spectral_ok": self.spectral_ok,
-            "classical_spectral_holds": self.classical_spectral_holds,
-            "factorization_ok": self.factorization_ok,
-        }
+        return _report_json(self, ok=self.ok)
 
 
 def spline_verify(r: int, d: int) -> tuple[SplineVerifyReport, Factorization]:

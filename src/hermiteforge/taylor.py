@@ -222,6 +222,8 @@ class Chain:
 
     def __post_init__(self):
         object.__setattr__(self, "vecs", tuple(self.vecs))
+        if not self.vecs:
+            raise NotAChain("a chain holds at least the vector v_0")
 
     @property
     def d(self) -> int:
@@ -234,7 +236,7 @@ class Chain:
     def operator(self) -> TaylorOperator:
         """The complete operator annihilating the top vector, built on first
         call and kept; chain_for sets it to the operator the chain was
-        validated against. A tower with no annihilator raises on every call."""
+        validated against."""
         return self._operator
 
     @cached_property

@@ -363,6 +363,14 @@ def _malformed_argv(case, tmp_path):
         return ["chain", "--taylor", str(bad)]
     if case == "negative-preset-size":
         return ["chain", "--taylor", "delta:d=-1"]
+    if case == "empty-chain":
+        bad = tmp_path / "empty_chain.json"
+        bad.write_text(json.dumps({"d": -1, "vecs": []}))
+        return ["annihilate", "--chain", str(bad)]
+    if case == "repeated-operator-key":
+        return ["chain", "--taylor", "delta:d=1,d=2"]
+    if case == "repeated-spline-key":
+        return ["verify-spectral", "--mask", "spline:r=2,d=1,r=3", "--chain", "spline:r=2,d=1"]
     if case == "nan-ratio-bound":
         return ["check-convergence", "--mask", str(hat), "--ratio-bound", "nan"]
     if case == "nan-residual-tol":
@@ -398,6 +406,9 @@ def _malformed_argv(case, tmp_path):
         "constant-outside-operator",
         "constant-k-above-j",
         "negative-preset-size",
+        "empty-chain",
+        "repeated-operator-key",
+        "repeated-spline-key",
         "nan-ratio-bound",
         "nan-residual-tol",
         "no-polys",
@@ -426,3 +437,7 @@ def test_malformed_input_exits_two(case, capsys, tmp_path):
         assert "'exakt'" in captured.err
     if case.startswith("constant-"):
         assert "outside 1 <= k <= j <= 2" in captured.err
+    if case == "empty-chain":
+        assert "at least the vector v_0" in captured.err
+    if case.startswith("repeated-"):
+        assert "is given twice" in captured.err

@@ -4,6 +4,10 @@ prints (or writes) output of the documented shape."""
 import importlib.util
 from pathlib import Path
 
+import pytest
+
+from hermiteforge.cli import MalformedInput
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
@@ -52,4 +56,10 @@ def test_render_limits(capsys, tmp_path):
         assert csv[0] == "x,f0,f1"
         assert line.endswith(f"({len(csv) - 1} points)")
         assert all(len(row.split(",")) == 3 for row in csv[1:])
+
+
+@pytest.mark.parametrize("item", ["1:z", "1,0", "a,0:1"])
+def test_render_limits_refuses_a_malformed_g(item, tmp_path):
+    with pytest.raises(MalformedInput, match="j,k"):
+        load("render_limits").main(["--d", "1", "--g", item, "--out-dir", str(tmp_path)])
 

@@ -328,8 +328,8 @@ def test_chain_operator_is_kept_and_is_the_annihilator():
     assert loaded.operator() == op
 
 
-def test_chain_operator_of_an_empty_tower_raises_on_every_call():
-    ch = Chain.from_json({"d": -1, "vecs": []})
-    for _ in range(2):
-        with pytest.raises(IndexError):
-            ch.operator()
+def test_an_empty_tower_is_not_a_chain():
+    with pytest.raises(NotAChain):
+        Chain(())
+    with pytest.raises(NotAChain):
+        Chain.from_json({"d": -1, "vecs": []})
