@@ -1,6 +1,6 @@
-"""Exact arithmetic over Q: Laurent polynomials, and the triangular-inverse
-decomposition of a Taylor operator's symbol used by the factorization
-routines.
+"""Exact arithmetic over Q: Laurent polynomials, the integer kernel they and
+``subdivision.Mask`` share, and the JSON helpers of rationals and reports.
+It imports nothing from the rest of the package.
 
 Everything here is exact; floats never enter. A Laurent polynomial keeps
 its coefficients as integer numerators over one positive denominator, and
@@ -12,13 +12,10 @@ form and the arithmetic. Single rationals that enter or leave are
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import fields
 from fractions import Fraction
 from math import gcd, lcm
-from typing import TYPE_CHECKING, Iterator, Mapping, Sequence, Union
-
-if TYPE_CHECKING:
-    from .subdivision import Mask
+from typing import Iterator, Mapping, Sequence, Union
 
 RationalLike = Union[Fraction, int]
 
@@ -31,13 +28,9 @@ class NotDivisible(ExactAlgError):
     """Raised when an exact Laurent division leaves a remainder."""
 
 
-class NotTriangular(ExactAlgError):
-    """Raised when a matrix expected to be upper triangular is not."""
-
-
 class SingularDiagonal(ExactAlgError):
-    """Raised when a triangular matrix has a diagonal entry that is not
-    invertible in the ring where the inverse is being formed."""
+    """Raised when a triangular symbol has a diagonal entry other than
+    z^-1 - 1, so its inverse has no numerators over powers of it."""
 
 
 def rat_to_str(q: RationalLike) -> str:
@@ -491,51 +484,3 @@ class LaurentPoly:
 def delta_symbol(step: int = 1) -> LaurentPoly:
     """z^-step - 1."""
     return LaurentPoly({-step: 1, 0: -1})
-
-
-@dataclass(frozen=True)
-class TriangularInverse:
-    """Inverse of an upper-triangular matrix symbol whose diagonal entries
-    all equal u = z^-1 - 1.
-
-    The (j, l) entry of the inverse is p[j][l] / u^(l-j+1); the numerators
-    p[j][l] are ordinary Laurent polynomials in u with p[j][j] = 1. Keeping
-    numerators and denominator exponents apart lets callers do exact
-    divisions instead of working in a fraction field.
-    """
-
-    size: int
-    p: tuple[tuple[LaurentPoly, ...], ...]
-
-
-def lm_triangular_inverse(t: Mask) -> TriangularInverse:
-    """Invert an upper-triangular mask symbol with constant diagonal u = z^-1 - 1.
-
-    T T^-1 = I gives the numerators by back substitution, one column at a
-    time: p[l][l] = 1 and p[j][l] = -sum_{j<m<=l} t[j][m] p[m][l] u^(m-j-1).
-    """
-    n = t.d + 1
-    rows = [[t.entry_symbol(i, k) for k in range(n)] for i in range(n)]
-    u = delta_symbol(1)
-    for i in range(n):
-        for k in range(i + 1):
-            if k < i and rows[i][k]:
-                raise NotTriangular(f"nonzero entry below the diagonal at ({i},{k})")
-            if k == i and rows[i][k] != u:
-                raise SingularDiagonal(
-                    f"diagonal entry ({i},{i}) is not z^-1 - 1; cannot invert in this form"
-                )
-    zero, one = LaurentPoly.zero(), LaurentPoly.one()
-    upow = [one]
-    for _ in range(n - 1):
-        upow.append(upow[-1] * u)
-    p = [[zero] * n for _ in range(n)]
-    for l in range(n):
-        p[l][l] = one
-        for j in range(l - 1, -1, -1):
-            acc = zero
-            for m in range(j + 1, l + 1):
-                if rows[j][m] and p[m][l]:
-                    acc = acc + rows[j][m] * p[m][l] * upow[m - j - 1]
-            p[j][l] = -acc
-    return TriangularInverse(size=n, p=tuple(tuple(row) for row in p))

@@ -192,7 +192,7 @@ def unfactor(
         for k in range(size):
             acc = LaurentPoly.zero()
             for l in range(j, size):
-                p = inv.p[j][l]
+                p = inv[j][l]
                 if p and e[l][k]:
                     acc = acc + p * e[l][k]
             row.append(acc * upow[j] * scale)

@@ -15,6 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
+from .analysis import cascade
 from .exactalg import LaurentPoly, RationalLike, _report_json
 from .factor import Factorization, taylor_factorize, verify_spectral_chain
 from .polybasis import NotInVd, Poly, PolyVec
@@ -180,8 +181,6 @@ def check_spline_cascade(
     step. Component k = r, whose derivative jumps at the knots, needs no
     knot test: its numerator 2 alpha + 1 is odd and the denominator 2^(n+1)
     even, so it is sampled at midpoints, never at a knot."""
-    from .analysis import cascade
-
     _check_rd(r, d)
     mask = spline_mask(r, d)
     window = (-(r + 2), r + 2)

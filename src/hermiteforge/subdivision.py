@@ -37,23 +37,6 @@ class WindowTooSmall(Exception):
     """Raised when sampled data is too short for a difference stencil."""
 
 
-@dataclass(frozen=True)
-class _Stencil:
-    """A mask compiled for the subdivision loop, split by the parity of alpha.
-
-    Both tables list, at [p][i], the terms of output row i at alpha = 2m + p
-    as (offset, k, coefficient): the entry A(alpha - 2 beta)[i][k], which
-    multiplies component k of the column at beta = m + offset. Terms run
-    beta ascending, then k ascending, and skip zero entries. `floats` holds
-    the entries as floats; `numerators` holds them as integers over
-    `denominator`.
-    """
-
-    floats: tuple[tuple[tuple[tuple[int, int, float], ...], ...], ...]
-    numerators: tuple[tuple[tuple[tuple[int, int, int], ...], ...], ...]
-    denominator: int
-
-
 @dataclass(frozen=True, init=False)
 class Mask:
     """Finitely supported matrix mask, normalized to a tight support window.
@@ -122,28 +105,39 @@ class Mask:
         return tuple(tuple(tuple(Fraction(n, den) for n in row) for row in m) for m in mats)
 
     @cached_property
-    def _stencil(self) -> _Stencil:
+    def _terms(self) -> tuple[tuple[tuple[tuple[int, int, int], ...], ...], ...]:
+        """The mask compiled for the subdivision loop, split by the parity of
+        alpha: [p][i] lists the terms of output row i at alpha = 2m + p as
+        (offset, k, c), c the numerator over _den of the entry
+        A(alpha - 2 beta)[i][k], which multiplies component k of the column at
+        beta = m + offset. Terms run beta ascending, then k ascending, and
+        skip zero entries."""
         s_min, s_max = self.support
-        den = self._den
-        floats, numerators = [], []
+        table = []
         for parity in (0, 1):
-            float_rows, int_rows = [], []
+            rows = []
             for row in self._num:
-                float_row, int_row = [], []
+                terms = []
                 # alpha - 2 beta = g, so beta ascending is g descending.
                 for g in range(s_max - (s_max - parity) % 2, s_min - 1, -2):
                     offset = (parity - g) // 2
                     for k, entry in enumerate(row):
                         c = entry[g - s_min]
                         if c:
-                            # int / int rounds correctly, exactly as float(Fraction) does
-                            float_row.append((offset, k, c / den))
-                            int_row.append((offset, k, c))
-                float_rows.append(tuple(float_row))
-                int_rows.append(tuple(int_row))
-            floats.append(tuple(float_rows))
-            numerators.append(tuple(int_rows))
-        return _Stencil(tuple(floats), tuple(numerators), den)
+                            terms.append((offset, k, c))
+                rows.append(tuple(terms))
+            table.append(tuple(rows))
+        return tuple(table)
+
+    @cached_property
+    def _float_terms(self) -> tuple[tuple[tuple[tuple[int, int, float], ...], ...], ...]:
+        """_terms with each numerator divided by _den, as a float."""
+        den = self._den
+        # int / int rounds correctly, exactly as float(Fraction) does
+        return tuple(
+            tuple(tuple((offset, k, c / den) for offset, k, c in terms) for terms in rows)
+            for rows in self._terms
+        )
 
     def matrix(self, alpha: int) -> Matrix:
         n = alpha - self.support_min
@@ -257,7 +251,7 @@ def _stencil_sums(
 ) -> list[list]:
     """Raw sums sum_beta A(alpha - 2 beta)[i][k] rows[k][beta - a] for alpha in
     [out_lo, out_hi], one list per output row i, with the coefficients of one
-    stencil table (floats, or integer numerators over its denominator).
+    term table (Mask._float_terms, or Mask._terms, numerators over _den).
 
     Each output row is accumulated one stencil term at a time across all
     outputs of a parity class, starting from zero; every output still adds
@@ -316,16 +310,15 @@ def integer_step(
     """
     d = len(rows) - 1
     out_lo, out_hi = _output_window(mask, start, start + len(rows[0]) - 1)
-    stencil = mask._stencil
     table = tuple(
         tuple(
             tuple((offset, k, c << (pre * (d - k) + post * i)) for offset, k, c in terms)
             for i, terms in enumerate(terms_by_row)
         )
-        for terms_by_row in stencil.numerators
+        for terms_by_row in mask._terms
     )
     sums = _stencil_sums(table, rows, start, out_lo, out_hi, 0)
-    den = stencil.denominator * den << pre * d
+    den = mask._den * den << pre * d
     g = gcd(den, *chain.from_iterable(sums))
     if g != 1:
         sums = [[v // g for v in row] for row in sums]
@@ -349,32 +342,27 @@ def float_step(
     size = len(rows)
     scales = [1 / (1 << pre * k) for k in range(size)]
     rows = [row if f == 1.0 else [v * f for v in row] for f, row in zip(scales, rows)]
-    sums = _stencil_sums(mask._stencil.floats, rows, start, out_lo, out_hi, 0.0)
+    sums = _stencil_sums(mask._float_terms, rows, start, out_lo, out_hi, 0.0)
     scales = [float(1 << post * i) for i in range(size)]
     return [row if f == 1.0 else [s * f for s in row] for f, row in zip(scales, sums)], out_lo
 
 
-def _image_rows(
-    mask: Mask, v: PolyVec, window: tuple[int, int] | None = None
-) -> tuple[list[list[int]], int, int]:
+def _image_rows(mask: Mask, v: PolyVec) -> tuple[list[list[int]], int, int]:
     """S_A applied to the zero-padded samples of v on a window, in integers.
 
     Returns the output rows as numerators over one denominator, that
-    denominator, and the first output abscissa. The default window is wide
-    enough that, per parity class, the output determines its (componentwise)
+    denominator, and the first output abscissa. The window is wide enough
+    that, per parity class, the output determines its (componentwise)
     polynomial of degree <= d.
     """
     if v.d > mask.d:
         raise ValueError("vector does not fit the mask's dimension")
-    if window is None:
-        s_min, s_max = mask.support
-        half = mask.d + 3 + (s_max - s_min)
-        window = (-half, half)
-    a, b = window
-    out_lo, out_hi = _output_window(mask, a, b)
-    samples, den_q = v.sample_rows(a, b, ambient=mask.d)
-    sums = _stencil_sums(mask._stencil.numerators, samples, a, out_lo, out_hi, 0)
-    return sums, mask._stencil.denominator * den_q, out_lo
+    s_min, s_max = mask.support
+    half = mask.d + 3 + (s_max - s_min)
+    out_lo, out_hi = _output_window(mask, -half, half)
+    samples, den_q = v.sample_rows(-half, half, ambient=mask.d)
+    sums = _stencil_sums(mask._terms, samples, -half, out_lo, out_hi, 0)
+    return sums, mask._den * den_q, out_lo
 
 
 def eigen_check(

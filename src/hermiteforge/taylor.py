@@ -22,11 +22,12 @@ from math import factorial
 from typing import Callable, Mapping
 
 from .exactalg import (
+    LaurentPoly,
     RationalLike,
-    TriangularInverse,
+    SingularDiagonal,
     _json_field,
     _rational,
-    lm_triangular_inverse,
+    delta_symbol,
     rat_from_str,
     rat_to_str,
 )
@@ -120,10 +121,36 @@ class TaylorOperator:
         return self._symbol.substitute_power(2)
 
     @cached_property
-    def symbol_inverse(self) -> TriangularInverse:
-        """The triangular inverse of the symbol, for a complete operator (an
-        incomplete symbol raises SingularDiagonal)."""
-        return lm_triangular_inverse(self._symbol)
+    def symbol_inverse(self) -> tuple[tuple[LaurentPoly, ...], ...]:
+        """The numerators p of the symbol's inverse, for a complete operator:
+        entry (j, l) of T*(z)^-1 is p[j][l] / u^(l-j+1), u = z^-1 - 1.
+
+        T T^-1 = I gives them by back substitution, one column at a time,
+        with the constant t[j][m] = -w_{m,j+1}: p[l][l] = 1 and
+        p[j][l] = sum_{j<m<=l} w_{m,j+1} p[m][l] u^(m-j-1). The incomplete
+        symbol keeps 1 in its last diagonal entry and raises SingularDiagonal.
+        """
+        d = self.d
+        if not self.complete:
+            raise SingularDiagonal(
+                f"diagonal entry ({d},{d}) is not z^-1 - 1; cannot invert in this form"
+            )
+        zero, one = LaurentPoly.zero(), LaurentPoly.one()
+        u = delta_symbol(1)
+        upow = [one]
+        for _ in range(d):
+            upow.append(upow[-1] * u)
+        p = [[zero] * (d + 1) for _ in range(d + 1)]
+        for l in range(d + 1):
+            p[l][l] = one
+            for j in range(l - 1, -1, -1):
+                acc = zero
+                for m in range(j + 1, l + 1):
+                    wv = self.w[m - 1][j]
+                    if wv and p[m][l]:
+                        acc = acc + p[m][l] * upow[m - j - 1] * wv
+                p[j][l] = acc
+        return tuple(tuple(row) for row in p)
 
     @cached_property
     def _chain(self) -> "Chain":
@@ -248,9 +275,12 @@ class Chain:
 
     @classmethod
     def from_json(cls, obj: Mapping) -> "Chain":
+        """The chain in obj, validated: a tower that is not compatible raises
+        NotAChain (or NotInVd)."""
         ch = cls(tuple(PolyVec.from_json(v) for v in obj["vecs"]))
         if ch.d != _json_field(obj, "d", int):
             raise NotAChain("declared d does not match the number of vectors")
+        chain_validate(ch)
         return ch
 
 

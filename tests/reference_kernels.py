@@ -48,10 +48,8 @@ from hermiteforge.analysis import ContractivityReport, ConvergenceReport
 from hermiteforge.construct import SingularSystem
 from hermiteforge.exactalg import (
     NotDivisible,
-    NotTriangular,
     RationalLike,
     SingularDiagonal,
-    TriangularInverse,
     _add,
     _mul,
     _rational,
@@ -1210,21 +1208,24 @@ def iterated_symbol(mask: Mask, n: int) -> LaurentMatrix:
     return out
 
 
-def triangular_inverse_reference(t: LaurentMatrix) -> TriangularInverse:
-    """Invert an upper-triangular matrix with constant diagonal u = z^-1 - 1.
+def triangular_inverse_reference(t: LaurentMatrix) -> LaurentMatrix:
+    """The numerators of the inverse of an upper-triangular matrix with
+    constant diagonal u = z^-1 - 1: entry (j, l) of the inverse is the
+    returned p[j][l] over u^(l-j+1).
 
     Uses the nilpotent expansion: writing t = u I + C with C strictly upper,
     the inverse is sum_m (-C)^m u^-(m+1), and the (j,l) numerator over the
-    common denominator u^(l-j+1) is sum_m ((-C)^m)[j][l] u^(l-j-m).
+    common denominator u^(l-j+1) is sum_m ((-C)^m)[j][l] u^(l-j-m). Any
+    other shape raises ValueError, and another diagonal SingularDiagonal.
     """
     n = t.nrows
     if t.ncols != n:
-        raise NotTriangular("matrix is not square")
+        raise ValueError("matrix is not square")
     u = delta_symbol(1)
     for i in range(n):
         for k in range(n):
             if k < i and t[i][k]:
-                raise NotTriangular(f"nonzero entry below the diagonal at ({i},{k})")
+                raise ValueError(f"nonzero entry below the diagonal at ({i},{k})")
             if k == i and t[i][k] != u:
                 raise SingularDiagonal(
                     f"diagonal entry ({i},{i}) is not z^-1 - 1; cannot invert in this form"
@@ -1245,11 +1246,13 @@ def triangular_inverse_reference(t: LaurentMatrix) -> TriangularInverse:
                 continue
             row.append(_dot((powers[m][j][l], upow[l - j - m]) for m in range(l - j + 1)))
         rows.append(row)
-    return TriangularInverse(size=n, p=LaurentMatrix(rows))
+    return LaurentMatrix(rows)
 
 
-def triangular_inverse_check(t: LaurentMatrix, inv: TriangularInverse) -> bool:
-    """Exact recombination check: sum_l t[j][l] p[l][k] u^(l-j) must equal
+def triangular_inverse_check(t: LaurentMatrix, p: Sequence[Sequence[LaurentPoly]]) -> bool:
+    """Exact recombination check of the inverse numerators p, as
+    TaylorOperator.symbol_inverse and triangular_inverse_reference return
+    them: sum_l t[j][l] p[l][k] u^(l-j) must equal
     delta_jk u^(k-j+1). Clearing the denominators this way avoids rational
     functions entirely."""
     n = t.nrows
@@ -1259,7 +1262,7 @@ def triangular_inverse_check(t: LaurentMatrix, inv: TriangularInverse) -> bool:
             acc = LaurentPoly.zero()
             for l in range(j, min(k, n - 1) + 1):
                 a = t[j][l]
-                b = inv.p[l][k]
+                b = p[l][k]
                 if a and b:
                     acc = acc + a * b * u ** (l - j)
             want = u ** (k - j + 1) if j == k else LaurentPoly.zero()

@@ -40,7 +40,6 @@ from hermiteforge import (
     verify_spectral_chain,
 )
 from hermiteforge.construct import build_last_row_system
-from hermiteforge.exactalg import lm_triangular_inverse
 from hermiteforge.splines import scalar_spline_symbol, spline_eigenpoly
 from reference_kernels import scalar_eigen_check
 from hermiteforge.polybasis import difference_split_check
@@ -234,11 +233,11 @@ def test_criterion_09_exact_identities():
             assert comb(n, j + 1) == sum(comb(k, j) for k in range(n))
     for _ in range(50):
         op = random_operator(rng, rng.randint(1, 5))
-        inv = lm_triangular_inverse(op.symbol())
+        inv = op.symbol_inverse
         for j in range(op.d + 1):
             for l in range(op.d + 1):
                 want = F(1) if l >= j else F(0)
-                assert inv.p[j][l].evaluate(1) == want
+                assert inv[j][l].evaluate(1) == want
     print(
         "PASS: criterion 9 - difference-split identity (100 polynomials, "
         "n <= 10), binomial hockey stick (n <= 20), and all-ones inverse "

@@ -367,6 +367,15 @@ def _malformed_argv(case, tmp_path):
         bad = tmp_path / "empty_chain.json"
         bad.write_text(json.dumps({"d": -1, "vecs": []}))
         return ["annihilate", "--chain", str(bad)]
+    if case.startswith("tower-not-a-chain-"):
+        # Vector 1 lives in V_0, so the file is no chain of dimension 2.
+        v0 = {"d": 0, "components": [["1"]]}
+        bad = tmp_path / "tower.json"
+        bad.write_text(json.dumps({"d": 1, "vecs": [v0, v0]}))
+        command = case.removeprefix("tower-not-a-chain-")
+        if command == "annihilate":
+            return ["annihilate", "--chain", str(bad)]
+        return [command, "--mask", str(hat), "--chain", str(bad)]
     if case == "repeated-operator-key":
         return ["chain", "--taylor", "delta:d=1,d=2"]
     if case == "repeated-spline-key":
@@ -407,6 +416,9 @@ def _malformed_argv(case, tmp_path):
         "constant-k-above-j",
         "negative-preset-size",
         "empty-chain",
+        "tower-not-a-chain-factor",
+        "tower-not-a-chain-verify-spectral",
+        "tower-not-a-chain-annihilate",
         "repeated-operator-key",
         "repeated-spline-key",
         "nan-ratio-bound",
@@ -439,5 +451,7 @@ def test_malformed_input_exits_two(case, capsys, tmp_path):
         assert "outside 1 <= k <= j <= 2" in captured.err
     if case == "empty-chain":
         assert "at least the vector v_0" in captured.err
+    if case.startswith("tower-not-a-chain-"):
+        assert captured.err == f"error: {tmp_path / 'tower.json'}: vector 1 lives in V_0, expected V_1\n"
     if case.startswith("repeated-"):
         assert "is given twice" in captured.err

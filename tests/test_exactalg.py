@@ -11,18 +11,8 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hermiteforge import LaurentPoly, Mask, NotDivisible, Poly, delta_operator
-from hermiteforge.exactalg import (
-    NotTriangular,
-    SingularDiagonal,
-    delta_symbol,
-    lm_triangular_inverse,
-)
-from reference_kernels import (
-    mask_symbol_reference,
-    triangular_inverse_check,
-    triangular_inverse_reference,
-)
+from hermiteforge import LaurentPoly, NotDivisible, Poly
+from hermiteforge.exactalg import delta_symbol
 from strategies import rationals
 
 rational_values = rationals(-20, 20, 12)
@@ -108,37 +98,6 @@ def test_power_and_abs_sum():
     h = LaurentPoly({-1: F(1, 2), 0: F(-1, 2)})
     assert h**2 == h * h
     assert sum(abs(c) for _, c in h.items()) == 1
-
-
-@given(st.integers(min_value=1, max_value=4), st.data())
-@settings(max_examples=25, deadline=None)
-def test_triangular_inverse(n, data):
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            if j < i:
-                row.append(LaurentPoly())
-            elif j == i:
-                row.append(LaurentPoly({-1: F(1), 0: F(-1)}))
-            else:
-                row.append(data.draw(laurent_polys(min_exp=-2, max_exp=2, max_terms=3)))
-        rows.append(row)
-    t = Mask.from_symbol(rows)
-    inv = lm_triangular_inverse(t)
-    sym = mask_symbol_reference(t)
-    assert triangular_inverse_check(sym, inv)
-    # Back substitution gives the numerators of the nilpotent expansion.
-    assert inv.p == triangular_inverse_reference(sym).p.rows
-
-
-def test_triangular_inverse_refuses_other_shapes():
-    u, one = delta_symbol(), LaurentPoly.one()
-    with pytest.raises(NotTriangular, match=r"below the diagonal at \(1,0\)"):
-        lm_triangular_inverse(Mask.from_symbol([[u, one], [one, u]]))
-    # The incomplete operator keeps 1, not u, in its last diagonal entry.
-    with pytest.raises(SingularDiagonal, match=r"diagonal entry \(2,2\)"):
-        lm_triangular_inverse(delta_operator(2).as_incomplete().symbol())
 
 
 def test_poly_forward_difference():

@@ -179,9 +179,8 @@ def test_integer_mask_matches_fraction_reference(mask, q):
     assert mask.to_json() == mask_json_reference(mask)
     assert scaled.to_json() == mask_json_reference(scaled)
     floats, numerators, den = stencil_reference(scaled)
-    stencil = scaled._stencil
-    assert float_bits(stencil.floats) == float_bits(floats)
-    assert (stencil.numerators, stencil.denominator) == (numerators, den)
+    assert float_bits(scaled._float_terms) == float_bits(floats)
+    assert (scaled._terms, scaled._den) == (numerators, den)
     entries, den = integer_entries_reference(scaled)
     assert (scaled._num, scaled._den) == (tuple(tuple(map(tuple, row)) for row in entries), den)
     # The last columns made to sum to e_d in each parity class the support

@@ -1,5 +1,6 @@
 """The package root exports every name that the bench, the scripts and the
-README example read from it, and nothing that is not an object."""
+README example read from it, and nothing that is not an object; the bottom
+layer, exactalg, imports nothing from the package."""
 
 import ast
 import importlib
@@ -75,3 +76,13 @@ def test_examples_import_only_exported_names(where):
         if module == "hermiteforge":
             assert name in hermiteforge.__all__, name
         getattr(importlib.import_module(module), name)
+
+
+def test_exactalg_imports_nothing_from_the_package():
+    # The bottom layer: not even a TYPE_CHECKING block reaches up.
+    tree = ast.parse((ROOT / "src" / "hermiteforge" / "exactalg.py").read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            assert node.level == 0 and not (node.module or "").startswith("hermiteforge"), node.module
+        elif isinstance(node, ast.Import):
+            assert not any(a.name.startswith("hermiteforge") for a in node.names)

@@ -35,6 +35,7 @@ from reference_kernels import (
     newton_vector,
     padded_rows,
     taylor_symbol_reference,
+    triangular_inverse_check,
     triangular_inverse_reference,
 )
 from strategies import rationals
@@ -281,7 +282,8 @@ def test_cached_operator_data_equals_fresh_builds(op):
     assert mask_symbol_reference(op.symbol()) == sym
     assert mask_symbol_reference(op.symbol_z2) == sym.substitute_power(2)
     if op.complete:
-        assert LaurentMatrix(op.symbol_inverse.p) == triangular_inverse_reference(sym).p
+        assert LaurentMatrix(op.symbol_inverse) == triangular_inverse_reference(sym)
+        assert triangular_inverse_check(sym, op.symbol_inverse)
         assert op.symbol_inverse is op.symbol_inverse
         assert chain_for(op.as_incomplete()) is not chain
     else:
