@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import fields
 from fractions import Fraction
+from functools import cache
 from math import gcd, lcm
 from typing import Iterator, Mapping, Sequence, Union
 
@@ -480,7 +481,8 @@ class LaurentPoly:
 
 
 # The deltas z^-1 - 1 and z^-2 - 1 come up constantly in the factorization
-# identities, so build them once.
+# identities, so build them once and share them (a LaurentPoly is immutable).
+@cache
 def delta_symbol(step: int = 1) -> LaurentPoly:
     """z^-step - 1."""
     return LaurentPoly({-step: 1, 0: -1})

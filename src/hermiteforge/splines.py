@@ -18,9 +18,9 @@ from math import comb, factorial
 from .analysis import cascade
 from .exactalg import LaurentPoly, RationalLike, _report_json
 from .factor import Factorization, taylor_factorize, verify_spectral_chain
-from .polybasis import NotInVd, Poly, PolyVec
+from .polybasis import Poly, PolyVec
 from .subdivision import Mask
-from .taylor import Chain, NotAChain, allones_operator, chain_for, chain_validate, classical_operator
+from .taylor import Chain, allones_operator, chain_for, classical_operator
 
 
 class BadOrder(Exception):
@@ -237,17 +237,12 @@ def spline_verify(r: int, d: int) -> tuple[SplineVerifyReport, Factorization]:
 
     The classical-condition verdict is informational: for d = 0 the classical
     and spline chains coincide, so it holds there and fails once genuine
-    derivative components enter. factorization_ok reports the one identity
-    check inside taylor_factorize, which raises rather than return an
-    unproven factorization."""
+    derivative components enter. chain_ok reports the compatibility check
+    in the Chain constructor and factorization_ok the one identity check in
+    taylor_factorize; each raises rather than return an unproven object."""
     _check_rd(r, d)
     mask = spline_mask(r, d)
     chain = spline_chain(r, d)
-    try:
-        chain_validate(chain)
-        chain_ok = True
-    except (NotAChain, NotInVd):
-        chain_ok = False
     operator_allones = chain.operator().w == allones_operator(d).w
     spectral = verify_spectral_chain(mask, chain)
     classical = verify_spectral_chain(mask, chain_for(classical_operator(d)))
@@ -256,7 +251,7 @@ def spline_verify(r: int, d: int) -> tuple[SplineVerifyReport, Factorization]:
         SplineVerifyReport(
             r=r,
             d=d,
-            chain_ok=chain_ok,
+            chain_ok=True,
             operator_allones=operator_allones,
             spectral_ok=spectral.ok,
             classical_spectral_holds=classical.ok,

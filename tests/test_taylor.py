@@ -23,8 +23,7 @@ from hermiteforge import (
     delta_operator,
 )
 from hermiteforge import taylor
-from hermiteforge.exactalg import SingularDiagonal
-from hermiteforge.taylor import chain_validate
+from hermiteforge.exactalg import SingularDiagonal, delta_symbol
 from reference_kernels import (
     LaurentMatrix,
     apply_operator,
@@ -177,7 +176,7 @@ def test_chain_constants_shift_free_terms():
     op = delta_operator(2)
     plain = chain_for(op)
     bumped = chain_for(op, constants={(2, 1): F(7)})
-    chain_validate(bumped, op)
+    assert bumped.operator() == op
     assert bumped.vecs[2] != plain.vecs[2]
     assert bumped.vecs[2].component(1).evaluate(0) == 7
     assert bumped.vecs[1] == plain.vecs[1]
@@ -212,22 +211,23 @@ def test_vector_membership_enforced_at_construction():
 def test_chain_validate_detects_mismatch():
     # levels 0..2 carry Newton weights, level 3 carries classical ones;
     # the level-2 annihilator then fails to nest into level 3
-    bad = Chain(
-        (
-            newton_vector(0),
-            newton_vector(1),
-            newton_vector(2),
-            classical_vector(3),
-        )
-    )
-    with pytest.raises(NotAChain):
-        chain_validate(bad)
+    vecs = (newton_vector(0), newton_vector(1), newton_vector(2), classical_vector(3))
+    with pytest.raises(NotAChain, match="^annihilator of level 2 does not nest into level 3$"):
+        Chain(vecs)
+    with pytest.raises(NotAChain, match="^vector 1 lives in V_2, expected V_1$"):
+        Chain((newton_vector(0), newton_vector(2)))
+    with pytest.raises(NotAChain, match="^a chain holds at least the vector v_0$"):
+        Chain(())
 
 
 def test_chain_validate_checks_ownership():
     ch = chain_for(delta_operator(2))
-    with pytest.raises(NotAChain):
-        chain_validate(ch, classical_operator(2))
+    assert ch.operator() is delta_operator(2)
+    assert ch.operator() != classical_operator(2)
+    # A built tower whose annihilator is not the operator's own is refused.
+    with mock.patch.object(taylor, "annihilator", lambda v: classical_operator(v.d)):
+        with pytest.raises(NotAChain, match="^chain does not belong to the supplied operator$"):
+            chain_for(delta_operator(2), {(1, 1): 0})
 
 
 def test_chain_with_last_builds_valid_chain():
@@ -235,8 +235,7 @@ def test_chain_with_last_builds_valid_chain():
     # Lower levels from v's own annihilator, then v on top.
     op = annihilator(v)
     ch = Chain(chain_for(op).vecs[: v.d] + (v,))
-    chain_validate(ch, op)
-    chain_validate(ch)
+    assert ch.operator() == op
     assert ch.last == v
     assert ch.d == 3
 
@@ -257,17 +256,18 @@ def test_apply_operator_kills_newton_samples():
 @given(operators(max_d=5, min_d=0, complete=st.booleans()))
 @settings(max_examples=60, deadline=None)
 def test_cached_operator_data_equals_fresh_builds(op):
-    # First read: the chain is kept only once chain_validate has passed it,
+    # First read: the chain is kept only once its constructor has passed it,
     # and an incomplete operator builds and validates a new chain each call.
     validated = []
+    post_init = Chain.__post_init__
 
-    def refuse_first(chain, owner=None):
+    def refuse_first(chain):
         validated.append(chain)
         if len(validated) == 1:
             raise NotAChain("refused once")
-        chain_validate(chain, owner)
+        post_init(chain)
 
-    with mock.patch.object(taylor, "chain_validate", refuse_first):
+    with mock.patch.object(Chain, "__post_init__", refuse_first):
         with pytest.raises(NotAChain, match="refused once"):
             chain_for(op)
         chain = chain_for(op)
@@ -328,6 +328,23 @@ def test_chain_operator_is_kept_and_is_the_annihilator():
     loaded = Chain.from_json(ch.to_json())
     assert loaded.operator() is loaded.operator()
     assert loaded.operator() == op
+
+
+def test_a_loaded_chain_builds_each_annihilator_once():
+    # The constructor builds one annihilator per level and keeps the top one.
+    doc = chain_for(classical_operator(3)).to_json()
+    with mock.patch.object(taylor, "annihilator", wraps=taylor.annihilator) as spy:
+        loaded = Chain.from_json(doc)
+        assert loaded.operator() == classical_operator(3)
+    assert spy.call_count == 4
+
+
+def test_u_powers_are_built_once_and_shared():
+    op = classical_operator(3)
+    u = delta_symbol(1)
+    assert delta_symbol(1) is u and delta_symbol(2) is delta_symbol(2)
+    assert op.u_powers is op.u_powers
+    assert op.u_powers == tuple(u**k for k in range(op.d + 2))
 
 
 def test_an_empty_tower_is_not_a_chain():
