@@ -27,7 +27,7 @@ from .construct import BadSeed, synthesize
 from .exactalg import LaurentPoly, NotDivisible, rat_from_str
 from .factor import NotAnnihilated, taylor_factorize, verify_spectral_chain
 from .polybasis import NotInVd, Poly, PolyVec, difference_split_check
-from .splines import BadOrder, spline_chain, spline_mask, spline_verify
+from .splines import BadOrder, _verify_spline, spline_chain, spline_mask
 from .subdivision import DyadicGrid, Mask, WindowTooSmall
 from .taylor import (
     Chain,
@@ -463,7 +463,7 @@ def _cmd_spline(args) -> dict:
         raise MalformedInput(str(exc)) from exc
     payload = {"ok": True, "mask": mask.to_json(), "chain": chain.to_json()}
     if args.verify:
-        report, fac = spline_verify(args.r, args.d)
+        report, fac = _verify_spline(args.r, args.d, mask, chain)
         payload.update(ok=report.ok, report=report.to_json(), factor=fac.factor.to_json())
     return payload
 

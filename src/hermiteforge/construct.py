@@ -259,7 +259,7 @@ def assemble_factor(
     for (j, k) in g:
         if not 0 <= k < j < d:
             raise ValueError(f"free parameter ({j},{k}) is outside the strict lower triangle")
-    u = LaurentPoly({-1: 1, 0: -1})
+    upow = op.u_powers
     zero = LaurentPoly.zero()
     rows = []
     for j in range(d):
@@ -267,16 +267,16 @@ def assemble_factor(
         for k in range(d + 1):
             if k < j:
                 gv = g.get((j, k))
-                row.append(u ** (j + 1) * gv if gv else zero)
+                row.append(upow[j + 1] * gv if gv else zero)
             elif k == j:
-                row.append(u ** (j + 1) / 2 ** (j + 1))
+                row.append(upow[j + 1] / 2 ** (j + 1))
             else:
                 row.append(zero)
         rows.append(row)
     bottom = []
     for k in range(d + 1):
         hk = last_row[k]
-        bottom.append(u ** (d - k) * hk.substitute_power(-1) if hk else zero)
+        bottom.append(upow[d - k] * hk.substitute_power(-1) if hk else zero)
     rows.append(bottom)
     return Mask.from_symbol(rows)
 

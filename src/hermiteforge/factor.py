@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .exactalg import LaurentPoly, NotDivisible, _report_json, delta_symbol, rat_to_str
 from .polybasis import Poly, PolyVec
-from .subdivision import Mask, _image_rows, eigen_check
+from .subdivision import Mask, _image, eigen_check
 from .taylor import Chain, TaylorOperator, chain_for
 
 
@@ -113,7 +113,7 @@ def taylor_factorize(
 
     C* = T-tilde* A* is solved for B-tilde* column by column, each column by an
     exact division by z^-2 - 1. A mask that factors annihilates the padded
-    chain, so the sampled annihilation check runs only after a division
+    chain, so the exact annihilation check runs only after a division
     fails, to name the first level left alive (NotAnnihilated); if there is
     none, the NotDivisible stands. The identity is checked exactly once, here,
     and a failure raises: every returned factorization carries a proven one.
@@ -269,23 +269,20 @@ def spectral_chain_from_factorization(
         raise ValueError("factor does not reproduce the constant top-derivative data")
 
     size = d + 1
-    images = [_image_rows(mask, v) for v in chain.vecs]
-    # Every image shares the default output window; sample the chain on it once.
-    start = images[0][2]
-    stop = start + len(images[0][0][0]) - 1
-    chain_rows = [v.sample_rows(start, stop, ambient=d) for v in chain.vecs]
+    images = [_image(mask, v) for v in chain.vecs]
     umat = [[Fraction(0)] * size for _ in range(size)]
     for j in range(size):
-        # The image of level j, as integer rows over den.
-        work, den, _ = images[j]
+        # The image of level j, per parity, as integer coefficients over den.
+        work, _, q = images[j]
+        den = mask._den * q
         for k in range(size - 1, -1, -1):
-            vals = set(work[k])
-            if len(vals) != 1:
+            even, odd = work[0][k], work[1][k]
+            if even != odd or any(even[1:]):
                 raise SpanHypothesisFailed(
                     f"image of level {j} is not constant on row {k}; "
                     "it leaves the span of the chain"
                 )
-            c = vals.pop()
+            c = even[0]
             if c == 0:
                 continue
             if k > j:
@@ -293,9 +290,10 @@ def spectral_chain_from_factorization(
                     f"image of level {j} has a component on level {k}"
                 )
             umat[k][j] = Fraction(c, den)
-            # work / den - (c / den) (rows / q) = (q work - c rows) / (den q)
-            rows, q = chain_rows[k]
-            work = [[q * w - c * x for w, x in zip(wi, xi)] for wi, xi in zip(work, rows)]
+            # work / den - (c / den) (vhat / q) = (q work - c vhat) / (den q)
+            _, vhat, q = images[k]
+            pairs = zip(work, vhat)
+            work = [[[q * w - c * x for w, x in zip(*wx)] for wx in zip(*p)] for p in pairs]
             den *= q
     # Unit upper-triangular change of basis diagonalizing U, whose diagonal must be 2^-j.
     smat = [[Fraction(0)] * size for _ in range(size)]

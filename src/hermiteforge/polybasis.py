@@ -9,16 +9,14 @@ coefficients from x^0, degree, p(x + a), derivatives, forward differences).
 A vector lives in V_d when it has d+1 polynomial components of degrees
 exactly 0..d, the degree-j component has leading coefficient 1/j!, and the
 degree-0 component is the constant 1. Components are stored in ascending
-degree order; displays and sampled columns use the reversed (degree-
-descending) layout that matches how subdivision operators act on Hermite
-data, with the function value in the top row.
+degree order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, lcm
+from math import factorial
 from typing import Mapping, Sequence
 
 from .exactalg import (
@@ -224,33 +222,6 @@ class PolyVec:
 
     def component(self, degree: int) -> Poly:
         return self.components[degree]
-
-    def sample_rows(
-        self, lo: int, hi: int, ambient: int | None = None
-    ) -> tuple[list[list[int]], int]:
-        """Samples at the integers lo..hi as integer numerators over one
-        denominator Q, returned as (rows, Q).
-
-        rows[i][n] belongs to abscissa lo + n in the degree-descending layout
-        (component d - i), with zero rows padding to ambient + 1 rows when
-        requested. Each row is evaluated by integer Horner.
-        """
-        d = self.d
-        amb = d if ambient is None else ambient
-        if amb < d:
-            raise ValueError("ambient dimension smaller than the vector's own")
-        den = lcm(*(p._den for p in self.components))
-        xs = range(lo, hi + 1)
-        rows = []
-        for i in range(d + 1):
-            p = self.components[d - i]
-            nums = [n * (den // p._den) for n in p._dense()]
-            row = [nums[-1]] * len(xs)
-            for c in reversed(nums[:-1]):
-                row = [r * x + c for r, x in zip(row, xs)]
-            rows.append(row)
-        rows.extend([0] * len(xs) for _ in range(amb - d))
-        return rows, den
 
     def to_json(self) -> dict:
         return {"d": self.d, "components": [p.to_json() for p in self.components]}

@@ -16,7 +16,7 @@ from functools import lru_cache
 from math import comb, factorial
 
 from .analysis import cascade
-from .exactalg import LaurentPoly, RationalLike, _report_json
+from .exactalg import LaurentPoly, RationalLike, _rational, _report_json
 from .factor import Factorization, taylor_factorize, verify_spectral_chain
 from .polybasis import Poly, PolyVec
 from .subdivision import Mask
@@ -125,7 +125,7 @@ def bspline_value(r: int, x: RationalLike) -> Fraction:
     degree-0 spline is 1 on [0, 1)."""
     if r < 0:
         raise BadOrder(f"spline degree must be nonnegative, got r={r}")
-    x = Fraction(x)
+    x = _rational(x)
     return Fraction(
         _scaled_bspline(r, x.numerator, x.denominator), factorial(r) * x.denominator**r
     )
@@ -147,7 +147,7 @@ def bspline_derivative(r: int, k: int, x: RationalLike) -> Fraction:
     sum_i (-1)^i binom(k,i) bspline_value(r-k, x-i); k <= r."""
     if not 0 <= k <= r:
         raise BadOrder(f"derivative order must satisfy 0 <= k <= r, got {k}")
-    x = Fraction(x)
+    x = _rational(x)
     num, den = x.numerator, x.denominator
     q = r - k
     return Fraction(_scaled_bspline_derivative(r, k, num, den), factorial(q) * den**q)
@@ -240,9 +240,13 @@ def spline_verify(r: int, d: int) -> tuple[SplineVerifyReport, Factorization]:
     derivative components enter. chain_ok reports the compatibility check
     in the Chain constructor and factorization_ok the one identity check in
     taylor_factorize; each raises rather than return an unproven object."""
-    _check_rd(r, d)
-    mask = spline_mask(r, d)
-    chain = spline_chain(r, d)
+    return _verify_spline(r, d, spline_mask(r, d), spline_chain(r, d))
+
+
+def _verify_spline(
+    r: int, d: int, mask: Mask, chain: Chain
+) -> tuple[SplineVerifyReport, Factorization]:
+    """spline_verify on the scheme's mask and chain, already built."""
     operator_allones = chain.operator().w == allones_operator(d).w
     spectral = verify_spectral_chain(mask, chain)
     classical = verify_spectral_chain(mask, chain_for(classical_operator(d)))

@@ -15,17 +15,19 @@ from collections.abc import Mapping, Sequence
 from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
+from itertools import chain, count
 from math import gcd, lcm
 
 from .exactalg import (
     LaurentPoly,
     RationalLike,
+    _horner,
     _json_field,
     _mul,
     _over_one_denominator,
     _ratio_str,
     _rational,
+    _taylor_shift,
     rat_from_str,
 )
 from .polybasis import PolyVec
@@ -347,22 +349,40 @@ def float_step(
     return [row if f == 1.0 else [s * f for s in row] for f, row in zip(scales, sums)], out_lo
 
 
-def _image_rows(mask: Mask, v: PolyVec) -> tuple[list[list[int]], int, int]:
-    """S_A applied to the zero-padded samples of v on a window, in integers.
+def _image(mask: Mask, v: PolyVec) -> tuple[list, list, int]:
+    """S_A v-hat and v-hat as exact polynomials, one per parity class.
 
-    Returns the output rows as numerators over one denominator, that
-    denominator, and the first output abscissa. The window is wide enough
-    that, per parity class, the output determines its (componentwise)
-    polynomial of degree <= d.
+    v-hat is v in the degree-descending layout (row i is component v.d - i)
+    with zero rows below to mask.d + 1 rows. Returns (img, vhat, q):
+    img[p][i] lists the integer coefficients, in m, of (S_A v-hat)_i(2m + p)
+    over mask._den * q, and vhat[p][i] those of v-hat_i(2m + p) over q, each
+    mask.d + 1 long. A term (offset, k, c) of Mask._terms adds
+    c v-hat_k(m + offset), an integer Taylor shift, so no samples are taken.
     """
-    if v.d > mask.d:
+    d = mask.d
+    if v.d > d:
         raise ValueError("vector does not fit the mask's dimension")
-    s_min, s_max = mask.support
-    half = mask.d + 3 + (s_max - s_min)
-    out_lo, out_hi = _output_window(mask, -half, half)
-    samples, den_q = v.sample_rows(-half, half, ambient=mask.d)
-    sums = _stencil_sums(mask._terms, samples, -half, out_lo, out_hi, 0)
-    return sums, mask._den * den_q, out_lo
+    q = lcm(*(p._den for p in v.components))
+    rows = [[n * (q // p._den) for n in p._dense()] for p in reversed(v.components)]
+    zero = [0] * (d + 1)
+    full = [row + zero[len(row) :] for row in rows] + [zero] * (d - v.d)
+    # v-hat_i(2m + p): shift by p, then scale the coefficient of m^j by 2^j.
+    vhat = [[[c << j for j, c in enumerate(_taylor_shift(r, p))] for r in full] for p in (0, 1)]
+    shifts = {}
+    img = []
+    for terms_by_row in mask._terms:
+        img.append([])
+        for terms in terms_by_row:
+            acc = zero
+            for offset, k, c in terms:
+                if k <= v.d:
+                    s = shifts.get((k, offset))
+                    if s is None:
+                        s = _taylor_shift(rows[k], offset)
+                        s = shifts[k, offset] = s + zero[len(s) :]
+                    acc = [a + c * x for a, x in zip(acc, s)]
+            img[-1].append(acc)
+    return img, vhat, q
 
 
 def eigen_check(
@@ -370,25 +390,28 @@ def eigen_check(
 ) -> tuple[int, int, Fraction, Fraction] | None:
     """Test S_A v-hat = lambda v-hat exactly.
 
-    Checking every integer in a conclusive window per parity class settles
-    the polynomial identity. Returns None on success, else the first
-    counterexample (alpha, row, got, want). The comparison runs on integer
-    numerators: got / D == lambda want / Q is cross-multiplied.
+    Both sides are polynomials per parity class (see _image); their
+    coefficients are compared, img / (D Q) == lambda vhat / Q cross-multiplied.
+    Returns None on success, else the first counterexample (alpha, row, got,
+    want), read off the same polynomials: alpha ascending from
+    s_max - 1 - 2 (d + 3 + s_max - s_min), then row ascending.
     """
-    lam = Fraction(eigenvalue)
-    got, den, out_lo = _image_rows(mask, v)
-    want, den_q = v.sample_rows(out_lo, out_lo + len(got[0]) - 1, ambient=mask.d)
-    got_scale, want_scale = lam.denominator * den_q, lam.numerator * den
-    hits = [
-        (n, i)
-        for i, (got_row, want_row) in enumerate(zip(got, want))
-        for n, (g, w) in enumerate(zip(got_row, want_row))
-        if g * got_scale != want_scale * w
-    ]
-    if not hits:
+    lam = _rational(eigenvalue)
+    img, vhat, q = _image(mask, v)
+    den = mask._den
+    got_scale, want_scale = lam.denominator, lam.numerator * den
+    rows = zip(chain(*img), chain(*vhat))
+    if all(x * got_scale == want_scale * y for got, want in rows for x, y in zip(got, want)):
         return None
-    n, i = min(hits)
-    return (out_lo + n, i, Fraction(got[i][n], den), lam * Fraction(want[i][n], den_q))
+    s_min, s_max = mask.support
+    # Polynomials of degree <= d that differ do so at one of any d + 1 points
+    # of a parity class, so the search ends.
+    for alpha in count(s_max - 1 - 2 * (mask.d + 3 + s_max - s_min)):
+        m, parity = divmod(alpha, 2)
+        for i, (got, want) in enumerate(zip(img[parity], vhat[parity])):
+            x, y = _horner(got, m, 1), _horner(want, m, 1)
+            if x * got_scale != want_scale * y:
+                return (alpha, i, Fraction(x, den * q), lam * Fraction(y, q))
 
 
 class DyadicGrid:

@@ -9,7 +9,8 @@ of the exact cascade, masks read and built one Fraction entry at a time
 triangle and partition tests), the float cascade and its convergence diagnostics one
 column and one component at a time, the grid JSON and CSV writers one value
 at a time, Fraction samples of polynomial vectors for the eigen
-check, contraction norms read off the Laurent-product iterated symbol,
+check, the spectral chain recovery on sampled windows of integer
+numerators, contraction norms read off the Laurent-product iterated symbol,
 Fraction abscissae for the spline cascade check, the Cox-de Boor recursion
 for B-spline values, a factorization that gates on annihilation before
 dividing and checks its identity twice, the order-of-zero test of a
@@ -35,13 +36,16 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from hermiteforge import (
     DyadicGrid,
+    EigenvalueClash,
     LaurentPoly,
     Mask,
     NotAnnihilated,
     Poly,
     PolyVec,
+    SpanHypothesisFailed,
     TaylorOperator,
     cascade,
+    chain_for,
     spline_mask,
 )
 from hermiteforge.analysis import ContractivityReport, ConvergenceReport
@@ -58,10 +62,15 @@ from hermiteforge.exactalg import (
     rat_from_str,
     rat_to_str,
 )
-from hermiteforge.factor import Factorization
+from hermiteforge.factor import (
+    Factorization,
+    _checked_scale,
+    _identity_holds,
+    _last_column_partition_of_unity,
+)
 from hermiteforge.polybasis import antidifference, newton_basis
 from hermiteforge.splines import SplineCascadeReport, bspline_derivative
-from hermiteforge.subdivision import WindowTooSmall, eigen_check
+from hermiteforge.subdivision import WindowTooSmall, _output_window, _stencil_sums, eigen_check
 from hermiteforge.taylor import Chain, delta_operator
 
 
@@ -968,6 +977,106 @@ def eigen_check_reference(mask: Mask, v, eigenvalue):
             if col[i] != lam * want[i]:
                 return (alpha, i, Fraction(col[i]), lam * want[i])
     return None
+
+
+def sample_rows_reference(v: PolyVec, lo: int, hi: int, ambient: int) -> tuple[list, int]:
+    """Samples of v at the integers lo..hi as integer numerators over one
+    denominator Q, as (rows, Q): rows[i][n] is component v.d - i at lo + n,
+    padded with zero rows to ambient + 1 rows; each row by integer Horner."""
+    d = v.d
+    den = lcm(*(p._den for p in v.components))
+    xs = range(lo, hi + 1)
+    rows = []
+    for i in range(d + 1):
+        p = v.components[d - i]
+        nums = [n * (den // p._den) for n in p._dense()]
+        row = [nums[-1]] * len(xs)
+        for c in reversed(nums[:-1]):
+            row = [r * x + c for r, x in zip(row, xs)]
+        rows.append(row)
+    rows.extend([0] * len(xs) for _ in range(ambient - d))
+    return rows, den
+
+
+def image_rows_reference(mask: Mask, v: PolyVec) -> tuple[list[list[int]], int, int]:
+    """S_A applied to the samples of v on a window wide enough that, per
+    parity class, the output determines its polynomial of degree <= d:
+    (output rows over one denominator, that denominator, first abscissa)."""
+    if v.d > mask.d:
+        raise ValueError("vector does not fit the mask's dimension")
+    s_min, s_max = mask.support
+    half = mask.d + 3 + (s_max - s_min)
+    out_lo, out_hi = _output_window(mask, -half, half)
+    samples, den_q = sample_rows_reference(v, -half, half, mask.d)
+    sums = _stencil_sums(mask._terms, samples, -half, out_lo, out_hi, 0)
+    return sums, mask._den * den_q, out_lo
+
+
+def spectral_chain_reference(
+    mask: Mask, factor_incomplete: Mask, op: TaylorOperator, chain: Chain | None = None,
+    scale: Fraction | None = None,
+) -> Chain:
+    """spectral_chain_from_factorization with the span loop run on sampled
+    windows: a row is constant when all its samples are equal, and a level
+    is peeled off by subtracting its samples on the same window."""
+    d = mask.d
+    if op.d != d:
+        raise ValueError("operator and mask dimensions differ")
+    if chain is None:
+        chain = chain_for(op.as_complete())
+    elif chain.d != d:
+        raise ValueError("chain and mask dimensions differ")
+    scale = _checked_scale(scale, d)
+    if not _identity_holds(op.as_incomplete(), mask, factor_incomplete, scale):
+        raise ValueError("incomplete factorization identity does not hold")
+    if not _last_column_partition_of_unity(factor_incomplete):
+        raise ValueError("factor does not reproduce the constant top-derivative data")
+    size = d + 1
+    images = [image_rows_reference(mask, v) for v in chain.vecs]
+    start = images[0][2]
+    stop = start + len(images[0][0][0]) - 1
+    chain_rows = [sample_rows_reference(v, start, stop, d) for v in chain.vecs]
+    umat = [[Fraction(0)] * size for _ in range(size)]
+    for j in range(size):
+        work, den, _ = images[j]
+        for k in range(size - 1, -1, -1):
+            vals = set(work[k])
+            if len(vals) != 1:
+                raise SpanHypothesisFailed(
+                    f"image of level {j} is not constant on row {k}; "
+                    "it leaves the span of the chain"
+                )
+            c = vals.pop()
+            if c == 0:
+                continue
+            if k > j:
+                raise SpanHypothesisFailed(f"image of level {j} has a component on level {k}")
+            umat[k][j] = Fraction(c, den)
+            rows, q = chain_rows[k]
+            work = [[q * w - c * x for w, x in zip(wi, xi)] for wi, xi in zip(work, rows)]
+            den *= q
+    smat = [[Fraction(0)] * size for _ in range(size)]
+    for j in range(size):
+        lam = Fraction(1, 2**j)
+        if umat[j][j] != lam:
+            raise EigenvalueClash(
+                f"level {j} reproduces itself with factor {umat[j][j]}, expected {lam}"
+            )
+        smat[j][j] = Fraction(1)
+        for i in range(j - 1, -1, -1):
+            acc = sum(umat[i][m] * smat[m][j] for m in range(i + 1, j + 1))
+            smat[i][j] = acc / (lam - umat[i][i])
+    vecs = []
+    for j in range(size):
+        comps = []
+        for tdeg in range(j + 1):
+            p = Poly.zero()
+            for k in range(j - tdeg, j + 1):
+                if smat[k][j]:
+                    p = p + chain.vecs[k].components[k - j + tdeg] * smat[k][j]
+            comps.append(p)
+        vecs.append(PolyVec(tuple(comps)))
+    return Chain(tuple(vecs))
 
 
 def scheme_norm_reference(mask: Mask, n: int = 1) -> Fraction:

@@ -234,6 +234,23 @@ def test_spline_verify_command(capsys):
     assert doc["report"]["classical_spectral_holds"] is False
 
 
+def test_spline_verify_builds_the_scheme_once(capsys, monkeypatch):
+    from hermiteforge import splines
+
+    built = []
+    for name in ("spline_mask", "spline_chain"):
+        make = getattr(splines, name)
+
+        def counting(r, d, make=make, name=name):
+            built.append(name)
+            return make(r, d)
+
+        monkeypatch.setattr(splines, name, counting)
+        monkeypatch.setattr(cli, name, counting)
+    run_ok(capsys, ["spline", "--r", "2", "--d", "1", "--verify"])
+    assert sorted(built) == ["spline_chain", "spline_mask"]
+
+
 def test_identity_tests_seeded(capsys):
     out = run_ok(capsys, ["identity-tests", "--seed", "0"])
     doc = json.loads(out)

@@ -20,6 +20,7 @@ from reference_kernels import (
     complete_from_incomplete,
     identity_reference,
     mask_symbol_reference,
+    spectral_chain_reference,
     taylor_factorize_reference,
 )
 from strategies import rationals
@@ -46,7 +47,7 @@ from hermiteforge import (
 )
 from hermiteforge.cli import run
 from hermiteforge.factor import Factorization
-from hermiteforge.subdivision import _image_rows
+from hermiteforge.subdivision import _image
 
 
 def ref2_mask():
@@ -318,26 +319,27 @@ def test_spectral_chain_recovery_dimension_guard():
 
 
 def test_spectral_chain_recovery_samples_each_level_once(monkeypatch):
-    # One image per chain level, and no second spectral check after the
-    # construction that proves the relation.
+    # One exact image per chain level, and no second spectral check after
+    # the construction that proves the relation.
     fac = taylor_factorize(ref2_mask(), delta_chain())
     b = incomplete_from_complete(fac.factor)
     calls = []
 
     def counting(mask, v):
         calls.append(v)
-        return _image_rows(mask, v)
+        return _image(mask, v)
 
-    monkeypatch.setattr("hermiteforge.factor._image_rows", counting)
-    monkeypatch.setattr("hermiteforge.subdivision._image_rows", counting)
+    monkeypatch.setattr("hermiteforge.factor._image", counting)
+    monkeypatch.setattr("hermiteforge.subdivision._image", counting)
     spectral_chain_from_factorization(ref2_mask(), b, fac.taylor, scale=fac.scale)
     assert len(calls) == 3
 
 
 @st.composite
-def weight_triangles(draw, max_d=3):
-    """A complete operator of size d + 1 <= max_d + 1 with random weights."""
-    d = draw(st.integers(min_value=1, max_value=max_d))
+def weight_triangles(draw, min_d=1, max_d=3):
+    """A complete operator of size d + 1, min_d <= d <= max_d, with random
+    weights."""
+    d = draw(st.integers(min_value=min_d, max_value=max_d))
     w = []
     for j in range(1, d + 1):
         w.append(tuple([draw(rationals(-5, 5, 5)) for _ in range(j - 1)] + [F(1)]))
@@ -353,3 +355,30 @@ def test_recovered_spectral_chain_is_spectral(op, n):
     fac = taylor_factorize(res.mask, chain_for(op))
     chain = spectral_chain_from_factorization(res.mask, incomplete_from_complete(fac.factor), op)
     assert verify_spectral_chain(res.mask, chain).ok
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    op=weight_triangles(),
+    n=st.integers(min_value=1, max_value=3),
+    own=st.booleans(),
+    stretch=st.sampled_from((1, 2)),
+    data=st.data(),
+)
+def test_spectral_chain_recovery_matches_the_sampled_reference(op, n, own, stretch, data):
+    # The span loop on exact per-parity polynomials against the one on
+    # sampled windows that it replaced: the same chain, or the same refusal.
+    # A second operator's chain mostly leaves the span of the mask's, and a
+    # stretched mask and scale reproduce level 0 with the factor stretch.
+    res = synthesize(op, LaurentPoly({0: F(1, 2), 1: F(1, 2)}) ** n)
+    fac = taylor_factorize(res.mask, chain_for(op))
+    b = incomplete_from_complete(fac.factor)
+    other = op if own else data.draw(weight_triangles(min_d=op.d, max_d=op.d))
+    args = (res.mask.scale(stretch), b, op, chain_for(other), stretch * fac.scale)
+    outcomes = []
+    for recover in (spectral_chain_from_factorization, spectral_chain_reference):
+        try:
+            outcomes.append(recover(*args))
+        except (SpanHypothesisFailed, EigenvalueClash) as exc:
+            outcomes.append((type(exc), str(exc)))
+    assert outcomes[0] == outcomes[1]

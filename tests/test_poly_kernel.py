@@ -9,10 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hermiteforge import LaurentPoly, Mask, NotDivisible, Poly
+from hermiteforge import LaurentPoly, Mask, NotDivisible, Poly, PolyVec
 from hermiteforge.construct import SingularSystem, _solve_square
 from hermiteforge.exactalg import rat_to_str
 from hermiteforge.polybasis import difference_split_check
+from hermiteforge.splines import bspline_derivative, bspline_value
+from hermiteforge.subdivision import eigen_check
 from reference_kernels import (
     FractionLaurentPoly,
     FractionPoly,
@@ -274,7 +276,9 @@ def test_float_operands_are_rejected(cls, op):
         with pytest.raises(TypeError):
             op(0.1, p)
     # Nor do the constructors and the methods that take a rational, nor the
-    # masks and the rational writer.
+    # masks, the rational writer, the spline values and the eigen check, which
+    # refuse strings as well.
+    m, v = Mask(0, (((1,),),)), PolyVec((Poly.one(),))
     calls = [
         lambda: cls.constant(0.1),
         lambda: cls.monomial(1, 0.1),
@@ -283,6 +287,11 @@ def test_float_operands_are_rejected(cls, op):
         lambda: Mask(0, (((0.1,),),)),
         lambda: Mask(0, (((1,),),)).scale(0.1),
         lambda: rat_to_str(0.1),
+        lambda: bspline_value(2, 0.1),
+        lambda: bspline_value(2, "1/2"),
+        lambda: bspline_derivative(2, 1, 0.5),
+        lambda: eigen_check(m, v, 0.5),
+        lambda: eigen_check(m, v, "1/2"),
     ]
     if cls is Poly:
         calls.append(lambda: p.shift(0.1))

@@ -1,6 +1,7 @@
 """The package root exports every name that the bench, the scripts and the
-README example read from it, and nothing that is not an object; the bottom
-layer, exactalg, imports nothing from the package."""
+README example read from it, and nothing that is not an object; every name
+the bench reads from a submodule exists; the bottom layer, exactalg, imports
+nothing from the package."""
 
 import ast
 import importlib
@@ -66,6 +67,18 @@ def test_bench_reads_only_exported_names():
             continue
         assert name in hermiteforge.__all__, name
         getattr(hermiteforge, name)
+
+
+def test_bench_submodule_reads_resolve():
+    # perfbench/test_perfbench.py is outside the tier-1 suite, so a renamed
+    # name in a submodule would break it unnoticed.
+    reads = set()
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        reads.update(re.findall(r"\bhf\.(\w+)\.(\w+)", path.read_text()))
+    reads = {(module, name) for module, name in reads if module in SUBMODULES}
+    assert {("factor", "eigen_check"), ("cli", "run"), ("cli", "json")} <= reads
+    for module, name in sorted(reads):
+        assert hasattr(importlib.import_module(f"hermiteforge.{module}"), name), name
 
 
 @pytest.mark.parametrize("where", ["scripts", "README"])
