@@ -400,23 +400,9 @@ def _cmd_construct(args) -> dict:
     }
 
 
-def _default_nmax() -> int:
-    raw = os.environ.get("HERMITE_FORGE_NMAX")
-    if raw is None:
-        return 8
-    try:
-        v = int(raw)
-    except ValueError as exc:
-        raise MalformedInput(f"HERMITE_FORGE_NMAX must be an integer, got {raw!r}") from exc
-    if v < 1:
-        raise MalformedInput("HERMITE_FORGE_NMAX must be at least 1")
-    return v
-
-
 def _cmd_contractivity(args) -> dict:
     mask = _load_mask_arg(args.mask)
-    n_max = args.n_max if args.n_max is not None else _default_nmax()
-    report = check_contractive(mask, n_max=n_max)
+    report = check_contractive(mask, n_max=args.n_max)
     return {"ok": report.contractive, "contractivity": report.to_json()}
 
 
@@ -604,11 +590,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("contractivity", help="joint/diagonal contraction certificate")
     p.add_argument("--mask", required=True, help="factor mask JSON file or preset")
-    p.add_argument(
-        "--n-max",
-        type=int,
-        help="largest iterate to try (default HERMITE_FORGE_NMAX or 8)",
-    )
+    p.add_argument("--n-max", type=int, default=8, help="largest iterate to try (default 8)")
     add_out(p)
     p.set_defaults(func=_cmd_contractivity)
 

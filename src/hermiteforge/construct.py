@@ -45,11 +45,7 @@ def _unknown_order(d: int) -> list[tuple[int, int]]:
 
 def _equation_order(d: int) -> list[tuple[int, int]]:
     """Equation layout mirrors the unknowns: j = d .. 1, within r = j .. 1."""
-    out = []
-    for j in range(d, 0, -1):
-        for r in range(j, 0, -1):
-            out.append((j, r))
-    return out
+    return [(m + 1, r) for m, r in _unknown_order(d)]
 
 
 @dataclass(frozen=True)

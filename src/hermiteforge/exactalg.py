@@ -35,10 +35,8 @@ class SingularDiagonal(ExactAlgError):
 
 
 def rat_to_str(q: RationalLike) -> str:
-    q = Fraction(_rational(q))
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+    q = _rational(q)
+    return _ratio_str(q.numerator, q.denominator)
 
 
 def rat_from_str(s: str) -> Fraction:
@@ -59,6 +57,15 @@ def _json_field(obj: Mapping, key: str, kind: type, default: object = None):
     if type(v) is not kind:
         name = "an integer" if kind is int else "a boolean"
         raise TypeError(f"{key!r} must be {name}, got {v!r}")
+    return v
+
+
+def _json_array(v: object, what: str) -> list:
+    """v, which must be a JSON array: a string, an object or any other value
+    raises TypeError rather than being read entry by entry, so "12" is not
+    read as the array ["1", "2"]."""
+    if type(v) is not list:
+        raise TypeError(f"{what} must be a JSON array, got {type(v).__name__}")
     return v
 
 
@@ -471,6 +478,10 @@ class LaurentPoly:
     def from_json(cls, obj: Mapping[str, str]) -> "LaurentPoly":
         if not isinstance(obj, Mapping):
             raise TypeError(f"a polynomial must be a JSON object, got {type(obj).__name__}")
+        # int() alone would also read "1_0", " 2", "+3" and "04".
+        bad = [e for e in obj if str(int(e)) != e]
+        if bad:
+            raise ValueError(f"an exponent key must be an integer in plain decimal, got {bad[0]!r}")
         return cls({int(e): rat_from_str(v) for e, v in obj.items()})
 
     def __str__(self) -> str:

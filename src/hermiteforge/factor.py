@@ -145,10 +145,10 @@ def taylor_factorize(
                             f"level {j} is not annihilated: row {row} at alpha={alpha} gives {got}"
                         ) from exc
                 raise NotDivisible(f"column division failed at entry ({i},{k}): {exc}") from exc
-    factor = Mask.from_symbol(b).scale(1 / scale)
-    if c_mask != (factor * op.symbol_z2).scale(scale):
+    unscaled = Mask.from_symbol(b)
+    if c_mask != unscaled * op.symbol_z2:
         raise AssertionError("factorization identity failed after the column solve")
-    return Factorization(mask=mask, taylor=op, factor=factor, scale=scale)
+    return Factorization(mask=mask, taylor=op, factor=unscaled.scale(1 / scale), scale=scale)
 
 
 def unfactor(

@@ -25,6 +25,7 @@ from .exactalg import (
     RationalLike,
     _canonical,
     _display,
+    _json_array,
     _json_field,
     _over_one_denominator,
     _ratio_str,
@@ -124,7 +125,7 @@ class Poly(LaurentPoly):
 
     @classmethod
     def from_json(cls, obj: Sequence[str]) -> "Poly":
-        return cls(tuple(rat_from_str(v) for v in obj))
+        return cls(tuple(rat_from_str(v) for v in _json_array(obj, "a polynomial")))
 
     def __str__(self) -> str:
         return _display(self._lo, self._num, self._den, "x")
@@ -228,7 +229,7 @@ class PolyVec:
 
     @classmethod
     def from_json(cls, obj: Mapping) -> "PolyVec":
-        comps = tuple(Poly.from_json(c) for c in obj["components"])
+        comps = tuple(Poly.from_json(c) for c in _json_array(obj["components"], "components"))
         pv = cls(comps)
         if pv.d != _json_field(obj, "d", int):
             raise NotInVd("declared d does not match the number of components")

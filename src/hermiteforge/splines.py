@@ -16,7 +16,7 @@ from functools import lru_cache
 from math import comb, factorial
 
 from .analysis import cascade
-from .exactalg import LaurentPoly, RationalLike, _rational, _report_json
+from .exactalg import LaurentPoly, RationalLike, _horner, _rational, _report_json
 from .factor import Factorization, taylor_factorize, verify_spectral_chain
 from .polybasis import Poly, PolyVec
 from .subdivision import Mask
@@ -109,13 +109,7 @@ def _scaled_bspline(r: int, num: int, den: int) -> int:
         return 1 if 0 <= num < den else 0
     if num <= 0 or num >= (r + 1) * den:
         return 0
-    c = _bspline_pieces(r)[num // den]
-    acc = c[r]
-    power = 1
-    for t in range(r - 1, -1, -1):
-        power *= den
-        acc = acc * num + c[t] * power
-    return acc
+    return _horner(_bspline_pieces(r)[num // den], num, den)
 
 
 def bspline_value(r: int, x: RationalLike) -> Fraction:

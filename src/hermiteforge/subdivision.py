@@ -12,7 +12,7 @@ f_{n+1} = D^{-(n+1)} S_A (D^n f_n) with D = diag(1, 1/2, ..., 2^-d).
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, count
@@ -22,6 +22,7 @@ from .exactalg import (
     LaurentPoly,
     RationalLike,
     _horner,
+    _json_array,
     _json_field,
     _mul,
     _over_one_denominator,
@@ -228,7 +229,11 @@ class Mask:
         mask = cls(
             _json_field(obj, "support_min", int),
             tuple(
-                tuple(tuple(rat_from_str(x) for x in row) for row in m) for m in obj["coeffs"]
+                tuple(
+                    tuple(rat_from_str(x) for x in _json_array(row, "a mask row"))
+                    for row in _json_array(m, "a mask matrix")
+                )
+                for m in _json_array(obj["coeffs"], "coeffs")
             ),
         )
         if mask.d != _json_field(obj, "d", int):
@@ -414,6 +419,7 @@ def eigen_check(
                 return (alpha, i, Fraction(x, den * q), lam * Fraction(y, q))
 
 
+@dataclass(frozen=True, eq=False, init=False, repr=False, slots=True)
 class DyadicGrid:
     """Hermite data sampled on the dyadic grid 2^-level * (start + n).
 
@@ -428,7 +434,12 @@ class DyadicGrid:
     rows. Grids are immutable and equal when level, start and values are.
     """
 
-    __slots__ = ("level", "start", "npoints", "_values", "_rows", "_den")
+    level: int
+    start: int
+    npoints: int
+    _values: tuple[tuple, ...] | None
+    _rows: list[list]
+    _den: int | None
 
     def __init__(self, level: int, start: int, values: Sequence[Sequence]):
         self._fill(level, start, *_as_rows(values))
@@ -451,12 +462,6 @@ class DyadicGrid:
         put(self, "_values", None)
         put(self, "_rows", rows)
         put(self, "_den", den)
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     @property
     def values(self) -> tuple[tuple, ...]:
@@ -536,5 +541,8 @@ class DyadicGrid:
         if kind not in ("exact", "float"):
             raise ValueError(f"grid kind must be 'exact' or 'float', got {kind!r}")
         parse = rat_from_str if kind == "exact" else float
-        values = tuple(tuple(parse(v) for v in col) for col in obj["values"])
+        values = tuple(
+            tuple(parse(v) for v in _json_array(col, "a grid column"))
+            for col in _json_array(obj["values"], "values")
+        )
         return cls(_json_field(obj, "level", int), _json_field(obj, "start", int), values)

@@ -25,6 +25,7 @@ from .exactalg import (
     LaurentPoly,
     RationalLike,
     SingularDiagonal,
+    _json_array,
     _json_field,
     _rational,
     delta_symbol,
@@ -174,7 +175,10 @@ class TaylorOperator:
     @classmethod
     def from_json(cls, obj: Mapping) -> "TaylorOperator":
         op = cls(
-            tuple(tuple(rat_from_str(v) for v in row) for row in obj["w"]),
+            tuple(
+                tuple(rat_from_str(v) for v in _json_array(row, "a row of w"))
+                for row in _json_array(obj["w"], "w")
+            ),
             _json_field(obj, "complete", bool, True),
         )
         if op.d != _json_field(obj, "d", int):
@@ -289,7 +293,7 @@ class Chain:
     @classmethod
     def from_json(cls, obj: Mapping) -> "Chain":
         """The chain in obj, checked by the constructor after its declared d."""
-        vecs = tuple(PolyVec.from_json(v) for v in obj["vecs"])
+        vecs = tuple(PolyVec.from_json(v) for v in _json_array(obj["vecs"], "vecs"))
         if vecs and len(vecs) - 1 != _json_field(obj, "d", int):
             raise NotAChain("declared d does not match the number of vectors")
         return cls(vecs)

@@ -1,7 +1,6 @@
 """End-to-end command line coverage: parsing, exit codes, determinism."""
 
 import json
-import os
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -267,12 +266,6 @@ def test_malformed_json_exits_two(capsys, tmp_path):
     assert run(["annihilate", "--vec", str(bad)]) == 2
 
 
-def _cli_env():
-    env = dict(os.environ)
-    env.pop("HERMITE_FORGE_NMAX", None)
-    return env
-
-
 def test_byte_determinism_subprocess(tmp_path):
     argv = [
         sys.executable,
@@ -286,33 +279,25 @@ def test_byte_determinism_subprocess(tmp_path):
         "--g",
         "1,0:1",
     ]
-    first = subprocess.run(argv, capture_output=True, env=_cli_env())
-    second = subprocess.run(argv, capture_output=True, env=_cli_env())
+    first = subprocess.run(argv, capture_output=True)
+    second = subprocess.run(argv, capture_output=True)
     assert first.returncode == 0
     assert first.stdout == second.stdout
 
 
-def test_nmax_env_var(tmp_path):
+def test_n_max_defaults_to_eight_whatever_the_environment(capsys, tmp_path, monkeypatch):
+    # --n-max is the only way to set the bound; the environment leaves it
+    # at its default, whatever the variable holds.
     res = synthesize(delta_operator(2), LaurentPoly({0: F(1, 2), 1: F(1, 2)}))
     fac_file = tmp_path / "factor.json"
     fac_file.write_text(json.dumps(res.factorization.factor.to_json()))
-    env = _cli_env()
-    env["HERMITE_FORGE_NMAX"] = "6"
-    proc = subprocess.run(
-        [sys.executable, "-m", "hermiteforge.cli", "contractivity", "--mask", str(fac_file)],
-        capture_output=True,
-        env=env,
-    )
-    assert proc.returncode == 0
-    doc = json.loads(proc.stdout)
+    argv = ["contractivity", "--mask", str(fac_file)]
+    for value in ("6", "zero"):
+        monkeypatch.setenv("HERMITE_FORGE_NMAX", value)
+        doc = json.loads(run_ok(capsys, argv))
+        assert doc["contractivity"]["n_max"] == 8
+    doc = json.loads(run_ok(capsys, [*argv, "--n-max", "6"]))
     assert doc["contractivity"]["n_max"] == 6
-    env["HERMITE_FORGE_NMAX"] = "zero"
-    proc = subprocess.run(
-        [sys.executable, "-m", "hermiteforge.cli", "contractivity", "--mask", str(fac_file)],
-        capture_output=True,
-        env=env,
-    )
-    assert proc.returncode == 2
 
 
 def _malformed_argv(case, tmp_path):
@@ -393,6 +378,30 @@ def _malformed_argv(case, tmp_path):
         if command == "annihilate":
             return ["annihilate", "--chain", str(bad)]
         return [command, "--mask", str(hat), "--chain", str(bad)]
+    # A string in place of a JSON array would be read one character per entry.
+    if case == "operator-rows-as-strings":
+        bad = tmp_path / "op.json"
+        bad.write_text(json.dumps({"d": 2, "complete": True, "w": ["1", "21"]}))
+        return ["chain", "--taylor", str(bad)]
+    if case == "mask-rows-as-strings":
+        bad = tmp_path / "mask.json"
+        bad.write_text(json.dumps({"d": 1, "support_min": 0, "coeffs": [["10", "01"]]}))
+        return ["contractivity", "--mask", str(bad)]
+    if case == "components-as-strings":
+        bad = tmp_path / "vec.json"
+        bad.write_text(json.dumps({"d": 1, "components": ["1", "01"]}))
+        return ["annihilate", "--vec", str(bad)]
+    if case == "grid-columns-as-strings":
+        values = ["10" if n == 4 else "00" for n in range(9)]
+        bad = tmp_path / "grid.json"
+        bad.write_text(json.dumps({"level": 0, "start": -4, "values": values}))
+        return ["cascade", "--mask", str(hat), "--init", str(bad), "--exact"]
+    if case.startswith("seed-key-"):
+        # int() alone reads each of these keys as 1, giving the seed (z+1)/2.
+        key = {"seed-key-padded": "01", "seed-key-signed": "+1", "seed-key-spaced": " 1"}[case]
+        bad = tmp_path / "seed.json"
+        bad.write_text(json.dumps({"0": "1/2", key: "1/2"}))
+        return ["construct", "--taylor", "delta:d=2", "--hdd-file", str(bad)]
     if case == "repeated-operator-key":
         return ["chain", "--taylor", "delta:d=1,d=2"]
     if case == "repeated-spline-key":
@@ -433,6 +442,13 @@ def _malformed_argv(case, tmp_path):
         "constant-k-above-j",
         "negative-preset-size",
         "empty-chain",
+        "operator-rows-as-strings",
+        "mask-rows-as-strings",
+        "components-as-strings",
+        "grid-columns-as-strings",
+        "seed-key-padded",
+        "seed-key-signed",
+        "seed-key-spaced",
         "tower-not-a-chain-factor",
         "tower-not-a-chain-verify-spectral",
         "tower-not-a-chain-annihilate",
@@ -468,6 +484,8 @@ def test_malformed_input_exits_two(case, capsys, tmp_path):
         assert "outside 1 <= k <= j <= 2" in captured.err
     if case == "empty-chain":
         assert "at least the vector v_0" in captured.err
+    if case.endswith("-as-strings"):
+        assert "must be a JSON array, got str" in captured.err
     if case.startswith("tower-not-a-chain-"):
         assert captured.err == f"error: {tmp_path / 'tower.json'}: vector 1 lives in V_0, expected V_1\n"
     if case.startswith("repeated-"):

@@ -125,7 +125,6 @@ def run_pinned(name, ref2, tmp_path, capsys, monkeypatch):
     """(exit code, stdout, stderr, {--out file: digest}) of one invocation."""
     argv, outs = INVOCATIONS[name]
     _write_inputs(ref2, tmp_path)
-    monkeypatch.delenv("HERMITE_FORGE_NMAX", raising=False)
     monkeypatch.chdir(tmp_path)
     code = run(argv)
     captured = capsys.readouterr()

@@ -11,7 +11,16 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hermiteforge import LaurentPoly, NotDivisible, Poly
+from hermiteforge import (
+    Chain,
+    DyadicGrid,
+    LaurentPoly,
+    Mask,
+    NotDivisible,
+    Poly,
+    PolyVec,
+    TaylorOperator,
+)
 from hermiteforge.exactalg import delta_symbol
 from strategies import rationals
 
@@ -114,3 +123,36 @@ def test_poly_evaluate_horner(coeffs):
     p = Poly(tuple(coeffs))
     x = F(-7, 3)
     assert p.evaluate(x) == sum(c * x**k for k, c in enumerate(coeffs))
+
+
+@pytest.mark.parametrize("key", ["1_0", " 2", "2 ", "+3", "04", "-0", "x"])
+def test_exponent_keys_are_plain_decimal_integers(key):
+    with pytest.raises(ValueError):
+        LaurentPoly.from_json({key: "1"})
+    assert LaurentPoly.from_json({"-3": "1", "0": "2", "10": "1/2"}) == LaurentPoly(
+        {-3: 1, 0: 2, 10: F(1, 2)}
+    )
+
+
+# A reader that iterates whatever it gets takes a string for an array, one
+# character per entry ("12" as 1 + 2x), and a tuple is no JSON value.
+@pytest.mark.parametrize(
+    "cls, doc",
+    [
+        (Poly, "12"),
+        (Poly, ("1", "2")),
+        (PolyVec, {"d": 1, "components": ["1", "01"]}),
+        (PolyVec, {"d": 0, "components": {"0": ["1"]}}),
+        (Chain, {"d": 0, "vecs": "v"}),
+        (TaylorOperator, {"d": 2, "w": ["1", "21"]}),
+        (TaylorOperator, {"d": 1, "w": "1"}),
+        (Mask, {"d": 1, "support_min": 0, "coeffs": [["10", "01"]]}),
+        (Mask, {"d": 0, "support_min": 0, "coeffs": ["1"]}),
+        (Mask, {"d": 0, "support_min": 0, "coeffs": "1"}),
+        (DyadicGrid, {"level": 0, "start": 0, "values": ["10", "00"]}),
+        (DyadicGrid, {"level": 0, "start": 0, "values": "1"}),
+    ],
+)
+def test_json_arrays_must_be_arrays(cls, doc):
+    with pytest.raises(TypeError, match="must be a JSON array"):
+        cls.from_json(doc)

@@ -1,7 +1,7 @@
 """The package root exports every name that the bench, the scripts and the
 README example read from it, and nothing that is not an object; every name
 the bench reads from a submodule exists; the bottom layer, exactalg, imports
-nothing from the package."""
+nothing from the package; and no module reads the environment."""
 
 import ast
 import importlib
@@ -140,3 +140,35 @@ def test_no_module_imports_a_name_it_never_uses():
     }
     assert not unused
     assert _unused_imports("from x import a, b\nfrom y import c as d\nb(d)") == ["a"]
+
+
+_ENVIRONMENT = {"environ", "environb", "getenv", "getenvb", "putenv", "unsetenv"}
+
+
+def _environment_reads(source: str) -> list[str]:
+    """Each os.<name> and `from os import <name>` of the process environment."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "os"
+            and node.attr in _ENVIRONMENT
+        ):
+            out.append(f"os.{node.attr}")
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            out.extend(f"os.{a.name}" for a in node.names if a.name in _ENVIRONMENT)
+    return sorted(out)
+
+
+def test_no_module_reads_the_environment():
+    # Every setting is a command-line flag, so the output depends on argv
+    # and input files alone.
+    reads = {
+        path.name: found
+        for path in sorted((ROOT / "src" / "hermiteforge").glob("*.py"))
+        if (found := _environment_reads(path.read_text()))
+    }
+    assert not reads
+    probe = "import os\nfrom os import getenv, sep\nos.environ.get('X')\nos.path.exists('y')"
+    assert _environment_reads(probe) == ["os.environ", "os.getenv"]
