@@ -4,7 +4,8 @@ Subcommands: annihilate, chain, verify-spectral, factor, construct,
 contractivity, cascade, check-convergence, spline, identity-tests. Each one
 returns its report, a JSON object with an "ok" flag (cascade may return CSV
 data instead when asked), and run writes it. Exit codes: 0 the report is ok
-(CSV data counts as ok), 1 a verification failed, 2 malformed input.
+(CSV data counts as ok), 1 a verification failed, 2 malformed input, with
+"error: <reason>" on stderr.
 
 Small Laurent polynomials are accepted inline: terms "c*z^k" joined by + or
 -, with "(z+1)/2"-style sugar (a parenthesized sum, optional ^n, optional
@@ -19,20 +20,17 @@ import os
 import random
 import sys
 from fractions import Fraction
-from math import comb
 
-from .analysis import DeltaMissesWindow, check_contractive, check_convergence
+from .analysis import check_contractive, check_convergence
 from .analysis import cascade as run_cascade
-from .construct import BadSeed, synthesize
+from .construct import synthesize
 from .exactalg import LaurentPoly, NotDivisible, rat_from_str
 from .factor import NotAnnihilated, taylor_factorize, verify_spectral_chain
-from .polybasis import NotInVd, Poly, PolyVec, difference_split_check
-from .splines import BadOrder, _verify_spline, spline_chain, spline_mask
-from .subdivision import DyadicGrid, Mask, WindowTooSmall
+from .polybasis import Poly, PolyVec, difference_split_check
+from .splines import _verify_spline, spline_chain, spline_mask
+from .subdivision import DyadicGrid, Mask
 from .taylor import (
     Chain,
-    InvalidOperator,
-    NotAChain,
     TaylorOperator,
     allones_operator,
     annihilator,
@@ -205,13 +203,13 @@ def _load_json(path: str):
         raise MalformedInput(f"{path} nests JSON too deeply to read") from exc
 
 
-def _from_file(cls, path: str, *errors: type[Exception], label: str | None = None):
+def _from_file(cls, path: str, label: str | None = None):
     """cls.from_json of the JSON in a file. A KeyError, TypeError or ValueError
-    (a file that is not UTF-8 included), or one of errors, is malformed
-    input, reported under label (default: the path)."""
+    (a file that is not UTF-8 included) is malformed input, reported under
+    label (default: the path)."""
     try:
         return cls.from_json(_load_json(path))
-    except (KeyError, TypeError, ValueError, *errors) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise MalformedInput(f"{label or path}: {exc}") from exc
 
 
@@ -248,15 +246,12 @@ def _spline_preset(spec: str, what: str, make):
     params = _parse_preset_params(spec.partition(":")[2], spec)
     if set(params) != {"r", "d"}:
         raise MalformedInput(f"{what} preset spline takes r=<int>,d=<int>")
-    try:
-        return make(params["r"], params["d"])
-    except BadOrder as exc:
-        raise MalformedInput(str(exc)) from exc
+    return make(params["r"], params["d"])
 
 
 def _load_taylor_arg(spec: str) -> TaylorOperator:
     if os.path.exists(spec):
-        return _from_file(TaylorOperator, spec, InvalidOperator)
+        return _from_file(TaylorOperator, spec)
     if ":" in spec:
         return _taylor_from_preset(spec)
     raise MalformedInput(f"{spec!r} is neither a file nor an operator preset")
@@ -272,7 +267,7 @@ def _load_mask_arg(spec: str) -> Mask:
 
 def _load_chain_arg(spec: str) -> Chain:
     if os.path.exists(spec):
-        return _from_file(Chain, spec, NotAChain, NotInVd)
+        return _from_file(Chain, spec)
     if spec.startswith("spline:"):
         return _spline_preset(spec, "chain", spline_chain)
     if ":" in spec:
@@ -334,7 +329,7 @@ def _cmd_annihilate(args) -> dict:
     if bool(args.vec) == bool(args.chain):
         raise MalformedInput("annihilate needs exactly one of --vec or --chain")
     if args.vec:
-        vec = _from_file(PolyVec, args.vec, NotInVd)
+        vec = _from_file(PolyVec, args.vec)
     else:
         vec = _load_chain_arg(args.chain).last
     return {"ok": True, "taylor": annihilator(vec).to_json()}
@@ -367,12 +362,11 @@ def _cmd_factor(args) -> dict:
         fac = taylor_factorize(mask, chain, scale)
     except (NotAnnihilated, NotDivisible) as exc:
         return {"ok": False, "error": str(exc)}
-    spectral = verify_spectral_chain(mask, chain)
     return {
         "ok": True,
         "factorization": fac.to_json(),
         # taylor_factorize has checked the identity, or it would have raised.
-        "checks": {"identity": True, "spectral_chain": spectral.ok},
+        "checks": {"identity": True},
     }
 
 
@@ -385,8 +379,6 @@ def _cmd_construct(args) -> dict:
     g = _parse_g_flag(args.g or [])
     try:
         result = synthesize(op, seed, g, strategy=args.strategy)
-    except BadSeed as exc:
-        raise MalformedInput(str(exc)) from exc
     except NotDivisible as exc:
         return {"ok": False, "error": str(exc)}
     return {
@@ -417,10 +409,7 @@ def _cmd_cascade(args) -> dict | str:
             raise MalformedInput(f"{args.init}: an exact grid needs --exact")
         if args.exact and not init.is_exact:
             raise MalformedInput(f"{args.init}: a float grid cannot be refined with --exact")
-    try:
-        final = run_cascade(mask, args.levels, init, window, exact=args.exact)[-1]
-    except WindowTooSmall as exc:
-        raise MalformedInput(f"{args.init}: {exc}") from exc
+    final = run_cascade(mask, args.levels, init, window, exact=args.exact)[-1]
     if args.format == "csv":
         return final.to_csv()
     return {"ok": True, "grid": final.to_json()}
@@ -442,11 +431,8 @@ def _cmd_check_convergence(args) -> dict:
 
 
 def _cmd_spline(args) -> dict:
-    try:
-        mask = spline_mask(args.r, args.d)
-        chain = spline_chain(args.r, args.d)
-    except BadOrder as exc:
-        raise MalformedInput(str(exc)) from exc
+    mask = spline_mask(args.r, args.d)
+    chain = spline_chain(args.r, args.d)
     payload = {"ok": True, "mask": mask.to_json(), "chain": chain.to_json()}
     if args.verify:
         report, fac = _verify_spline(args.r, args.d, mask, chain)
@@ -494,13 +480,6 @@ def _cmd_identity_tests(args) -> dict:
             split_total += 1
             if not difference_split_check(p, n):
                 split_ok = False
-    binom_total = 0
-    binom_ok = True
-    for n in range(1, 21):
-        for j in range(n):
-            binom_total += 1
-            if comb(n, j + 1) != sum(comb(k, j) for k in range(j, n)):
-                binom_ok = False
     inv_ok = True
     inv_total = 50
     for _ in range(inv_total):
@@ -512,14 +491,13 @@ def _cmd_identity_tests(args) -> dict:
                 if inv[j][l].evaluate(1) != want:
                     inv_ok = False
     return {
-        "ok": split_ok and binom_ok and inv_ok,
+        "ok": split_ok and inv_ok,
         "checks": {
             "difference_split": {
                 "polynomials": args.polys,
                 "identities": split_total,
                 "ok": split_ok,
             },
-            "binomial_column_sums": {"pairs": binom_total, "ok": binom_ok},
             "inverse_numerators_at_one": {"operators": inv_total, "ok": inv_ok},
         },
         "seed": args.seed,
@@ -633,7 +611,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_out(p)
     p.set_defaults(func=_cmd_spline)
 
-    p = sub.add_parser("identity-tests", help="exact difference/binomial identity suites")
+    p = sub.add_parser("identity-tests", help="exact difference-split and inverse-symbol suites")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--polys", type=int, default=100)
     p.add_argument("--max-degree", type=int, default=8, help="at most --max-n")
@@ -657,22 +635,8 @@ def run(argv=None) -> int:
     try:
         report = args.func(args)
         _emit(args, report)
-    except (MalformedInput, DeltaMissesWindow) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (
-        NotInVd,
-        InvalidOperator,
-        NotAChain,
-        BadOrder,
-        BadSeed,
-        KeyError,
-        TypeError,
-        ValueError,
-    ) as exc:
-        print(f"error: malformed input: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (MalformedInput, KeyError, TypeError, ValueError, OSError) as exc:
+        # Every library refusal of a value is a ValueError.
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0 if isinstance(report, str) or report["ok"] else 1

@@ -26,7 +26,7 @@ from .subdivision import Mask
 from .taylor import TaylorOperator
 
 
-class BadSeed(Exception):
+class BadSeed(ValueError):
     """Raised when the corner seed polynomial does not take value 1 at z = 1."""
 
 

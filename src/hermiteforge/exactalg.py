@@ -263,13 +263,18 @@ class LaurentPoly:
 
     The arithmetic returns the type of its left operand and takes an int, a
     Fraction or an operand of exactly that type, so ``polybasis.Poly`` (the
-    subclass with no negative exponent) and LaurentPoly never mix.
+    subclass with no negative exponent) and LaurentPoly never mix. The
+    constructor's exponent keys are ints: any other type, bool included,
+    raises TypeError rather than being read as one.
     """
 
     __slots__ = ("_lo", "_num", "_den")
 
     def __init__(self, coeffs: Mapping[int, RationalLike] | None = None):
-        terms = {int(e): v for e, v in coeffs.items()} if coeffs else {0: 0}
+        terms = dict(coeffs) if coeffs else {0: 0}
+        for e in terms:
+            if type(e) is not int:
+                raise TypeError(f"an exponent must be an int, got {e!r}")
         lo = min(terms)
         dense = [0] * (max(terms) - lo + 1)
         for e, v in terms.items():

@@ -35,7 +35,7 @@ from .exactalg import (
 )
 
 
-class NotInVd(Exception):
+class NotInVd(ValueError):
     """Raised when a polynomial vector violates the graded-degree shape."""
 
 

@@ -23,7 +23,7 @@ from .subdivision import Mask
 from .taylor import Chain, allones_operator, chain_for, classical_operator
 
 
-class BadOrder(Exception):
+class BadOrder(ValueError):
     """Raised for spline parameters outside 1 <= r and 0 <= d <= r."""
 
 

@@ -36,7 +36,7 @@ from .polybasis import PolyVec
 Matrix = tuple[tuple[Fraction, ...], ...]
 
 
-class WindowTooSmall(Exception):
+class WindowTooSmall(ValueError):
     """Raised when sampled data is too short for a difference stencil."""
 
 
@@ -419,7 +419,7 @@ def eigen_check(
                 return (alpha, i, Fraction(x, den * q), lam * Fraction(y, q))
 
 
-@dataclass(frozen=True, eq=False, init=False, repr=False, slots=True)
+@dataclass(frozen=True, eq=False, init=False, repr=False)
 class DyadicGrid:
     """Hermite data sampled on the dyadic grid 2^-level * (start + n).
 

@@ -36,11 +36,11 @@ from .polybasis import NotInVd, Poly, PolyVec, antidifference
 from .subdivision import Mask
 
 
-class InvalidOperator(Exception):
+class InvalidOperator(ValueError):
     """Raised for weight tables violating the w_{j,j} = 1 shape."""
 
 
-class NotAChain(Exception):
+class NotAChain(ValueError):
     """Raised when a purported chain fails compatibility between levels."""
 
 

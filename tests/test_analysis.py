@@ -1,6 +1,7 @@
 """Norms, contractivity certificates, cascades, convergence verdicts."""
 
 import json
+from dataclasses import FrozenInstanceError
 from fractions import Fraction as F
 from math import ceil, floor, inf, lcm, nan
 
@@ -330,8 +331,12 @@ def test_float_grid_builds_values_once():
     # Dyadic data: the float and exact cascades hold equal values.
     assert g == cascade(half_delta(), 3, exact=True)[-1]
     assert not g.is_exact
-    with pytest.raises(AttributeError):
-        g.level = 0
+    # Frozen: a field and a new name alike raise FrozenInstanceError.
+    for name in ("level", "_rows", "foo"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(g, name, 0)
+    with pytest.raises(FrozenInstanceError):
+        del g.level
 
 
 def test_cascade_rejects_init_of_the_other_kind():

@@ -410,6 +410,10 @@ def _malformed_argv(case, tmp_path):
         return ["check-convergence", "--mask", str(hat), "--ratio-bound", "nan"]
     if case == "nan-residual-tol":
         return ["check-convergence", "--mask", str(hat), "--residual-tol", "nan"]
+    if case == "spline-order-zero":
+        return ["spline", "--r", "0", "--d", "0"]
+    if case == "spline-preset-order-zero":
+        return ["contractivity", "--mask", "spline:r=0,d=0"]
     if case == "max-degree-above-max-n":
         return ["identity-tests", "--max-degree", "12", "--max-n", "3", "--seed", "1", "--polys", "5"]
     flag, value = {
@@ -456,6 +460,8 @@ def _malformed_argv(case, tmp_path):
         "repeated-spline-key",
         "nan-ratio-bound",
         "nan-residual-tol",
+        "spline-order-zero",
+        "spline-preset-order-zero",
         "no-polys",
         "no-max-n",
         "negative-max-degree",
@@ -490,3 +496,6 @@ def test_malformed_input_exits_two(case, capsys, tmp_path):
         assert captured.err == f"error: {tmp_path / 'tower.json'}: vector 1 lives in V_0, expected V_1\n"
     if case.startswith("repeated-"):
         assert "is given twice" in captured.err
+    if case.startswith("spline-"):
+        # A library refusal, with no prefix of its own.
+        assert captured.err == "error: spline degree must be at least 1, got r=0\n"

@@ -85,16 +85,16 @@ PINNED = {
     "contractivity-fails": (1, "a0ef308469bfe858", EMPTY, {}),
     "dimension-mismatch": (2, EMPTY, "a4051a646b5dcd52", {}),
     "factor-not-annihilated": (1, "1cc651e08141fe41", EMPTY, {}),
-    "factor-other-scale": (0, "10f0d5eec3fd0876", EMPTY, {}),
-    "identity-tests": (0, "f958741f74f9e43e", EMPTY, {}),
+    "factor-other-scale": (0, "3ef7d51ff553a67a", EMPTY, {}),
+    "identity-tests": (0, "9aeee64f1098ac8d", EMPTY, {}),
     "missing-file": (2, EMPTY, "faf3d0ac3fde6f1f", {}),
-    "negative-levels": (2, EMPTY, "71b84b61c66a24f9", {}),
+    "negative-levels": (2, EMPTY, "df6bd5e98f94c1b7", {}),
     "out-unwritable": (2, EMPTY, "11f19d6f792eb9a3", {}),
     "readme-cascade-csv": (0, EMPTY, EMPTY, {"grid.csv": "a188c82b0776c24b"}),
     "readme-check-convergence": (0, "07d1c71251be1424", EMPTY, {}),
     "readme-construct": (0, EMPTY, EMPTY, {"bundle.json": "9984b39211b9e5fa"}),
     "readme-contractivity": (0, "927f466fd2e8641a", EMPTY, {}),
-    "readme-factor": (0, "9b87d4ab331a61de", EMPTY, {}),
+    "readme-factor": (0, "f70bcbe852410a3d", EMPTY, {}),
     "readme-spline-verify": (0, "a48a92ac7069b412", EMPTY, {}),
     "spline": (0, "885cd727fea2fc9a", EMPTY, {}),
     "spline-verify": (0, EMPTY, EMPTY, {"spline.json": "a4231f1080cce9bd"}),

@@ -295,6 +295,10 @@ def test_float_operands_are_rejected(cls, op):
     ]
     if cls is Poly:
         calls.append(lambda: p.shift(0.1))
+    else:
+        # An exponent key that only int() would read: 1.5 as 1, "1_0" as 10
+        # and True as 1.
+        calls += [lambda key=key: LaurentPoly({key: 2}) for key in (1.5, "1_0", True)]
     for call in calls:
         with pytest.raises(TypeError):
             call()

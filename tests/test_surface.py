@@ -1,7 +1,8 @@
 """The package root exports every name that the bench, the scripts and the
 README example read from it, and nothing that is not an object; every name
 the bench reads from a submodule exists; the bottom layer, exactalg, imports
-nothing from the package; and no module reads the environment."""
+nothing from the package; no module reads the environment; and every library
+refusal of a value is a ValueError, which the CLI never names."""
 
 import ast
 import importlib
@@ -172,3 +173,42 @@ def test_no_module_reads_the_environment():
     assert not reads
     probe = "import os\nfrom os import getenv, sep\nos.environ.get('X')\nos.path.exists('y')"
     assert _environment_reads(probe) == ["os.environ", "os.getenv"]
+
+
+# The library exceptions that refuse a caller's value.
+_REFUSALS = (
+    "NotInVd",
+    "InvalidOperator",
+    "NotAChain",
+    "BadOrder",
+    "BadSeed",
+    "WindowTooSmall",
+    "DeltaMissesWindow",
+)
+
+
+@pytest.mark.parametrize("name", _REFUSALS)
+def test_each_refusal_is_a_value_error(name):
+    # So the CLI's one ValueError clause turns each into exit 2.
+    assert issubclass(getattr(hermiteforge, name), ValueError)
+
+
+def _named(source: str) -> set[str]:
+    """Every name, attribute and imported name in a module."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            out.update(a.name for a in node.names)
+    return out
+
+
+def test_cli_names_no_library_refusal():
+    # A refusal reaches run's single exit-2 clause as a ValueError; a
+    # per-command wrapper or a longer except tuple would name it.
+    named = _named((ROOT / "src" / "hermiteforge" / "cli.py").read_text())
+    assert not named & set(_REFUSALS)
+    assert _named("from a import B\nc.D\ne") == {"B", "c", "D", "e"}
