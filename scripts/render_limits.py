@@ -19,11 +19,11 @@ from fractions import Fraction
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from hermiteforge import cascade, delta_operator, synthesize
-from hermiteforge.cli import _parse_g_flag, parse_laurent
+from hermiteforge.cli import _parse_indexed, parse_laurent
 
 
 def build_scheme(args):
-    g = _parse_g_flag(args.g)
+    g = _parse_indexed("--g", args.g, "POLY", parse_laurent)
     seed = parse_laurent(args.seed)
     return synthesize(delta_operator(args.d), seed, g or None)
 

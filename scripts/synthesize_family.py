@@ -23,7 +23,7 @@ from hermiteforge import (
 
 
 def family_operator(w21):
-    return TaylorOperator(w=((Fraction(1),), (w21, Fraction(1))), complete=False)
+    return TaylorOperator(w=((Fraction(1),), (w21, Fraction(1))))
 
 
 def main(argv=None):

@@ -4,8 +4,8 @@ Subcommands: annihilate, chain, verify-spectral, factor, construct,
 contractivity, cascade, check-convergence, spline, identity-tests. Each one
 returns its report, a JSON object with an "ok" flag (cascade may return CSV
 data instead when asked), and run writes it. Exit codes: 0 the report is ok
-(CSV data counts as ok), 1 a verification failed, 2 malformed input, with
-"error: <reason>" on stderr.
+(CSV data counts as ok), 1 a verification failed, 2 malformed input
+("error: <reason>" on stderr), 3 any other exception, an internal error.
 
 Small Laurent polynomials are accepted inline: terms "c*z^k" joined by + or
 -, with "(z+1)/2"-style sugar (a parenthesized sum, optional ^n, optional
@@ -24,7 +24,7 @@ from fractions import Fraction
 from .analysis import check_contractive, check_convergence
 from .analysis import cascade as run_cascade
 from .construct import synthesize
-from .exactalg import LaurentPoly, NotDivisible, rat_from_str
+from .exactalg import LaurentPoly, NotDivisible, _decimal_int, rat_from_str
 from .factor import NotAnnihilated, taylor_factorize, verify_spectral_chain
 from .polybasis import Poly, PolyVec, difference_split_check
 from .splines import _verify_spline, spline_chain, spline_mask
@@ -46,6 +46,9 @@ class MalformedInput(Exception):
 
 # ---------------------------------------------------------------------------
 # Inline Laurent grammar
+
+
+_DIGITS = frozenset("0123456789")  # str.isdigit would also take superscripts
 
 
 class _LaurentParser:
@@ -134,7 +137,7 @@ class _LaurentParser:
         c = self.peek()
         if c == "z":
             return self.parse_zpow(Fraction(1))
-        if c is not None and c.isdigit():
+        if c in _DIGITS:
             coef = self.parse_rational()
             self.skip_ws()
             if self.peek() == "*":
@@ -156,7 +159,7 @@ class _LaurentParser:
 
     def parse_uint(self) -> int:
         start = self.i
-        while self.peek() is not None and self.peek().isdigit():
+        while self.peek() in _DIGITS:
             self.advance()
         if start == self.i:
             self.fail("expected a number")
@@ -174,7 +177,7 @@ class _LaurentParser:
         if self.peek() == "/":
             save = self.i
             self.advance()
-            if self.peek() is not None and self.peek().isdigit():
+            if self.peek() in _DIGITS:
                 den = self.parse_uint()
                 if den == 0:
                     self.fail("zero denominator")
@@ -224,7 +227,7 @@ def _parse_preset_params(body: str, spec: str) -> dict[str, int]:
             if k in params:
                 raise MalformedInput(f"preset {spec!r}: {k} is given twice")
             try:
-                params[k] = int(v)
+                params[k] = _decimal_int(v, k)
             except ValueError as exc:
                 raise MalformedInput(f"preset {spec!r}: {v!r} is not an integer") from exc
     return params
@@ -287,7 +290,7 @@ def _load_mask_and_chain(args) -> tuple[Mask, Chain]:
 def _parse_window(text: str) -> tuple[int, int]:
     try:
         a_s, b_s = text.split(",")
-        a, b = int(a_s), int(b_s)
+        a, b = _decimal_int(a_s, "a"), _decimal_int(b_s, "b")
     except ValueError as exc:
         raise MalformedInput(f"window must be 'a,b' with integers, got {text!r}") from exc
     if a >= b:
@@ -295,18 +298,30 @@ def _parse_window(text: str) -> tuple[int, int]:
     return a, b
 
 
-def _parse_g_flag(items: list[str]) -> dict[tuple[int, int], LaurentPoly]:
+def _int_arg(text: str) -> int:
+    """The argparse type of every integer flag, with argparse's own message."""
+    try:
+        return _decimal_int(text, "an integer flag")
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
+def _parse_indexed(flag: str, items: list[str] | None, what: str, read) -> dict:
+    """{(j, k): read(VALUE)} for the 'j,k:VALUE' items of --g or --constant."""
     out = {}
-    for item in items:
+    for item in items or []:
         head, sep, body = item.partition(":")
         if not sep:
-            raise MalformedInput(f"--g expects 'j,k:POLY', got {item!r}")
+            raise MalformedInput(f"{flag} expects 'j,k:{what}', got {item!r}")
         try:
             j_s, k_s = head.split(",")
-            j, k = int(j_s), int(k_s)
+            key = (_decimal_int(j_s, "j"), _decimal_int(k_s, "k"))
         except ValueError as exc:
-            raise MalformedInput(f"--g expects integer 'j,k', got {head!r}") from exc
-        out[(j, k)] = parse_laurent(body)
+            raise MalformedInput(f"{flag} expects integer 'j,k', got {head!r}") from exc
+        try:
+            out[key] = read(body)
+        except ValueError as exc:
+            raise MalformedInput(f"{flag} {item!r}: {exc}") from exc
     return out
 
 
@@ -337,16 +352,7 @@ def _cmd_annihilate(args) -> dict:
 
 def _cmd_chain(args) -> dict:
     op = _load_taylor_arg(args.taylor)
-    constants = {}
-    for item in args.constant or []:
-        head, sep, body = item.partition(":")
-        if not sep:
-            raise MalformedInput(f"--constant expects 'j,k:RATIONAL', got {item!r}")
-        try:
-            j_s, k_s = head.split(",")
-            constants[(int(j_s), int(k_s))] = rat_from_str(body)
-        except ValueError as exc:
-            raise MalformedInput(f"--constant {item!r}: {exc}") from exc
+    constants = _parse_indexed("--constant", args.constant, "RATIONAL", rat_from_str)
     return {"ok": True, "chain": chain_for(op, constants).to_json()}
 
 
@@ -376,7 +382,7 @@ def _cmd_construct(args) -> dict:
         seed = _from_file(LaurentPoly, args.hdd_file, label="seed polynomial")
     else:
         seed = parse_laurent(args.hdd)
-    g = _parse_g_flag(args.g or [])
+    g = _parse_indexed("--g", args.g, "POLY", parse_laurent)
     try:
         result = synthesize(op, seed, g, strategy=args.strategy)
     except NotDivisible as exc:
@@ -568,13 +574,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("contractivity", help="joint/diagonal contraction certificate")
     p.add_argument("--mask", required=True, help="factor mask JSON file or preset")
-    p.add_argument("--n-max", type=int, default=8, help="largest iterate to try (default 8)")
+    p.add_argument("--n-max", type=_int_arg, default=8, help="largest iterate to try (default 8)")
     add_out(p)
     p.set_defaults(func=_cmd_contractivity)
 
     p = sub.add_parser("cascade", help="render Hermite data on a fine dyadic grid")
     p.add_argument("--mask", required=True, help="mask JSON file or preset")
-    p.add_argument("--levels", type=int, default=8)
+    p.add_argument("--levels", type=_int_arg, default=8)
     p.add_argument("--init", default="delta", help="'delta' or a DyadicGrid JSON file")
     p.add_argument(
         "--window",
@@ -588,7 +594,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check-convergence", help="empirical convergence diagnostics")
     p.add_argument("--mask", required=True, help="mask JSON file or preset")
-    p.add_argument("--levels", type=int, default=8)
+    p.add_argument("--levels", type=_int_arg, default=8)
     p.add_argument(
         "--window",
         default="-4,4",
@@ -605,17 +611,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_check_convergence)
 
     p = sub.add_parser("spline", help="B-spline Hermite scheme generator and verifier")
-    p.add_argument("--r", type=int, required=True, help="spline degree")
-    p.add_argument("--d", type=int, required=True, help="highest derivative carried")
+    p.add_argument("--r", type=_int_arg, required=True, help="spline degree")
+    p.add_argument("--d", type=_int_arg, required=True, help="highest derivative carried")
     p.add_argument("--verify", action="store_true", help="run the full verification bundle")
     add_out(p)
     p.set_defaults(func=_cmd_spline)
 
     p = sub.add_parser("identity-tests", help="exact difference-split and inverse-symbol suites")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--polys", type=int, default=100)
-    p.add_argument("--max-degree", type=int, default=8, help="at most --max-n")
-    p.add_argument("--max-n", type=int, default=10)
+    p.add_argument("--seed", type=_int_arg, default=0)
+    p.add_argument("--polys", type=_int_arg, default=100)
+    p.add_argument("--max-degree", type=_int_arg, default=8, help="at most --max-n")
+    p.add_argument("--max-n", type=_int_arg, default=10)
     add_out(p)
     p.set_defaults(func=_cmd_identity_tests)
 
@@ -633,12 +639,19 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
+        # argparse (Python 3.11) reads "--flag=--" as an empty list, not "--".
+        if any(v == [] or isinstance(v, list) and [] in v for v in vars(args).values()):
+            raise MalformedInput("an option was given '--' as its value")
         report = args.func(args)
         _emit(args, report)
-    except (MalformedInput, KeyError, TypeError, ValueError, OSError) as exc:
+    except (MalformedInput, ValueError, OSError) as exc:
         # Every library refusal of a value is a ValueError.
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        # Not a verdict on the input: a fault of the program itself.
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
     return 0 if isinstance(report, str) or report["ok"] else 1
 
 

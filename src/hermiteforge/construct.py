@@ -293,7 +293,7 @@ class SynthesisResult:
     def factorization(self) -> Factorization:
         return Factorization(
             mask=self.mask,
-            taylor=self.taylor.as_complete(),
+            taylor=self.taylor,
             factor=self.factor,
             scale=Fraction(1, 2**self.taylor.d),
         )
@@ -327,7 +327,6 @@ def synthesize(
     The factorization identity is checked exactly once, inside unfactor,
     which raises if it fails: the returned result.factorization holds.
     """
-    op = op.as_complete()
     if strategy not in ("auto", "system", "recurrence"):
         raise ValueError(f"unknown strategy {strategy!r}")
     if strategy == "auto":

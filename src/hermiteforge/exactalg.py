@@ -29,11 +29,6 @@ class NotDivisible(ExactAlgError):
     """Raised when an exact Laurent division leaves a remainder."""
 
 
-class SingularDiagonal(ExactAlgError):
-    """Raised when a triangular symbol has a diagonal entry other than
-    z^-1 - 1, so its inverse has no numerators over powers of it."""
-
-
 def rat_to_str(q: RationalLike) -> str:
     q = _rational(q)
     return _ratio_str(q.numerator, q.denominator)
@@ -47,6 +42,15 @@ def rat_from_str(s: str) -> Fraction:
         return Fraction(s.strip())
     except ZeroDivisionError as exc:
         raise ValueError(f"zero denominator in {s!r}") from exc
+
+
+def _decimal_int(s: str, what: str) -> int:
+    """s as an integer in plain decimal, the one rule for integers in text:
+    ASCII digits after an optional "-", and str(n) == s. int() alone would
+    also read "1_0", " 2", "+3", "04", "-0" and other scripts' digits."""
+    if not (s.isascii() and s.removeprefix("-").isdigit() and str(int(s)) == s):
+        raise ValueError(f"{what} must be an integer in plain decimal, got {s!r}")
+    return int(s)
 
 
 def _json_field(obj: Mapping, key: str, kind: type, default: object = None):
@@ -483,11 +487,7 @@ class LaurentPoly:
     def from_json(cls, obj: Mapping[str, str]) -> "LaurentPoly":
         if not isinstance(obj, Mapping):
             raise TypeError(f"a polynomial must be a JSON object, got {type(obj).__name__}")
-        # int() alone would also read "1_0", " 2", "+3" and "04".
-        bad = [e for e in obj if str(int(e)) != e]
-        if bad:
-            raise ValueError(f"an exponent key must be an integer in plain decimal, got {bad[0]!r}")
-        return cls({int(e): rat_from_str(v) for e, v in obj.items()})
+        return cls({_decimal_int(e, "an exponent key"): rat_from_str(v) for e, v in obj.items()})
 
     def __str__(self) -> str:
         return _display(self._lo, self._num, self._den, "z")

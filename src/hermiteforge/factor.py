@@ -69,10 +69,10 @@ def verify_spectral_chain(mask: Mask, chain: Chain) -> SpectralReport:
     return SpectralReport(ok=not failures, d=chain.d, failures=tuple(failures))
 
 
-def _identity_holds(op: TaylorOperator, a: Mask, b: Mask, scale: Fraction) -> bool:
-    """T*(z) A*(z) == scale * B*(z) T*(z^2), decided by one mask comparison
-    (no mask is zero, so a zero scale never holds)."""
-    return scale != 0 and op.symbol() * a == (b * op.symbol_z2).scale(scale)
+def _identity_holds(t: Mask, t_z2: Mask, a: Mask, b: Mask, scale: Fraction) -> bool:
+    """t(z) A*(z) == scale * B*(z) t(z^2), t_z2 being t(z^2), decided by one
+    mask comparison (no mask is zero, so a zero scale never holds)."""
+    return scale != 0 and t * a == (b * t_z2).scale(scale)
 
 
 def _checked_scale(scale: Fraction | None, d: int) -> Fraction:
@@ -95,7 +95,8 @@ class Factorization:
     scale: Fraction
 
     def verify(self) -> bool:
-        return _identity_holds(self.taylor, self.mask, self.factor, self.scale)
+        op = self.taylor
+        return _identity_holds(op.symbol(), op.symbol_z2, self.mask, self.factor, self.scale)
 
     def to_json(self) -> dict:
         return {
@@ -109,7 +110,7 @@ class Factorization:
 def taylor_factorize(
     mask: Mask, chain: Chain, scale: Fraction | None = None
 ) -> Factorization:
-    """Factor a mask through the complete operator of a chain.
+    """Factor a mask through the complete symbol of a chain's operator.
 
     C* = T-tilde* A* is solved for B-tilde* column by column, each column by an
     exact division by z^-2 - 1. A mask that factors annihilates the padded
@@ -122,7 +123,7 @@ def taylor_factorize(
     if chain.d != d:
         raise ValueError("chain and mask dimensions differ")
     scale = _checked_scale(scale, d)
-    op = chain.operator().as_complete()
+    op = chain.operator()
     c_mask = op.symbol() * mask
     u2 = delta_symbol(2)
     size = d + 1
@@ -159,7 +160,6 @@ def unfactor(
     All divisions are exact Laurent divisions; a failure names the first
     entry whose divisibility condition breaks.
     """
-    op = op.as_complete()
     d = op.d
     if factor.d != d:
         raise ValueError("operator and factor dimensions differ")
@@ -259,11 +259,12 @@ def spectral_chain_from_factorization(
     if op.d != d:
         raise ValueError("operator and mask dimensions differ")
     if chain is None:
-        chain = chain_for(op.as_complete())
+        chain = chain_for(op)
     elif chain.d != d:
         raise ValueError("chain and mask dimensions differ")
     scale = _checked_scale(scale, d)
-    if not _identity_holds(op.as_incomplete(), mask, factor_incomplete, scale):
+    t = op.incomplete_symbol
+    if not _identity_holds(t, t.substitute_power(2), mask, factor_incomplete, scale):
         raise ValueError("incomplete factorization identity does not hold")
     if not _last_column_partition_of_unity(factor_incomplete):
         raise ValueError("factor does not reproduce the constant top-derivative data")

@@ -7,10 +7,10 @@ of the complete operator is
 
     (T c)_i = Delta c_i - sum_{k>i} w_{k,i+1} c_k ,
 
-and the incomplete variant replaces the last row by the identity. The
-classical choice w_{k,m} = 1/(k-m+1)! recovers the usual Taylor remainder
-differences; the pure-difference choice w_j = (0,...,0,1) makes every row an
-iterated forward difference.
+and the incomplete operator replaces the last row by the identity; one
+TaylorOperator carries both symbols. The classical choice w_{k,m} =
+1/(k-m+1)! recovers the usual Taylor remainder differences; the pure-difference
+choice w_j = (0,...,0,1) makes every row an iterated forward difference.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from typing import Callable, Mapping
 from .exactalg import (
     LaurentPoly,
     RationalLike,
-    SingularDiagonal,
     _json_array,
     _json_field,
     _rational,
@@ -46,17 +45,19 @@ class NotAChain(ValueError):
 
 @dataclass(frozen=True)
 class TaylorOperator:
-    """Weight table plus the complete/incomplete flag.
+    """The weight table, which is the whole operator.
 
     w[j-1] holds (w_{j,1}, ..., w_{j,j}); the table for size d+1 has d rows.
-    The data derived from the weights (the symbol T*(z), T*(z^2), the powers
-    of u = z^-1 - 1, the triangular inverse, the canonical chain and the twin
-    with the other flag) is built on first read and kept on the instance, so
-    it is freed with the operator; fields, ==, hash and repr ignore it.
+    The data derived from the weights (the complete symbol T-tilde*(z) and
+    T-tilde*(z^2), the incomplete T*(z), the powers of u = z^-1 - 1, the
+    triangular inverse and the canonical chain) is built on first read and
+    kept on the instance; fields, ==, hash and repr ignore it.
     """
 
     w: tuple[tuple[Fraction, ...], ...]
-    complete: bool = True
+    # A constant, not a field: the JSON form writes "complete": true, and the
+    # bench keys operators on (w, complete).
+    complete = True
 
     def __post_init__(self):
         rows = tuple(tuple(Fraction(_rational(v)) for v in row) for row in self.w)
@@ -77,19 +78,6 @@ class TaylorOperator:
             raise IndexError("constant entries live strictly above the diagonal")
         return -self.w[k - 1][i]
 
-    @cached_property
-    def _twin(self) -> "TaylorOperator":
-        """The operator with the same weights and the other flag; its twin is self."""
-        twin = TaylorOperator(self.w, not self.complete)
-        twin.__dict__["_twin"] = self
-        return twin
-
-    def as_complete(self) -> "TaylorOperator":
-        return self if self.complete else self._twin
-
-    def as_incomplete(self) -> "TaylorOperator":
-        return self._twin if self.complete else self
-
     @property
     def is_difference_type(self) -> bool:
         """True when every strict-upper weight vanishes, so each row is a
@@ -97,9 +85,8 @@ class TaylorOperator:
         return all(v == 0 for row in self.w for v in row[:-1])
 
     def symbol(self) -> Mask:
-        """The (d+1)x(d+1) symbol as a mask on alpha = -1, 0: u = z^-1 - 1 on
-        the diagonal (the last diagonal entry is 1 for the incomplete
-        variant), constants above. Built once per operator."""
+        """The (d+1)x(d+1) complete symbol as a mask on alpha = -1, 0:
+        u = z^-1 - 1 on the diagonal, constants above."""
         return self._symbol
 
     @cached_property
@@ -110,10 +97,14 @@ class TaylorOperator:
             [self.constant_entry(i, k) if k > i else 0 for k in range(size)] for i in range(size)
         ]
         for i in range(size):
-            if i == self.d and not self.complete:
-                at_zero[i][i] = 1
-            else:
-                at_minus_one[i][i], at_zero[i][i] = 1, -1
+            at_minus_one[i][i], at_zero[i][i] = 1, -1
+        return Mask(-1, (at_minus_one, at_zero))
+
+    @cached_property
+    def incomplete_symbol(self) -> Mask:
+        """T*(z), the incomplete symbol: 1 in place of u in the last diagonal entry."""
+        at_minus_one, at_zero = ([list(row) for row in m] for m in self._symbol.coeffs)
+        at_minus_one[self.d][self.d], at_zero[self.d][self.d] = 0, 1
         return Mask(-1, (at_minus_one, at_zero))
 
     @cached_property
@@ -133,19 +124,14 @@ class TaylorOperator:
 
     @cached_property
     def symbol_inverse(self) -> tuple[tuple[LaurentPoly, ...], ...]:
-        """The numerators p of the symbol's inverse, for a complete operator:
-        entry (j, l) of T*(z)^-1 is p[j][l] / u^(l-j+1), u = z^-1 - 1.
+        """The numerators p of the complete symbol's inverse: entry (j, l) of
+        T-tilde*(z)^-1 is p[j][l] / u^(l-j+1), u = z^-1 - 1.
 
         T T^-1 = I gives them by back substitution, one column at a time,
         with the constant t[j][m] = -w_{m,j+1}: p[l][l] = 1 and
-        p[j][l] = sum_{j<m<=l} w_{m,j+1} p[m][l] u^(m-j-1). The incomplete
-        symbol keeps 1 in its last diagonal entry and raises SingularDiagonal.
+        p[j][l] = sum_{j<m<=l} w_{m,j+1} p[m][l] u^(m-j-1).
         """
         d = self.d
-        if not self.complete:
-            raise SingularDiagonal(
-                f"diagonal entry ({d},{d}) is not z^-1 - 1; cannot invert in this form"
-            )
         zero, one = LaurentPoly.zero(), LaurentPoly.one()
         upow = self.u_powers
         p = [[zero] * (d + 1) for _ in range(d + 1)]
@@ -174,13 +160,13 @@ class TaylorOperator:
 
     @classmethod
     def from_json(cls, obj: Mapping) -> "TaylorOperator":
-        op = cls(
-            tuple(
-                tuple(rat_from_str(v) for v in _json_array(row, "a row of w"))
-                for row in _json_array(obj["w"], "w")
-            ),
-            _json_field(obj, "complete", bool, True),
+        w = tuple(
+            tuple(rat_from_str(v) for v in _json_array(row, "a row of w"))
+            for row in _json_array(obj["w"], "w")
         )
+        # "complete" must be a JSON boolean; either value names these weights.
+        _json_field(obj, "complete", bool, True)
+        op = cls(w)
         if op.d != _json_field(obj, "d", int):
             raise InvalidOperator("declared d does not match the weight table")
         return op
@@ -227,7 +213,7 @@ def allones_operator(d: int) -> TaylorOperator:
 
 
 def annihilator(v: PolyVec) -> TaylorOperator:
-    """The unique complete operator of size d+1 annihilating v's rows.
+    """The unique operator of size d+1 whose complete symbol annihilates v's rows.
 
     Row i of the result must kill the degree-(d-i) component: expanding each
     forward difference Delta v_m in the basis {v_0, ..., v_{m-1}} yields the
@@ -283,7 +269,7 @@ class Chain:
         return self.vecs[-1]
 
     def operator(self) -> TaylorOperator:
-        """The complete operator annihilating the top vector; a chain from
+        """The operator annihilating the top vector; a chain from
         chain_for returns the operator it was built from."""
         return self._operator
 
@@ -310,12 +296,11 @@ def chain_for(
     A key outside 1 <= k <= j <= d raises ValueError and a value that is
     not an int or a Fraction TypeError.
 
-    With no constants (None or an empty mapping) a complete operator returns
-    its own chain, built and validated on the first call and the same object
-    after it. Constants, or an incomplete operator, build and validate a new
-    chain on every call.
+    With no constants (None or an empty mapping) an operator returns its own
+    chain, built and validated on the first call and the same object after
+    it. Constants build and validate a new chain on every call.
     """
-    if not constants and op.complete:
+    if not constants:
         return op._chain
     consts = {}
     for (j, k), v in (constants or {}).items():
@@ -339,8 +324,8 @@ def _build_chain(op: TaylorOperator, consts: Mapping[tuple[int, int], Fraction])
             comps.append(antidifference(rhs, consts.get((j, k), 0)))
         vecs.append(PolyVec(tuple(comps)))
     chain = Chain(tuple(vecs))
-    if chain.operator() != op.as_complete():
+    if chain.operator() != op:
         raise NotAChain("chain does not belong to the supplied operator")
     # Share op's own instance, so its derived data is built once.
-    object.__setattr__(chain, "_operator", op.as_complete())
+    object.__setattr__(chain, "_operator", op)
     return chain

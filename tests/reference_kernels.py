@@ -53,7 +53,6 @@ from hermiteforge.construct import SingularSystem
 from hermiteforge.exactalg import (
     NotDivisible,
     RationalLike,
-    SingularDiagonal,
     _add,
     _mul,
     _rational,
@@ -1023,11 +1022,12 @@ def spectral_chain_reference(
     if op.d != d:
         raise ValueError("operator and mask dimensions differ")
     if chain is None:
-        chain = chain_for(op.as_complete())
+        chain = chain_for(op)
     elif chain.d != d:
         raise ValueError("chain and mask dimensions differ")
     scale = _checked_scale(scale, d)
-    if not _identity_holds(op.as_incomplete(), mask, factor_incomplete, scale):
+    t = op.incomplete_symbol
+    if not _identity_holds(t, t.substitute_power(2), mask, factor_incomplete, scale):
         raise ValueError("incomplete factorization identity does not hold")
     if not _last_column_partition_of_unity(factor_incomplete):
         raise ValueError("factor does not reproduce the constant top-derivative data")
@@ -1206,7 +1206,7 @@ def factor_through_reference(c_mask: Mask, chain: Chain) -> Mask:
                     f"column division failed at entry ({i},{k}): {exc}"
                 ) from exc
     bsym = LaurentMatrix(b)
-    if csym != bsym * mask_symbol_reference(op.as_complete().symbol()).substitute_power(2):
+    if csym != bsym * mask_symbol_reference(op.symbol()).substitute_power(2):
         raise AssertionError("column solve did not reproduce the target symbol")
     return mask_from_symbol_reference(bsym)
 
@@ -1217,7 +1217,7 @@ def taylor_factorize_reference(mask: Mask, chain: Chain, scale=None) -> Factoriz
     d = mask.d
     if scale is None:
         scale = Fraction(1, 2**d)
-    op = chain.operator().as_complete()
+    op = chain.operator()
     csym = mask_symbol_reference(op.symbol()) * mask_symbol_reference(mask)
     b_raw = factor_through_reference(mask_from_symbol_reference(csym), chain)
     fac = Factorization(mask=mask, taylor=op, factor=b_raw.scale(1 / scale), scale=scale)
@@ -1264,9 +1264,10 @@ def last_row_divisibility_reference(op: TaylorOperator, hs: Sequence[LaurentPoly
             )
 
 
-def taylor_symbol_reference(op: TaylorOperator) -> LaurentMatrix:
-    """T*(z) entry by entry from the weights: u = z^-1 - 1 on the diagonal
-    (1 in the corner of an incomplete operator), -w_{k,i+1} above it."""
+def taylor_symbol_reference(op: TaylorOperator, complete: bool) -> LaurentMatrix:
+    """The complete symbol T-tilde*(z), or the incomplete T*(z), entry by
+    entry from the weights: u = z^-1 - 1 on the diagonal (1 in the corner of
+    the incomplete one), -w_{k,i+1} above it."""
     u = delta_symbol(1)
     size = op.d + 1
 
@@ -1275,7 +1276,7 @@ def taylor_symbol_reference(op: TaylorOperator) -> LaurentMatrix:
             return LaurentPoly.constant(-op.w[k - 1][i])
         if k < i:
             return LaurentPoly.zero()
-        return LaurentPoly.one() if i == op.d and not op.complete else u
+        return LaurentPoly.one() if i == op.d and not complete else u
 
     return LaurentMatrix([[entry(i, k) for k in range(size)] for i in range(size)])
 
@@ -1302,7 +1303,7 @@ def chain_for_reference(
             comps.append(antidifference(rhs, consts.get((j, k), 0)))
         vecs.append(PolyVec(tuple(comps)))
     chain = Chain(tuple(vecs))
-    assert chain.operator() == op.as_complete()
+    assert chain.operator() == op
     return chain
 
 
@@ -1325,7 +1326,7 @@ def triangular_inverse_reference(t: LaurentMatrix) -> LaurentMatrix:
     Uses the nilpotent expansion: writing t = u I + C with C strictly upper,
     the inverse is sum_m (-C)^m u^-(m+1), and the (j,l) numerator over the
     common denominator u^(l-j+1) is sum_m ((-C)^m)[j][l] u^(l-j-m). Any
-    other shape raises ValueError, and another diagonal SingularDiagonal.
+    other shape or diagonal raises ValueError.
     """
     n = t.nrows
     if t.ncols != n:
@@ -1336,7 +1337,7 @@ def triangular_inverse_reference(t: LaurentMatrix) -> LaurentMatrix:
             if k < i and t[i][k]:
                 raise ValueError(f"nonzero entry below the diagonal at ({i},{k})")
             if k == i and t[i][k] != u:
-                raise SingularDiagonal(
+                raise ValueError(
                     f"diagonal entry ({i},{i}) is not z^-1 - 1; cannot invert in this form"
                 )
     zero = LaurentPoly.zero()
@@ -1407,14 +1408,17 @@ def padded_rows(v: PolyVec, ambient: int) -> list[Poly]:
     return rows
 
 
-def apply_operator_polys(op: TaylorOperator, rows: Sequence[Poly]) -> list[Poly]:
-    """Apply the operator to a column of polynomial sequences."""
+def apply_operator_polys(
+    op: TaylorOperator, rows: Sequence[Poly], *, complete: bool = True
+) -> list[Poly]:
+    """Apply the complete (or incomplete) operator to a column of polynomial
+    sequences."""
     d = op.d
     if len(rows) != d + 1:
         raise ValueError(f"expected {d + 1} rows, got {len(rows)}")
     out = []
     for i in range(d + 1):
-        if i == d and not op.complete:
+        if i == d and not complete:
             out.append(rows[d])
             continue
         acc = rows[i].forward_difference()
@@ -1427,9 +1431,14 @@ def apply_operator_polys(op: TaylorOperator, rows: Sequence[Poly]) -> list[Poly]
 
 
 def apply_operator(
-    op: TaylorOperator, values: Sequence[Sequence[RationalLike]], start: int
+    op: TaylorOperator,
+    values: Sequence[Sequence[RationalLike]],
+    start: int,
+    *,
+    complete: bool = True,
 ) -> tuple[list[tuple], int]:
-    """Apply the operator to sampled columns on an integer window.
+    """Apply the complete (or incomplete) operator to sampled columns on an
+    integer window.
 
     values[n] is the column at alpha = start + n. The output loses the last
     point (the forward difference looks one step ahead).
@@ -1446,7 +1455,7 @@ def apply_operator(
         ahead = values[n + 1]
         col = []
         for i in range(d + 1):
-            if i == d and not op.complete:
+            if i == d and not complete:
                 col.append(here[d])
                 continue
             acc = ahead[i] - here[i]

@@ -50,7 +50,7 @@ def seed_poly(n=1):
 
 
 def family_operator(w21):
-    return TaylorOperator(w=((F(1),), (F(w21), F(1))), complete=False)
+    return TaylorOperator(w=((F(1),), (F(w21), F(1))))
 
 
 def random_operator(rng, d):
@@ -58,7 +58,7 @@ def random_operator(rng, d):
     for j in range(1, d + 1):
         row = [F(rng.randint(-6, 6), rng.randint(1, 6)) for _ in range(j - 1)]
         w.append(tuple(row + [F(1)]))
-    return TaylorOperator(w=tuple(w), complete=True)
+    return TaylorOperator(w=tuple(w))
 
 
 def test_criterion_01_golden_factorization_roundtrip():

@@ -431,7 +431,7 @@ def test_convergence_zero_g(zero_g):
 
 
 def test_convergence_pairs_residuals_with_the_scheme_operator():
-    fam = TaylorOperator(w=((F(1),), (F(1, 2), F(1))), complete=False)
+    fam = TaylorOperator(w=((F(1),), (F(1, 2), F(1))))
     seed = LaurentPoly({0: F(1, 2), 1: F(1, 2)})
     res = synthesize(fam, seed)
     paired = check_convergence(res.mask, taylor=fam)

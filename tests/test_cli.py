@@ -134,6 +134,45 @@ def test_chain_command_matches_library(capsys):
     assert Chain.from_json(doc["chain"]) == chain_for(classical_operator(2))
 
 
+@pytest.mark.parametrize("command", ["chain", "construct", "check-convergence"])
+def test_complete_false_gives_the_bytes_of_complete_true(command, capsys, tmp_path):
+    # "complete" must be a JSON boolean, and either value names the same
+    # weights: one operator.
+    fam = TaylorOperator(w=((F(1),), (F(1, 2), F(1))))
+    mask_file = tmp_path / "mask.json"
+    mask_file.write_text(json.dumps(mask_from_entries(REF2_MASK, 2).to_json()))
+    seen = []
+    for complete in (True, False):
+        op_file = tmp_path / f"op_{complete}.json"
+        op_file.write_text(json.dumps(dict(fam.to_json(), complete=complete)))
+        argv = {
+            "chain": ["chain", "--taylor", str(op_file)],
+            "construct": ["construct", "--taylor", str(op_file), "--hdd", "(z+1)/2"],
+            "check-convergence": [
+                "check-convergence", "--mask", str(mask_file), "--levels", "4", "--taylor", str(op_file)
+            ],
+        }[command]
+        code = run(argv)
+        captured = capsys.readouterr()
+        seen.append((code, captured.out, captured.err))
+    assert seen[0] == seen[1]
+    assert seen[0][0] in (0, 1) and seen[0][1] and not seen[0][2]
+
+
+@pytest.mark.parametrize("exc", [KeyError("boom"), TypeError("boom"), ZeroDivisionError("boom")])
+def test_an_internal_error_exits_three(exc, capsys, monkeypatch):
+    # Only MalformedInput, ValueError and OSError are malformed input; any
+    # other exception is a fault of the program, not a failed check.
+    def broken(*args):
+        raise exc
+
+    monkeypatch.setattr(cli, "chain_for", broken)
+    assert run(["chain", "--taylor", "delta:d=1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"internal error: {type(exc).__name__}: {exc}\n"
+
+
 def test_verify_spectral_pass_and_fail(capsys, tmp_path):
     mask_file = tmp_path / "spline.json"
     mask_file.write_text(json.dumps(spline_mask(2, 1).to_json()))
@@ -211,7 +250,7 @@ def test_contractivity_and_convergence(capsys, tmp_path):
 
 
 def test_convergence_taylor_pairing(capsys, tmp_path):
-    fam = TaylorOperator(w=((F(1),), (F(1, 2), F(1))), complete=False)
+    fam = TaylorOperator(w=((F(1),), (F(1, 2), F(1))))
     res = synthesize(fam, LaurentPoly({0: F(1, 2), 1: F(1, 2)}))
     mask_file = tmp_path / "mask.json"
     op_file = tmp_path / "op.json"
@@ -416,6 +455,23 @@ def _malformed_argv(case, tmp_path):
         return ["contractivity", "--mask", "spline:r=0,d=0"]
     if case == "max-degree-above-max-n":
         return ["identity-tests", "--max-degree", "12", "--max-n", "3", "--seed", "1", "--polys", "5"]
+    # int() alone would read each of these integers, and str.isdigit "\u00b2".
+    if case.startswith("preset-size-"):
+        size = {"preset-size-underscored": "0_2", "preset-size-spaced-sign": " +2"}[case]
+        return ["chain", "--taylor", f"delta:d={size}"]
+    if case == "window-signed":
+        return ["cascade", "--mask", str(hat), "--window=-1,+1"]
+    if case == "g-index-underscored":
+        return ["construct", "--taylor", "delta:d=2", "--hdd", "(z+1)/2", "--g", "0_1,0:1"]
+    if case == "constant-index-underscored":
+        return ["chain", "--taylor", "delta:d=2", "--constant", "0_1,1:1"]
+    if case == "n-max-arabic-indic":
+        return ["contractivity", "--mask", str(hat), "--n-max", "\u0663"]
+    if case == "superscript-exponent":
+        return ["construct", "--taylor", "delta:d=2", "--hdd", "z^\u00b2"]
+    if case == "double-dash-value":
+        # argparse (Python 3.11) reads "--window=--" as an empty list.
+        return ["cascade", "--mask", str(hat), "--window=--"]
     flag, value = {
         "no-polys": ("--polys", "-3"),
         "no-max-n": ("--max-n", "0"),
@@ -466,6 +522,14 @@ def _malformed_argv(case, tmp_path):
         "no-max-n",
         "negative-max-degree",
         "max-degree-above-max-n",
+        "preset-size-underscored",
+        "preset-size-spaced-sign",
+        "window-signed",
+        "g-index-underscored",
+        "constant-index-underscored",
+        "n-max-arabic-indic",
+        "superscript-exponent",
+        "double-dash-value",
     ],
 )
 def test_malformed_input_exits_two(case, capsys, tmp_path):
@@ -473,7 +537,12 @@ def test_malformed_input_exits_two(case, capsys, tmp_path):
     assert run(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error:")
+    if case == "n-max-arabic-indic":
+        # argparse's own refusal: its usage, then "<prog>: error: <reason>".
+        assert captured.err.startswith("usage:")
+        assert captured.err.endswith(": error: argument --n-max: invalid int value: '\u0663'\n")
+    else:
+        assert captured.err.startswith("error:")
     if argv[0] == "identity-tests":
         assert argv[1] in captured.err
     if case == "max-degree-above-max-n":
@@ -486,7 +555,7 @@ def test_malformed_input_exits_two(case, capsys, tmp_path):
         assert "--exact" in captured.err
     if case == "misspelt-grid-kind":
         assert "'exakt'" in captured.err
-    if case.startswith("constant-"):
+    if case in ("constant-outside-operator", "constant-k-above-j"):
         assert "outside 1 <= k <= j <= 2" in captured.err
     if case == "empty-chain":
         assert "at least the vector v_0" in captured.err
@@ -496,6 +565,17 @@ def test_malformed_input_exits_two(case, capsys, tmp_path):
         assert captured.err == f"error: {tmp_path / 'tower.json'}: vector 1 lives in V_0, expected V_1\n"
     if case.startswith("repeated-"):
         assert "is given twice" in captured.err
+    if case.startswith("preset-size-"):
+        assert captured.err == f"error: preset {argv[2]!r}: {argv[2][8:]!r} is not an integer\n"
+    if case == "window-signed":
+        assert captured.err == "error: window must be 'a,b' with integers, got '-1,+1'\n"
+    if case.endswith("-index-underscored"):
+        flag = argv[-2]
+        assert captured.err == f"error: {flag} expects integer 'j,k', got {argv[-1][:5]!r}\n"
+    if case == "superscript-exponent":
+        assert captured.err == "error: inline polynomial, position 2: expected a number\n"
+    if case == "double-dash-value":
+        assert captured.err == "error: an option was given '--' as its value\n"
     if case.startswith("spline-"):
         # A library refusal, with no prefix of its own.
         assert captured.err == "error: spline degree must be at least 1, got r=0\n"

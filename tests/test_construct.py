@@ -35,7 +35,7 @@ def seed_power(n):
 
 
 def family_operator(w21):
-    return TaylorOperator(w=((F(1),), (F(w21), F(1))), complete=False)
+    return TaylorOperator(w=((F(1),), (F(w21), F(1))))
 
 
 def test_reference_scheme_frozen(ref2):
@@ -74,7 +74,7 @@ def operators(draw, max_d=5):
     w = []
     for j in range(1, d + 1):
         w.append(tuple([draw(rational_values) for _ in range(j - 1)] + [F(1)]))
-    return TaylorOperator(w=tuple(w), complete=False)
+    return TaylorOperator(w=tuple(w))
 
 
 @given(operators())

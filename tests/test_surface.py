@@ -1,6 +1,7 @@
 """The package root exports every name that the bench, the scripts and the
 README example read from it, and nothing that is not an object; every name
-the bench reads from a submodule exists; the bottom layer, exactalg, imports
+the bench reads from a submodule exists, and so does the operator key its
+tracer reads; the bottom layer, exactalg, imports
 nothing from the package; no module reads the environment; and every library
 refusal of a value is a ValueError, which the CLI never names."""
 
@@ -9,6 +10,7 @@ import importlib
 import pkgutil
 import re
 import types
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -80,6 +82,16 @@ def test_bench_submodule_reads_resolve():
     assert {("factor", "eigen_check"), ("cli", "run"), ("cli", "json")} <= reads
     for module, name in sorted(reads):
         assert hasattr(importlib.import_module(f"hermiteforge.{module}"), name), name
+
+
+def test_bench_operator_key_resolves():
+    # perfbench/tracer.py keys each operator on (op.w, op.complete), and only
+    # a traced run reads that key, outside the tier-1 suite.
+    assert "(op.w, op.complete)" in (ROOT / "perfbench" / "tracer.py").read_text()
+    fresh = hermiteforge.TaylorOperator(((1,), (Fraction(1, 2), 1)))
+    for op in (fresh, hermiteforge.classical_operator(2)):
+        assert op.complete is True
+        assert {(op.w, op.complete)} == {(op.w, True)}
 
 
 @pytest.mark.parametrize("where", ["scripts", "README"])

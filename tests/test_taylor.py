@@ -23,7 +23,7 @@ from hermiteforge import (
     delta_operator,
 )
 from hermiteforge import taylor
-from hermiteforge.exactalg import SingularDiagonal, delta_symbol
+from hermiteforge.exactalg import delta_symbol
 from reference_kernels import (
     LaurentMatrix,
     apply_operator,
@@ -43,14 +43,14 @@ rational_values = rationals(-6, 6, 6)
 
 
 @st.composite
-def operators(draw, max_d=6, min_d=1, complete=st.just(True)):
+def operators(draw, max_d=6, min_d=1):
     """A new operator instance on every draw."""
     d = draw(st.integers(min_value=min_d, max_value=max_d))
     w = []
     for j in range(1, d + 1):
         row = [draw(rational_values) for _ in range(j - 1)] + [F(1)]
         w.append(tuple(row))
-    return TaylorOperator(w=tuple(w), complete=draw(complete))
+    return TaylorOperator(w=tuple(w))
 
 
 def _fact(j):
@@ -100,12 +100,12 @@ def test_presets_refuse_a_bool_or_non_integer_d(make):
 
 def test_rejects_nonunit_diagonal():
     with pytest.raises(InvalidOperator):
-        TaylorOperator(w=((F(2),),), complete=True)
+        TaylorOperator(w=((F(2),),))
 
 
 def test_rejects_ragged_rows():
     with pytest.raises(InvalidOperator):
-        TaylorOperator(w=((F(1),), (F(1), F(1), F(1))), complete=True)
+        TaylorOperator(w=((F(1),), (F(1), F(1), F(1))))
 
 
 def test_symbol_diagonal():
@@ -113,7 +113,7 @@ def test_symbol_diagonal():
     delta = {-1: F(1), 0: F(-1)}
     for i in range(3):
         assert dict(comp.entry_symbol(i, i).items()) == delta
-    inc = delta_operator(2).as_incomplete().symbol()
+    inc = delta_operator(2).incomplete_symbol
     assert dict(inc.entry_symbol(2, 2).items()) == {0: F(1)}
     assert dict(inc.entry_symbol(1, 1).items()) == delta
 
@@ -121,8 +121,8 @@ def test_symbol_diagonal():
 @pytest.mark.parametrize("complete", [True, False])
 @pytest.mark.parametrize("d", [0, 1, 3])
 def test_symbol_is_the_operator_matrix(d, complete):
-    op = classical_operator(d) if complete else classical_operator(d).as_incomplete()
-    sym = op.symbol()
+    op = classical_operator(d)
+    sym = op.symbol() if complete else op.incomplete_symbol
     assert sym.d == d
     u = LaurentPoly({-1: F(1), 0: F(-1)})
     for i in range(d + 1):
@@ -152,12 +152,6 @@ def test_chain_constants_refuse_floats_and_stray_keys():
         with pytest.raises(ValueError, match="outside 1 <= k <= j <= 2"):
             chain_for(op, {key: 3})
     assert chain_for(op, {(2, 2): 3}) == chain_for(op, {(2, 2): F(3)})
-
-
-def test_complete_incomplete_roundtrip():
-    op = classical_operator(3)
-    assert op.as_incomplete().as_complete() == op
-    assert op.as_incomplete().complete is False
 
 
 def test_chain_for_delta_gives_newton_vectors():
@@ -253,11 +247,10 @@ def test_apply_operator_kills_newton_samples():
     assert all(all(x == 0 for x in row) for row in out)
 
 
-@given(operators(max_d=5, min_d=0, complete=st.booleans()))
+@given(operators(max_d=5, min_d=0))
 @settings(max_examples=60, deadline=None)
 def test_cached_operator_data_equals_fresh_builds(op):
-    # First read: the chain is kept only once its constructor has passed it,
-    # and an incomplete operator builds and validates a new chain each call.
+    # First read: the chain is kept only once its constructor has passed it.
     validated = []
     post_init = Chain.__post_init__
 
@@ -272,31 +265,45 @@ def test_cached_operator_data_equals_fresh_builds(op):
             chain_for(op)
         chain = chain_for(op)
         again = chain_for(op)
-    assert len(validated) == (2 if op.complete else 3)
-    assert validated[1] is chain
-    assert (again is chain) == op.complete
-    assert chain == again == chain_for_reference(op)
-    assert chain.operator() == annihilator(chain.last) == op.as_complete()
+    assert len(validated) == 2
+    assert validated[1] is chain is again
+    assert chain == chain_for_reference(op)
+    assert chain.operator() == annihilator(chain.last) == op
 
-    sym = taylor_symbol_reference(op)
+    sym = taylor_symbol_reference(op, complete=True)
     assert mask_symbol_reference(op.symbol()) == sym
     assert mask_symbol_reference(op.symbol_z2) == sym.substitute_power(2)
-    if op.complete:
-        assert LaurentMatrix(op.symbol_inverse) == triangular_inverse_reference(sym)
-        assert triangular_inverse_check(sym, op.symbol_inverse)
-        assert op.symbol_inverse is op.symbol_inverse
-        assert chain_for(op.as_incomplete()) is not chain
-    else:
-        for build in (lambda: op.symbol_inverse, lambda: triangular_inverse_reference(sym)):
-            with pytest.raises(SingularDiagonal):
-                build()
-        assert chain_for(op.as_complete()) is not chain
+    assert LaurentMatrix(op.symbol_inverse) == triangular_inverse_reference(sym)
+    assert triangular_inverse_check(sym, op.symbol_inverse)
+    assert op.symbol_inverse is op.symbol_inverse
     assert op.symbol() is op.symbol()
     assert op.symbol_z2 is op.symbol_z2
-    twin = op.as_incomplete() if op.complete else op.as_complete()
-    assert twin.w == op.w and twin.complete != op.complete
-    assert twin is (op.as_incomplete() if op.complete else op.as_complete())
-    assert (twin.as_complete() if op.complete else twin.as_incomplete()) is op
+    assert op.incomplete_symbol is op.incomplete_symbol
+
+
+@given(operators(max_d=5, min_d=0))
+@settings(max_examples=60, deadline=None)
+def test_incomplete_symbol_matches_the_reference(op):
+    # The same weights with 1 in the corner: the incomplete T*(z).
+    assert mask_symbol_reference(op.incomplete_symbol) == taylor_symbol_reference(op, complete=False)
+
+
+def test_chain_for_shares_one_chain_per_operator():
+    # Presets, fresh instances, annihilators and loaded operators alike:
+    # with no constants every operator returns its own chain, built once.
+    w = ((F(1),), (F(-2, 3), F(1)), (F(5), F(0), F(1)))
+    ops = [
+        delta_operator(2),
+        classical_operator(0),
+        allones_operator(3),
+        TaylorOperator(w),
+        annihilator(chain_for(classical_operator(3)).last),
+        TaylorOperator.from_json(dict(TaylorOperator(w).to_json(), complete=False)),
+    ]
+    for op in ops:
+        chain = chain_for(op)
+        assert chain_for(op) is chain and chain_for(op, {}) is chain
+        assert chain.operator() is op
 
 
 def test_chains_with_constants_are_never_shared():
