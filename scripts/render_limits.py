@@ -19,7 +19,7 @@ from fractions import Fraction
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from hermiteforge import cascade, delta_operator, synthesize
-from hermiteforge.cli import _parse_indexed, parse_laurent
+from hermiteforge.cli import _int_arg, _parse_indexed, parse_laurent
 
 
 def build_scheme(args):
@@ -30,12 +30,12 @@ def build_scheme(args):
 
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--d", type=int, default=2, help="derivative order of the scheme")
+    ap.add_argument("--d", type=_int_arg, default=2, help="derivative order of the scheme")
     ap.add_argument("--seed", default="(1+z)/2")
     ap.add_argument("--g", action="append", default=[], metavar="J,K:POLY",
                     help="free lower-triangle entry, e.g. '1,0:1'")
-    ap.add_argument("--levels", type=int, default=6)
-    ap.add_argument("--window", type=int, nargs=2, default=(-4, 4))
+    ap.add_argument("--levels", type=_int_arg, default=6)
+    ap.add_argument("--window", type=_int_arg, nargs=2, default=(-4, 4))
     ap.add_argument("--out-dir", default="out")
     ap.add_argument("--plot", default=None, metavar="PNG",
                     help="write a per-component plot (needs matplotlib)")

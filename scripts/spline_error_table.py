@@ -14,23 +14,34 @@ import time
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from hermiteforge import check_spline_cascade
+from hermiteforge.cli import _int_arg
+
+
+def _int_list(text):
+    """Comma-separated integers, each read as the CLI reads an integer flag."""
+    return [_int_arg(t) for t in text.split(",")]
+
+
+def _pairs(text):
+    """Space-separated r,d pairs of such integers."""
+    pairs = [_int_list(t) for t in text.split()]
+    if any(len(p) != 2 for p in pairs):
+        raise argparse.ArgumentTypeError(f"pairs must be 'r,d', got {text!r}")
+    return pairs
 
 
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--pairs", default="1,1 2,2 3,3 4,3",
+    ap.add_argument("--pairs", type=_pairs, default="1,1 2,2 3,3 4,3",
                     help="space-separated r,d pairs")
-    ap.add_argument("--levels", default="6,8,11",
+    ap.add_argument("--levels", type=_int_list, default="6,8,11",
                     help="comma-separated refinement levels")
     ap.add_argument("--tol", type=float, default=1e-6)
     args = ap.parse_args(argv)
 
-    pairs = [tuple(int(x) for x in t.split(",")) for t in args.pairs.split()]
-    levels = [int(t) for t in args.levels.split(",")]
-
     print(f"{'r':>3} {'d':>3} {'level':>6} {'max error':>12} {'ok':>4} {'secs':>7}")
-    for r, d in pairs:
-        for lv in levels:
+    for r, d in args.pairs:
+        for lv in args.levels:
             t0 = time.perf_counter()
             rep = check_spline_cascade(r, d, levels=lv, tol=args.tol)
             dt = time.perf_counter() - t0

@@ -20,23 +20,28 @@ from hermiteforge import (
     check_convergence,
     synthesize,
 )
+from hermiteforge.cli import _int_arg
 
 
 def family_operator(w21):
     return TaylorOperator(w=((Fraction(1),), (w21, Fraction(1))))
 
 
+def _int_list(text):
+    """Comma-separated integers, each read as the CLI reads an integer flag."""
+    return [_int_arg(t) for t in text.split(",")]
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--w21", default="0,1/4,1/2,3/4,1",
                     help="comma-separated rational values")
-    ap.add_argument("--n", default="1,2,3,5", help="comma-separated seed powers")
-    ap.add_argument("--levels", type=int, default=8)
-    ap.add_argument("--n-max", type=int, default=4)
+    ap.add_argument("--n", type=_int_list, default="1,2,3,5", help="comma-separated seed powers")
+    ap.add_argument("--levels", type=_int_arg, default=8)
+    ap.add_argument("--n-max", type=_int_arg, default=4)
     args = ap.parse_args(argv)
 
     w_values = [Fraction(t) for t in args.w21.split(",")]
-    n_values = [int(t) for t in args.n.split(",")]
     seed_base = LaurentPoly({0: Fraction(1, 2), 1: Fraction(1, 2)})
 
     header = (f"{'w21':>6} {'n':>3} {'h01':>8} {'h11':>8} {'h12':>8} "
@@ -45,7 +50,7 @@ def main(argv=None):
     print("-" * len(header))
     for w21 in w_values:
         op = family_operator(w21)
-        for n in n_values:
+        for n in args.n:
             res = synthesize(op, seed_base**n)
             h01 = res.last_row[0].derivative_at_one(1)
             h11 = res.last_row[1].derivative_at_one(1)

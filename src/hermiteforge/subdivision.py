@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import chain, count
 from math import gcd, lcm
 
@@ -114,7 +114,9 @@ class Mask:
         (offset, k, c), c the numerator over _den of the entry
         A(alpha - 2 beta)[i][k], which multiplies component k of the column at
         beta = m + offset. Terms run beta ascending, then k ascending, and
-        skip zero entries."""
+        skip zero entries. The (offset, k) pairs of one list are its shape:
+        _stencil_sums groups the terms by shape and runs one generated sum
+        per shape, shared by all masks, which adds them in this same order."""
         s_min, s_max = self.support
         table = []
         for parity in (0, 1):
@@ -253,6 +255,47 @@ def _output_window(mask: Mask, a: int, b: int) -> tuple[int, int]:
     return out_lo, out_hi
 
 
+# Distinct term shapes whose generated sums are kept at once.
+_SUM_KERNELS_MAX = 1024
+
+
+@lru_cache(maxsize=_SUM_KERNELS_MAX)
+def _sum_kernel(shape: tuple[tuple[int, int], ...]):
+    """The generated sum of one term shape ((offset_0, k_0), (offset_1, k_1), ...):
+    kernel(rows, lo, count, zero, c_0, c_1, ...) returns
+
+        [zero + c_0 * v_0 + c_1 * v_1 + ... for v_0, v_1, ... in
+         zip(rows[k_0][lo + offset_0 : lo + offset_0 + count], ...)]
+
+    Python adds left to right, so every output adds its terms in shape order,
+    each product onto the running sum, starting from zero. The source holds
+    only the shape's integers. Every mask with this shape shares the kernel.
+    """
+    n = len(shape)
+    coeffs = ", ".join(f"c{j}" for j in range(n))
+    values = ", ".join(f"v{j}" for j in range(n))
+    products = "".join(f" + c{j} * v{j}" for j in range(n))
+    slices = ", ".join(f"rows[{k:d}][lo{o:+d} : hi{o:+d}]" for o, k in shape)
+    source = (
+        f"def kernel(rows, lo, count, zero, {coeffs}):\n"
+        f"    hi = lo + count\n"
+        f"    return [zero{products} for {values}, in zip({slices})]\n"
+    )
+    namespace: dict = {}
+    exec(source, namespace)
+    return namespace["kernel"]
+
+
+def _kernels(table: tuple) -> list[list]:
+    """The shared generated sum of each term list table[p][i], or None where
+    the list is empty."""
+    return [
+        [_sum_kernel(tuple([(offset, k) for offset, k, _ in terms])) if terms else None
+         for terms in terms_by_row]
+        for terms_by_row in table
+    ]
+
+
 def _stencil_sums(
     table: tuple, rows: Sequence[Sequence], a: int, out_lo: int, out_hi: int, zero
 ) -> list[list]:
@@ -260,25 +303,22 @@ def _stencil_sums(
     [out_lo, out_hi], one list per output row i, with the coefficients of one
     term table (Mask._float_terms, or Mask._terms, numerators over _den).
 
-    Each output row is accumulated one stencil term at a time across all
-    outputs of a parity class, starting from zero; every output still adds
-    its terms in the order beta ascending, then k ascending.
+    The terms of one parity class and output row are grouped by their shape,
+    the (offset, k) of each term, and each shape has one generated sum
+    (_sum_kernel) that is shared by every mask and table with that shape. It
+    runs over all outputs of the parity class in one comprehension; every
+    output still adds its terms to zero one at a time, in the order beta
+    ascending, then k ascending.
     """
     out = [[zero] * (out_hi - out_lo + 1) for _ in table[0]]
-    for parity, terms_by_row in enumerate(table):
+    for parity, (terms_by_row, kernels) in enumerate(zip(table, _kernels(table))):
         first = out_lo + (parity - out_lo) % 2
         count = (out_hi - first) // 2 + 1
-        base = (first - parity) // 2 - a
-        for i, terms in enumerate(terms_by_row):
-            if not terms:
-                continue
-            (offset, k, c), *rest = terms
-            lo = base + offset
-            acc = [zero + c * v for v in rows[k][lo : lo + count]]
-            for offset, k, c in rest:
-                lo = base + offset
-                acc = [s + c * v for s, v in zip(acc, rows[k][lo : lo + count])]
-            out[i][first - out_lo :: 2] = acc
+        lo = (first - parity) // 2 - a
+        for i, (terms, kernel) in enumerate(zip(terms_by_row, kernels)):
+            if kernel is not None:
+                coeffs = [c for _, _, c in terms]
+                out[i][first - out_lo :: 2] = kernel(rows, lo, count, zero, *coeffs)
     return out
 
 

@@ -8,7 +8,8 @@ of the exact cascade, masks read and built one Fraction entry at a time
 (symbol, from_symbol, scale, JSON, stencil, integer entries, and the
 triangle and partition tests), the float cascade and its convergence diagnostics one
 column and one component at a time, the grid JSON and CSV writers one value
-at a time, Fraction samples of polynomial vectors for the eigen
+at a time, the stencil sums of one step accumulated one term at a time
+over a parity class, Fraction samples of polynomial vectors for the eigen
 check, the spectral chain recovery on sampled windows of integer
 numerators, contraction norms read off the Laurent-product iterated symbol,
 Fraction abscissae for the spline cascade check, the Cox-de Boor recursion
@@ -69,7 +70,7 @@ from hermiteforge.factor import (
 )
 from hermiteforge.polybasis import antidifference, newton_basis
 from hermiteforge.splines import SplineCascadeReport, bspline_derivative
-from hermiteforge.subdivision import WindowTooSmall, _output_window, _stencil_sums, eigen_check
+from hermiteforge.subdivision import WindowTooSmall, _output_window, eigen_check
 from hermiteforge.taylor import Chain, delta_operator
 
 
@@ -682,6 +683,30 @@ def stencil_reference(mask: Mask) -> tuple[tuple, tuple, int]:
     return tuple(floats), tuple(numerators), den
 
 
+def stencil_sums_reference(
+    table: tuple, rows: Sequence[Sequence], a: int, out_lo: int, out_hi: int, zero
+) -> list[list]:
+    """subdivision._stencil_sums as one loop per stencil term: each output
+    row of a parity class is accumulated one term at a time across all its
+    outputs, starting from zero, in the table's term order."""
+    out = [[zero] * (out_hi - out_lo + 1) for _ in table[0]]
+    for parity, terms_by_row in enumerate(table):
+        first = out_lo + (parity - out_lo) % 2
+        count = (out_hi - first) // 2 + 1
+        base = (first - parity) // 2 - a
+        for i, terms in enumerate(terms_by_row):
+            if not terms:
+                continue
+            (offset, k, c), *rest = terms
+            lo = base + offset
+            acc = [zero + c * v for v in rows[k][lo : lo + count]]
+            for offset, k, c in rest:
+                lo = base + offset
+                acc = [s + c * v for s, v in zip(acc, rows[k][lo : lo + count])]
+            out[i][first - out_lo :: 2] = acc
+    return out
+
+
 def integer_entries_reference(mask: Mask) -> tuple[list[list[list[int]]], int]:
     """Entry (i, k) as dense integer coefficients at alpha = s_min, s_min + 1,
     ..., all over the lcm D of the Fraction denominators. Returns (entries, D)."""
@@ -1007,7 +1032,7 @@ def image_rows_reference(mask: Mask, v: PolyVec) -> tuple[list[list[int]], int, 
     half = mask.d + 3 + (s_max - s_min)
     out_lo, out_hi = _output_window(mask, -half, half)
     samples, den_q = sample_rows_reference(v, -half, half, mask.d)
-    sums = _stencil_sums(mask._terms, samples, -half, out_lo, out_hi, 0)
+    sums = stencil_sums_reference(mask._terms, samples, -half, out_lo, out_hi, 0)
     return sums, mask._den * den_q, out_lo
 
 

@@ -63,3 +63,19 @@ def test_render_limits_refuses_a_malformed_g(item, tmp_path):
     with pytest.raises(MalformedInput, match="j,k"):
         load("render_limits").main(["--d", "1", "--g", item, "--out-dir", str(tmp_path)])
 
+
+
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        ("synthesize_family", ["--n", "0_1", "--levels", "4"]),
+        ("spline_error_table", ["--pairs", "1,1", "--levels", " 4"]),
+        ("render_limits", ["--d", "1", "--levels", "+3"]),
+    ],
+)
+def test_scripts_read_integers_like_the_cli(name, argv, capsys):
+    # argparse refuses before anything runs or is written.
+    with pytest.raises(SystemExit) as exc:
+        load(name).main(argv)
+    assert exc.value.code == 2
+    assert "invalid int value" in capsys.readouterr().err

@@ -13,6 +13,9 @@ from hermiteforge.factor import _last_column_partition_of_unity
 from hermiteforge.subdivision import (
     WindowTooSmall,
     _as_rows,
+    _kernels,
+    _output_window,
+    _stencil_sums,
     eigen_check,
     float_step,
     integer_step,
@@ -29,6 +32,7 @@ from reference_kernels import (
     mask_scale_reference,
     mask_symbol_reference,
     stencil_reference,
+    stencil_sums_reference,
     subdivide_reference,
 )
 from strategies import poly_vecs, rationals, sparse_masks
@@ -302,6 +306,87 @@ def test_kernel_matches_fraction_reference(mask, exact, level, start, data):
     want = hermite_step_reference(mask, values, start, level)
     assert got[1] == want[1]
     assert_same_columns(got[0], want[0], exact)
+
+
+# Float classes the sums must carry bit for bit, besides those of
+# float_values: subnormals, values that overflow once multiplied,
+# infinities and NaN.
+special_floats = st.sampled_from(
+    [5e-324, -5e-324, 1e-310, 1e308, -1e308, float("inf"), float("-inf"), float("nan")]
+)
+
+
+def stencil_sums_both(mask, rows, a, out_lo, out_hi, exact):
+    """_stencil_sums and stencil_sums_reference on one table, each entry
+    written as itself (exact) or as float.hex()."""
+    table, zero = (mask._terms, 0) if exact else (mask._float_terms, 0.0)
+    args = (table, rows, a, out_lo, out_hi, zero)
+    got, want = _stencil_sums(*args), stencil_sums_reference(*args)
+    if exact:
+        assert all(type(v) is int for row in got for v in row)
+        return got, want
+    assert all(type(v) is float for row in got for v in row)
+    return [[v.hex() for v in row] for row in got], [[v.hex() for v in row] for row in want]
+
+
+@given(sparse_masks(), st.booleans(), st.integers(min_value=-4, max_value=4), st.data())
+@settings(max_examples=60, deadline=None)
+def test_fused_stencil_sums_match_term_loop(mask, exact, a, data):
+    s_min, s_max = mask.support
+    n = data.draw(st.integers(min_value=s_max - s_min + 1, max_value=12))
+    values = st.integers(min_value=-(10**20), max_value=10**20) if exact else float_values
+    row = st.lists(values, min_size=n, max_size=n)
+    rows = [data.draw(row) for _ in range(mask.d + 1)]
+    if not exact:
+        # A few special values, so that most sums stay finite and show
+        # their rounding.
+        spots = st.tuples(st.integers(0, mask.d), st.integers(0, n - 1), special_floats)
+        for k, j, v in data.draw(st.lists(spots, max_size=3)):
+            rows[k][j] = v
+    # Any output range inside the full window, down to one or no output of
+    # a parity class.
+    full_lo, full_hi = _output_window(mask, a, a + n - 1)
+    out_lo = data.draw(st.integers(min_value=full_lo, max_value=full_hi))
+    out_hi = data.draw(st.integers(min_value=out_lo, max_value=full_hi))
+    got, want = stencil_sums_both(mask, rows, a, out_lo, out_hi, exact)
+    assert got == want
+
+
+def test_fused_stencil_sums_one_term_and_empty_rows():
+    # Odd alpha of the hat mask has the single term (0, 0): the kernel
+    # unpacks one value per zip tuple.
+    hat = hat_mask()
+    assert [len(terms) for terms_by_row in hat._terms for terms in terms_by_row] == [2, 1]
+    rows = [[0.5, -0.0, 1e308, 5e-324, float("nan")]]
+    for exact, data in ((False, rows), (True, [[3, -1, 0, 7, 2]])):
+        got, want = stencil_sums_both(hat, data, 0, 1, 9, exact)
+        assert got == want
+    # Row 0 has no term at even alpha: those outputs stay the zero passed in.
+    m = Mask(
+        -1,
+        (
+            ((F(1, 2), 0), (F(1, 4), 0)),
+            ((0, 0), (0, F(1, 2))),
+            ((F(1, 2), 0), (F(-1, 4), 0)),
+        ),
+    )
+    assert _kernels(m._terms)[0][0] is None
+    rows = [[1.5, -2.0, 0.25, 8.0, 3.0], [1.0, 2.0, -0.0, 1e-310, 4.0]]
+    out_lo, out_hi = _output_window(m, 0, 4)
+    got, want = stencil_sums_both(m, rows, 0, out_lo, out_hi, False)
+    assert got == want
+    even = got[0][-out_lo % 2 :: 2]
+    assert even and even == [(0.0).hex()] * len(even)
+
+
+def test_fused_stencil_kernels_are_shared_by_shape():
+    m = ref2_mask()
+    for table in ("_terms", "_float_terms"):
+        mine, theirs = _kernels(getattr(m, table)), _kernels(getattr(m.scale(3), table))
+        assert all(f is g for fs, gs in zip(mine, theirs) for f, g in zip(fs, gs))
+    # The same shapes from another table of the mask, and a new shape elsewhere.
+    assert _kernels(m._terms) == _kernels(m._float_terms)
+    assert _kernels(hat_mask()._terms)[0][0] not in {f for fs in _kernels(m._terms) for f in fs}
 
 
 def test_float_cascade_holds_only_floats():
