@@ -21,6 +21,7 @@ from hermiteforge import (
     synthesize,
 )
 from hermiteforge.cli import _int_arg
+from hermiteforge.exactalg import rat_from_str
 
 
 def family_operator(w21):
@@ -32,23 +33,34 @@ def _int_list(text):
     return [_int_arg(t) for t in text.split(",")]
 
 
+def _rational(text):
+    """One rational, read as the CLI reads a rational."""
+    try:
+        return rat_from_str(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid rational value: {text!r}") from None
+
+
+def _rational_list(text):
+    return [_rational(t) for t in text.split(",")]
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--w21", default="0,1/4,1/2,3/4,1",
+    ap.add_argument("--w21", type=_rational_list, default="0,1/4,1/2,3/4,1",
                     help="comma-separated rational values")
     ap.add_argument("--n", type=_int_list, default="1,2,3,5", help="comma-separated seed powers")
     ap.add_argument("--levels", type=_int_arg, default=8)
     ap.add_argument("--n-max", type=_int_arg, default=4)
     args = ap.parse_args(argv)
 
-    w_values = [Fraction(t) for t in args.w21.split(",")]
     seed_base = LaurentPoly({0: Fraction(1, 2), 1: Fraction(1, 2)})
 
     header = (f"{'w21':>6} {'n':>3} {'h01':>8} {'h11':>8} {'h12':>8} "
               f"{'strategy':>10} {'certificate':>11} {'tail':>6} {'residual':>10}")
     print(header)
     print("-" * len(header))
-    for w21 in w_values:
+    for w21 in args.w21:
         op = family_operator(w21)
         for n in args.n:
             res = synthesize(op, seed_base**n)

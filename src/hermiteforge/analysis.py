@@ -25,7 +25,7 @@ from operator import sub
 from typing import Iterator, Sequence
 
 from .exactalg import _report_json
-from .subdivision import DyadicGrid, Mask, WindowTooSmall, float_step, integer_step
+from .subdivision import DyadicGrid, Mask, float_step, integer_step
 from .taylor import TaylorOperator, delta_operator
 
 
@@ -416,34 +416,3 @@ def _convergence_report(
         residual_decay_ok=residual_decay_ok,
         differences_decay_ok=differences_decay_ok,
     )
-
-
-def reconstruct_limits(grid: DyadicGrid) -> tuple[tuple[tuple[float, ...], ...], float]:
-    """Rebuild each component by trapezoidal integration of the next one,
-    anchored at the abscissa 0 sample; returns the rebuilt columns and the
-    largest deviation from the grid's own data.
-
-    A small deviation is evidence that the rendered components really are
-    consecutive derivatives of a common limit.
-    """
-    d = grid.d
-    n = grid.npoints
-    h = 1.0 / 2**grid.level
-    zero_idx = -grid.start
-    if not 0 <= zero_idx < n:
-        raise WindowTooSmall("grid must contain the abscissa 0 to anchor integration")
-    cols = grid._rows_as_floats()
-    rebuilt: list[list[float]] = [cols[d]]
-    for k in range(d - 1, -1, -1):
-        upper = rebuilt[0]
-        out = [0.0] * n
-        out[zero_idx] = cols[k][zero_idx]
-        for i in range(zero_idx + 1, n):
-            out[i] = out[i - 1] + 0.5 * h * (upper[i - 1] + upper[i])
-        for i in range(zero_idx - 1, -1, -1):
-            out[i] = out[i + 1] - 0.5 * h * (upper[i] + upper[i + 1])
-        rebuilt.insert(0, out)
-    worst = 0.0
-    for got, want in zip(rebuilt, cols):
-        worst = max(chain((worst,), map(abs, map(sub, got, want))))
-    return tuple(zip(*rebuilt)), worst

@@ -463,26 +463,20 @@ def _random_operator(rng: random.Random, d: int) -> TaylorOperator:
     return TaylorOperator(tuple(w))
 
 
+_IDENTITY_MAX_DEGREE = 8
+_IDENTITY_MAX_N = 10
+
+
 def _cmd_identity_tests(args) -> dict:
-    for flag, value, least in (
-        ("--polys", args.polys, 1),
-        ("--max-n", args.max_n, 1),
-        ("--max-degree", args.max_degree, 0),
-    ):
-        if value < least:
-            raise MalformedInput(f"{flag} must be at least {least}, got {value}")
-    if args.max_degree > args.max_n:
-        # A polynomial of degree above n takes part in no identity up to n.
-        raise MalformedInput(
-            f"--max-degree ({args.max_degree}) must not exceed --max-n ({args.max_n})"
-        )
+    if args.polys < 1:
+        raise MalformedInput(f"--polys must be at least 1, got {args.polys}")
     rng = random.Random(args.seed)
     split_total = 0
     split_ok = True
     for _ in range(args.polys):
-        p = _random_poly(rng, args.max_degree)
+        p = _random_poly(rng, _IDENTITY_MAX_DEGREE)
         lo = max(p.degree, 1)
-        for n in range(lo, args.max_n + 1):
+        for n in range(lo, _IDENTITY_MAX_N + 1):
             split_total += 1
             if not difference_split_check(p, n):
                 split_ok = False
@@ -620,8 +614,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("identity-tests", help="exact difference-split and inverse-symbol suites")
     p.add_argument("--seed", type=_int_arg, default=0)
     p.add_argument("--polys", type=_int_arg, default=100)
-    p.add_argument("--max-degree", type=_int_arg, default=8, help="at most --max-n")
-    p.add_argument("--max-n", type=_int_arg, default=10)
     add_out(p)
     p.set_defaults(func=_cmd_identity_tests)
 

@@ -35,13 +35,29 @@ def rat_to_str(q: RationalLike) -> str:
 
 
 def rat_from_str(s: str) -> Fraction:
-    """Parse "p/q" or a decimal; ValueError for anything else, "1/0" included."""
+    """Parse "p", "p/q" with q > 0, or a decimal "a.b"; ValueError for
+    anything else. p, q and the digits of a follow _decimal_int's rule and b
+    is ASCII digits, so "1_0/4", " 1", "+3", "1e3", ".5" and other scripts'
+    digits are refused, where Fraction() would read them."""
     if not isinstance(s, str):
         raise ValueError(f"expected a rational string, got {s!r}")
-    try:
-        return Fraction(s.strip())
-    except ZeroDivisionError as exc:
-        raise ValueError(f"zero denominator in {s!r}") from exc
+    head, dot, tail = s.partition(".")
+    if dot:
+        digits = head.removeprefix("-")
+        if digits.startswith("-") or not (tail.isascii() and tail.isdigit()):
+            raise ValueError(f"a decimal must be 'a.b' in plain digits, got {s!r}")
+        value = _decimal_int(digits, f"the integer part of {s!r}") + Fraction(
+            int(tail), 10 ** len(tail)
+        )
+        return value if digits == head else -value
+    num, slash, den = s.partition("/")
+    p = _decimal_int(num, f"the numerator of {s!r}")
+    if not slash:
+        return Fraction(p)
+    q = _decimal_int(den, f"the denominator of {s!r}")
+    if q <= 0:
+        raise ValueError(f"the denominator of {s!r} must be positive")
+    return Fraction(p, q)
 
 
 def _decimal_int(s: str, what: str) -> int:

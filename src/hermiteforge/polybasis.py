@@ -1,5 +1,5 @@
-"""Ordinary polynomials over Q, the normalized falling-factorial basis, and
-the graded vectors of polynomials that Taylor chains are made of.
+"""Ordinary polynomials over Q, their exact antidifference, and the graded
+vectors of polynomials that Taylor chains are made of.
 
 A polynomial is a ``exactalg.LaurentPoly`` with no negative exponent: it
 keeps the same canonical integer numerators over one denominator and the
@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 from typing import Mapping, Sequence
 
 from .exactalg import (
@@ -149,47 +149,29 @@ def difference_split_check(p: Poly, n: int) -> bool:
     return ladder[0] == rhs
 
 
-def falling_power(j: int) -> Poly:
-    """x (x-1) ... (x-j+1)."""
-    p = Poly.one()
-    for i in range(j):
-        p = p * Poly((-i, 1))
-    return p
-
-
-def newton_basis(j: int) -> Poly:
-    """The normalized falling power x(x-1)...(x-j+1) / j!.
-
-    Its forward difference is the previous basis element, which is what makes
-    exact antidifferencing a coefficient shift.
-    """
-    return falling_power(j) / factorial(j)
-
-
-def to_newton_coeffs(p: Poly) -> tuple[Fraction, ...]:
-    """Coefficients lambda_k with p = sum_k lambda_k * newton_basis(k).
-
-    Newton forward-difference formula: lambda_k = (Delta^k p)(0).
-    """
-    out = []
-    q = p
-    for _ in range(p.degree + 1):
-        out.append(q.evaluate(0))
-        q = q.forward_difference()
-    return tuple(out)
-
-
 def antidifference(p: Poly, constant: RationalLike = 0) -> Poly:
     """Return q with Delta q = p and q(0) = constant.
 
-    Lifts through the Newton basis, where Delta acts as a shift of indices.
+    Delta x^m = sum_{i<m} C(m, i) x^i is triangular, so for n = deg p the
+    coefficients of q follow from p's from the top down:
+    (i+1) q_(i+1) = p_i - sum_{m>i+1} C(m, i) q_m. Over (n+1)! times p's
+    denominator they are integers, since q - q(0) is a sum of binomial
+    polynomials C(x, k+1) with coefficients over p's denominator.
     """
-    lam = to_newton_coeffs(p)
-    q = Poly.constant(constant)
-    for k, v in enumerate(lam):
-        if v:
-            q = q + newton_basis(k + 1) * v
-    return q
+    c = _rational(constant)
+    nums = p._dense()
+    n = len(nums) - 1
+    if n < 0:
+        return Poly.constant(c)
+    # q[m] is the numerator of the x^m coefficient over den.
+    scale = factorial(n + 1)
+    den = p._den * scale
+    q = [0] * (n + 2)
+    for i in range(n, -1, -1):
+        rest = sum(comb(m, i) * q[m] for m in range(i + 2, n + 2))
+        q[i + 1] = (nums[i] * scale - rest) // (i + 1)
+    cden = c.denominator
+    return Poly._make(0, [c.numerator * den] + [v * cden for v in q[1:]], den * cden)
 
 
 @dataclass(frozen=True)
@@ -220,9 +202,6 @@ class PolyVec:
     @property
     def d(self) -> int:
         return len(self.components) - 1
-
-    def component(self, degree: int) -> Poly:
-        return self.components[degree]
 
     def to_json(self) -> dict:
         return {"d": self.d, "components": [p.to_json() for p in self.components]}

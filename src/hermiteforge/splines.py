@@ -1,5 +1,6 @@
-"""Hermite schemes refining cardinal B-spline data, with exact reference
-evaluation of the splines for end-to-end comparison.
+"""Hermite schemes refining cardinal B-spline data, and the exact integer
+values of the splines and their derivatives at dyadic points that the
+cascade check compares the rendered data with.
 
 The degree-r scalar mask is a_r(alpha) = 2^-r binom(r+1, alpha). The Hermite
 mask of dimension d+1 (d <= r) puts iterated differences of a_r in its first
@@ -11,12 +12,11 @@ all-ones Taylor operator.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
 from .analysis import cascade
-from .exactalg import LaurentPoly, RationalLike, _horner, _rational, _report_json
+from .exactalg import LaurentPoly, _horner, _report_json
 from .factor import Factorization, taylor_factorize, verify_spectral_chain
 from .polybasis import Poly, PolyVec
 from .subdivision import Mask
@@ -112,19 +112,6 @@ def _scaled_bspline(r: int, num: int, den: int) -> int:
     return _horner(_bspline_pieces(r)[num // den], num, den)
 
 
-def bspline_value(r: int, x: RationalLike) -> Fraction:
-    """Exact value of the cardinal B-spline of degree r with support [0, r+1].
-
-    Evaluates the exact polynomial piece of the interval holding x; the
-    degree-0 spline is 1 on [0, 1)."""
-    if r < 0:
-        raise BadOrder(f"spline degree must be nonnegative, got r={r}")
-    x = _rational(x)
-    return Fraction(
-        _scaled_bspline(r, x.numerator, x.denominator), factorial(r) * x.denominator**r
-    )
-
-
 def _scaled_bspline_derivative(r: int, k: int, num: int, den: int) -> int:
     """(r-k)! den^(r-k) B_r^(k)(num/den) for den > 0, by the difference formula
     sum_i (-1)^i binom(k,i) B_(r-k)(x - i)."""
@@ -134,17 +121,6 @@ def _scaled_bspline_derivative(r: int, k: int, num: int, den: int) -> int:
         term = comb(k, i) * _scaled_bspline(q, num - i * den, den)
         total += -term if i % 2 else term
     return total
-
-
-def bspline_derivative(r: int, k: int, x: RationalLike) -> Fraction:
-    """Exact k-th derivative via the difference formula
-    sum_i (-1)^i binom(k,i) bspline_value(r-k, x-i); k <= r."""
-    if not 0 <= k <= r:
-        raise BadOrder(f"derivative order must satisfy 0 <= k <= r, got {k}")
-    x = _rational(x)
-    num, den = x.numerator, x.denominator
-    q = r - k
-    return Fraction(_scaled_bspline_derivative(r, k, num, den), factorial(q) * den**q)
 
 
 @dataclass(frozen=True)

@@ -25,8 +25,12 @@ They are slow and obviously right, which is all they are for.
 The oracles at the end state a property by its defining formula: the
 iterated symbol as a product of Laurent matrices, the triangular inverse
 recombined, the operator applied to sampled or polynomial rows, the Newton
-and monomial vectors, the inverse corner transform of a factor, and the
-scalar eigen relation checked by subdivision of samples.
+basis with the antidifference lifted through it, the Newton and monomial
+vectors, the inverse corner transform of a factor, the scalar eigen
+relation checked by subdivision of samples, and each component of a
+rendered grid rebuilt by trapezoidal integration of the next one. The
+B-spline values and derivatives as Fractions are read off the library's
+integer kernel, for the tests that state spline identities in x.
 """
 
 from __future__ import annotations
@@ -68,8 +72,7 @@ from hermiteforge.factor import (
     _identity_holds,
     _last_column_partition_of_unity,
 )
-from hermiteforge.polybasis import antidifference, newton_basis
-from hermiteforge.splines import SplineCascadeReport, bspline_derivative
+from hermiteforge.splines import SplineCascadeReport, _scaled_bspline, _scaled_bspline_derivative
 from hermiteforge.subdivision import WindowTooSmall, _output_window, eigen_check
 from hermiteforge.taylor import Chain, delta_operator
 
@@ -955,6 +958,20 @@ def convergence_reference(
     )
 
 
+def bspline_value(r: int, x) -> Fraction:
+    """B_r(x) as a Fraction, read off the kernel's r! den^r B_r(num/den)."""
+    x = Fraction(x)
+    scale = factorial(r) * x.denominator**r
+    return Fraction(_scaled_bspline(r, x.numerator, x.denominator), scale)
+
+
+def bspline_derivative(r: int, k: int, x) -> Fraction:
+    """B_r^(k)(x) as a Fraction, read off the kernel's scaled value; k <= r."""
+    x = Fraction(x)
+    scale = factorial(r - k) * x.denominator ** (r - k)
+    return Fraction(_scaled_bspline_derivative(r, k, x.numerator, x.denominator), scale)
+
+
 def bspline_value_reference(r: int, x) -> Fraction:
     """Cox-de Boor on integer knots; the degree-0 spline is 1 on [0, 1)."""
     x = Fraction(x)
@@ -1325,7 +1342,7 @@ def chain_for_reference(
                 wv = op.w[j - l - 1][j - k]
                 if wv:
                     rhs = rhs + comps[l] * wv
-            comps.append(antidifference(rhs, consts.get((j, k), 0)))
+            comps.append(antidifference_reference(rhs, consts.get((j, k), 0)))
         vecs.append(PolyVec(tuple(comps)))
     chain = Chain(tuple(vecs))
     assert chain.operator() == op
@@ -1404,6 +1421,46 @@ def triangular_inverse_check(t: LaurentMatrix, p: Sequence[Sequence[LaurentPoly]
             if acc != want:
                 return False
     return True
+
+
+def falling_power(j: int) -> Poly:
+    """x (x-1) ... (x-j+1)."""
+    p = Poly.one()
+    for i in range(j):
+        p = p * Poly((-i, 1))
+    return p
+
+
+def newton_basis(j: int) -> Poly:
+    """The normalized falling power x(x-1)...(x-j+1) / j!.
+
+    Its forward difference is the previous basis element, which is what makes
+    exact antidifferencing a coefficient shift.
+    """
+    return falling_power(j) / factorial(j)
+
+
+def to_newton_coeffs(p: Poly) -> tuple[Fraction, ...]:
+    """Coefficients lambda_k with p = sum_k lambda_k * newton_basis(k).
+
+    Newton forward-difference formula: lambda_k = (Delta^k p)(0).
+    """
+    out = []
+    q = p
+    for _ in range(p.degree + 1):
+        out.append(q.evaluate(0))
+        q = q.forward_difference()
+    return tuple(out)
+
+
+def antidifference_reference(p: Poly, constant: RationalLike = 0) -> Poly:
+    """q with Delta q = p and q(0) = constant, lifted through the Newton
+    basis, where Delta acts as a shift of indices."""
+    q = Poly.constant(constant)
+    for k, v in enumerate(to_newton_coeffs(p)):
+        if v:
+            q = q + newton_basis(k + 1) * v
+    return q
 
 
 def from_newton_coeffs(coeffs: Sequence[RationalLike]) -> Poly:
@@ -1538,3 +1595,34 @@ def complete_from_incomplete(b: Mask) -> Mask:
                 row.append(f.divide_exact(zp1) if f else f)
         rows.append(row)
     return mask_from_symbol_reference(LaurentMatrix(rows))
+
+
+def reconstruct_limits(grid: DyadicGrid) -> tuple[tuple[tuple[float, ...], ...], float]:
+    """Rebuild each component by trapezoidal integration of the next one,
+    anchored at the abscissa 0 sample; returns the rebuilt columns and the
+    largest deviation from the grid's own data.
+
+    A small deviation is evidence that the rendered components really are
+    consecutive derivatives of a common limit.
+    """
+    d = grid.d
+    n = grid.npoints
+    h = 1.0 / 2**grid.level
+    zero_idx = -grid.start
+    if not 0 <= zero_idx < n:
+        raise WindowTooSmall("grid must contain the abscissa 0 to anchor integration")
+    cols = grid._rows_as_floats()
+    rebuilt: list[list[float]] = [cols[d]]
+    for k in range(d - 1, -1, -1):
+        upper = rebuilt[0]
+        out = [0.0] * n
+        out[zero_idx] = cols[k][zero_idx]
+        for i in range(zero_idx + 1, n):
+            out[i] = out[i - 1] + 0.5 * h * (upper[i - 1] + upper[i])
+        for i in range(zero_idx - 1, -1, -1):
+            out[i] = out[i + 1] - 0.5 * h * (upper[i] + upper[i + 1])
+        rebuilt.insert(0, out)
+    worst = 0.0
+    for got, want in zip(rebuilt, cols):
+        worst = max(worst, *(abs(a - b) for a, b in zip(got, want)))
+    return tuple(zip(*rebuilt)), worst

@@ -35,7 +35,6 @@ from hermiteforge.analysis import (
     _convergence_report,
     delta_grid,
     initial_window,
-    reconstruct_limits,
     taylor_residuals,
 )
 from hermiteforge.subdivision import float_step, integer_step
@@ -46,6 +45,7 @@ from reference_kernels import (
     float_cascade_reference,
     grid_csv_reference,
     grid_json_reference,
+    reconstruct_limits,
     scheme_norm_reference,
     taylor_residuals_reference,
 )

@@ -455,6 +455,21 @@ def _malformed_argv(case, tmp_path):
         return ["contractivity", "--mask", "spline:r=0,d=0"]
     if case == "max-degree-above-max-n":
         return ["identity-tests", "--max-degree", "12", "--max-n", "3", "--seed", "1", "--polys", "5"]
+    # Fraction() alone would read each of these rationals: the mask entry 1/8
+    # in Arabic-Indic digits, the constant as 10/4 and the scale as 1/4.
+    if case == "mask-entry-arabic-indic":
+        mask = mask_from_entries(REF2_MASK, 2).to_json()
+        assert mask["coeffs"][0][2][0] == "1/8"
+        mask["coeffs"][0][2][0] = "\u0661/\u0668"
+        bad = tmp_path / "arabic_indic.json"
+        bad.write_text(json.dumps(mask))
+        return ["factor", "--mask", str(bad), "--chain", "delta:d=2"]
+    if case == "constant-value-underscored":
+        return ["chain", "--taylor", "delta:d=2", "--constant", "1,1:1_0/4"]
+    if case == "scale-signed":
+        ref2 = tmp_path / "ref2.json"
+        ref2.write_text(json.dumps(mask_from_entries(REF2_MASK, 2).to_json()))
+        return ["factor", "--mask", str(ref2), "--chain", "delta:d=2", "--scale=+1/4"]
     # int() alone would read each of these integers, and str.isdigit "\u00b2".
     if case.startswith("preset-size-"):
         size = {"preset-size-underscored": "0_2", "preset-size-spaced-sign": " +2"}[case]
@@ -478,6 +493,9 @@ def _malformed_argv(case, tmp_path):
         "negative-max-degree": ("--max-degree", "-1"),
     }[case]
     return ["identity-tests", flag, value]
+
+
+_RETIRED_IDENTITY_FLAGS = ("no-max-n", "negative-max-degree", "max-degree-above-max-n")
 
 
 @pytest.mark.parametrize(
@@ -530,6 +548,9 @@ def _malformed_argv(case, tmp_path):
         "n-max-arabic-indic",
         "superscript-exponent",
         "double-dash-value",
+        "mask-entry-arabic-indic",
+        "constant-value-underscored",
+        "scale-signed",
     ],
 )
 def test_malformed_input_exits_two(case, capsys, tmp_path):
@@ -541,12 +562,18 @@ def test_malformed_input_exits_two(case, capsys, tmp_path):
         # argparse's own refusal: its usage, then "<prog>: error: <reason>".
         assert captured.err.startswith("usage:")
         assert captured.err.endswith(": error: argument --n-max: invalid int value: '\u0663'\n")
+    elif case in _RETIRED_IDENTITY_FLAGS:
+        # identity-tests has no --max-n or --max-degree: argparse refuses them.
+        assert captured.err.startswith("usage:")
+        assert ": error: unrecognized arguments: " in captured.err
     else:
         assert captured.err.startswith("error:")
     if argv[0] == "identity-tests":
         assert argv[1] in captured.err
     if case == "max-degree-above-max-n":
         assert "--max-n" in captured.err
+    if case in ("mask-entry-arabic-indic", "constant-value-underscored", "scale-signed"):
+        assert "must be an integer in plain decimal" in captured.err
     if case == "grid-too-small":
         assert "too small" in captured.err
     if case.startswith("seed-"):

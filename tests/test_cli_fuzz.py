@@ -153,8 +153,7 @@ def command_lines(draw, path):
         if draw(st.booleans()):
             argv += ["--verify"]
     else:
-        for flag in ("--polys", "--max-n", "--max-degree"):
-            argv += [flag, small()]
+        argv += ["--polys", small()]
     doc = copy.deepcopy(BASES[kinds[0] if kinds else "seed"])
     for _ in range(draw(st.integers(min_value=0, max_value=2))):
         doc = _mutate(draw, doc)

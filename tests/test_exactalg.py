@@ -21,7 +21,7 @@ from hermiteforge import (
     PolyVec,
     TaylorOperator,
 )
-from hermiteforge.exactalg import delta_symbol
+from hermiteforge.exactalg import delta_symbol, rat_from_str
 from strategies import rationals
 
 rational_values = rationals(-20, 20, 12)
@@ -132,6 +132,27 @@ def test_exponent_keys_are_plain_decimal_integers(key):
     assert LaurentPoly.from_json({"-3": "1", "0": "2", "10": "1/2"}) == LaurentPoly(
         {-3: 1, 0: 2, 10: F(1, 2)}
     )
+
+
+@pytest.mark.parametrize(
+    "text, value",
+    [("3", F(3)), ("-3", F(-3)), ("0", F(0)), ("6/4", F(3, 2)), ("-1/8", F(-1, 8)),
+     ("0.25", F(1, 4)), ("-0.5", F(-1, 2)), ("12.050", F(241, 20))],
+)
+def test_rationals_are_p_over_q_or_plain_decimals(text, value):
+    assert rat_from_str(text) == value
+
+
+# Fraction() alone reads most of these: "1_0/4" as 5/2, "1e3" as 1000, the
+# Arabic-Indic digits as 1/2 and " 1/2" with its space.
+@pytest.mark.parametrize(
+    "text",
+    ["1_0/4", "1/0_4", "\u0661/\u0662", "1e3", "+3", " 1/2", "1/2 ", "04", "-0", "1/0",
+     "1/-2", "1/+2", ".5", "1.", "--1.5", "1.5e1", "1.\u0665", "inf", "nan", ""],
+)
+def test_rationals_refuse_what_fraction_alone_would_read(text):
+    with pytest.raises(ValueError):
+        rat_from_str(text)
 
 
 # A reader that iterates whatever it gets takes a string for an array, one

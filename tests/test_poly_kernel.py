@@ -13,7 +13,6 @@ from hermiteforge import LaurentPoly, Mask, NotDivisible, Poly, PolyVec
 from hermiteforge.construct import SingularSystem, _solve_square
 from hermiteforge.exactalg import rat_to_str
 from hermiteforge.polybasis import difference_split_check
-from hermiteforge.splines import bspline_derivative, bspline_value
 from hermiteforge.subdivision import eigen_check
 from reference_kernels import (
     FractionLaurentPoly,
@@ -276,8 +275,8 @@ def test_float_operands_are_rejected(cls, op):
         with pytest.raises(TypeError):
             op(0.1, p)
     # Nor do the constructors and the methods that take a rational, nor the
-    # masks, the rational writer, the spline values and the eigen check, which
-    # refuse strings as well.
+    # masks, the rational writer and the eigen check, which refuses strings
+    # as well.
     m, v = Mask(0, (((1,),),)), PolyVec((Poly.one(),))
     calls = [
         lambda: cls.constant(0.1),
@@ -287,9 +286,6 @@ def test_float_operands_are_rejected(cls, op):
         lambda: Mask(0, (((0.1,),),)),
         lambda: Mask(0, (((1,),),)).scale(0.1),
         lambda: rat_to_str(0.1),
-        lambda: bspline_value(2, 0.1),
-        lambda: bspline_value(2, "1/2"),
-        lambda: bspline_derivative(2, 1, 0.5),
         lambda: eigen_check(m, v, 0.5),
         lambda: eigen_check(m, v, "1/2"),
     ]

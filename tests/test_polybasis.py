@@ -1,11 +1,20 @@
 from fractions import Fraction as F
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hermiteforge import Poly
-from hermiteforge.polybasis import antidifference, falling_power, newton_basis, to_newton_coeffs
-from reference_kernels import classical_vector, from_newton_coeffs, newton_vector, padded_rows
+from hermiteforge.polybasis import antidifference
+from reference_kernels import (
+    antidifference_reference,
+    classical_vector,
+    falling_power,
+    from_newton_coeffs,
+    newton_basis,
+    newton_vector,
+    padded_rows,
+    to_newton_coeffs,
+)
 from strategies import rationals
 
 rational_values = rationals(-10, 10, 10)
@@ -51,11 +60,17 @@ def test_newton_coeff_roundtrip(p):
 
 
 @given(polys, rational_values)
+@example(Poly(), F(0))
+@example(Poly(), F(-3, 2))
+@example(Poly((F(5, 3),)), F(0))
+@example(Poly((F(5, 3),)), F(7))
 @settings(max_examples=60, deadline=None)
 def test_antidifference_inverts_difference(p, c):
     q = antidifference(p, c)
     assert q.forward_difference() == p
     assert q.evaluate(0) == c
+    # The top-down solve gives what the lift through the Newton basis gives.
+    assert q == antidifference_reference(p, c)
 
 
 def test_vd_shapes():
@@ -63,11 +78,11 @@ def test_vd_shapes():
         v = newton_vector(d)
         w = classical_vector(d)
         for j in range(d + 1):
-            assert v.component(j).degree == j
-            assert v.component(j).leading == F(1, _fact(j))
-            assert w.component(j).degree == j
-        assert v.component(0) == Poly((F(1),))
-        assert w.component(0) == Poly((F(1),))
+            assert v.components[j].degree == j
+            assert v.components[j].leading == F(1, _fact(j))
+            assert w.components[j].degree == j
+        assert v.components[0] == Poly((F(1),))
+        assert w.components[0] == Poly((F(1),))
 
 
 def _fact(j):
@@ -79,8 +94,8 @@ def _fact(j):
 
 def test_classical_vector_is_monomial():
     v = classical_vector(3)
-    assert v.component(2) == Poly((F(0), F(0), F(1, 2)))
-    assert v.component(3) == Poly((F(0), F(0), F(0), F(1, 6)))
+    assert v.components[2] == Poly((F(0), F(0), F(1, 2)))
+    assert v.components[3] == Poly((F(0), F(0), F(0), F(1, 6)))
 
 
 def test_padded_rows_descending():

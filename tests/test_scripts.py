@@ -71,6 +71,8 @@ def test_render_limits_refuses_a_malformed_g(item, tmp_path):
         ("synthesize_family", ["--n", "0_1", "--levels", "4"]),
         ("spline_error_table", ["--pairs", "1,1", "--levels", " 4"]),
         ("render_limits", ["--d", "1", "--levels", "+3"]),
+        # The integer parts of a rational too: Fraction() alone reads "1_0" as 10.
+        ("synthesize_family", ["--w21", "1/2,1_0", "--n", "1", "--levels", "4"]),
     ],
 )
 def test_scripts_read_integers_like_the_cli(name, argv, capsys):
@@ -78,4 +80,8 @@ def test_scripts_read_integers_like_the_cli(name, argv, capsys):
     with pytest.raises(SystemExit) as exc:
         load(name).main(argv)
     assert exc.value.code == 2
-    assert "invalid int value" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    if argv[0] == "--w21":
+        assert "argument --w21: invalid rational value: '1_0'" in err
+    else:
+        assert "invalid int value" in err

@@ -1,14 +1,20 @@
 """Cardinal B-spline schemes: masks, eigen-structure, cascade accuracy."""
 
 from fractions import Fraction as F
-from math import comb
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from goldens import SPLINE_R4_D3_ROW, SPLINE_R4_D3_SCALE
-from reference_kernels import bspline_value_reference, scalar_eigen_check, spline_cascade_reference
+from reference_kernels import (
+    bspline_derivative,
+    bspline_value,
+    bspline_value_reference,
+    scalar_eigen_check,
+    spline_cascade_reference,
+)
 from strategies import rationals
 from hermiteforge import (
     BadOrder,
@@ -19,8 +25,8 @@ from hermiteforge import (
     spline_verify,
 )
 from hermiteforge.splines import (
-    bspline_derivative,
-    bspline_value,
+    _scaled_bspline,
+    _scaled_bspline_derivative,
     ell_polynomial,
     scalar_spline_symbol,
     spline_chain,
@@ -190,16 +196,18 @@ def test_bspline_values_are_cached_consistently(r, num):
 
 
 def test_bspline_pieces_match_recursion():
+    # The kernel's integers are (r-k)! 8^(r-k) B_r^(k)(n/8), read unreduced.
     for r in range(6):
         for n in range(-8, 8 * (r + 2) + 1):
             x = F(n, 8)
-            assert bspline_value(r, x) == bspline_value_reference(r, x)
+            assert _scaled_bspline(r, n, 8) == bspline_value_reference(r, x) * factorial(r) * 8**r
             for k in range(r + 1):
                 want = sum(
                     (-1) ** i * comb(k, i) * bspline_value_reference(r - k, x - i)
                     for i in range(k + 1)
                 )
-                assert bspline_derivative(r, k, x) == want
+                scale = factorial(r - k) * 8 ** (r - k)
+                assert _scaled_bspline_derivative(r, k, n, 8) == want * scale
 
 
 @given(
@@ -208,7 +216,8 @@ def test_bspline_pieces_match_recursion():
 )
 @settings(max_examples=100, deadline=None)
 def test_bspline_value_matches_recursion_at_rationals(r, x):
-    assert bspline_value(r, x) == bspline_value_reference(r, x)
+    num, den = x.numerator, x.denominator
+    assert _scaled_bspline(r, num, den) == bspline_value_reference(r, x) * factorial(r) * den**r
 
 
 @pytest.mark.parametrize("r", [1, 2, 3, 4])

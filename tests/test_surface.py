@@ -2,7 +2,8 @@
 README example read from it, and nothing that is not an object; every name
 the bench reads from a submodule exists, and so does the operator key its
 tracer reads; the bottom layer, exactalg, imports
-nothing from the package; no module reads the environment; and every library
+nothing from the package; every public function of the package has a reader
+outside the tests; no module reads the environment; and every library
 refusal of a value is a ValueError, which the CLI never names."""
 
 import ast
@@ -153,6 +154,37 @@ def test_no_module_imports_a_name_it_never_uses():
     }
     assert not unused
     assert _unused_imports("from x import a, b\nfrom y import c as d\nb(d)") == ["a"]
+
+
+def _unread_defs(defining: dict[str, str], readers: list[str]) -> list[str]:
+    """module.name for each public module-level def in the defining sources
+    that no reader source names (as a name, an attribute or an import)."""
+    read = set().union(*map(_named, readers))
+    return sorted(
+        f"{module}.{node.name}"
+        for module, source in defining.items()
+        for node in ast.parse(source).body
+        if isinstance(node, ast.FunctionDef)
+        and not node.name.startswith("_")
+        and node.name not in read
+    )
+
+
+def test_every_public_function_has_a_reader():
+    # A reader is the library itself (not the package root, which only
+    # re-exports), a script, the bench or the README example; a function
+    # that only the tests call lives in tests/reference_kernels.py.
+    package = {
+        path.stem: path.read_text()
+        for path in sorted((ROOT / "src" / "hermiteforge").glob("*.py"))
+        if path.name != "__init__.py"
+    }
+    readers = [*package.values(), _readme_python()]
+    for folder in ("scripts", "perfbench"):
+        readers += [path.read_text() for path in sorted((ROOT / folder).glob("*.py"))]
+    assert not _unread_defs(package, readers)
+    probe = {"m": "def used(): pass\ndef unused(): pass\ndef _private(): pass"}
+    assert _unread_defs(probe, ["m.used()"]) == ["m.unused"]
 
 
 _ENVIRONMENT = {"environ", "environb", "getenv", "getenvb", "putenv", "unsetenv"}

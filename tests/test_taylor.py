@@ -172,7 +172,7 @@ def test_chain_constants_shift_free_terms():
     bumped = chain_for(op, constants={(2, 1): F(7)})
     assert bumped.operator() == op
     assert bumped.vecs[2] != plain.vecs[2]
-    assert bumped.vecs[2].component(1).evaluate(0) == 7
+    assert bumped.vecs[2].components[1].evaluate(0) == 7
     assert bumped.vecs[1] == plain.vecs[1]
 
 
@@ -240,7 +240,7 @@ def test_apply_operator_kills_newton_samples():
     v = newton_vector(1)
     start = -3
     values = [
-        [v.component(1).evaluate(a), v.component(0).evaluate(a)]
+        [v.components[1].evaluate(a), v.components[0].evaluate(a)]
         for a in range(start, start + 8)
     ]
     out, _ = apply_operator(op, values, start)
