@@ -5,7 +5,7 @@ The package root exports the entry points, the value types they take and
 return, and the exceptions they raise. A square matrix symbol, a Taylor
 operator's included, is a ``Mask``: integer numerators over one denominator,
 with ``*`` the symbol product. Everything else is imported from its module
-(``hermiteforge.subdivision.integer_step``, ``hermiteforge.exactalg.
+(``hermiteforge.subdivision.level_step``, ``hermiteforge.exactalg.
 delta_symbol``, ...).
 """
 

@@ -10,9 +10,9 @@ scalar symbols certify on their own, which is much cheaper; both paths are
 exposed and consistent (per-diagonal norms are dominated by the joint norm).
 
 Cascade iterations render Hermite data at finer and finer dyadic levels with
-the derivative renormalization f_{n+1} = D^-(n+1) S_A D^n f_n of integer_step
-and float_step, carried as rows of the components from level to level; the
-convergence diagnostics read those rows as whole slices.
+the derivative renormalization f_{n+1} = D^-(n+1) S_A D^n f_n of level_step,
+carried as rows of the components from level to level; the convergence
+diagnostics read those rows as whole slices.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from operator import sub
 from typing import Iterator, Sequence
 
 from .exactalg import _report_json
-from .subdivision import DyadicGrid, Mask, float_step, integer_step
+from .subdivision import DyadicGrid, Mask, level_step
 from .taylor import TaylorOperator, delta_operator
 
 
@@ -207,10 +207,9 @@ def cascade(
     set, float otherwise.
 
     Both modes carry the grid's rows (row k = component f^(k)) from level
-    to level through one row step: exact mode integer rows over one
-    denominator through integer_step, float mode float rows through
-    float_step. No column, and no Fraction, is built until a grid's values
-    are read.
+    to level through one row step, level_step: exact mode integer rows over
+    one denominator, float mode float rows. No column, and no Fraction, is
+    built until a grid's values are read.
     """
     if levels < 0:
         raise ValueError("levels must be nonnegative")
@@ -231,17 +230,13 @@ def cascade(
         if grid.d != mask.d:
             raise ValueError("initial data dimension does not match the mask")
     rows, den = grid._rows, grid._den
-    if exact and den is None:
-        raise ValueError("exact=True needs initial data of ints and Fractions")
-    if not exact and den is not None:
-        raise ValueError("exact=False needs initial data of floats")
+    if exact != (den is not None):
+        need = "ints and Fractions" if exact else "floats"
+        raise ValueError(f"exact={exact} needs initial data of {need}")
     out = [grid]
     level, start = grid.level, grid.start
     for _ in range(levels):
-        if den is None:
-            rows, start = float_step(mask, rows, start, level, level + 1)
-        else:
-            rows, den, start = integer_step(mask, rows, den, start, level, level + 1)
+        rows, den, start = level_step(mask, rows, den, start, level)
         level += 1
         out.append(DyadicGrid._from_rows(level, start, rows, den))
     return out

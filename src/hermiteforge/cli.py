@@ -28,7 +28,7 @@ from .exactalg import LaurentPoly, NotDivisible, _decimal_int, rat_from_str
 from .factor import NotAnnihilated, taylor_factorize, verify_spectral_chain
 from .polybasis import Poly, PolyVec, difference_split_check
 from .splines import _verify_spline, spline_chain, spline_mask
-from .subdivision import DyadicGrid, Mask
+from .subdivision import DyadicGrid, Mask, _float_from_str
 from .taylor import (
     Chain,
     TaylorOperator,
@@ -95,16 +95,16 @@ class _LaurentParser:
         self.skip_ws()
         if self.peek() == "^":
             self.advance()
-            out = out ** self.parse_uint()
+            out = out ** self.parse_int()
             self.skip_ws()
         if self.peek() == "/":
             self.advance()
             self.skip_ws()
-            den = self.parse_uint()
+            den = self.parse_int()
             self.skip_ws()
             if self.peek() == "^":
                 self.advance()
-                den = den ** self.parse_uint()
+                den = den ** self.parse_int()
             if den == 0:
                 self.fail("zero denominator")
             out = out / den
@@ -154,31 +154,32 @@ class _LaurentParser:
         e = 1
         if self.peek() == "^":
             self.advance()
-            e = self.parse_int()
+            e = self.parse_int(signed=True)
         return LaurentPoly.monomial(e, coef)
 
-    def parse_uint(self) -> int:
+    def parse_int(self, signed: bool = False) -> int:
+        """A digit run, after a "-" if signed, by _decimal_int's rule."""
         start = self.i
+        if signed and self.peek() == "-":
+            self.advance()
+        digits = self.i
         while self.peek() in _DIGITS:
             self.advance()
-        if start == self.i:
+        if digits == self.i:
             self.fail("expected a number")
-        return int(self.text[start : self.i])
-
-    def parse_int(self) -> int:
-        sign = 1
-        if self.peek() == "-":
-            self.advance()
-            sign = -1
-        return sign * self.parse_uint()
+        try:
+            return _decimal_int(self.text[start : self.i], "a number")
+        except ValueError as exc:
+            self.i = start
+            self.fail(str(exc))
 
     def parse_rational(self) -> Fraction:
-        n = self.parse_uint()
+        n = self.parse_int()
         if self.peek() == "/":
             save = self.i
             self.advance()
             if self.peek() in _DIGITS:
-                den = self.parse_uint()
+                den = self.parse_int()
                 if den == 0:
                     self.fail("zero denominator")
                 return Fraction(n, den)
@@ -304,6 +305,14 @@ def _int_arg(text: str) -> int:
         return _decimal_int(text, "an integer flag")
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
+def _float_arg(text: str) -> float:
+    """The argparse type of every float flag, with argparse's own message."""
+    try:
+        return _float_from_str(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
 
 
 def _parse_indexed(flag: str, items: list[str] | None, what: str, read) -> dict:
@@ -594,8 +603,8 @@ def build_parser() -> argparse.ArgumentParser:
         default="-4,4",
         help="integer window 'a,b' (default -4,4); write a negative a as --window=-4,4",
     )
-    p.add_argument("--ratio-bound", type=float, default=0.9)
-    p.add_argument("--residual-tol", type=float, default=1e-4)
+    p.add_argument("--ratio-bound", type=_float_arg, default=0.9)
+    p.add_argument("--residual-tol", type=_float_arg, default=1e-4)
     p.add_argument(
         "--taylor",
         help="operator whose w-weights pair the residual rows (file or preset; "

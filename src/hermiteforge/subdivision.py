@@ -6,11 +6,13 @@ A(alpha - 2 beta) c(beta); its symbol is A*(z) = sum_alpha A(alpha) z^alpha,
 and on symbols the rule reads (S_A c)*(z) = A*(z) c*(z^2).
 
 Hermite refinement renormalizes derivative rows between levels:
-f_{n+1} = D^{-(n+1)} S_A (D^n f_n) with D = diag(1, 1/2, ..., 2^-d).
+f_{n+1} = D^{-(n+1)} S_A (D^n f_n) with D = diag(1, 1/2, ..., 2^-d), which
+is the plain step of the level-n mask D^{-(n+1)} A D^n (level_step).
 """
 
 from __future__ import annotations
 
+import re
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
@@ -133,16 +135,6 @@ class Mask:
                 rows.append(tuple(terms))
             table.append(tuple(rows))
         return tuple(table)
-
-    @cached_property
-    def _float_terms(self) -> tuple[tuple[tuple[tuple[int, int, float], ...], ...], ...]:
-        """_terms with each numerator divided by _den, as a float."""
-        den = self._den
-        # int / int rounds correctly, exactly as float(Fraction) does
-        return tuple(
-            tuple(tuple((offset, k, c / den) for offset, k, c in terms) for terms in rows)
-            for rows in self._terms
-        )
 
     def matrix(self, alpha: int) -> Matrix:
         n = alpha - self.support_min
@@ -301,7 +293,8 @@ def _stencil_sums(
 ) -> list[list]:
     """Raw sums sum_beta A(alpha - 2 beta)[i][k] rows[k][beta - a] for alpha in
     [out_lo, out_hi], one list per output row i, with the coefficients of one
-    term table (Mask._float_terms, or Mask._terms, numerators over _den).
+    term table (Mask._terms, numerators over _den, or level_step's table of
+    the level-n mask, as numerators or as floats).
 
     The terms of one parity class and output row are grouped by their shape,
     the (offset, k) of each term, and each shape has one generated sum
@@ -320,6 +313,18 @@ def _stencil_sums(
                 coeffs = [c for _, _, c in terms]
                 out[i][first - out_lo :: 2] = kernel(rows, lo, count, zero, *coeffs)
     return out
+
+
+_FLOAT_TEXT = re.compile(r"-?[0-9]+(?:\.[0-9]+)?(?:e[+-][0-9]+)?|-?inf|nan")
+
+
+def _float_from_str(s: str) -> float:
+    """s as a float by the one rule for floats in text: exactly the forms
+    f"{v:.17g}" writes, so "1_0", " 0", "+1", ".5", "1E3", "Infinity", other
+    scripts' digits and JSON numbers are refused where float() reads them."""
+    if not (isinstance(s, str) and _FLOAT_TEXT.fullmatch(s)):
+        raise ValueError(f"a float must be plain decimal digits, inf or nan, got {s!r}")
+    return float(s)
 
 
 def _as_rows(values: Sequence[Sequence]) -> tuple[list[list], int | None]:
@@ -342,56 +347,43 @@ def _as_rows(values: Sequence[Sequence]) -> tuple[list[list], int | None]:
     return [[v.numerator * (den // v.denominator) for v in row] for row in rows], den
 
 
-def integer_step(
-    mask: Mask, rows: Sequence[Sequence[int]], den: int, start: int, pre: int, post: int
-) -> tuple[list[list[int]], int, int]:
-    """D^-post S_A D^pre on integer data, with D = diag(1, 1/2, ..., 2^-d).
+def level_step(
+    mask: Mask, rows: Sequence[Sequence], den: int | None, start: int, level: int
+) -> tuple[list[list], int | None, int]:
+    """D^-(n+1) S_A D^n at n = level, D = diag(1, 1/2, ..., 2^-d): the plain
+    step of the level-n mask, whose term from component k to row i is that of
+    Mask._terms shifted left by n (d - k) + (n + 1) i, over _den 2^(n d).
 
-    rows[k][n] / den is component k of the column at beta = start + n.
-    Returns the output rows as numerators over their denominator, that
-    denominator, and the first output abscissa. The scaling 2^-(pre k) is
-    2^(pre (d - k)) over 2^(pre d), so the stencil term that carries
-    component k into output row i is shifted left by pre (d - k) + post i
-    and the denominator by pre d. The result is divided by the common factor
-    gcd(den, *numerators), so equal data always has equal integers.
+    rows[k][j] is component k of the column at beta = start + j: integers
+    over den, or floats if den is None. Returns the output rows, their
+    denominator (divided out of the integers by their gcd; None for floats)
+    and the first output abscissa. A float coefficient is the shifted
+    numerator over that denominator, correctly rounded.
     """
     d = len(rows) - 1
     out_lo, out_hi = _output_window(mask, start, start + len(rows[0]) - 1)
     table = tuple(
         tuple(
-            tuple((offset, k, c << (pre * (d - k) + post * i)) for offset, k, c in terms)
+            tuple((offset, k, c << (level * (d - k) + (level + 1) * i)) for offset, k, c in terms)
             for i, terms in enumerate(terms_by_row)
         )
         for terms_by_row in mask._terms
     )
+    level_den = mask._den << level * d
+    if den is None:
+        # int / int rounds correctly, exactly as float(Fraction) does
+        table = tuple(
+            tuple(tuple((o, k, c / level_den) for o, k, c in terms) for terms in by_row)
+            for by_row in table
+        )
+        return _stencil_sums(table, rows, start, out_lo, out_hi, 0.0), None, out_lo
     sums = _stencil_sums(table, rows, start, out_lo, out_hi, 0)
-    den = mask._den * den << pre * d
+    den *= level_den
     g = gcd(den, *chain.from_iterable(sums))
     if g != 1:
         sums = [[v // g for v in row] for row in sums]
         den //= g
     return sums, den, out_lo
-
-
-def float_step(
-    mask: Mask, rows: Sequence[Sequence[float]], start: int, pre: int, post: int
-) -> tuple[list[list[float]], int]:
-    """D^-post S_A D^pre on float data, with D = diag(1, 1/2, ..., 2^-d).
-
-    rows[k][n] is component k of the column at beta = start + n. Returns the
-    output rows and the first output abscissa. Row k is multiplied by
-    2^-(pre k) before the stencil and output row i by 2^(post i) after it,
-    each an exact power of two, so every value is bit-identical to the same
-    sums taken over Fraction * float products. A row whose factor is 1 is
-    left as it is, which changes no bits.
-    """
-    out_lo, out_hi = _output_window(mask, start, start + len(rows[0]) - 1)
-    size = len(rows)
-    scales = [1 / (1 << pre * k) for k in range(size)]
-    rows = [row if f == 1.0 else [v * f for v in row] for f, row in zip(scales, rows)]
-    sums = _stencil_sums(mask._float_terms, rows, start, out_lo, out_hi, 0.0)
-    scales = [float(1 << post * i) for i in range(size)]
-    return [row if f == 1.0 else [s * f for s in row] for f, row in zip(scales, sums)], out_lo
 
 
 def _image(mask: Mask, v: PolyVec) -> tuple[list, list, int]:
@@ -482,6 +474,8 @@ class DyadicGrid:
     _den: int | None
 
     def __init__(self, level: int, start: int, values: Sequence[Sequence]):
+        if level < 0:
+            raise ValueError(f"a grid level must be nonnegative, got {level}")
         self._fill(level, start, *_as_rows(values))
 
     @classmethod
@@ -580,7 +574,7 @@ class DyadicGrid:
         kind = obj.get("kind", "exact")
         if kind not in ("exact", "float"):
             raise ValueError(f"grid kind must be 'exact' or 'float', got {kind!r}")
-        parse = rat_from_str if kind == "exact" else float
+        parse = rat_from_str if kind == "exact" else _float_from_str
         values = tuple(
             tuple(parse(v) for v in _json_array(col, "a grid column"))
             for col in _json_array(obj["values"], "values")

@@ -747,9 +747,11 @@ def last_column_partition_reference(mask: Mask) -> bool:
     return True
 
 
-def subdivide_reference(mask: Mask, values, start: int):
-    """(S_A c)(alpha) = sum_beta A(alpha - 2 beta) c(beta), summed beta
-    ascending, then k ascending, one `s += a * c` at a time."""
+def _refine_reference(mask: Mask, values, start: int, matrix):
+    """(S c)(alpha) = sum_beta M(alpha - 2 beta) c(beta), with M(g) =
+    matrix(g) on the mask's support, summed beta ascending, then k
+    ascending, one `s += m * c` per nonzero entry: from 0 on exact data,
+    and from 0.0 with m = float(entry) on float data."""
     size = mask.d + 1
     for col in values:
         if len(col) != size:
@@ -761,13 +763,18 @@ def subdivide_reference(mask: Mask, values, start: int):
     out_hi = 2 * b + s_min + 1
     if out_hi < out_lo:
         raise WindowTooSmall(f"window [{a},{b}] too small for support [{s_min},{s_max}]")
+    mats = {g: matrix(g) for g in range(s_min, s_max + 1)}
+    zero = 0
+    if any(isinstance(v, float) for col in values for v in col):
+        zero = 0.0
+        mats = {g: [[float(c) for c in row] for row in m] for g, m in mats.items()}
     out = []
     for alpha in range(out_lo, out_hi + 1):
         beta_lo = -((s_max - alpha) // 2)  # ceil((alpha - s_max) / 2)
         beta_hi = (alpha - s_min) // 2
-        acc = [0] * size
+        acc = [zero] * size
         for beta in range(max(beta_lo, a), min(beta_hi, b) + 1):
-            m = mask.matrix(alpha - 2 * beta)
+            m = mats[alpha - 2 * beta]
             col = values[beta - a]
             for i in range(size):
                 mi = m[i]
@@ -780,22 +787,33 @@ def subdivide_reference(mask: Mask, values, start: int):
     return out, out_lo
 
 
+def subdivide_reference(mask: Mask, values, start: int):
+    """The plain step S_A on columns, by _refine_reference."""
+    return _refine_reference(mask, values, start, mask.matrix)
+
+
+def level_matrix_reference(mask: Mask, alpha: int, level: int) -> tuple:
+    """A_n(alpha) = D^-(n+1) A(alpha) D^n at n = level, D = diag(1, 1/2, ...,
+    2^-d): entry (i, k) times 2^((n+1) i - n k), as Fractions."""
+    return tuple(
+        tuple(c * Fraction(2) ** ((level + 1) * i - level * k) for k, c in enumerate(row))
+        for i, row in enumerate(mask.matrix(alpha))
+    )
+
+
 def hermite_step_reference(mask: Mask, values, start: int, level: int):
-    """D^-(level+1) S_A D^level with every scaling a Fraction product."""
-    size = mask.d + 1
-    pre = [
-        tuple(col[k] * Fraction(1, 2 ** (level * k)) for k in range(size)) for col in values
-    ]
-    mid, out_start = subdivide_reference(mask, pre, start)
-    post = [
-        tuple(col[k] * Fraction(2 ** ((level + 1) * k)) for k in range(size)) for col in mid
-    ]
-    return post, out_start
+    """D^-(level+1) S_A D^level on columns, as the plain step of the level-n
+    mask (level_matrix_reference) by _refine_reference: exact data in
+    Fractions, float data as float(coefficient) * value in the same order."""
+    return _refine_reference(
+        mask, values, start, lambda g: level_matrix_reference(mask, g, level)
+    )
 
 
 def cascade_reference(mask: Mask, levels: int, init: DyadicGrid) -> list[DyadicGrid]:
-    """The exact cascade from an explicit grid: hermite_step_reference level
-    by level, every grid built from its Fraction values."""
+    """The cascade from an explicit grid, exact or float:
+    hermite_step_reference level by level, every grid built from its
+    columns."""
     grids = [init]
     for _ in range(levels):
         g = grids[-1]
@@ -804,43 +822,18 @@ def cascade_reference(mask: Mask, levels: int, init: DyadicGrid) -> list[DyadicG
     return grids
 
 
-def float_cascade_reference(mask: Mask, levels: int, init: DyadicGrid) -> list[DyadicGrid]:
-    """The float cascade one column at a time in plain float arithmetic.
-
-    At level n, component k of each column is multiplied by 2^-(n k); each
-    output column sums float(A(alpha - 2 beta)[i][k]) * c[k] from 0.0, one
-    nonzero entry at a time, beta ascending, then k ascending; component i
-    is then multiplied by 2^((n+1) i). Every grid is built from its float
-    columns."""
-    size = mask.d + 1
-    s_min, s_max = mask.support
-    grids = [init]
-    for _ in range(levels):
-        g = grids[-1]
-        n, a = g.level, g.start
-        b = a + g.npoints - 1
-        out_lo = 2 * a + s_max - 1
-        out_hi = 2 * b + s_min + 1
-        if out_hi < out_lo:
-            raise WindowTooSmall(f"window [{a},{b}] too small for support [{s_min},{s_max}]")
-        pre = [2.0 ** -(n * k) for k in range(size)]
-        post = [2.0 ** ((n + 1) * i) for i in range(size)]
-        cols = [[c[k] * pre[k] for k in range(size)] for c in g.values]
-        out = []
-        for alpha in range(out_lo, out_hi + 1):
-            beta_lo = -((s_max - alpha) // 2)  # ceil((alpha - s_max) / 2)
-            beta_hi = (alpha - s_min) // 2
-            acc = [0.0] * size
-            for beta in range(max(beta_lo, a), min(beta_hi, b) + 1):
-                m = mask.matrix(alpha - 2 * beta)
-                col = cols[beta - a]
-                for i in range(size):
-                    for k in range(size):
-                        if m[i][k]:
-                            acc[i] += float(m[i][k]) * col[k]
-            out.append(tuple(acc[i] * post[i] for i in range(size)))
-        grids.append(DyadicGrid(n + 1, out_lo, tuple(out)))
-    return grids
+def float_step_prescaled_reference(mask: Mask, rows, start: int, level: int):
+    """The float step in the order it had before the level-n mask: row k
+    times 2^-(n k), the stencil of float(A(alpha)[i][k]) summed from 0.0 by
+    stencil_sums_reference, then output row i times 2^((n+1) i). Returns the
+    output rows and the first output abscissa. It rounds differently from
+    the level-n mask only where a pre-scaled value, a product or a partial
+    sum is subnormal or overflows."""
+    out_lo, out_hi = _output_window(mask, start, start + len(rows[0]) - 1)
+    pre = [[v * 2.0 ** -(level * k) for v in row] for k, row in enumerate(rows)]
+    sums = stencil_sums_reference(stencil_reference(mask)[0], pre, start, out_lo, out_hi, 0.0)
+    post = [[v * 2.0 ** ((level + 1) * i) for v in row] for i, row in enumerate(sums)]
+    return post, out_lo
 
 
 def grid_json_reference(grid: DyadicGrid) -> dict:

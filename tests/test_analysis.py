@@ -37,12 +37,11 @@ from hermiteforge.analysis import (
     initial_window,
     taylor_residuals,
 )
-from hermiteforge.subdivision import float_step, integer_step
+from hermiteforge.subdivision import level_step
 from reference_kernels import (
     cascade_reference,
     check_contractive_reference,
     convergence_reference,
-    float_cascade_reference,
     grid_csv_reference,
     grid_json_reference,
     reconstruct_limits,
@@ -233,8 +232,8 @@ def test_exact_grid_builds_values_once():
         g.level = 0
 
 
-# Signed zeros, and values near 1e-300 that the level rescaling takes into
-# the subnormal range.
+# Signed zeros, and values near 1e-300 whose products with the level-n
+# mask's small coefficients fall into the subnormal range.
 finite_floats = st.one_of(
     st.sampled_from([0.0, -0.0, 1e-300, -1e-300, 1.0]),
     st.floats(min_value=-1e3, max_value=1e3),
@@ -266,6 +265,33 @@ def float_hex(grid):
     return [v.hex() for col in grid.values for v in col]
 
 
+@given(st.integers(min_value=0, max_value=3), st.data())
+@settings(max_examples=50, deadline=None)
+def test_float_grid_json_round_trips(d, data):
+    # from_json reads back exactly what to_json writes: signed zeros,
+    # subnormals, infinities and NaN included.
+    grid = data.draw(float_init_grids(d))
+    doc = json.loads(json.dumps(grid.to_json()))
+    back = DyadicGrid.from_json(doc)
+    assert back.to_json() == doc
+    assert (back.level, back.start, float_hex(back)) == (grid.level, grid.start, float_hex(grid))
+
+
+@pytest.mark.parametrize(
+    "text", ["1_0", " 0", "0 ", "+1", "1E3", "1e3", ".5", "1.", "Infinity", "-nan", "NaN", "\u0661", 1.5, True]
+)
+def test_float_grid_refuses_what_to_json_never_writes(text):
+    doc = {"level": 0, "start": 0, "kind": "float", "values": [[text]]}
+    with pytest.raises(ValueError, match="a float must be plain decimal digits, inf or nan"):
+        DyadicGrid.from_json(doc)
+
+
+def test_grid_level_must_be_nonnegative():
+    for values in (((F(1),),), ((1.0,),)):
+        with pytest.raises(ValueError, match="a grid level must be nonnegative, got -2"):
+            DyadicGrid(-2, 0, values)
+
+
 @given(sparse_masks(), st.integers(min_value=0, max_value=6), st.data())
 @settings(max_examples=80, deadline=None)
 def test_float_cascade_matches_column_reference(mask, levels, data):
@@ -279,7 +305,7 @@ def test_float_cascade_matches_column_reference(mask, levels, data):
     lo = data.draw(st.integers(min_value=x0 - 2, max_value=x1))
     window = (lo, data.draw(st.integers(min_value=lo, max_value=x1 + 2)))
     try:
-        want = float_cascade_reference(mask, levels, init)
+        want = cascade_reference(mask, levels, init)
     except WindowTooSmall:
         with pytest.raises(WindowTooSmall):
             cascade(mask, levels, init)
@@ -317,7 +343,7 @@ def test_convergence_matches_column_reference(mask, levels, data):
         tuple(1.0 if (alpha == 0 and k == 0) else 0.0 for k in range(mask.d + 1))
         for alpha in range(a, b + 1)
     )
-    grids = float_cascade_reference(mask, levels, DyadicGrid(0, a, delta))
+    grids = cascade_reference(mask, levels, DyadicGrid(0, a, delta))
     want = convergence_reference(grids, window, 0.9, 1e-4, taylor)
     got = check_convergence(mask, levels, window, taylor=taylor)
     assert repr(got) == repr(want)
@@ -489,6 +515,6 @@ def test_reconstruct_needs_anchor():
 def test_subdivide_rejects_empty_output_window():
     wide = Mask(-6, tuple(((F(1),),) for _ in range(7)))
     with pytest.raises(WindowTooSmall):
-        integer_step(wide, [[1]], 1, 0, 0, 0)
+        level_step(wide, [[1]], 1, 0, 0)
     with pytest.raises(WindowTooSmall):
-        float_step(wide, [[1.0]], 0, 0, 0)
+        level_step(wide, [[1.0]], None, 0, 0)

@@ -40,7 +40,12 @@ def test_parse_laurent_forms():
     assert parse_laurent("1") == LaurentPoly({0: F(1)})
 
 
-@pytest.mark.parametrize("bad", ["z^", "(z+1", "1/0", "(z+1)/0", "z+", "2**3", "3z", ""])
+@pytest.mark.parametrize(
+    "bad",
+    # int() alone would read each digit run from "04*z" on, and "-0" too.
+    ["z^", "(z+1", "1/0", "(z+1)/0", "z+", "2**3", "3z", "", "04*z", "z^-03", "(z+1)/02",
+     "z^-0", "z^03", "3/04*z", "(z+1)^02", "(z+1)/2^01"],
+)
 def test_parse_laurent_rejects(bad):
     with pytest.raises(MalformedInput) as err:
         parse_laurent(bad)
@@ -487,6 +492,25 @@ def _malformed_argv(case, tmp_path):
     if case == "double-dash-value":
         # argparse (Python 3.11) reads "--window=--" as an empty list.
         return ["cascade", "--mask", str(hat), "--window=--"]
+    if case == "hdd-padded-coefficient":
+        return ["construct", "--taylor", "delta:d=2", "--hdd", "04*z"]
+    # float() alone would read the grid value "1_0" as 10.0 and the JSON
+    # number 1.5 as itself, and argparse's float the bound "0_9" as 9.0.
+    if case in ("float-grid-value-underscored", "float-grid-value-a-number"):
+        one = "1_0" if case == "float-grid-value-underscored" else 1.5
+        values = [[one, "0"] if n == 4 else ["0", "0"] for n in range(9)]
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"level": 0, "start": -4, "kind": "float", "values": values}))
+        return ["cascade", "--mask", str(hat), "--init", str(grid)]
+    if case == "ratio-bound-underscored":
+        return ["check-convergence", "--mask", str(hat), "--ratio-bound", "0_9"]
+    if case.startswith("negative-grid-level-"):
+        kind = case.removeprefix("negative-grid-level-")
+        values = [["1", "0"] if n == 4 else ["0", "0"] for n in range(9)]
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"level": -2, "start": -4, "kind": kind, "values": values}))
+        flags = ["--exact"] if kind == "exact" else []
+        return ["cascade", "--mask", str(hat), "--init", str(grid), *flags]
     flag, value = {
         "no-polys": ("--polys", "-3"),
         "no-max-n": ("--max-n", "0"),
@@ -551,6 +575,12 @@ _RETIRED_IDENTITY_FLAGS = ("no-max-n", "negative-max-degree", "max-degree-above-
         "mask-entry-arabic-indic",
         "constant-value-underscored",
         "scale-signed",
+        "hdd-padded-coefficient",
+        "float-grid-value-underscored",
+        "float-grid-value-a-number",
+        "ratio-bound-underscored",
+        "negative-grid-level-exact",
+        "negative-grid-level-float",
     ],
 )
 def test_malformed_input_exits_two(case, capsys, tmp_path):
@@ -562,6 +592,9 @@ def test_malformed_input_exits_two(case, capsys, tmp_path):
         # argparse's own refusal: its usage, then "<prog>: error: <reason>".
         assert captured.err.startswith("usage:")
         assert captured.err.endswith(": error: argument --n-max: invalid int value: '\u0663'\n")
+    elif case == "ratio-bound-underscored":
+        assert captured.err.startswith("usage:")
+        assert captured.err.endswith(": error: argument --ratio-bound: invalid float value: '0_9'\n")
     elif case in _RETIRED_IDENTITY_FLAGS:
         # identity-tests has no --max-n or --max-degree: argparse refuses them.
         assert captured.err.startswith("usage:")
@@ -603,6 +636,16 @@ def test_malformed_input_exits_two(case, capsys, tmp_path):
         assert captured.err == "error: inline polynomial, position 2: expected a number\n"
     if case == "double-dash-value":
         assert captured.err == "error: an option was given '--' as its value\n"
+    if case == "hdd-padded-coefficient":
+        assert captured.err == (
+            "error: inline polynomial, position 0: "
+            "a number must be an integer in plain decimal, got '04'\n"
+        )
+    if case.startswith("float-grid-value-"):
+        assert "a float must be plain decimal digits, inf or nan" in captured.err
+    if case.startswith("negative-grid-level-"):
+        grid = tmp_path / "grid.json"
+        assert captured.err == f"error: {grid}: a grid level must be nonnegative, got -2\n"
     if case.startswith("spline-"):
         # A library refusal, with no prefix of its own.
         assert captured.err == "error: spline degree must be at least 1, got r=0\n"

@@ -1,6 +1,7 @@
 """Masks, symbols, plain and level-scaled subdivision steps."""
 
 from fractions import Fraction as F
+from math import inf, nan
 
 import pytest
 from hypothesis import given, settings
@@ -17,11 +18,11 @@ from hermiteforge.subdivision import (
     _output_window,
     _stencil_sums,
     eigen_check,
-    float_step,
-    integer_step,
+    level_step,
 )
 from reference_kernels import (
     eigen_check_reference,
+    float_step_prescaled_reference,
     hermite_step_reference,
     integer_entries_reference,
     is_lower_triangular_reference,
@@ -42,15 +43,13 @@ def hat_mask():
     return Mask(0, (((F(1, 2),),), ((F(1),),), ((F(1, 2),),)))
 
 
-def step(mask, values, start, pre, post):
-    """D^-post S_A D^pre on columns: integer_step on exact data (Fractions
-    out), float_step on float data."""
+def step(mask, values, start, level):
+    """level_step on columns: Fractions out of exact data, floats out of
+    float data."""
     rows, den = _as_rows(values)
-    if den is None:
-        out, out_lo = float_step(mask, rows, start, pre, post)
-    else:
-        nums, den, out_lo = integer_step(mask, rows, den, start, pre, post)
-        out = [[F(n, den) for n in row] for row in nums]
+    out, den, out_lo = level_step(mask, rows, den, start, level)
+    if den is not None:
+        out = [[F(n, den) for n in row] for row in out]
     return list(zip(*out)), out_lo
 
 
@@ -82,16 +81,17 @@ def test_entry_symbol_matches_matrix_walk():
 
 
 def test_subdivide_reproduces_constants():
-    # partition of unity: S applied to all-ones data returns all ones
-    assert integer_step(hat_mask(), [[1] * 9], 1, -4, 0, 0) == ([[1] * 17], 1, -7)
-    assert float_step(hat_mask(), [[1.0] * 9], -4, 0, 0) == ([[1.0] * 17], -7)
+    # partition of unity: S applied to all-ones data returns all ones (with
+    # d = 0, every level's step is the plain step)
+    assert level_step(hat_mask(), [[1] * 9], 1, -4, 0) == ([[1] * 17], 1, -7)
+    assert level_step(hat_mask(), [[1.0] * 9], None, -4, 3) == ([[1.0] * 17], None, -7)
 
 
 def test_subdivide_window_shrinks_to_determined_outputs():
     # a single data point only determines the output where no missing
     # neighbour could contribute
-    assert integer_step(hat_mask(), [[1]], 1, 0, 0, 0) == ([[1]], 1, 1)
-    assert float_step(hat_mask(), [[1.0]], 0, 0, 0) == ([[1.0]], 1)
+    assert level_step(hat_mask(), [[1]], 1, 0, 2) == ([[1]], 1, 1)
+    assert level_step(hat_mask(), [[1.0]], None, 0, 0) == ([[1.0]], None, 1)
 
 
 def test_iterated_symbol_composes_left_to_right():
@@ -127,11 +127,11 @@ def test_level_step_is_rescaled_plain_step(rows, level):
     # by 2^((level+1)*k) componentwise
     m = ref2_mask()
     start = -5
-    got, gstart = step(m, rows, start, level, level + 1)
+    got, gstart = step(m, rows, start, level)
     pre = [
         [c * F(1, 2 ** (level * k)) for k, c in enumerate(row)] for row in rows
     ]
-    mid, mstart = step(m, pre, start, 0, 0)
+    mid, mstart = subdivide_reference(m, pre, start)
     want = [
         tuple(c * F(2 ** ((level + 1) * k)) for k, c in enumerate(row))
         for row in mid
@@ -158,15 +158,7 @@ def test_eigen_check_reports_failure():
 
 def test_mask_scale():
     m = hat_mask().scale(F(1, 2))
-    assert integer_step(m, [[1] * 9], 1, -4, 0, 0) == ([[1] * 17], 2, -7)
-
-
-def float_bits(table):
-    """A stencil table with every coefficient written as float.hex()."""
-    return tuple(
-        tuple(tuple((offset, k, c.hex()) for offset, k, c in terms) for terms in rows)
-        for rows in table
-    )
+    assert level_step(m, [[1] * 9], 1, -4, 0) == ([[1] * 17], 2, -7)
 
 
 @given(sparse_masks(), rationals(-4, 4, 9).filter(bool))
@@ -182,8 +174,7 @@ def test_integer_mask_matches_fraction_reference(mask, q):
     assert scaled.scale(1 / q) == mask
     assert mask.to_json() == mask_json_reference(mask)
     assert scaled.to_json() == mask_json_reference(scaled)
-    floats, numerators, den = stencil_reference(scaled)
-    assert float_bits(scaled._float_terms) == float_bits(floats)
+    _, numerators, den = stencil_reference(scaled)
     assert (scaled._terms, scaled._den) == (numerators, den)
     entries, den = integer_entries_reference(scaled)
     assert (scaled._num, scaled._den) == (tuple(tuple(map(tuple, row)) for row in entries), den)
@@ -294,18 +285,76 @@ def test_kernel_matches_fraction_reference(mask, exact, level, start, data):
     ).map(tuple)
     values = data.draw(st.lists(column, min_size=1, max_size=14))
     try:
-        want = subdivide_reference(mask, values, start)
+        want = hermite_step_reference(mask, values, start, level)
     except WindowTooSmall:
         with pytest.raises(WindowTooSmall):
-            step(mask, values, start, 0, 0)
+            step(mask, values, start, level)
         return
-    got = step(mask, values, start, 0, 0)
+    got = step(mask, values, start, level)
     assert got[1] == want[1]
     assert_same_columns(got[0], want[0], exact)
-    got = step(mask, values, start, level, level + 1)
-    want = hermite_step_reference(mask, values, start, level)
-    assert got[1] == want[1]
-    assert_same_columns(got[0], want[0], exact)
+
+
+# Nonzero magnitudes from 2^-500 to 2^500 only, in either sign.
+normal_range_floats = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+    st.builds(
+        lambda sign, v: sign * v,
+        st.sampled_from([1.0, -1.0]),
+        st.floats(min_value=2.0**-500, max_value=2.0**500),
+    ),
+)
+
+
+@given(
+    sparse_masks(),
+    st.integers(min_value=0, max_value=6),
+    st.integers(min_value=-5, max_value=5),
+    st.data(),
+)
+@settings(max_examples=60, deadline=None)
+def test_level_step_matches_prescaled_order_off_the_subnormal_range(mask, level, start, data):
+    # With levels up to 6, d <= 3 and entries from 1/12 to 3 in magnitude,
+    # no value times 2^-(level k), no product and no partial sum of either
+    # order is subnormal or overflows on these rows. There the level-n
+    # mask's float(A_n) * value rounds exactly as the pre-scale, sum,
+    # post-scale order does, infinities and NaN included.
+    n = data.draw(st.integers(min_value=1, max_value=14))
+    rows = [
+        data.draw(st.lists(normal_range_floats, min_size=n, max_size=n))
+        for _ in range(mask.d + 1)
+    ]
+    spots = st.tuples(
+        st.integers(0, mask.d), st.integers(0, n - 1), st.sampled_from([inf, -inf, nan])
+    )
+    for k, j, v in data.draw(st.lists(spots, max_size=2)):
+        rows[k][j] = v
+    try:
+        want, want_lo = float_step_prescaled_reference(mask, rows, start, level)
+    except WindowTooSmall:
+        with pytest.raises(WindowTooSmall):
+            level_step(mask, rows, None, start, level)
+        return
+    got, den, got_lo = level_step(mask, rows, None, start, level)
+    assert den is None and got_lo == want_lo
+    assert [[v.hex() for v in row] for row in got] == [[v.hex() for v in row] for row in want]
+
+
+def test_level_step_rounds_subnormal_data_by_the_level_mask():
+    # At level 1 the old order multiplied 2^-1023 / 4 by 1/3 and then by 16.
+    # Below 2^-1022 a float's precision falls with its size, so that product
+    # kept fewer bits than the level-n mask's (4/3) 2^-1023 does.
+    m = Mask(0, (((0, 0, 0), (0, 0, 0), (0, 0, F(1, 3))), ((0, 0, 0), (0, 0, 0), (0, 0, 1))))
+    values = [(0.0, 0.0, 0.0), (0.0, 0.0, 1.1125369292536007e-308)]
+    rows, den = _as_rows(values)
+    got, den, out_lo = level_step(m, rows, den, 0, 1)
+    old, old_lo = float_step_prescaled_reference(m, rows, 0, 1)
+    want, want_lo = hermite_step_reference(m, values, 0, 1)
+    assert den is None and out_lo == old_lo == want_lo
+    assert [v.hex() for v in got[2]] != [v.hex() for v in old[2]]
+    assert [[v.hex() for v in row] for row in got] == [
+        [v.hex() for v in row] for row in zip(*want)
+    ]
 
 
 # Float classes the sums must carry bit for bit, besides those of
@@ -319,7 +368,7 @@ special_floats = st.sampled_from(
 def stencil_sums_both(mask, rows, a, out_lo, out_hi, exact):
     """_stencil_sums and stencil_sums_reference on one table, each entry
     written as itself (exact) or as float.hex()."""
-    table, zero = (mask._terms, 0) if exact else (mask._float_terms, 0.0)
+    table, zero = (mask._terms, 0) if exact else (stencil_reference(mask)[0], 0.0)
     args = (table, rows, a, out_lo, out_hi, zero)
     got, want = _stencil_sums(*args), stencil_sums_reference(*args)
     if exact:
@@ -381,11 +430,12 @@ def test_fused_stencil_sums_one_term_and_empty_rows():
 
 def test_fused_stencil_kernels_are_shared_by_shape():
     m = ref2_mask()
-    for table in ("_terms", "_float_terms"):
-        mine, theirs = _kernels(getattr(m, table)), _kernels(getattr(m.scale(3), table))
+    scaled = m.scale(3)
+    for table in (lambda x: x._terms, lambda x: stencil_reference(x)[0]):
+        mine, theirs = _kernels(table(m)), _kernels(table(scaled))
         assert all(f is g for fs, gs in zip(mine, theirs) for f, g in zip(fs, gs))
     # The same shapes from another table of the mask, and a new shape elsewhere.
-    assert _kernels(m._terms) == _kernels(m._float_terms)
+    assert _kernels(m._terms) == _kernels(stencil_reference(m)[0])
     assert _kernels(hat_mask()._terms)[0][0] not in {f for fs in _kernels(m._terms) for f in fs}
 
 
