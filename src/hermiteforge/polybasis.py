@@ -115,8 +115,7 @@ class Poly(LaurentPoly):
         """Delta p = p(x+1) - p(x), iterated."""
         nums = self._dense()
         for _ in range(order):
-            # The leading terms cancel, so each difference drops one degree.
-            nums = [a - b for a, b in zip(_taylor_shift(nums, 1), nums[:-1])]
+            nums = _difference(nums)
         return self._make(0, nums, self._den)
 
     def to_json(self) -> list[str]:
@@ -136,17 +135,30 @@ class Poly(LaurentPoly):
 
 def difference_split_check(p: Poly, n: int) -> bool:
     """Exact identity for deg p <= n:
-    Delta p = sum_{k=1}^{n-1} (Delta^k p)(. - k) + (Delta^n p)(. - (n-1))."""
+    Delta p = sum_{k=1}^{n-1} (Delta^k p)(. - k) + (Delta^n p)(. - (n-1)).
+
+    Runs on p's integer numerators over its one denominator, which every
+    difference and integer shift keeps. The ladder of differences loses one
+    degree per rung, so it ends at zero after deg p rungs and the later
+    terms vanish.
+    """
     if n < 1 or p.degree > n:
         raise ValueError("the identity needs 1 <= n and deg p <= n")
-    ladder = [p.forward_difference()]  # ladder[k - 1] = Delta^k p
-    for _ in range(1, n):
-        ladder.append(ladder[-1].forward_difference())
-    rhs = Poly.zero()
-    for k in range(1, n):
-        rhs = rhs + ladder[k - 1].shift(-k)
-    rhs = rhs + ladder[n - 1].shift(-(n - 1))
-    return ladder[0] == rhs
+    lhs = rung = _difference(p._dense())  # rung k is Delta^k p
+    rhs = [0] * len(lhs)
+    for k in range(1, n + 1):
+        if not rung:
+            break
+        shifted = _taylor_shift(rung, -min(k, n - 1))
+        rhs[: len(shifted)] = [a + b for a, b in zip(rhs, shifted)]
+        rung = _difference(rung)
+    return lhs == rhs
+
+
+def _difference(nums: Sequence[int]) -> list[int]:
+    """The numerators of p(x + 1) - p(x) from those of p. The leading terms
+    cancel, so the list is one shorter."""
+    return [a - b for a, b in zip(_taylor_shift(nums, 1), nums[:-1])]
 
 
 def antidifference(p: Poly, constant: RationalLike = 0) -> Poly:

@@ -358,7 +358,8 @@ def level_step(
     over den, or floats if den is None. Returns the output rows, their
     denominator (divided out of the integers by their gcd; None for floats)
     and the first output abscissa. A float coefficient is the shifted
-    numerator over that denominator, correctly rounded.
+    numerator over that denominator, correctly rounded; a level whose
+    coefficients pass the float range raises ValueError.
     """
     d = len(rows) - 1
     out_lo, out_hi = _output_window(mask, start, start + len(rows[0]) - 1)
@@ -372,10 +373,16 @@ def level_step(
     level_den = mask._den << level * d
     if den is None:
         # int / int rounds correctly, exactly as float(Fraction) does
-        table = tuple(
-            tuple(tuple((o, k, c / level_den) for o, k, c in terms) for terms in by_row)
-            for by_row in table
-        )
+        try:
+            table = tuple(
+                tuple(tuple((o, k, c / level_den) for o, k, c in terms) for terms in by_row)
+                for by_row in table
+            )
+        except OverflowError as exc:
+            raise ValueError(
+                f"level {level} is too deep for float rows: "
+                "a coefficient of the level mask is beyond the float range"
+            ) from exc
         return _stencil_sums(table, rows, start, out_lo, out_hi, 0.0), None, out_lo
     sums = _stencil_sums(table, rows, start, out_lo, out_hi, 0)
     den *= level_den
@@ -512,12 +519,17 @@ class DyadicGrid:
     def _rows_as_floats(self, lo: int = 0, hi: int | None = None) -> list[list[float]]:
         """f^(k) at the points lo, ..., hi - 1 as floats, one list per k; the
         default is every point. Exact entries are rounded as float() rounds
-        them."""
+        them; one beyond the float range raises ValueError."""
         den = self._den
         if den is None:
             return [row[lo:hi] for row in self._rows]
         # int / int rounds correctly, exactly as float(Fraction) does
-        return [[n / den for n in row[lo:hi]] for row in self._rows]
+        try:
+            return [[n / den for n in row[lo:hi]] for row in self._rows]
+        except OverflowError as exc:
+            raise ValueError(
+                f"the level-{self.level} grid has a value beyond the float range"
+            ) from exc
 
     def __eq__(self, other: object) -> bool:
         if type(other) is not DyadicGrid:

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property, wraps
-from math import factorial
+from math import factorial, lcm
 from typing import Callable, Mapping
 
 from .exactalg import (
@@ -27,6 +27,7 @@ from .exactalg import (
     _json_array,
     _json_field,
     _rational,
+    _taylor_shift,
     delta_symbol,
     rat_from_str,
     rat_to_str,
@@ -60,7 +61,11 @@ class TaylorOperator:
     complete = True
 
     def __post_init__(self):
-        rows = tuple(tuple(Fraction(_rational(v)) for v in row) for row in self.w)
+        # A Fraction weight is kept as given; an int becomes one.
+        rows = tuple(
+            tuple(v if isinstance(v, Fraction) else Fraction(_rational(v)) for v in row)
+            for row in self.w
+        )
         object.__setattr__(self, "w", rows)
         for j, row in enumerate(rows, start=1):
             if len(row) != j:
@@ -114,8 +119,8 @@ class TaylorOperator:
 
     @cached_property
     def u_powers(self) -> tuple[LaurentPoly, ...]:
-        """u^0, ..., u^(d+1) for u = z^-1 - 1: the powers symbol_inverse
-        multiplies by and unfactor divides by."""
+        """u^0, ..., u^(d+1) for u = z^-1 - 1: the powers unfactor divides
+        by and multiplies by, and construct's last-row system reads."""
         u = delta_symbol(1)
         upow = [LaurentPoly.one()]
         for _ in range(self.d + 1):
@@ -130,20 +135,38 @@ class TaylorOperator:
         T T^-1 = I gives them by back substitution, one column at a time,
         with the constant t[j][m] = -w_{m,j+1}: p[l][l] = 1 and
         p[j][l] = sum_{j<m<=l} w_{m,j+1} p[m][l] u^(m-j-1).
+
+        The substitution runs on integers in powers of u. With D the lcm of
+        the weight denominators and W = D w, q[j][l] = D^(l-j) p[j][l] has
+        integer coefficients in u:
+        q[j][l] = sum_{j<m<=l} W[m-1][j] D^(m-j-1) q[m][l] u^(m-j-1).
+        Each nonzero q[j][l] is expanded once into powers of z^-1 by the
+        Taylor shift u = z^-1 - 1 and becomes one LaurentPoly over D^(l-j).
         """
         d = self.d
+        den = lcm(*(v.denominator for row in self.w for v in row))
+        big = [[v.numerator * (den // v.denominator) for v in row] for row in self.w]
+        dpow = [den**e for e in range(d + 1)]
         zero, one = LaurentPoly.zero(), LaurentPoly.one()
-        upow = self.u_powers
         p = [[zero] * (d + 1) for _ in range(d + 1)]
         for l in range(d + 1):
             p[l][l] = one
+            # q[m] is q[m][l], ascending in powers of u.
+            q: list[list[int]] = [[] for _ in range(l)] + [[1]]
             for j in range(l - 1, -1, -1):
-                acc = zero
+                acc = [0] * (l - j)
                 for m in range(j + 1, l + 1):
-                    wv = self.w[m - 1][j]
-                    if wv and p[m][l]:
-                        acc = acc + p[m][l] * upow[m - j - 1] * wv
-                p[j][l] = acc
+                    qm, s = q[m], m - j - 1
+                    if big[m - 1][j] and qm:
+                        c = big[m - 1][j] * dpow[s]
+                        acc[s : s + len(qm)] = [a + c * v for a, v in zip(acc[s : s + len(qm)], qm)]
+                while acc and not acc[-1]:
+                    acc.pop()
+                q[j] = acc
+                if acc:
+                    # nums[s] is the coefficient of z^-s.
+                    nums = _taylor_shift(acc, -1)
+                    p[j][l] = LaurentPoly._make(1 - len(nums), nums[::-1], dpow[l - j])
         return tuple(tuple(row) for row in p)
 
     @cached_property

@@ -18,8 +18,8 @@ dividing and checks its identity twice, the order-of-zero test of a
 synthesized last row that unfactor's division by (z^-1 - 1)^(d+1) replaces,
 the Laurent matrix that keeps one canonical LaurentPoly per entry and
 normalizes each product entry on its own, the triangular inverse by
-nilpotent expansion, and a Taylor operator's symbol and canonical chain
-built afresh on every call.
+nilpotent expansion and by back substitution on LaurentPoly values, and a
+Taylor operator's symbol and canonical chain built afresh on every call.
 They are slow and obviously right, which is all they are for.
 
 The oracles at the end state a property by its defining formula: the
@@ -1340,6 +1340,30 @@ def chain_for_reference(
     chain = Chain(tuple(vecs))
     assert chain.operator() == op
     return chain
+
+
+def symbol_inverse_reference(op: TaylorOperator) -> tuple[tuple[LaurentPoly, ...], ...]:
+    """The numerators of the complete symbol's inverse by back substitution
+    on LaurentPoly values, one canonical polynomial per product, power of
+    u and partial sum: p[l][l] = 1 and
+    p[j][l] = sum_{j<m<=l} w_{m,j+1} p[m][l] u^(m-j-1), u = z^-1 - 1."""
+    d = op.d
+    zero, one = LaurentPoly.zero(), LaurentPoly.one()
+    u = delta_symbol(1)
+    upow = [one]
+    for _ in range(d + 1):
+        upow.append(upow[-1] * u)
+    p = [[zero] * (d + 1) for _ in range(d + 1)]
+    for l in range(d + 1):
+        p[l][l] = one
+        for j in range(l - 1, -1, -1):
+            acc = zero
+            for m in range(j + 1, l + 1):
+                wv = op.w[m - 1][j]
+                if wv and p[m][l]:
+                    acc = acc + p[m][l] * upow[m - j - 1] * wv
+            p[j][l] = acc
+    return tuple(tuple(row) for row in p)
 
 
 def iterated_symbol(mask: Mask, n: int) -> LaurentMatrix:

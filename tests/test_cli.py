@@ -300,6 +300,15 @@ def test_identity_tests_seeded(capsys):
     assert doc["ok"] is True
 
 
+def test_a_deep_exact_grid_is_written_as_json(capsys, tmp_path):
+    # The grid whose CSV is refused has exact JSON.
+    grid = _deep_delta_grid(tmp_path, "exact")
+    argv = ["cascade", "--mask", "spline:r=3,d=2", "--init", str(grid), "--levels", "1", "--exact"]
+    doc = json.loads(run_ok(capsys, [*argv, "--format", "json"]))
+    assert doc["ok"] is True
+    assert doc["grid"]["level"] == 601 and doc["grid"]["kind"] == "exact"
+
+
 def test_unknown_file_is_malformed(capsys, tmp_path):
     assert run(["factor", "--mask", str(tmp_path / "missing.json"), "--chain", "delta:d=2"]) == 2
 
@@ -342,6 +351,14 @@ def test_n_max_defaults_to_eight_whatever_the_environment(capsys, tmp_path, monk
         assert doc["contractivity"]["n_max"] == 8
     doc = json.loads(run_ok(capsys, [*argv, "--n-max", "6"]))
     assert doc["contractivity"]["n_max"] == 6
+
+
+def _deep_delta_grid(tmp_path, kind):
+    """A 9-column delta grid of size 3 at level 600, written as JSON."""
+    values = [["1", "0", "0"] if n == 4 else ["0", "0", "0"] for n in range(9)]
+    grid = tmp_path / "deep.json"
+    grid.write_text(json.dumps({"level": 600, "start": -4, "kind": kind, "values": values}))
+    return grid
 
 
 def _malformed_argv(case, tmp_path):
@@ -504,6 +521,13 @@ def _malformed_argv(case, tmp_path):
         return ["cascade", "--mask", str(hat), "--init", str(grid)]
     if case == "ratio-bound-underscored":
         return ["check-convergence", "--mask", str(hat), "--ratio-bound", "0_9"]
+    if case.startswith("grid-too-deep-"):
+        # At level 600 the cubic spline scheme's level mask and the exact
+        # grid's values pass the float range.
+        kind = case.removeprefix("grid-too-deep-")
+        grid = _deep_delta_grid(tmp_path, kind)
+        flags = ["--exact"] if kind == "exact" else []
+        return ["cascade", "--mask", "spline:r=3,d=2", "--init", str(grid), "--levels", "1", *flags]
     if case.startswith("negative-grid-level-"):
         kind = case.removeprefix("negative-grid-level-")
         values = [["1", "0"] if n == 4 else ["0", "0"] for n in range(9)]
@@ -581,6 +605,8 @@ _RETIRED_IDENTITY_FLAGS = ("no-max-n", "negative-max-degree", "max-degree-above-
         "ratio-bound-underscored",
         "negative-grid-level-exact",
         "negative-grid-level-float",
+        "grid-too-deep-float",
+        "grid-too-deep-exact",
     ],
 )
 def test_malformed_input_exits_two(case, capsys, tmp_path):
@@ -646,6 +672,14 @@ def test_malformed_input_exits_two(case, capsys, tmp_path):
     if case.startswith("negative-grid-level-"):
         grid = tmp_path / "grid.json"
         assert captured.err == f"error: {grid}: a grid level must be nonnegative, got -2\n"
+    if case == "grid-too-deep-float":
+        assert captured.err == (
+            "error: level 600 is too deep for float rows: "
+            "a coefficient of the level mask is beyond the float range\n"
+        )
+    if case == "grid-too-deep-exact":
+        # The exact cascade runs; its CSV cannot round the values.
+        assert captured.err == "error: the level-601 grid has a value beyond the float range\n"
     if case.startswith("spline-"):
         # A library refusal, with no prefix of its own.
         assert captured.err == "error: spline degree must be at least 1, got r=0\n"

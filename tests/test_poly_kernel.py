@@ -4,12 +4,13 @@ reference classes, on random sparse rationals."""
 import operator
 from fractions import Fraction as F
 from math import gcd
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hermiteforge import LaurentPoly, Mask, NotDivisible, Poly, PolyVec
+from hermiteforge import LaurentPoly, Mask, NotDivisible, Poly, PolyVec, polybasis
 from hermiteforge.construct import SingularSystem, _solve_square
 from hermiteforge.exactalg import rat_to_str
 from hermiteforge.polybasis import difference_split_check
@@ -309,6 +310,26 @@ def test_difference_split_matches_per_k_reference(coeffs, n):
             difference_split_check(p, n)
         return
     assert difference_split_check(p, n) == difference_split_reference(rp, n)
+
+
+def test_difference_split_builds_no_polynomial():
+    p = Poly((F(3, 7), F(-1, 2), F(5), F(1, 3)))
+    with mock.patch.object(Poly, "_raw", side_effect=AssertionError("a Poly was built")):
+        assert difference_split_check(p, 5)
+
+
+@given(poly_coeffs, st.integers(min_value=1, max_value=10))
+@settings(max_examples=80, deadline=None)
+def test_difference_split_fails_with_a_wrong_shift(coeffs, n):
+    # A negative control: with every integer shift one step off, the
+    # ladder steps by 2 and each rung lands one place right of where the
+    # identity puts it, so the check must fail. For deg p <= 1 the
+    # differences are constants, which no shift moves, and it still holds.
+    p = Poly(coeffs)
+    n = max(n, p.degree)
+    shift = polybasis._taylor_shift
+    with mock.patch.object(polybasis, "_taylor_shift", lambda nums, a: shift(nums, a + 1)):
+        assert difference_split_check(p, n) is (p.degree <= 1)
 
 
 square_entries = st.one_of(

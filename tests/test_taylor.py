@@ -33,6 +33,7 @@ from reference_kernels import (
     mask_symbol_reference,
     newton_vector,
     padded_rows,
+    symbol_inverse_reference,
     taylor_symbol_reference,
     triangular_inverse_check,
     triangular_inverse_reference,
@@ -139,9 +140,14 @@ def test_symbol_is_the_operator_matrix(d, complete):
 def test_float_weights_are_refused():
     with pytest.raises(TypeError):
         TaylorOperator(((1.0,), (0.1, 1.0)))
-    op = TaylorOperator(((1,), (F(1, 10), 1)))
+    with pytest.raises(TypeError):
+        TaylorOperator(((F(1),), (0.5, F(1))))
+    w21 = F(1, 10)
+    op = TaylorOperator(((1,), (w21, 1)))
     assert op.w == ((F(1),), (F(1, 10), F(1)))
     assert all(type(v) is F for row in op.w for v in row)
+    # A Fraction weight is kept as given; only an int is converted.
+    assert op.w[1][0] is w21
 
 
 def test_chain_constants_refuse_floats_and_stray_keys():
@@ -279,6 +285,34 @@ def test_cached_operator_data_equals_fresh_builds(op):
     assert op.symbol() is op.symbol()
     assert op.symbol_z2 is op.symbol_z2
     assert op.incomplete_symbol is op.incomplete_symbol
+
+
+def _inverse_fields(inv):
+    return [[(type(p), p._lo, p._num, p._den) for p in row] for row in inv]
+
+
+@given(operators(max_d=7, min_d=0))
+@settings(max_examples=80, deadline=None)
+def test_symbol_inverse_equals_the_laurent_back_substitution(op):
+    # Field for field, so unfactor reads the same numerators.
+    assert _inverse_fields(op.symbol_inverse) == _inverse_fields(symbol_inverse_reference(op))
+
+
+def test_symbol_inverse_does_no_laurent_arithmetic():
+    # The back substitution runs on integer lists; only the entries are
+    # LaurentPoly values.
+    op = TaylorOperator(((F(1),), (F(-2, 3), F(1)), (F(5, 4), F(1, 6), F(1))))
+    refuse = mock.Mock(side_effect=AssertionError("LaurentPoly arithmetic"))
+    with mock.patch.multiple(LaurentPoly, __add__=refuse, __mul__=refuse, __rmul__=refuse):
+        inv = op.symbol_inverse
+    assert _inverse_fields(inv) == _inverse_fields(symbol_inverse_reference(op))
+
+
+@pytest.mark.parametrize("preset", [classical_operator, delta_operator, allones_operator])
+def test_preset_symbol_inverses_equal_the_laurent_back_substitution(preset):
+    for d in range(9):
+        op = preset(d)
+        assert _inverse_fields(op.symbol_inverse) == _inverse_fields(symbol_inverse_reference(op))
 
 
 @given(operators(max_d=5, min_d=0))
