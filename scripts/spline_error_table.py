@@ -14,7 +14,7 @@ import time
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from hermiteforge import check_spline_cascade
-from hermiteforge.cli import _int_arg
+from hermiteforge.cli import _float_arg, _int_arg
 
 
 def _int_list(text):
@@ -36,14 +36,17 @@ def main(argv=None):
                     help="space-separated r,d pairs")
     ap.add_argument("--levels", type=_int_list, default="6,8,11",
                     help="comma-separated refinement levels")
-    ap.add_argument("--tol", type=float, default=1e-6)
+    ap.add_argument("--tol", type=_float_arg, default=1e-6)
     args = ap.parse_args(argv)
 
     print(f"{'r':>3} {'d':>3} {'level':>6} {'max error':>12} {'ok':>4} {'secs':>7}")
     for r, d in args.pairs:
         for lv in args.levels:
             t0 = time.perf_counter()
-            rep = check_spline_cascade(r, d, levels=lv, tol=args.tol)
+            try:
+                rep = check_spline_cascade(r, d, levels=lv, tol=args.tol)
+            except ValueError as exc:
+                ap.error(str(exc))
             dt = time.perf_counter() - t0
             worst = max(rep.errors)
             print(f"{r:>3} {d:>3} {lv:>6} {worst:>12.3e} "

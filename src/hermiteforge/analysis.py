@@ -201,10 +201,10 @@ def cascade(
     enough to keep the target window conclusive at every level. When that
     window leaves out the origin, the delta never reaches the target window
     (the mask's support lies too far off it) and DeltaMissesWindow is
-    raised. An explicit DyadicGrid is used as given (and must be wide
-    enough itself). Its kind
-    must match the mode: exact (built from ints and Fractions) when exact is
-    set, float otherwise.
+    raised; a window (a, b) with b < a is refused with ValueError. An
+    explicit DyadicGrid is used as given (and must be wide enough itself).
+    Its kind must match the mode: exact (built from ints and Fractions) when
+    exact is set, float otherwise.
 
     Both modes carry the grid's rows (row k = component f^(k)) from level
     to level through one row step, level_step: exact mode integer rows over
@@ -213,6 +213,8 @@ def cascade(
     """
     if levels < 0:
         raise ValueError("levels must be nonnegative")
+    if window[1] < window[0]:
+        raise ValueError(f"window {window} is reversed: its end lies before its start")
     if isinstance(init, str):
         if init != "delta":
             raise ValueError(f"unknown initial data {init!r}")

@@ -157,8 +157,10 @@ def unfactor(
 ) -> Mask:
     """Recover the mask A from its factor: A* = scale * (T-tilde*)^-1 B* T-tilde*(z^2).
 
-    All divisions are exact Laurent divisions; a failure names the first
-    entry whose divisibility condition breaks.
+    (T-tilde*)^-1 = W diag(u^-(l+1)) with W = op.inverse_numerators and
+    u = z^-1 - 1, so A* = scale * W E, where row l of E is row l of
+    G = B* T-tilde*(z^2) divided exactly by u^(l+1). A failed division names
+    the first entry whose divisibility condition breaks.
     """
     d = op.d
     if factor.d != d:
@@ -167,7 +169,6 @@ def unfactor(
     upow = op.u_powers
     g = factor * op.symbol_z2
     size = d + 1
-    # Row l of G = B* T-tilde*(z^2) must be divisible by (z^-1 - 1)^(l+1).
     e: list[list[LaurentPoly]] = [[LaurentPoly.zero()] * size for _ in range(size)]
     for l in range(size):
         for k in range(size):
@@ -181,52 +182,29 @@ def unfactor(
                     f"divisibility condition failed at entry ({l},{k}): "
                     f"row {l} requires a factor (z^-1 - 1)^{l + 1}"
                 ) from exc
-    inv = op.symbol_inverse
-    rows = []
-    for j in range(size):
-        row = []
-        for k in range(size):
-            acc = LaurentPoly.zero()
-            for l in range(j, size):
-                p = inv[j][l]
-                if p and e[l][k]:
-                    acc = acc + p * e[l][k]
-            row.append(acc * upow[j] * scale)
-        rows.append(row)
-    mask = Mask.from_symbol(rows)
+    mask = (op.inverse_numerators * Mask.from_symbol(e)).scale(scale)
     if op.symbol() * mask != g.scale(scale):
         raise AssertionError("unfactor did not satisfy the factorization identity")
     return mask
 
 
 def incomplete_from_complete(btilde: Mask) -> Mask:
-    """Translate the complete-operator factor B-tilde into the incomplete one.
+    """Translate the complete-operator factor B-tilde into the incomplete one:
+    multiply the last column by z^-2 - 1, then divide the last row by z^-1 - 1.
 
     Requires every bottom-row entry left of the corner to vanish at z = 1
-    (so the division by z^-1 - 1 is exact)."""
+    (so the division is exact); the corner always divides."""
     d = btilde.d
-    u = delta_symbol(1)
     u2 = delta_symbol(2)
-    zp1 = LaurentPoly({-1: 1, 0: 1})
-    rows = []
-    for i in range(d + 1):
-        row = []
-        for k in range(d + 1):
-            f = btilde.entry_symbol(i, k)
-            if i < d and k < d:
-                row.append(f)
-            elif i < d and k == d:
-                row.append(f * u2)
-            elif i == d and k < d:
-                try:
-                    row.append(f.divide_exact(u) if f else f)
-                except NotDivisible as exc:
-                    raise NotDivisible(
-                        f"bottom-row entry ({i},{k}) does not vanish at z = 1"
-                    ) from exc
-            else:
-                row.append(f * zp1)
-        rows.append(row)
+    rows = [[btilde.entry_symbol(i, k) for k in range(d + 1)] for i in range(d + 1)]
+    for row in rows:
+        row[d] = row[d] * u2
+    u = delta_symbol(1)
+    for k, f in enumerate(rows[d]):
+        try:
+            rows[d][k] = f.divide_exact(u)
+        except NotDivisible as exc:
+            raise NotDivisible(f"bottom-row entry ({d},{k}) does not vanish at z = 1") from exc
     return Mask.from_symbol(rows)
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, isfinite
 
 from .analysis import cascade
 from .exactalg import LaurentPoly, _horner, _report_json
@@ -150,8 +150,11 @@ def check_spline_cascade(
     points, and every difference row shifts the natural abscissa by half a
     step. Component k = r, whose derivative jumps at the knots, needs no
     knot test: its numerator 2 alpha + 1 is odd and the denominator 2^(n+1)
-    even, so it is sampled at midpoints, never at a knot."""
+    even, so it is sampled at midpoints, never at a knot. A tol that is not
+    a nonnegative finite number is refused with ValueError."""
     _check_rd(r, d)
+    if not (isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be a nonnegative finite number, got {tol}")
     mask = spline_mask(r, d)
     window = (-(r + 2), r + 2)
     grids = cascade(mask, levels, "delta", window, exact=False)

@@ -51,8 +51,9 @@ class TaylorOperator:
     w[j-1] holds (w_{j,1}, ..., w_{j,j}); the table for size d+1 has d rows.
     The data derived from the weights (the complete symbol T-tilde*(z) and
     T-tilde*(z^2), the incomplete T*(z), the powers of u = z^-1 - 1, the
-    triangular inverse and the canonical chain) is built on first read and
-    kept on the instance; fields, ==, hash and repr ignore it.
+    triangular inverse, its numerators as one mask and the canonical chain)
+    is built on first read and kept on the instance; fields, ==, hash and
+    repr ignore it.
     """
 
     w: tuple[tuple[Fraction, ...], ...]
@@ -107,10 +108,12 @@ class TaylorOperator:
 
     @cached_property
     def incomplete_symbol(self) -> Mask:
-        """T*(z), the incomplete symbol: 1 in place of u in the last diagonal entry."""
-        at_minus_one, at_zero = ([list(row) for row in m] for m in self._symbol.coeffs)
-        at_minus_one[self.d][self.d], at_zero[self.d][self.d] = 0, 1
-        return Mask(-1, (at_minus_one, at_zero))
+        """T*(z), the incomplete symbol: 1 in place of u in the last diagonal
+        entry, whose numerators at alpha = -1, 0 become 0 and den."""
+        sym = self._symbol
+        entries = [list(row) for row in sym._num]
+        entries[self.d][self.d] = (0, sym._den)
+        return Mask._raw(-1, entries, sym._den)
 
     @cached_property
     def symbol_z2(self) -> Mask:
@@ -120,7 +123,8 @@ class TaylorOperator:
     @cached_property
     def u_powers(self) -> tuple[LaurentPoly, ...]:
         """u^0, ..., u^(d+1) for u = z^-1 - 1: the powers unfactor divides
-        by and multiplies by, and construct's last-row system reads."""
+        by, inverse_numerators multiplies by, and construct's last-row
+        system reads."""
         u = delta_symbol(1)
         upow = [LaurentPoly.one()]
         for _ in range(self.d + 1):
@@ -130,7 +134,8 @@ class TaylorOperator:
     @cached_property
     def symbol_inverse(self) -> tuple[tuple[LaurentPoly, ...], ...]:
         """The numerators p of the complete symbol's inverse: entry (j, l) of
-        T-tilde*(z)^-1 is p[j][l] / u^(l-j+1), u = z^-1 - 1.
+        T-tilde*(z)^-1 is p[j][l] / u^(l-j+1), u = z^-1 - 1. They are the
+        one inversion of the symbol; inverse_numerators reads them.
 
         T T^-1 = I gives them by back substitution, one column at a time,
         with the constant t[j][m] = -w_{m,j+1}: p[l][l] = 1 and
@@ -168,6 +173,15 @@ class TaylorOperator:
                     nums = _taylor_shift(acc, -1)
                     p[j][l] = LaurentPoly._make(1 - len(nums), nums[::-1], dpow[l - j])
         return tuple(tuple(row) for row in p)
+
+    @cached_property
+    def inverse_numerators(self) -> Mask:
+        """W, entry (j, l) being u^j p[j][l] for p = symbol_inverse, so that
+        T-tilde*(z)^-1 = W diag(u^-(l+1)) and symbol() * W = diag(u^(l+1)):
+        unfactor applies the inverse as one mask product with W."""
+        upow = self.u_powers
+        inv = self.symbol_inverse
+        return Mask.from_symbol([[upow[j] * p for p in row] for j, row in enumerate(inv)])
 
     @cached_property
     def _chain(self) -> "Chain":

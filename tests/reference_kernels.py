@@ -14,7 +14,9 @@ check, the spectral chain recovery on sampled windows of integer
 numerators, contraction norms read off the Laurent-product iterated symbol,
 Fraction abscissae for the spline cascade check, the Cox-de Boor recursion
 for B-spline values, a factorization that gates on annihilation before
-dividing and checks its identity twice, the order-of-zero test of a
+dividing and checks its identity twice, unfactor accumulating one
+LaurentPoly product per term of the inverse, the incomplete factor built
+one entry at a time by its block, the order-of-zero test of a
 synthesized last row that unfactor's division by (z^-1 - 1)^(d+1) replaces,
 the Laurent matrix that keeps one canonical LaurentPoly per entry and
 normalizes each product entry on its own, the triangular inverse by
@@ -1259,6 +1261,79 @@ def taylor_factorize_reference(mask: Mask, chain: Chain, scale=None) -> Factoriz
     if not fac.verify():
         raise AssertionError("factorization identity failed after the column solve")
     return fac
+
+
+def unfactor_reference(op: TaylorOperator, factor: Mask, scale=None) -> Mask:
+    """A* = scale * (T-tilde*)^-1 B* T-tilde*(z^2) accumulated entry by entry:
+    entry (j, k) is scale * u^j * sum_{l>=j} p[j][l] e[l][k], with e[l][k]
+    entry (l, k) of B* T-tilde*(z^2) divided by u^(l+1), one LaurentPoly
+    product and sum per term."""
+    d = op.d
+    if factor.d != d:
+        raise ValueError("operator and factor dimensions differ")
+    scale = _checked_scale(scale, d)
+    upow = op.u_powers
+    g = factor * op.symbol_z2
+    size = d + 1
+    e = [[LaurentPoly.zero()] * size for _ in range(size)]
+    for l in range(size):
+        for k in range(size):
+            entry = g.entry_symbol(l, k)
+            if entry.is_zero:
+                continue
+            try:
+                e[l][k] = entry.divide_exact(upow[l + 1])
+            except NotDivisible as exc:
+                raise NotDivisible(
+                    f"divisibility condition failed at entry ({l},{k}): "
+                    f"row {l} requires a factor (z^-1 - 1)^{l + 1}"
+                ) from exc
+    inv = op.symbol_inverse
+    rows = []
+    for j in range(size):
+        row = []
+        for k in range(size):
+            acc = LaurentPoly.zero()
+            for l in range(j, size):
+                p = inv[j][l]
+                if p and e[l][k]:
+                    acc = acc + p * e[l][k]
+            row.append(acc * upow[j] * scale)
+        rows.append(row)
+    mask = Mask.from_symbol(rows)
+    if op.symbol() * mask != g.scale(scale):
+        raise AssertionError("unfactor did not satisfy the factorization identity")
+    return mask
+
+
+def incomplete_from_complete_reference(btilde: Mask) -> Mask:
+    """The incomplete factor one entry at a time, by the entry's block:
+    the top-left block as it is, the last column times z^-2 - 1, the last
+    row divided by z^-1 - 1 and the corner times z^-1 + 1."""
+    d = btilde.d
+    u = delta_symbol(1)
+    u2 = delta_symbol(2)
+    zp1 = LaurentPoly({-1: 1, 0: 1})
+    rows = []
+    for i in range(d + 1):
+        row = []
+        for k in range(d + 1):
+            f = btilde.entry_symbol(i, k)
+            if i < d and k < d:
+                row.append(f)
+            elif i < d and k == d:
+                row.append(f * u2)
+            elif i == d and k < d:
+                try:
+                    row.append(f.divide_exact(u) if f else f)
+                except NotDivisible as exc:
+                    raise NotDivisible(
+                        f"bottom-row entry ({i},{k}) does not vanish at z = 1"
+                    ) from exc
+            else:
+                row.append(f * zp1)
+        rows.append(row)
+    return Mask.from_symbol(rows)
 
 
 # ---------------------------------------------------------------------------

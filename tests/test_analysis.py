@@ -1,6 +1,7 @@
 """Norms, contractivity certificates, cascades, convergence verdicts."""
 
 import json
+import re
 from dataclasses import FrozenInstanceError
 from fractions import Fraction as F
 from math import ceil, floor, inf, lcm, nan
@@ -28,6 +29,7 @@ from hermiteforge import (
     check_contractive,
     check_convergence,
     classical_operator,
+    delta_operator,
     scheme_norm,
     synthesize,
 )
@@ -416,6 +418,21 @@ def test_delta_cascade_of_a_mask_off_the_origin():
         assert 0 <= lo and lo + g.npoints <= wide[n].npoints
         assert g.values == wide[n].values[lo : lo + g.npoints]
         assert any(col[0] for col in g.values)
+
+
+def test_a_reversed_window_is_refused():
+    # On (0, -1) the parent compared nothing and called this divergent mask
+    # convergent; on (3, 1) it blamed the mask's support.
+    mask = synthesize(delta_operator(1), LaurentPoly({0: F(1, 2), 1: F(1, 2)})).mask.scale(3)
+    assert not check_convergence(mask, levels=6).ok
+    for window in ((0, -1), (3, 1)):
+        want = re.escape(f"window {window} is reversed")
+        with pytest.raises(ValueError, match=want):
+            check_convergence(mask, levels=6, window=window)
+        for exact in (False, True):
+            with pytest.raises(ValueError, match=want):
+                cascade(mask, 2, window=window, exact=exact)
+    assert len(cascade(mask, 2, window=(0, 0))) == 3
 
 
 def test_cascade_grids_cover_window(ref2):

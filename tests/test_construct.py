@@ -12,6 +12,7 @@ from hermiteforge import (
     LaurentPoly,
     NotDivisible,
     TaylorOperator,
+    allones_operator,
     classical_operator,
     delta_operator,
     synthesize,
@@ -23,7 +24,7 @@ from hermiteforge.construct import (
     last_row_symbols,
     recurrence_last_row,
 )
-from reference_kernels import last_row_divisibility_reference
+from reference_kernels import last_row_divisibility_reference, unfactor_reference
 from strategies import rationals
 
 rational_values = rationals(-4, 4, 6)
@@ -83,6 +84,33 @@ def test_last_row_system_is_unimodular(op):
     system = build_last_row_system(op, seed_power(1))
     assert abs(system.determinant) == 1
     assert last_row_symbols(system) == synthesize(op, seed_power(1), strategy="system").last_row
+
+
+def _unfactor_both_ways(op, factor, scale=None):
+    got = unfactor(op, factor, scale)
+    assert got == unfactor_reference(op, factor, scale)
+    return got
+
+
+@given(operators(), st.integers(min_value=1, max_value=2), rational_values, st.data())
+@settings(max_examples=30, deadline=None)
+def test_unfactor_equals_the_entrywise_accumulation(op, n, g10, data):
+    # One mask product with the inverse numerators, field for field against
+    # one LaurentPoly product per term, at the synthesis scale 2^-d and at
+    # another nonzero scale.
+    g = {(1, 0): LaurentPoly({0: g10})} if op.d >= 2 else None
+    res = synthesize(op, seed_power(n), g)
+    factor = res.factorization.factor
+    assert _unfactor_both_ways(op, factor) == res.mask
+    scale = data.draw(rational_values.filter(bool))
+    assert _unfactor_both_ways(op, factor, scale) == res.mask.scale(scale * 2**op.d)
+
+
+@pytest.mark.parametrize("preset", [delta_operator, classical_operator, allones_operator])
+def test_preset_unfactor_equals_the_entrywise_accumulation(preset):
+    for d in range(9):
+        res = synthesize(preset(d), seed_power(1))
+        assert _unfactor_both_ways(preset(d), res.factorization.factor) == res.mask
 
 
 @given(operators(max_d=3), st.integers(min_value=1, max_value=2), st.data())

@@ -19,6 +19,7 @@ from goldens import (
 from reference_kernels import (
     complete_from_incomplete,
     identity_reference,
+    incomplete_from_complete_reference,
     mask_symbol_reference,
     spectral_chain_reference,
     taylor_factorize_reference,
@@ -249,6 +250,36 @@ def test_incomplete_complete_roundtrip():
     # bottom-right corner picks up the (z^-1 + 1) factor
     lift = LaurentPoly({-1: F(1), 0: F(1)})
     assert b.entry_symbol(2, 2) == bt.entry_symbol(2, 2) * lift
+
+
+def _incomplete_or_message(make, btilde):
+    try:
+        return make(btilde)
+    except NotDivisible as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("preset", [delta_operator, classical_operator, allones_operator])
+def test_incomplete_from_complete_equals_the_entrywise_blocks(preset):
+    seed = LaurentPoly({0: F(1, 2), 1: F(1, 2)})
+    for d in range(9):
+        op = preset(d)
+        bt = taylor_factorize(synthesize(op, seed).mask, chain_for(op)).factor
+        assert incomplete_from_complete(bt) == incomplete_from_complete_reference(bt)
+    # A bottom-row entry of the d = 8 factor that does not vanish at z = 1
+    # is refused alike.
+    rows = [[bt.entry_symbol(i, k) for k in range(d + 1)] for i in range(d + 1)]
+    rows[d][3] = rows[d][3] + LaurentPoly({-1: F(1, 3)})
+    bad = Mask.from_symbol(rows)
+    want = f"bottom-row entry ({d},3) does not vanish at z = 1"
+    for make in (incomplete_from_complete, incomplete_from_complete_reference):
+        assert _incomplete_or_message(make, bad) == want
+
+
+def test_incomplete_from_complete_equals_the_entrywise_blocks_on_splines():
+    for r, d in ((1, 0), (1, 1), (2, 1), (2, 2), (3, 2), (4, 3)):
+        bt = spline_verify(r, d)[1].factor
+        assert incomplete_from_complete(bt) == incomplete_from_complete_reference(bt)
 
 
 def test_spectral_chain_recovered_from_factorization():

@@ -58,6 +58,22 @@ def test_render_limits(capsys, tmp_path):
         assert all(len(row.split(",")) == 3 for row in csv[1:])
 
 
+@pytest.mark.parametrize(
+    "tol, message",
+    [
+        ("1_0", "argument --tol: invalid float value: '1_0'"),
+        (" 1e-6 ", "argument --tol: invalid float value: ' 1e-6 '"),
+        ("nan", "tol must be a nonnegative finite number, got nan"),
+        ("-1e-6", "tol must be a nonnegative finite number, got -1e-06"),
+    ],
+)
+def test_spline_error_table_refuses_a_bad_tol(tol, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        load("spline_error_table").main(["--pairs", "1,1", "--levels", "2", f"--tol={tol}"])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("item", ["1:z", "1,0", "a,0:1"])
 def test_render_limits_refuses_a_malformed_g(item, tmp_path):
     with pytest.raises(MalformedInput, match="j,k"):

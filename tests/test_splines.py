@@ -1,7 +1,7 @@
 """Cardinal B-spline schemes: masks, eigen-structure, cascade accuracy."""
 
 from fractions import Fraction as F
-from math import comb, factorial
+from math import comb, factorial, inf, nan
 
 import pytest
 from hypothesis import given, settings
@@ -175,6 +175,13 @@ def test_cascade_exact_for_piecewise_linear():
     rep = check_spline_cascade(1, 1, levels=6, tol=1e-12)
     assert rep.ok
     assert rep.errors == (0.0, 0.0)
+
+
+def test_cascade_refuses_a_tol_that_is_not_a_nonnegative_finite_number():
+    for tol in (nan, -1e-6, inf, -inf):
+        with pytest.raises(ValueError, match="^tol must be a nonnegative finite number, got "):
+            check_spline_cascade(1, 1, levels=2, tol=tol)
+    assert check_spline_cascade(1, 1, levels=2, tol=0.0).ok
 
 
 def test_cascade_error_shrinks_with_depth():

@@ -1,5 +1,6 @@
 """The package root exports every name that the bench, the scripts and the
-README example read from it, and nothing that is not an object; every name
+README example read from it, and nothing that is not an object; the README
+example runs and prints its verdicts; every name
 the bench reads from a submodule exists, and so does the operator key its
 tracer reads; the bottom layer, exactalg, imports
 nothing from the package; every public function of the package has a reader
@@ -44,6 +45,15 @@ def _readme_python() -> str:
     blocks = re.findall(r"```python\n(.*?)```", text, re.S)
     assert blocks, "README has no python example"
     return "\n".join(blocks)
+
+
+def test_readme_example_runs_and_prints_its_verdicts(capsys):
+    # The one documented library example: the factor is certified by its
+    # diagonal norms, 1/2 each as the comment says, and the cascade converges.
+    exec(compile(_readme_python(), "README.md", "exec"), {})
+    certified, converged = capsys.readouterr().out.splitlines()
+    assert certified == "diagonal (Fraction(1, 2), Fraction(1, 2), Fraction(1, 2))"
+    assert converged.split()[0] == "True"
 
 
 def _script_imports() -> list[tuple[str, str]]:

@@ -315,6 +315,27 @@ def test_preset_symbol_inverses_equal_the_laurent_back_substitution(preset):
         assert _inverse_fields(op.symbol_inverse) == _inverse_fields(symbol_inverse_reference(op))
 
 
+def _symbol_times_inverse_numerators_is_diagonal(op):
+    # T-tilde*(z) W = diag(u^(l+1)), u = z^-1 - 1.
+    u = delta_symbol(1)
+    size = op.d + 1
+    want = [[u ** (l + 1) if j == l else LaurentPoly() for l in range(size)] for j in range(size)]
+    assert mask_symbol_reference(op.symbol() * op.inverse_numerators) == LaurentMatrix(want)
+    assert op.inverse_numerators is op.inverse_numerators
+
+
+@given(operators(max_d=7, min_d=0))
+@settings(max_examples=40, deadline=None)
+def test_symbol_times_inverse_numerators_is_diagonal(op):
+    _symbol_times_inverse_numerators_is_diagonal(op)
+
+
+@pytest.mark.parametrize("preset", [classical_operator, delta_operator, allones_operator])
+def test_preset_symbol_times_inverse_numerators_is_diagonal(preset):
+    for d in range(9):
+        _symbol_times_inverse_numerators_is_diagonal(preset(d))
+
+
 @given(operators(max_d=5, min_d=0))
 @settings(max_examples=60, deadline=None)
 def test_incomplete_symbol_matches_the_reference(op):
