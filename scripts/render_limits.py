@@ -19,7 +19,7 @@ from fractions import Fraction
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from hermiteforge import cascade, delta_operator, synthesize
-from hermiteforge.cli import _int_arg, _parse_indexed, parse_laurent
+from hermiteforge.cli import MalformedInput, _int_arg, _parse_indexed, parse_laurent
 
 
 def build_scheme(args):
@@ -41,8 +41,11 @@ def main(argv=None):
                     help="write a per-component plot (needs matplotlib)")
     args = ap.parse_args(argv)
 
-    res = build_scheme(args)
-    grids = cascade(res.mask, args.levels, window=tuple(args.window))
+    try:
+        res = build_scheme(args)
+        grids = cascade(res.mask, args.levels, window=tuple(args.window))
+    except (MalformedInput, ValueError) as exc:
+        ap.error(str(exc))
 
     os.makedirs(args.out_dir, exist_ok=True)
     for g in grids:

@@ -6,8 +6,10 @@ The joint n-level norm of a mask B is
 
 where B^[n] has symbol B*(z) B*(z^2) ... B*(z^(2^(n-1))). A norm below 1 at
 any n certifies contractivity. For lower-triangular factors the diagonal
-scalar symbols certify on their own, which is much cheaper; both paths are
-exposed and consistent (per-diagonal norms are dominated by the joint norm).
+scalar symbols certify on their own (the joint spectral radius of a
+block-triangular family is the largest among its diagonal blocks), which is
+much cheaper, so that certificate runs first; the joint norms then run only
+up to the diagonal's n, or up to n_max when the diagonal did not certify.
 
 Cascade iterations render Hermite data at finer and finer dyadic levels with
 the derivative renormalization f_{n+1} = D^-(n+1) S_A D^n f_n of level_step,
@@ -85,9 +87,11 @@ def is_lower_triangular(mask: Mask) -> bool:
 
 @dataclass(frozen=True)
 class ContractivityReport:
-    """Joint norms up to n_max plus, for triangular factors, the diagonal
-    certificates. contractive is the overall verdict; certified_by records
-    which path established it ("joint", "diagonal", or None)."""
+    """The certificates that check_contractive ran, in the order it ran them:
+    for triangular factors the diagonal norms, then the joint norms up to
+    the first one below 1. n_max is the bound asked for. contractive is the
+    overall verdict; certified_by records which path established it
+    ("joint", "diagonal", or None)."""
 
     n_max: int
     norms: tuple[Fraction, ...]
@@ -103,27 +107,30 @@ class ContractivityReport:
 
 
 def check_contractive(mask: Mask, n_max: int = 8) -> ContractivityReport:
-    """Search for a contraction certificate with n up to n_max.
+    """Search for a contraction certificate with n up to n_max, cheapest
+    proof first.
 
-    The joint norms are computed for n = 1, 2, ... until one drops below 1;
-    for lower-triangular masks the diagonal scalar norms run alongside as the
-    cheap certificate. Each sequence extends its iterated mask one factor at
-    a time and stops at the last norm it reports.
+    For a lower-triangular mask the diagonal scalar norms run first, each
+    until it drops below 1 or reaches n_max. Then the joint norms run for
+    n = 1, 2, ... until one drops below 1, up to max(1, diagonal_n_star)
+    when the diagonal certified and up to n_max otherwise. certified_by is
+    "joint" when the joint loop certified, else "diagonal" when the diagonal
+    did. Each sequence extends its iterated mask one factor at a time and
+    stops at the last norm it reports.
     """
     if n_max < 1:
         raise ValueError("need n_max >= 1")
     triangular = is_lower_triangular(mask)
     entries, den = mask._num, mask._den
 
-    def first_below_one(of) -> tuple[list[Fraction], int | None]:
+    def first_below_one(of, limit) -> tuple[list[Fraction], int | None]:
         norms = []
-        for n, v in zip(range(1, n_max + 1), _iterated_norms(of, den)):
+        for n, v in zip(range(1, limit + 1), _iterated_norms(of, den)):
             norms.append(v)
             if v < 1:
                 return norms, n
         return norms, None
 
-    norms, n_star = first_below_one(entries)
     diagonal_norms: list[Fraction] = []
     diagonal_n_star: int | None = None
     if triangular:
@@ -133,7 +140,7 @@ def check_contractive(mask: Mask, n_max: int = 8) -> ContractivityReport:
             if not any(entries[i][i]):
                 diagonal_norms.append(Fraction(0))
                 continue
-            values, found = first_below_one([[entries[i][i]]])
+            values, found = first_below_one([[entries[i][i]]], n_max)
             diagonal_norms.append(values[-1])
             if found is None:
                 certified = False
@@ -141,6 +148,8 @@ def check_contractive(mask: Mask, n_max: int = 8) -> ContractivityReport:
                 worst_n = max(worst_n, found)
         if certified:
             diagonal_n_star = worst_n
+    limit = n_max if diagonal_n_star is None else max(1, diagonal_n_star)
+    norms, n_star = first_below_one(entries, limit)
     if n_star is not None:
         verdict, by = True, "joint"
     elif diagonal_n_star is not None:

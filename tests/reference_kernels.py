@@ -1138,14 +1138,8 @@ def scheme_norm_reference(mask: Mask, n: int = 1) -> Fraction:
 
 def check_contractive_reference(mask: Mask, n_max: int = 8) -> ContractivityReport:
     """Each norm computed from scratch by scheme_norm_reference; the diagonal
-    certificates run on 1x1 masks built from the diagonal entry symbols."""
-    norms = []
-    n_star = None
-    for n in range(1, n_max + 1):
-        norms.append(scheme_norm_reference(mask, n))
-        if norms[-1] < 1:
-            n_star = n
-            break
+    certificates run first, on 1x1 masks built from the diagonal entry
+    symbols, and the joint norms after them up to the diagonal's n."""
     triangular = is_lower_triangular_reference(mask)
     diagonal_norms = []
     diagonal_n_star = None
@@ -1170,6 +1164,14 @@ def check_contractive_reference(mask: Mask, n_max: int = 8) -> ContractivityRepo
                 worst_n = max(worst_n, found)
         if certified:
             diagonal_n_star = worst_n
+    limit = n_max if diagonal_n_star is None else max(1, diagonal_n_star)
+    norms = []
+    n_star = None
+    for n in range(1, limit + 1):
+        norms.append(scheme_norm_reference(mask, n))
+        if norms[-1] < 1:
+            n_star = n
+            break
     if n_star is not None:
         verdict, by = True, "joint"
     elif diagonal_n_star is not None:

@@ -31,6 +31,7 @@ from hermiteforge import (
     classical_operator,
     delta_operator,
     scheme_norm,
+    spline_verify,
     synthesize,
 )
 from hermiteforge.analysis import (
@@ -99,7 +100,14 @@ def test_nilpotent_mask_has_norm_zero():
     m = Mask(0, (((F(0), F(0)), (F(1), F(0))),))
     assert scheme_norm(m, 1) == 1
     assert scheme_norm(m, 2) == 0
+    # Its zero diagonal certifies first, so the joint loop stops at n = 1.
     rep = check_contractive(m, n_max=3)
+    assert rep.norms == (F(1),)
+    assert rep.certified_by == "diagonal" and rep.diagonal_n_star == 0
+    # The transpose E_01 is not lower-triangular: the zero iterate goes
+    # through the joint loop.
+    rep = check_contractive(Mask(0, (((F(0), F(1)), (F(0), F(0))),)), n_max=3)
+    assert not rep.triangular
     assert rep.norms == (F(1), F(0))
     assert rep.certified_by == "joint" and rep.n_star == 2
 
@@ -126,6 +134,15 @@ def test_reference_factor_norm_sequence(ref2):
         assert scheme_norm(bt, n) == want
 
 
+def lower_triangular_part(mask):
+    """The mask with every entry above the diagonal zeroed; a draw whose
+    part is zero is discarded."""
+    d = mask.d
+    coeffs = [[row[: i + 1] + (0,) * (d - i) for i, row in enumerate(m)] for m in mask.coeffs]
+    assume(any(v for m in coeffs for row in m for v in row))
+    return Mask(mask.support_min, coeffs)
+
+
 @given(
     sparse_masks(),
     st.booleans(),
@@ -135,10 +152,7 @@ def test_reference_factor_norm_sequence(ref2):
 @settings(max_examples=40, deadline=None)
 def test_integer_norms_match_fraction_reference(mask, lower, scale, n_max):
     if lower:
-        d = mask.d
-        coeffs = [[row[: i + 1] + (0,) * (d - i) for i, row in enumerate(m)] for m in mask.coeffs]
-        assume(any(v for m in coeffs for row in m for v in row))
-        mask = Mask(mask.support_min, coeffs)
+        mask = lower_triangular_part(mask)
     mask = mask.scale(scale)
     for n in range(1, n_max + 1):
         assert scheme_norm(mask, n) == scheme_norm_reference(mask, n)
@@ -148,15 +162,73 @@ def test_integer_norms_match_fraction_reference(mask, lower, scale, n_max):
 
 def test_reference_factor_certificates(ref2):
     bt = ref2.factorization.factor
-    small = check_contractive(bt, n_max=4)
-    assert small.contractive
-    assert small.certified_by == "diagonal"
-    assert small.triangular
-    assert small.diagonal_norms == (F(1, 2), F(1, 2), F(1, 2))
-    assert small.diagonal_n_star == 1
-    big = check_contractive(bt, n_max=6)
-    assert big.certified_by == "joint"
-    assert big.n_star == 6
+    for n_max in (4, 6):
+        rep = check_contractive(bt, n_max=n_max)
+        assert rep.contractive
+        assert rep.certified_by == "diagonal"
+        assert rep.triangular
+        assert rep.diagonal_norms == (F(1, 2), F(1, 2), F(1, 2))
+        assert rep.diagonal_n_star == 1
+        # The diagonal certified at n = 1, so the joint loop stops there.
+        assert rep.norms == (F(9, 2),) and rep.n_star is None
+    # The joint certificate exists too, first at n = 6.
+    assert all(scheme_norm(bt, n) >= 1 for n in range(1, 6))
+    assert scheme_norm(bt, 6) < 1
+
+
+def _diagonal_certifies(mask, n_max):
+    """Every nonzero diagonal entry, as a 1x1 mask, has a norm below 1 at
+    some n <= n_max; read off the entry symbols with one Fraction each."""
+    for i in range(mask.d + 1):
+        sym = mask.entry_symbol(i, i)
+        if sym.is_zero:
+            continue
+        scalar = Mask.from_symbol([[sym]])
+        if not any(scheme_norm_reference(scalar, n) < 1 for n in range(1, n_max + 1)):
+            return False
+    return True
+
+
+@given(sparse_masks(), st.booleans(), st.integers(min_value=1, max_value=4))
+@settings(max_examples=40, deadline=None)
+def test_contractive_is_either_certificate(mask, lower, n_max):
+    if lower:
+        mask = lower_triangular_part(mask)
+    rep = check_contractive(mask, n_max=n_max)
+    diagonal = rep.triangular and _diagonal_certifies(mask, n_max)
+    joint = any(scheme_norm_reference(mask, n) < 1 for n in range(1, n_max + 1))
+    assert rep.contractive == (diagonal or joint)
+    assert (rep.diagonal_n_star is not None) == diagonal
+    if diagonal:
+        limit = max(1, rep.diagonal_n_star)
+        assert len(rep.norms) <= limit
+        if rep.n_star is None:
+            assert len(rep.norms) == limit and rep.certified_by == "diagonal"
+
+
+def test_synthesized_factor_reports_one_joint_norm():
+    seed = LaurentPoly({0: F(1, 2), 1: F(1, 2)}) ** 2
+    rep = check_contractive(synthesize(classical_operator(3), seed).factorization.factor, n_max=4)
+    assert rep.certified_by == "diagonal" and rep.diagonal_n_star == 1
+    assert len(rep.norms) == 1 and rep.norms[0] > 1
+
+
+# (r, d) -> (certified_by, n_star) at n_max = 4, for the spline factors r <= 4.
+SPLINE_FACTOR_CERTIFICATES = {
+    (r, d): ("joint", d + 1) if d < r else (None, None) for r in range(1, 5) for d in range(r + 1)
+}
+
+
+@pytest.mark.parametrize("r, d", sorted(SPLINE_FACTOR_CERTIFICATES))
+def test_spline_factor_certificates(r, d):
+    rep = check_contractive(spline_verify(r, d)[1].factor, n_max=4)
+    assert (rep.certified_by, rep.n_star) == SPLINE_FACTOR_CERTIFICATES[r, d]
+    assert rep.contractive == (d < r)
+    # Only the scalar factor is triangular; its diagonal is itself.
+    assert rep.triangular == (d == 0)
+    assert rep.diagonal_n_star == (1 if d == 0 else None)
+    if d == r:
+        assert rep.norms == (F(2 ** (r + 1) - 1),) * 4
 
 
 def test_zero_g_factor_norms(zero_g):

@@ -300,6 +300,24 @@ def test_identity_tests_seeded(capsys):
     assert doc["ok"] is True
 
 
+@pytest.mark.parametrize("j, l", [(0, 0), (1, 0)])
+def test_identity_tests_fail_on_a_wrong_inverse_numerator(j, l, capsys, monkeypatch):
+    # Entry (j, l) off by 1/3 at z = 1: on or above the diagonal it should
+    # read 1 there, below it 0.
+    right = TaylorOperator.symbol_inverse.func
+
+    def wrong(op):
+        rows = [list(row) for row in right(op)]
+        rows[j][l] = rows[j][l] + LaurentPoly({-1: F(1, 3)})
+        return tuple(map(tuple, rows))
+
+    monkeypatch.setattr(TaylorOperator, "symbol_inverse", property(wrong))
+    assert run(["identity-tests", "--seed", "3", "--polys", "1"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["checks"]["inverse_numerators_at_one"]["ok"] is False
+    assert doc["checks"]["difference_split"]["ok"] is True
+
+
 def test_a_deep_exact_grid_is_written_as_json(capsys, tmp_path):
     # The grid whose CSV is refused has exact JSON.
     grid = _deep_delta_grid(tmp_path, "exact")

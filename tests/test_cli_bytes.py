@@ -81,7 +81,7 @@ PINNED = {
     "check-convergence-fails": (1, "34662735839db2cf", EMPTY, {}),
     "construct-classical": (0, EMPTY, EMPTY, {"classical.json": "7411acd0410318c3"}),
     "construct-system": (0, "e7e207b5a7727efb", EMPTY, {}),
-    "contractivity-default-n-max": (0, "6f386d6db69ec8c0", EMPTY, {}),
+    "contractivity-default-n-max": (0, "8d0be54f60212408", EMPTY, {}),
     "contractivity-fails": (1, "a0ef308469bfe858", EMPTY, {}),
     "dimension-mismatch": (2, EMPTY, "a4051a646b5dcd52", {}),
     "factor-not-annihilated": (1, "1cc651e08141fe41", EMPTY, {}),
@@ -93,7 +93,7 @@ PINNED = {
     "readme-cascade-csv": (0, EMPTY, EMPTY, {"grid.csv": "a188c82b0776c24b"}),
     "readme-check-convergence": (0, "07d1c71251be1424", EMPTY, {}),
     "readme-construct": (0, EMPTY, EMPTY, {"bundle.json": "9984b39211b9e5fa"}),
-    "readme-contractivity": (0, "927f466fd2e8641a", EMPTY, {}),
+    "readme-contractivity": (0, "b83b7b86960227dd", EMPTY, {}),
     "readme-factor": (0, "f70bcbe852410a3d", EMPTY, {}),
     "readme-spline-verify": (0, "a48a92ac7069b412", EMPTY, {}),
     "spline": (0, "885cd727fea2fc9a", EMPTY, {}),

@@ -6,8 +6,6 @@ from pathlib import Path
 
 import pytest
 
-from hermiteforge.cli import MalformedInput
-
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
@@ -75,10 +73,20 @@ def test_spline_error_table_refuses_a_bad_tol(tol, message, capsys):
 
 
 @pytest.mark.parametrize("item", ["1:z", "1,0", "a,0:1"])
-def test_render_limits_refuses_a_malformed_g(item, tmp_path):
-    with pytest.raises(MalformedInput, match="j,k"):
+def test_render_limits_refuses_a_malformed_g(item, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
         load("render_limits").main(["--d", "1", "--g", item, "--out-dir", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "j,k" in capsys.readouterr().err
+    assert not tmp_path.joinpath("level00.csv").exists()
 
+
+def test_render_limits_refuses_a_reversed_window(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        load("render_limits").main(["--d", "1", "--window", "4", "-4", "--out-dir", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "window (4, -4) is reversed" in capsys.readouterr().err
+    assert not tmp_path.joinpath("level00.csv").exists()
 
 
 @pytest.mark.parametrize(
