@@ -657,9 +657,5 @@ def run(argv=None) -> int:
     return 0 if isinstance(report, str) or report["ok"] else 1
 
 
-def main(argv=None) -> int:
-    return run(argv)
-
-
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

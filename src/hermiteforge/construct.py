@@ -18,8 +18,10 @@ from typing import Mapping, Sequence
 from .exactalg import (
     LaurentPoly,
     _over_one_denominator,
+    _taylor_shift,
     falling_factorial,
     rat_to_str,
+    u_power,
 )
 from .factor import Factorization, unfactor
 from .subdivision import Mask
@@ -133,10 +135,6 @@ def build_last_row_system(op: TaylorOperator, seed: LaurentPoly) -> LastRowSyste
     d = op.d
     if seed.is_zero or seed.evaluate(1) != 1:
         raise BadSeed("the corner seed must take the value 1 at z = 1")
-    if d == 0:
-        return LastRowSystem(
-            d=0, taylor=op, seed=seed, matrix=(), rhs=(), solution={}, determinant=Fraction(1)
-        )
     unknowns = _unknown_order(d)
     index = {mr: i for i, mr in enumerate(unknowns)}
     nn = len(unknowns)
@@ -192,16 +190,6 @@ def build_last_row_system(op: TaylorOperator, seed: LaurentPoly) -> LastRowSyste
     )
 
 
-def _taylor_poly_at_one(constant: Fraction, derivs: Sequence[tuple[int, Fraction]]) -> LaurentPoly:
-    """Reassemble constant + sum_r derivs[r]/r! (z-1)^r as a Laurent poly."""
-    zm1 = LaurentPoly({1: 1, 0: -1})
-    out = LaurentPoly.constant(constant)
-    for r, v in derivs:
-        if v:
-            out = out + zm1**r * (v / factorial(r))
-    return out
-
-
 def last_row_symbols(system: LastRowSystem) -> tuple[LaurentPoly, ...]:
     """The polynomials h_0, ..., h_d built from the solved derivative data.
 
@@ -213,8 +201,10 @@ def last_row_symbols(system: LastRowSystem) -> tuple[LaurentPoly, ...]:
     d = system.d
     hs: list[LaurentPoly] = []
     for m in range(d):
-        derivs = [(r, system.solution[(m, r)]) for r in range(1, m + 2)]
-        hs.append(_taylor_poly_at_one(Fraction(2 ** (d - m)), derivs))
+        # h_m = 2^(d-m) + sum_r h_{m,r}/r! (z-1)^r, shifted once to powers of z.
+        at_one = [2 ** (d - m)] + [system.solution[(m, r)] / factorial(r) for r in range(1, m + 2)]
+        nums, den = _over_one_denominator(at_one)
+        hs.append(LaurentPoly._make(0, _taylor_shift(nums, -1), den))
     hs.append(system.seed)
     return tuple(hs)
 
@@ -255,7 +245,6 @@ def assemble_factor(
     for (j, k) in g:
         if not 0 <= k < j < d:
             raise ValueError(f"free parameter ({j},{k}) is outside the strict lower triangle")
-    upow = op.u_powers
     zero = LaurentPoly.zero()
     rows = []
     for j in range(d):
@@ -263,16 +252,16 @@ def assemble_factor(
         for k in range(d + 1):
             if k < j:
                 gv = g.get((j, k))
-                row.append(upow[j + 1] * gv if gv else zero)
+                row.append(u_power(j + 1) * gv if gv else zero)
             elif k == j:
-                row.append(upow[j + 1] / 2 ** (j + 1))
+                row.append(u_power(j + 1) / 2 ** (j + 1))
             else:
                 row.append(zero)
         rows.append(row)
     bottom = []
     for k in range(d + 1):
         hk = last_row[k]
-        bottom.append(upow[d - k] * hk.substitute_power(-1) if hk else zero)
+        bottom.append(u_power(d - k) * hk.substitute_power(-1) if hk else zero)
     rows.append(bottom)
     return Mask.from_symbol(rows)
 

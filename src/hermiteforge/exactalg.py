@@ -518,3 +518,9 @@ class LaurentPoly:
 def delta_symbol(step: int = 1) -> LaurentPoly:
     """z^-step - 1."""
     return LaurentPoly({-step: 1, 0: -1})
+
+
+@cache
+def u_power(m: int) -> LaurentPoly:
+    """(z^-1 - 1)^m, m >= 0: the powers the inverse Taylor symbol is written in."""
+    return delta_symbol(1) ** m

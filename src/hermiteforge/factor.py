@@ -12,7 +12,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactalg import LaurentPoly, NotDivisible, _report_json, delta_symbol, rat_to_str
+from .exactalg import (
+    LaurentPoly,
+    NotDivisible,
+    RationalLike,
+    _rational,
+    _report_json,
+    delta_symbol,
+    rat_to_str,
+    u_power,
+)
 from .polybasis import Poly, PolyVec
 from .subdivision import Mask, _image, eigen_check
 from .taylor import Chain, TaylorOperator, chain_for
@@ -75,10 +84,12 @@ def _identity_holds(t: Mask, t_z2: Mask, a: Mask, b: Mask, scale: Fraction) -> b
     return scale != 0 and t * a == (b * t_z2).scale(scale)
 
 
-def _checked_scale(scale: Fraction | None, d: int) -> Fraction:
-    """The scale of the identity: 2^-d when none is given; zero is refused."""
+def _checked_scale(scale: RationalLike | None, d: int) -> Fraction:
+    """The scale of the identity as a Fraction: 2^-d when none is given; an
+    int is taken, zero is refused with ValueError and a float with TypeError."""
     if scale is None:
         return Fraction(1, 2**d)
+    scale = Fraction(_rational(scale))
     if scale == 0:
         raise ValueError("the factorization scale must be nonzero")
     return scale
@@ -96,7 +107,7 @@ class Factorization:
 
     def verify(self) -> bool:
         op = self.taylor
-        return _identity_holds(op.symbol(), op.symbol_z2, self.mask, self.factor, self.scale)
+        return _identity_holds(op.symbol, op.symbol_z2, self.mask, self.factor, self.scale)
 
     def to_json(self) -> dict:
         return {
@@ -108,7 +119,7 @@ class Factorization:
 
 
 def taylor_factorize(
-    mask: Mask, chain: Chain, scale: Fraction | None = None
+    mask: Mask, chain: Chain, scale: RationalLike | None = None
 ) -> Factorization:
     """Factor a mask through the complete symbol of a chain's operator.
 
@@ -124,7 +135,7 @@ def taylor_factorize(
         raise ValueError("chain and mask dimensions differ")
     scale = _checked_scale(scale, d)
     op = chain.operator()
-    c_mask = op.symbol() * mask
+    c_mask = op.symbol * mask
     u2 = delta_symbol(2)
     size = d + 1
     b: list[list[LaurentPoly]] = [[LaurentPoly.zero()] * size for _ in range(size)]
@@ -153,7 +164,7 @@ def taylor_factorize(
 
 
 def unfactor(
-    op: TaylorOperator, factor: Mask, scale: Fraction | None = None
+    op: TaylorOperator, factor: Mask, scale: RationalLike | None = None
 ) -> Mask:
     """Recover the mask A from its factor: A* = scale * (T-tilde*)^-1 B* T-tilde*(z^2).
 
@@ -166,7 +177,6 @@ def unfactor(
     if factor.d != d:
         raise ValueError("operator and factor dimensions differ")
     scale = _checked_scale(scale, d)
-    upow = op.u_powers
     g = factor * op.symbol_z2
     size = d + 1
     e: list[list[LaurentPoly]] = [[LaurentPoly.zero()] * size for _ in range(size)]
@@ -176,14 +186,14 @@ def unfactor(
             if entry.is_zero:
                 continue
             try:
-                e[l][k] = entry.divide_exact(upow[l + 1])
+                e[l][k] = entry.divide_exact(u_power(l + 1))
             except NotDivisible as exc:
                 raise NotDivisible(
                     f"divisibility condition failed at entry ({l},{k}): "
                     f"row {l} requires a factor (z^-1 - 1)^{l + 1}"
                 ) from exc
     mask = (op.inverse_numerators * Mask.from_symbol(e)).scale(scale)
-    if op.symbol() * mask != g.scale(scale):
+    if op.symbol * mask != g.scale(scale):
         raise AssertionError("unfactor did not satisfy the factorization identity")
     return mask
 
@@ -223,7 +233,7 @@ def spectral_chain_from_factorization(
     factor_incomplete: Mask,
     op: TaylorOperator,
     chain: Chain | None = None,
-    scale: Fraction | None = None,
+    scale: RationalLike | None = None,
 ) -> Chain:
     """Build a spectral chain for the mask out of an incomplete factorization.
 

@@ -1,6 +1,8 @@
 """Hermite schemes refining cardinal B-spline data, and the exact integer
 values of the splines and their derivatives at dyadic points that the
-cascade check compares the rendered data with.
+cascade check compares the rendered data with: one cached table per (r, k)
+holds the integer pieces of (r-k)! B_r^(k) between consecutive knots, and a
+sample is one integer Horner evaluation on its piece.
 
 The degree-r scalar mask is a_r(alpha) = 2^-r binom(r+1, alpha). The Hermite
 mask of dimension d+1 (d <= r) puts iterated differences of a_r in its first
@@ -13,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb, factorial, isfinite
+from math import comb, factorial, isfinite, perm
 
 from .analysis import cascade
 from .exactalg import LaurentPoly, _horner, _report_json
@@ -88,39 +90,29 @@ def spline_chain(r: int, d: int) -> Chain:
     return Chain(tuple(vecs))
 
 
-@lru_cache(maxsize=32)
-def _bspline_pieces(r: int) -> tuple[tuple[int, ...], ...]:
-    """Integer coefficients, lowest degree first, of r! B_r on [m, m+1) for
-    m = 0..r, from the truncated-power formula
-    r! B_r(x) = sum_j (-1)^j binom(r+1, j) (x - j)_+^r."""
+@lru_cache(maxsize=128)
+def _derivative_pieces(r: int, k: int) -> tuple[tuple[int, ...], ...]:
+    """Integer coefficients, lowest degree first, of (r-k)! B_r^(k) on
+    [m, m+1) for m = 0..r: the k-th derivatives of the truncated-power pieces
+    r! B_r(x) = sum_{j<=m} (-1)^j binom(r+1, j) (x - j)^r, divided exactly
+    by r!/(r-k)! (coefficient t becomes binom(r-k, t-k) times an integer)."""
     pieces = []
     coeffs = [0] * (r + 1)
+    scale = perm(r, k)
     for m in range(r + 1):
         w = (-1) ** m * comb(r + 1, m)
         for t in range(r + 1):
             coeffs[t] += w * comb(r, t) * (-m) ** (r - t)
-        pieces.append(tuple(coeffs))
+        pieces.append(tuple(perm(t, k) * c // scale for t, c in enumerate(coeffs[k:], start=k)))
     return tuple(pieces)
 
 
-def _scaled_bspline(r: int, num: int, den: int) -> int:
-    """r! den^r B_r(num/den) for den > 0, by integer Horner on the piece."""
-    if r == 0:
-        return 1 if 0 <= num < den else 0
-    if num <= 0 or num >= (r + 1) * den:
-        return 0
-    return _horner(_bspline_pieces(r)[num // den], num, den)
-
-
 def _scaled_bspline_derivative(r: int, k: int, num: int, den: int) -> int:
-    """(r-k)! den^(r-k) B_r^(k)(num/den) for den > 0, by the difference formula
-    sum_i (-1)^i binom(k,i) B_(r-k)(x - i)."""
-    q = r - k
-    total = 0
-    for i in range(k + 1):
-        term = comb(k, i) * _scaled_bspline(q, num - i * den, den)
-        total += -term if i % 2 else term
-    return total
+    """(r-k)! den^(r-k) B_r^(k)(num/den) for den > 0 and 0 <= k <= r: integer
+    Horner on the piece holding num/den, the one on its right at a knot."""
+    if num < 0 or num >= (r + 1) * den:
+        return 0
+    return _horner(_derivative_pieces(r, k)[num // den], num, den)
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,8 @@ and the incomplete operator replaces the last row by the identity; one
 TaylorOperator carries both symbols. The classical choice w_{k,m} =
 1/(k-m+1)! recovers the usual Taylor remainder differences; the pure-difference
 choice w_j = (0,...,0,1) makes every row an iterated forward difference.
+One integer table W = D w, D the lcm of the weight denominators, builds
+both the complete symbol and its inverse.
 """
 
 from __future__ import annotations
@@ -28,9 +30,9 @@ from .exactalg import (
     _json_field,
     _rational,
     _taylor_shift,
-    delta_symbol,
     rat_from_str,
     rat_to_str,
+    u_power,
 )
 from .polybasis import NotInVd, Poly, PolyVec, antidifference
 from .subdivision import Mask
@@ -50,7 +52,7 @@ class TaylorOperator:
 
     w[j-1] holds (w_{j,1}, ..., w_{j,j}); the table for size d+1 has d rows.
     The data derived from the weights (the complete symbol T-tilde*(z) and
-    T-tilde*(z^2), the incomplete T*(z), the powers of u = z^-1 - 1, the
+    T-tilde*(z^2), the incomplete T*(z), the integer weight table, the
     triangular inverse, its numerators as one mask and the canonical chain)
     is built on first read and kept on the instance; fields, ==, hash and
     repr ignore it.
@@ -78,39 +80,37 @@ class TaylorOperator:
     def d(self) -> int:
         return len(self.w)
 
-    def constant_entry(self, i: int, k: int) -> Fraction:
-        """Matrix entry (i, k) above the diagonal: -w_{k,i+1} (0-based)."""
-        if not 0 <= i < k <= self.d:
-            raise IndexError("constant entries live strictly above the diagonal")
-        return -self.w[k - 1][i]
-
     @property
     def is_difference_type(self) -> bool:
         """True when every strict-upper weight vanishes, so each row is a
         plain iterated forward difference."""
         return all(v == 0 for row in self.w for v in row[:-1])
 
-    def symbol(self) -> Mask:
-        """The (d+1)x(d+1) complete symbol as a mask on alpha = -1, 0:
-        u = z^-1 - 1 on the diagonal, constants above."""
-        return self._symbol
+    @cached_property
+    def _int_weights(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        """(D, W): D the lcm of the weight denominators and W = D w, the one
+        integer table the symbol and its inverse are built from."""
+        den = lcm(*(v.denominator for row in self.w for v in row))
+        return den, tuple(tuple(v.numerator * (den // v.denominator) for v in row) for row in self.w)
 
     @cached_property
-    def _symbol(self) -> Mask:
+    def symbol(self) -> Mask:
+        """T-tilde*(z), the (d+1)x(d+1) complete symbol as a mask on
+        alpha = -1, 0 over D: u = z^-1 - 1 ([D, -D]) on the diagonal and
+        -w_{k,i+1} ([0, -W[k-1][i]]) at (i, k) above it."""
+        den, big = self._int_weights
         size = self.d + 1
-        at_minus_one = [[0] * size for _ in range(size)]
-        at_zero = [
-            [self.constant_entry(i, k) if k > i else 0 for k in range(size)] for i in range(size)
+        entries = [
+            [[den, -den] if k == i else [0, -big[k - 1][i]] if k > i else [0, 0] for k in range(size)]
+            for i in range(size)
         ]
-        for i in range(size):
-            at_minus_one[i][i], at_zero[i][i] = 1, -1
-        return Mask(-1, (at_minus_one, at_zero))
+        return Mask._raw(-1, entries, den)
 
     @cached_property
     def incomplete_symbol(self) -> Mask:
         """T*(z), the incomplete symbol: 1 in place of u in the last diagonal
         entry, whose numerators at alpha = -1, 0 become 0 and den."""
-        sym = self._symbol
+        sym = self.symbol
         entries = [list(row) for row in sym._num]
         entries[self.d][self.d] = (0, sym._den)
         return Mask._raw(-1, entries, sym._den)
@@ -118,18 +118,7 @@ class TaylorOperator:
     @cached_property
     def symbol_z2(self) -> Mask:
         """T*(z^2), the symbol's mask at z^2."""
-        return self._symbol.substitute_power(2)
-
-    @cached_property
-    def u_powers(self) -> tuple[LaurentPoly, ...]:
-        """u^0, ..., u^(d+1) for u = z^-1 - 1: the powers unfactor divides
-        by, inverse_numerators multiplies by, and construct's last-row
-        system reads."""
-        u = delta_symbol(1)
-        upow = [LaurentPoly.one()]
-        for _ in range(self.d + 1):
-            upow.append(upow[-1] * u)
-        return tuple(upow)
+        return self.symbol.substitute_power(2)
 
     @cached_property
     def symbol_inverse(self) -> tuple[tuple[LaurentPoly, ...], ...]:
@@ -149,8 +138,7 @@ class TaylorOperator:
         Taylor shift u = z^-1 - 1 and becomes one LaurentPoly over D^(l-j).
         """
         d = self.d
-        den = lcm(*(v.denominator for row in self.w for v in row))
-        big = [[v.numerator * (den // v.denominator) for v in row] for row in self.w]
+        den, big = self._int_weights
         dpow = [den**e for e in range(d + 1)]
         zero, one = LaurentPoly.zero(), LaurentPoly.one()
         p = [[zero] * (d + 1) for _ in range(d + 1)]
@@ -177,11 +165,10 @@ class TaylorOperator:
     @cached_property
     def inverse_numerators(self) -> Mask:
         """W, entry (j, l) being u^j p[j][l] for p = symbol_inverse, so that
-        T-tilde*(z)^-1 = W diag(u^-(l+1)) and symbol() * W = diag(u^(l+1)):
+        T-tilde*(z)^-1 = W diag(u^-(l+1)) and symbol * W = diag(u^(l+1)):
         unfactor applies the inverse as one mask product with W."""
-        upow = self.u_powers
         inv = self.symbol_inverse
-        return Mask.from_symbol([[upow[j] * p for p in row] for j, row in enumerate(inv)])
+        return Mask.from_symbol([[u_power(j) * p for p in row] for j, row in enumerate(inv)])
 
     @cached_property
     def _chain(self) -> "Chain":

@@ -67,6 +67,7 @@ from hermiteforge.exactalg import (
     falling_factorial,
     rat_from_str,
     rat_to_str,
+    u_power,
 )
 from hermiteforge.factor import (
     Factorization,
@@ -74,7 +75,7 @@ from hermiteforge.factor import (
     _identity_holds,
     _last_column_partition_of_unity,
 )
-from hermiteforge.splines import SplineCascadeReport, _scaled_bspline, _scaled_bspline_derivative
+from hermiteforge.splines import SplineCascadeReport, _scaled_bspline_derivative
 from hermiteforge.subdivision import WindowTooSmall, _output_window, eigen_check
 from hermiteforge.taylor import Chain, delta_operator
 
@@ -957,7 +958,7 @@ def bspline_value(r: int, x) -> Fraction:
     """B_r(x) as a Fraction, read off the kernel's r! den^r B_r(num/den)."""
     x = Fraction(x)
     scale = factorial(r) * x.denominator**r
-    return Fraction(_scaled_bspline(r, x.numerator, x.denominator), scale)
+    return Fraction(_scaled_bspline_derivative(r, 0, x.numerator, x.denominator), scale)
 
 
 def bspline_derivative(r: int, k: int, x) -> Fraction:
@@ -1245,7 +1246,7 @@ def factor_through_reference(c_mask: Mask, chain: Chain) -> Mask:
                     f"column division failed at entry ({i},{k}): {exc}"
                 ) from exc
     bsym = LaurentMatrix(b)
-    if csym != bsym * mask_symbol_reference(op.symbol()).substitute_power(2):
+    if csym != bsym * mask_symbol_reference(op.symbol).substitute_power(2):
         raise AssertionError("column solve did not reproduce the target symbol")
     return mask_from_symbol_reference(bsym)
 
@@ -1257,7 +1258,7 @@ def taylor_factorize_reference(mask: Mask, chain: Chain, scale=None) -> Factoriz
     if scale is None:
         scale = Fraction(1, 2**d)
     op = chain.operator()
-    csym = mask_symbol_reference(op.symbol()) * mask_symbol_reference(mask)
+    csym = mask_symbol_reference(op.symbol) * mask_symbol_reference(mask)
     b_raw = factor_through_reference(mask_from_symbol_reference(csym), chain)
     fac = Factorization(mask=mask, taylor=op, factor=b_raw.scale(1 / scale), scale=scale)
     if not fac.verify():
@@ -1274,7 +1275,6 @@ def unfactor_reference(op: TaylorOperator, factor: Mask, scale=None) -> Mask:
     if factor.d != d:
         raise ValueError("operator and factor dimensions differ")
     scale = _checked_scale(scale, d)
-    upow = op.u_powers
     g = factor * op.symbol_z2
     size = d + 1
     e = [[LaurentPoly.zero()] * size for _ in range(size)]
@@ -1284,7 +1284,7 @@ def unfactor_reference(op: TaylorOperator, factor: Mask, scale=None) -> Mask:
             if entry.is_zero:
                 continue
             try:
-                e[l][k] = entry.divide_exact(upow[l + 1])
+                e[l][k] = entry.divide_exact(u_power(l + 1))
             except NotDivisible as exc:
                 raise NotDivisible(
                     f"divisibility condition failed at entry ({l},{k}): "
@@ -1300,10 +1300,10 @@ def unfactor_reference(op: TaylorOperator, factor: Mask, scale=None) -> Mask:
                 p = inv[j][l]
                 if p and e[l][k]:
                     acc = acc + p * e[l][k]
-            row.append(acc * upow[j] * scale)
+            row.append(acc * u_power(j) * scale)
         rows.append(row)
     mask = Mask.from_symbol(rows)
-    if op.symbol() * mask != g.scale(scale):
+    if op.symbol * mask != g.scale(scale):
         raise AssertionError("unfactor did not satisfy the factorization identity")
     return mask
 
@@ -1346,7 +1346,7 @@ def incomplete_from_complete_reference(btilde: Mask) -> Mask:
 def identity_reference(fac: Factorization) -> bool:
     """T*(z) A*(z) == scale * B*(z) T*(z^2), with one LaurentPoly per entry
     of every matrix."""
-    t = mask_symbol_reference(fac.taylor.symbol())
+    t = mask_symbol_reference(fac.taylor.symbol)
     lhs = t * mask_symbol_reference(fac.mask)
     rhs = mask_symbol_reference(fac.factor) * t.substitute_power(2)
     return lhs == rhs.scale(LaurentPoly.constant(fac.scale))

@@ -154,7 +154,7 @@ def test_criterion_06_annihilator_roundtrips():
             fac = 1
             for i in range(1, k - m + 2):
                 fac *= i
-            assert cl.constant_entry(m - 1, k) == -F(1, fac)
+            assert cl.symbol.entry_symbol(m - 1, k) == LaurentPoly.constant(-F(1, fac))
     print(
         "PASS: criterion 6 - annihilator(chain_for(T)) = T for 200 random "
         "operators (d <= 6); classical weights equal -1/k! entries exactly"

@@ -135,6 +135,25 @@ def test_unfactor_refuses_exactly_the_last_rows_that_fail_divisibility(op, n, da
         unfactor(op, assemble_factor(op, hs))
 
 
+def test_the_d0_last_row_system_is_empty():
+    # d = 0 runs the general path: no unknowns, no equations, determinant 1.
+    seed = seed_power(1)
+    system = build_last_row_system(delta_operator(0), seed)
+    assert (system.matrix, system.rhs, system.solution) == ((), (), {})
+    assert type(system.determinant) is F and system.determinant == 1
+    assert system.to_json() == {
+        "d": 0, "unknowns": [], "matrix": [], "rhs": [], "solution": {}, "determinant": "1"
+    }
+    assert last_row_symbols(system) == (seed,)
+    # Both strategies give the scalar scheme with symbol (1 + z^-1)^2 / 2.
+    want = LaurentPoly({-2: F(1, 2), -1: F(1), 0: F(1, 2)})
+    for strategy in ("auto", "system"):
+        res = synthesize(delta_operator(0), seed, strategy=strategy)
+        assert res.factor.entry_symbol(0, 0) == LaurentPoly({-1: F(1, 2), 0: F(1, 2)})
+        assert res.mask.entry_symbol(0, 0) == want
+        assert res.factorization.verify()
+
+
 def test_auto_strategy_picks_recurrence_for_difference_type(zero_g):
     assert zero_g[2].strategy == "recurrence"
     assert synthesize(classical_operator(2), seed_power(1)).strategy == "system"

@@ -109,6 +109,25 @@ def test_every_entry_point_refuses_a_zero_scale():
             call()
 
 
+def test_every_entry_point_takes_an_int_scale_and_refuses_a_float():
+    # An int scale is the Fraction it equals; a float is never coerced.
+    for scale in (1, 2, -3):
+        fac = taylor_factorize(ref2_mask(), delta_chain(), scale)
+        assert fac == taylor_factorize(ref2_mask(), delta_chain(), F(scale))
+        assert type(fac.scale) is F
+        assert unfactor(fac.taylor, fac.factor, scale) == ref2_mask()
+    fac = taylor_factorize(ref2_mask(), delta_chain())
+    b = incomplete_from_complete(fac.factor)
+    calls = (
+        lambda: taylor_factorize(ref2_mask(), delta_chain(), 0.25),
+        lambda: unfactor(delta_operator(2), ref2_factor(), 0.25),
+        lambda: spectral_chain_from_factorization(ref2_mask(), b, fac.taylor, scale=0.25),
+    )
+    for call in calls:
+        with pytest.raises(TypeError, match="^expected an int or a Fraction, got float$"):
+            call()
+
+
 @st.composite
 def perturbed_masks(draw):
     """The reference d = 2 mask or a spline mask, with up to two entries moved

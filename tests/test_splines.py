@@ -25,7 +25,6 @@ from hermiteforge import (
     spline_verify,
 )
 from hermiteforge.splines import (
-    _scaled_bspline,
     _scaled_bspline_derivative,
     ell_polynomial,
     scalar_spline_symbol,
@@ -207,7 +206,8 @@ def test_bspline_pieces_match_recursion():
     for r in range(6):
         for n in range(-8, 8 * (r + 2) + 1):
             x = F(n, 8)
-            assert _scaled_bspline(r, n, 8) == bspline_value_reference(r, x) * factorial(r) * 8**r
+            value = bspline_value_reference(r, x) * factorial(r) * 8**r
+            assert _scaled_bspline_derivative(r, 0, n, 8) == value
             for k in range(r + 1):
                 want = sum(
                     (-1) ** i * comb(k, i) * bspline_value_reference(r - k, x - i)
@@ -217,14 +217,24 @@ def test_bspline_pieces_match_recursion():
                 assert _scaled_bspline_derivative(r, k, n, 8) == want * scale
 
 
-@given(
-    st.integers(min_value=0, max_value=6),
-    rationals(-1, 8, 1000),
-)
-@settings(max_examples=100, deadline=None)
-def test_bspline_value_matches_recursion_at_rationals(r, x):
+@st.composite
+def _derivative_samples(draw):
+    """(r, k, x): 0 <= k <= r <= 6 and x a rational in [-1, 8], often a knot."""
+    r = draw(st.integers(min_value=0, max_value=6))
+    k = draw(st.integers(min_value=0, max_value=r))
+    knot = st.integers(min_value=-1, max_value=8).map(F)
+    return r, k, draw(st.one_of(knot, rationals(-1, 8, 1000)))
+
+
+@given(_derivative_samples())
+@settings(max_examples=200, deadline=None)
+def test_bspline_value_matches_recursion_at_rationals(sample):
+    # B_r^(k)(x) = sum_i (-1)^i binom(k, i) B_(r-k)(x - i) over the
+    # recursion's values, right-continuous at the knots; k = 0 is B_r.
+    r, k, x = sample
+    want = sum((-1) ** i * comb(k, i) * bspline_value_reference(r - k, x - i) for i in range(k + 1))
     num, den = x.numerator, x.denominator
-    assert _scaled_bspline(r, num, den) == bspline_value_reference(r, x) * factorial(r) * den**r
+    assert _scaled_bspline_derivative(r, k, num, den) == want * factorial(r - k) * den ** (r - k)
 
 
 @pytest.mark.parametrize("r", [1, 2, 3, 4])

@@ -23,7 +23,7 @@ from hermiteforge import (
     delta_operator,
 )
 from hermiteforge import taylor
-from hermiteforge.exactalg import delta_symbol
+from hermiteforge.exactalg import delta_symbol, u_power
 from reference_kernels import (
     LaurentMatrix,
     apply_operator,
@@ -85,7 +85,7 @@ def test_constant_entries_mirror_weights():
     op = classical_operator(3)
     for k in range(1, 4):
         for i in range(k):
-            assert op.constant_entry(i, k) == -op.w[k - 1][i]
+            assert op.symbol.entry_symbol(i, k) == LaurentPoly.constant(-op.w[k - 1][i])
 
 
 @pytest.mark.parametrize("make", [delta_operator, classical_operator, allones_operator])
@@ -110,7 +110,7 @@ def test_rejects_ragged_rows():
 
 
 def test_symbol_diagonal():
-    comp = delta_operator(2).symbol()
+    comp = delta_operator(2).symbol
     delta = {-1: F(1), 0: F(-1)}
     for i in range(3):
         assert dict(comp.entry_symbol(i, i).items()) == delta
@@ -123,13 +123,13 @@ def test_symbol_diagonal():
 @pytest.mark.parametrize("d", [0, 1, 3])
 def test_symbol_is_the_operator_matrix(d, complete):
     op = classical_operator(d)
-    sym = op.symbol() if complete else op.incomplete_symbol
+    sym = op.symbol if complete else op.incomplete_symbol
     assert sym.d == d
     u = LaurentPoly({-1: F(1), 0: F(-1)})
     for i in range(d + 1):
         for k in range(d + 1):
             if k > i:
-                want = LaurentPoly.constant(op.constant_entry(i, k))
+                want = LaurentPoly.constant(-op.w[k - 1][i])
             elif k < i:
                 want = LaurentPoly.zero()
             else:
@@ -277,12 +277,12 @@ def test_cached_operator_data_equals_fresh_builds(op):
     assert chain.operator() == annihilator(chain.last) == op
 
     sym = taylor_symbol_reference(op, complete=True)
-    assert mask_symbol_reference(op.symbol()) == sym
+    assert mask_symbol_reference(op.symbol) == sym
     assert mask_symbol_reference(op.symbol_z2) == sym.substitute_power(2)
     assert LaurentMatrix(op.symbol_inverse) == triangular_inverse_reference(sym)
     assert triangular_inverse_check(sym, op.symbol_inverse)
     assert op.symbol_inverse is op.symbol_inverse
-    assert op.symbol() is op.symbol()
+    assert op.symbol is op.symbol
     assert op.symbol_z2 is op.symbol_z2
     assert op.incomplete_symbol is op.incomplete_symbol
 
@@ -320,7 +320,7 @@ def _symbol_times_inverse_numerators_is_diagonal(op):
     u = delta_symbol(1)
     size = op.d + 1
     want = [[u ** (l + 1) if j == l else LaurentPoly() for l in range(size)] for j in range(size)]
-    assert mask_symbol_reference(op.symbol() * op.inverse_numerators) == LaurentMatrix(want)
+    assert mask_symbol_reference(op.symbol * op.inverse_numerators) == LaurentMatrix(want)
     assert op.inverse_numerators is op.inverse_numerators
 
 
@@ -402,11 +402,11 @@ def test_a_loaded_chain_builds_each_annihilator_once():
 
 
 def test_u_powers_are_built_once_and_shared():
-    op = classical_operator(3)
     u = delta_symbol(1)
     assert delta_symbol(1) is u and delta_symbol(2) is delta_symbol(2)
-    assert op.u_powers is op.u_powers
-    assert op.u_powers == tuple(u**k for k in range(op.d + 2))
+    for k in range(6):
+        assert u_power(k) is u_power(k)
+        assert u_power(k) == u**k
 
 
 def test_an_empty_tower_is_not_a_chain():
