@@ -4,12 +4,13 @@ The joint n-level norm of a mask B is
 
     || S_B^[n] || = max_{0 <= eps < 2^n} sum_beta || B^[n](eps + 2^n beta) ||_inf
 
-where B^[n] has symbol B*(z) B*(z^2) ... B*(z^(2^(n-1))). A norm below 1 at
-any n certifies contractivity. For lower-triangular factors the diagonal
-scalar symbols certify on their own (the joint spectral radius of a
-block-triangular family is the largest among its diagonal blocks), which is
-much cheaper, so that certificate runs first; the joint norms then run only
-up to the diagonal's n, or up to n_max when the diagonal did not certify.
+where B^[n] has symbol B*(z) B*(z^2) ... B*(z^(2^(n-1))), the mask product
+B^[n-1] * B(z^(2^(n-1))). A norm below 1 at any n certifies contractivity.
+For lower-triangular factors the diagonal scalar symbols certify on their
+own (the joint spectral radius of a block-triangular family is the largest
+among its diagonal blocks), which is much cheaper, so that certificate runs
+first; the joint norms then run only up to the diagonal's n, or up to n_max
+when the diagonal did not certify.
 
 Cascade iterations render Hermite data at finer and finer dyadic levels with
 the derivative renormalization f_{n+1} = D^-(n+1) S_A D^n f_n of level_step,
@@ -21,64 +22,41 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, islice
+from itertools import chain, islice, repeat
 from math import inf, isfinite
 from operator import sub
-from typing import Iterator, Sequence
+from typing import Iterator
 
-from .exactalg import _report_json
+from .exactalg import _int_count, _report_json
 from .subdivision import DyadicGrid, Mask, level_step
 from .taylor import TaylorOperator, delta_operator
 
 
-def _iterated_norms(entries: Sequence[Sequence[Sequence[int]]], den: int) -> Iterator[Fraction]:
-    """Yield the joint norms ||S_B^[n]|| for n = 1, 2, ... of the mask whose
-    entries are given as integer coefficients over den.
-
-    The n-fold mask P_n, as integers over den^n, is extended one factor at a
-    time by P_n(g + 2^(n-1) beta) += P_(n-1)(g) B(beta), and only when the
-    next norm is asked for. Residue classes are taken relative to the first
-    coefficient; that permutes the classes, not their sums.
-    """
-    size = len(entries)
-    width = len(entries[0][0])
-    power = den
-    current = entries
-    modulus = 2
+def _iterated_norms(mask: Mask) -> Iterator[Fraction]:
+    """Yield the joint norms ||S_B^[n]|| for n = 1, 2, ... of the mask B,
+    extending B^[n] = B^[n-1] * B(z^(2^(n-1))) by one mask product only when
+    the next norm is asked for. Residue classes are taken relative to the
+    first coefficient; that permutes the classes, not their sums. A mask is
+    never zero, so once a product vanishes (ValueError), every norm is 0."""
+    current, modulus = mask, 2
     while True:
-        entry_norms = None
-        for row in current:
-            sums = [sum(map(abs, vals)) for vals in zip(*row)]
-            entry_norms = sums if entry_norms is None else list(map(max, entry_norms, sums))
-        length = len(entry_norms)
-        classes = range(min(modulus, length))
-        yield Fraction(max(sum(entry_norms[r::modulus]) for r in classes), power)
-        grown_length = length + modulus * (width - 1)
-        grown = [[[0] * grown_length for _ in range(size)] for _ in range(size)]
-        for i in range(size):
-            for l in range(size):
-                p = current[i][l]
-                if not any(p):
-                    continue
-                for k in range(size):
-                    target = grown[i][k]
-                    for beta, c in enumerate(entries[l][k]):
-                        if c:
-                            lo = beta * modulus
-                            target[lo : lo + length] = [
-                                t + c * x for t, x in zip(target[lo : lo + length], p)
-                            ]
-        current = grown
-        power *= den
+        row_sums = [[sum(map(abs, vals)) for vals in zip(*row)] for row in current._num]
+        entry_norms = list(map(max, *row_sums)) if len(row_sums) > 1 else row_sums[0]
+        classes = range(min(modulus, len(entry_norms)))
+        yield Fraction(max(sum(entry_norms[r::modulus]) for r in classes), current._den)
+        try:
+            current = current * mask.substitute_power(modulus)
+        except ValueError:
+            yield from repeat(Fraction(0))
         modulus *= 2
 
 
 def scheme_norm(mask: Mask, n: int = 1) -> Fraction:
-    """Exact joint norm of the n-fold scheme, computed on integer numerators
-    over one denominator."""
-    if n < 1:
+    """Exact joint norm of the n-fold scheme, read off the mask product
+    B(z) B(z^2) ... B(z^(2^(n-1))); n is an int (not a bool), at least 1."""
+    if _int_count(n, "n") < 1:
         raise ValueError("need n >= 1")
-    return next(islice(_iterated_norms(mask._num, mask._den), n - 1, None))
+    return next(islice(_iterated_norms(mask), n - 1, None))
 
 
 def is_lower_triangular(mask: Mask) -> bool:
@@ -118,14 +96,13 @@ def check_contractive(mask: Mask, n_max: int = 8) -> ContractivityReport:
     did. Each sequence extends its iterated mask one factor at a time and
     stops at the last norm it reports.
     """
-    if n_max < 1:
+    if _int_count(n_max, "n_max") < 1:
         raise ValueError("need n_max >= 1")
     triangular = is_lower_triangular(mask)
-    entries, den = mask._num, mask._den
 
-    def first_below_one(of, limit) -> tuple[list[Fraction], int | None]:
+    def first_below_one(of: Mask, limit: int) -> tuple[list[Fraction], int | None]:
         norms = []
-        for n, v in zip(range(1, limit + 1), _iterated_norms(of, den)):
+        for n, v in zip(range(1, limit + 1), _iterated_norms(of)):
             norms.append(v)
             if v < 1:
                 return norms, n
@@ -137,10 +114,11 @@ def check_contractive(mask: Mask, n_max: int = 8) -> ContractivityReport:
         worst_n = 0
         certified = True
         for i in range(mask.d + 1):
-            if not any(entries[i][i]):
+            if not any(mask._num[i][i]):
                 diagonal_norms.append(Fraction(0))
                 continue
-            values, found = first_below_one([[entries[i][i]]], n_max)
+            scalar = Mask._raw(mask.support_min, [[mask._num[i][i]]], mask._den)
+            values, found = first_below_one(scalar, n_max)
             diagonal_norms.append(values[-1])
             if found is None:
                 certified = False
@@ -149,7 +127,7 @@ def check_contractive(mask: Mask, n_max: int = 8) -> ContractivityReport:
         if certified:
             diagonal_n_star = worst_n
     limit = n_max if diagonal_n_star is None else max(1, diagonal_n_star)
-    norms, n_star = first_below_one(entries, limit)
+    norms, n_star = first_below_one(mask, limit)
     if n_star is not None:
         verdict, by = True, "joint"
     elif diagonal_n_star is not None:
@@ -220,7 +198,7 @@ def cascade(
     one denominator, float mode float rows. No column, and no Fraction, is
     built until a grid's values are read.
     """
-    if levels < 0:
+    if _int_count(levels, "levels") < 0:
         raise ValueError("levels must be nonnegative")
     if window[1] < window[0]:
         raise ValueError(f"window {window} is reversed: its end lies before its start")
@@ -344,7 +322,7 @@ def check_convergence(
     scheme's own Taylor operator for generalized pairings. A window that the
     delta never reaches raises DeltaMissesWindow, as in cascade.
     """
-    if levels < 3:
+    if _int_count(levels, "levels") < 3:
         raise ValueError("need at least 3 levels for a meaningful verdict")
     if not (isfinite(ratio_bound) and ratio_bound > 0):
         raise ValueError(f"ratio_bound must be a positive finite number, got {ratio_bound}")

@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import fields
 from fractions import Fraction
 from functools import cache
+from itertools import compress
 from math import gcd, lcm
 from typing import Iterator, Mapping, Sequence, Union
 
@@ -67,6 +68,13 @@ def _decimal_int(s: str, what: str) -> int:
     if not (s.isascii() and s.removeprefix("-").isdigit() and str(int(s)) == s):
         raise ValueError(f"{what} must be an integer in plain decimal, got {s!r}")
     return int(s)
+
+
+def _int_count(v: object, name: str) -> int:
+    """v, an iterate or level count: anything but an int (a bool too) raises TypeError."""
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise TypeError(f"{name} must be an int, got {v!r}")
+    return v
 
 
 def _json_field(obj: Mapping, key: str, kind: type, default: object = None):
@@ -175,16 +183,16 @@ def _add(
     return lo, out, den
 
 
-def _mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    """Product of two integer coefficient lists."""
-    if len(a) < len(b):
+def _mul_add(acc: list[int], a: Sequence[int], b: Sequence[int]) -> None:
+    """Add the product of two integer coefficient lists to acc in place,
+    acc[i + j] += a[i] * b[j], with one slice update per nonzero coefficient
+    of the factor with fewer nonzeros. acc holds len(a) + len(b) - 1 entries."""
+    if len(a) - a.count(0) < len(b) - b.count(0):
         a, b = b, a
     n = len(a)
-    out = [0] * (n + len(b) - 1)
-    for j, y in enumerate(b):
-        if y:
-            out[j : j + n] = [o + x * y for o, x in zip(out[j : j + n], a)]
-    return out
+    for j in compress(range(len(b)), b):
+        y = b[j]
+        acc[j : j + n] = [o + x * y for o, x in zip(acc[j : j + n], a)]
 
 
 def _scale(nums: Sequence[int], den: int, q: RationalLike) -> tuple[list[int], int]:
@@ -424,8 +432,9 @@ class LaurentPoly:
             return self.zero()
         # A product of canonical polynomials has nonzero ends; only the
         # common factor can need removing.
-        num, den = _reduce(_mul(self._num, other._num), self._den * other._den)
-        return self._raw(self._lo + other._lo, num, den)
+        acc = [0] * (len(self._num) + len(other._num) - 1)
+        _mul_add(acc, self._num, other._num)
+        return self._raw(self._lo + other._lo, *_reduce(acc, self._den * other._den))
 
     __rmul__ = __mul__
 

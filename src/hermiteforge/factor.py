@@ -171,7 +171,9 @@ def unfactor(
     (T-tilde*)^-1 = W diag(u^-(l+1)) with W = op.inverse_numerators and
     u = z^-1 - 1, so A* = scale * W E, where row l of E is row l of
     G = B* T-tilde*(z^2) divided exactly by u^(l+1). A failed division names
-    the first entry whose divisibility condition breaks.
+    the first entry whose divisibility condition breaks: only masks whose row
+    l of T-tilde*(z) A*(z) has the factor u^(l+1), as every synthesize output's
+    has, are recovered.
     """
     d = op.d
     if factor.d != d:

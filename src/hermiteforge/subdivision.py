@@ -26,7 +26,7 @@ from .exactalg import (
     _horner,
     _json_array,
     _json_field,
-    _mul,
+    _mul_add,
     _over_one_denominator,
     _ratio_str,
     _rational,
@@ -88,8 +88,10 @@ class Mask:
         if True not in live:
             raise ValueError("mask is identically zero")
         lo, hi = live.index(True), len(live) - live[::-1].index(True)
-        g = gcd(den, *chain.from_iterable(e[lo:hi] for e in flat))
-        num = tuple(tuple(tuple(n // g for n in e[lo:hi]) for e in row) for row in entries)
+        g = gcd(den, *chain.from_iterable(flat))
+        if g != 1:
+            entries = [[[n // g for n in e] for e in row] for row in entries]
+        num = tuple(tuple(tuple(e[lo:hi]) for e in row) for row in entries)
         put = object.__setattr__
         put(self, "support_min", support_min + lo)
         put(self, "_num", num)
@@ -169,8 +171,8 @@ class Mask:
 
     def __mul__(self, other: "Mask") -> "Mask":
         """The symbol product A*(z) B*(z). Every entry of a mask spans its
-        whole support, so entry (i, k) is a sum of integer convolutions of
-        one length, over den_a * den_b, normalized once."""
+        whole support, so entry (i, k) accumulates its d + 1 integer
+        products in one list over den_a * den_b, normalized once."""
         if not isinstance(other, Mask):
             return NotImplemented
         if other.d != self.d:
@@ -183,8 +185,7 @@ class Mask:
             for col in cols:
                 acc = [0] * width
                 for a, b in zip(row, col):
-                    if any(a) and any(b):
-                        acc = [x + y for x, y in zip(acc, _mul(a, b))]
+                    _mul_add(acc, a, b)
                 out.append(acc)
             entries.append(out)
         return self._raw(self.support_min + other.support_min, entries, self._den * other._den)

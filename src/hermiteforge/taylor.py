@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property, wraps
 from math import factorial, lcm
-from typing import Callable, Mapping
+from typing import Callable, Iterator, Mapping
 
 from .exactalg import (
     LaurentPoly,
@@ -32,7 +32,6 @@ from .exactalg import (
     _taylor_shift,
     rat_from_str,
     rat_to_str,
-    u_power,
 )
 from .polybasis import NotInVd, Poly, PolyVec, antidifference
 from .subdivision import Mask
@@ -120,31 +119,22 @@ class TaylorOperator:
         """T*(z^2), the symbol's mask at z^2."""
         return self.symbol.substitute_power(2)
 
-    @cached_property
-    def symbol_inverse(self) -> tuple[tuple[LaurentPoly, ...], ...]:
-        """The numerators p of the complete symbol's inverse: entry (j, l) of
-        T-tilde*(z)^-1 is p[j][l] / u^(l-j+1), u = z^-1 - 1. They are the
-        one inversion of the symbol; inverse_numerators reads them.
+    def _inverse_in_u(self) -> Iterator[tuple[int, int, list[int]]]:
+        """Yield (j, l, q[j][l]) for each nonzero q[j][l] = D^(l-j) p[j][l],
+        p = symbol_inverse: integer coefficients ascending in powers of
+        u = z^-1 - 1.
 
-        T T^-1 = I gives them by back substitution, one column at a time,
-        with the constant t[j][m] = -w_{m,j+1}: p[l][l] = 1 and
-        p[j][l] = sum_{j<m<=l} w_{m,j+1} p[m][l] u^(m-j-1).
-
-        The substitution runs on integers in powers of u. With D the lcm of
-        the weight denominators and W = D w, q[j][l] = D^(l-j) p[j][l] has
-        integer coefficients in u:
-        q[j][l] = sum_{j<m<=l} W[m-1][j] D^(m-j-1) q[m][l] u^(m-j-1).
-        Each nonzero q[j][l] is expanded once into powers of z^-1 by the
-        Taylor shift u = z^-1 - 1 and becomes one LaurentPoly over D^(l-j).
+        T T^-1 = I gives p by back substitution, one column at a time, with
+        the constant t[j][m] = -w_{m,j+1}: p[l][l] = 1 and
+        p[j][l] = sum_{j<m<=l} w_{m,j+1} p[m][l] u^(m-j-1). With W = D w:
+        q[j][l] = sum_{j<m<=l} W[m-1][j] D^(m-j-1) u^(m-j-1) q[m][l].
         """
         d = self.d
         den, big = self._int_weights
         dpow = [den**e for e in range(d + 1)]
-        zero, one = LaurentPoly.zero(), LaurentPoly.one()
-        p = [[zero] * (d + 1) for _ in range(d + 1)]
         for l in range(d + 1):
-            p[l][l] = one
-            # q[m] is q[m][l], ascending in powers of u.
+            yield l, l, [1]
+            # q[m] is q[m][l].
             q: list[list[int]] = [[] for _ in range(l)] + [[1]]
             for j in range(l - 1, -1, -1):
                 acc = [0] * (l - j)
@@ -157,18 +147,35 @@ class TaylorOperator:
                     acc.pop()
                 q[j] = acc
                 if acc:
-                    # nums[s] is the coefficient of z^-s.
-                    nums = _taylor_shift(acc, -1)
-                    p[j][l] = LaurentPoly._make(1 - len(nums), nums[::-1], dpow[l - j])
-        return tuple(tuple(row) for row in p)
+                    yield j, l, acc
+
+    @cached_property
+    def symbol_inverse(self) -> tuple[tuple[LaurentPoly, ...], ...]:
+        """The numerators p of the complete symbol's inverse: entry (j, l) of
+        T-tilde*(z)^-1 is p[j][l] / u^(l-j+1), u = z^-1 - 1. Each nonzero
+        q[j][l] of _inverse_in_u is expanded once into powers of z^-1 by the
+        Taylor shift u = z^-1 - 1 and becomes one LaurentPoly over D^(l-j)."""
+        den, size = self._int_weights[0], self.d + 1
+        p = [[LaurentPoly.zero()] * size for _ in range(size)]
+        for j, l, q in self._inverse_in_u():
+            # nums[s] is the coefficient of z^-s.
+            nums = _taylor_shift(q, -1)
+            p[j][l] = LaurentPoly._make(1 - len(nums), nums[::-1], den ** (l - j))
+        return tuple(map(tuple, p))
 
     @cached_property
     def inverse_numerators(self) -> Mask:
         """W, entry (j, l) being u^j p[j][l] for p = symbol_inverse, so that
         T-tilde*(z)^-1 = W diag(u^-(l+1)) and symbol * W = diag(u^(l+1)):
-        unfactor applies the inverse as one mask product with W."""
-        inv = self.symbol_inverse
-        return Mask.from_symbol([[u_power(j) * p for p in row] for j, row in enumerate(inv)])
+        unfactor applies the inverse as one mask product with W. Entry (j, l)
+        is one Taylor shift of u^j q[j][l], over D^d on alpha = -d, ..., 0."""
+        d, den = self.d, self._int_weights[0]
+        entries = [[[0] * (d + 1) for _ in range(d + 1)] for _ in range(d + 1)]
+        for j, l, q in self._inverse_in_u():
+            # nums[s] is the coefficient of z^-s, at alpha = -s.
+            nums, f = _taylor_shift([0] * j + q, -1), den ** (d - l + j)
+            entries[j][l][d + 1 - len(nums) :] = [f * n for n in reversed(nums)]
+        return Mask._raw(-d, entries, den**d)
 
     @cached_property
     def _chain(self) -> "Chain":

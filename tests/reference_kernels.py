@@ -11,17 +11,20 @@ column and one component at a time, the grid JSON and CSV writers one value
 at a time, the stencil sums of one step accumulated one term at a time
 over a parity class, Fraction samples of polynomial vectors for the eigen
 check, the spectral chain recovery on sampled windows of integer
-numerators, contraction norms read off the Laurent-product iterated symbol,
+numerators, contraction norms read off the Laurent-product iterated symbol
+and grown by a product loop of their own over a power of one denominator,
 Fraction abscissae for the spline cascade check, the Cox-de Boor recursion
 for B-spline values, a factorization that gates on annihilation before
 dividing and checks its identity twice, unfactor accumulating one
 LaurentPoly product per term of the inverse, the incomplete factor built
 one entry at a time by its block, the order-of-zero test of a
 synthesized last row that unfactor's division by (z^-1 - 1)^(d+1) replaces,
-the Laurent matrix that keeps one canonical LaurentPoly per entry and
-normalizes each product entry on its own, the triangular inverse by
-nilpotent expansion and by back substitution on LaurentPoly values, and a
-Taylor operator's symbol and canonical chain built afresh on every call.
+the Laurent matrix that keeps one canonical LaurentPoly per entry,
+multiplies them by schoolbook convolution and normalizes each product
+entry on its own, the triangular inverse by nilpotent expansion and by
+back substitution on LaurentPoly values, its numerators times powers of
+u as LaurentPoly products, and a Taylor operator's symbol and canonical
+chain built afresh on every call.
 They are slow and obviously right, which is all they are for.
 
 The oracles at the end state a property by its defining formula: the
@@ -61,7 +64,6 @@ from hermiteforge.exactalg import (
     NotDivisible,
     RationalLike,
     _add,
-    _mul,
     _rational,
     delta_symbol,
     falling_factorial,
@@ -503,12 +505,22 @@ def difference_split_reference(p: FractionPoly, n: int) -> bool:
 # canonical LaurentPoly per entry, each product entry normalized on its own.
 
 
+def convolution_reference(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """The schoolbook product of two integer coefficient lists, one term at a
+    time."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
 def _dot(pairs: Iterable[tuple[LaurentPoly, LaurentPoly]]) -> LaurentPoly:
     """The sum of the products a * b, normalized once at the end."""
     lo, acc, den = 0, None, 1
     for a, b in pairs:
         if a._num and b._num:
-            plo, prod, pden = a._lo + b._lo, _mul(a._num, b._num), a._den * b._den
+            plo, prod, pden = a._lo + b._lo, convolution_reference(a._num, b._num), a._den * b._den
             if acc is None:
                 lo, acc, den = plo, prod, pden
             else:
@@ -1117,6 +1129,51 @@ def spectral_chain_reference(
     return Chain(tuple(vecs))
 
 
+def iterated_norms_reference(
+    entries: Sequence[Sequence[Sequence[int]]], den: int
+) -> Iterator[Fraction]:
+    """The joint norms ||S_B^[n]|| for n = 1, 2, ... of the mask whose entries
+    are given as integer coefficients over den, with a product loop of their
+    own.
+
+    The n-fold mask P_n, as integers over den^n, is extended one factor at a
+    time by P_n(g + 2^(n-1) beta) += P_(n-1)(g) B(beta). Residue classes are
+    taken relative to the first coefficient; that permutes the classes, not
+    their sums.
+    """
+    size = len(entries)
+    width = len(entries[0][0])
+    power = den
+    current = entries
+    modulus = 2
+    while True:
+        entry_norms = None
+        for row in current:
+            sums = [sum(map(abs, vals)) for vals in zip(*row)]
+            entry_norms = sums if entry_norms is None else list(map(max, entry_norms, sums))
+        length = len(entry_norms)
+        classes = range(min(modulus, length))
+        yield Fraction(max(sum(entry_norms[r::modulus]) for r in classes), power)
+        grown_length = length + modulus * (width - 1)
+        grown = [[[0] * grown_length for _ in range(size)] for _ in range(size)]
+        for i in range(size):
+            for l in range(size):
+                p = current[i][l]
+                if not any(p):
+                    continue
+                for k in range(size):
+                    target = grown[i][k]
+                    for beta, c in enumerate(entries[l][k]):
+                        if c:
+                            lo = beta * modulus
+                            target[lo : lo + length] = [
+                                t + c * x for t, x in zip(target[lo : lo + length], p)
+                            ]
+        current = grown
+        power *= den
+        modulus *= 2
+
+
 def scheme_norm_reference(mask: Mask, n: int = 1) -> Fraction:
     """Joint norm of the n-fold scheme read off the iterated symbol, with
     one Fraction per coefficient."""
@@ -1441,6 +1498,14 @@ def symbol_inverse_reference(op: TaylorOperator) -> tuple[tuple[LaurentPoly, ...
                     acc = acc + p[m][l] * upow[m - j - 1] * wv
             p[j][l] = acc
     return tuple(tuple(row) for row in p)
+
+
+def inverse_numerators_reference(op: TaylorOperator) -> Mask:
+    """W, entry (j, l) being u^j p[j][l] for the back substitution's
+    numerators p: one LaurentPoly product per entry, read into a mask by
+    from_symbol."""
+    inv = symbol_inverse_reference(op)
+    return Mask.from_symbol([[u_power(j) * p for p in row] for j, row in enumerate(inv)])
 
 
 def iterated_symbol(mask: Mask, n: int) -> LaurentMatrix:

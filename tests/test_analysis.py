@@ -4,6 +4,7 @@ import json
 import re
 from dataclasses import FrozenInstanceError
 from fractions import Fraction as F
+from itertools import islice
 from math import ceil, floor, inf, lcm, nan
 
 import pytest
@@ -28,6 +29,7 @@ from hermiteforge import (
     cascade,
     check_contractive,
     check_convergence,
+    check_spline_cascade,
     classical_operator,
     delta_operator,
     scheme_norm,
@@ -36,6 +38,7 @@ from hermiteforge import (
 )
 from hermiteforge.analysis import (
     _convergence_report,
+    _iterated_norms,
     delta_grid,
     initial_window,
     taylor_residuals,
@@ -47,6 +50,7 @@ from reference_kernels import (
     convergence_reference,
     grid_csv_reference,
     grid_json_reference,
+    iterated_norms_reference,
     reconstruct_limits,
     scheme_norm_reference,
     taylor_residuals_reference,
@@ -158,6 +162,80 @@ def test_integer_norms_match_fraction_reference(mask, lower, scale, n_max):
         assert scheme_norm(mask, n) == scheme_norm_reference(mask, n)
     got = check_contractive(mask, n_max=n_max)
     assert got.to_json() == check_contractive_reference(mask, n_max=n_max).to_json()
+
+
+def strictly_lower_part(mask):
+    """The mask with every entry on and above the diagonal zeroed, which is
+    nilpotent: its iterates vanish from n = d + 1 on. A draw whose part is
+    zero is discarded."""
+    d = mask.d
+    coeffs = [[row[:i] + (0,) * (d + 1 - i) for i, row in enumerate(m)] for m in mask.coeffs]
+    assume(any(v for m in coeffs for row in m for v in row))
+    return Mask(mask.support_min, coeffs)
+
+
+def first_norms_agree(mask, count=5):
+    want = list(islice(iterated_norms_reference(mask._num, mask._den), count))
+    assert list(islice(_iterated_norms(mask), count)) == want
+    return want
+
+
+@given(
+    st.one_of(
+        sparse_masks(),
+        sparse_masks().map(lower_triangular_part),
+        sparse_masks().map(strictly_lower_part),
+        sparse_masks(d=0),
+    )
+)
+@settings(max_examples=60, deadline=None)
+def test_norms_from_mask_products_match_the_product_loop(mask):
+    want = first_norms_agree(mask)
+    if not any(any(e) for i, row in enumerate(mask._num) for e in row[i:]):
+        # Strictly lower: the iterate has vanished by n = d + 1.
+        assert want[mask.d :] == [0] * (5 - mask.d)
+
+
+@pytest.mark.parametrize(
+    "coeffs",
+    [
+        (((0, 0), (1, 0)),),  # E_10
+        (((0, 1), (0, 0)),),  # E_01
+        (((0, 0), (1, 0)), ((0, 0), (F(-1, 2), 0))),  # E_10 (1 - z/2)
+        (((0, 0, 0), (1, 0, 0), (0, 1, 0)), ((0, 0, 0), (0, 0, 0), (3, 0, 0))),
+    ],
+)
+def test_nilpotent_norms_drop_to_zero_as_in_the_product_loop(coeffs):
+    mask = Mask(-1, coeffs)
+    want = first_norms_agree(mask, 6)
+    assert want[mask.d :] == [0] * (6 - mask.d)
+    assert all(v > 0 for v in want[: mask.d])
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda m: scheme_norm(m, True), "n"),
+        (lambda m: scheme_norm(m, 2.0), "n"),
+        (lambda m: check_contractive(m, True), "n_max"),
+        (lambda m: check_contractive(m, 3.0), "n_max"),
+        (lambda m: cascade(m, True), "levels"),
+        (lambda m: cascade(m, 2.0, exact=True), "levels"),
+        (lambda m: check_convergence(m, True), "levels"),
+        (lambda m: check_convergence(m, 4.0), "levels"),
+        (lambda m: check_spline_cascade(2, 1, levels=True), "levels"),
+        (lambda m: check_spline_cascade(2, 1, levels=9.0), "levels"),
+    ],
+    ids=[
+        "scheme_norm-bool", "scheme_norm-float", "contractive-bool", "contractive-float",
+        "cascade-bool", "cascade-float", "convergence-bool", "convergence-float",
+        "spline-bool", "spline-float",
+    ],
+)
+def test_iterate_and_level_counts_must_be_ints(call, name):
+    # True is not read as 1, nor 2.0 as 2: each is refused by name.
+    with pytest.raises(TypeError, match=f"^{name} must be an int, got "):
+        call(half_delta())
 
 
 def test_reference_factor_certificates(ref2):

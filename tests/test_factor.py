@@ -47,6 +47,7 @@ from hermiteforge import (
     verify_spectral_chain,
 )
 from hermiteforge.cli import run
+from hermiteforge.exactalg import u_power
 from hermiteforge.factor import Factorization
 from hermiteforge.subdivision import _image
 
@@ -86,6 +87,46 @@ def test_factor_unfactor_roundtrip_on_splines():
         _, fac = spline_verify(r, d)
         back = unfactor(fac.taylor, fac.factor, fac.scale)
         assert back == fac.mask
+
+
+# A d = 1 mask that factors through delta:d=1 although unfactor cannot
+# recover it: row 0 of T-tilde*(z) A*(z) has no factor u = z^-1 - 1.
+UNRECOVERABLE_D1 = {
+    "d": 1,
+    "support_min": -2,
+    "coeffs": [
+        [["-1/2", "-1/2"], ["0", "-1/2"]],
+        [["-1", "-3/2"], ["0", "-1/2"]],
+        [["-1/2", "-1"], ["0", "0"]],
+    ],
+}
+
+
+def test_unfactor_recovers_only_masks_that_meet_the_divisibility_condition(tmp_path, capsys):
+    mask = Mask.from_json(UNRECOVERABLE_D1)
+    op = delta_operator(1)
+    fac = taylor_factorize(mask, chain_for(op))
+    assert fac.verify() and fac.scale == F(1, 2)
+    assert fac.factor.to_json() == {
+        "d": 1,
+        "support_min": -1,
+        "coeffs": [[["-1", "-1"], ["0", "-1"]], [["-1", "-1"], ["0", "0"]]],
+    }
+    with pytest.raises(NotDivisible, match=re.escape(
+        "divisibility condition failed at entry (0,1): row 0 requires a factor (z^-1 - 1)^1"
+    )):
+        unfactor(op, fac.factor, fac.scale)
+    with pytest.raises(NotDivisible):
+        (op.symbol * mask).entry_symbol(0, 1).divide_exact(u_power(1))
+    path = tmp_path / "mask.json"
+    path.write_text(json.dumps(UNRECOVERABLE_D1))
+    assert run(["factor", "--mask", str(path), "--chain", "delta:d=1"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["checks"] == {"identity": True}
+    assert doc["factorization"]["B"] == fac.factor.to_json()
+    assert run(["verify-spectral", "--mask", str(path), "--chain", "delta:d=1"]) == 1
+    failures = json.loads(capsys.readouterr().out)["spectral"]["failures"]
+    assert [f["level"] for f in failures] == [0, 1]
 
 
 def test_factorize_rejects_perturbed_mask():

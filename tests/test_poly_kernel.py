@@ -12,12 +12,13 @@ from hypothesis import strategies as st
 
 from hermiteforge import LaurentPoly, Mask, NotDivisible, Poly, PolyVec, polybasis
 from hermiteforge.construct import SingularSystem, _solve_square
-from hermiteforge.exactalg import rat_to_str
+from hermiteforge.exactalg import _mul_add, rat_to_str
 from hermiteforge.polybasis import difference_split_check
 from hermiteforge.subdivision import eigen_check
 from reference_kernels import (
     FractionLaurentPoly,
     FractionPoly,
+    convolution_reference,
     difference_split_reference,
     solve_square_reference,
 )
@@ -157,6 +158,39 @@ def test_laurent_kernel_matches_reference(t1, t2, c, x, m):
     same_outcome(
         lambda: (p * q).divide_exact(q), lambda: (rp * rq).divide_exact(rq), assert_same_laurent
     )
+
+
+@given(laurent_terms(), laurent_terms(), st.integers(min_value=2, max_value=8))
+@settings(max_examples=100, deadline=None)
+def test_products_with_a_spread_factor_match_reference(t1, t2, m):
+    # p(z^m) keeps p's nonzeros over m times its length, so with it on
+    # either side the product kernel loops over one factor or the other.
+    p, rp = laurent_pair(t1)
+    q, rq = laurent_pair(t2)
+    spread, rspread = p.substitute_power(m), rp.substitute_power(m)
+    assert_same_laurent(spread * q, rspread * rq)
+    assert_same_laurent(q * spread, rq * rspread)
+
+
+small_ints = st.integers(min_value=-4, max_value=4) | st.just(0)
+
+
+@given(
+    st.lists(small_ints, min_size=1, max_size=12),
+    st.lists(small_ints, min_size=1, max_size=12),
+    st.lists(small_ints, min_size=23, max_size=23),
+)
+@settings(max_examples=200, deadline=None)
+def test_mul_add_adds_the_schoolbook_product(a, b, base):
+    # Into an accumulator that already holds values, with either factor the
+    # sparser one, zeros anywhere and all-zero factors included.
+    acc = base[: len(a) + len(b) - 1]
+    want = [x + y for x, y in zip(acc, convolution_reference(a, b))]
+    _mul_add(acc, a, b)
+    assert acc == want
+    again = base[: len(a) + len(b) - 1]
+    _mul_add(again, tuple(b), tuple(a))
+    assert again == want
 
 
 def test_constants_hash_as_the_numbers_they_equal():

@@ -213,6 +213,25 @@ def test_mask_product_matches_laurent_matrix_reference(a, data):
     assert a.substitute_power(2) == mask_from_symbol_reference(sa.substitute_power(2))
 
 
+@given(sparse_masks(), st.data())
+@settings(max_examples=40, deadline=None)
+def test_mask_product_with_a_spread_factor_matches_laurent_matrix_reference(a, data):
+    # B(z^m) has B's nonzeros over m times its length: with it on either
+    # side the product kernel loops over one factor or the other.
+    b = data.draw(sparse_masks(d=a.d))
+    m = data.draw(st.integers(min_value=2, max_value=8))
+    spread = b.substitute_power(m)
+    sa, sspread = mask_symbol_reference(a), mask_symbol_reference(b).substitute_power(m)
+    assert spread == mask_from_symbol_reference(sspread)
+    for x, y, sx, sy in ((a, spread, sa, sspread), (spread, a, sspread, sa)):
+        product = sx * sy
+        if product.is_zero():
+            with pytest.raises(ValueError):
+                x * y
+        else:
+            assert x * y == mask_from_symbol_reference(product)
+
+
 def test_mask_product_refuses_other_sizes():
     with pytest.raises(ValueError, match="shape mismatch"):
         hat_mask() * ref2_mask()

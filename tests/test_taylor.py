@@ -30,6 +30,7 @@ from reference_kernels import (
     apply_operator_polys,
     chain_for_reference,
     classical_vector,
+    inverse_numerators_reference,
     mask_symbol_reference,
     newton_vector,
     padded_rows,
@@ -334,6 +335,28 @@ def test_symbol_times_inverse_numerators_is_diagonal(op):
 def test_preset_symbol_times_inverse_numerators_is_diagonal(preset):
     for d in range(9):
         _symbol_times_inverse_numerators_is_diagonal(preset(d))
+
+
+@given(operators(max_d=7, min_d=0))
+@settings(max_examples=80, deadline=None)
+def test_inverse_numerators_equal_the_laurent_products(op):
+    # Mask equality is field equality, so unfactor multiplies by the same mask.
+    assert op.inverse_numerators == inverse_numerators_reference(op)
+
+
+@pytest.mark.parametrize("preset", [classical_operator, delta_operator, allones_operator])
+def test_preset_inverse_numerators_equal_the_laurent_products(preset):
+    for d in range(9):
+        assert preset(d).inverse_numerators == inverse_numerators_reference(preset(d))
+
+
+def test_inverse_numerators_do_no_laurent_arithmetic():
+    # Built from the integer rows in u with one Taylor shift per entry.
+    op = TaylorOperator(((F(1),), (F(-2, 3), F(1)), (F(5, 4), F(1, 6), F(1))))
+    refuse = mock.Mock(side_effect=AssertionError("LaurentPoly arithmetic"))
+    with mock.patch.multiple(LaurentPoly, __add__=refuse, __mul__=refuse, __rmul__=refuse):
+        got = op.inverse_numerators
+    assert got == inverse_numerators_reference(op)
 
 
 @given(operators(max_d=5, min_d=0))
