@@ -130,10 +130,16 @@ def falling_factorial(e: int, r: int) -> int:
 # operation.
 
 
+def _is_rational(v: object) -> bool:
+    """Whether v is an int or a Fraction and not a bool, the one rule for a
+    rational argument."""
+    return isinstance(v, (int, Fraction)) and not isinstance(v, bool)
+
+
 def _rational(v: object) -> RationalLike:
-    """v if it is an int or a Fraction; a float or anything else is never
-    coerced and raises TypeError."""
-    if isinstance(v, (int, Fraction)):
+    """v if it is an int or a Fraction; a bool, a float or anything else is
+    never coerced and raises TypeError."""
+    if _is_rational(v):
         return v
     raise TypeError(f"expected an int or a Fraction, got {type(v).__name__}")
 
@@ -339,10 +345,10 @@ class LaurentPoly:
 
     def _operand(self, other: object) -> "LaurentPoly | None":
         """other as a polynomial of this type, or None if it is not an int, a
-        Fraction or a polynomial of exactly this type."""
+        Fraction or a polynomial of exactly this type (a bool is none)."""
         if type(other) is type(self):
             return other
-        if isinstance(other, (int, Fraction)):
+        if _is_rational(other):
             return self.constant(other)
         return None
 
@@ -422,7 +428,7 @@ class LaurentPoly:
         return other - self
 
     def __mul__(self, other: "LaurentPoly | RationalLike") -> "LaurentPoly":
-        if isinstance(other, (int, Fraction)):
+        if _is_rational(other):
             if not other or not self._num:
                 return self.zero()
             return self._make(self._lo, *_scale(self._num, self._den, other))
@@ -439,7 +445,7 @@ class LaurentPoly:
     __rmul__ = __mul__
 
     def __truediv__(self, other: RationalLike) -> "LaurentPoly":
-        if not isinstance(other, (int, Fraction)):
+        if not _is_rational(other):
             return NotImplemented
         if other == 0:
             raise ZeroDivisionError("division of Laurent polynomial by zero")
@@ -458,8 +464,8 @@ class LaurentPoly:
         return out
 
     def substitute_power(self, m: int) -> "LaurentPoly":
-        """Return f(z^m). m may be negative, not zero."""
-        if m == 0:
+        """Return f(z^m). m is an int (not a bool) and may be negative, not zero."""
+        if _int_count(m, "m") == 0:
             raise ValueError("substitute_power requires a nonzero exponent")
         if not self._num:
             return self

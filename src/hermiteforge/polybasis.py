@@ -25,6 +25,7 @@ from .exactalg import (
     RationalLike,
     _canonical,
     _display,
+    _int_count,
     _json_array,
     _json_field,
     _over_one_denominator,
@@ -92,8 +93,8 @@ class Poly(LaurentPoly):
         return self._make(0, shifted, self._den * q**m)
 
     def substitute_power(self, m: int) -> "Poly":
-        """Return p(x^m) for m > 0."""
-        if m < 0:
+        """Return p(x^m) for an int m > 0 (not a bool)."""
+        if _int_count(m, "m") < 0:
             raise ValueError("a Poly has no negative powers: substitute_power needs m > 0")
         return super().substitute_power(m)
 

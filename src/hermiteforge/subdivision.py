@@ -18,12 +18,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import chain, count
-from math import gcd, lcm
+from math import comb, gcd, lcm
 
 from .exactalg import (
     LaurentPoly,
     RationalLike,
     _horner,
+    _int_count,
     _json_array,
     _json_field,
     _mul_add,
@@ -52,7 +53,10 @@ class Mask:
     (i, k) at alpha = support_min, support_min + 1, ..., over one positive
     denominator _den. No end matrix is zero and no factor is common to _den
     and all numerators, so equal masks have equal fields. coeffs (built on
-    first read and kept) and matrix(alpha) are Fraction views.
+    first read and kept) and matrix(alpha) are Fraction views. Two integer
+    tables are also built on first read and kept: _terms, the nonzero
+    entries by parity class for the subdivision step, and _moments, their
+    moments, through which S_A acts on polynomial data (_image).
 
     A mask is also the one form of a square matrix symbol: * is the symbol
     product, substitute_power(m) gives A*(z^m), and == compares symbols.
@@ -120,7 +124,8 @@ class Mask:
         beta = m + offset. Terms run beta ascending, then k ascending, and
         skip zero entries. The (offset, k) pairs of one list are its shape:
         _stencil_sums groups the terms by shape and runs one generated sum
-        per shape, shared by all masks, which adds them in this same order."""
+        per shape, shared by all masks, which adds them in this same order.
+        _moments is built from these lists."""
         s_min, s_max = self.support
         table = []
         for parity in (0, 1):
@@ -135,6 +140,27 @@ class Mask:
                         if c:
                             terms.append((offset, k, c))
                 rows.append(tuple(terms))
+            table.append(tuple(rows))
+        return tuple(table)
+
+    @cached_property
+    def _moments(self) -> tuple[tuple[tuple[tuple[int, ...], ...], ...], ...]:
+        """The moments of the term lists, the only way S_A reads polynomial
+        data: [p][i][k][e] is the sum of c * offset^e over the terms
+        (offset, k, c) of _terms[p][i], for e = 0..d; a component with no
+        terms there has all moments 0. Built once, read by every _image."""
+        size = self.d + 1
+        table = []
+        for terms_by_row in self._terms:
+            rows = []
+            for terms in terms_by_row:
+                moments = [[0] * size for _ in range(size)]
+                for offset, k, c in terms:
+                    row = moments[k]
+                    for e in range(size):
+                        row[e] += c
+                        c *= offset
+                rows.append(tuple(map(tuple, moments)))
             table.append(tuple(rows))
         return tuple(table)
 
@@ -171,39 +197,53 @@ class Mask:
 
     def __mul__(self, other: "Mask") -> "Mask":
         """The symbol product A*(z) B*(z). Every entry of a mask spans its
-        whole support, so entry (i, k) accumulates its d + 1 integer
-        products in one list over den_a * den_b, normalized once."""
+        whole support, so entry (i, k) accumulates, in one list over
+        den_a * den_b, the products of the pairs (i, l), (l, k) whose two
+        entries are both nonzero, and no others; with no such pair it is
+        the zero list. The entries are normalized once, and a product that
+        vanishes raises ValueError, as no mask is zero."""
         if not isinstance(other, Mask):
             return NotImplemented
         if other.d != self.d:
             raise ValueError("matrix shape mismatch in product")
         width = len(self._num[0][0]) + len(other._num[0][0]) - 1
-        cols = list(zip(*other._num))
+        rows = [[(l, a) for l, a in enumerate(row) if any(a)] for row in self._num]
+        cols = [[b if any(b) else None for b in col] for col in zip(*other._num)]
         entries = []
-        for row in self._num:
+        for row in rows:
             out = []
             for col in cols:
                 acc = [0] * width
-                for a, b in zip(row, col):
-                    _mul_add(acc, a, b)
+                for l, a in row:
+                    b = col[l]
+                    if b is not None:
+                        _mul_add(acc, a, b)
                 out.append(acc)
             entries.append(out)
         return self._raw(self.support_min + other.support_min, entries, self._den * other._den)
 
     def substitute_power(self, m: int) -> "Mask":
-        """The mask of A*(z^m), for m >= 1."""
-        if m < 1:
+        """The mask of A*(z^m), for an int m >= 1 (a bool or any other type
+        raises TypeError). Spreading keeps the nonzero end matrices and adds
+        only zeros, so the spread of a canonical mask is canonical as it is
+        built: its fields are written directly, with no pass of _fill."""
+        if _int_count(m, "m") < 1:
             raise ValueError("substitute_power needs m >= 1")
         width = (len(self._num[0][0]) - 1) * m + 1
-        entries = []
+        num = []
         for row in self._num:
             out = []
             for e in row:
                 spread = [0] * width
                 spread[::m] = e
-                out.append(spread)
-            entries.append(out)
-        return self._raw(self.support_min * m, entries, self._den)
+                out.append(tuple(spread))
+            num.append(tuple(out))
+        mask = object.__new__(type(self))
+        put = object.__setattr__
+        put(mask, "support_min", self.support_min * m)
+        put(mask, "_num", tuple(num))
+        put(mask, "_den", self._den)
+        return mask
 
     def scale(self, v: RationalLike) -> "Mask":
         p, q = _rational(v).as_integer_ratio()
@@ -401,8 +441,11 @@ def _image(mask: Mask, v: PolyVec) -> tuple[list, list, int]:
     with zero rows below to mask.d + 1 rows. Returns (img, vhat, q):
     img[p][i] lists the integer coefficients, in m, of (S_A v-hat)_i(2m + p)
     over mask._den * q, and vhat[p][i] those of v-hat_i(2m + p) over q, each
-    mask.d + 1 long. A term (offset, k, c) of Mask._terms adds
-    c v-hat_k(m + offset), an integer Taylor shift, so no samples are taken.
+    mask.d + 1 long. The terms (offset, k, c) of Mask._terms[p][i] add
+    sum c v-hat_k(m + offset), whose coefficient of m^t is
+    sum_j C(j, t) v-hat_k[j] M[k][j - t] with M = Mask._moments[p][i]: so
+    each v-hat_k is spread once into one list per e = j - t, and every
+    image row adds those lists times its nonzero moments.
     """
     d = mask.d
     if v.d > d:
@@ -412,20 +455,23 @@ def _image(mask: Mask, v: PolyVec) -> tuple[list, list, int]:
     zero = [0] * (d + 1)
     full = [row + zero[len(row) :] for row in rows] + [zero] * (d - v.d)
     # v-hat_i(2m + p): shift by p, then scale the coefficient of m^j by 2^j.
-    vhat = [[[c << j for j, c in enumerate(_taylor_shift(r, p))] for r in full] for p in (0, 1)]
-    shifts = {}
+    odd = [_taylor_shift(r, 1) for r in full]
+    vhat = [[[c << j for j, c in enumerate(r)] for r in block] for block in (full, odd)]
+    # spread[k][e][t] = C(t + e, t) v-hat_k[t + e], the weight of M[k][e] in
+    # the coefficient of m^t.
+    spread = [
+        [[comb(t + e, t) * x for t, x in enumerate(r[e:])] for e in range(len(r))]
+        for r in rows
+    ]
     img = []
-    for terms_by_row in mask._terms:
+    for moments_by_row in mask._moments:
         img.append([])
-        for terms in terms_by_row:
-            acc = zero
-            for offset, k, c in terms:
-                if k <= v.d:
-                    s = shifts.get((k, offset))
-                    if s is None:
-                        s = _taylor_shift(rows[k], offset)
-                        s = shifts[k, offset] = s + zero[len(s) :]
-                    acc = [a + c * x for a, x in zip(acc, s)]
+        for moments in moments_by_row:
+            acc = [0] * (d + 1)
+            for moments_k, lists in zip(moments, spread):
+                for weight, w in zip(moments_k, lists):
+                    if weight:
+                        acc[: len(w)] = [a + weight * x for a, x in zip(acc, w)]
             img[-1].append(acc)
     return img, vhat, q
 

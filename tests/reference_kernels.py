@@ -10,7 +10,8 @@ triangle and partition tests), the float cascade and its convergence diagnostics
 column and one component at a time, the grid JSON and CSV writers one value
 at a time, the stencil sums of one step accumulated one term at a time
 over a parity class, Fraction samples of polynomial vectors for the eigen
-check, the spectral chain recovery on sampled windows of integer
+check, the exact image of a polynomial vector with one integer Taylor
+shift per mask term, the spectral chain recovery on sampled windows of integer
 numerators, contraction norms read off the Laurent-product iterated symbol
 and grown by a product loop of their own over a power of one denominator,
 Fraction abscissae for the spline cascade check, the Cox-de Boor recursion
@@ -65,6 +66,7 @@ from hermiteforge.exactalg import (
     RationalLike,
     _add,
     _rational,
+    _taylor_shift,
     delta_symbol,
     falling_factorial,
     rat_from_str,
@@ -1059,6 +1061,31 @@ def image_rows_reference(mask: Mask, v: PolyVec) -> tuple[list[list[int]], int, 
     samples, den_q = sample_rows_reference(v, -half, half, mask.d)
     sums = stencil_sums_reference(mask._terms, samples, -half, out_lo, out_hi, 0)
     return sums, mask._den * den_q, out_lo
+
+
+def image_reference(mask: Mask, v: PolyVec) -> tuple[list, list, int]:
+    """subdivision._image by the term loop: (img, vhat, q) with img[p][i]
+    summed one term (offset, k, c) of Mask._terms at a time, each adding c
+    times v-hat_k(m + offset), an integer Taylor shift of v-hat_k."""
+    d = mask.d
+    if v.d > d:
+        raise ValueError("vector does not fit the mask's dimension")
+    q = lcm(*(p._den for p in v.components))
+    rows = [[n * (q // p._den) for n in p._dense()] for p in reversed(v.components)]
+    zero = [0] * (d + 1)
+    full = [row + zero[len(row) :] for row in rows] + [zero] * (d - v.d)
+    vhat = [[[c << j for j, c in enumerate(_taylor_shift(r, p))] for r in full] for p in (0, 1)]
+    img = []
+    for terms_by_row in mask._terms:
+        img.append([])
+        for terms in terms_by_row:
+            acc = zero
+            for offset, k, c in terms:
+                if k <= v.d:
+                    s = _taylor_shift(rows[k], offset)
+                    acc = [a + c * x for a, x in zip(acc, s + zero[len(s) :])]
+            img[-1].append(acc)
+    return img, vhat, q
 
 
 def spectral_chain_reference(

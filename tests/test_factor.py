@@ -49,7 +49,7 @@ from hermiteforge import (
 from hermiteforge.cli import run
 from hermiteforge.exactalg import u_power
 from hermiteforge.factor import Factorization
-from hermiteforge.subdivision import _image
+from hermiteforge.subdivision import _image, eigen_check
 
 
 def ref2_mask():
@@ -167,6 +167,27 @@ def test_every_entry_point_takes_an_int_scale_and_refuses_a_float():
     for call in calls:
         with pytest.raises(TypeError, match="^expected an int or a Fraction, got float$"):
             call()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: Mask(0, [[[True, False], [False, True]]]),
+        lambda: eigen_check(ref2_mask(), delta_chain().vecs[0], True),
+        lambda: TaylorOperator(((True,),)),
+        lambda: ref2_mask().scale(True),
+        lambda: chain_for(delta_operator(2), {(1, 1): True}),
+        lambda: taylor_factorize(ref2_mask(), delta_chain(), True),
+        lambda: unfactor(delta_operator(2), ref2_factor(), True),
+        lambda: LaurentPoly({0: True}),
+    ],
+    ids=["mask", "eigenvalue", "weight", "mask-scale", "constant", "factor-scale",
+         "unfactor-scale", "coefficient"],
+)
+def test_a_bool_is_not_read_as_a_rational(call):
+    # True is an int to Python, but never the rational 1 here.
+    with pytest.raises(TypeError, match="^expected an int or a Fraction, got bool$"):
+        call()
 
 
 @st.composite

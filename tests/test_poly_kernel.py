@@ -304,11 +304,15 @@ def test_poly_methods_return_poly():
 )
 def test_float_operands_are_rejected(cls, op):
     p = LaurentPoly({1: 1}) if cls is LaurentPoly else Poly((0, 1))
-    with pytest.raises(TypeError):
-        op(p, 0.1)
-    if op is not operator.truediv:
+    # A bool is no operand either: True is not read as 1, so the constant 1
+    # does not equal it.
+    for bad in (0.1, True):
         with pytest.raises(TypeError):
-            op(0.1, p)
+            op(p, bad)
+        if op is not operator.truediv:
+            with pytest.raises(TypeError):
+                op(bad, p)
+    assert cls.one() != True  # noqa: E712
     # Nor do the constructors and the methods that take a rational, nor the
     # masks, the rational writer and the eigen check, which refuses strings
     # as well.

@@ -8,12 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from goldens import REF2_MASK, REF2_SPECTRAL_CHAIN, mask_from_entries
-from hermiteforge import Chain, LaurentPoly, Mask, Poly, PolyVec, cascade
+from hermiteforge import Chain, LaurentPoly, Mask, Poly, PolyVec, TaylorOperator, cascade
 from hermiteforge.analysis import is_lower_triangular
 from hermiteforge.factor import _last_column_partition_of_unity
 from hermiteforge.subdivision import (
     WindowTooSmall,
     _as_rows,
+    _image,
     _kernels,
     _output_window,
     _stencil_sums,
@@ -24,6 +25,7 @@ from reference_kernels import (
     eigen_check_reference,
     float_step_prescaled_reference,
     hermite_step_reference,
+    image_reference,
     integer_entries_reference,
     is_lower_triangular_reference,
     iterated_symbol,
@@ -198,10 +200,52 @@ def test_integer_mask_matches_fraction_reference(mask, q):
         assert is_lower_triangular(m) == is_lower_triangular_reference(m)
 
 
+# Entry patterns for the product: it multiplies only the pairs (i, l),
+# (l, k) whose two entries are nonzero.
+SPARSITY = {
+    "full": lambda i, k: True,
+    "lower": lambda i, k: k <= i,
+    "strictly lower": lambda i, k: k < i,
+    "upper": lambda i, k: k >= i,
+    "diagonal": lambda i, k: k == i,
+    "zero column": lambda i, k: k != 0,
+}
+
+
+def restricted(mask, pattern):
+    """mask with entry (i, k) zeroed where SPARSITY[pattern] is false, or
+    mask itself where that leaves no nonzero entry."""
+    keep = SPARSITY[pattern]
+    coeffs = [
+        [[v if keep(i, k) else 0 for k, v in enumerate(row)] for i, row in enumerate(m)]
+        for m in mask.coeffs
+    ]
+    if not any(v for m in coeffs for row in m for v in row):
+        return mask
+    return Mask(mask.support_min, coeffs)
+
+
+@st.composite
+def taylor_symbols(draw, d):
+    """The symbol of a complete Taylor operator of size d + 1 with random
+    weights: upper triangular, with z^-1 - 1 on the diagonal."""
+    w = tuple(
+        tuple([draw(rationals(-3, 3, 6)) for _ in range(j - 1)] + [F(1)]) for j in range(1, d + 1)
+    )
+    return TaylorOperator(w).symbol
+
+
 @given(sparse_masks(), st.data())
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=50, deadline=None)
 def test_mask_product_matches_laurent_matrix_reference(a, data):
     b = data.draw(sparse_masks(d=a.d))
+    patterns = st.sampled_from(list(SPARSITY))
+    a, b = restricted(a, data.draw(patterns)), restricted(b, data.draw(patterns))
+    side = data.draw(st.sampled_from([None, "left", "right"]))
+    if side == "left":
+        a = data.draw(taylor_symbols(a.d))
+    elif side == "right":
+        b = data.draw(taylor_symbols(a.d))
     sa, sb = mask_symbol_reference(a), mask_symbol_reference(b)
     product = sa * sb
     if product.is_zero():
@@ -211,6 +255,43 @@ def test_mask_product_matches_laurent_matrix_reference(a, data):
     else:
         assert a * b == mask_from_symbol_reference(product)
     assert a.substitute_power(2) == mask_from_symbol_reference(sa.substitute_power(2))
+
+
+def test_products_of_strictly_lower_masks_vanish_with_an_error():
+    # E_10 E_10 = 0: no pair has two nonzero entries, and no mask is zero.
+    e10 = Mask(0, (((0, 0), (1, 0)), ((0, 0), (F(1, 2), 0))))
+    with pytest.raises(ValueError, match="^mask is identically zero$"):
+        e10 * e10
+    # A 3x3 strictly lower N with N^2 != 0 has N^3 = 0.
+    n = Mask(-1, (((0, 0, 0), (1, 0, 0), (2, -1, 0)), ((0, 0, 0), (0, 0, 0), (F(1, 3), 1, 0))))
+    square, sn = n * n, mask_symbol_reference(n)
+    assert square == mask_from_symbol_reference(sn * sn)
+    assert is_lower_triangular(square)
+    with pytest.raises(ValueError, match="^mask is identically zero$"):
+        square * n
+
+
+@given(sparse_masks(), st.integers(min_value=1, max_value=8))
+@settings(max_examples=30, deadline=None)
+def test_spread_mask_is_canonical_as_built(mask, m):
+    spread = mask.substitute_power(m)
+    width = (len(mask._num[0][0]) - 1) * m + 1
+    entries = [[[0] * width for _ in row] for row in mask._num]
+    for out, row in zip(entries, mask._num):
+        for e, entry in zip(out, row):
+            e[::m] = entry
+    want = Mask._raw(mask.support_min * m, entries, mask._den)
+    # A mask's == compares its three fields.
+    assert spread == want
+    assert all(type(e) is tuple for row in spread._num for e in row)
+
+
+@pytest.mark.parametrize("m", [True, False, 2.0, 1.0, F(2), "2"], ids=repr)
+def test_substitute_power_takes_only_an_int(m):
+    # True is not read as 1, nor 2.0 as 2.
+    for f in (hat_mask(), LaurentPoly({-1: 1, 2: F(1, 3)}), Poly((1, 2))):
+        with pytest.raises(TypeError, match="^m must be an int, got "):
+            f.substitute_power(m)
 
 
 @given(sparse_masks(), st.data())
@@ -472,6 +553,26 @@ def test_float_cascade_holds_only_floats():
     final = cascade(m, 2, exact=False)[-1]
     assert all(type(v) is float for col in final.values for v in col)
     assert final.to_json()["kind"] == "float"
+
+
+@given(sparse_masks(), st.data())
+@settings(max_examples=50, deadline=None)
+def test_image_matches_the_term_loop(mask, data):
+    # v.d <= mask.d, so the rows of v-hat below v are zero; sparse_masks
+    # leaves some output rows with no terms in one parity class or both.
+    v = data.draw(poly_vecs(mask.d))
+    assert _image(mask, v) == image_reference(mask, v)
+
+
+def test_image_rows_without_terms_are_zero():
+    # Row 0 has no terms at all, row 1 none in the odd class.
+    mask = Mask(0, (((0, 0), (1, 2)), ((0, 0), (0, 0)), ((0, 0), (F(1, 3), -1))))
+    assert mask._terms[0][0] == mask._terms[1][0] == mask._terms[1][1] == ()
+    v = PolyVec((Poly.one(), Poly((F(1, 3), 1))))
+    img, vhat, q = _image(mask, v)
+    assert (img, vhat, q) == image_reference(mask, v)
+    assert img[0][0] == img[1][0] == img[1][1] == [0, 0]
+    assert img[0][1] != [0, 0]
 
 
 eigenvalues = st.sampled_from([F(0), F(1), F(1, 2), F(1, 4), F(-3, 7)])
