@@ -27,7 +27,7 @@ from .construct import synthesize
 from .exactalg import LaurentPoly, NotDivisible, _decimal_int, rat_from_str
 from .factor import NotAnnihilated, taylor_factorize, verify_spectral_chain
 from .polybasis import Poly, PolyVec, difference_split_check
-from .splines import _verify_spline, spline_chain, spline_mask
+from .splines import spline_chain, spline_mask, spline_verify
 from .subdivision import DyadicGrid, Mask, _float_from_str
 from .taylor import (
     Chain,
@@ -450,7 +450,7 @@ def _cmd_spline(args) -> dict:
     chain = spline_chain(args.r, args.d)
     payload = {"ok": True, "mask": mask.to_json(), "chain": chain.to_json()}
     if args.verify:
-        report, fac = _verify_spline(args.r, args.d, mask, chain)
+        report, fac = spline_verify(args.r, args.d)
         payload.update(ok=report.ok, report=report.to_json(), factor=fac.factor.to_json())
     return payload
 

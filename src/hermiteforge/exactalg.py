@@ -452,7 +452,8 @@ class LaurentPoly:
         return self * (1 / Fraction(other))
 
     def __pow__(self, n: int) -> "LaurentPoly":
-        if n < 0:
+        """self^n for an int n >= 0 (not a bool)."""
+        if _int_count(n, "n") < 0:
             raise ValueError("negative powers of Laurent polynomials are not defined here")
         out = self.one()
         base = self

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .exactalg import (
     LaurentPoly,
@@ -298,15 +299,22 @@ def spectral_chain_from_factorization(
         for i in range(j - 1, -1, -1):
             acc = sum(umat[i][m] * smat[m][j] for m in range(i + 1, j + 1))
             smat[i][j] = acc / (lam - umat[i][i])
+    # Component t of level j is sum_k smat[k][j] v_k[k - j + t]: one integer
+    # combination of the numerators over the lcm of the denominators.
     vecs = []
     for j in range(size):
         comps = []
         for tdeg in range(j + 1):
-            p = Poly.zero()
-            for k in range(j - tdeg, j + 1):
-                coef = smat[k][j]
-                if coef:
-                    p = p + chain.vecs[k].components[k - j + tdeg] * coef
-            comps.append(p)
+            terms = [
+                (smat[k][j], chain.vecs[k].components[k - j + tdeg])
+                for k in range(j - tdeg, j + 1)
+                if smat[k][j]
+            ]
+            den = lcm(*(c.denominator * p._den for c, p in terms))
+            nums = [0] * (tdeg + 1)
+            for c, p in terms:
+                f, dense = c.numerator * (den // (c.denominator * p._den)), p._dense()
+                nums[: len(dense)] = [a + f * n for a, n in zip(nums, dense)]
+            comps.append(Poly._make(0, nums, den))
         vecs.append(PolyVec(tuple(comps)))
     return Chain(tuple(vecs))

@@ -191,8 +191,9 @@ def antidifference(p: Poly, constant: RationalLike = 0) -> Poly:
 class PolyVec:
     """An element of V_d: components of degree exactly 0..d, stored ascending.
 
-    components[j] has degree j, leading coefficient 1/j!, and components[0]
-    is the constant 1.
+    components[j] has degree j and leading coefficient 1/j!, so components[0]
+    is the constant 1. The leading coefficient is checked on the integer
+    fields: numerator times j! equals the denominator.
     """
 
     components: tuple[Poly, ...]
@@ -205,12 +206,10 @@ class PolyVec:
         for j, p in enumerate(comps):
             if p.degree != j:
                 raise NotInVd(f"component {j} has degree {p.degree}, expected exactly {j}")
-            if p.leading != Fraction(1, factorial(j)):
+            if p._num[-1] * factorial(j) != p._den:
                 raise NotInVd(
                     f"component {j} has leading coefficient {p.leading}, expected 1/{j}!"
                 )
-        if comps[0] != Poly.one():
-            raise NotInVd("the degree-0 component must be the constant 1")
 
     @property
     def d(self) -> int:

@@ -8,17 +8,21 @@ The degree-r scalar mask is a_r(alpha) = 2^-r binom(r+1, alpha). The Hermite
 mask of dimension d+1 (d <= r) puts iterated differences of a_r in its first
 column; all other columns vanish. Its eigenpolynomials are derivatives of
 ell_r = (x+1)...(x+r)/r!, and the associated chain is annihilated by the
-all-ones Taylor operator.
+all-ones Taylor operator. spline_mask(r, d) and spline_chain(r, d) return one
+shared instance per (r, d), so a scheme's mask tables and its chain's
+annihilators are built once per process; r and d must be ints (not bools)
+and are checked before the shared instance is looked up.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache, wraps
 from math import comb, factorial, isfinite, perm
+from typing import Callable
 
 from .analysis import cascade
-from .exactalg import LaurentPoly, _horner, _report_json
+from .exactalg import LaurentPoly, _horner, _int_count, _report_json
 from .factor import Factorization, taylor_factorize, verify_spectral_chain
 from .polybasis import Poly, PolyVec
 from .subdivision import Mask
@@ -30,26 +34,43 @@ class BadOrder(ValueError):
 
 
 def _check_rd(r: int, d: int) -> None:
-    if r < 1:
+    """r and d must be ints, not bools (TypeError), with 1 <= r and
+    0 <= d <= r (BadOrder)."""
+    if _int_count(r, "r") < 1:
         raise BadOrder(f"spline degree must be at least 1, got r={r}")
-    if not 0 <= d <= r:
+    if not 0 <= _int_count(d, "d") <= r:
         raise BadOrder(f"derivative count must satisfy 0 <= d <= r, got d={d} for r={r}")
 
 
 def scalar_spline_symbol(r: int) -> LaurentPoly:
-    """a_r*(z) = (1+z)^(r+1) / 2^r."""
-    if r < 1:
+    """a_r*(z) = (1+z)^(r+1) / 2^r, for an int r >= 1."""
+    if _int_count(r, "r") < 1:
         raise BadOrder(f"spline degree must be at least 1, got r={r}")
     zp1 = LaurentPoly({1: 1, 0: 1})
     return zp1 ** (r + 1) / 2**r
 
 
+def _preset(make: Callable) -> Callable:
+    """Share one object per (r, d), as the operator presets share one per d.
+    r and d are checked by _check_rd before the shared instance is looked
+    up, so True is never read as the r = 1 entry."""
+    shared = cache(make)
+
+    @wraps(make)
+    def preset(r: int, d: int):
+        _check_rd(r, d)
+        return shared(r, d)
+
+    return preset
+
+
+@_preset
 def spline_mask(r: int, d: int) -> Mask:
     """The Hermite mask: column 0 holds a_r and its shifted differences.
+    One shared instance per (r, d).
 
     Row i has symbol (1-z)^i (1+z)^(r+1) / 2^r, which is the symbol of
     (Delta^i a_r)(. - i)."""
-    _check_rd(r, d)
     base = scalar_spline_symbol(r)
     onemz = LaurentPoly({0: 1, 1: -1})
     zero = LaurentPoly.zero()
@@ -75,10 +96,11 @@ def spline_eigenpoly(r: int, i: int) -> Poly:
     return ell_polynomial(r).derivative(r - i)
 
 
+@_preset
 def spline_chain(r: int, d: int) -> Chain:
     """Chain for the spline Hermite scheme: level j stacks the shifted
-    differences Delta^(j-t) p_j(. - (j-t)) by degree t."""
-    _check_rd(r, d)
+    differences Delta^(j-t) p_j(. - (j-t)) by degree t. One shared instance
+    per (r, d), validated once."""
     vecs = []
     for j in range(d + 1):
         pj = spline_eigenpoly(r, j)
@@ -205,13 +227,7 @@ def spline_verify(r: int, d: int) -> tuple[SplineVerifyReport, Factorization]:
     derivative components enter. chain_ok reports the compatibility check
     in the Chain constructor and factorization_ok the one identity check in
     taylor_factorize; each raises rather than return an unproven object."""
-    return _verify_spline(r, d, spline_mask(r, d), spline_chain(r, d))
-
-
-def _verify_spline(
-    r: int, d: int, mask: Mask, chain: Chain
-) -> tuple[SplineVerifyReport, Factorization]:
-    """spline_verify on the scheme's mask and chain, already built."""
+    mask, chain = spline_mask(r, d), spline_chain(r, d)
     operator_allones = chain.operator().w == allones_operator(d).w
     spectral = verify_spectral_chain(mask, chain)
     classical = verify_spectral_chain(mask, chain_for(classical_operator(d)))

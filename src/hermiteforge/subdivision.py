@@ -25,6 +25,7 @@ from .exactalg import (
     RationalLike,
     _horner,
     _int_count,
+    _is_rational,
     _json_array,
     _json_field,
     _mul_add,
@@ -371,7 +372,7 @@ def _float_from_str(s: str) -> float:
 def _as_rows(values: Sequence[Sequence]) -> tuple[list[list], int | None]:
     """Columns as rows (row k = component k), in the one form a grid holds.
 
-    All ints and Fractions give integer rows over the lcm of their
+    All ints and Fractions (not bools) give integer rows over the lcm of their
     denominators, which shares no factor with all of them, and that lcm;
     all floats give float rows and None. Any other entry, or a mix of the
     two kinds, raises TypeError; empty or ragged columns raise ValueError.
@@ -382,7 +383,7 @@ def _as_rows(values: Sequence[Sequence]) -> tuple[list[list], int | None]:
     entries = list(chain.from_iterable(rows))
     if all(isinstance(v, float) for v in entries):
         return [list(row) for row in rows], None
-    if not all(isinstance(v, (int, Fraction)) for v in entries):
+    if not all(map(_is_rational, entries)):
         raise TypeError("grid entries must be all ints and Fractions, or all floats")
     den = lcm(*{v.denominator for v in entries})
     return [[v.numerator * (den // v.denominator) for v in row] for row in rows], den

@@ -33,7 +33,7 @@ from .exactalg import (
     rat_from_str,
     rat_to_str,
 )
-from .polybasis import NotInVd, Poly, PolyVec, antidifference
+from .polybasis import Poly, PolyVec, _difference, antidifference
 from .subdivision import Mask
 
 
@@ -248,21 +248,29 @@ def annihilator(v: PolyVec) -> TaylorOperator:
 
     Row i of the result must kill the degree-(d-i) component: expanding each
     forward difference Delta v_m in the basis {v_0, ..., v_{m-1}} yields the
-    weights, one column position at a time.
+    weights, one column position at a time. It runs on integer numerators:
+    over the lcm D of the component denominators v_t has numerators n_t, led
+    by n_t[t] = D / t!. What is left of Delta v_m is r / s, s starting at D;
+    taking lambda_t v_t off it, lambda_t = t! r[t] / s, leaves
+    (n_t[t] r - r[t] n_t) / (s n_t[t]), whose entry t vanishes, so nothing is
+    left once t = 0 is taken off. Only the weights are Fractions.
     """
     d = v.d
-    w: list[list[Fraction]] = [[Fraction(0)] * j for j in range(1, d + 1)]
+    comps = v.components
+    den = lcm(*(p._den for p in comps))
+    nums = [[n * (den // p._den) for n in p._dense()] for p in comps]
+    w = [[Fraction(0)] * j for j in range(1, d + 1)]
     for m in range(1, d + 1):
-        q = v.components[m].forward_difference()
+        r, s = _difference(nums[m]), den
         for t in range(m - 1, -1, -1):
-            lam = q.coeff(t) * factorial(t)
-            if lam:
-                q = q - v.components[t] * lam
-            # Delta v_m = sum_t lambda_t v_t translates to w_{d-t, d-m+1}.
-            w[d - t - 1][d - m] = lam
-        if q:
-            raise NotInVd("difference expansion left a nonzero remainder")
-    return TaylorOperator(tuple(tuple(row) for row in w))
+            c = r.pop()
+            if c:
+                nt = nums[t]
+                # Delta v_m = sum_t lambda_t v_t translates to w_{d-t, d-m+1}.
+                w[d - t - 1][d - m] = Fraction(factorial(t) * c, s)
+                r = [nt[t] * a - c * b for a, b in zip(r, nt)]
+                s *= nt[t]
+    return TaylorOperator(tuple(map(tuple, w)))
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,9 @@ at a time, the stencil sums of one step accumulated one term at a time
 over a parity class, Fraction samples of polynomial vectors for the eigen
 check, the exact image of a polynomial vector with one integer Taylor
 shift per mask term, the spectral chain recovery on sampled windows of integer
-numerators, contraction norms read off the Laurent-product iterated symbol
+numerators and its tower assembled by Poly products and sums, the
+annihilator of a polynomial vector expanded by Poly arithmetic,
+contraction norms read off the Laurent-product iterated symbol
 and grown by a product loop of their own over a power of one denominator,
 Fraction abscissae for the spline cascade check, the Cox-de Boor recursion
 for B-spline values, a factorization that gates on annihilation before
@@ -1143,8 +1145,14 @@ def spectral_chain_reference(
         for i in range(j - 1, -1, -1):
             acc = sum(umat[i][m] * smat[m][j] for m in range(i + 1, j + 1))
             smat[i][j] = acc / (lam - umat[i][i])
+    return assemble_chain_reference(chain, smat)
+
+
+def assemble_chain_reference(chain: Chain, smat: Sequence[Sequence[Fraction]]) -> Chain:
+    """The tower V S, one Poly product and sum per term: component t of
+    level j is sum_k smat[k][j] v_k[k - j + t]."""
     vecs = []
-    for j in range(size):
+    for j in range(chain.d + 1):
         comps = []
         for tdeg in range(j + 1):
             p = Poly.zero()
@@ -1154,6 +1162,24 @@ def spectral_chain_reference(
             comps.append(p)
         vecs.append(PolyVec(tuple(comps)))
     return Chain(tuple(vecs))
+
+
+def annihilator_reference(v: PolyVec) -> TaylorOperator:
+    """The operator annihilating v by Poly arithmetic: each Delta v_m is
+    expanded in v_0, ..., v_{m-1} from the top degree down, one Poly per
+    coefficient, product and difference."""
+    d = v.d
+    w: list[list[Fraction]] = [[Fraction(0)] * j for j in range(1, d + 1)]
+    for m in range(1, d + 1):
+        q = v.components[m].forward_difference()
+        for t in range(m - 1, -1, -1):
+            lam = q.coeff(t) * factorial(t)
+            if lam:
+                q = q - v.components[t] * lam
+            # Delta v_m = sum_t lambda_t v_t translates to w_{d-t, d-m+1}.
+            w[d - t - 1][d - m] = lam
+        assert not q, "difference expansion left a nonzero remainder"
+    return TaylorOperator(tuple(tuple(row) for row in w))
 
 
 def iterated_norms_reference(

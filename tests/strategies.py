@@ -44,13 +44,16 @@ def sparse_masks(draw, d=None):
 
 
 @st.composite
-def poly_vecs(draw, max_d: int):
+def poly_vecs(draw, max_d: int, zero_low: bool = False):
     """Random elements of V_d for d <= max_d: the constant 1 on top of
     components of degree j with leading coefficient 1/j! and random lower
-    coefficients."""
+    coefficients. With zero_low, component j's coefficients below a drawn
+    degree 0..j are 0, so its lowest stored power is often above x^0."""
     d = draw(st.integers(min_value=0, max_value=max_d))
     lower = rationals(-3, 3, 9)
     comps = [Poly.one()]
     for j in range(1, d + 1):
-        comps.append(Poly([draw(lower) for _ in range(j)] + [F(1, factorial(j))]))
+        zeros = draw(st.integers(min_value=0, max_value=j)) if zero_low else 0
+        coeffs = [F(0)] * zeros + [draw(lower) for _ in range(zeros, j)]
+        comps.append(Poly(coeffs + [F(1, factorial(j))]))
     return PolyVec(tuple(comps))

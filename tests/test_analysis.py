@@ -438,6 +438,13 @@ def test_float_grid_refuses_what_to_json_never_writes(text):
         DyadicGrid.from_json(doc)
 
 
+def test_grid_entries_are_not_bools():
+    # True is an int to Python, but never the grid value 1.
+    for values in (((True, False),), ((F(1), False),), ((1, 0), (True, 2))):
+        with pytest.raises(TypeError, match="^grid entries must be all ints and Fractions"):
+            DyadicGrid(0, 0, values)
+
+
 def test_grid_level_must_be_nonnegative():
     for values in (((F(1),),), ((1.0,),)):
         with pytest.raises(ValueError, match="a grid level must be nonnegative, got -2"):

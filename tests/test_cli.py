@@ -278,18 +278,23 @@ def test_spline_verify_command(capsys):
 
 
 def test_spline_verify_builds_the_scheme_once(capsys, monkeypatch):
+    # The printed and the verified scheme are the one shared preset per
+    # (r, d): fresh presets over counting builders see one build each, and
+    # none on a second run.
     from hermiteforge import splines
 
     built = []
     for name in ("spline_mask", "spline_chain"):
-        make = getattr(splines, name)
+        make = getattr(splines, name).__wrapped__
 
         def counting(r, d, make=make, name=name):
             built.append(name)
             return make(r, d)
 
-        monkeypatch.setattr(splines, name, counting)
-        monkeypatch.setattr(cli, name, counting)
+        preset = splines._preset(counting)
+        monkeypatch.setattr(splines, name, preset)
+        monkeypatch.setattr(cli, name, preset)
+    run_ok(capsys, ["spline", "--r", "2", "--d", "1", "--verify"])
     run_ok(capsys, ["spline", "--r", "2", "--d", "1", "--verify"])
     assert sorted(built) == ["spline_chain", "spline_mask"]
 

@@ -109,6 +109,14 @@ def test_power_and_abs_sum():
     assert sum(abs(c) for _, c in h.items()) == 1
 
 
+@pytest.mark.parametrize("n", [True, False, 2.0, F(2)], ids=repr)
+def test_power_takes_only_an_int(n):
+    # True is not read as 1, nor 2.0 as 2.
+    for p in (LaurentPoly({-1: 1, 2: F(1, 3)}), Poly((1, 2))):
+        with pytest.raises(TypeError, match="^n must be an int, got "):
+            p**n
+
+
 def test_poly_forward_difference():
     p = Poly((F(0), F(0), F(1)))  # x^2
     dp = p.forward_difference()

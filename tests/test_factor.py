@@ -4,6 +4,7 @@ import json
 import re
 from fractions import Fraction as F
 from functools import lru_cache
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -49,6 +50,7 @@ from hermiteforge import (
 from hermiteforge.cli import run
 from hermiteforge.exactalg import u_power
 from hermiteforge.factor import Factorization
+from hermiteforge.splines import spline_chain
 from hermiteforge.subdivision import _image, eigen_check
 
 
@@ -494,3 +496,51 @@ def test_spectral_chain_recovery_matches_the_sampled_reference(op, n, own, stret
         except (SpanHypothesisFailed, EigenvalueClash) as exc:
             outcomes.append((type(exc), str(exc)))
     assert outcomes[0] == outcomes[1]
+
+
+@st.composite
+def free_constants(draw, d):
+    """Free constants for every (j, k), 1 <= k <= j <= d."""
+    keys = [(j, k) for j in range(1, d + 1) for k in range(1, j + 1)]
+    return {key: draw(rationals(-3, 3, 4)) for key in keys}
+
+
+@settings(max_examples=15, deadline=None)
+@given(op=weight_triangles(max_d=4), n=st.integers(min_value=1, max_value=3), data=st.data())
+def test_recovered_tower_equals_the_poly_assembly(op, n, data):
+    # The operator's own chain, whose components above degree 0 vanish at 0
+    # (their numerators start above x^0), and a chain with free constants:
+    # the integer assembly gives the tower of Poly sums.
+    res = synthesize(op, LaurentPoly({0: F(1, 2), 1: F(1, 2)}) ** n)
+    fac = taylor_factorize(res.mask, chain_for(op))
+    b = incomplete_from_complete(fac.factor)
+    for chain in (chain_for(op), chain_for(op, data.draw(free_constants(op.d)))):
+        args = (res.mask, b, op, chain, fac.scale)
+        got = spectral_chain_from_factorization(*args)
+        assert got == spectral_chain_reference(*args)
+        assert got != chain
+
+
+@pytest.mark.parametrize("r, d", [(1, 1), (2, 2), (3, 2), (4, 3)])
+def test_spline_towers_equal_the_poly_assembly(r, d):
+    # A spline chain is spectral already, so the recovery returns it.
+    mask, chain = spline_mask(r, d), spline_chain(r, d)
+    fac = taylor_factorize(mask, chain)
+    args = (mask, incomplete_from_complete(fac.factor), allones_operator(d), chain, fac.scale)
+    assert spectral_chain_from_factorization(*args) == spectral_chain_reference(*args) == chain
+
+
+def test_spectral_chain_recovery_does_no_poly_arithmetic():
+    # The span loop, the eigen solve and the tower assembly work on integer
+    # numerators and Fraction scalars; no Poly is added or multiplied.
+    op = TaylorOperator(((F(1),), (F(-2, 3), F(1)), (F(5, 4), F(1, 6), F(1))))
+    res = synthesize(op, LaurentPoly({0: F(1, 2), 1: F(1, 2)}) ** 2)
+    fac = taylor_factorize(res.mask, chain_for(op))
+    b = incomplete_from_complete(fac.factor)
+    args = (res.mask, b, op, chain_for(op, {(3, 1): 2}), fac.scale)
+    refuse = mock.Mock(side_effect=AssertionError("Poly arithmetic"))
+    names = ("__add__", "__sub__", "__rsub__", "__mul__", "__truediv__", "__neg__")
+    arithmetic = dict.fromkeys(names, refuse)
+    with mock.patch.multiple(LaurentPoly, **arithmetic):
+        got = spectral_chain_from_factorization(*args)
+    assert got == spectral_chain_reference(*args)

@@ -144,6 +144,35 @@ def test_order_bounds_enforced():
         spline_mask(0, 0)
 
 
+def test_spline_presets_are_shared_per_order():
+    # One mask and one validated chain per (r, d) and process.
+    for r, d in ((1, 0), (2, 1), (4, 3)):
+        assert spline_mask(r, d) is spline_mask(r, d)
+        assert spline_chain(r, d) is spline_chain(r, d)
+
+
+@pytest.mark.parametrize(
+    "make, args",
+    [
+        (spline_mask, (True, 0)),
+        (spline_mask, (1, False)),
+        (spline_chain, (True, 0)),
+        (spline_mask, (2.0, 1)),
+        (spline_chain, (2, 1.0)),
+        (check_spline_cascade, (True, 0, 2)),
+        (scalar_spline_symbol, (True,)),
+        (scalar_spline_symbol, (2.0,)),
+    ],
+    ids=lambda v: getattr(v, "__name__", None) or repr(v),
+)
+def test_spline_orders_are_ints(make, args):
+    # The r = 1 entries are shared before True is tried, which must not
+    # find them, and 2.0 is not read as 2.
+    spline_mask(1, 0), spline_chain(1, 0)
+    with pytest.raises(TypeError, match="^[rd] must be an int, got "):
+        make(*args)
+
+
 def test_factor_rows_r4_d3_frozen():
     report, fac = spline_verify(4, 3)
     assert report.chain_ok and report.operator_allones

@@ -26,6 +26,7 @@ from hermiteforge import taylor
 from hermiteforge.exactalg import delta_symbol, u_power
 from reference_kernels import (
     LaurentMatrix,
+    annihilator_reference,
     apply_operator,
     apply_operator_polys,
     chain_for_reference,
@@ -39,7 +40,7 @@ from reference_kernels import (
     triangular_inverse_check,
     triangular_inverse_reference,
 )
-from strategies import rationals
+from strategies import poly_vecs, rationals
 
 rational_values = rationals(-6, 6, 6)
 
@@ -188,6 +189,36 @@ def test_chain_constants_shift_free_terms():
 def test_annihilator_recovers_operator(op):
     ch = chain_for(op)
     assert annihilator(ch.last) == op
+
+
+@given(poly_vecs(max_d=7, zero_low=True))
+@settings(max_examples=80, deadline=None)
+def test_annihilator_equals_the_poly_expansion(v):
+    # Integer elimination against the Poly loop it replaced, on components
+    # whose low coefficients vanish as well as on full ones.
+    assert annihilator(v).w == annihilator_reference(v).w
+
+
+def test_annihilator_reads_components_from_x0():
+    # x^j / j! stores its numerators from x^j on; its annihilator is the
+    # classical operator.
+    v = classical_vector(5)
+    assert [p._lo for p in v.components] == [0, 1, 2, 3, 4, 5]
+    assert annihilator(v) == annihilator_reference(v) == classical_operator(5)
+
+
+def test_chain_checks_do_no_poly_arithmetic():
+    # The annihilators and the V_d membership checks read integer fields;
+    # only the weights are Fractions.
+    op = TaylorOperator(((F(1),), (F(-2, 3), F(1)), (F(5, 4), F(1, 6), F(1))))
+    comps = [v.components for v in chain_for(op, {(2, 1): F(3, 7), (3, 2): -2}).vecs]
+    refuse = mock.Mock(side_effect=AssertionError("Poly arithmetic"))
+    names = ("__add__", "__sub__", "__rsub__", "__mul__", "__truediv__", "__neg__")
+    arithmetic = dict.fromkeys(names, refuse)
+    with mock.patch.multiple(LaurentPoly, **arithmetic):
+        chain = Chain(tuple(PolyVec(c) for c in comps))
+    assert chain.operator() == op
+    assert chain.operator() == annihilator_reference(chain.last)
 
 
 @given(operators(max_d=4))
