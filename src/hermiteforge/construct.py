@@ -32,10 +32,6 @@ class BadSeed(ValueError):
     """Raised when the corner seed polynomial does not take value 1 at z = 1."""
 
 
-class SingularSystem(Exception):
-    """Raised if the last-row system degenerates; it never should."""
-
-
 def _unknown_order(d: int) -> list[tuple[int, int]]:
     """Unknown layout: blocks m = d-1 .. 0, within a block r = m+1 .. 1."""
     out = []
@@ -56,7 +52,8 @@ class LastRowSystem:
 
     Unknowns are h_{m,r} = (d/dz)^r h_m at z = 1 for m < d, r = 1..m+1; the
     matrix and right-hand side are kept for inspection, solution holds the
-    solved values keyed by (m, r), and determinant is tracked exactly.
+    solved values keyed by (m, r), and determinant is the product of the
+    pivots that the forward substitution divided by (each is -1 or +1).
     """
 
     d: int
@@ -78,53 +75,9 @@ class LastRowSystem:
         }
 
 
-def _solve_square(
-    rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]
-) -> tuple[list[Fraction], Fraction]:
-    """Exact solution and determinant by fraction-free (Bareiss) elimination.
-
-    Each augmented row is cleared to integers by the lcm of its denominators.
-    The pivot is the first nonzero entry at or below the diagonal. Bareiss
-    entries are the Gaussian ones times nonzero minors, so the row swaps are
-    the same as in rational elimination. The last pivot is the determinant
-    of the permuted integer matrix. Back-substitution on the numerators
-    y = det * x stays in integers, because y solves the system by Cramer's
-    rule.
-    """
-    n = len(rows)
-    a = []
-    scale = 1
-    for i, r in enumerate(rows):
-        nums, den = _over_one_denominator([*r, rhs[i]])
-        a.append(nums)
-        scale *= den
-    sign, prev = 1, 1
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            raise SingularSystem("last-row system is singular")
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            sign = -sign
-        top = a[col]
-        p = top[col]
-        for r in range(col + 1, n):
-            row = a[r]
-            f = row[col]
-            a[r] = row[: col + 1] + [
-                (v * p - f * w) // prev for v, w in zip(row[col + 1 :], top[col + 1 :])
-            ]
-        prev = p
-    det = prev
-    y = [0] * n
-    for i in range(n - 1, -1, -1):
-        row = a[i]
-        y[i] = (det * row[n] - sum(row[j] * y[j] for j in range(i + 1, n))) // row[i]
-    return [Fraction(v, det) for v in y], Fraction(sign * det, scale)
-
-
 def build_last_row_system(op: TaylorOperator, seed: LaurentPoly) -> LastRowSystem:
-    """Assemble and solve the derivative-matching system at z = 1.
+    """Assemble the derivative-matching system at z = 1 and solve it by
+    forward substitution.
 
     Knowns: h_m(1) = 2^(d-m) for every m, and all derivatives of the seed
     h_d. One equation, at (j, r) = (1, 1) for d >= 2, takes the known
@@ -177,8 +130,21 @@ def build_last_row_system(op: TaylorOperator, seed: LaurentPoly) -> LastRowSyste
             const = -const
         rows.append(coeffs)
         rhs.append(-const)
-    sol, det = _solve_square(rows, rhs)
-    solution = {mr: sol[i] for i, mr in enumerate(unknowns)}
+    # The system is triangular up to a symmetric permutation: equation i
+    # pairs with unknown i, and equation (m+1, r) holds unknown (m, r) with
+    # pivot -1 (+1 in the flipped j = d block), unknown (m+1, r) unless m+1
+    # is d, and otherwise only unknowns of order below r. So r = 1..d, and
+    # within each r m = d-1 down to r-1, solves every unknown from known
+    # values, and the determinant is the product of the pivots.
+    x: list[Fraction | None] = [None] * nn
+    det = Fraction(1)
+    for r in range(1, d + 1):
+        for m in range(d - 1, r - 2, -1):
+            i = index[(m, r)]
+            row = rows[i]
+            x[i] = (rhs[i] - sum(v * x[k] for k, v in enumerate(row) if v and k != i)) / row[i]
+            det *= row[i]
+    solution = dict(zip(unknowns, x))
     return LastRowSystem(
         d=d,
         taylor=op,

@@ -82,16 +82,18 @@ def spline_mask(r: int, d: int) -> Mask:
 
 
 def ell_polynomial(r: int) -> Poly:
-    """(x+1)(x+2)...(x+r) / r!."""
+    """(x+1)(x+2)...(x+r) / r!, for an int r (not a bool)."""
     p = Poly.one()
-    for j in range(1, r + 1):
+    for j in range(1, _int_count(r, "r") + 1):
         p = p * Poly((j, 1))
     return p / factorial(r)
 
 
 def spline_eigenpoly(r: int, i: int) -> Poly:
-    """p_i = the (r-i)-th derivative of ell_r; S_{a_r} p_i = 2^-i p_i."""
-    if not 0 <= i <= r:
+    """p_i = the (r-i)-th derivative of ell_r; S_{a_r} p_i = 2^-i p_i. r and
+    i must be ints, not bools (TypeError)."""
+    _int_count(r, "r")
+    if not 0 <= _int_count(i, "i") <= r:
         raise BadOrder(f"eigenpolynomial index must satisfy 0 <= i <= r, got {i}")
     return ell_polynomial(r).derivative(r - i)
 
@@ -164,9 +166,12 @@ def check_spline_cascade(
     points, and every difference row shifts the natural abscissa by half a
     step. Component k = r, whose derivative jumps at the knots, needs no
     knot test: its numerator 2 alpha + 1 is odd and the denominator 2^(n+1)
-    even, so it is sampled at midpoints, never at a knot. A tol that is not
-    a nonnegative finite number is refused with ValueError."""
+    even, so it is sampled at midpoints, never at a knot. A bool tol is
+    refused with TypeError, and a tol that is not a nonnegative finite
+    number with ValueError."""
     _check_rd(r, d)
+    if isinstance(tol, bool):
+        raise TypeError(f"tol must be a number, not a bool, got {tol!r}")
     if not (isfinite(tol) and tol >= 0):
         raise ValueError(f"tol must be a nonnegative finite number, got {tol}")
     mask = spline_mask(r, d)

@@ -62,7 +62,6 @@ from hermiteforge import (
     spline_mask,
 )
 from hermiteforge.analysis import ContractivityReport, ConvergenceReport
-from hermiteforge.construct import SingularSystem
 from hermiteforge.exactalg import (
     NotDivisible,
     RationalLike,
@@ -466,6 +465,10 @@ class FractionPoly:
 
     def __repr__(self) -> str:
         return f"Poly({[str(v) for v in self._c]})"
+
+
+class SingularSystem(Exception):
+    """Raised by solve_square_reference when no pivot is left in a column."""
 
 
 def solve_square_reference(

@@ -6,7 +6,7 @@ from math import ceil, factorial, floor
 from hypothesis import assume
 from hypothesis import strategies as st
 
-from hermiteforge import Mask, Poly, PolyVec
+from hermiteforge import Mask, Poly, PolyVec, TaylorOperator
 
 
 @st.composite
@@ -16,6 +16,17 @@ def rationals(draw, lo, hi, max_den: int) -> F:
     draw than st.fractions over the same range."""
     q = draw(st.integers(min_value=1, max_value=max_den))
     return F(draw(st.integers(min_value=ceil(lo * q), max_value=floor(hi * q))), q)
+
+
+@st.composite
+def operators(draw, max_d: int = 6, min_d: int = 1, weights=rationals(-6, 6, 6)) -> TaylorOperator:
+    """A new operator instance on every draw: d in min_d..max_d, a unit
+    diagonal and strict-upper weights drawn from weights."""
+    d = draw(st.integers(min_value=min_d, max_value=max_d))
+    w = []
+    for j in range(1, d + 1):
+        w.append(tuple([draw(weights) for _ in range(j - 1)] + [F(1)]))
+    return TaylorOperator(w=tuple(w))
 
 
 @st.composite

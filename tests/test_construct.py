@@ -19,13 +19,18 @@ from hermiteforge import (
     unfactor,
 )
 from hermiteforge.construct import (
+    _unknown_order,
     assemble_factor,
     build_last_row_system,
     last_row_symbols,
     recurrence_last_row,
 )
-from reference_kernels import last_row_divisibility_reference, unfactor_reference
-from strategies import rationals
+from reference_kernels import (
+    last_row_divisibility_reference,
+    solve_square_reference,
+    unfactor_reference,
+)
+from strategies import operators, rationals
 
 rational_values = rationals(-4, 4, 6)
 
@@ -69,21 +74,26 @@ def test_last_row_moments_closed_form(w21, n):
     assert res.last_row[0].derivative_at_one(1) == h01
 
 
-@st.composite
-def operators(draw, max_d=5):
-    d = draw(st.integers(min_value=1, max_value=max_d))
-    w = []
-    for j in range(1, d + 1):
-        w.append(tuple([draw(rational_values) for _ in range(j - 1)] + [F(1)]))
-    return TaylorOperator(w=tuple(w))
-
-
-@given(operators())
+@given(operators(max_d=5, weights=rational_values))
 @settings(max_examples=40, deadline=None)
 def test_last_row_system_is_unimodular(op):
     system = build_last_row_system(op, seed_power(1))
     assert abs(system.determinant) == 1
     assert last_row_symbols(system) == synthesize(op, seed_power(1), strategy="system").last_row
+
+
+@given(
+    operators(max_d=7, min_d=0, weights=rational_values), st.integers(min_value=1, max_value=4)
+)
+@settings(max_examples=40, deadline=None)
+def test_last_row_substitution_matches_gauss_jordan(op, n):
+    # The forward substitution against elimination over Fractions on the
+    # assembled system, and the solution put back into it.
+    system = build_last_row_system(op, seed_power(n))
+    sol = [system.solution[mr] for mr in _unknown_order(op.d)]
+    assert (sol, system.determinant) == solve_square_reference(system.matrix, system.rhs)
+    assert type(system.determinant) is F
+    assert [sum(a * x for a, x in zip(row, sol)) for row in system.matrix] == list(system.rhs)
 
 
 def _unfactor_both_ways(op, factor, scale=None):
@@ -92,7 +102,12 @@ def _unfactor_both_ways(op, factor, scale=None):
     return got
 
 
-@given(operators(), st.integers(min_value=1, max_value=2), rational_values, st.data())
+@given(
+    operators(max_d=5, weights=rational_values),
+    st.integers(min_value=1, max_value=2),
+    rational_values,
+    st.data(),
+)
 @settings(max_examples=30, deadline=None)
 def test_unfactor_equals_the_entrywise_accumulation(op, n, g10, data):
     # One mask product with the inverse numerators, field for field against
@@ -113,7 +128,9 @@ def test_preset_unfactor_equals_the_entrywise_accumulation(preset):
         assert _unfactor_both_ways(preset(d), res.factorization.factor) == res.mask
 
 
-@given(operators(max_d=3), st.integers(min_value=1, max_value=2), st.data())
+@given(
+    operators(max_d=3, weights=rational_values), st.integers(min_value=1, max_value=2), st.data()
+)
 @settings(max_examples=60, deadline=None)
 def test_unfactor_refuses_exactly_the_last_rows_that_fail_divisibility(op, n, data):
     # A synthesized last row passes; one entry moved by a low-degree

@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hermiteforge import LaurentPoly, Mask, NotDivisible, Poly, PolyVec, polybasis
-from hermiteforge.construct import SingularSystem, _solve_square
 from hermiteforge.exactalg import _mul_add, rat_to_str
 from hermiteforge.polybasis import difference_split_check
 from hermiteforge.subdivision import eigen_check
@@ -20,7 +19,6 @@ from reference_kernels import (
     FractionPoly,
     convolution_reference,
     difference_split_reference,
-    solve_square_reference,
 )
 from strategies import rationals
 
@@ -368,36 +366,3 @@ def test_difference_split_fails_with_a_wrong_shift(coeffs, n):
     shift = polybasis._taylor_shift
     with mock.patch.object(polybasis, "_taylor_shift", lambda nums, a: shift(nums, a + 1)):
         assert difference_split_check(p, n) is (p.degree <= 1)
-
-
-square_entries = st.one_of(
-    st.just(F(0)), rationals(-6, 6, 8)
-)
-
-
-@st.composite
-def square_systems(draw):
-    n = draw(st.integers(min_value=1, max_value=6))
-    rows = [[draw(square_entries) for _ in range(n)] for _ in range(n)]
-    if n > 1 and draw(st.booleans()):
-        # A row that repeats a multiple of another makes the system singular.
-        i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
-        f = draw(square_entries)
-        rows[i] = [f * v for v in rows[j]]
-    rhs = [draw(square_entries) for _ in range(n)]
-    return rows, rhs
-
-
-@given(square_systems())
-@settings(max_examples=200, deadline=None)
-def test_solve_square_matches_gauss_jordan(system):
-    rows, rhs = system
-    try:
-        want = solve_square_reference(rows, rhs)
-    except SingularSystem:
-        with pytest.raises(SingularSystem):
-            _solve_square(rows, rhs)
-        return
-    sol, det = _solve_square(rows, rhs)
-    assert (sol, det) == want
-    assert all(type(v) is F for v in sol) and type(det) is F

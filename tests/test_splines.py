@@ -142,6 +142,8 @@ def test_order_bounds_enforced():
         spline_mask(2, 3)
     with pytest.raises(BadOrder):
         spline_mask(0, 0)
+    with pytest.raises(BadOrder, match="^eigenpolynomial index .* got 3$"):
+        spline_eigenpoly(2, 3)
 
 
 def test_spline_presets_are_shared_per_order():
@@ -162,6 +164,10 @@ def test_spline_presets_are_shared_per_order():
         (check_spline_cascade, (True, 0, 2)),
         (scalar_spline_symbol, (True,)),
         (scalar_spline_symbol, (2.0,)),
+        (ell_polynomial, (True,)),
+        (spline_eigenpoly, (True, 0)),
+        (spline_eigenpoly, (2.0, 1)),
+        (spline_eigenpoly, (2, True)),
     ],
     ids=lambda v: getattr(v, "__name__", None) or repr(v),
 )
@@ -169,7 +175,7 @@ def test_spline_orders_are_ints(make, args):
     # The r = 1 entries are shared before True is tried, which must not
     # find them, and 2.0 is not read as 2.
     spline_mask(1, 0), spline_chain(1, 0)
-    with pytest.raises(TypeError, match="^[rd] must be an int, got "):
+    with pytest.raises(TypeError, match="^[rdi] must be an int, got "):
         make(*args)
 
 
@@ -210,6 +216,8 @@ def test_cascade_refuses_a_tol_that_is_not_a_nonnegative_finite_number():
         with pytest.raises(ValueError, match="^tol must be a nonnegative finite number, got "):
             check_spline_cascade(1, 1, levels=2, tol=tol)
     assert check_spline_cascade(1, 1, levels=2, tol=0.0).ok
+    with pytest.raises(TypeError, match="^tol must be a number, not a bool, got True$"):
+        check_spline_cascade(1, 0, 3, True)
 
 
 def test_cascade_error_shrinks_with_depth():

@@ -40,20 +40,7 @@ from reference_kernels import (
     triangular_inverse_check,
     triangular_inverse_reference,
 )
-from strategies import poly_vecs, rationals
-
-rational_values = rationals(-6, 6, 6)
-
-
-@st.composite
-def operators(draw, max_d=6, min_d=1):
-    """A new operator instance on every draw."""
-    d = draw(st.integers(min_value=min_d, max_value=max_d))
-    w = []
-    for j in range(1, d + 1):
-        row = [draw(rational_values) for _ in range(j - 1)] + [F(1)]
-        w.append(tuple(row))
-    return TaylorOperator(w=tuple(w))
+from strategies import operators, poly_vecs
 
 
 def _fact(j):
