@@ -6,7 +6,7 @@ return, and the exceptions they raise. A square matrix symbol, a Taylor
 operator's included, is a ``Mask``: integer numerators over one denominator,
 with ``*`` the symbol product. Everything else is imported from its module
 (``hermiteforge.subdivision.level_step``, ``hermiteforge.exactalg.
-delta_symbol``, ...).
+rat_from_str``, ...).
 """
 
 from .exactalg import ExactAlgError, LaurentPoly, NotDivisible

@@ -5,23 +5,27 @@ The factor mask is assembled directly: rows below the last are multiples of
 (z^-1 - 1)^(j+1) with diagonal (z^-1 - 1)^(j+1) / 2^(j+1); the last row is
 (z^-1 - 1)^(d-j) h_j(z^-1) for polynomials h_j pinned either by a square
 linear system (general weights) or by the recurrence h_j = (z+1) h_{j+1}
-(pure-difference weights). Undoing the factorization yields the mask.
+(pure-difference weights). Each entry is its numerator list times the
+signed binomial list of a power of u = z^-1 - 1, all over one denominator.
+Undoing the factorization yields the mask.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 from typing import Mapping, Sequence
 
 from .exactalg import (
     LaurentPoly,
+    RationalLike,
+    _is_rational,
+    _mul_add,
     _over_one_denominator,
     _taylor_shift,
     falling_factorial,
     rat_to_str,
-    u_power,
 )
 from .factor import Factorization, unfactor
 from .subdivision import Mask
@@ -93,43 +97,45 @@ def build_last_row_system(op: TaylorOperator, seed: LaurentPoly) -> LastRowSyste
     nn = len(unknowns)
     seed_deriv = [seed.derivative_at_one(r) for r in range(d + 1)]
 
-    def known(m: int, r: int) -> Fraction | None:
+    def known(m: int, r: int) -> RationalLike | None:
         if m == d:
             return seed_deriv[r]
         if r == 0:
-            return Fraction(2 ** (d - m))
+            return 2 ** (d - m)
         return None
 
-    rows: list[list[Fraction]] = []
+    # Each equation touches O(d) unknowns, so it is kept as {index: coeff}
+    # with int or Fraction values, and the dense Fraction matrix is written
+    # only for the report.
+    eqs: list[dict[int, RationalLike]] = []
     rhs: list[Fraction] = []
     for j, r in _equation_order(d):
-        coeffs = [Fraction(0)] * nn
-        const = Fraction(0)
+        # Equations in the top block are dominated by seed data; flipping
+        # them once gives the matrix its unit leading block.
+        flip = -1 if j == d else 1
+        coeffs: dict[int, RationalLike] = {}
+        const: RationalLike = 0
 
-        def add(m: int, s: int, weight: Fraction) -> None:
+        def add(m: int, s: int, weight: RationalLike) -> None:
             nonlocal const
             kv = known(m, s)
             if kv is None:
-                coeffs[index[(m, s)]] += weight
+                i = index[(m, s)]
+                coeffs[i] = coeffs.get(i, 0) + weight
             else:
                 const += weight * kv
 
-        add(j, r, Fraction(2))
+        add(j, r, 2 * flip)
         if r >= 1:
-            sign = Fraction(-1) if (j, r) == (1, 1) and d >= 2 else Fraction(1)
-            add(j, r - 1, Fraction(r) * sign)
-        add(j - 1, r, Fraction(-1))
+            sign = -1 if (j, r) == (1, 1) and d >= 2 else 1
+            add(j, r - 1, r * sign * flip)
+        add(j - 1, r, -flip)
         for k in range(1, min(j - 1, r) + 1):
             wv = op.w[j - 1][j - k - 1]
             if wv:
-                add(j - 1 - k, r - k, -wv * falling_factorial(r, k))
-        # Equations in the top block are dominated by seed data; flipping
-        # them once gives the matrix its unit leading block.
-        if j == d:
-            coeffs = [-v for v in coeffs]
-            const = -const
-        rows.append(coeffs)
-        rhs.append(-const)
+                add(j - 1 - k, r - k, -flip * falling_factorial(r, k) * wv)
+        eqs.append(coeffs)
+        rhs.append(Fraction(-const))
     # The system is triangular up to a symmetric permutation: equation i
     # pairs with unknown i, and equation (m+1, r) holds unknown (m, r) with
     # pivot -1 (+1 in the flipped j = d block), unknown (m+1, r) unless m+1
@@ -141,15 +147,23 @@ def build_last_row_system(op: TaylorOperator, seed: LaurentPoly) -> LastRowSyste
     for r in range(1, d + 1):
         for m in range(d - 1, r - 2, -1):
             i = index[(m, r)]
-            row = rows[i]
-            x[i] = (rhs[i] - sum(v * x[k] for k, v in enumerate(row) if v and k != i)) / row[i]
-            det *= row[i]
+            eq = eqs[i]
+            pivot = eq[i]
+            x[i] = (rhs[i] - sum(v * x[k] for k, v in eq.items() if v and k != i)) / pivot
+            det *= pivot
+    zero = Fraction(0)
+    rows = []
+    for eq in eqs:
+        row = [zero] * nn
+        for k, v in eq.items():
+            row[k] = Fraction(v)
+        rows.append(tuple(row))
     solution = dict(zip(unknowns, x))
     return LastRowSystem(
         d=d,
         taylor=op,
         seed=seed,
-        matrix=tuple(tuple(r) for r in rows),
+        matrix=tuple(rows),
         rhs=tuple(rhs),
         solution=solution,
         determinant=det,
@@ -211,25 +225,45 @@ def assemble_factor(
     for (j, k) in g:
         if not 0 <= k < j < d:
             raise ValueError(f"free parameter ({j},{k}) is outside the strict lower triangle")
-    zero = LaurentPoly.zero()
-    rows = []
+    rows: list[list[tuple[int, list[int], int] | None]] = []
     for j in range(d):
-        row = []
-        for k in range(d + 1):
-            if k < j:
-                gv = g.get((j, k))
-                row.append(u_power(j + 1) * gv if gv else zero)
-            elif k == j:
-                row.append(u_power(j + 1) / 2 ** (j + 1))
-            else:
-                row.append(zero)
+        row: list[tuple[int, list[int], int] | None] = [None] * (d + 1)
+        for k in range(j):
+            gv = g.get((j, k))
+            if gv:
+                gv = _symbol_entry(gv)
+                row[k] = _times_u_power(j + 1, gv._lo, gv._num, gv._den)
+        row[j] = _times_u_power(j + 1, 0, (1,), 2 ** (j + 1))
         rows.append(row)
-    bottom = []
+    bottom: list[tuple[int, list[int], int] | None] = []
     for k in range(d + 1):
         hk = last_row[k]
-        bottom.append(u_power(d - k) * hk.substitute_power(-1) if hk else zero)
+        if hk:
+            # h_k(z^-1): the numerators reversed, from z^-hi.
+            hk = _symbol_entry(hk)
+            bottom.append(_times_u_power(d - k, -hk.hi, hk._num[::-1], hk._den))
+        else:
+            bottom.append(None)
     rows.append(bottom)
-    return Mask.from_symbol(rows)
+    return Mask._from_parts(rows)
+
+
+def _symbol_entry(v: object) -> LaurentPoly:
+    """v as a LaurentPoly: an int or a Fraction is the constant it equals;
+    anything else (a Poly or a bool too) raises TypeError."""
+    if type(v) is LaurentPoly:
+        return v
+    if _is_rational(v):
+        return LaurentPoly.constant(v)
+    raise TypeError(f"a symbol entry must be a LaurentPoly, got {type(v).__name__}")
+
+
+def _times_u_power(m: int, lo: int, nums: tuple[int, ...], den: int) -> tuple[int, list[int], int]:
+    """u^m times sum_t nums[t]/den z^(lo+t), u = z^-1 - 1, as (lo, nums, den):
+    u^m has the numerators (-1)^t C(m, t) from z^-m."""
+    acc = [0] * (m + len(nums))
+    _mul_add(acc, [-comb(m, t) if t & 1 else comb(m, t) for t in range(m + 1)], nums)
+    return lo - m, acc, den
 
 
 @dataclass(frozen=True)

@@ -14,9 +14,9 @@ from __future__ import annotations
 
 from dataclasses import fields
 from fractions import Fraction
-from functools import cache
-from itertools import compress
+from itertools import accumulate, compress
 from math import gcd, lcm
+from operator import sub
 from typing import Iterator, Mapping, Sequence, Union
 
 RationalLike = Union[Fraction, int]
@@ -199,6 +199,24 @@ def _mul_add(acc: list[int], a: Sequence[int], b: Sequence[int]) -> None:
     for j in compress(range(len(b)), b):
         y = b[j]
         acc[j : j + n] = [o + x * y for o, x in zip(acc[j : j + n], a)]
+
+
+def _divide_by_delta(nums: Sequence[int], s: int) -> list[int]:
+    """The exact quotient of sum_i nums[i] z^i by z^-s - 1 (s >= 1), as the
+    len(nums) - s numerators from z^s (none if nums is no longer than s).
+
+    From the top down q[i] = q[i + s] - nums[i], so q[i] is minus the sum of
+    nums[i::s], one running sum per residue class mod s. The division is
+    exact when q[0..s-1] vanish, that is when every residue class of nums
+    sums to 0; otherwise NotDivisible is raised.
+    """
+    quot = [0] * len(nums)
+    for r in range(s):
+        sums = list(accumulate(nums[r::s][::-1], sub, initial=0))
+        if sums[-1]:
+            raise NotDivisible("Laurent division leaves a nonzero remainder")
+        quot[r::s] = sums[:0:-1]
+    return quot[s:]
 
 
 def _scale(nums: Sequence[int], den: int, q: RationalLike) -> tuple[list[int], int]:
@@ -527,16 +545,3 @@ class LaurentPoly:
     def __repr__(self) -> str:
         return f"LaurentPoly({dict(self.items())!r})"
 
-
-# The deltas z^-1 - 1 and z^-2 - 1 come up constantly in the factorization
-# identities, so build them once and share them (a LaurentPoly is immutable).
-@cache
-def delta_symbol(step: int = 1) -> LaurentPoly:
-    """z^-step - 1."""
-    return LaurentPoly({-step: 1, 0: -1})
-
-
-@cache
-def u_power(m: int) -> LaurentPoly:
-    """(z^-1 - 1)^m, m >= 0: the powers the inverse Taylor symbol is written in."""
-    return delta_symbol(1) ** m

@@ -5,6 +5,11 @@ The central identity is T*(z) A*(z) = scale * B*(z) T*(z^2): applying the
 difference operator after refining equals refining differenced data with the
 factor scheme B. The complete operator pairs with the factor written B-tilde
 in displays; the incomplete variant keeps the top-derivative row undivided.
+
+Every stage here works on the masks' integer numerators and builds one mask:
+its divisions are by z^-2 - 1 (the column solve) and by u = z^-1 - 1
+(unfactor's rows, the incomplete factor's last row), each a running sum per
+residue class (exactalg._divide_by_delta).
 """
 
 from __future__ import annotations
@@ -14,14 +19,12 @@ from fractions import Fraction
 from math import lcm
 
 from .exactalg import (
-    LaurentPoly,
     NotDivisible,
     RationalLike,
+    _divide_by_delta,
     _rational,
     _report_json,
-    delta_symbol,
     rat_to_str,
-    u_power,
 )
 from .polybasis import Poly, PolyVec
 from .subdivision import Mask, _image, eigen_check
@@ -137,18 +140,22 @@ def taylor_factorize(
     scale = _checked_scale(scale, d)
     op = chain.operator()
     c_mask = op.symbol * mask
-    u2 = delta_symbol(2)
+    den, big = op._int_weights
     size = d + 1
-    b: list[list[LaurentPoly]] = [[LaurentPoly.zero()] * size for _ in range(size)]
+    # Column k of B-tilde* holds numerators over c_mask._den * den^k, starting
+    # two powers above C*'s support: with w = W / den, column k of C* times
+    # den^k plus W[k-1][l] den^(k-1-l) times column l, divided by z^-2 - 1.
+    cols: list[list[list[int]]] = []
     for k in range(size):
+        dk = den**k
+        terms = [(big[k - 1][l] * den ** (k - 1 - l), cols[l]) for l in range(k) if big[k - 1][l]]
+        col = []
         for i in range(size):
-            num = c_mask.entry_symbol(i, k)
-            for l in range(k):
-                wv = op.w[k - 1][l]
-                if wv:
-                    num = num + b[i][l] * wv
+            num = [n * dk for n in c_mask._num[i][k]]
+            for f, bl in terms:
+                num[2:] = [a + f * b for a, b in zip(num[2:], bl[i])]
             try:
-                b[i][k] = num.divide_exact(u2)
+                col.append(_divide_by_delta(num, 2))
             except NotDivisible as exc:
                 for j, v in enumerate(chain.vecs):
                     hit = eigen_check(c_mask, v, 0)
@@ -158,7 +165,11 @@ def taylor_factorize(
                             f"level {j} is not annihilated: row {row} at alpha={alpha} gives {got}"
                         ) from exc
                 raise NotDivisible(f"column division failed at entry ({i},{k}): {exc}") from exc
-    unscaled = Mask.from_symbol(b)
+        cols.append(col)
+    # Every column over c_mask._den * den^d.
+    lift = [den ** (d - k) for k in range(size)]
+    entries = [[[n * f for n in col[i]] for col, f in zip(cols, lift)] for i in range(size)]
+    unscaled = Mask._raw(c_mask.support_min + 2, entries, c_mask._den * den**d)
     if c_mask != unscaled * op.symbol_z2:
         raise AssertionError("factorization identity failed after the column solve")
     return Factorization(mask=mask, taylor=op, factor=unscaled.scale(1 / scale), scale=scale)
@@ -171,7 +182,9 @@ def unfactor(
 
     (T-tilde*)^-1 = W diag(u^-(l+1)) with W = op.inverse_numerators and
     u = z^-1 - 1, so A* = scale * W E, where row l of E is row l of
-    G = B* T-tilde*(z^2) divided exactly by u^(l+1). A failed division names
+    G = B* T-tilde*(z^2) divided exactly by u^(l+1), as l + 1 running sums
+    over its numerators. The quotient starts l + 1 powers above G's support,
+    so l leading zeros put every row of E on one support. A failed division names
     the first entry whose divisibility condition breaks: only masks whose row
     l of T-tilde*(z) A*(z) has the factor u^(l+1), as every synthesize output's
     has, are recovered.
@@ -181,21 +194,26 @@ def unfactor(
         raise ValueError("operator and factor dimensions differ")
     scale = _checked_scale(scale, d)
     g = factor * op.symbol_z2
-    size = d + 1
-    e: list[list[LaurentPoly]] = [[LaurentPoly.zero()] * size for _ in range(size)]
-    for l in range(size):
-        for k in range(size):
-            entry = g.entry_symbol(l, k)
-            if entry.is_zero:
+    width = len(g._num[0][0])
+    rows = []
+    for l, row in enumerate(g._num):
+        out = []
+        for k, q in enumerate(row):
+            if not any(q):
+                out.append([0] * (width - 1))
                 continue
             try:
-                e[l][k] = entry.divide_exact(u_power(l + 1))
+                for _ in range(l + 1):
+                    q = _divide_by_delta(q, 1)
             except NotDivisible as exc:
                 raise NotDivisible(
                     f"divisibility condition failed at entry ({l},{k}): "
                     f"row {l} requires a factor (z^-1 - 1)^{l + 1}"
                 ) from exc
-    mask = (op.inverse_numerators * Mask.from_symbol(e)).scale(scale)
+            out.append([0] * l + q)
+        rows.append(out)
+    e = Mask._raw(g.support_min + 1, rows, g._den)
+    mask = (op.inverse_numerators * e).scale(scale)
     if op.symbol * mask != g.scale(scale):
         raise AssertionError("unfactor did not satisfy the factorization identity")
     return mask
@@ -206,19 +224,22 @@ def incomplete_from_complete(btilde: Mask) -> Mask:
     multiply the last column by z^-2 - 1, then divide the last row by z^-1 - 1.
 
     Requires every bottom-row entry left of the corner to vanish at z = 1
-    (so the division is exact); the corner always divides."""
+    (so the division is exact); the corner always divides. Every entry is
+    written from z^-2 on btilde's support: the product shifts and subtracts
+    the numerators, and the quotient, from z^-1, gets one leading zero."""
     d = btilde.d
-    u2 = delta_symbol(2)
-    rows = [[btilde.entry_symbol(i, k) for k in range(d + 1)] for i in range(d + 1)]
-    for row in rows:
-        row[d] = row[d] * u2
-    u = delta_symbol(1)
+    rows = []
+    for row in btilde._num:
+        out = [[0, 0, *e] for e in row[:d]]
+        last = row[d]
+        out.append([a - b for a, b in zip([*last, 0, 0], [0, 0, *last])])
+        rows.append(out)
     for k, f in enumerate(rows[d]):
         try:
-            rows[d][k] = f.divide_exact(u)
+            rows[d][k] = [0, *_divide_by_delta(f, 1)]
         except NotDivisible as exc:
             raise NotDivisible(f"bottom-row entry ({d},{k}) does not vanish at z = 1") from exc
-    return Mask.from_symbol(rows)
+    return Mask._raw(btilde.support_min - 2, rows, btilde._den)
 
 
 def _last_column_partition_of_unity(mask: Mask) -> bool:

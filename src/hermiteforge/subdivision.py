@@ -182,18 +182,26 @@ class Mask:
             raise ValueError("symbol must be square")
         if any(type(f) is not LaurentPoly for row in rows for f in row):
             raise TypeError("matrix entries must be LaurentPoly")
-        polys = [f for row in rows for f in row if f]
-        if not polys:
+        parts = [[(f._lo, f._num, f._den) if f else None for f in row] for row in rows]
+        return cls._from_parts(parts)
+
+    @classmethod
+    def _from_parts(cls, rows: Sequence[Sequence[tuple[int, Sequence[int], int] | None]]) -> "Mask":
+        """The mask whose symbol has entry (i, k) = sum_t nums[t]/den z^(lo+t)
+        for rows[i][k] = (lo, nums, den > 0), or 0 for None."""
+        parts = [p for row in rows for p in row if p]
+        if not parts:
             raise ValueError("zero symbol has no mask")
-        lo, hi = min(f._lo for f in polys), max(f.hi for f in polys)
-        den = lcm(*(f._den for f in polys))
-        entries = [[[0] * (hi - lo + 1) for _ in row] for row in rows]
+        lo = min(p[0] for p in parts)
+        hi = max(p[0] + len(p[1]) for p in parts)
+        den = lcm(*(p[2] for p in parts))
+        entries = [[[0] * (hi - lo) for _ in row] for row in rows]
         for out, row in zip(entries, rows):
-            for e, f in zip(out, row):
-                # The entry's numerators (none if it is zero), moved to lo
-                # and brought over den.
-                at, scale = f._lo - lo, den // f._den
-                e[at : at + len(f._num)] = [n * scale for n in f._num]
+            for e, p in zip(out, row):
+                if p:
+                    # The part's numerators, moved to lo and brought over den.
+                    at, nums, f = p[0] - lo, p[1], den // p[2]
+                    e[at : at + len(nums)] = nums if f == 1 else [n * f for n in nums]
         return cls._raw(lo, entries, den)
 
     def __mul__(self, other: "Mask") -> "Mask":

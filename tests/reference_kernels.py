@@ -68,11 +68,9 @@ from hermiteforge.exactalg import (
     _add,
     _rational,
     _taylor_shift,
-    delta_symbol,
     falling_factorial,
     rat_from_str,
     rat_to_str,
-    u_power,
 )
 from hermiteforge.factor import (
     Factorization,
@@ -83,6 +81,16 @@ from hermiteforge.factor import (
 from hermiteforge.splines import SplineCascadeReport, _scaled_bspline_derivative
 from hermiteforge.subdivision import WindowTooSmall, _output_window, eigen_check
 from hermiteforge.taylor import Chain, delta_operator
+
+
+def delta_symbol(step: int = 1) -> LaurentPoly:
+    """z^-step - 1."""
+    return LaurentPoly({-step: 1, 0: -1})
+
+
+def u_power(m: int) -> LaurentPoly:
+    """(z^-1 - 1)^m, m >= 0: the powers the inverse Taylor symbol is written in."""
+    return delta_symbol(1) ** m
 
 
 def _canonical_hash(terms: Mapping[int, Fraction]) -> int:

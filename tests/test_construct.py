@@ -11,6 +11,7 @@ from hermiteforge import (
     BadSeed,
     LaurentPoly,
     NotDivisible,
+    Poly,
     TaylorOperator,
     allones_operator,
     classical_operator,
@@ -26,6 +27,7 @@ from hermiteforge.construct import (
     recurrence_last_row,
 )
 from reference_kernels import (
+    delta_symbol,
     last_row_divisibility_reference,
     solve_square_reference,
     unfactor_reference,
@@ -204,6 +206,61 @@ def test_free_parameter_lands_in_its_entry(ref2, zero_g):
         for k in range(3):
             want = bump if (i, k) == (1, 0) else LaurentPoly()
             assert a.entry_symbol(i, k) - b.entry_symbol(i, k) == want
+
+
+laurent_entries = st.dictionaries(
+    st.integers(min_value=-2, max_value=2), rational_values, max_size=3
+).map(LaurentPoly)
+
+
+@given(operators(max_d=4, min_d=0, weights=rational_values), st.data())
+@settings(max_examples=30, deadline=None)
+def test_assemble_factor_places_each_entry_by_its_formula(op, data):
+    # With u = z^-1 - 1: entry (j, k < j) is u^(j+1) g_jk, the diagonal of
+    # row j < d is u^(j+1) / 2^(j+1), bottom entry k is u^(d-k) h_k(z^-1),
+    # and every other entry is 0. Drawn entries may be zero.
+    d = op.d
+    g = {
+        (j, k): data.draw(laurent_entries)
+        for j in range(d)
+        for k in range(j)
+        if data.draw(st.booleans())
+    }
+    hs = [data.draw(laurent_entries) for _ in range(d + 1)]
+    if d == 0 and not hs[0]:
+        with pytest.raises(ValueError, match="zero symbol has no mask"):
+            assemble_factor(op, hs, g)
+        return
+    factor = assemble_factor(op, hs, g)
+    u = delta_symbol(1)
+    for j in range(d + 1):
+        for k in range(d + 1):
+            if j == d:
+                want = u ** (d - k) * hs[k].substitute_power(-1)
+            elif k < j:
+                want = u ** (j + 1) * g.get((j, k), LaurentPoly.zero())
+            elif k == j:
+                want = u ** (j + 1) / 2 ** (j + 1)
+            else:
+                want = LaurentPoly.zero()
+            assert factor.entry_symbol(j, k) == want
+
+
+def test_assemble_factor_takes_rational_entries_and_refuses_other_types():
+    # An int or a Fraction entry is the constant it equals; a Poly, a bool
+    # or a float is refused, never read as a Laurent polynomial.
+    op = delta_operator(2)
+    row = recurrence_last_row(op, seed_power(1))
+    want = assemble_factor(op, row, {(1, 0): LaurentPoly({0: F(3, 2)})})
+    assert assemble_factor(op, row, {(1, 0): F(3, 2)}) == want
+    with_int = list(row)
+    with_int[0] = LaurentPoly.constant(2)
+    assert assemble_factor(op, [2, *row[1:]]) == assemble_factor(op, with_int)
+    for bad in (Poly((F(3, 2),)), True, 1.5):
+        with pytest.raises(TypeError, match="a symbol entry must be a LaurentPoly"):
+            assemble_factor(op, row, {(1, 0): bad})
+        with pytest.raises(TypeError, match="a symbol entry must be a LaurentPoly"):
+            assemble_factor(op, [bad, *row[1:]])
 
 
 def test_free_parameter_outside_lower_triangle_rejected():

@@ -21,7 +21,8 @@ from hermiteforge import (
     PolyVec,
     TaylorOperator,
 )
-from hermiteforge.exactalg import delta_symbol, rat_from_str
+from hermiteforge.exactalg import rat_from_str
+from reference_kernels import delta_symbol
 from strategies import rationals
 
 rational_values = rationals(-20, 20, 12)

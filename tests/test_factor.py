@@ -24,6 +24,8 @@ from reference_kernels import (
     mask_symbol_reference,
     spectral_chain_reference,
     taylor_factorize_reference,
+    u_power,
+    unfactor_reference,
 )
 from strategies import rationals
 from hermiteforge import (
@@ -38,6 +40,7 @@ from hermiteforge import (
     chain_for,
     classical_operator,
     delta_operator,
+    Poly,
     incomplete_from_complete,
     spectral_chain_from_factorization,
     spline_mask,
@@ -48,7 +51,7 @@ from hermiteforge import (
     verify_spectral_chain,
 )
 from hermiteforge.cli import run
-from hermiteforge.exactalg import u_power
+from hermiteforge.construct import assemble_factor
 from hermiteforge.factor import Factorization
 from hermiteforge.splines import spline_chain
 from hermiteforge.subdivision import _image, eigen_check
@@ -546,3 +549,27 @@ def test_spectral_chain_recovery_does_no_poly_arithmetic():
     with mock.patch.multiple(LaurentPoly, **arithmetic):
         got = spectral_chain_from_factorization(*args)
     assert got == spectral_chain_reference(*args)
+
+
+def test_factorization_stages_build_no_laurent_poly():
+    # assemble_factor, unfactor, taylor_factorize and incomplete_from_complete
+    # read and write integer numerators: with every LaurentPoly and Poly
+    # constructor refusing, they give the entrywise references' results.
+    op = TaylorOperator(((F(1),), (F(-2, 3), F(1)), (F(5, 4), F(1, 6), F(1))))
+    g = {(2, 0): LaurentPoly({-1: F(1, 3), 1: F(2)}), (1, 0): LaurentPoly({0: F(-1, 2)})}
+    res = synthesize(op, LaurentPoly({0: F(1, 2), 1: F(1, 2)}) ** 2, g)
+    chain = chain_for(op)
+    refuse = mock.Mock(side_effect=AssertionError("LaurentPoly built"))
+    with (
+        mock.patch.object(LaurentPoly, "__init__", refuse),
+        mock.patch.object(LaurentPoly, "_raw", refuse),
+        mock.patch.object(Poly, "__init__", refuse),
+    ):
+        factor = assemble_factor(op, res.last_row, g)
+        mask = unfactor(op, factor)
+        fac = taylor_factorize(mask, chain)
+        b = incomplete_from_complete(fac.factor)
+    assert factor == res.factor
+    assert mask == unfactor_reference(op, factor) == res.mask
+    assert fac.factor == taylor_factorize_reference(mask, chain).factor
+    assert b == incomplete_from_complete_reference(fac.factor)

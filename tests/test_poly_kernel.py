@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hermiteforge import LaurentPoly, Mask, NotDivisible, Poly, PolyVec, polybasis
-from hermiteforge.exactalg import _mul_add, rat_to_str
+from hermiteforge.exactalg import _divide_by_delta, _mul_add, rat_to_str
 from hermiteforge.polybasis import difference_split_check
 from hermiteforge.subdivision import eigen_check
 from reference_kernels import (
@@ -220,6 +220,47 @@ def test_divide_exact_by_the_factorization_divisors(terms, divisor, extra):
         lambda: (rp * ru**extra).divide_exact(ru**k),
         assert_same_laurent,
     )
+
+
+@st.composite
+def delta_numerators(draw, s):
+    """Integer lists for division by z^-s - 1: products q (z^-s - 1) read
+    from z^0, arbitrary lists, all-zero lists and lists no longer than s.
+    Returns (nums, q), q the quotient when nums was built as a product."""
+    ints = st.integers(min_value=-5, max_value=5)
+    kind = draw(st.sampled_from(["product", "any", "zeros", "short"]))
+    if kind == "product":
+        q = draw(st.lists(ints, max_size=6))
+        nums = q + [0] * s
+        for t, c in enumerate(q):
+            nums[t + s] -= c
+        return nums, q
+    if kind == "any":
+        return draw(st.lists(ints, max_size=8)), None
+    if kind == "zeros":
+        return [0] * draw(st.integers(min_value=0, max_value=6)), None
+    return draw(st.lists(ints, max_size=s)), None
+
+
+@given(st.sampled_from([1, 2]).flatmap(lambda s: st.tuples(st.just(s), delta_numerators(s))))
+@settings(max_examples=80, deadline=None)
+def test_divide_by_delta_matches_divide_exact(case):
+    # sum_t nums[t] z^t divided by z^-s - 1: the same outcome as the general
+    # Laurent division, with the quotient's len(nums) - s numerators from z^s.
+    s, (nums, q) = case
+    p = LaurentPoly(dict(enumerate(nums)))
+    try:
+        want = p.divide_exact(LaurentPoly({-s: 1, 0: -1}))
+    except NotDivisible:
+        with pytest.raises(NotDivisible, match="^Laurent division leaves a nonzero remainder$"):
+            _divide_by_delta(nums, s)
+        assert q is None
+        return
+    got = _divide_by_delta(nums, s)
+    assert len(got) == max(len(nums) - s, 0)
+    assert LaurentPoly(dict(enumerate(got, start=s))) == want
+    if q is not None:
+        assert got == q
 
 
 @pytest.mark.parametrize(

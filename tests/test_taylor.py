@@ -23,7 +23,6 @@ from hermiteforge import (
     delta_operator,
 )
 from hermiteforge import taylor
-from hermiteforge.exactalg import delta_symbol, u_power
 from reference_kernels import (
     LaurentMatrix,
     annihilator_reference,
@@ -31,6 +30,7 @@ from reference_kernels import (
     apply_operator_polys,
     chain_for_reference,
     classical_vector,
+    delta_symbol,
     inverse_numerators_reference,
     mask_symbol_reference,
     newton_vector,
@@ -440,14 +440,6 @@ def test_a_loaded_chain_builds_each_annihilator_once():
         loaded = Chain.from_json(doc)
         assert loaded.operator() == classical_operator(3)
     assert spy.call_count == 4
-
-
-def test_u_powers_are_built_once_and_shared():
-    u = delta_symbol(1)
-    assert delta_symbol(1) is u and delta_symbol(2) is delta_symbol(2)
-    for k in range(6):
-        assert u_power(k) is u_power(k)
-        assert u_power(k) == u**k
 
 
 def test_an_empty_tower_is_not_a_chain():
