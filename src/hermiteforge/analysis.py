@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import chain, islice, repeat
 from math import inf, isfinite
 from operator import sub
@@ -152,6 +153,20 @@ class DeltaMissesWindow(ValueError):
     them empty. The mask's support lies too far off the window."""
 
 
+def _check_window(window: tuple[int, int]) -> None:
+    """A window is a pair (a, b) of ints, not bools, with a <= b: any other
+    type raises TypeError, and another length or b < a ValueError."""
+    if not isinstance(window, tuple):
+        raise TypeError(f"a window must be a tuple (a, b) of ints, got {window!r}")
+    if len(window) != 2:
+        raise ValueError(f"a window must be a pair (a, b), got {window!r}")
+    for end in window:
+        if isinstance(end, bool) or not isinstance(end, int):
+            raise TypeError(f"a window's ends must be ints, got {window!r}")
+    if window[1] < window[0]:
+        raise ValueError(f"window {window} is reversed: its end lies before its start")
+
+
 def delta_grid(d: int, window: tuple[int, int], exact: bool = True) -> DyadicGrid:
     """Level-0 data: value 1 at the origin, zero derivatives, zero elsewhere."""
     a, b = window
@@ -200,8 +215,7 @@ def cascade(
     """
     if _int_count(levels, "levels") < 0:
         raise ValueError("levels must be nonnegative")
-    if window[1] < window[0]:
-        raise ValueError(f"window {window} is reversed: its end lies before its start")
+    _check_window(window)
     if isinstance(init, str):
         if init != "delta":
             raise ValueError(f"unknown initial data {init!r}")
@@ -260,6 +274,31 @@ class ConvergenceReport:
         return _report_json(self)
 
 
+@cache
+def _residual_kernel(n: int):
+    """The generated residual row of n weighted terms, n >= 1:
+    kernel(f, w_1, y_1, ..., w_n, y_n) returns
+
+        max(0.0, abs(b - a - w_1 * v_1 - ... - w_n * v_n) for a, b, v_1, ...
+            in zip(f, f[1:], y_1, ..., y_n))
+
+    Python subtracts left to right, so each entry is the difference, then
+    each weighted term taken off it in turn, and the running max starts from
+    0.0, which a NaN never beats. One kernel per n, n <= d."""
+    params = "".join(f", w{j}, y{j}" for j in range(1, n + 1))
+    values = "".join(f", v{j}" for j in range(1, n + 1))
+    terms = "".join(f" - w{j} * v{j}" for j in range(1, n + 1))
+    slices = "".join(f", y{j}" for j in range(1, n + 1))
+    source = (
+        f"def kernel(f{params}):\n"
+        f"    row = [abs(b - a{terms}) for a, b{values} in zip(f, f[1:]{slices})]\n"
+        f"    return max(chain((0.0,), row))\n"
+    )
+    namespace: dict = {"chain": chain}
+    exec(source, namespace)
+    return namespace["kernel"]
+
+
 def taylor_residuals(
     grid: DyadicGrid,
     window: tuple[int, int],
@@ -273,8 +312,11 @@ def taylor_residuals(
     survives, i.e. Delta f^(k) is compared against 2^-n f^(k+1); a general
     operator contributes its w-weighted higher-order corrections. These are
     the quantities whose decay drives the limit's derivative consistency,
-    measured at the data's own scale.
+    measured at the data's own scale. Each row is one pass of the generated
+    kernel for its number of terms (_residual_kernel). The window is checked
+    as cascade checks it.
     """
+    _check_window(window)
     d = grid.d
     if taylor is None:
         taylor = delta_operator(d)
@@ -287,15 +329,10 @@ def taylor_residuals(
     rows = grid._rows_as_floats(lo, lo + len(alphas) + 1)
     out = []
     for k in range(d):
-        weights = [
-            float(taylor.w[k + ell - 1][k]) / 2.0 ** (grid.level * ell)
-            for ell in range(1, d - k + 1)
-        ]
-        f = rows[k]
-        v = list(map(sub, f[1:], f))
-        for ell, wgt in enumerate(weights, start=1):
-            v = [x - wgt * y for x, y in zip(v, rows[k + ell])]
-        out.append(max(chain((0.0,), map(abs, v))))
+        args = [rows[k]]
+        for ell in range(1, d - k + 1):
+            args += (float(taylor.w[k + ell - 1][k]) / 2.0 ** (grid.level * ell), rows[k + ell])
+        out.append(_residual_kernel(d - k)(*args))
     return tuple(out)
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, lru_cache, wraps
+from itertools import chain
 from math import comb, factorial, isfinite, perm
 from typing import Callable
 
@@ -131,14 +132,6 @@ def _derivative_pieces(r: int, k: int) -> tuple[tuple[int, ...], ...]:
     return tuple(pieces)
 
 
-def _scaled_bspline_derivative(r: int, k: int, num: int, den: int) -> int:
-    """(r-k)! den^(r-k) B_r^(k)(num/den) for den > 0 and 0 <= k <= r: integer
-    Horner on the piece holding num/den, the one on its right at a knot."""
-    if num < 0 or num >= (r + 1) * den:
-        return 0
-    return _horner(_derivative_pieces(r, k)[num // den], num, den)
-
-
 @dataclass(frozen=True)
 class SplineCascadeReport:
     """Componentwise sup errors between rendered Hermite data and the exact
@@ -166,9 +159,12 @@ def check_spline_cascade(
     points, and every difference row shifts the natural abscissa by half a
     step. Component k = r, whose derivative jumps at the knots, needs no
     knot test: its numerator 2 alpha + 1 is odd and the denominator 2^(n+1)
-    even, so it is sampled at midpoints, never at a knot. A bool tol is
-    refused with TypeError, and a tol that is not a nonnegative finite
-    number with ValueError."""
+    even, so it is sampled at midpoints, never at a knot. The points
+    compared are those with 0 < x < r + 1, an index range worked out from
+    the grid's start; each component takes its pieces once and compares
+    in one pass, from a running max of 0.0. A bool tol is refused with
+    TypeError, and a tol that is not a nonnegative finite number with
+    ValueError."""
     _check_rd(r, d)
     if isinstance(tol, bool):
         raise TypeError(f"tol must be a number, not a bool, got {tol!r}")
@@ -178,28 +174,27 @@ def check_spline_cascade(
     window = (-(r + 2), r + 2)
     grids = cascade(mask, levels, "delta", window, exact=False)
     final = grids[-1]
-    start = final.start
-    # Component k sits at x = (2 alpha + r + 1 - k) / 2^(n+1).
+    # Component k sits at x = num / den, num = 2 (start + idx) + r + 1 - k.
     den = 2 ** (final.level + 1)
     end = (r + 1) * den
     errors = []
     points = []
     for k, row in enumerate(final._rows):
         scale = factorial(r - k) * den ** (r - k)
-        worst = 0.0
-        count = 0
-        for idx in range(final.npoints):
-            num = 2 * (start + idx) + r + 1 - k
-            if num <= 0 or num >= end:
-                continue
-            exact = _scaled_bspline_derivative(r, k, num, den)
-            # int / int rounds correctly, exactly as float(Fraction) does
-            err = abs(row[idx] - exact / scale)
-            count += 1
-            if err > worst:
-                worst = err
-        errors.append(worst)
-        points.append(count)
+        pieces = _derivative_pieces(r, k)
+        # The idx with 0 < num < end: num0 + 2 idx > 0 from lo on, and
+        # num0 + 2 idx < end below hi.
+        num0 = 2 * final.start + r + 1 - k
+        lo = max(0, -num0 // 2 + 1)
+        hi = min(final.npoints, (end - num0 + 1) // 2)
+        nums = range(num0 + 2 * lo, num0 + 2 * hi, 2)
+        # int / int rounds correctly, exactly as float(Fraction) does
+        errs = [
+            abs(x - _horner(pieces[num // den], num, den) / scale)
+            for x, num in zip(row[lo:hi], nums)
+        ]
+        errors.append(max(chain((0.0,), errs)))
+        points.append(len(errs))
     ok = all(e <= tol for e in errors)
     return SplineCascadeReport(
         r=r, d=d, levels=levels, tol=tol, errors=tuple(errors), points=tuple(points), ok=ok

@@ -56,8 +56,10 @@ class Mask:
     and all numerators, so equal masks have equal fields. coeffs (built on
     first read and kept) and matrix(alpha) are Fraction views. Two integer
     tables are also built on first read and kept: _terms, the nonzero
-    entries by parity class for the subdivision step, and _moments, their
-    moments, through which S_A acts on polynomial data (_image).
+    entries by parity class, and _moments, their moments, through which S_A
+    acts on polynomial data (_image). The level steps read _terms through
+    plans: one per level n and kind (integer or float rows), compiled from
+    _terms on the first step at that level and kind, and kept in _plans.
 
     A mask is also the one form of a square matrix symbol: * is the symbol
     product, substitute_power(m) gives A*(z^m), and == compares symbols.
@@ -124,9 +126,9 @@ class Mask:
         A(alpha - 2 beta)[i][k], which multiplies component k of the column at
         beta = m + offset. Terms run beta ascending, then k ascending, and
         skip zero entries. The (offset, k) pairs of one list are its shape:
-        _stencil_sums groups the terms by shape and runs one generated sum
-        per shape, shared by all masks, which adds them in this same order.
-        _moments is built from these lists."""
+        a level plan runs one generated sum per shape, shared by all masks,
+        which adds the terms in this same order. _moments is built from
+        these lists."""
         s_min, s_max = self.support
         table = []
         for parity in (0, 1):
@@ -164,6 +166,48 @@ class Mask:
                 rows.append(tuple(map(tuple, moments)))
             table.append(tuple(rows))
         return tuple(table)
+
+    @cached_property
+    def _plans(self) -> dict[tuple[int, bool], tuple]:
+        """The level plans built so far, keyed (level, exact); see _level_plan."""
+        return {}
+
+    def _level_plan(self, level: int, exact: bool) -> tuple:
+        """The step of the level-n mask A_n = D^-(n+1) A D^n, n = level,
+        compiled once per (level, exact) and kept in _plans: [p] lists
+        (i, kernel, coeffs) for every output row i with terms at parity p,
+        kernel the shared generated sum of the row's shape (_sum_kernel)
+        and coeffs its coefficients in term order. Term (offset, k, c) of
+        _terms[p][i] has the coefficient c shifted left by n (d - k) +
+        (n + 1) i, over _den 2^(n d): that numerator when exact, else the
+        quotient, correctly rounded. A float level whose coefficient passes
+        the float range raises ValueError and keeps nothing."""
+        plan = self._plans.get((level, exact))
+        if plan is not None:
+            return plan
+        d = self.d
+        level_den = self._den << level * d
+        plan = []
+        for terms_by_row in self._terms:
+            entries = []
+            for i, terms in enumerate(terms_by_row):
+                if not terms:
+                    continue
+                kernel = _sum_kernel(tuple([(offset, k) for offset, k, _ in terms]))
+                coeffs = [c << (level * (d - k) + (level + 1) * i) for _, k, c in terms]
+                if not exact:
+                    # int / int rounds correctly, exactly as float(Fraction) does
+                    try:
+                        coeffs = [c / level_den for c in coeffs]
+                    except OverflowError as exc:
+                        raise ValueError(
+                            f"level {level} is too deep for float rows: "
+                            "a coefficient of the level mask is beyond the float range"
+                        ) from exc
+                entries.append((i, kernel, tuple(coeffs)))
+            plan.append(tuple(entries))
+        plan = self._plans[level, exact] = tuple(plan)
+        return plan
 
     def matrix(self, alpha: int) -> Matrix:
         n = alpha - self.support_min
@@ -328,40 +372,23 @@ def _sum_kernel(shape: tuple[tuple[int, int], ...]):
     return namespace["kernel"]
 
 
-def _kernels(table: tuple) -> list[list]:
-    """The shared generated sum of each term list table[p][i], or None where
-    the list is empty."""
-    return [
-        [_sum_kernel(tuple([(offset, k) for offset, k, _ in terms])) if terms else None
-         for terms in terms_by_row]
-        for terms_by_row in table
-    ]
-
-
-def _stencil_sums(
-    table: tuple, rows: Sequence[Sequence], a: int, out_lo: int, out_hi: int, zero
+def _run_plan(
+    plan: tuple, rows: Sequence[Sequence], a: int, out_lo: int, out_hi: int, zero
 ) -> list[list]:
-    """Raw sums sum_beta A(alpha - 2 beta)[i][k] rows[k][beta - a] for alpha in
-    [out_lo, out_hi], one list per output row i, with the coefficients of one
-    term table (Mask._terms, numerators over _den, or level_step's table of
-    the level-n mask, as numerators or as floats).
-
-    The terms of one parity class and output row are grouped by their shape,
-    the (offset, k) of each term, and each shape has one generated sum
-    (_sum_kernel) that is shared by every mask and table with that shape. It
-    runs over all outputs of the parity class in one comprehension; every
-    output still adds its terms to zero one at a time, in the order beta
-    ascending, then k ascending.
+    """Raw sums sum_beta A_n(alpha - 2 beta)[i][k] rows[k][beta - a] for alpha
+    in [out_lo, out_hi], one list per output row i, by a level plan
+    (Mask._level_plan). Each (i, kernel, coeffs) of a parity class runs over
+    all its outputs in one comprehension, and every output adds its terms to
+    zero one at a time, in the order beta ascending, then k ascending. An
+    output row with no term in a parity class keeps zero there.
     """
-    out = [[zero] * (out_hi - out_lo + 1) for _ in table[0]]
-    for parity, (terms_by_row, kernels) in enumerate(zip(table, _kernels(table))):
+    out = [[zero] * (out_hi - out_lo + 1) for _ in rows]
+    for parity, entries in enumerate(plan):
         first = out_lo + (parity - out_lo) % 2
         count = (out_hi - first) // 2 + 1
         lo = (first - parity) // 2 - a
-        for i, (terms, kernel) in enumerate(zip(terms_by_row, kernels)):
-            if kernel is not None:
-                coeffs = [c for _, _, c in terms]
-                out[i][first - out_lo :: 2] = kernel(rows, lo, count, zero, *coeffs)
+        for i, kernel, coeffs in entries:
+            out[i][first - out_lo :: 2] = kernel(rows, lo, count, zero, *coeffs)
     return out
 
 
@@ -405,37 +432,25 @@ def level_step(
     Mask._terms shifted left by n (d - k) + (n + 1) i, over _den 2^(n d).
 
     rows[k][j] is component k of the column at beta = start + j: integers
-    over den, or floats if den is None. Returns the output rows, their
-    denominator (divided out of the integers by their gcd; None for floats)
-    and the first output abscissa. A float coefficient is the shifted
-    numerator over that denominator, correctly rounded; a level whose
-    coefficients pass the float range raises ValueError.
+    over den, or floats if den is None; a row count other than mask.d + 1
+    raises ValueError. Returns the output rows, their denominator (divided
+    out of the integers by their gcd; None for floats) and the first output
+    abscissa. The step runs the mask's plan for this level and kind
+    (Mask._level_plan), built on the first step there and kept on the mask.
+    A float coefficient is the shifted numerator over that denominator,
+    correctly rounded; a level whose coefficients pass the float range
+    raises ValueError.
     """
-    d = len(rows) - 1
-    out_lo, out_hi = _output_window(mask, start, start + len(rows[0]) - 1)
-    table = tuple(
-        tuple(
-            tuple((offset, k, c << (level * (d - k) + (level + 1) * i)) for offset, k, c in terms)
-            for i, terms in enumerate(terms_by_row)
+    if len(rows) != mask.d + 1:
+        raise ValueError(
+            f"a step of a d = {mask.d} mask needs {mask.d + 1} rows, got {len(rows)}"
         )
-        for terms_by_row in mask._terms
-    )
-    level_den = mask._den << level * d
+    out_lo, out_hi = _output_window(mask, start, start + len(rows[0]) - 1)
     if den is None:
-        # int / int rounds correctly, exactly as float(Fraction) does
-        try:
-            table = tuple(
-                tuple(tuple((o, k, c / level_den) for o, k, c in terms) for terms in by_row)
-                for by_row in table
-            )
-        except OverflowError as exc:
-            raise ValueError(
-                f"level {level} is too deep for float rows: "
-                "a coefficient of the level mask is beyond the float range"
-            ) from exc
-        return _stencil_sums(table, rows, start, out_lo, out_hi, 0.0), None, out_lo
-    sums = _stencil_sums(table, rows, start, out_lo, out_hi, 0)
-    den *= level_den
+        plan = mask._level_plan(level, False)
+        return _run_plan(plan, rows, start, out_lo, out_hi, 0.0), None, out_lo
+    sums = _run_plan(mask._level_plan(level, True), rows, start, out_lo, out_hi, 0)
+    den *= mask._den << level * mask.d
     g = gcd(den, *chain.from_iterable(sums))
     if g != 1:
         sums = [[v // g for v in row] for row in sums]

@@ -66,6 +66,7 @@ from hermiteforge.exactalg import (
     NotDivisible,
     RationalLike,
     _add,
+    _horner,
     _rational,
     _taylor_shift,
     falling_factorial,
@@ -78,7 +79,7 @@ from hermiteforge.factor import (
     _identity_holds,
     _last_column_partition_of_unity,
 )
-from hermiteforge.splines import SplineCascadeReport, _scaled_bspline_derivative
+from hermiteforge.splines import SplineCascadeReport, _derivative_pieces
 from hermiteforge.subdivision import WindowTooSmall, _output_window, eigen_check
 from hermiteforge.taylor import Chain, delta_operator
 
@@ -692,11 +693,15 @@ def mask_json_reference(mask: Mask) -> dict:
     }
 
 
-def stencil_reference(mask: Mask) -> tuple[tuple, tuple, int]:
+def stencil_reference(mask: Mask, level: int | None = None) -> tuple[tuple, tuple, int]:
     """The compiled stencil (floats, numerators, denominator) from the
-    Fraction entries: float(c) and c over the lcm of the denominators."""
+    Fraction entries: float(c) and c over the lcm of the denominators. With
+    a level n it is the stencil of the level-n mask A_n = D^-(n+1) A D^n:
+    each entry c of A(alpha)[i][k] becomes c 2^((n+1) i - n k), over the
+    lcm times 2^(n d)."""
+    shift = 0 if level is None else level * mask.d
     s_min, s_max = mask.support
-    den = lcm(*(v.denominator for m in mask.coeffs for row in m for v in row))
+    den = lcm(*(v.denominator for m in mask.coeffs for row in m for v in row)) << shift
     floats, numerators = [], []
     for parity in (0, 1):
         float_rows, int_rows = [], []
@@ -707,6 +712,8 @@ def stencil_reference(mask: Mask) -> tuple[tuple, tuple, int]:
                 offset = (parity - g) // 2
                 for k, c in enumerate(mask.coeffs[g - s_min][i]):
                     if c:
+                        if level is not None:
+                            c *= Fraction(2) ** ((level + 1) * i - level * k)
                         float_row.append((offset, k, float(c)))
                         int_row.append((offset, k, c.numerator * (den // c.denominator)))
             float_rows.append(tuple(float_row))
@@ -719,9 +726,9 @@ def stencil_reference(mask: Mask) -> tuple[tuple, tuple, int]:
 def stencil_sums_reference(
     table: tuple, rows: Sequence[Sequence], a: int, out_lo: int, out_hi: int, zero
 ) -> list[list]:
-    """subdivision._stencil_sums as one loop per stencil term: each output
-    row of a parity class is accumulated one term at a time across all its
-    outputs, starting from zero, in the table's term order."""
+    """subdivision._run_plan on a term table, one loop per stencil term:
+    each output row of a parity class is accumulated one term at a time
+    across all its outputs, starting from zero, in the table's term order."""
     out = [[zero] * (out_hi - out_lo + 1) for _ in table[0]]
     for parity, terms_by_row in enumerate(table):
         first = out_lo + (parity - out_lo) % 2
@@ -981,18 +988,27 @@ def convergence_reference(
     )
 
 
+def scaled_bspline_derivative(r: int, k: int, num: int, den: int) -> int:
+    """(r-k)! den^(r-k) B_r^(k)(num/den) for den > 0 and 0 <= k <= r: integer
+    Horner on the cached piece holding num/den, the one on its right at a
+    knot, and 0 off the support [0, r + 1)."""
+    if num < 0 or num >= (r + 1) * den:
+        return 0
+    return _horner(_derivative_pieces(r, k)[num // den], num, den)
+
+
 def bspline_value(r: int, x) -> Fraction:
     """B_r(x) as a Fraction, read off the kernel's r! den^r B_r(num/den)."""
     x = Fraction(x)
     scale = factorial(r) * x.denominator**r
-    return Fraction(_scaled_bspline_derivative(r, 0, x.numerator, x.denominator), scale)
+    return Fraction(scaled_bspline_derivative(r, 0, x.numerator, x.denominator), scale)
 
 
 def bspline_derivative(r: int, k: int, x) -> Fraction:
     """B_r^(k)(x) as a Fraction, read off the kernel's scaled value; k <= r."""
     x = Fraction(x)
     scale = factorial(r - k) * x.denominator ** (r - k)
-    return Fraction(_scaled_bspline_derivative(r, k, x.numerator, x.denominator), scale)
+    return Fraction(scaled_bspline_derivative(r, k, x.numerator, x.denominator), scale)
 
 
 def bspline_value_reference(r: int, x) -> Fraction:

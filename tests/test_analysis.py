@@ -487,6 +487,30 @@ def test_float_cascade_matches_column_reference(mask, levels, data):
         assert repr(got_rep) == repr(convergence_reference(want, window, 0.9, 1e-4, taylor))
 
 
+@given(sparse_masks(), st.integers(min_value=1, max_value=5), st.data())
+@settings(max_examples=30, deadline=None)
+def test_a_second_cascade_runs_the_kept_plans(mask, levels, data):
+    # The second cascade of a mask runs the plans the first one kept, and
+    # an equal mask built afresh compiles its own: all three agree, the
+    # float grids bit for bit and the exact ones row for row.
+    init = data.draw(float_init_grids(mask.d))
+    ints = st.lists(st.integers(-(10**6), 10**6), min_size=mask.d + 1, max_size=mask.d + 1)
+    exact_init = DyadicGrid(0, init.start, tuple(tuple(data.draw(ints)) for _ in init.values))
+    try:
+        first = [cascade(mask, levels, g, exact=g.is_exact) for g in (init, exact_init)]
+    except WindowTooSmall:
+        return
+    assert sorted(mask._plans) == sorted(
+        [(n, False) for n in range(init.level, init.level + levels)]
+        + [(n, True) for n in range(levels)]
+    )
+    fresh = Mask(mask.support_min, mask.coeffs)
+    for other in (mask, fresh):
+        floats, exact = [cascade(other, levels, g, exact=g.is_exact) for g in (init, exact_init)]
+        assert [float_hex(g) for g in floats] == [float_hex(g) for g in first[0]]
+        assert [(g._rows, g._den) for g in exact] == [(g._rows, g._den) for g in first[1]]
+
+
 @given(sparse_masks(), st.integers(min_value=3, max_value=6), st.data())
 @settings(max_examples=30, deadline=None)
 def test_convergence_matches_column_reference(mask, levels, data):
@@ -590,6 +614,40 @@ def test_a_reversed_window_is_refused():
             with pytest.raises(ValueError, match=want):
                 cascade(mask, 2, window=window, exact=exact)
     assert len(cascade(mask, 2, window=(0, 0))) == 3
+
+
+@pytest.mark.parametrize(
+    "window, error, message",
+    [
+        ((True, 4), TypeError, "a window's ends must be ints, got (True, 4)"),
+        ((-4, False), TypeError, "a window's ends must be ints, got (-4, False)"),
+        ((-4.5, 4), TypeError, "a window's ends must be ints, got (-4.5, 4)"),
+        ((-4, 4.0), TypeError, "a window's ends must be ints, got (-4, 4.0)"),
+        ([-4, 4], TypeError, "a window must be a tuple (a, b) of ints, got [-4, 4]"),
+        (4, TypeError, "a window must be a tuple (a, b) of ints, got 4"),
+        ((-4, 4, 5), ValueError, "a window must be a pair (a, b), got (-4, 4, 5)"),
+        ((4,), ValueError, "a window must be a pair (a, b), got (4,)"),
+        ((3, 1), ValueError, "window (3, 1) is reversed: its end lies before its start"),
+    ],
+    ids=[
+        "bool-start", "bool-end", "float-start", "float-end", "list", "int", "triple",
+        "single", "reversed",
+    ],
+)
+def test_a_window_is_a_pair_of_ints(window, error, message):
+    # Unchecked, (True, 4) ran as (1, 4), (-4, 4, 5) as (-4, 4), and
+    # taylor_residuals returned a value on (-4.5, 4).
+    mask = half_delta()
+    grid = cascade(mask, 2)[-1]
+    calls = (
+        lambda: cascade(mask, 2, window=window),
+        lambda: cascade(mask, 2, window=window, exact=True),
+        lambda: check_convergence(mask, 3, window=window),
+        lambda: taylor_residuals(grid, window),
+    )
+    for call in calls:
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            call()
 
 
 def test_cascade_grids_cover_window(ref2):

@@ -12,6 +12,7 @@ from reference_kernels import (
     bspline_derivative,
     bspline_value,
     bspline_value_reference,
+    scaled_bspline_derivative,
     scalar_eigen_check,
     spline_cascade_reference,
 )
@@ -20,12 +21,12 @@ from hermiteforge import (
     BadOrder,
     LaurentPoly,
     allones_operator,
+    cascade,
     check_spline_cascade,
     spline_mask,
     spline_verify,
 )
 from hermiteforge.splines import (
-    _scaled_bspline_derivative,
     ell_polynomial,
     scalar_spline_symbol,
     spline_chain,
@@ -244,14 +245,14 @@ def test_bspline_pieces_match_recursion():
         for n in range(-8, 8 * (r + 2) + 1):
             x = F(n, 8)
             value = bspline_value_reference(r, x) * factorial(r) * 8**r
-            assert _scaled_bspline_derivative(r, 0, n, 8) == value
+            assert scaled_bspline_derivative(r, 0, n, 8) == value
             for k in range(r + 1):
                 want = sum(
                     (-1) ** i * comb(k, i) * bspline_value_reference(r - k, x - i)
                     for i in range(k + 1)
                 )
                 scale = factorial(r - k) * 8 ** (r - k)
-                assert _scaled_bspline_derivative(r, k, n, 8) == want * scale
+                assert scaled_bspline_derivative(r, k, n, 8) == want * scale
 
 
 @st.composite
@@ -271,12 +272,20 @@ def test_bspline_value_matches_recursion_at_rationals(sample):
     r, k, x = sample
     want = sum((-1) ** i * comb(k, i) * bspline_value_reference(r - k, x - i) for i in range(k + 1))
     num, den = x.numerator, x.denominator
-    assert _scaled_bspline_derivative(r, k, num, den) == want * factorial(r - k) * den ** (r - k)
+    assert scaled_bspline_derivative(r, k, num, den) == want * factorial(r - k) * den ** (r - k)
 
 
 @pytest.mark.parametrize("r", [1, 2, 3, 4])
 def test_spline_cascade_matches_fraction_abscissae(r):
+    # The final grid reaches past the support [0, r + 1] on both sides, so
+    # the compared range starts and ends inside the grid: at num <= 0 and at
+    # num >= end the points drop out, and at level 6 (r <= 2) the range's
+    # ends sit among many points.
     for d in range(r + 1):
-        for levels in (0, 1, 4):
+        for levels in (0, 1, 4, 6) if r <= 2 else (0, 1, 4):
             got = check_spline_cascade(r, d, levels=levels, tol=1e-3)
             assert got == spline_cascade_reference(r, d, levels, 1e-3)
+            final = cascade(spline_mask(r, d), levels, "delta", (-(r + 2), r + 2))[-1]
+            for k in range(d + 1):
+                num = [2 * (final.start + idx) + r + 1 - k for idx in (0, final.npoints - 1)]
+                assert num[0] <= 0 and num[1] >= (r + 1) * 2 ** (levels + 1)

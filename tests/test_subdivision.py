@@ -15,9 +15,8 @@ from hermiteforge.subdivision import (
     WindowTooSmall,
     _as_rows,
     _image,
-    _kernels,
     _output_window,
-    _stencil_sums,
+    _run_plan,
     eigen_check,
     level_step,
 )
@@ -465,12 +464,14 @@ special_floats = st.sampled_from(
 )
 
 
-def stencil_sums_both(mask, rows, a, out_lo, out_hi, exact):
-    """_stencil_sums and stencil_sums_reference on one table, each entry
-    written as itself (exact) or as float.hex()."""
-    table, zero = (mask._terms, 0) if exact else (stencil_reference(mask)[0], 0.0)
-    args = (table, rows, a, out_lo, out_hi, zero)
-    got, want = _stencil_sums(*args), stencil_sums_reference(*args)
+def stencil_sums_both(mask, rows, a, out_lo, out_hi, exact, level=0):
+    """The mask's level plan run by _run_plan, and stencil_sums_reference on
+    the level mask's table built from Fractions (stencil_reference), each
+    entry written as itself (exact) or as float.hex()."""
+    floats, numerators, _ = stencil_reference(mask, level)
+    table, zero = (numerators, 0) if exact else (floats, 0.0)
+    got = _run_plan(mask._level_plan(level, exact), rows, a, out_lo, out_hi, zero)
+    want = stencil_sums_reference(table, rows, a, out_lo, out_hi, zero)
     if exact:
         assert all(type(v) is int for row in got for v in row)
         return got, want
@@ -497,7 +498,9 @@ def test_fused_stencil_sums_match_term_loop(mask, exact, a, data):
     full_lo, full_hi = _output_window(mask, a, a + n - 1)
     out_lo = data.draw(st.integers(min_value=full_lo, max_value=full_hi))
     out_hi = data.draw(st.integers(min_value=out_lo, max_value=full_hi))
-    got, want = stencil_sums_both(mask, rows, a, out_lo, out_hi, exact)
+    # The plan of any level: its coefficients against the level mask's.
+    level = data.draw(st.integers(min_value=0, max_value=6))
+    got, want = stencil_sums_both(mask, rows, a, out_lo, out_hi, exact, level)
     assert got == want
 
 
@@ -510,7 +513,8 @@ def test_fused_stencil_sums_one_term_and_empty_rows():
     for exact, data in ((False, rows), (True, [[3, -1, 0, 7, 2]])):
         got, want = stencil_sums_both(hat, data, 0, 1, 9, exact)
         assert got == want
-    # Row 0 has no term at even alpha: those outputs stay the zero passed in.
+    # Row 0 has no term at even alpha: the plan has no entry for it there,
+    # and those outputs stay the zero passed in.
     m = Mask(
         -1,
         (
@@ -519,7 +523,7 @@ def test_fused_stencil_sums_one_term_and_empty_rows():
             ((F(1, 2), 0), (F(-1, 4), 0)),
         ),
     )
-    assert _kernels(m._terms)[0][0] is None
+    assert [[i for i, _, _ in entries] for entries in m._level_plan(0, False)] == [[1], [0, 1]]
     rows = [[1.5, -2.0, 0.25, 8.0, 3.0], [1.0, 2.0, -0.0, 1e-310, 4.0]]
     out_lo, out_hi = _output_window(m, 0, 4)
     got, want = stencil_sums_both(m, rows, 0, out_lo, out_hi, False)
@@ -528,15 +532,64 @@ def test_fused_stencil_sums_one_term_and_empty_rows():
     assert even and even == [(0.0).hex()] * len(even)
 
 
+def plan_kernels(mask, level, exact):
+    return [[kernel for _, kernel, _ in entries] for entries in mask._level_plan(level, exact)]
+
+
 def test_fused_stencil_kernels_are_shared_by_shape():
     m = ref2_mask()
     scaled = m.scale(3)
-    for table in (lambda x: x._terms, lambda x: stencil_reference(x)[0]):
-        mine, theirs = _kernels(table(m)), _kernels(table(scaled))
+    for level, exact in ((0, True), (0, False), (3, True), (2, False)):
+        mine, theirs = plan_kernels(m, level, exact), plan_kernels(scaled, level, exact)
         assert all(f is g for fs, gs in zip(mine, theirs) for f, g in zip(fs, gs))
-    # The same shapes from another table of the mask, and a new shape elsewhere.
-    assert _kernels(m._terms) == _kernels(stencil_reference(m)[0])
-    assert _kernels(hat_mask()._terms)[0][0] not in {f for fs in _kernels(m._terms) for f in fs}
+    # Every level and kind of a mask runs the same shapes, and another
+    # shape has another kernel.
+    assert plan_kernels(m, 0, True) == plan_kernels(m, 5, False)
+    others = {f for fs in plan_kernels(m, 0, True) for f in fs}
+    assert plan_kernels(hat_mask(), 0, True)[0][0] not in others
+
+
+def test_level_plans_are_built_once_per_level_and_kind():
+    m = ref2_mask()
+    assert m._plans == {}
+    cascade(m, 4, exact=False)
+    floats = dict(m._plans)
+    assert sorted(floats) == [(n, False) for n in range(4)]
+    cascade(m, 3, exact=True)
+    cascade(m, 4, exact=False)
+    assert sorted(m._plans) == [(n, exact) for n in range(4) for exact in (False, True)][:-1]
+    # The second float cascade ran the plans of the first, and the exact
+    # plans are their own: integer numerators, never the floats.
+    assert all(m._plans[key] is plan for key, plan in floats.items())
+    for (level, exact), plan in m._plans.items():
+        kind = int if exact else float
+        assert all(type(c) is kind for entries in plan for _, _, cs in entries for c in cs)
+
+
+def test_an_overflowing_float_level_raises_on_every_try():
+    m = ref2_mask()
+    rows = [[1.0] * 9 for _ in range(3)]
+    for _ in range(2):
+        with pytest.raises(ValueError, match="^level 600 is too deep for float rows: "):
+            level_step(m, rows, None, -4, 600)
+        assert (600, False) not in m._plans
+    # The exact plan of that level exists, and the float levels below run.
+    level_step(m, [[1] * 9 for _ in range(3)], 1, -4, 600)
+    assert (600, True) in m._plans
+    assert level_step(m, rows, None, -4, 5)[1] is None
+
+
+def test_level_step_needs_one_row_per_component():
+    # Unchecked, the step dropped the second row of the first case without
+    # a word, and raised IndexError on no rows at all.
+    cases = ((hat_mask(), [[1, 0, 0], [0, 1, 0]]), (hat_mask(), []), (ref2_mask(), [[1]] * 4))
+    for m, rows in cases:
+        for den in (1, None):
+            data = rows if den else [[float(v) for v in row] for row in rows]
+            want = f"^a step of a d = {m.d} mask needs {m.d + 1} rows, got {len(rows)}$"
+            with pytest.raises(ValueError, match=want):
+                level_step(m, data, den, -1, 2)
+        assert m._plans == {}
 
 
 def test_float_cascade_holds_only_floats():
