@@ -14,8 +14,8 @@ when the diagonal did not certify.
 
 Cascade iterations render Hermite data at finer and finer dyadic levels with
 the derivative renormalization f_{n+1} = D^-(n+1) S_A D^n f_n of level_step,
-carried as rows of the components from level to level; the convergence
-diagnostics read those rows as whole slices.
+carried as rows of the components from level to level; the steps and the
+convergence diagnostics run over the span of columns off zero only.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from operator import sub
 from typing import Iterator
 
 from .exactalg import _int_count, _report_json
-from .subdivision import DyadicGrid, Mask, level_step
+from .subdivision import DyadicGrid, Mask, _live, level_step
 from .taylor import TaylorOperator, delta_operator
 
 
@@ -168,7 +168,9 @@ def _check_window(window: tuple[int, int]) -> None:
 
 
 def delta_grid(d: int, window: tuple[int, int], exact: bool = True) -> DyadicGrid:
-    """Level-0 data: value 1 at the origin, zero derivatives, zero elsewhere."""
+    """Level-0 data: value 1 at the origin, zero derivatives, zero elsewhere.
+    The window is checked as cascade checks it, and must contain 0."""
+    _check_window(window)
     a, b = window
     if not a <= 0 <= b:
         raise ValueError("the delta window must contain 0")
@@ -180,7 +182,9 @@ def delta_grid(d: int, window: tuple[int, int], exact: bool = True) -> DyadicGri
 
 def initial_window(mask: Mask, target: tuple[int, int], levels: int) -> tuple[int, int]:
     """Smallest level-0 index window whose cascade still covers target
-    (given in integer x-coordinates) at the final level."""
+    (given in integer x-coordinates) at the final level. The target is
+    checked as cascade checks a window."""
+    _check_window(target)
     s_min, s_max = mask.support
     lo, hi = target[0] * 2**levels, target[1] * 2**levels
     for _ in range(levels):
@@ -211,7 +215,10 @@ def cascade(
     Both modes carry the grid's rows (row k = component f^(k)) from level
     to level through one row step, level_step: exact mode integer rows over
     one denominator, float mode float rows. No column, and no Fraction, is
-    built until a grid's values are read.
+    built until a grid's values are read. Each step computes only the
+    outputs that the grid's nonzero columns reach, so the delta's cascade
+    costs its support, not its window; the values are those of the full
+    step, bit for bit (see level_step).
     """
     if _int_count(levels, "levels") < 0:
         raise ValueError("levels must be nonnegative")
@@ -251,6 +258,12 @@ def _window_slice(grid: DyadicGrid, window: tuple[int, int]) -> range:
     first = max(lo, grid.start)
     last = min(hi, grid.start + grid.npoints - 1)
     return range(first, last + 1)
+
+
+def _nonzero_span(grid: DyadicGrid) -> tuple[int, int] | None:
+    """The first and the last index alpha of a column off zero, or None."""
+    live = _live(grid._rows)
+    return None if live is None else (grid.start + live[0], grid.start + live[1])
 
 
 @dataclass(frozen=True)
@@ -313,8 +326,10 @@ def taylor_residuals(
     operator contributes its w-weighted higher-order corrections. These are
     the quantities whose decay drives the limit's derivative consistency,
     measured at the data's own scale. Each row is one pass of the generated
-    kernel for its number of terms (_residual_kernel). The window is checked
-    as cascade checks it.
+    kernel for its number of terms (_residual_kernel), over the window's
+    points from the one left of the nonzero columns to the last of them:
+    the other points read only zeros, whose residual 0.0 leaves the max
+    as it is. The window is checked as cascade checks it.
     """
     _check_window(window)
     d = grid.d
@@ -323,10 +338,18 @@ def taylor_residuals(
     if taylor.d != d:
         raise ValueError("pairing operator dimension does not match the grid")
     alphas = _window_slice(grid, window)
-    # The window's points and the grid point right of it, if there is one;
-    # a point without a right neighbour drops out of the differences.
-    lo = alphas.start - grid.start
-    rows = grid._rows_as_floats(lo, lo + len(alphas) + 1)
+    # Entry alpha reads the columns alpha and alpha + 1, so off the span
+    # p..q only alpha = p - 1 .. q can be nonzero; the rest are 0.0 and
+    # leave the max as it is.
+    span = _nonzero_span(grid)
+    first = stop = alphas.start
+    if span is not None:
+        first = max(first, span[0] - 1)
+        stop = max(first, min(alphas.stop, span[1] + 1))
+    # Those points and the grid point right of them, if there is one; a
+    # point without a right neighbour drops out of the differences.
+    lo = first - grid.start
+    rows = grid._rows_as_floats(lo, lo + stop - first + 1)
     out = []
     for k in range(d):
         args = [rows[k]]
@@ -358,6 +381,12 @@ def check_convergence(
     The pairing weights default to the difference-type operator; pass the
     scheme's own Taylor operator for generalized pairings. A window that the
     delta never reaches raises DeltaMissesWindow, as in cascade.
+
+    The cascade and both diagnostics run over the nonzero columns only:
+    a level difference over the coarse span and the parents of the fine
+    one, the residuals as in taylor_residuals. Every skipped difference is
+    0.0 and every maximum starts from 0.0, so the report is the same, bit
+    for bit.
     """
     if _int_count(levels, "levels") < 3:
         raise ValueError("need at least 3 levels for a meaningful verdict")
@@ -381,17 +410,29 @@ def _convergence_report(
     levels = len(grids) - 1
     d = grids[0].d
     rows = [g._rows_as_floats() for g in grids]
+    spans = [_nonzero_span(g) for g in grids]
     diffs: list[float] = []
     for n in range(levels):
         g0, g1 = grids[n], grids[n + 1]
         start0, start1, end1 = g0.start, g1.start, g1.start + g1.npoints
         alphas = _window_slice(g0, window)
         worst = 0.0
+        # A sample and its children differ only where one of them is off
+        # zero: alpha in the coarse span, or a parent beta // 2 of the fine
+        # span. Every other difference is 0.0 and leaves the max as it is.
+        fine = spans[n + 1]
+        parents = None if fine is None else (fine[0] // 2, fine[1] // 2)
+        ends = [e for e in (spans[n], parents) if e is not None]
+        if not ends:
+            diffs.append(worst)
+            continue
+        span_lo = max(alphas.start, min(lo for lo, _ in ends))
+        span_hi = min(alphas.stop - 1, max(hi for _, hi in ends))
         # Each sample at alpha against its child at 2 alpha + parity, for the
         # alphas whose child lies on the finer grid.
         for parity in (0, 1):
-            first = max(alphas.start, -((parity - start1) // 2))
-            last = min(alphas.stop - 1, (end1 - 1 - parity) // 2)
+            first = max(span_lo, -((parity - start1) // 2))
+            last = min(span_hi, (end1 - 1 - parity) // 2)
             if first > last:
                 continue
             lo0, lo1 = first - start0, 2 * first + parity - start1

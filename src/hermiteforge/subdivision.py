@@ -17,7 +17,7 @@ from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import chain, count
+from itertools import chain, compress, count
 from math import comb, gcd, lcm
 
 from .exactalg import (
@@ -329,6 +329,21 @@ class Mask:
         return mask
 
 
+def _live(rows: Sequence[Sequence]) -> tuple[int, int] | None:
+    """The first and the last index at which some row holds a nonzero
+    entry, or None when every entry is zero. Each row is scanned in from
+    both ends, by truth value: ±0 and 0.0 are zero, NaN and ±inf are not."""
+    firsts, lasts = [], []
+    for row in rows:
+        first = next(compress(count(), row), None)
+        if first is not None:
+            firsts.append(first)
+            lasts.append(len(row) - 1 - next(compress(count(), reversed(row))))
+    if not firsts:
+        return None
+    return min(firsts), max(lasts)
+
+
 def _output_window(mask: Mask, a: int, b: int) -> tuple[int, int]:
     """The outputs of one step on input [a, b] whose full stencil lies inside it."""
     s_min, s_max = mask.support
@@ -439,22 +454,45 @@ def level_step(
     (Mask._level_plan), built on the first step there and kept on the mask.
     A float coefficient is the shifted numerator over that denominator,
     correctly rounded; a level whose coefficients pass the float range
-    raises ValueError.
+    raises ValueError, on all-zero rows too.
+
+    The plan runs only over the outputs that the nonzero columns p..q
+    (_live) reach, 2p + s_min .. 2q + s_max in abscissae, inside the
+    output window; the others are written as 0 or 0.0. That changes no
+    bit: every computed sum starts from 0 or 0.0, so a sum over ±0.0
+    inputs is +0.0, NaN and ±inf are nonzero and stay in the span, and
+    zeros leave the exact gcd as it is.
     """
     if len(rows) != mask.d + 1:
         raise ValueError(
             f"a step of a d = {mask.d} mask needs {mask.d + 1} rows, got {len(rows)}"
         )
     out_lo, out_hi = _output_window(mask, start, start + len(rows[0]) - 1)
-    if den is None:
-        plan = mask._level_plan(level, False)
-        return _run_plan(plan, rows, start, out_lo, out_hi, 0.0), None, out_lo
-    sums = _run_plan(mask._level_plan(level, True), rows, start, out_lo, out_hi, 0)
-    den *= mask._den << level * mask.d
-    g = gcd(den, *chain.from_iterable(sums))
-    if g != 1:
-        sums = [[v // g for v in row] for row in sums]
-        den //= g
+    exact = den is not None
+    # Built before the span is read: all-zero rows compile their level's
+    # plan too, and a float level beyond the float range raises on them.
+    plan = mask._level_plan(level, exact)
+    zero = 0 if exact else 0.0
+    live = _live(rows)
+    if live is None:
+        lo, hi = out_lo, out_lo - 1
+        sums = [[] for _ in rows]
+    else:
+        # Columns p..q reach the outputs 2p + s_min .. 2q + s_max, a range
+        # that always meets the output window.
+        s_min, s_max = mask.support
+        lo = max(out_lo, 2 * (start + live[0]) + s_min)
+        hi = min(out_hi, 2 * (start + live[1]) + s_max)
+        sums = _run_plan(plan, rows, start, lo, hi, zero)
+    if exact:
+        den *= mask._den << level * mask.d
+        g = gcd(den, *chain.from_iterable(sums))
+        if g != 1:
+            sums = [[v // g for v in row] for row in sums]
+            den //= g
+    if lo != out_lo or hi != out_hi:
+        left, right = [zero] * (lo - out_lo), [zero] * (out_hi - hi)
+        sums = [left + row + right for row in sums]
     return sums, den, out_lo
 
 

@@ -33,7 +33,9 @@ from hermiteforge import (
     classical_operator,
     delta_operator,
     scheme_norm,
+    spline_mask,
     spline_verify,
+    subdivision,
     synthesize,
 )
 from hermiteforge.analysis import (
@@ -511,6 +513,132 @@ def test_a_second_cascade_runs_the_kept_plans(mask, levels, data):
         assert [(g._rows, g._den) for g in exact] == [(g._rows, g._den) for g in first[1]]
 
 
+@st.composite
+def zero_padded_grids(draw, d, exact):
+    """Explicit level-n data with runs of all-zero columns at both ends and
+    inside: int 0 in exact grids, +0.0 and -0.0 in float grids, where in
+    about one grid in two one entry anywhere is a NaN or an infinity."""
+    if exact:
+        entries, zeros = st.integers(min_value=-6, max_value=6), st.just(0)
+    else:
+        entries, zeros = finite_floats, st.sampled_from([0.0, -0.0])
+
+    def block(kind, most):
+        n = draw(st.integers(min_value=0, max_value=most))
+        return [[draw(kind) for _ in range(d + 1)] for _ in range(n)]
+
+    columns = block(zeros, 8) + block(entries, 4)
+    columns += block(zeros, 4) + block(entries, 4) + block(zeros, 8)
+    if not columns:
+        columns = [[draw(zeros) for _ in range(d + 1)]]
+    if not exact and draw(st.booleans()):
+        n = draw(st.integers(min_value=0, max_value=len(columns) - 1))
+        columns[n][draw(st.integers(min_value=0, max_value=d))] = draw(
+            st.sampled_from([nan, inf, -inf])
+        )
+    level = draw(st.integers(min_value=0, max_value=3))
+    start = draw(st.integers(min_value=-8, max_value=6))
+    return DyadicGrid(level, start, tuple(tuple(col) for col in columns))
+
+
+@given(sparse_masks(), st.integers(min_value=0, max_value=4), st.booleans(), st.data())
+@settings(max_examples=50, deadline=None)
+def test_a_cascade_over_zero_runs_matches_the_reference(mask, levels, exact, data):
+    # Steps and diagnostics skip the columns that can only hold zeros; the
+    # values they write there, and every diagnostic, keep their bits.
+    init = data.draw(zero_padded_grids(mask.d, exact))
+    try:
+        want = cascade_reference(mask, levels, init)
+    except WindowTooSmall:
+        with pytest.raises(WindowTooSmall):
+            cascade(mask, levels, init, exact=exact)
+        return
+    got = cascade(mask, levels, init, exact=exact)
+    for g, w in zip(got, want):
+        assert (g.level, g.start, g.npoints) == (w.level, w.start, w.npoints)
+        if exact:
+            assert (g._rows, g._den) == (w._rows, w._den)
+        else:
+            assert float_hex(g) == float_hex(w)
+    if exact:
+        return
+    x0, x1 = floor(init.x(0)), ceil(init.x(init.npoints - 1))
+    lo = data.draw(st.integers(min_value=x0 - 2, max_value=x1))
+    window = (lo, data.draw(st.integers(min_value=lo, max_value=x1 + 2)))
+    for g, w in zip(got, want):
+        assert repr(taylor_residuals(g, window)) == repr(taylor_residuals_reference(w, window))
+    if levels:
+        got_rep = _convergence_report(got, window, 0.9, 1e-4, None)
+        assert repr(got_rep) == repr(convergence_reference(want, window, 0.9, 1e-4, None))
+
+
+def fresh_pool_mask():
+    """A d = 1 scheme supported on [-4, 0], as the render masks are, built
+    afresh so that it holds no plan yet."""
+    mask = synthesize(delta_operator(1), LaurentPoly({0: F(1, 2), 1: F(1, 2)})).mask
+    return Mask(mask.support_min, mask.coeffs)
+
+
+def test_all_zero_data_still_compiles_and_checks_every_level(ref2):
+    # No column is off zero, so no output is computed: every row comes out
+    # 0 (or +0.0 from -0.0 data), and each (level, kind) still has its plan.
+    mask = fresh_pool_mask()
+    floats = DyadicGrid(1, -8, tuple((-0.0, 0.0) for _ in range(12)))
+    ints = DyadicGrid(0, -8, tuple((0, F(0)) for _ in range(12)))
+    for grid in (floats, ints):
+        for g in cascade(mask, 4, grid, exact=grid.is_exact)[1:]:
+            if grid.is_exact:
+                assert g._den == 1 and all(v == 0 for row in g._rows for v in row)
+            else:
+                assert all(v.hex() == "0x0.0p+0" for row in g._rows for v in row)
+    assert sorted(mask._plans) == sorted(
+        [(n, False) for n in range(1, 5)] + [(n, True) for n in range(4)]
+    )
+    # A level beyond the float range raises on zeros as on any data.
+    zeros = DyadicGrid(600, -8, tuple((0.0, -0.0, 0.0) for _ in range(12)))
+    for _ in range(2):
+        with pytest.raises(ValueError, match="^level 600 is too deep for float rows: "):
+            cascade(ref2.mask, 1, zeros)
+        assert (600, False) not in ref2.mask._plans
+
+
+def test_a_residual_reads_the_point_left_of_the_data():
+    # Entry alpha reads the columns alpha and alpha + 1, so the point left
+    # of the first nonzero column counts. Here it holds the whole residual,
+    # |1 - 0|, while the column itself balances: |0 - 1 - 1 * (-1)| = 0.
+    for zero, one in ((0, 1), (0.0, 1.0)):
+        cols = [(zero, zero)] * 4 + [(one, -one)] + [(zero, zero)] * 3
+        assert taylor_residuals(DyadicGrid(0, -4, tuple(cols)), (-4, 3)) == (1.0,)
+
+
+def test_a_step_computes_only_the_outputs_its_data_reach(monkeypatch):
+    # A delta cascade is nonzero only over the mask's support, while the
+    # windows are symmetric about 0. Each step computes the outputs that its
+    # nonzero columns p..q reach, 2p + s_min .. 2q + s_max, and no others:
+    # well under 60% of the outputs it returns.
+    run_plan = subdivision._run_plan
+    asked = []
+
+    def spy(plan, rows, a, out_lo, out_hi, zero):
+        live = [j for j, col in enumerate(zip(*rows)) if any(col)]
+        asked.append((a + live[0], a + live[-1], out_lo, out_hi))
+        return run_plan(plan, rows, a, out_lo, out_hi, zero)
+
+    monkeypatch.setattr(subdivision, "_run_plan", spy)
+    pool = fresh_pool_mask()
+    assert pool.support == (-4, 0) and spline_mask(1, 0).support == (0, 2)
+    for mask, window in ((spline_mask(1, 0), (-3, 3)), (pool, (-4, 4))):
+        s_min, s_max = mask.support
+        for exact in (False, True):
+            asked.clear()
+            grids = cascade(mask, 6, window=window, exact=exact)
+            assert len(asked) == 6
+            for p, q, lo, hi in asked:
+                assert 2 * p + s_min <= lo <= hi <= 2 * q + s_max
+            computed = sum(hi - lo + 1 for _, _, lo, hi in asked)
+            assert computed < 0.6 * sum(g.npoints for g in grids[1:])
+
+
 @given(sparse_masks(), st.integers(min_value=3, max_value=6), st.data())
 @settings(max_examples=30, deadline=None)
 def test_convergence_matches_column_reference(mask, levels, data):
@@ -636,7 +764,9 @@ def test_a_reversed_window_is_refused():
 )
 def test_a_window_is_a_pair_of_ints(window, error, message):
     # Unchecked, (True, 4) ran as (1, 4), (-4, 4, 5) as (-4, 4), and
-    # taylor_residuals returned a value on (-4.5, 4).
+    # taylor_residuals returned a value on (-4.5, 4); delta_grid built a
+    # grid starting at False on (False, 4), and initial_window returned
+    # (-6.0, 4) on (-4.5, 4) and (3, -4) on (4, -4).
     mask = half_delta()
     grid = cascade(mask, 2)[-1]
     calls = (
@@ -644,6 +774,8 @@ def test_a_window_is_a_pair_of_ints(window, error, message):
         lambda: cascade(mask, 2, window=window, exact=True),
         lambda: check_convergence(mask, 3, window=window),
         lambda: taylor_residuals(grid, window),
+        lambda: delta_grid(1, window),
+        lambda: initial_window(spline_mask(1, 0), window, 3),
     )
     for call in calls:
         with pytest.raises(error, match=f"^{re.escape(message)}$"):
@@ -660,6 +792,9 @@ def test_cascade_grids_cover_window(ref2):
 
 def test_delta_grid_shape():
     # unit impulse in the value component, derivatives start at zero
+    for window in ((1, 4), (-4, -1)):
+        with pytest.raises(ValueError, match="^the delta window must contain 0$"):
+            delta_grid(2, window)
     g = delta_grid(2, (-4, 4))
     assert g.level == 0
     assert g.values[-g.start] == (F(1), F(0), F(0))
