@@ -5,8 +5,8 @@ The package root exports the entry points, the value types they take and
 return, and the exceptions they raise. A square matrix symbol, a Taylor
 operator's included, is a ``Mask``: integer numerators over one denominator,
 with ``*`` the symbol product. Everything else is imported from its module
-(``hermiteforge.subdivision.level_step``, ``hermiteforge.exactalg.
-rat_from_str``, ...).
+(``hermiteforge.subdivision.level_step``, which steps one ``DyadicGrid`` to
+the next, ``hermiteforge.exactalg.rat_from_str``, ...).
 """
 
 from .exactalg import ExactAlgError, LaurentPoly, NotDivisible

@@ -15,7 +15,8 @@ when the diagonal did not certify.
 Cascade iterations render Hermite data at finer and finer dyadic levels with
 the derivative renormalization f_{n+1} = D^-(n+1) S_A D^n f_n of level_step,
 carried as rows of the components from level to level; the steps and the
-convergence diagnostics run over the span of columns off zero only.
+convergence diagnostics run over the span of columns off zero only, which
+each grid records where its rows are made.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from operator import sub
 from typing import Iterator
 
 from .exactalg import _int_count, _report_json
-from .subdivision import DyadicGrid, Mask, _live, level_step
+from .subdivision import DyadicGrid, Mask, level_step
 from .taylor import TaylorOperator, delta_operator
 
 
@@ -177,7 +178,7 @@ def delta_grid(d: int, window: tuple[int, int], exact: bool = True) -> DyadicGri
     zero, one, den = (0, 1, 1) if exact else (0.0, 1.0, None)
     rows = [[zero] * (b - a + 1) for _ in range(d + 1)]
     rows[0][-a] = one
-    return DyadicGrid._from_rows(0, a, rows, den)
+    return DyadicGrid._from_rows(0, a, rows, den, (-a, -a))
 
 
 def initial_window(mask: Mask, target: tuple[int, int], levels: int) -> tuple[int, int]:
@@ -212,13 +213,14 @@ def cascade(
     Its kind must match the mode: exact (built from ints and Fractions) when
     exact is set, float otherwise.
 
-    Both modes carry the grid's rows (row k = component f^(k)) from level
-    to level through one row step, level_step: exact mode integer rows over
-    one denominator, float mode float rows. No column, and no Fraction, is
-    built until a grid's values are read. Each step computes only the
-    outputs that the grid's nonzero columns reach, so the delta's cascade
-    costs its support, not its window; the values are those of the full
-    step, bit for bit (see level_step).
+    Both modes carry the grid from level to level through one step,
+    level_step, which takes a grid and returns the next: exact mode integer
+    rows over one denominator, float mode float rows. No column, and no
+    Fraction, is built until a grid's values are read. Each step computes
+    only the outputs that the grid's recorded nonzero span reaches, so the
+    delta's cascade costs its support, not its window, and records the
+    span of the grid it makes; the values are those of the full step, bit
+    for bit (see level_step).
     """
     if _int_count(levels, "levels") < 0:
         raise ValueError("levels must be nonnegative")
@@ -239,16 +241,13 @@ def cascade(
         grid = init
         if grid.d != mask.d:
             raise ValueError("initial data dimension does not match the mask")
-    rows, den = grid._rows, grid._den
-    if exact != (den is not None):
+    if exact != grid.is_exact:
         need = "ints and Fractions" if exact else "floats"
         raise ValueError(f"exact={exact} needs initial data of {need}")
     out = [grid]
-    level, start = grid.level, grid.start
     for _ in range(levels):
-        rows, den, start = level_step(mask, rows, den, start, level)
-        level += 1
-        out.append(DyadicGrid._from_rows(level, start, rows, den))
+        grid = level_step(mask, grid)
+        out.append(grid)
     return out
 
 
@@ -261,8 +260,9 @@ def _window_slice(grid: DyadicGrid, window: tuple[int, int]) -> range:
 
 
 def _nonzero_span(grid: DyadicGrid) -> tuple[int, int] | None:
-    """The first and the last index alpha of a column off zero, or None."""
-    live = _live(grid._rows)
+    """The first and the last index alpha of a column off zero, or None,
+    from the span the grid recorded."""
+    live = grid._span
     return None if live is None else (grid.start + live[0], grid.start + live[1])
 
 
@@ -327,9 +327,10 @@ def taylor_residuals(
     the quantities whose decay drives the limit's derivative consistency,
     measured at the data's own scale. Each row is one pass of the generated
     kernel for its number of terms (_residual_kernel), over the window's
-    points from the one left of the nonzero columns to the last of them:
-    the other points read only zeros, whose residual 0.0 leaves the max
-    as it is. The window is checked as cascade checks it.
+    points from the one left of the nonzero columns to the last of them,
+    as the grid recorded them: the other points read only zeros, whose
+    residual 0.0 leaves the max as it is. Only those points are converted
+    or copied. The window is checked as cascade checks it.
     """
     _check_window(window)
     d = grid.d
@@ -382,14 +383,19 @@ def check_convergence(
     scheme's own Taylor operator for generalized pairings. A window that the
     delta never reaches raises DeltaMissesWindow, as in cascade.
 
-    The cascade and both diagnostics run over the nonzero columns only:
-    a level difference over the coarse span and the parents of the fine
-    one, the residuals as in taylor_residuals. Every skipped difference is
-    0.0 and every maximum starts from 0.0, so the report is the same, bit
-    for bit.
+    The cascade and both diagnostics run over the nonzero columns only,
+    as each grid recorded them when its rows were made: a level difference
+    over the coarse span and the parents of the fine one, read in place as
+    slices of the float rows, the residuals as in taylor_residuals. Every
+    skipped difference is 0.0 and every maximum starts from 0.0, so the
+    report is the same, bit for bit. A bool ratio_bound or residual_tol is
+    refused with TypeError.
     """
     if _int_count(levels, "levels") < 3:
         raise ValueError("need at least 3 levels for a meaningful verdict")
+    for name, v in (("ratio_bound", ratio_bound), ("residual_tol", residual_tol)):
+        if isinstance(v, bool):
+            raise TypeError(f"{name} must be a number, not a bool, got {v!r}")
     if not (isfinite(ratio_bound) and ratio_bound > 0):
         raise ValueError(f"ratio_bound must be a positive finite number, got {ratio_bound}")
     if not (isfinite(residual_tol) and residual_tol >= 0):
@@ -406,10 +412,10 @@ def _convergence_report(
     taylor: TaylorOperator | None,
 ) -> ConvergenceReport:
     """check_convergence's diagnostics and verdict on a float cascade of at
-    least two grids."""
+    least two grids. The level differences read the float rows in place."""
     levels = len(grids) - 1
     d = grids[0].d
-    rows = [g._rows_as_floats() for g in grids]
+    rows = [g._rows for g in grids]
     spans = [_nonzero_span(g) for g in grids]
     diffs: list[float] = []
     for n in range(levels):

@@ -7,7 +7,8 @@ and on symbols the rule reads (S_A c)*(z) = A*(z) c*(z^2).
 
 Hermite refinement renormalizes derivative rows between levels:
 f_{n+1} = D^{-(n+1)} S_A (D^n f_n) with D = diag(1, 1/2, ..., 2^-d), which
-is the plain step of the level-n mask D^{-(n+1)} A D^n (level_step).
+is the plain step of the level-n mask D^{-(n+1)} A D^n (level_step, from
+one DyadicGrid to the next).
 """
 
 from __future__ import annotations
@@ -38,6 +39,8 @@ from .exactalg import (
 from .polybasis import PolyVec
 
 Matrix = tuple[tuple[Fraction, ...], ...]
+# First and last column index with an entry off zero, or None (_live).
+Span = tuple[int, int] | None
 
 
 class WindowTooSmall(ValueError):
@@ -329,7 +332,7 @@ class Mask:
         return mask
 
 
-def _live(rows: Sequence[Sequence]) -> tuple[int, int] | None:
+def _live(rows: Sequence[Sequence]) -> Span:
     """The first and the last index at which some row holds a nonzero
     entry, or None when every entry is zero. Each row is scanned in from
     both ends, by truth value: ±0 and 0.0 are zero, NaN and ±inf are not."""
@@ -439,44 +442,45 @@ def _as_rows(values: Sequence[Sequence]) -> tuple[list[list], int | None]:
     return [[v.numerator * (den // v.denominator) for v in row] for row in rows], den
 
 
-def level_step(
-    mask: Mask, rows: Sequence[Sequence], den: int | None, start: int, level: int
-) -> tuple[list[list], int | None, int]:
-    """D^-(n+1) S_A D^n at n = level, D = diag(1, 1/2, ..., 2^-d): the plain
-    step of the level-n mask, whose term from component k to row i is that of
-    Mask._terms shifted left by n (d - k) + (n + 1) i, over _den 2^(n d).
+def level_step(mask: Mask, grid: "DyadicGrid") -> "DyadicGrid":
+    """D^-(n+1) S_A D^n at n = grid.level, D = diag(1, 1/2, ..., 2^-d): the
+    plain step of the level-n mask, whose term from component k to row i is
+    that of Mask._terms shifted left by n (d - k) + (n + 1) i, over _den
+    2^(n d). Returns the level-(n + 1) grid of the same kind, on the outputs
+    whose full stencil lies in the grid (_output_window); a grid whose d is
+    not mask.d raises ValueError. Exact rows come out over the grid's
+    denominator times the level mask's, divided by their gcd. The step runs
+    the mask's plan for this level and kind (Mask._level_plan), built on the
+    first step there and kept on the mask. A float coefficient is the
+    shifted numerator over that denominator, correctly rounded; a level
+    whose coefficients pass the float range raises ValueError, on all-zero
+    rows too.
 
-    rows[k][j] is component k of the column at beta = start + j: integers
-    over den, or floats if den is None; a row count other than mask.d + 1
-    raises ValueError. Returns the output rows, their denominator (divided
-    out of the integers by their gcd; None for floats) and the first output
-    abscissa. The step runs the mask's plan for this level and kind
-    (Mask._level_plan), built on the first step there and kept on the mask.
-    A float coefficient is the shifted numerator over that denominator,
-    correctly rounded; a level whose coefficients pass the float range
-    raises ValueError, on all-zero rows too.
-
-    The plan runs only over the outputs that the nonzero columns p..q
-    (_live) reach, 2p + s_min .. 2q + s_max in abscissae, inside the
-    output window; the others are written as 0 or 0.0. That changes no
-    bit: every computed sum starts from 0 or 0.0, so a sum over ±0.0
-    inputs is +0.0, NaN and ±inf are nonzero and stay in the span, and
-    zeros leave the exact gcd as it is.
+    The plan runs only over the outputs that the grid's nonzero columns
+    p..q (its recorded span) reach, 2p + s_min .. 2q + s_max in abscissae,
+    inside the output window; the others are written as 0 or 0.0. The
+    output grid records its own span, found by _live on the computed sums
+    before they are padded, so no step and no diagnostic scans a padded
+    row. That changes no bit: every computed sum starts from 0 or 0.0, so a
+    sum over ±0.0 inputs is +0.0, NaN and ±inf are nonzero and stay in the
+    span, and zeros leave the exact gcd as it is.
     """
+    rows, den, start, level = grid._rows, grid._den, grid.start, grid.level
     if len(rows) != mask.d + 1:
         raise ValueError(
             f"a step of a d = {mask.d} mask needs {mask.d + 1} rows, got {len(rows)}"
         )
-    out_lo, out_hi = _output_window(mask, start, start + len(rows[0]) - 1)
+    out_lo, out_hi = _output_window(mask, start, start + grid.npoints - 1)
     exact = den is not None
     # Built before the span is read: all-zero rows compile their level's
     # plan too, and a float level beyond the float range raises on them.
     plan = mask._level_plan(level, exact)
     zero = 0 if exact else 0.0
-    live = _live(rows)
+    live = grid._span
     if live is None:
         lo, hi = out_lo, out_lo - 1
         sums = [[] for _ in rows]
+        span = None
     else:
         # Columns p..q reach the outputs 2p + s_min .. 2q + s_max, a range
         # that always meets the output window.
@@ -484,6 +488,9 @@ def level_step(
         lo = max(out_lo, 2 * (start + live[0]) + s_min)
         hi = min(out_hi, 2 * (start + live[1]) + s_max)
         sums = _run_plan(plan, rows, start, lo, hi, zero)
+        span = _live(sums)
+        if span is not None:
+            span = (span[0] + lo - out_lo, span[1] + lo - out_lo)
     if exact:
         den *= mask._den << level * mask.d
         g = gcd(den, *chain.from_iterable(sums))
@@ -493,7 +500,7 @@ def level_step(
     if lo != out_lo or hi != out_hi:
         left, right = [zero] * (lo - out_lo), [zero] * (out_hi - hi)
         sums = [left + row + right for row in sums]
-    return sums, den, out_lo
+    return DyadicGrid._from_rows(level + 1, out_lo, sums, den, span)
 
 
 def _image(mask: Mask, v: PolyVec) -> tuple[list, list, int]:
@@ -580,6 +587,12 @@ class DyadicGrid:
     anything else raises TypeError. values is built from the rows on first
     read (Fractions in exact mode) and kept; to_json and to_csv read the
     rows. Grids are immutable and equal when level, start and values are.
+    level and start are ints, not bools (TypeError), level nonnegative.
+
+    A grid records its nonzero span (_live) where its rows are made: the
+    constructor scans them once, and level_step and delta_grid hand over
+    the span of the rows they make. The next step and the convergence
+    diagnostics read _span and scan no row.
     """
 
     level: int
@@ -588,23 +601,29 @@ class DyadicGrid:
     _values: tuple[tuple, ...] | None
     _rows: list[list]
     _den: int | None
+    _span: Span
 
     def __init__(self, level: int, start: int, values: Sequence[Sequence]):
-        if level < 0:
+        if _int_count(level, "level") < 0:
             raise ValueError(f"a grid level must be nonnegative, got {level}")
-        self._fill(level, start, *_as_rows(values))
+        _int_count(start, "start")
+        rows, den = _as_rows(values)
+        self._fill(level, start, rows, den, _live(rows))
 
     @classmethod
     def _from_rows(
-        cls, level: int, start: int, rows: list[list], den: int | None
+        cls, level: int, start: int, rows: list[list], den: int | None, span: Span
     ) -> "DyadicGrid":
         """An exact grid from integer rows over den > 0 without a common
-        factor, or a float grid from float rows when den is None."""
+        factor, or a float grid from float rows when den is None; span is
+        what _live(rows) returns."""
         out = object.__new__(cls)
-        out._fill(level, start, rows, den)
+        out._fill(level, start, rows, den, span)
         return out
 
-    def _fill(self, level: int, start: int, rows: list[list], den: int | None) -> None:
+    def _fill(
+        self, level: int, start: int, rows: list[list], den: int | None, span: Span
+    ) -> None:
         put = object.__setattr__
         put(self, "level", level)
         put(self, "start", start)
@@ -612,6 +631,7 @@ class DyadicGrid:
         put(self, "_values", None)
         put(self, "_rows", rows)
         put(self, "_den", den)
+        put(self, "_span", span)
 
     @property
     def values(self) -> tuple[tuple, ...]:

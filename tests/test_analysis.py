@@ -4,7 +4,7 @@ import json
 import re
 from dataclasses import FrozenInstanceError
 from fractions import Fraction as F
-from itertools import islice
+from itertools import chain, islice
 from math import ceil, floor, inf, lcm, nan
 
 import pytest
@@ -26,6 +26,7 @@ from hermiteforge import (
     TaylorOperator,
     WindowTooSmall,
     allones_operator,
+    analysis,
     cascade,
     check_contractive,
     check_convergence,
@@ -45,7 +46,7 @@ from hermiteforge.analysis import (
     initial_window,
     taylor_residuals,
 )
-from hermiteforge.subdivision import level_step
+from hermiteforge.subdivision import _live, level_step
 from reference_kernels import (
     cascade_reference,
     check_contractive_reference,
@@ -447,6 +448,23 @@ def test_grid_entries_are_not_bools():
             DyadicGrid(0, 0, values)
 
 
+@pytest.mark.parametrize(
+    "level, start, message",
+    [
+        (True, -4, "level must be an int, got True"),
+        (1.5, 0, "level must be an int, got 1.5"),
+        (0, 1.5, "start must be an int, got 1.5"),
+        (0, False, "start must be an int, got False"),
+    ],
+)
+def test_grid_level_and_start_are_ints(level, start, message):
+    # Unchecked, a cascade from such a grid failed deep inside a step, and
+    # the residuals of a level-0.5 grid came out as numbers.
+    for values in (((F(1),),), ((1.0,),)):
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+            DyadicGrid(level, start, values)
+
+
 def test_grid_level_must_be_nonnegative():
     for values in (((F(1),),), ((1.0,),)):
         with pytest.raises(ValueError, match="a grid level must be nonnegative, got -2"):
@@ -609,6 +627,45 @@ def test_a_residual_reads_the_point_left_of_the_data():
     for zero, one in ((0, 1), (0.0, 1.0)):
         cols = [(zero, zero)] * 4 + [(one, -one)] + [(zero, zero)] * 3
         assert taylor_residuals(DyadicGrid(0, -4, tuple(cols)), (-4, 3)) == (1.0,)
+
+
+@given(sparse_masks(), st.integers(min_value=0, max_value=4), st.booleans(), st.data())
+@settings(max_examples=40, deadline=None)
+def test_every_grid_records_the_span_of_its_rows(mask, levels, exact, data):
+    # The next step and the diagnostics trust the recorded span; one that is
+    # off by a column skips live outputs or reads past the data.
+    init = data.draw(st.one_of(st.just("delta"), zero_padded_grids(mask.d, exact)))
+    try:
+        grids = cascade(mask, levels, init, exact=exact)
+    except (WindowTooSmall, DeltaMissesWindow):
+        return
+    for g in grids:
+        assert g._span == _live(g._rows)
+        assert (g._span is None) == (not any(chain.from_iterable(g._rows)))
+
+
+def test_no_padded_row_is_scanned_for_its_span(monkeypatch):
+    # Each grid records its span where its rows are made, so the only rows
+    # _live sees are the sums a step computed, never rows padded out to the
+    # window; the delta grid hands over its span too.
+    run_plan, live = subdivision._run_plan, subdivision._live
+    computed, scanned = [], []
+
+    def plan_spy(*args):
+        computed.append(run_plan(*args))
+        return computed[-1]
+
+    def live_spy(rows):
+        scanned.append(rows)
+        return live(rows)
+
+    monkeypatch.setattr(subdivision, "_run_plan", plan_spy)
+    monkeypatch.setattr(subdivision, "_live", live_spy)
+    # analysis once scanned grids with its own import of _live.
+    monkeypatch.setattr(analysis, "_live", live_spy, raising=False)
+    check_convergence(fresh_pool_mask(), 8)
+    assert len(computed) == 8
+    assert len(scanned) == 8 and all(rows is sums for rows, sums in zip(scanned, computed))
 
 
 def test_a_step_computes_only_the_outputs_its_data_reach(monkeypatch):
@@ -848,6 +905,16 @@ def test_convergence_needs_three_levels():
         check_convergence(identity_upsampler(), levels=2)
 
 
+def test_convergence_bounds_are_numbers_not_bools():
+    # True was read as the bound 1.0.
+    for name in ("ratio_bound", "residual_tol"):
+        for v in (True, False):
+            with pytest.raises(TypeError, match=f"^{name} must be a number, not a bool, got {v}$"):
+                check_convergence(half_delta(), 4, **{name: v})
+        with pytest.raises(ValueError, match=f"^{name} must be a (positive|nonnegative) finite"):
+            check_convergence(half_delta(), 4, **{name: nan})
+
+
 def test_reconstruct_linear_ramp_exactly():
     xs = [F(-8 + i, 4) for i in range(17)]
     g = DyadicGrid(level=2, start=-8, values=tuple((F(0), F(1)) for _ in xs))
@@ -882,6 +949,6 @@ def test_reconstruct_needs_anchor():
 def test_subdivide_rejects_empty_output_window():
     wide = Mask(-6, tuple(((F(1),),) for _ in range(7)))
     with pytest.raises(WindowTooSmall):
-        level_step(wide, [[1]], 1, 0, 0)
+        level_step(wide, DyadicGrid(0, 0, ((1,),)))
     with pytest.raises(WindowTooSmall):
-        level_step(wide, [[1.0]], None, 0, 0)
+        level_step(wide, DyadicGrid(0, 0, ((1.0,),)))

@@ -8,12 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from goldens import REF2_MASK, REF2_SPECTRAL_CHAIN, mask_from_entries
-from hermiteforge import Chain, LaurentPoly, Mask, Poly, PolyVec, TaylorOperator, cascade
+from hermiteforge import Chain, DyadicGrid, LaurentPoly, Mask, Poly, PolyVec, TaylorOperator, cascade
 from hermiteforge.analysis import is_lower_triangular
 from hermiteforge.factor import _last_column_partition_of_unity
 from hermiteforge.subdivision import (
     WindowTooSmall,
-    _as_rows,
     _image,
     _output_window,
     _run_plan,
@@ -47,11 +46,15 @@ def hat_mask():
 def step(mask, values, start, level):
     """level_step on columns: Fractions out of exact data, floats out of
     float data."""
-    rows, den = _as_rows(values)
-    out, den, out_lo = level_step(mask, rows, den, start, level)
+    out = level_step(mask, DyadicGrid(level, start, values))
+    return list(out.values), out.start
+
+
+def row_grid(level, start, rows, den):
+    """The grid of these rows: integers over den, or floats when den is None."""
     if den is not None:
-        out = [[F(n, den) for n in row] for row in out]
-    return list(zip(*out)), out_lo
+        rows = [[F(n, den) for n in row] for row in rows]
+    return DyadicGrid(level, start, tuple(zip(*rows)))
 
 
 def ref2_mask():
@@ -84,15 +87,17 @@ def test_entry_symbol_matches_matrix_walk():
 def test_subdivide_reproduces_constants():
     # partition of unity: S applied to all-ones data returns all ones (with
     # d = 0, every level's step is the plain step)
-    assert level_step(hat_mask(), [[1] * 9], 1, -4, 0) == ([[1] * 17], 1, -7)
-    assert level_step(hat_mask(), [[1.0] * 9], None, -4, 3) == ([[1.0] * 17], None, -7)
+    assert level_step(hat_mask(), row_grid(0, -4, [[1] * 9], 1)) == row_grid(1, -7, [[1] * 17], 1)
+    assert level_step(hat_mask(), row_grid(3, -4, [[1.0] * 9], None)) == row_grid(
+        4, -7, [[1.0] * 17], None
+    )
 
 
 def test_subdivide_window_shrinks_to_determined_outputs():
     # a single data point only determines the output where no missing
     # neighbour could contribute
-    assert level_step(hat_mask(), [[1]], 1, 0, 2) == ([[1]], 1, 1)
-    assert level_step(hat_mask(), [[1.0]], None, 0, 0) == ([[1.0]], None, 1)
+    assert level_step(hat_mask(), row_grid(2, 0, [[1]], 1)) == row_grid(3, 1, [[1]], 1)
+    assert level_step(hat_mask(), row_grid(0, 0, [[1.0]], None)) == row_grid(1, 1, [[1.0]], None)
 
 
 def test_iterated_symbol_composes_left_to_right():
@@ -159,7 +164,8 @@ def test_eigen_check_reports_failure():
 
 def test_mask_scale():
     m = hat_mask().scale(F(1, 2))
-    assert level_step(m, [[1] * 9], 1, -4, 0) == ([[1] * 17], 2, -7)
+    got = level_step(m, row_grid(0, -4, [[1] * 9], 1))
+    assert (got._rows, got._den, got.start) == ([[1] * 17], 2, -7)
 
 
 @given(sparse_masks(), rationals(-4, 4, 9).filter(bool))
@@ -428,15 +434,18 @@ def test_level_step_matches_prescaled_order_off_the_subnormal_range(mask, level,
     )
     for k, j, v in data.draw(st.lists(spots, max_size=2)):
         rows[k][j] = v
+    grid = row_grid(level, start, rows, None)
     try:
         want, want_lo = float_step_prescaled_reference(mask, rows, start, level)
     except WindowTooSmall:
         with pytest.raises(WindowTooSmall):
-            level_step(mask, rows, None, start, level)
+            level_step(mask, grid)
         return
-    got, den, got_lo = level_step(mask, rows, None, start, level)
-    assert den is None and got_lo == want_lo
-    assert [[v.hex() for v in row] for row in got] == [[v.hex() for v in row] for row in want]
+    got = level_step(mask, grid)
+    assert got._den is None and got.start == want_lo
+    assert [[v.hex() for v in row] for row in got._rows] == [
+        [v.hex() for v in row] for row in want
+    ]
 
 
 def test_level_step_rounds_subnormal_data_by_the_level_mask():
@@ -445,11 +454,12 @@ def test_level_step_rounds_subnormal_data_by_the_level_mask():
     # kept fewer bits than the level-n mask's (4/3) 2^-1023 does.
     m = Mask(0, (((0, 0, 0), (0, 0, 0), (0, 0, F(1, 3))), ((0, 0, 0), (0, 0, 0), (0, 0, 1))))
     values = [(0.0, 0.0, 0.0), (0.0, 0.0, 1.1125369292536007e-308)]
-    rows, den = _as_rows(values)
-    got, den, out_lo = level_step(m, rows, den, 0, 1)
-    old, old_lo = float_step_prescaled_reference(m, rows, 0, 1)
+    grid = DyadicGrid(1, 0, values)
+    out = level_step(m, grid)
+    got = out._rows
+    old, old_lo = float_step_prescaled_reference(m, grid._rows, 0, 1)
     want, want_lo = hermite_step_reference(m, values, 0, 1)
-    assert den is None and out_lo == old_lo == want_lo
+    assert out._den is None and out.start == old_lo == want_lo
     assert [v.hex() for v in got[2]] != [v.hex() for v in old[2]]
     assert [[v.hex() for v in row] for row in got] == [
         [v.hex() for v in row] for row in zip(*want)
@@ -571,24 +581,24 @@ def test_an_overflowing_float_level_raises_on_every_try():
     rows = [[1.0] * 9 for _ in range(3)]
     for _ in range(2):
         with pytest.raises(ValueError, match="^level 600 is too deep for float rows: "):
-            level_step(m, rows, None, -4, 600)
+            level_step(m, row_grid(600, -4, rows, None))
         assert (600, False) not in m._plans
     # The exact plan of that level exists, and the float levels below run.
-    level_step(m, [[1] * 9 for _ in range(3)], 1, -4, 600)
+    level_step(m, row_grid(600, -4, [[1] * 9 for _ in range(3)], 1))
     assert (600, True) in m._plans
-    assert level_step(m, rows, None, -4, 5)[1] is None
+    assert level_step(m, row_grid(5, -4, rows, None))._den is None
 
 
 def test_level_step_needs_one_row_per_component():
     # Unchecked, the step dropped the second row of the first case without
-    # a word, and raised IndexError on no rows at all.
-    cases = ((hat_mask(), [[1, 0, 0], [0, 1, 0]]), (hat_mask(), []), (ref2_mask(), [[1]] * 4))
+    # a word. A grid has at least one row, so no step sees none.
+    cases = ((hat_mask(), [[1, 0, 0], [0, 1, 0]]), (ref2_mask(), [[1]] * 4))
     for m, rows in cases:
         for den in (1, None):
             data = rows if den else [[float(v) for v in row] for row in rows]
             want = f"^a step of a d = {m.d} mask needs {m.d + 1} rows, got {len(rows)}$"
             with pytest.raises(ValueError, match=want):
-                level_step(m, data, den, -1, 2)
+                level_step(m, row_grid(2, -1, data, den))
         assert m._plans == {}
 
 
