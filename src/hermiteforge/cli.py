@@ -380,7 +380,7 @@ def _cmd_factor(args) -> dict:
     return {
         "ok": True,
         "factorization": fac.to_json(),
-        # taylor_factorize has checked the identity, or it would have raised.
+        # taylor_factorize's exact divisions prove the identity, or it raises.
         "checks": {"identity": True},
     }
 
@@ -400,7 +400,7 @@ def _cmd_construct(args) -> dict:
         "ok": True,
         "bundle": result.to_json(),
         "checks": {
-            # unfactor, inside synthesize, has checked the identity.
+            # unfactor's exact divisions, inside synthesize, prove the identity.
             "identity": True,
             "strategy": result.strategy,
         },

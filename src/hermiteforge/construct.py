@@ -176,7 +176,7 @@ def last_row_symbols(system: LastRowSystem) -> tuple[LaurentPoly, ...]:
     The row they make must satisfy the divisibility condition: q_j = (z+1) h_j
     - sum_m w_{j,m+1} (z-1)^(j-1-m) h_m must vanish to order at least j at
     z = 1. That is unfactor's test that row d of B*(z) T*(z^2) is divisible by
-    (z^-1 - 1)^(d+1), so it is checked once, by unfactor inside synthesize.
+    (z^-1 - 1)^(d+1): that exact division in synthesize checks it and proves the identity.
     """
     d = system.d
     hs: list[LaurentPoly] = []
@@ -313,8 +313,8 @@ def synthesize(
     multiplies the seed up by (z+1) (pure-difference operators only), "auto"
     picks the recurrence exactly when it applies.
 
-    The factorization identity is checked exactly once, inside unfactor,
-    which raises if it fails: the returned result.factorization holds.
+    unfactor's exact divisions prove the factorization identity, and raise
+    NotDivisible where it cannot hold: the returned result.factorization holds.
     """
     if strategy not in ("auto", "system", "recurrence"):
         raise ValueError(f"unknown strategy {strategy!r}")

@@ -9,7 +9,8 @@ in displays; the incomplete variant keeps the top-derivative row undivided.
 Every stage here works on the masks' integer numerators and builds one mask:
 its divisions are by z^-2 - 1 (the column solve) and by u = z^-1 - 1
 (unfactor's rows, the incomplete factor's last row), each a running sum per
-residue class (exactalg._divide_by_delta).
+residue class (exactalg._divide_by_delta). Exact or NotDivisible, they prove
+the identity; Factorization.verify checks a caller's factorization by product.
 """
 
 from __future__ import annotations
@@ -84,7 +85,9 @@ def verify_spectral_chain(mask: Mask, chain: Chain) -> SpectralReport:
 
 def _identity_holds(t: Mask, t_z2: Mask, a: Mask, b: Mask, scale: Fraction) -> bool:
     """t(z) A*(z) == scale * B*(z) t(z^2), t_z2 being t(z^2), decided by one
-    mask comparison (no mask is zero, so a zero scale never holds)."""
+    mask comparison (a zero scale never holds); a factor of another size raises."""
+    if b.d != a.d:
+        raise ValueError("factor and mask dimensions differ")
     return scale != 0 and t * a == (b * t_z2).scale(scale)
 
 
@@ -131,8 +134,8 @@ def taylor_factorize(
     exact division by z^-2 - 1. A mask that factors annihilates the padded
     chain, so the exact annihilation check runs only after a division
     fails, to name the first level left alive (NotAnnihilated); if there is
-    none, the NotDivisible stands. The identity is checked exactly once, here,
-    and a failure raises: every returned factorization carries a proven one.
+    none, the NotDivisible stands. The exact divisions solve C* = B-tilde*
+    T-tilde*(z^2), so every returned factorization holds with no product check.
     """
     d = mask.d
     if chain.d != d:
@@ -170,8 +173,6 @@ def taylor_factorize(
     lift = [den ** (d - k) for k in range(size)]
     entries = [[[n * f for n in col[i]] for col, f in zip(cols, lift)] for i in range(size)]
     unscaled = Mask._raw(c_mask.support_min + 2, entries, c_mask._den * den**d)
-    if c_mask != unscaled * op.symbol_z2:
-        raise AssertionError("factorization identity failed after the column solve")
     return Factorization(mask=mask, taylor=op, factor=unscaled.scale(1 / scale), scale=scale)
 
 
@@ -187,7 +188,7 @@ def unfactor(
     so l leading zeros put every row of E on one support. A failed division names
     the first entry whose divisibility condition breaks: only masks whose row
     l of T-tilde*(z) A*(z) has the factor u^(l+1), as every synthesize output's
-    has, are recovered.
+    has, are recovered; the exact divisions prove the identity, and no product checks it.
     """
     d = op.d
     if factor.d != d:
@@ -213,10 +214,7 @@ def unfactor(
             out.append([0] * l + q)
         rows.append(out)
     e = Mask._raw(g.support_min + 1, rows, g._den)
-    mask = (op.inverse_numerators * e).scale(scale)
-    if op.symbol * mask != g.scale(scale):
-        raise AssertionError("unfactor did not satisfy the factorization identity")
-    return mask
+    return (op.inverse_numerators * e).scale(scale)
 
 
 def incomplete_from_complete(btilde: Mask) -> Mask:

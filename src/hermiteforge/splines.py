@@ -225,8 +225,8 @@ def spline_verify(r: int, d: int) -> tuple[SplineVerifyReport, Factorization]:
     The classical-condition verdict is informational: for d = 0 the classical
     and spline chains coincide, so it holds there and fails once genuine
     derivative components enter. chain_ok reports the compatibility check
-    in the Chain constructor and factorization_ok the one identity check in
-    taylor_factorize; each raises rather than return an unproven object."""
+    in the Chain constructor and factorization_ok the identity proved by the
+    divisions of taylor_factorize; each raises rather than return an unproven object."""
     mask, chain = spline_mask(r, d), spline_chain(r, d)
     operator_allones = chain.operator().w == allones_operator(d).w
     spectral = verify_spectral_chain(mask, chain)

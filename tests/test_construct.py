@@ -26,6 +26,7 @@ from hermiteforge.construct import (
     last_row_symbols,
     recurrence_last_row,
 )
+from hermiteforge.factor import Factorization
 from reference_kernels import (
     delta_symbol,
     last_row_divisibility_reference,
@@ -114,13 +115,17 @@ def _unfactor_both_ways(op, factor, scale=None):
 def test_unfactor_equals_the_entrywise_accumulation(op, n, g10, data):
     # One mask product with the inverse numerators, field for field against
     # one LaurentPoly product per term, at the synthesis scale 2^-d and at
-    # another nonzero scale.
+    # another nonzero scale; no product is checked inside, so each result
+    # must verify as a factorization.
     g = {(1, 0): LaurentPoly({0: g10})} if op.d >= 2 else None
     res = synthesize(op, seed_power(n), g)
     factor = res.factorization.factor
     assert _unfactor_both_ways(op, factor) == res.mask
+    assert Factorization(res.mask, op, factor, F(1, 2**op.d)).verify()
     scale = data.draw(rational_values.filter(bool))
-    assert _unfactor_both_ways(op, factor, scale) == res.mask.scale(scale * 2**op.d)
+    got = _unfactor_both_ways(op, factor, scale)
+    assert got == res.mask.scale(scale * 2**op.d)
+    assert Factorization(got, op, factor, scale).verify()
 
 
 @pytest.mark.parametrize("preset", [delta_operator, classical_operator, allones_operator])

@@ -226,10 +226,15 @@ def _factorize_outcome(factorize, mask, chain):
 def test_factorize_matches_the_gate_first_reference(mask, make_op):
     # Annihilation is checked only after a failed division; the exception,
     # its message and every successful factorization stay those of the
-    # path that checks annihilation first.
+    # path that checks annihilation first. No product is checked inside, so
+    # every success must verify, and unfactor must give the mask back.
     chain = chain_for(make_op(mask.d))
     got = _factorize_outcome(taylor_factorize, mask, chain)
     assert got == _factorize_outcome(taylor_factorize_reference, mask, chain)
+    if got[0] == "ok":
+        fac = taylor_factorize(mask, chain)
+        assert fac.verify()
+        assert unfactor(fac.taylor, fac.factor, fac.scale) == mask
 
 
 def _ref2_seed_and_g():
@@ -260,7 +265,9 @@ def _entry_point_call(name, tmp_path):
 @pytest.mark.parametrize(
     "name", ["taylor_factorize", "synthesize", "spline_verify", "cli factor", "cli construct"]
 )
-def test_each_entry_point_checks_the_identity_once(name, tmp_path, monkeypatch):
+def test_each_entry_point_proves_the_identity_by_its_divisions(name, tmp_path, monkeypatch):
+    # The exact divisions are the proof: no entry point compares a product
+    # of symbols afterwards, and the CLI still reports the identity.
     call = _entry_point_call(name, tmp_path)
     calls = []
     mask_eq = Mask.__eq__
@@ -272,7 +279,7 @@ def test_each_entry_point_checks_the_identity_once(name, tmp_path, monkeypatch):
     # Every identity comparison is one Mask equality.
     monkeypatch.setattr(Mask, "__eq__", counting_eq)
     result = call()
-    assert len(calls) == 1
+    assert calls == []
     if name.startswith("cli"):
         assert result == 0
         doc = json.loads((tmp_path / "report.json").read_text())
@@ -423,6 +430,12 @@ def test_verify_spectral_chain_dimension_guard():
         verify_spectral_chain(ref2_mask(), chain_for(delta_operator(3)))
 
 
+def _delta_factor(d):
+    """The complete factor that synthesize builds for the delta operator of
+    size d + 1 from the reference seed (1 + z)/2."""
+    return synthesize(delta_operator(d), _ref2_seed_and_g()[0]).factorization.factor
+
+
 def test_spectral_chain_recovery_dimension_guard():
     fac = taylor_factorize(ref2_mask(), delta_chain())
     b = incomplete_from_complete(fac.factor)
@@ -433,6 +446,17 @@ def test_spectral_chain_recovery_dimension_guard():
             )
         with pytest.raises(ValueError, match="^operator and mask dimensions differ$"):
             spectral_chain_from_factorization(ref2_mask(), b, delta_operator(d))
+        other = incomplete_from_complete(_delta_factor(d))
+        with pytest.raises(ValueError, match="^factor and mask dimensions differ$"):
+            spectral_chain_from_factorization(ref2_mask(), other, fac.taylor)
+
+
+def test_verify_refuses_a_factor_of_another_size():
+    # The size is checked before any product, which would fail on the shapes.
+    fac = taylor_factorize(ref2_mask(), delta_chain())
+    for d in (1, 3):
+        with pytest.raises(ValueError, match="^factor and mask dimensions differ$"):
+            Factorization(fac.mask, fac.taylor, _delta_factor(d), fac.scale).verify()
 
 
 def test_spectral_chain_recovery_samples_each_level_once(monkeypatch):
