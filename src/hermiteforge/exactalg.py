@@ -248,33 +248,6 @@ def _taylor_shift(nums: Sequence[int], a: int) -> list[int]:
     return c
 
 
-def _divide(num: Sequence[int], div: Sequence[int]) -> tuple[list[int], int]:
-    """(quot, c) with num / div = quot / c, c the content gcd(div) > 0.
-
-    Both lists have nonzero ends. By Gauss's lemma the primitive part
-    div / c divides num over Q exactly when it divides it over Z, so long
-    division by it with integer quotients finds every exact quotient; any
-    other input leaves a nonzero entry in the work list, and NotDivisible
-    is raised.
-    """
-    m = len(div) - 1
-    k = len(num) - m
-    c = gcd(*div)
-    prim = div if c == 1 else [x // c for x in div]
-    lead = prim[-1]
-    work = list(num)
-    quot = [0] * max(k, 0)
-    for t in range(k - 1, -1, -1):
-        top = work[t + m]
-        if top:
-            q = top // lead
-            quot[t] = q
-            work[t : t + m + 1] = [w - q * x for w, x in zip(work[t : t + m + 1], prim)]
-    if any(work):
-        raise NotDivisible("Laurent division leaves a nonzero remainder")
-    return quot, c
-
-
 def _ratio_str(n: int, d: int) -> str:
     """rat_to_str(Fraction(n, d)) for d > 0, without building the Fraction."""
     if d != 1:
@@ -390,12 +363,6 @@ class LaurentPoly:
         if not self._num:
             raise ValueError("zero polynomial has no degree bounds")
         return self._lo + len(self._num) - 1
-
-    def coeff(self, e: int) -> Fraction:
-        i = e - self._lo
-        if 0 <= i < len(self._num):
-            return Fraction(self._num[i], self._den)
-        return Fraction(0)
 
     def items(self) -> Iterator[tuple[int, Fraction]]:
         lo, den = self._lo, self._den
@@ -513,21 +480,6 @@ class LaurentPoly:
         lo = self._lo
         total = sum(n * falling_factorial(lo + i, r) for i, n in enumerate(self._num) if n)
         return Fraction(total, self._den)
-
-    def divide_exact(self, divisor: "LaurentPoly") -> "LaurentPoly":
-        """Exact division in the Laurent ring; raise NotDivisible otherwise.
-
-        z^lo is a unit, so this is division of the numerator lists as
-        ordinary polynomials: (N1/d1) / (N2/d2) = Q d2 / (c d1) for
-        N1 / N2 = Q / c.
-        """
-        if divisor.is_zero:
-            raise ZeroDivisionError("division of Laurent polynomial by zero")
-        if self.is_zero:
-            return self
-        quot, c = _divide(self._num, divisor._num)
-        d2 = divisor._den
-        return self._make(self._lo - divisor._lo, [n * d2 for n in quot], self._den * c)
 
     def to_json(self) -> dict[str, str]:
         lo, den = self._lo, self._den

@@ -85,7 +85,10 @@ def verify_spectral_chain(mask: Mask, chain: Chain) -> SpectralReport:
 
 def _identity_holds(t: Mask, t_z2: Mask, a: Mask, b: Mask, scale: Fraction) -> bool:
     """t(z) A*(z) == scale * B*(z) t(z^2), t_z2 being t(z^2), decided by one
-    mask comparison (a zero scale never holds); a factor of another size raises."""
+    mask comparison (a zero scale never holds); an operator or a factor of
+    another size raises."""
+    if t.d != a.d:
+        raise ValueError("operator and mask dimensions differ")
     if b.d != a.d:
         raise ValueError("factor and mask dimensions differ")
     return scale != 0 and t * a == (b * t_z2).scale(scale)

@@ -21,7 +21,6 @@ from typing import Mapping, Sequence
 
 from .exactalg import (
     LaurentPoly,
-    NotDivisible,
     RationalLike,
     _canonical,
     _display,
@@ -97,14 +96,6 @@ class Poly(LaurentPoly):
         if _int_count(m, "m") < 0:
             raise ValueError("a Poly has no negative powers: substitute_power needs m > 0")
         return super().substitute_power(m)
-
-    def divide_exact(self, divisor: LaurentPoly) -> "Poly":
-        """The exact quotient as a Poly; NotDivisible if it has a remainder
-        or a negative power of x."""
-        quot = super().divide_exact(divisor)
-        if quot._lo < 0:
-            raise NotDivisible("the quotient has a negative power of x")
-        return quot
 
     def derivative(self, order: int = 1) -> "Poly":
         nums = self._dense()

@@ -57,10 +57,10 @@ class Mask:
     (i, k) at alpha = support_min, support_min + 1, ..., over one positive
     denominator _den. No end matrix is zero and no factor is common to _den
     and all numerators, so equal masks have equal fields. coeffs (built on
-    first read and kept) and matrix(alpha) are Fraction views. Two integer
-    tables are also built on first read and kept: _terms, the nonzero
-    entries by parity class, and _moments, their moments, through which S_A
-    acts on polynomial data (_image). The level steps read _terms through
+    first read and kept) is their Fraction view. Two integer tables are
+    also built on first read and kept: _terms, the nonzero entries by
+    parity class, and _moments, their moments, through which S_A acts on
+    polynomial data (_image). The level steps read _terms through
     plans: one per level n and kind (integer or float rows), compiled from
     _terms on the first step at that level and kind, and kept in _plans.
 
@@ -211,16 +211,6 @@ class Mask:
             plan.append(tuple(entries))
         plan = self._plans[level, exact] = tuple(plan)
         return plan
-
-    def matrix(self, alpha: int) -> Matrix:
-        n = alpha - self.support_min
-        if 0 <= n < len(self._num[0][0]):
-            return self.coeffs[n]
-        zero = (Fraction(0),) * (self.d + 1)
-        return (zero,) * (self.d + 1)
-
-    def entry_symbol(self, i: int, k: int) -> LaurentPoly:
-        return LaurentPoly._make(self.support_min, self._num[i][k], self._den)
 
     @classmethod
     def from_symbol(cls, rows: Sequence[Sequence[LaurentPoly]]) -> "Mask":

@@ -27,7 +27,9 @@ multiplies them by schoolbook convolution and normalizes each product
 entry on its own, the triangular inverse by nilpotent expansion and by
 back substitution on LaurentPoly values, its numerators times powers of
 u as LaurentPoly products, and a Taylor operator's symbol and canonical
-chain built afresh on every call.
+chain built afresh on every call. A polynomial's coefficient, a mask's
+matrix and its entry symbols are read off the Fraction views, and an exact
+Laurent quotient comes from the Fraction long division.
 They are slow and obviously right, which is all they are for.
 
 The oracles at the end state a property by its defining formula: the
@@ -92,6 +94,18 @@ def delta_symbol(step: int = 1) -> LaurentPoly:
 def u_power(m: int) -> LaurentPoly:
     """(z^-1 - 1)^m, m >= 0: the powers the inverse Taylor symbol is written in."""
     return delta_symbol(1) ** m
+
+
+def coeff(p: LaurentPoly, e: int) -> Fraction:
+    """The coefficient of z^e in p, 0 off its support."""
+    return dict(p.items()).get(e, Fraction(0))
+
+
+def divide_exact(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
+    """p / q in the Laurent ring by the Fraction long division; NotDivisible
+    if it leaves a remainder."""
+    quot = FractionLaurentPoly(dict(p.items())).divide_exact(FractionLaurentPoly(dict(q.items())))
+    return LaurentPoly(dict(quot.items()))
 
 
 def _canonical_hash(terms: Mapping[int, Fraction]) -> int:
@@ -637,20 +651,23 @@ class LaurentMatrix:
         return f"LaurentMatrix({self.nrows}x{self.ncols})"
 
 
+def entry_symbol(mask: Mask, i: int, k: int) -> LaurentPoly:
+    """Entry (i, k) of the symbol A*(z), read off the Fraction matrices."""
+    return LaurentPoly({mask.support_min + n: m[i][k] for n, m in enumerate(mask.coeffs)})
+
+
+def mask_matrix(mask: Mask, alpha: int) -> tuple:
+    """A(alpha) as Fractions, the zero matrix off the support."""
+    n = alpha - mask.support_min
+    if 0 <= n < len(mask.coeffs):
+        return mask.coeffs[n]
+    return ((Fraction(0),) * (mask.d + 1),) * (mask.d + 1)
+
+
 def mask_symbol_reference(mask: Mask) -> LaurentMatrix:
     """A*(z), each entry symbol built from the Fraction matrices."""
-    size = mask.d + 1
-    return LaurentMatrix(
-        [
-            [
-                LaurentPoly(
-                    {mask.support_min + n: m[i][k] for n, m in enumerate(mask.coeffs) if m[i][k]}
-                )
-                for k in range(size)
-            ]
-            for i in range(size)
-        ]
-    )
+    size = range(mask.d + 1)
+    return LaurentMatrix([[entry_symbol(mask, i, k) for k in size] for i in size])
 
 
 def mask_from_symbol_reference(sym: LaurentMatrix) -> Mask:
@@ -668,7 +685,7 @@ def mask_from_symbol_reference(sym: LaurentMatrix) -> Mask:
     for alpha in range(lo, hi + 1):
         coeffs.append(
             tuple(
-                tuple(sym[i][k].coeff(alpha) for k in range(sym.ncols))
+                tuple(coeff(sym[i][k], alpha) for k in range(sym.ncols))
                 for i in range(sym.nrows)
             )
         )
@@ -776,7 +793,7 @@ def last_column_partition_reference(mask: Mask) -> bool:
         total = [Fraction(0)] * (d + 1)
         for alpha in range(s_min, s_max + 1):
             if (alpha - parity) % 2 == 0:
-                m = mask.matrix(alpha)
+                m = mask_matrix(mask, alpha)
                 for i in range(d + 1):
                     total[i] += m[i][d]
         if any(total[i] != (1 if i == d else 0) for i in range(d + 1)):
@@ -826,7 +843,7 @@ def _refine_reference(mask: Mask, values, start: int, matrix):
 
 def subdivide_reference(mask: Mask, values, start: int):
     """The plain step S_A on columns, by _refine_reference."""
-    return _refine_reference(mask, values, start, mask.matrix)
+    return _refine_reference(mask, values, start, lambda g: mask_matrix(mask, g))
 
 
 def level_matrix_reference(mask: Mask, alpha: int, level: int) -> tuple:
@@ -834,7 +851,7 @@ def level_matrix_reference(mask: Mask, alpha: int, level: int) -> tuple:
     2^-d): entry (i, k) times 2^((n+1) i - n k), as Fractions."""
     return tuple(
         tuple(c * Fraction(2) ** ((level + 1) * i - level * k) for k, c in enumerate(row))
-        for i, row in enumerate(mask.matrix(alpha))
+        for i, row in enumerate(mask_matrix(mask, alpha))
     )
 
 
@@ -1200,7 +1217,7 @@ def annihilator_reference(v: PolyVec) -> TaylorOperator:
     for m in range(1, d + 1):
         q = v.components[m].forward_difference()
         for t in range(m - 1, -1, -1):
-            lam = q.coeff(t) * factorial(t)
+            lam = coeff(q, t) * factorial(t)
             if lam:
                 q = q - v.components[t] * lam
             # Delta v_m = sum_t lambda_t v_t translates to w_{d-t, d-m+1}.
@@ -1268,7 +1285,7 @@ def scheme_norm_reference(mask: Mask, n: int = 1) -> Fraction:
         total = Fraction(0)
         alpha = s_min + ((eps - s_min) % modulus)
         while alpha <= s_max:
-            total += max(sum(abs(v) for v in row) for row in iterated.matrix(alpha))
+            total += max(sum(abs(v) for v in row) for row in mask_matrix(iterated, alpha))
             alpha += modulus
         best = max(best, total)
     return best
@@ -1284,7 +1301,7 @@ def check_contractive_reference(mask: Mask, n_max: int = 8) -> ContractivityRepo
     if triangular:
         worst_n, certified = 0, True
         for i in range(mask.d + 1):
-            sym = mask.entry_symbol(i, i)
+            sym = entry_symbol(mask, i, i)
             if sym.is_zero:
                 diagonal_norms.append(Fraction(0))
                 continue
@@ -1377,7 +1394,7 @@ def factor_through_reference(c_mask: Mask, chain: Chain) -> Mask:
                 if wv:
                     num = num + b[i][l] * wv
             try:
-                b[i][k] = num.divide_exact(u2)
+                b[i][k] = divide_exact(num, u2)
             except NotDivisible as exc:
                 raise NotDivisible(
                     f"column division failed at entry ({i},{k}): {exc}"
@@ -1417,11 +1434,11 @@ def unfactor_reference(op: TaylorOperator, factor: Mask, scale=None) -> Mask:
     e = [[LaurentPoly.zero()] * size for _ in range(size)]
     for l in range(size):
         for k in range(size):
-            entry = g.entry_symbol(l, k)
+            entry = entry_symbol(g, l, k)
             if entry.is_zero:
                 continue
             try:
-                e[l][k] = entry.divide_exact(u_power(l + 1))
+                e[l][k] = divide_exact(entry, u_power(l + 1))
             except NotDivisible as exc:
                 raise NotDivisible(
                     f"divisibility condition failed at entry ({l},{k}): "
@@ -1457,14 +1474,14 @@ def incomplete_from_complete_reference(btilde: Mask) -> Mask:
     for i in range(d + 1):
         row = []
         for k in range(d + 1):
-            f = btilde.entry_symbol(i, k)
+            f = entry_symbol(btilde, i, k)
             if i < d and k < d:
                 row.append(f)
             elif i < d and k == d:
                 row.append(f * u2)
             elif i == d and k < d:
                 try:
-                    row.append(f.divide_exact(u) if f else f)
+                    row.append(divide_exact(f, u) if f else f)
                 except NotDivisible as exc:
                     raise NotDivisible(
                         f"bottom-row entry ({i},{k}) does not vanish at z = 1"
@@ -1827,11 +1844,11 @@ def complete_from_incomplete(b: Mask) -> Mask:
             if i < d and k < d:
                 row.append(f)
             elif i < d and k == d:
-                row.append(f.divide_exact(u2) if f else f)
+                row.append(divide_exact(f, u2) if f else f)
             elif i == d and k < d:
                 row.append(f * u)
             else:
-                row.append(f.divide_exact(zp1) if f else f)
+                row.append(divide_exact(f, zp1) if f else f)
         rows.append(row)
     return mask_from_symbol_reference(LaurentMatrix(rows))
 

@@ -50,7 +50,9 @@ from hermiteforge.subdivision import _live, level_step
 from reference_kernels import (
     cascade_reference,
     check_contractive_reference,
+    coeff,
     convergence_reference,
+    entry_symbol,
     grid_csv_reference,
     grid_json_reference,
     iterated_norms_reference,
@@ -62,7 +64,7 @@ from strategies import rationals, sparse_masks
 
 
 def scalar_mask(p):
-    return Mask(p.lo, tuple(((p.coeff(e),),) for e in range(p.lo, p.hi + 1)))
+    return Mask(p.lo, tuple(((coeff(p, e),),) for e in range(p.lo, p.hi + 1)))
 
 
 def half_delta():
@@ -261,7 +263,7 @@ def _diagonal_certifies(mask, n_max):
     """Every nonzero diagonal entry, as a 1x1 mask, has a norm below 1 at
     some n <= n_max; read off the entry symbols with one Fraction each."""
     for i in range(mask.d + 1):
-        sym = mask.entry_symbol(i, i)
+        sym = entry_symbol(mask, i, i)
         if sym.is_zero:
             continue
         scalar = Mask.from_symbol([[sym]])

@@ -19,6 +19,8 @@ from goldens import (
 )
 from reference_kernels import (
     complete_from_incomplete,
+    divide_exact,
+    entry_symbol,
     identity_reference,
     incomplete_from_complete_reference,
     mask_symbol_reference,
@@ -27,7 +29,7 @@ from reference_kernels import (
     u_power,
     unfactor_reference,
 )
-from strategies import rationals
+from strategies import operators, rationals
 from hermiteforge import (
     EigenvalueClash,
     LaurentPoly,
@@ -75,7 +77,7 @@ def test_factorize_reference_scheme_exactly():
     want = mask_symbol_reference(ref2_factor())
     for i in range(3):
         for k in range(3):
-            assert fac.factor.entry_symbol(i, k) == want.rows[i][k]
+            assert entry_symbol(fac.factor, i, k) == want.rows[i][k]
     assert fac.verify()
 
 
@@ -84,7 +86,7 @@ def test_unfactor_reference_scheme_exactly():
     want = mask_symbol_reference(ref2_mask())
     for i in range(3):
         for k in range(3):
-            assert mask.entry_symbol(i, k) == want.rows[i][k]
+            assert entry_symbol(mask, i, k) == want.rows[i][k]
 
 
 def test_factor_unfactor_roundtrip_on_splines():
@@ -122,7 +124,7 @@ def test_unfactor_recovers_only_masks_that_meet_the_divisibility_condition(tmp_p
     )):
         unfactor(op, fac.factor, fac.scale)
     with pytest.raises(NotDivisible):
-        (op.symbol * mask).entry_symbol(0, 1).divide_exact(u_power(1))
+        divide_exact(entry_symbol(op.symbol * mask, 0, 1), u_power(1))
     path = tmp_path / "mask.json"
     path.write_text(json.dumps(UNRECOVERABLE_D1))
     assert run(["factor", "--mask", str(path), "--chain", "delta:d=1"]) == 0
@@ -339,10 +341,10 @@ def test_incomplete_complete_roundtrip():
     # rows above the last are untouched by the corner transform
     for i in range(2):
         for k in range(3):
-            assert b.entry_symbol(i, k) == bt.entry_symbol(i, k)
+            assert entry_symbol(b, i, k) == entry_symbol(bt, i, k)
     # bottom-right corner picks up the (z^-1 + 1) factor
     lift = LaurentPoly({-1: F(1), 0: F(1)})
-    assert b.entry_symbol(2, 2) == bt.entry_symbol(2, 2) * lift
+    assert entry_symbol(b, 2, 2) == entry_symbol(bt, 2, 2) * lift
 
 
 def _incomplete_or_message(make, btilde):
@@ -361,7 +363,7 @@ def test_incomplete_from_complete_equals_the_entrywise_blocks(preset):
         assert incomplete_from_complete(bt) == incomplete_from_complete_reference(bt)
     # A bottom-row entry of the d = 8 factor that does not vanish at z = 1
     # is refused alike.
-    rows = [[bt.entry_symbol(i, k) for k in range(d + 1)] for i in range(d + 1)]
+    rows = [[entry_symbol(bt, i, k) for k in range(d + 1)] for i in range(d + 1)]
     rows[d][3] = rows[d][3] + LaurentPoly({-1: F(1, 3)})
     bad = Mask.from_symbol(rows)
     want = f"bottom-row entry ({d},3) does not vanish at z = 1"
@@ -452,11 +454,14 @@ def test_spectral_chain_recovery_dimension_guard():
 
 
 def test_verify_refuses_a_factor_of_another_size():
-    # The size is checked before any product, which would fail on the shapes.
+    # The sizes are checked before any product, which would fail on the
+    # shapes: the operator's first, then the factor's.
     fac = taylor_factorize(ref2_mask(), delta_chain())
     for d in (1, 3):
         with pytest.raises(ValueError, match="^factor and mask dimensions differ$"):
             Factorization(fac.mask, fac.taylor, _delta_factor(d), fac.scale).verify()
+        with pytest.raises(ValueError, match="^operator and mask dimensions differ$"):
+            Factorization(fac.mask, delta_operator(d), fac.factor, fac.scale).verify()
 
 
 def test_spectral_chain_recovery_samples_each_level_once(monkeypatch):
@@ -476,31 +481,26 @@ def test_spectral_chain_recovery_samples_each_level_once(monkeypatch):
     assert len(calls) == 3
 
 
-@st.composite
-def weight_triangles(draw, min_d=1, max_d=3):
-    """A complete operator of size d + 1, min_d <= d <= max_d, with random
-    weights."""
-    d = draw(st.integers(min_value=min_d, max_value=max_d))
-    w = []
-    for j in range(1, d + 1):
-        w.append(tuple([draw(rationals(-5, 5, 5)) for _ in range(j - 1)] + [F(1)]))
-    return TaylorOperator(tuple(w))
-
-
 @settings(max_examples=10, deadline=None)
-@given(op=weight_triangles(), n=st.integers(min_value=1, max_value=3))
+@given(
+    op=operators(max_d=3, weights=rationals(-5, 5, 5)),
+    n=st.integers(min_value=1, max_value=3),
+)
 def test_recovered_spectral_chain_is_spectral(op, n):
     # The certify path; the recovery proves the relation by construction and
     # returns without re-checking it, so the public check must agree.
     res = synthesize(op, LaurentPoly({0: F(1, 2), 1: F(1, 2)}) ** n)
     fac = taylor_factorize(res.mask, chain_for(op))
+    assert fac.verify()
+    assert fac.factor == res.factor
+    assert unfactor(op, fac.factor) == res.mask
     chain = spectral_chain_from_factorization(res.mask, incomplete_from_complete(fac.factor), op)
     assert verify_spectral_chain(res.mask, chain).ok
 
 
 @settings(max_examples=12, deadline=None)
 @given(
-    op=weight_triangles(),
+    op=operators(max_d=3, weights=rationals(-5, 5, 5)),
     n=st.integers(min_value=1, max_value=3),
     own=st.booleans(),
     stretch=st.sampled_from((1, 2)),
@@ -514,7 +514,9 @@ def test_spectral_chain_recovery_matches_the_sampled_reference(op, n, own, stret
     res = synthesize(op, LaurentPoly({0: F(1, 2), 1: F(1, 2)}) ** n)
     fac = taylor_factorize(res.mask, chain_for(op))
     b = incomplete_from_complete(fac.factor)
-    other = op if own else data.draw(weight_triangles(min_d=op.d, max_d=op.d))
+    other = op if own else data.draw(
+        operators(max_d=op.d, min_d=op.d, weights=rationals(-5, 5, 5))
+    )
     args = (res.mask.scale(stretch), b, op, chain_for(other), stretch * fac.scale)
     outcomes = []
     for recover in (spectral_chain_from_factorization, spectral_chain_reference):
@@ -533,7 +535,11 @@ def free_constants(draw, d):
 
 
 @settings(max_examples=15, deadline=None)
-@given(op=weight_triangles(max_d=4), n=st.integers(min_value=1, max_value=3), data=st.data())
+@given(
+    op=operators(max_d=4, weights=rationals(-5, 5, 5)),
+    n=st.integers(min_value=1, max_value=3),
+    data=st.data(),
+)
 def test_recovered_tower_equals_the_poly_assembly(op, n, data):
     # The operator's own chain, whose components above degree 0 vanish at 0
     # (their numerators start above x^0), and a chain with free constants:

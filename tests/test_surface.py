@@ -3,7 +3,8 @@ README example read from it, and nothing that is not an object; the README
 example runs and prints its verdicts; every name
 the bench reads from a submodule exists, and so does the operator key its
 tracer reads; the bottom layer, exactalg, imports
-nothing from the package; every public function of the package has a reader
+nothing from the package; no module, script or test imports a name it never
+uses; every public function, method and property of the package has a reader
 outside the tests; no module reads the environment; and every library
 refusal of a value is a ValueError, which the CLI never names."""
 
@@ -12,6 +13,7 @@ import importlib
 import pkgutil
 import re
 import types
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -154,9 +156,11 @@ def _unused_imports(source: str) -> list[str]:
 
 
 def test_no_module_imports_a_name_it_never_uses():
-    paths = sorted((ROOT / "src" / "hermiteforge").glob("*.py")) + sorted(
-        (ROOT / "scripts").glob("*.py")
-    )
+    paths = [
+        path
+        for folder in ("src/hermiteforge", "scripts", "tests")
+        for path in sorted((ROOT / folder).glob("*.py"))
+    ]
     unused = {
         str(path.relative_to(ROOT)): names
         for path in paths
@@ -166,35 +170,69 @@ def test_no_module_imports_a_name_it_never_uses():
     assert _unused_imports("from x import a, b\nfrom y import c as d\nb(d)") == ["a"]
 
 
+def _public_defs(tree: ast.Module):
+    """(qualified name, node) for each public module-level function and each
+    public method or property of a public class."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    yield f"{node.name}.{item.name}", item
+
+
 def _unread_defs(defining: dict[str, str], readers: list[str]) -> list[str]:
-    """module.name for each public module-level def in the defining sources
-    that no reader source names (as a name, an attribute or an import)."""
-    read = set().union(*map(_named, readers))
+    """module.name for each public def of the defining sources whose name
+    occurs (as a name, an attribute or an import) in no reader and in no
+    defining source outside the def's own body."""
+    trees = {module: ast.parse(source) for module, source in defining.items()}
+    read = Counter()
+    for tree in [*trees.values(), *map(ast.parse, readers)]:
+        read.update(_name_counts(tree))
     return sorted(
-        f"{module}.{node.name}"
-        for module, source in defining.items()
-        for node in ast.parse(source).body
-        if isinstance(node, ast.FunctionDef)
-        and not node.name.startswith("_")
-        and node.name not in read
+        f"{module}.{name}"
+        for module, tree in trees.items()
+        for name, node in _public_defs(tree)
+        if read[node.name] == _name_counts(node)[node.name]
     )
 
 
 def test_every_public_function_has_a_reader():
-    # A reader is the library itself (not the package root, which only
-    # re-exports), a script, the bench or the README example; a function
-    # that only the tests call lives in tests/reference_kernels.py.
+    # Functions, methods and properties alike. A reader is the library itself
+    # (not the package root, which only re-exports), a script, the bench or
+    # the README example; what only the tests read lives in
+    # tests/reference_kernels.py. A def's own body does not read it, so a
+    # method called only by its override, or only by itself, is unread. The
+    # match is by name: a method passes when any attribute of its name is
+    # read, so one class's to_json keeps every to_json.
     package = {
         path.stem: path.read_text()
         for path in sorted((ROOT / "src" / "hermiteforge").glob("*.py"))
         if path.name != "__init__.py"
     }
-    readers = [*package.values(), _readme_python()]
+    readers = [_readme_python()]
     for folder in ("scripts", "perfbench"):
         readers += [path.read_text() for path in sorted((ROOT / folder).glob("*.py"))]
     assert not _unread_defs(package, readers)
     probe = {"m": "def used(): pass\ndef unused(): pass\ndef _private(): pass"}
     assert _unread_defs(probe, ["m.used()"]) == ["m.unused"]
+    probe = {
+        "m": "\n".join(
+            [
+                "class Base:",
+                "    def used(self): pass",
+                "    def chained(self): pass",
+                "    @property",
+                "    def selfish(self): return self.selfish",
+                "class Sub(Base):",
+                "    def chained(self): return super().chained()",
+                "class _Hidden:",
+                "    def unread(self): pass",
+            ]
+        )
+    }
+    assert _unread_defs(probe, ["Sub().used()"]) == ["m.Base.selfish", "m.Sub.chained"]
 
 
 _ENVIRONMENT = {"environ", "environb", "getenv", "getenvb", "putenv", "unsetenv"}
@@ -247,17 +285,22 @@ def test_each_refusal_is_a_value_error(name):
     assert issubclass(getattr(hermiteforge, name), ValueError)
 
 
-def _named(source: str) -> set[str]:
-    """Every name, attribute and imported name in a module."""
-    out = set()
-    for node in ast.walk(ast.parse(source)):
+def _name_counts(tree: ast.AST) -> Counter:
+    """How often each name, attribute and imported name occurs under tree."""
+    out = Counter()
+    for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            out.add(node.id)
+            out[node.id] += 1
         elif isinstance(node, ast.Attribute):
-            out.add(node.attr)
+            out[node.attr] += 1
         elif isinstance(node, (ast.Import, ast.ImportFrom)):
             out.update(a.name for a in node.names)
     return out
+
+
+def _named(source: str) -> set[str]:
+    """Every name, attribute and imported name in a module."""
+    return set(_name_counts(ast.parse(source)))
 
 
 def test_cli_names_no_library_refusal():
