@@ -20,6 +20,7 @@ from typing import Mapping, Sequence
 from .exactalg import (
     LaurentPoly,
     RationalLike,
+    _index_pair,
     _is_rational,
     _mul_add,
     _over_one_denominator,
@@ -218,11 +219,13 @@ def assemble_factor(
     """Build the factor mask: contractive diagonal rows plus the solved last row.
 
     g maps (j, k) with k < j < d to a free Laurent parameter placed, times
-    (z^-1 - 1)^(j+1), below the diagonal of row j.
+    (z^-1 - 1)^(j+1), below the diagonal of row j. A key that is not a
+    pair of ints raises TypeError, one outside that triangle ValueError.
     """
     d = op.d
     g = dict(g or {})
-    for (j, k) in g:
+    for key in g:
+        j, k = _index_pair(key, "a free parameter")
         if not 0 <= k < j < d:
             raise ValueError(f"free parameter ({j},{k}) is outside the strict lower triangle")
     rows: list[list[tuple[int, list[int], int] | None]] = []

@@ -77,6 +77,19 @@ def _int_count(v: object, name: str) -> int:
     return v
 
 
+def _index_pair(key: object, name: str) -> tuple[int, int]:
+    """key, the (row, column) index of a table entry: anything but a tuple
+    of two ints (bools too, as in _int_count) raises TypeError naming the
+    key, so (1.0, 0) and (True, False) are never read as (1, 0)."""
+    if not (
+        isinstance(key, tuple)
+        and len(key) == 2
+        and all(isinstance(v, int) and not isinstance(v, bool) for v in key)
+    ):
+        raise TypeError(f"{name} key must be a pair of ints, got {key!r}")
+    return key
+
+
 def _json_field(obj: Mapping, key: str, kind: type, default: object = None):
     """obj[key] (obj.get(key, default) when a default is given), which must be
     of exactly this kind, int or bool: anything else raises TypeError rather

@@ -91,7 +91,7 @@ def _identity_holds(t: Mask, t_z2: Mask, a: Mask, b: Mask, scale: Fraction) -> b
         raise ValueError("operator and mask dimensions differ")
     if b.d != a.d:
         raise ValueError("factor and mask dimensions differ")
-    return scale != 0 and t * a == (b * t_z2).scale(scale)
+    return scale != 0 and t * a == b._product(t_z2, *_rational(scale).as_integer_ratio())
 
 
 def _checked_scale(scale: RationalLike | None, d: int) -> Fraction:
@@ -172,11 +172,14 @@ def taylor_factorize(
                         ) from exc
                 raise NotDivisible(f"column division failed at entry ({i},{k}): {exc}") from exc
         cols.append(col)
-    # Every column over c_mask._den * den^d.
-    lift = [den ** (d - k) for k in range(size)]
+    # Every column over c_mask._den * den^d, divided by scale = p / q: the
+    # lift takes q and the sign of p, the one denominator |p|, which keeps
+    # it positive.
+    p, q = scale.as_integer_ratio()
+    lift = [den ** (d - k) * (q if p > 0 else -q) for k in range(size)]
     entries = [[[n * f for n in col[i]] for col, f in zip(cols, lift)] for i in range(size)]
-    unscaled = Mask._raw(c_mask.support_min + 2, entries, c_mask._den * den**d)
-    return Factorization(mask=mask, taylor=op, factor=unscaled.scale(1 / scale), scale=scale)
+    factor = Mask._raw(c_mask.support_min + 2, entries, c_mask._den * den**d * abs(p))
+    return Factorization(mask=mask, taylor=op, factor=factor, scale=scale)
 
 
 def unfactor(
@@ -217,7 +220,7 @@ def unfactor(
             out.append([0] * l + q)
         rows.append(out)
     e = Mask._raw(g.support_min + 1, rows, g._den)
-    return (op.inverse_numerators * e).scale(scale)
+    return op.inverse_numerators._product(e, *scale.as_integer_ratio())
 
 
 def incomplete_from_complete(btilde: Mask) -> Mask:
@@ -304,10 +307,14 @@ def spectral_chain_from_factorization(
                     f"image of level {j} has a component on level {k}"
                 )
             umat[k][j] = Fraction(c, den)
-            # work / den - (c / den) (vhat / q) = (q work - c vhat) / (den q)
+            # work / den - (c / den) (vhat / q) = (q work - c vhat) / (den q),
+            # kept only on the rows below k, the ones read after this.
             _, vhat, q = images[k]
             pairs = zip(work, vhat)
-            work = [[[q * w - c * x for w, x in zip(*wx)] for wx in zip(*p)] for p in pairs]
+            work = [
+                [[q * w - c * x for w, x in zip(*wx)] for wx in zip(p[0][:k], p[1])]
+                for p in pairs
+            ]
             den *= q
     # Unit upper-triangular change of basis diagonalizing U, whose diagonal must be 2^-j.
     smat = [[Fraction(0)] * size for _ in range(size)]
@@ -322,9 +329,18 @@ def spectral_chain_from_factorization(
             acc = sum(umat[i][m] * smat[m][j] for m in range(i + 1, j + 1))
             smat[i][j] = acc / (lam - umat[i][i])
     # Component t of level j is sum_k smat[k][j] v_k[k - j + t]: one integer
-    # combination of the numerators over the lcm of the denominators.
+    # combination of the numerators over the lcm of the denominators. The
+    # tower is returned as built: smat is unit upper triangular, so Delta w_j
+    # expands in w_0 .. w_(j-1) by the weights that expand Delta v_j in
+    # v_0 .. v_(j-1) (those of v_k are the leading ones of v_j's, the input
+    # chain being nested), and w_j has the annihilator of v_j. A level with
+    # no lower term is v_j itself, returned as that object, so the image
+    # tables it keeps (PolyVec._vhat_tables) serve the next check of it.
     vecs = []
     for j in range(size):
+        if not any(smat[k][j] for k in range(j)):
+            vecs.append(chain.vecs[j])
+            continue
         comps = []
         for tdeg in range(j + 1):
             terms = [
@@ -339,4 +355,4 @@ def spectral_chain_from_factorization(
                 nums[: len(dense)] = [a + f * n for a, n in zip(nums, dense)]
             comps.append(Poly._make(0, nums, den))
         vecs.append(PolyVec(tuple(comps)))
-    return Chain(tuple(vecs))
+    return Chain._nested(tuple(vecs), chain.operator())

@@ -16,7 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from functools import cached_property
+from math import comb, factorial, lcm
 from typing import Mapping, Sequence
 
 from .exactalg import (
@@ -205,6 +206,30 @@ class PolyVec:
     @property
     def d(self) -> int:
         return len(self.components) - 1
+
+    @cached_property
+    def _vhat_tables(self) -> tuple[int, tuple, tuple]:
+        """What subdivision._image reads of the vector, built on first read
+        and kept (==, hash, repr and to_json read only the components).
+        v-hat is the vector in the degree-descending layout, row i being
+        component d - i, as integer numerators over the lcm q of the
+        component denominators, dense from x^0. Returns (q, vhat, spread):
+        vhat[p][i] lists the coefficients, in m, of v-hat_i(2m + p), and
+        spread[i][e][t] = C(t + e, t) v-hat_i[t + e]. Rows are unpadded:
+        _image pads them with zeros to the mask's size, which commutes with
+        the shift and with the 2^j scaling."""
+        q = lcm(*(p._den for p in self.components))
+        rows = [[n * (q // p._den) for n in p._dense()] for p in reversed(self.components)]
+        # v-hat_i(2m + p): shift by p, then scale the coefficient of m^j by 2^j.
+        odd = [_taylor_shift(r, 1) for r in rows]
+        vhat = tuple(
+            tuple(tuple(c << j for j, c in enumerate(r)) for r in block) for block in (rows, odd)
+        )
+        spread = tuple(
+            tuple(tuple(comb(t + e, t) * x for t, x in enumerate(r[e:])) for e in range(len(r)))
+            for r in rows
+        )
+        return q, vhat, spread
 
     def to_json(self) -> dict:
         return {"d": self.d, "components": [p.to_json() for p in self.components]}

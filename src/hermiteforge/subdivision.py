@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import chain, compress, count
-from math import comb, gcd, lcm
+from math import gcd, lcm
 
 from .exactalg import (
     LaurentPoly,
@@ -33,7 +33,6 @@ from .exactalg import (
     _over_one_denominator,
     _ratio_str,
     _rational,
-    _taylor_shift,
     rat_from_str,
 )
 from .polybasis import PolyVec
@@ -101,7 +100,10 @@ class Mask:
         g = gcd(den, *chain.from_iterable(flat))
         if g != 1:
             entries = [[[n // g for n in e] for e in row] for row in entries]
-        num = tuple(tuple(tuple(e[lo:hi]) for e in row) for row in entries)
+        if lo or hi != len(live):
+            num = tuple(tuple(tuple(e[lo:hi]) for e in row) for row in entries)
+        else:
+            num = tuple(tuple(map(tuple, row)) for row in entries)
         put = object.__setattr__
         put(self, "support_min", support_min + lo)
         put(self, "_num", num)
@@ -242,18 +244,26 @@ class Mask:
         return cls._raw(lo, entries, den)
 
     def __mul__(self, other: "Mask") -> "Mask":
-        """The symbol product A*(z) B*(z). Every entry of a mask spans its
-        whole support, so entry (i, k) accumulates, in one list over
-        den_a * den_b, the products of the pairs (i, l), (l, k) whose two
-        entries are both nonzero, and no others; with no such pair it is
-        the zero list. The entries are normalized once, and a product that
-        vanishes raises ValueError, as no mask is zero."""
+        """The symbol product A*(z) B*(z) (see _product)."""
         if not isinstance(other, Mask):
             return NotImplemented
+        return self._product(other, 1, 1)
+
+    def _product(self, other: "Mask", p: int, q: int) -> "Mask":
+        """The symbol product p/q A*(z) B*(z), for ints p and q > 0. Every
+        entry of a mask spans its whole support, so entry (i, k)
+        accumulates, in one list over den_a * den_b * q, the products of the
+        pairs (i, l), (l, k) whose two entries are both nonzero, and no
+        others, A's entries times p; with no such pair it is the zero list.
+        The entries are normalized once, and a product that vanishes raises
+        ValueError, as no mask is zero."""
         if other.d != self.d:
             raise ValueError("matrix shape mismatch in product")
         width = len(self._num[0][0]) + len(other._num[0][0]) - 1
-        rows = [[(l, a) for l, a in enumerate(row) if any(a)] for row in self._num]
+        rows = [
+            [(l, a if p == 1 else [n * p for n in a]) for l, a in enumerate(row) if any(a)]
+            for row in self._num
+        ]
         cols = [[b if any(b) else None for b in col] for col in zip(*other._num)]
         entries = []
         for row in rows:
@@ -266,7 +276,7 @@ class Mask:
                         _mul_add(acc, a, b)
                 out.append(acc)
             entries.append(out)
-        return self._raw(self.support_min + other.support_min, entries, self._den * other._den)
+        return self._raw(self.support_min + other.support_min, entries, self._den * other._den * q)
 
     def substitute_power(self, m: int) -> "Mask":
         """The mask of A*(z^m), for an int m >= 1 (a bool or any other type
@@ -503,24 +513,20 @@ def _image(mask: Mask, v: PolyVec) -> tuple[list, list, int]:
     mask.d + 1 long. The terms (offset, k, c) of Mask._terms[p][i] add
     sum c v-hat_k(m + offset), whose coefficient of m^t is
     sum_j C(j, t) v-hat_k[j] M[k][j - t] with M = Mask._moments[p][i]: so
-    each v-hat_k is spread once into one list per e = j - t, and every
-    image row adds those lists times its nonzero moments.
+    each v-hat_k is spread into one list per e = j - t, and every image row
+    adds those lists times its nonzero moments. The spread lists, vhat and
+    q are the vector's own tables (PolyVec._vhat_tables), built once per
+    vector; vhat is padded here to the mask's size.
     """
     d = mask.d
     if v.d > d:
         raise ValueError("vector does not fit the mask's dimension")
-    q = lcm(*(p._den for p in v.components))
-    rows = [[n * (q // p._den) for n in p._dense()] for p in reversed(v.components)]
+    q, tables, spread = v._vhat_tables
     zero = [0] * (d + 1)
-    full = [row + zero[len(row) :] for row in rows] + [zero] * (d - v.d)
-    # v-hat_i(2m + p): shift by p, then scale the coefficient of m^j by 2^j.
-    odd = [_taylor_shift(r, 1) for r in full]
-    vhat = [[[c << j for j, c in enumerate(r)] for r in block] for block in (full, odd)]
-    # spread[k][e][t] = C(t + e, t) v-hat_k[t + e], the weight of M[k][e] in
-    # the coefficient of m^t.
-    spread = [
-        [[comb(t + e, t) * x for t, x in enumerate(r[e:])] for e in range(len(r))]
-        for r in rows
+    below = d - v.d
+    vhat = [
+        [[*r, *zero[len(r) :]] for r in block] + [zero[:] for _ in range(below)]
+        for block in tables
     ]
     img = []
     for moments_by_row in mask._moments:

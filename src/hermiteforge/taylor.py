@@ -26,6 +26,7 @@ from typing import Callable, Iterator, Mapping
 from .exactalg import (
     LaurentPoly,
     RationalLike,
+    _index_pair,
     _json_array,
     _json_field,
     _rational,
@@ -280,7 +281,9 @@ class Chain:
     Compatibility means each annihilator nests into the next: the operator
     killing v_{j+1} restricts, on its leading block, to the one killing v_j.
     The constructor checks it, and keeps the top annihilator as operator():
-    an empty or incompatible tower raises NotAChain.
+    an empty or incompatible tower raises NotAChain. A tower whose nesting
+    is proven where it is built (the recovered spectral chain) is made by
+    _nested, which checks nothing.
     """
 
     vecs: tuple[PolyVec, ...]
@@ -298,6 +301,15 @@ class Chain:
                 raise NotAChain(f"annihilator of level {j} does not nest into level {j + 1}")
         # Kept outside the fields, so ==, hash and repr ignore it.
         object.__setattr__(self, "_operator", anns[-1])
+
+    @classmethod
+    def _nested(cls, vecs: tuple[PolyVec, ...], op: TaylorOperator) -> "Chain":
+        """The chain of vecs, whose annihilators are known to nest with op
+        on top: set as given, with no annihilator derived."""
+        chain = object.__new__(cls)
+        object.__setattr__(chain, "vecs", vecs)
+        object.__setattr__(chain, "_operator", op)
+        return chain
 
     @property
     def d(self) -> int:
@@ -332,8 +344,9 @@ def chain_for(
     Level j is grown one degree at a time: the difference of the degree-k
     component is prescribed by the weights, and its antidifference is fixed
     by the free constant constants[(j, k)] (default 0) as the value at 0.
-    A key outside 1 <= k <= j <= d raises ValueError and a value that is
-    not an int or a Fraction TypeError.
+    A key that is not a pair of ints (bools too) raises TypeError, one
+    outside 1 <= k <= j <= d ValueError, and a value that is not an int
+    or a Fraction TypeError.
 
     With no constants (None or an empty mapping) an operator returns its own
     chain, built and validated on the first call and the same object after
@@ -342,7 +355,8 @@ def chain_for(
     if not constants:
         return op._chain
     consts = {}
-    for (j, k), v in (constants or {}).items():
+    for key, v in constants.items():
+        j, k = _index_pair(key, "a constant")
         if not 1 <= k <= j <= op.d:
             raise ValueError(f"constant ({j},{k}) is outside 1 <= k <= j <= {op.d}")
         consts[(j, k)] = _rational(v)

@@ -2,11 +2,22 @@
 
 from fractions import Fraction as F
 from math import ceil, factorial, floor
+from typing import NamedTuple
 
 from hypothesis import assume
 from hypothesis import strategies as st
 
-from hermiteforge import Mask, Poly, PolyVec, TaylorOperator
+from hermiteforge import (
+    Chain,
+    LaurentPoly,
+    Mask,
+    Poly,
+    PolyVec,
+    TaylorOperator,
+    chain_for,
+    synthesize,
+)
+from hermiteforge.construct import SynthesisResult
 
 
 @st.composite
@@ -68,3 +79,46 @@ def poly_vecs(draw, max_d: int, zero_low: bool = False):
         coeffs = [F(0)] * zeros + [draw(lower) for _ in range(zeros, j)]
         comps.append(Poly(coeffs + [F(1, factorial(j))]))
     return PolyVec(tuple(comps))
+
+
+class Scheme(NamedTuple):
+    """A synthesized scheme and the answers known from its construction:
+    the mask factors through op with this factor at scale 2^-d, and the
+    operator's own chain is the chain it was built for."""
+
+    result: SynthesisResult
+    op: TaylorOperator
+    chain: Chain
+    factor: Mask
+    scale: F
+
+
+@st.composite
+def schemes(draw, max_d: int = 4) -> Scheme:
+    """synthesize(op, ((1+z)/2)^n, g) for an operators-style triangle of
+    d in 1..max_d (a unit diagonal, strict-upper weights p/q in [-6, 6]
+    with q <= 6), n in 1..3, and free parameters g on some of the strict
+    lower triangle of the first d rows, each a Laurent polynomial of up to
+    three terms from z^-1. Numerators and denominators are drawn as one
+    list each, the weights' and each parameter's, to keep the draw cheap."""
+    d = draw(st.integers(min_value=1, max_value=max_d))
+    count = d * (d - 1) // 2
+    dens = draw(st.lists(st.integers(min_value=1, max_value=6), min_size=count, max_size=count))
+    nums = draw(
+        st.lists(st.integers(min_value=-36, max_value=36), min_size=count, max_size=count)
+    )
+    # The weight u / 6 rounded down to a multiple of 1 / q: p / q in [-6, 6].
+    weights = iter([F(u * q // 6, q) for u, q in zip(nums, dens)])
+    w = tuple(tuple([next(weights) for _ in range(j - 1)] + [F(1)]) for j in range(1, d + 1))
+    op = TaylorOperator(w=w)
+    n = draw(st.integers(min_value=1, max_value=3))
+    slots = [(j, k) for j in range(1, d) for k in range(j)]
+    g = {}
+    for key, used in zip(slots, draw(st.lists(st.booleans(), min_size=len(slots), max_size=len(slots)))):
+        if used:
+            coeffs = draw(st.lists(st.integers(min_value=-4, max_value=4), min_size=1, max_size=3))
+            den = draw(st.integers(min_value=1, max_value=4))
+            g[key] = LaurentPoly({e - 1: F(c, den) for e, c in enumerate(coeffs)})
+    seed = LaurentPoly({0: F(1, 2), 1: F(1, 2)}) ** n
+    result = synthesize(op, seed, g)
+    return Scheme(result, op, chain_for(op), result.factor, F(1, 2**d))

@@ -1,5 +1,6 @@
 """Scheme synthesis: last-row solving, free parameters, strategies."""
 
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -274,6 +275,21 @@ def test_free_parameter_outside_lower_triangle_rejected():
     row = recurrence_last_row(op, seed_power(1))
     with pytest.raises(ValueError):
         assemble_factor(op, row, {(0, 1): LaurentPoly({0: F(1)})})
+
+
+@pytest.mark.parametrize(
+    "key", [(True, False), (1.0, 0), (1,), "10", (1, 0, 0)], ids=repr
+)
+def test_a_free_parameter_key_is_a_pair_of_ints(key):
+    # (True, False) and (1.0, 0) were read as (1, 0), (1,) failed to unpack
+    # and "10" to compare; each is now refused by name.
+    op, seed = classical_operator(2), seed_power(1)
+    want = f"a free parameter key must be a pair of ints, got {key!r}"
+    with pytest.raises(TypeError, match=f"^{re.escape(want)}$"):
+        synthesize(op, seed, {key: 3})
+    assert synthesize(op, seed, {(1, 0): 3}).mask != synthesize(op, seed).mask
+    with pytest.raises(ValueError, match=r"^free parameter \(0,1\) is outside"):
+        synthesize(op, seed, {(0, 1): 3})
 
 
 def test_masks_have_expected_support(ref2, zero_g):

@@ -4,6 +4,7 @@ import json
 import re
 from fractions import Fraction as F
 from functools import lru_cache
+from math import gcd
 from unittest import mock
 
 import pytest
@@ -29,8 +30,9 @@ from reference_kernels import (
     u_power,
     unfactor_reference,
 )
-from strategies import operators, rationals
+from strategies import operators, rationals, schemes
 from hermiteforge import (
+    Chain,
     EigenvalueClash,
     LaurentPoly,
     Mask,
@@ -56,6 +58,7 @@ from hermiteforge.cli import run
 from hermiteforge.construct import assemble_factor
 from hermiteforge.factor import Factorization
 from hermiteforge.splines import spline_chain
+from hermiteforge import taylor
 from hermiteforge.subdivision import _image, eigen_check
 
 
@@ -554,6 +557,100 @@ def test_recovered_tower_equals_the_poly_assembly(op, n, data):
         got = spectral_chain_from_factorization(*args)
         assert got == spectral_chain_reference(*args)
         assert (got == chain) is verify_spectral_chain(res.mask, chain).ok
+
+
+@settings(max_examples=25, deadline=None)
+@given(scheme=schemes(), data=st.data())
+def test_recovered_tower_is_the_chain_it_would_validate_as(scheme, data):
+    # The recovery returns its tower without the Chain constructor's
+    # annihilator and nesting checks; the constructor is the oracle: it
+    # accepts the tower, gives the same chain and derives the operator of
+    # the input chain, for the operator's own chain and one with constants.
+    # The tower keeps the input chain's operator object, which a validated
+    # copy of the own chain (a new, equal operator) tells apart from op.
+    mask, op = scheme.result.mask, scheme.op
+    b = incomplete_from_complete(scheme.factor)
+    chains = (scheme.chain, chain_for(op, data.draw(free_constants(op.d))), Chain(scheme.chain.vecs))
+    for chain in chains:
+        args = (mask, b, op, chain, scheme.scale)
+        got = spectral_chain_from_factorization(*args)
+        assert got == spectral_chain_reference(*args)
+        checked = Chain(got.vecs)
+        assert checked == got
+        assert checked.operator() == chain.operator()
+        assert got.operator() is chain.operator()
+
+
+def _counting(calls, name, f):
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return f(*args, **kwargs)
+
+    return counted
+
+
+def test_the_proof_path_derives_no_annihilator_and_scales_no_mask(monkeypatch):
+    # One certify item on a new operator: the scale is folded into the
+    # masks as they are built, so Mask.scale never runs, and the recovered
+    # tower is returned as built, so no annihilator is derived and no
+    # Chain is validated inside the recovery.
+    op = TaylorOperator(((F(1),), (F(-2, 3), F(1)), (F(5, 4), F(1, 6), F(1))))
+    seed = LaurentPoly({0: F(1, 2), 1: F(1, 2)}) ** 2
+    scaled = []
+    monkeypatch.setattr(Mask, "scale", _counting(scaled, "scale", Mask.scale))
+    res = synthesize(op, seed, {(2, 0): LaurentPoly({-1: F(1, 3), 1: F(2)})})
+    chain = chain_for(op)
+    fac = taylor_factorize(res.mask, chain)
+    b = incomplete_from_complete(fac.factor)
+    derived = []
+    monkeypatch.setattr(taylor, "annihilator", _counting(derived, "annihilator", taylor.annihilator))
+    monkeypatch.setattr(
+        Chain, "__post_init__", _counting(derived, "validate", Chain.__post_init__)
+    )
+    got = spectral_chain_from_factorization(res.mask, b, op)
+    assert derived == []
+    assert fac.verify()
+    assert verify_spectral_chain(res.mask, got).ok
+    assert scaled == []
+    # The spies see what they watch: a validated chain derives one
+    # annihilator per level, and Mask.scale is counted.
+    Chain(got.vecs)
+    assert derived == ["validate"] + ["annihilator"] * (got.d + 1)
+    res.mask.scale(2)
+    assert scaled == ["scale"]
+
+
+def _assert_canonical_mask(m):
+    # The fields of a mask in lowest terms, so that == compares symbols.
+    assert m._den > 0
+    assert gcd(m._den, *(n for row in m._num for e in row for n in e)) == 1
+    assert all(type(e) is tuple and len(e) == len(m._num[0][0]) for row in m._num for e in row)
+    assert any(e[0] for row in m._num for e in row)
+    assert any(e[-1] for row in m._num for e in row)
+
+
+@settings(max_examples=30, deadline=None)
+@given(scheme=schemes(), scale=rationals(-4, 4, 9).filter(bool))
+def test_a_folded_scale_keeps_every_mask_in_lowest_terms(scheme, scale):
+    # taylor_factorize and unfactor fold the scale into the one mask they
+    # build; a negative scale puts its sign into the numerators and keeps
+    # the denominator positive. Mask.scale of the known answers is the
+    # oracle: the factor at scale s is the known factor times 2^-d / s.
+    mask, op = scheme.result.mask, scheme.op
+    _assert_canonical_mask(mask)
+    _assert_canonical_mask(scheme.factor)
+    fac = taylor_factorize(mask, scheme.chain, scale)
+    _assert_canonical_mask(fac.factor)
+    assert fac.factor == scheme.factor.scale(scheme.scale / scale)
+    assert fac.verify()
+    back = unfactor(op, fac.factor, scale)
+    _assert_canonical_mask(back)
+    assert back == mask
+    stretched = unfactor(op, scheme.factor, scale)
+    _assert_canonical_mask(stretched)
+    assert stretched == mask.scale(scale / scheme.scale)
+    assert Factorization(stretched, op, scheme.factor, scale).verify()
+    assert not Factorization(mask, op, scheme.factor, -scheme.scale).verify()
 
 
 @pytest.mark.parametrize("r, d", [(1, 1), (2, 2), (3, 2), (4, 3)])

@@ -256,12 +256,20 @@ def test_mask_product_matches_laurent_matrix_reference(a, data):
         b = data.draw(taylor_symbols(a.d))
     sa, sb = mask_symbol_reference(a), mask_symbol_reference(b)
     product = sa * sb
+    # The product helper folds a scale p / q, p of either sign, into the
+    # one mask it builds.
+    p, q = data.draw(rationals(-3, 3, 8).filter(bool)).as_integer_ratio()
     if product.is_zero():
         # A product of nonzero matrices can vanish, and no mask is zero.
         with pytest.raises(ValueError):
             a * b
+        with pytest.raises(ValueError):
+            a._product(b, p, q)
     else:
         assert a * b == mask_from_symbol_reference(product)
+        scaled = a._product(b, p, q)
+        assert scaled == mask_from_symbol_reference(product.scale(F(p, q)))
+        assert scaled._den > 0
     assert a.substitute_power(2) == mask_from_symbol_reference(sa.substitute_power(2))
 
 
@@ -628,6 +636,24 @@ def test_image_matches_the_term_loop(mask, data):
     # leaves some output rows with no terms in one parity class or both.
     v = data.draw(poly_vecs(mask.d))
     assert _image(mask, v) == image_reference(mask, v)
+
+
+@given(poly_vecs(2), st.data())
+@settings(max_examples=12, deadline=None)
+def test_image_reads_the_vectors_tables_unchanged_by_caching(v, data):
+    # The vector keeps its v-hat tables unpadded after the first image and
+    # every image pads them to its mask's size; the cache is no field, so
+    # ==, hash, repr and to_json are those of a vector that has none.
+    masks = [data.draw(sparse_masks(d=v.d + extra)) for extra in (0, 1, 2)]
+    fresh = PolyVec(v.components)
+    assert "_vhat_tables" not in vars(v)
+    first = [_image(mask, v) for mask in masks]
+    assert "_vhat_tables" in vars(v)
+    assert [_image(mask, v) for mask in masks] == first
+    assert first == [image_reference(mask, v) for mask in masks]
+    assert v == fresh and hash(v) == hash(fresh)
+    assert repr(v) == repr(fresh) and v.to_json() == fresh.to_json()
+    assert "_vhat_tables" not in vars(fresh)
 
 
 def test_image_rows_without_terms_are_zero():

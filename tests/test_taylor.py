@@ -1,5 +1,6 @@
 """Generalized Taylor operators: construction, annihilators, chains."""
 
+import re
 from fractions import Fraction as F
 from unittest import mock
 
@@ -147,6 +148,19 @@ def test_chain_constants_refuse_floats_and_stray_keys():
         with pytest.raises(ValueError, match="outside 1 <= k <= j <= 2"):
             chain_for(op, {key: 3})
     assert chain_for(op, {(2, 2): 3}) == chain_for(op, {(2, 2): F(3)})
+
+
+@pytest.mark.parametrize(
+    "key", [(True, True), (1.0, 1), (1,), "10", (1, 1, 0)], ids=repr
+)
+def test_a_constant_key_is_a_pair_of_ints(key):
+    # (True, True) and (1.0, 1) were read as (1, 1), (1,) failed to unpack
+    # and "10" to compare; each is now refused by name.
+    op = classical_operator(2)
+    want = f"a constant key must be a pair of ints, got {key!r}"
+    with pytest.raises(TypeError, match=f"^{re.escape(want)}$"):
+        chain_for(op, {key: 2})
+    assert chain_for(op, {(1, 1): 2}) != chain_for(op)
 
 
 def test_chain_for_delta_gives_newton_vectors():
