@@ -333,14 +333,9 @@ def spectral_chain_from_factorization(
     # tower is returned as built: smat is unit upper triangular, so Delta w_j
     # expands in w_0 .. w_(j-1) by the weights that expand Delta v_j in
     # v_0 .. v_(j-1) (those of v_k are the leading ones of v_j's, the input
-    # chain being nested), and w_j has the annihilator of v_j. A level with
-    # no lower term is v_j itself, returned as that object, so the image
-    # tables it keeps (PolyVec._vhat_tables) serve the next check of it.
+    # chain being nested), and w_j has the annihilator of v_j.
     vecs = []
     for j in range(size):
-        if not any(smat[k][j] for k in range(j)):
-            vecs.append(chain.vecs[j])
-            continue
         comps = []
         for tdeg in range(j + 1):
             terms = [

@@ -100,10 +100,7 @@ class Mask:
         g = gcd(den, *chain.from_iterable(flat))
         if g != 1:
             entries = [[[n // g for n in e] for e in row] for row in entries]
-        if lo or hi != len(live):
-            num = tuple(tuple(tuple(e[lo:hi]) for e in row) for row in entries)
-        else:
-            num = tuple(tuple(map(tuple, row)) for row in entries)
+        num = tuple(tuple(tuple(e)[lo:hi] for e in row) for row in entries)
         put = object.__setattr__
         put(self, "support_min", support_min + lo)
         put(self, "_num", num)
