@@ -37,6 +37,15 @@ class BadSeed(ValueError):
     """Raised when the corner seed polynomial does not take value 1 at z = 1."""
 
 
+def _check_seed(seed: object) -> None:
+    """Refuse a corner seed that is not a LaurentPoly (TypeError, naming the
+    type) or does not take the value 1 at z = 1 (BadSeed)."""
+    if not isinstance(seed, LaurentPoly):
+        raise TypeError(f"the corner seed must be a LaurentPoly, got {type(seed).__name__}")
+    if seed.is_zero or seed.evaluate(1) != 1:
+        raise BadSeed("the corner seed must take the value 1 at z = 1")
+
+
 def _unknown_order(d: int) -> list[tuple[int, int]]:
     """Unknown layout: blocks m = d-1 .. 0, within a block r = m+1 .. 1."""
     out = []
@@ -91,8 +100,7 @@ def build_last_row_system(op: TaylorOperator, seed: LaurentPoly) -> LastRowSyste
     that keeps the standard two-point families reproducible.
     """
     d = op.d
-    if seed.is_zero or seed.evaluate(1) != 1:
-        raise BadSeed("the corner seed must take the value 1 at z = 1")
+    _check_seed(seed)
     unknowns = _unknown_order(d)
     index = {mr: i for i, mr in enumerate(unknowns)}
     nn = len(unknowns)
@@ -200,8 +208,7 @@ def recurrence_last_row(op: TaylorOperator, seed: LaurentPoly) -> tuple[LaurentP
     """
     if not op.is_difference_type:
         raise ValueError("the multiplicative recurrence needs all strict-upper weights zero")
-    if seed.is_zero or seed.evaluate(1) != 1:
-        raise BadSeed("the corner seed must take the value 1 at z = 1")
+    _check_seed(seed)
     d = op.d
     zp1 = LaurentPoly({1: 1, 0: 1})
     hs = [LaurentPoly.zero()] * (d + 1)

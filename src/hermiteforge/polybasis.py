@@ -196,6 +196,8 @@ class PolyVec:
         if not comps:
             raise NotInVd("a graded vector needs at least the constant component")
         for j, p in enumerate(comps):
+            if not isinstance(p, Poly):
+                raise TypeError(f"component {j} must be a Poly, got {type(p).__name__}")
             if p.degree != j:
                 raise NotInVd(f"component {j} has degree {p.degree}, expected exactly {j}")
             if p._num[-1] * factorial(j) != p._den:

@@ -1,46 +1,31 @@
-"""Reference implementations that the fast kernels are tested against.
+"""Fraction oracles that the tests check the library against, one line per object:
 
-These are the direct loops: Laurent and dense polynomials that keep one
-Fraction per coefficient, Gauss-Jordan elimination over Fractions, the
-difference-split identity with each difference taken from scratch, one
-Fraction product per mask entry in the subdivision step and in every level
-of the exact cascade, masks read and built one Fraction entry at a time
-(symbol, from_symbol, scale, JSON, stencil, integer entries, and the
-triangle and partition tests), the float cascade and its convergence diagnostics one
-column and one component at a time, the grid JSON and CSV writers one value
-at a time, the stencil sums of one step accumulated one term at a time
-over a parity class, Fraction samples of polynomial vectors for the eigen
-check, the exact image of a polynomial vector with one integer Taylor
-shift per mask term, the spectral chain recovery on sampled windows of integer
-numerators and its tower assembled by Poly products and sums, the
-annihilator of a polynomial vector expanded by Poly arithmetic,
-contraction norms read off the Laurent-product iterated symbol
-and grown by a product loop of their own over a power of one denominator,
-Fraction abscissae for the spline cascade check, the Cox-de Boor recursion
-for B-spline values, a factorization that gates on annihilation before
-dividing and checks its identity twice, unfactor accumulating one
-LaurentPoly product per term of the inverse, the incomplete factor built
-one entry at a time by its block, the order-of-zero test of a
-synthesized last row that unfactor's division by (z^-1 - 1)^(d+1) replaces,
-the Laurent matrix that keeps one canonical LaurentPoly per entry,
-multiplies them by schoolbook convolution and normalizes each product
-entry on its own, the triangular inverse by nilpotent expansion and by
-back substitution on LaurentPoly values, its numerators times powers of
-u as LaurentPoly products, and a Taylor operator's symbol and canonical
-chain built afresh on every call. A polynomial's coefficient, a mask's
-matrix and its entry symbols are read off the Fraction views, and an exact
-Laurent quotient comes from the Fraction long division.
-They are slow and obviously right, which is all they are for.
-
-The oracles at the end state a property by its defining formula: the
-iterated symbol as a product of Laurent matrices, the triangular inverse
-recombined, the operator applied to sampled or polynomial rows, the Newton
-basis with the antidifference lifted through it, the Newton and monomial
-vectors, the inverse corner transform of a factor, the scalar eigen
-relation checked by subdivision of samples, and each component of a
-rendered grid rebuilt by trapezoidal integration of the next one. The
-B-spline values and derivatives as Fractions are read off the library's
-integer kernel, for the tests that state spline identities in x.
+cascade_reference: the step sum_beta A_n(alpha - 2 beta) c(beta), A_n = D^-(n+1) A D^n, iterated.
+eigen_check_reference: S_A on polynomial vectors, stepped samples of v against lambda v.
+scheme_norm_reference: largest residue-class sum of row sums of B*(z) ... B*(z^(2^(n-1))).
+identity_reference: T*(z) A*(z) = s B*(z) T*(z^2) as LaurentMatrix products.
+triangular_inverse_check: T T^-1 = I, the inverse as numerators over powers of u = z^-1 - 1.
+taylor_symbol_reference: T*(z) from the weights: u on the diagonal, -w_(k,i+1) above it.
+FractionLaurentPoly, FractionPoly, divide_exact: one Fraction per coefficient; long division.
+LaurentMatrix, convolution_reference: one LaurentPoly per entry; schoolbook products.
+entry_symbol, mask_matrix, mask_symbol_reference, mask_from_symbol_reference: Fraction views.
+mask_scale_reference, mask_json_reference, integer_entries_reference: entry by entry.
+is_lower_triangular_reference: A(alpha)[i][k] = 0 for k > i.
+last_column_partition_reference: the last columns sum to e_d in each parity class.
+solve_square_reference: Gauss-Jordan elimination over Fractions, with the determinant.
+difference_split_reference: Delta p = sum_k Delta^k p(x - k), each Delta^k from scratch.
+grid_json_reference, grid_csv_reference: a grid written one value at a time.
+taylor_residuals_reference, convergence_reference: one column, one component at a time.
+reconstruct_limits: each component rebuilt by trapezoidal integration of the next one.
+bspline_value_reference: Cox-de Boor on integer knots.
+scaled_bspline_derivative, bspline_value, bspline_derivative: the library's kernel as Fractions.
+spline_cascade_reference: the spline cascade's errors at Fraction abscissae.
+annihilator_reference: Delta v_m expanded in v_0 .. v_(m-1) by Poly arithmetic.
+chain_for_reference, antidifference_reference: antidifferences through the Newton basis.
+newton_vector, classical_vector, padded_rows: x(x-1)...(x-j+1)/j!, x^j/j!, v degree-descending.
+apply_operator, apply_operator_polys: the Taylor operator on samples and on polynomials.
+falling_power, newton_basis, to_newton_coeffs, from_newton_coeffs: the Newton basis.
+delta_symbol, u_power, coeff: z^-s - 1, (z^-1 - 1)^m and one coefficient of a LaurentPoly.
 """
 
 from __future__ import annotations
@@ -50,40 +35,30 @@ from math import factorial, inf, lcm
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from hermiteforge import (
+    Chain,
     DyadicGrid,
-    EigenvalueClash,
     LaurentPoly,
     Mask,
-    NotAnnihilated,
     Poly,
     PolyVec,
-    SpanHypothesisFailed,
     TaylorOperator,
     cascade,
-    chain_for,
+    delta_operator,
     spline_mask,
 )
-from hermiteforge.analysis import ContractivityReport, ConvergenceReport
+from hermiteforge.analysis import ConvergenceReport
 from hermiteforge.exactalg import (
     NotDivisible,
     RationalLike,
     _add,
     _horner,
     _rational,
-    _taylor_shift,
     falling_factorial,
     rat_from_str,
     rat_to_str,
 )
-from hermiteforge.factor import (
-    Factorization,
-    _checked_scale,
-    _identity_holds,
-    _last_column_partition_of_unity,
-)
 from hermiteforge.splines import SplineCascadeReport, _derivative_pieces
-from hermiteforge.subdivision import WindowTooSmall, _output_window, eigen_check
-from hermiteforge.taylor import Chain, delta_operator
+from hermiteforge.subdivision import WindowTooSmall
 
 
 def delta_symbol(step: int = 1) -> LaurentPoly:
@@ -490,10 +465,6 @@ class FractionPoly:
         return f"Poly({[str(v) for v in self._c]})"
 
 
-class SingularSystem(Exception):
-    """Raised by solve_square_reference when no pivot is left in a column."""
-
-
 def solve_square_reference(
     rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]
 ) -> tuple[list[Fraction], Fraction]:
@@ -504,7 +475,7 @@ def solve_square_reference(
     for col in range(n):
         piv = next((r for r in range(col, n) if a[r][col] != 0), None)
         if piv is None:
-            raise SingularSystem("last-row system is singular")
+            raise ValueError("last-row system is singular")
         if piv != col:
             a[col], a[piv] = a[piv], a[col]
             det = -det
@@ -531,8 +502,8 @@ def difference_split_reference(p: FractionPoly, n: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# The Laurent matrix that Mask replaced as the form of a matrix symbol: one
-# canonical LaurentPoly per entry, each product entry normalized on its own.
+# Matrix symbols with one canonical LaurentPoly per entry, each product entry
+# normalized on its own, and the Fraction views of a mask.
 
 
 def convolution_reference(a: Sequence[int], b: Sequence[int]) -> list[int]:
@@ -578,12 +549,6 @@ class LaurentMatrix:
                     raise TypeError("matrix entries must be LaurentPoly")
         self._rows = tup
 
-    @classmethod
-    def identity(cls, n: int) -> "LaurentMatrix":
-        one = LaurentPoly.one()
-        zero = LaurentPoly.zero()
-        return cls([[one if i == k else zero for k in range(n)] for i in range(n)])
-
     @property
     def nrows(self) -> int:
         return len(self._rows)
@@ -604,25 +569,6 @@ class LaurentMatrix:
             return NotImplemented
         return self._rows == other._rows
 
-    def __hash__(self) -> int:
-        return hash(self._rows)
-
-    def __add__(self, other: "LaurentMatrix") -> "LaurentMatrix":
-        self._check_shape(other)
-        return LaurentMatrix(
-            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self._rows, other._rows)]
-        )
-
-    def __sub__(self, other: "LaurentMatrix") -> "LaurentMatrix":
-        self._check_shape(other)
-        return LaurentMatrix(
-            [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self._rows, other._rows)]
-        )
-
-    def _check_shape(self, other: "LaurentMatrix") -> None:
-        if self.nrows != other.nrows or self.ncols != other.ncols:
-            raise ValueError("matrix shape mismatch")
-
     def __mul__(self, other: "LaurentMatrix | LaurentPoly | RationalLike") -> "LaurentMatrix":
         if isinstance(other, LaurentMatrix):
             if self.ncols != other.nrows:
@@ -639,13 +585,6 @@ class LaurentMatrix:
 
     def is_zero(self) -> bool:
         return all(x.is_zero for r in self._rows for x in r)
-
-    def to_json(self) -> list[list[dict[str, str]]]:
-        return [[x.to_json() for x in r] for r in self._rows]
-
-    @classmethod
-    def from_json(cls, obj: Sequence[Sequence[Mapping[str, str]]]) -> "LaurentMatrix":
-        return cls([[LaurentPoly.from_json(x) for x in r] for r in obj])
 
     def __repr__(self) -> str:
         return f"LaurentMatrix({self.nrows}x{self.ncols})"
@@ -710,60 +649,6 @@ def mask_json_reference(mask: Mask) -> dict:
     }
 
 
-def stencil_reference(mask: Mask, level: int | None = None) -> tuple[tuple, tuple, int]:
-    """The compiled stencil (floats, numerators, denominator) from the
-    Fraction entries: float(c) and c over the lcm of the denominators. With
-    a level n it is the stencil of the level-n mask A_n = D^-(n+1) A D^n:
-    each entry c of A(alpha)[i][k] becomes c 2^((n+1) i - n k), over the
-    lcm times 2^(n d)."""
-    shift = 0 if level is None else level * mask.d
-    s_min, s_max = mask.support
-    den = lcm(*(v.denominator for m in mask.coeffs for row in m for v in row)) << shift
-    floats, numerators = [], []
-    for parity in (0, 1):
-        float_rows, int_rows = [], []
-        for i in range(mask.d + 1):
-            float_row, int_row = [], []
-            # alpha - 2 beta = g, so beta ascending is g descending.
-            for g in range(s_max - (s_max - parity) % 2, s_min - 1, -2):
-                offset = (parity - g) // 2
-                for k, c in enumerate(mask.coeffs[g - s_min][i]):
-                    if c:
-                        if level is not None:
-                            c *= Fraction(2) ** ((level + 1) * i - level * k)
-                        float_row.append((offset, k, float(c)))
-                        int_row.append((offset, k, c.numerator * (den // c.denominator)))
-            float_rows.append(tuple(float_row))
-            int_rows.append(tuple(int_row))
-        floats.append(tuple(float_rows))
-        numerators.append(tuple(int_rows))
-    return tuple(floats), tuple(numerators), den
-
-
-def stencil_sums_reference(
-    table: tuple, rows: Sequence[Sequence], a: int, out_lo: int, out_hi: int, zero
-) -> list[list]:
-    """subdivision._run_plan on a term table, one loop per stencil term:
-    each output row of a parity class is accumulated one term at a time
-    across all its outputs, starting from zero, in the table's term order."""
-    out = [[zero] * (out_hi - out_lo + 1) for _ in table[0]]
-    for parity, terms_by_row in enumerate(table):
-        first = out_lo + (parity - out_lo) % 2
-        count = (out_hi - first) // 2 + 1
-        base = (first - parity) // 2 - a
-        for i, terms in enumerate(terms_by_row):
-            if not terms:
-                continue
-            (offset, k, c), *rest = terms
-            lo = base + offset
-            acc = [zero + c * v for v in rows[k][lo : lo + count]]
-            for offset, k, c in rest:
-                lo = base + offset
-                acc = [s + c * v for s, v in zip(acc, rows[k][lo : lo + count])]
-            out[i][first - out_lo :: 2] = acc
-    return out
-
-
 def integer_entries_reference(mask: Mask) -> tuple[list[list[list[int]]], int]:
     """Entry (i, k) as dense integer coefficients at alpha = s_min, s_min + 1,
     ..., all over the lcm D of the Fraction denominators. Returns (entries, D)."""
@@ -801,93 +686,146 @@ def last_column_partition_reference(mask: Mask) -> bool:
     return True
 
 
-def _refine_reference(mask: Mask, values, start: int, matrix):
-    """(S c)(alpha) = sum_beta M(alpha - 2 beta) c(beta), with M(g) =
-    matrix(g) on the mask's support, summed beta ascending, then k
-    ascending, one `s += m * c` per nonzero entry: from 0 on exact data,
-    and from 0.0 with m = float(entry) on float data."""
-    size = mask.d + 1
-    for col in values:
-        if len(col) != size:
-            raise ValueError(f"expected columns of height {size}")
-    a = start
-    b = start + len(values) - 1
-    s_min, s_max = mask.support
-    out_lo = 2 * a + s_max - 1
-    out_hi = 2 * b + s_min + 1
-    if out_hi < out_lo:
-        raise WindowTooSmall(f"window [{a},{b}] too small for support [{s_min},{s_max}]")
-    mats = {g: matrix(g) for g in range(s_min, s_max + 1)}
-    zero = 0
-    if any(isinstance(v, float) for col in values for v in col):
-        zero = 0.0
-        mats = {g: [[float(c) for c in row] for row in m] for g, m in mats.items()}
-    out = []
-    for alpha in range(out_lo, out_hi + 1):
-        beta_lo = -((s_max - alpha) // 2)  # ceil((alpha - s_max) / 2)
-        beta_hi = (alpha - s_min) // 2
-        acc = [zero] * size
-        for beta in range(max(beta_lo, a), min(beta_hi, b) + 1):
-            m = mats[alpha - 2 * beta]
-            col = values[beta - a]
-            for i in range(size):
-                mi = m[i]
-                s = acc[i]
-                for k in range(size):
-                    if mi[k]:
-                        s += mi[k] * col[k]
-                acc[i] = s
-        out.append(tuple(acc))
-    return out, out_lo
-
-
-def subdivide_reference(mask: Mask, values, start: int):
-    """The plain step S_A on columns, by _refine_reference."""
-    return _refine_reference(mask, values, start, lambda g: mask_matrix(mask, g))
-
-
-def level_matrix_reference(mask: Mask, alpha: int, level: int) -> tuple:
-    """A_n(alpha) = D^-(n+1) A(alpha) D^n at n = level, D = diag(1, 1/2, ...,
-    2^-d): entry (i, k) times 2^((n+1) i - n k), as Fractions."""
-    return tuple(
-        tuple(c * Fraction(2) ** ((level + 1) * i - level * k) for k, c in enumerate(row))
-        for i, row in enumerate(mask_matrix(mask, alpha))
-    )
-
-
-def hermite_step_reference(mask: Mask, values, start: int, level: int):
-    """D^-(level+1) S_A D^level on columns, as the plain step of the level-n
-    mask (level_matrix_reference) by _refine_reference: exact data in
-    Fractions, float data as float(coefficient) * value in the same order."""
-    return _refine_reference(
-        mask, values, start, lambda g: level_matrix_reference(mask, g, level)
-    )
+# ---------------------------------------------------------------------------
+# One oracle per object the library computes, each by its defining formula.
 
 
 def cascade_reference(mask: Mask, levels: int, init: DyadicGrid) -> list[DyadicGrid]:
-    """The cascade from an explicit grid, exact or float:
-    hermite_step_reference level by level, every grid built from its
-    columns."""
+    """init and the grids of `levels` steps from it. The step from level n is
+    (S c)(alpha) = sum_beta A_n(alpha - 2 beta) c(beta), A_n = D^-(n+1) A D^n
+    with D = diag(1, 1/2, ..., 2^-d), so entry (i, k) of A_n(g) is
+    A(g)[i][k] 2^((n+1) i - n k); it is taken at every alpha whose beta all
+    lie in the grid (WindowTooSmall if there is none). Exact data sum as
+    Fractions. Float data sum in the one order their bits depend on:
+    float(A_n entry) * value added to 0.0 for each nonzero entry, beta
+    ascending, then k ascending."""
+    s_min, s_max = mask.support
+    size = mask.d + 1
     grids = [init]
     for _ in range(levels):
-        g = grids[-1]
-        values, start = hermite_step_reference(mask, g.values, g.start, g.level)
-        grids.append(DyadicGrid(g.level + 1, start, tuple(values)))
+        grid = grids[-1]
+        n, a, cols = grid.level, grid.start, grid.values
+        b = a + len(cols) - 1
+        out_lo, out_hi = 2 * a + s_max - 1, 2 * b + s_min + 1
+        if out_hi < out_lo:
+            raise WindowTooSmall(f"window [{a},{b}] too small for support [{s_min},{s_max}]")
+        scaled = {
+            s_min + m: [
+                [c * Fraction(2) ** ((n + 1) * i - n * k) for k, c in enumerate(row)]
+                for i, row in enumerate(matrix)
+            ]
+            for m, matrix in enumerate(mask.coeffs)
+        }
+        zero = 0
+        if not grid.is_exact:
+            zero = 0.0
+            scaled = {g: [[float(c) for c in row] for row in m] for g, m in scaled.items()}
+        out = []
+        for alpha in range(out_lo, out_hi + 1):
+            acc = [zero] * size
+            # beta from ceil((alpha - s_max) / 2) to floor((alpha - s_min) / 2)
+            for beta in range(-((s_max - alpha) // 2), (alpha - s_min) // 2 + 1):
+                m, col = scaled[alpha - 2 * beta], cols[beta - a]
+                for i in range(size):
+                    for k in range(size):
+                        if m[i][k]:
+                            acc[i] += m[i][k] * col[k]
+            out.append(tuple(acc))
+        grids.append(DyadicGrid(n + 1, out_lo, tuple(out)))
     return grids
 
 
-def float_step_prescaled_reference(mask: Mask, rows, start: int, level: int):
-    """The float step in the order it had before the level-n mask: row k
-    times 2^-(n k), the stencil of float(A(alpha)[i][k]) summed from 0.0 by
-    stencil_sums_reference, then output row i times 2^((n+1) i). Returns the
-    output rows and the first output abscissa. It rounds differently from
-    the level-n mask only where a pre-scaled value, a product or a partial
-    sum is subnormal or overflows."""
-    out_lo, out_hi = _output_window(mask, start, start + len(rows[0]) - 1)
-    pre = [[v * 2.0 ** -(level * k) for v in row] for k, row in enumerate(rows)]
-    sums = stencil_sums_reference(stencil_reference(mask)[0], pre, start, out_lo, out_hi, 0.0)
-    post = [[v * 2.0 ** ((level + 1) * i) for v in row] for i, row in enumerate(sums)]
-    return post, out_lo
+def eigen_check_reference(mask: Mask, rows: Sequence[Poly], eigenvalue) -> tuple | None:
+    """The first (alpha, i, got, want) with (S_A v)(alpha)_i != lambda
+    v(alpha)_i, alpha ascending, then i ascending, or None: v is the
+    column of polynomials rows (mask.d + 1 of them, as padded_rows gives
+    a graded vector), sampled at beta = -h..h and stepped once by
+    cascade_reference at level 0, whose A_0 = D^-1 A gives 2^i (S_A v)_i.
+    With h = max(d, deg v) + 3 + s_max - s_min, every parity class of the
+    outputs holds more points than deg v, so two polynomials that differ
+    there differ at one of them."""
+    if len(rows) != mask.d + 1:
+        raise ValueError(f"expected {mask.d + 1} rows, got {len(rows)}")
+    lam = Fraction(eigenvalue)
+    s_min, s_max = mask.support
+    h = max(mask.d, *(p.degree for p in rows)) + 3 + s_max - s_min
+    samples = tuple(tuple(p.evaluate(beta) for p in rows) for beta in range(-h, h + 1))
+    image = cascade_reference(mask, 1, DyadicGrid(0, -h, samples))[1]
+    for n, col in enumerate(image.values):
+        alpha = image.start + n
+        for i, (got, p) in enumerate(zip(col, rows)):
+            got, want = Fraction(got, 2**i), lam * p.evaluate(alpha)
+            if got != want:
+                return (alpha, i, got, want)
+    return None
+
+
+def scheme_norm_reference(mask: Mask, n: int = 1) -> Fraction:
+    """||S_B^[n]||: the largest, over the residue classes of alpha mod 2^n,
+    of the sum of max_i sum_k |B^[n](alpha)[i][k]|, read off the iterated
+    symbol B*(z) B*(z^2) ... B*(z^(2^(n-1))), a LaurentMatrix product; 0
+    when that product vanishes."""
+    sym = mask_symbol_reference(mask)
+    iterated = sym
+    for k in range(1, n):
+        iterated = iterated * sym.substitute_power(2**k)
+    entries = [[dict(f.items()) for f in row] for row in iterated.rows]
+    sums = {}
+    for alpha in {e for row in entries for f in row for e in f}:
+        worst = max(sum(abs(f.get(alpha, 0)) for f in row) for row in entries)
+        sums[alpha % 2**n] = sums.get(alpha % 2**n, 0) + worst
+    return Fraction(max(sums.values(), default=0))
+
+
+def taylor_symbol_reference(op: TaylorOperator, complete: bool) -> LaurentMatrix:
+    """The complete symbol T-tilde*(z), or the incomplete T*(z), entry by
+    entry from the weights: u = z^-1 - 1 on the diagonal (1 in the corner of
+    the incomplete one), -w_{k,i+1} above it."""
+    u = delta_symbol(1)
+    size = op.d + 1
+
+    def entry(i: int, k: int) -> LaurentPoly:
+        if k > i:
+            return LaurentPoly.constant(-op.w[k - 1][i])
+        if k < i:
+            return LaurentPoly.zero()
+        return LaurentPoly.one() if i == op.d and not complete else u
+
+    return LaurentMatrix([[entry(i, k) for k in range(size)] for i in range(size)])
+
+
+def identity_reference(
+    op: TaylorOperator, mask: Mask, factor: Mask, scale: RationalLike, complete: bool = True
+) -> bool:
+    """T*(z) A*(z) == scale * B*(z) T*(z^2) as LaurentMatrix products, T* the
+    complete or the incomplete symbol of op's weights. T*(z^2) is
+    invertible over the rational functions, so the identity decides B from
+    A, and A from B."""
+    t = taylor_symbol_reference(op, complete)
+    lhs = t * mask_symbol_reference(mask)
+    rhs = mask_symbol_reference(factor) * t.substitute_power(2)
+    return lhs == rhs.scale(Fraction(scale))
+
+
+def triangular_inverse_check(t: LaurentMatrix, p: Sequence[Sequence[LaurentPoly]]) -> bool:
+    """T T^-1 = I for the inverse whose entry (l, k) is p[l][k] / u^(k-l+1),
+    u = z^-1 - 1, the form TaylorOperator.symbol_inverse returns: with the
+    denominators cleared, sum_l t[j][l] p[l][k] u^(l-j) must equal
+    delta_jk u^(k-j+1)."""
+    n = t.nrows
+    u = delta_symbol(1)
+    for j in range(n):
+        for k in range(n):
+            acc = LaurentPoly.zero()
+            for l in range(j, min(k, n - 1) + 1):
+                a = t[j][l]
+                b = p[l][k]
+                if a and b:
+                    acc = acc + a * b * u ** (l - j)
+            want = u ** (k - j + 1) if j == k else LaurentPoly.zero()
+            if acc != want:
+                return False
+    return True
 
 
 def grid_json_reference(grid: DyadicGrid) -> dict:
@@ -1041,173 +979,6 @@ def bspline_value_reference(r: int, x) -> Fraction:
     ) / r
 
 
-def column_reference(v, alpha, ambient: int) -> tuple[Fraction, ...]:
-    """v sampled at alpha in the degree-descending layout, zero-padded to
-    ambient + 1 rows, one Fraction evaluation per component."""
-    d = v.d
-    col = [v.components[d - i].evaluate(alpha) for i in range(d + 1)]
-    return tuple(col + [Fraction(0)] * (ambient - d))
-
-
-def polyvec_applied_reference(mask: Mask, v, window=None):
-    d = mask.d
-    if v.d > d:
-        raise ValueError("vector does not fit the mask's dimension")
-    if window is None:
-        s_min, s_max = mask.support
-        half = d + 3 + (s_max - s_min)
-        window = (-half, half)
-    a, b = window
-    cols = [column_reference(v, beta, d) for beta in range(a, b + 1)]
-    return subdivide_reference(mask, cols, a)
-
-
-def eigen_check_reference(mask: Mask, v, eigenvalue):
-    """First (alpha, row, got, want) with S_A v-hat != lambda v-hat, alpha
-    ascending, then row ascending; None if there is none."""
-    lam = Fraction(eigenvalue)
-    out, out_start = polyvec_applied_reference(mask, v)
-    for n, col in enumerate(out):
-        alpha = out_start + n
-        want = column_reference(v, alpha, mask.d)
-        for i in range(mask.d + 1):
-            if col[i] != lam * want[i]:
-                return (alpha, i, Fraction(col[i]), lam * want[i])
-    return None
-
-
-def sample_rows_reference(v: PolyVec, lo: int, hi: int, ambient: int) -> tuple[list, int]:
-    """Samples of v at the integers lo..hi as integer numerators over one
-    denominator Q, as (rows, Q): rows[i][n] is component v.d - i at lo + n,
-    padded with zero rows to ambient + 1 rows; each row by integer Horner."""
-    d = v.d
-    den = lcm(*(p._den for p in v.components))
-    xs = range(lo, hi + 1)
-    rows = []
-    for i in range(d + 1):
-        p = v.components[d - i]
-        nums = [n * (den // p._den) for n in p._dense()]
-        row = [nums[-1]] * len(xs)
-        for c in reversed(nums[:-1]):
-            row = [r * x + c for r, x in zip(row, xs)]
-        rows.append(row)
-    rows.extend([0] * len(xs) for _ in range(ambient - d))
-    return rows, den
-
-
-def image_rows_reference(mask: Mask, v: PolyVec) -> tuple[list[list[int]], int, int]:
-    """S_A applied to the samples of v on a window wide enough that, per
-    parity class, the output determines its polynomial of degree <= d:
-    (output rows over one denominator, that denominator, first abscissa)."""
-    if v.d > mask.d:
-        raise ValueError("vector does not fit the mask's dimension")
-    s_min, s_max = mask.support
-    half = mask.d + 3 + (s_max - s_min)
-    out_lo, out_hi = _output_window(mask, -half, half)
-    samples, den_q = sample_rows_reference(v, -half, half, mask.d)
-    sums = stencil_sums_reference(mask._terms, samples, -half, out_lo, out_hi, 0)
-    return sums, mask._den * den_q, out_lo
-
-
-def image_reference(mask: Mask, v: PolyVec) -> tuple[list, list, int]:
-    """subdivision._image by the term loop: (img, vhat, q) with img[p][i]
-    summed one term (offset, k, c) of Mask._terms at a time, each adding c
-    times v-hat_k(m + offset), an integer Taylor shift of v-hat_k."""
-    d = mask.d
-    if v.d > d:
-        raise ValueError("vector does not fit the mask's dimension")
-    q = lcm(*(p._den for p in v.components))
-    rows = [[n * (q // p._den) for n in p._dense()] for p in reversed(v.components)]
-    zero = [0] * (d + 1)
-    full = [row + zero[len(row) :] for row in rows] + [zero] * (d - v.d)
-    vhat = [[[c << j for j, c in enumerate(_taylor_shift(r, p))] for r in full] for p in (0, 1)]
-    img = []
-    for terms_by_row in mask._terms:
-        img.append([])
-        for terms in terms_by_row:
-            acc = zero
-            for offset, k, c in terms:
-                if k <= v.d:
-                    s = _taylor_shift(rows[k], offset)
-                    acc = [a + c * x for a, x in zip(acc, s + zero[len(s) :])]
-            img[-1].append(acc)
-    return img, vhat, q
-
-
-def spectral_chain_reference(
-    mask: Mask, factor_incomplete: Mask, op: TaylorOperator, chain: Chain | None = None,
-    scale: Fraction | None = None,
-) -> Chain:
-    """spectral_chain_from_factorization with the span loop run on sampled
-    windows: a row is constant when all its samples are equal, and a level
-    is peeled off by subtracting its samples on the same window."""
-    d = mask.d
-    if op.d != d:
-        raise ValueError("operator and mask dimensions differ")
-    if chain is None:
-        chain = chain_for(op)
-    elif chain.d != d:
-        raise ValueError("chain and mask dimensions differ")
-    scale = _checked_scale(scale, d)
-    t = op.incomplete_symbol
-    if not _identity_holds(t, t.substitute_power(2), mask, factor_incomplete, scale):
-        raise ValueError("incomplete factorization identity does not hold")
-    if not _last_column_partition_of_unity(factor_incomplete):
-        raise ValueError("factor does not reproduce the constant top-derivative data")
-    size = d + 1
-    images = [image_rows_reference(mask, v) for v in chain.vecs]
-    start = images[0][2]
-    stop = start + len(images[0][0][0]) - 1
-    chain_rows = [sample_rows_reference(v, start, stop, d) for v in chain.vecs]
-    umat = [[Fraction(0)] * size for _ in range(size)]
-    for j in range(size):
-        work, den, _ = images[j]
-        for k in range(size - 1, -1, -1):
-            vals = set(work[k])
-            if len(vals) != 1:
-                raise SpanHypothesisFailed(
-                    f"image of level {j} is not constant on row {k}; "
-                    "it leaves the span of the chain"
-                )
-            c = vals.pop()
-            if c == 0:
-                continue
-            if k > j:
-                raise SpanHypothesisFailed(f"image of level {j} has a component on level {k}")
-            umat[k][j] = Fraction(c, den)
-            rows, q = chain_rows[k]
-            work = [[q * w - c * x for w, x in zip(wi, xi)] for wi, xi in zip(work, rows)]
-            den *= q
-    smat = [[Fraction(0)] * size for _ in range(size)]
-    for j in range(size):
-        lam = Fraction(1, 2**j)
-        if umat[j][j] != lam:
-            raise EigenvalueClash(
-                f"level {j} reproduces itself with factor {umat[j][j]}, expected {lam}"
-            )
-        smat[j][j] = Fraction(1)
-        for i in range(j - 1, -1, -1):
-            acc = sum(umat[i][m] * smat[m][j] for m in range(i + 1, j + 1))
-            smat[i][j] = acc / (lam - umat[i][i])
-    return assemble_chain_reference(chain, smat)
-
-
-def assemble_chain_reference(chain: Chain, smat: Sequence[Sequence[Fraction]]) -> Chain:
-    """The tower V S, one Poly product and sum per term: component t of
-    level j is sum_k smat[k][j] v_k[k - j + t]."""
-    vecs = []
-    for j in range(chain.d + 1):
-        comps = []
-        for tdeg in range(j + 1):
-            p = Poly.zero()
-            for k in range(j - tdeg, j + 1):
-                if smat[k][j]:
-                    p = p + chain.vecs[k].components[k - j + tdeg] * smat[k][j]
-            comps.append(p)
-        vecs.append(PolyVec(tuple(comps)))
-    return Chain(tuple(vecs))
-
-
 def annihilator_reference(v: PolyVec) -> TaylorOperator:
     """The operator annihilating v by Poly arithmetic: each Delta v_m is
     expanded in v_0, ..., v_{m-1} from the top degree down, one Poly per
@@ -1224,125 +995,6 @@ def annihilator_reference(v: PolyVec) -> TaylorOperator:
             w[d - t - 1][d - m] = lam
         assert not q, "difference expansion left a nonzero remainder"
     return TaylorOperator(tuple(tuple(row) for row in w))
-
-
-def iterated_norms_reference(
-    entries: Sequence[Sequence[Sequence[int]]], den: int
-) -> Iterator[Fraction]:
-    """The joint norms ||S_B^[n]|| for n = 1, 2, ... of the mask whose entries
-    are given as integer coefficients over den, with a product loop of their
-    own.
-
-    The n-fold mask P_n, as integers over den^n, is extended one factor at a
-    time by P_n(g + 2^(n-1) beta) += P_(n-1)(g) B(beta). Residue classes are
-    taken relative to the first coefficient; that permutes the classes, not
-    their sums.
-    """
-    size = len(entries)
-    width = len(entries[0][0])
-    power = den
-    current = entries
-    modulus = 2
-    while True:
-        entry_norms = None
-        for row in current:
-            sums = [sum(map(abs, vals)) for vals in zip(*row)]
-            entry_norms = sums if entry_norms is None else list(map(max, entry_norms, sums))
-        length = len(entry_norms)
-        classes = range(min(modulus, length))
-        yield Fraction(max(sum(entry_norms[r::modulus]) for r in classes), power)
-        grown_length = length + modulus * (width - 1)
-        grown = [[[0] * grown_length for _ in range(size)] for _ in range(size)]
-        for i in range(size):
-            for l in range(size):
-                p = current[i][l]
-                if not any(p):
-                    continue
-                for k in range(size):
-                    target = grown[i][k]
-                    for beta, c in enumerate(entries[l][k]):
-                        if c:
-                            lo = beta * modulus
-                            target[lo : lo + length] = [
-                                t + c * x for t, x in zip(target[lo : lo + length], p)
-                            ]
-        current = grown
-        power *= den
-        modulus *= 2
-
-
-def scheme_norm_reference(mask: Mask, n: int = 1) -> Fraction:
-    """Joint norm of the n-fold scheme read off the iterated symbol, with
-    one Fraction per coefficient."""
-    sym = iterated_symbol(mask, n)
-    if all(f.is_zero for row in sym.rows for f in row):
-        return Fraction(0)
-    iterated = Mask.from_symbol(sym.rows)
-    s_min, s_max = iterated.support
-    modulus = 2**n
-    best = Fraction(0)
-    for eps in range(modulus):
-        total = Fraction(0)
-        alpha = s_min + ((eps - s_min) % modulus)
-        while alpha <= s_max:
-            total += max(sum(abs(v) for v in row) for row in mask_matrix(iterated, alpha))
-            alpha += modulus
-        best = max(best, total)
-    return best
-
-
-def check_contractive_reference(mask: Mask, n_max: int = 8) -> ContractivityReport:
-    """Each norm computed from scratch by scheme_norm_reference; the diagonal
-    certificates run first, on 1x1 masks built from the diagonal entry
-    symbols, and the joint norms after them up to the diagonal's n."""
-    triangular = is_lower_triangular_reference(mask)
-    diagonal_norms = []
-    diagonal_n_star = None
-    if triangular:
-        worst_n, certified = 0, True
-        for i in range(mask.d + 1):
-            sym = entry_symbol(mask, i, i)
-            if sym.is_zero:
-                diagonal_norms.append(Fraction(0))
-                continue
-            scalar = Mask.from_symbol([[sym]])
-            found = None
-            for n in range(1, n_max + 1):
-                value = scheme_norm_reference(scalar, n)
-                if value < 1:
-                    found = n
-                    break
-            diagonal_norms.append(value)
-            if found is None:
-                certified = False
-            else:
-                worst_n = max(worst_n, found)
-        if certified:
-            diagonal_n_star = worst_n
-    limit = n_max if diagonal_n_star is None else max(1, diagonal_n_star)
-    norms = []
-    n_star = None
-    for n in range(1, limit + 1):
-        norms.append(scheme_norm_reference(mask, n))
-        if norms[-1] < 1:
-            n_star = n
-            break
-    if n_star is not None:
-        verdict, by = True, "joint"
-    elif diagonal_n_star is not None:
-        verdict, by = True, "diagonal"
-    else:
-        verdict, by = False, None
-    return ContractivityReport(
-        n_max=n_max,
-        norms=tuple(norms),
-        n_star=n_star,
-        triangular=triangular,
-        diagonal_norms=tuple(diagonal_norms),
-        diagonal_n_star=diagonal_n_star,
-        contractive=verdict,
-        certified_by=by,
-    )
 
 
 def spline_cascade_reference(r: int, d: int, levels: int, tol: float) -> SplineCascadeReport:
@@ -1366,185 +1018,6 @@ def spline_cascade_reference(r: int, d: int, levels: int, tol: float) -> SplineC
         r=r, d=d, levels=levels, tol=tol, errors=tuple(errors), points=tuple(points),
         ok=all(e <= tol for e in errors),
     )
-
-
-def factor_through_reference(c_mask: Mask, chain: Chain) -> Mask:
-    """Solve C* = B* T-tilde*(z^2) for B column by column, after checking up
-    front that S_C annihilates every padded chain vector."""
-    op = chain.operator()
-    d = c_mask.d
-    if op.d != d or chain.d != d:
-        raise ValueError("chain and mask dimensions differ")
-    for j, v in enumerate(chain.vecs):
-        hit = eigen_check(c_mask, v, 0)
-        if hit is not None:
-            alpha, row, got, _ = hit
-            raise NotAnnihilated(
-                f"level {j} is not annihilated: row {row} at alpha={alpha} gives {got}"
-            )
-    u2 = delta_symbol(2)
-    csym = mask_symbol_reference(c_mask)
-    size = d + 1
-    b = [[LaurentPoly.zero()] * size for _ in range(size)]
-    for k in range(size):
-        for i in range(size):
-            num = csym[i][k]
-            for l in range(k):
-                wv = op.w[k - 1][l]
-                if wv:
-                    num = num + b[i][l] * wv
-            try:
-                b[i][k] = divide_exact(num, u2)
-            except NotDivisible as exc:
-                raise NotDivisible(
-                    f"column division failed at entry ({i},{k}): {exc}"
-                ) from exc
-    bsym = LaurentMatrix(b)
-    if csym != bsym * mask_symbol_reference(op.symbol).substitute_power(2):
-        raise AssertionError("column solve did not reproduce the target symbol")
-    return mask_from_symbol_reference(bsym)
-
-
-def taylor_factorize_reference(mask: Mask, chain: Chain, scale=None) -> Factorization:
-    """The gate-first factorization: annihilation check, column solve, the
-    solve's own identity check, then the full identity check."""
-    d = mask.d
-    if scale is None:
-        scale = Fraction(1, 2**d)
-    op = chain.operator()
-    csym = mask_symbol_reference(op.symbol) * mask_symbol_reference(mask)
-    b_raw = factor_through_reference(mask_from_symbol_reference(csym), chain)
-    fac = Factorization(mask=mask, taylor=op, factor=b_raw.scale(1 / scale), scale=scale)
-    if not fac.verify():
-        raise AssertionError("factorization identity failed after the column solve")
-    return fac
-
-
-def unfactor_reference(op: TaylorOperator, factor: Mask, scale=None) -> Mask:
-    """A* = scale * (T-tilde*)^-1 B* T-tilde*(z^2) accumulated entry by entry:
-    entry (j, k) is scale * u^j * sum_{l>=j} p[j][l] e[l][k], with e[l][k]
-    entry (l, k) of B* T-tilde*(z^2) divided by u^(l+1), one LaurentPoly
-    product and sum per term."""
-    d = op.d
-    if factor.d != d:
-        raise ValueError("operator and factor dimensions differ")
-    scale = _checked_scale(scale, d)
-    g = factor * op.symbol_z2
-    size = d + 1
-    e = [[LaurentPoly.zero()] * size for _ in range(size)]
-    for l in range(size):
-        for k in range(size):
-            entry = entry_symbol(g, l, k)
-            if entry.is_zero:
-                continue
-            try:
-                e[l][k] = divide_exact(entry, u_power(l + 1))
-            except NotDivisible as exc:
-                raise NotDivisible(
-                    f"divisibility condition failed at entry ({l},{k}): "
-                    f"row {l} requires a factor (z^-1 - 1)^{l + 1}"
-                ) from exc
-    inv = op.symbol_inverse
-    rows = []
-    for j in range(size):
-        row = []
-        for k in range(size):
-            acc = LaurentPoly.zero()
-            for l in range(j, size):
-                p = inv[j][l]
-                if p and e[l][k]:
-                    acc = acc + p * e[l][k]
-            row.append(acc * u_power(j) * scale)
-        rows.append(row)
-    mask = Mask.from_symbol(rows)
-    if op.symbol * mask != g.scale(scale):
-        raise AssertionError("unfactor did not satisfy the factorization identity")
-    return mask
-
-
-def incomplete_from_complete_reference(btilde: Mask) -> Mask:
-    """The incomplete factor one entry at a time, by the entry's block:
-    the top-left block as it is, the last column times z^-2 - 1, the last
-    row divided by z^-1 - 1 and the corner times z^-1 + 1."""
-    d = btilde.d
-    u = delta_symbol(1)
-    u2 = delta_symbol(2)
-    zp1 = LaurentPoly({-1: 1, 0: 1})
-    rows = []
-    for i in range(d + 1):
-        row = []
-        for k in range(d + 1):
-            f = entry_symbol(btilde, i, k)
-            if i < d and k < d:
-                row.append(f)
-            elif i < d and k == d:
-                row.append(f * u2)
-            elif i == d and k < d:
-                try:
-                    row.append(divide_exact(f, u) if f else f)
-                except NotDivisible as exc:
-                    raise NotDivisible(
-                        f"bottom-row entry ({i},{k}) does not vanish at z = 1"
-                    ) from exc
-            else:
-                row.append(f * zp1)
-        rows.append(row)
-    return Mask.from_symbol(rows)
-
-
-# ---------------------------------------------------------------------------
-# Oracles that the tests check the library against: each states a property
-# directly, by the defining formula, rather than by the fast path.
-
-
-def identity_reference(fac: Factorization) -> bool:
-    """T*(z) A*(z) == scale * B*(z) T*(z^2), with one LaurentPoly per entry
-    of every matrix."""
-    t = mask_symbol_reference(fac.taylor.symbol)
-    lhs = t * mask_symbol_reference(fac.mask)
-    rhs = mask_symbol_reference(fac.factor) * t.substitute_power(2)
-    return lhs == rhs.scale(LaurentPoly.constant(fac.scale))
-
-
-def last_row_divisibility_reference(op: TaylorOperator, hs: Sequence[LaurentPoly]) -> None:
-    """Raise NotDivisible unless, for j = 1..d, q_j = (z+1) h_j - sum_m
-    w_{j,m+1} (z-1)^(j-1-m) h_m vanishes to order at least j at z = 1, with
-    every h_m a Fraction polynomial."""
-    zm1 = FractionLaurentPoly({1: 1, 0: -1})
-    zp1 = FractionLaurentPoly({1: 1, 0: 1})
-    hs = [FractionLaurentPoly(dict(h.items())) for h in hs]
-    for j in range(1, op.d + 1):
-        q = zp1 * hs[j]
-        for m in range(j):
-            wv = op.w[j - 1][m]
-            if wv:
-                q = q - zm1 ** (j - 1 - m) * hs[m] * wv
-        order = 0
-        while not q.is_zero and order < j and q.evaluate(1) == 0:
-            q = q.divide_exact(zm1)
-            order += 1
-        if not q.is_zero and order < j:
-            raise NotDivisible(
-                f"last-row divisibility failed at level {j}: the combined row "
-                f"vanishes to order {order} at z = 1, needs {j}"
-            )
-
-
-def taylor_symbol_reference(op: TaylorOperator, complete: bool) -> LaurentMatrix:
-    """The complete symbol T-tilde*(z), or the incomplete T*(z), entry by
-    entry from the weights: u = z^-1 - 1 on the diagonal (1 in the corner of
-    the incomplete one), -w_{k,i+1} above it."""
-    u = delta_symbol(1)
-    size = op.d + 1
-
-    def entry(i: int, k: int) -> LaurentPoly:
-        if k > i:
-            return LaurentPoly.constant(-op.w[k - 1][i])
-        if k < i:
-            return LaurentPoly.zero()
-        return LaurentPoly.one() if i == op.d and not complete else u
-
-    return LaurentMatrix([[entry(i, k) for k in range(size)] for i in range(size)])
 
 
 def chain_for_reference(
@@ -1571,112 +1044,6 @@ def chain_for_reference(
     chain = Chain(tuple(vecs))
     assert chain.operator() == op
     return chain
-
-
-def symbol_inverse_reference(op: TaylorOperator) -> tuple[tuple[LaurentPoly, ...], ...]:
-    """The numerators of the complete symbol's inverse by back substitution
-    on LaurentPoly values, one canonical polynomial per product, power of
-    u and partial sum: p[l][l] = 1 and
-    p[j][l] = sum_{j<m<=l} w_{m,j+1} p[m][l] u^(m-j-1), u = z^-1 - 1."""
-    d = op.d
-    zero, one = LaurentPoly.zero(), LaurentPoly.one()
-    u = delta_symbol(1)
-    upow = [one]
-    for _ in range(d + 1):
-        upow.append(upow[-1] * u)
-    p = [[zero] * (d + 1) for _ in range(d + 1)]
-    for l in range(d + 1):
-        p[l][l] = one
-        for j in range(l - 1, -1, -1):
-            acc = zero
-            for m in range(j + 1, l + 1):
-                wv = op.w[m - 1][j]
-                if wv and p[m][l]:
-                    acc = acc + p[m][l] * upow[m - j - 1] * wv
-            p[j][l] = acc
-    return tuple(tuple(row) for row in p)
-
-
-def inverse_numerators_reference(op: TaylorOperator) -> Mask:
-    """W, entry (j, l) being u^j p[j][l] for the back substitution's
-    numerators p: one LaurentPoly product per entry, read into a mask by
-    from_symbol."""
-    inv = symbol_inverse_reference(op)
-    return Mask.from_symbol([[u_power(j) * p for p in row] for j, row in enumerate(inv)])
-
-
-def iterated_symbol(mask: Mask, n: int) -> LaurentMatrix:
-    """Symbol of the n-fold scheme: B*(z) B*(z^2) ... B*(z^(2^(n-1)))."""
-    if n < 1:
-        raise ValueError("need n >= 1")
-    sym = mask_symbol_reference(mask)
-    out = sym
-    for k in range(1, n):
-        out = out * sym.substitute_power(2**k)
-    return out
-
-
-def triangular_inverse_reference(t: LaurentMatrix) -> LaurentMatrix:
-    """The numerators of the inverse of an upper-triangular matrix with
-    constant diagonal u = z^-1 - 1: entry (j, l) of the inverse is the
-    returned p[j][l] over u^(l-j+1).
-
-    Uses the nilpotent expansion: writing t = u I + C with C strictly upper,
-    the inverse is sum_m (-C)^m u^-(m+1), and the (j,l) numerator over the
-    common denominator u^(l-j+1) is sum_m ((-C)^m)[j][l] u^(l-j-m). Any
-    other shape or diagonal raises ValueError.
-    """
-    n = t.nrows
-    if t.ncols != n:
-        raise ValueError("matrix is not square")
-    u = delta_symbol(1)
-    for i in range(n):
-        for k in range(n):
-            if k < i and t[i][k]:
-                raise ValueError(f"nonzero entry below the diagonal at ({i},{k})")
-            if k == i and t[i][k] != u:
-                raise ValueError(
-                    f"diagonal entry ({i},{i}) is not z^-1 - 1; cannot invert in this form"
-                )
-    zero = LaurentPoly.zero()
-    nmat = LaurentMatrix([[-t[i][k] if k > i else zero for k in range(n)] for i in range(n)])
-    powers = [LaurentMatrix.identity(n)]
-    upow = [LaurentPoly.one()]
-    for _ in range(n - 1):
-        powers.append(powers[-1] * nmat)
-        upow.append(upow[-1] * u)
-    rows = []
-    for j in range(n):
-        row = []
-        for l in range(n):
-            if l < j:
-                row.append(zero)
-                continue
-            row.append(_dot((powers[m][j][l], upow[l - j - m]) for m in range(l - j + 1)))
-        rows.append(row)
-    return LaurentMatrix(rows)
-
-
-def triangular_inverse_check(t: LaurentMatrix, p: Sequence[Sequence[LaurentPoly]]) -> bool:
-    """Exact recombination check of the inverse numerators p, as
-    TaylorOperator.symbol_inverse and triangular_inverse_reference return
-    them: sum_l t[j][l] p[l][k] u^(l-j) must equal
-    delta_jk u^(k-j+1). Clearing the denominators this way avoids rational
-    functions entirely."""
-    n = t.nrows
-    u = delta_symbol(1)
-    for j in range(n):
-        for k in range(n):
-            acc = LaurentPoly.zero()
-            for l in range(j, min(k, n - 1) + 1):
-                a = t[j][l]
-                b = p[l][k]
-                if a and b:
-                    acc = acc + a * b * u ** (l - j)
-            want = u ** (k - j + 1) if j == k else LaurentPoly.zero()
-            if acc != want:
-                return False
-    return True
 
 
 def falling_power(j: int) -> Poly:
@@ -1804,53 +1171,6 @@ def apply_operator(
             col.append(acc)
         out.append(tuple(col))
     return out, start
-
-
-def scalar_eigen_check(
-    coeffs: Sequence[RationalLike], support_min: int, p: Poly, eigenvalue: RationalLike
-) -> tuple[int, Fraction, Fraction] | None:
-    """Exact check of S_a p = lambda p for a scalar mask; None on success,
-    else the first counterexample (alpha, got, want)."""
-    lam = Fraction(eigenvalue)
-    mask = Mask(support_min, tuple(((v,),) for v in coeffs))
-    s_min, s_max = mask.support
-    half = max(p.degree, 0) + 3 + (s_max - s_min)
-    samples = [(p.evaluate(beta),) for beta in range(-half, half + 1)]
-    out, out_lo = subdivide_reference(mask, samples, -half)
-    for n, (got,) in enumerate(out):
-        want = lam * p.evaluate(out_lo + n)
-        if got != want:
-            return (out_lo + n, got, want)
-    return None
-
-
-def complete_from_incomplete(b: Mask) -> Mask:
-    """Translate the incomplete-operator factor B into the complete one.
-
-    Defining identity: diag(I, z^-1 - 1) B*(z) = B-tilde*(z) diag(I, z^-2 - 1),
-    so the last column picks up a 1/(z^-2 - 1) and the last row a (z^-1 - 1),
-    which cancel to (z^-1 + 1)^-1 on the corner.
-    """
-    d = b.d
-    u = delta_symbol(1)
-    u2 = delta_symbol(2)
-    zp1 = LaurentPoly({-1: 1, 0: 1})  # z^-1 + 1
-    sym = mask_symbol_reference(b)
-    rows = []
-    for i in range(d + 1):
-        row = []
-        for k in range(d + 1):
-            f = sym[i][k]
-            if i < d and k < d:
-                row.append(f)
-            elif i < d and k == d:
-                row.append(divide_exact(f, u2) if f else f)
-            elif i == d and k < d:
-                row.append(f * u)
-            else:
-                row.append(divide_exact(f, zp1) if f else f)
-        rows.append(row)
-    return mask_from_symbol_reference(LaurentMatrix(rows))
 
 
 def reconstruct_limits(grid: DyadicGrid) -> tuple[tuple[tuple[float, ...], ...], float]:

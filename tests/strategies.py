@@ -15,9 +15,15 @@ from hermiteforge import (
     PolyVec,
     TaylorOperator,
     chain_for,
+    incomplete_from_complete,
+    spectral_chain_from_factorization,
+    spline_mask,
     synthesize,
+    taylor_factorize,
 )
 from hermiteforge.construct import SynthesisResult
+from hermiteforge.splines import spline_chain
+from hermiteforge.subdivision import eigen_check
 
 
 @st.composite
@@ -44,20 +50,28 @@ def operators(draw, max_d: int = 6, min_d: int = 1, weights=rationals(-6, 6, 6))
 def sparse_masks(draw, d=None):
     """Random masks with whole rows zeroed, or one row zeroed in one parity
     class of alpha, so that some stencil rows have no terms; of size d + 1
-    when d is given."""
+    when d is given. Each entry is an explicit zero half the time, else p/q
+    in [-3, 3] with its own denominator q <= 12. The zero flags, the
+    denominators and the numerators are drawn as one byte string each,
+    which costs hypothesis one draw apiece in place of one per entry: a flag
+    byte is zero when odd, a denominator byte b gives q = b % 12 + 1, and a
+    numerator byte c gives u = c % 73 - 36 and p = u q // 12, which takes
+    every integer in [-3q, 3q]."""
     if d is None:
         d = draw(st.integers(min_value=0, max_value=3))
     length = draw(st.integers(min_value=1, max_value=6))
     s_min = draw(st.integers(min_value=-4, max_value=3))
-
-    def entry() -> F:
-        # An explicit zero half the time, else p/q in [-3, 3] with its own
-        # denominator q <= 12.
-        return F(0) if draw(st.booleans()) else draw(rationals(-3, 3, 12))
-
-    coeffs = [[[entry() for _ in range(d + 1)] for _ in range(d + 1)] for _ in range(length)]
-    for i in range(d + 1):
-        drop = draw(st.sampled_from([None, "all", 0, 1]))
+    count = length * (d + 1) ** 2
+    zeros, dens, nums = (draw(st.binary(min_size=count, max_size=count)) for _ in range(3))
+    entries = iter(
+        [
+            F(0) if z % 2 else F((u % 73 - 36) * (b % 12 + 1) // 12, b % 12 + 1)
+            for z, b, u in zip(zeros, dens, nums)
+        ]
+    )
+    coeffs = [[[next(entries) for _ in range(d + 1)] for _ in range(d + 1)] for _ in range(length)]
+    drops = draw(st.lists(st.sampled_from([None, "all", 0, 1]), min_size=d + 1, max_size=d + 1))
+    for i, drop in enumerate(drops):
         for n in range(length):
             if drop == "all" or drop == (s_min + n) % 2:
                 coeffs[n][i] = [F(0)] * (d + 1)
@@ -122,3 +136,39 @@ def schemes(draw, max_d: int = 4) -> Scheme:
     seed = LaurentPoly({0: F(1, 2), 1: F(1, 2)}) ** n
     result = synthesize(op, seed, g)
     return Scheme(result, op, chain_for(op), result.factor, F(1, 2**d))
+
+
+# Known failures: the d = r spline factors, r = 1..4, are not contractive;
+# their joint norms are 2^(r+1) - 1 at every n.
+spline_factors = st.integers(min_value=1, max_value=4).map(
+    lambda r: (r, taylor_factorize(spline_mask(r, r), spline_chain(r, r)).factor)
+)
+
+
+class PerturbedScheme(NamedTuple):
+    """A synthesized mask with one coefficient moved, the spectral chain of
+    the mask before the move, and the first level j at which eigen_check
+    finds S_A v_j != 2^-j v_j on the moved mask."""
+
+    mask: Mask
+    chain: Chain
+    level: int
+
+
+@st.composite
+def perturbed_schemes(draw, max_d: int = 3) -> PerturbedScheme:
+    """A schemes draw whose mask has one entry A(alpha)[i][k] moved by a
+    nonzero p/q in [-2, 2], q <= 8, with the spectral chain recovered from
+    its factorization before the move. A moved entry breaks the relation of the
+    top level at least, whose every component is a nonzero polynomial."""
+    scheme = draw(schemes(max_d))
+    mask = scheme.result.mask
+    b = incomplete_from_complete(scheme.factor)
+    chain = spectral_chain_from_factorization(mask, b, scheme.op)
+    coeffs = [[list(row) for row in m] for m in mask.coeffs]
+    n = draw(st.integers(min_value=0, max_value=len(coeffs) - 1))
+    i, k = (draw(st.integers(min_value=0, max_value=mask.d)) for _ in range(2))
+    coeffs[n][i][k] += draw(rationals(-2, 2, 8).filter(bool))
+    moved = Mask(mask.support_min, coeffs)
+    levels = [j for j, v in enumerate(chain.vecs) if eigen_check(moved, v, F(1, 2**j))]
+    return PerturbedScheme(moved, chain, levels[0])

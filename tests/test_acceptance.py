@@ -22,6 +22,7 @@ from goldens import (
 )
 from hermiteforge import (
     LaurentPoly,
+    Mask,
     Poly,
     TaylorOperator,
     annihilator,
@@ -42,7 +43,7 @@ from hermiteforge import (
 )
 from hermiteforge.construct import build_last_row_system
 from hermiteforge.splines import scalar_spline_symbol, spline_eigenpoly
-from reference_kernels import coeff, entry_symbol, scalar_eigen_check
+from reference_kernels import coeff, eigen_check_reference, entry_symbol
 from hermiteforge.polybasis import difference_split_check
 
 
@@ -119,9 +120,9 @@ def test_criterion_04_spline_eigen_relations():
     checked = 0
     for r in range(1, 7):
         p = scalar_spline_symbol(r)
-        coeffs = [coeff(p, e) for e in range(p.lo, p.hi + 1)]
+        mask = Mask(p.lo, tuple(((coeff(p, e),),) for e in range(p.lo, p.hi + 1)))
         for i in range(r + 1):
-            hit = scalar_eigen_check(coeffs, p.lo, spline_eigenpoly(r, i), F(1, 2**i))
+            hit = eigen_check_reference(mask, [spline_eigenpoly(r, i)], F(1, 2**i))
             assert hit is None, f"r={r} i={i}: {hit}"
             checked += 1
     print(

@@ -49,18 +49,17 @@ from hermiteforge.analysis import (
 from hermiteforge.subdivision import _live, level_step
 from reference_kernels import (
     cascade_reference,
-    check_contractive_reference,
     coeff,
     convergence_reference,
     entry_symbol,
     grid_csv_reference,
     grid_json_reference,
-    iterated_norms_reference,
+    is_lower_triangular_reference,
     reconstruct_limits,
     scheme_norm_reference,
     taylor_residuals_reference,
 )
-from strategies import rationals, sparse_masks
+from strategies import rationals, sparse_masks, spline_factors
 
 
 def scalar_mask(p):
@@ -152,23 +151,6 @@ def lower_triangular_part(mask):
     return Mask(mask.support_min, coeffs)
 
 
-@given(
-    sparse_masks(),
-    st.booleans(),
-    st.sampled_from([F(1), F(1, 4), F(1, 16)]),
-    st.integers(min_value=1, max_value=5),
-)
-@settings(max_examples=40, deadline=None)
-def test_integer_norms_match_fraction_reference(mask, lower, scale, n_max):
-    if lower:
-        mask = lower_triangular_part(mask)
-    mask = mask.scale(scale)
-    for n in range(1, n_max + 1):
-        assert scheme_norm(mask, n) == scheme_norm_reference(mask, n)
-    got = check_contractive(mask, n_max=n_max)
-    assert got.to_json() == check_contractive_reference(mask, n_max=n_max).to_json()
-
-
 def strictly_lower_part(mask):
     """The mask with every entry on and above the diagonal zeroed, which is
     nilpotent: its iterates vanish from n = d + 1 on. A draw whose part is
@@ -179,8 +161,10 @@ def strictly_lower_part(mask):
     return Mask(mask.support_min, coeffs)
 
 
-def first_norms_agree(mask, count=5):
-    want = list(islice(iterated_norms_reference(mask._num, mask._den), count))
+def first_norms_agree(mask, count):
+    """The first count norms of _iterated_norms, which scheme_norm and
+    check_contractive read, against their definition."""
+    want = [scheme_norm_reference(mask, n) for n in range(1, count + 1)]
     assert list(islice(_iterated_norms(mask), count)) == want
     return want
 
@@ -191,14 +175,35 @@ def first_norms_agree(mask, count=5):
         sparse_masks().map(lower_triangular_part),
         sparse_masks().map(strictly_lower_part),
         sparse_masks(d=0),
-    )
+    ),
+    st.sampled_from([F(1), F(1, 4), F(1, 16)]),
+    st.integers(min_value=1, max_value=5),
 )
 @settings(max_examples=60, deadline=None)
-def test_norms_from_mask_products_match_the_product_loop(mask):
-    want = first_norms_agree(mask)
+def test_integer_norms_match_fraction_reference(mask, scale, n_max):
+    # Full, lower and strictly lower masks, and 1x1 ones, scaled down: the
+    # norms against the residue-class sums of the iterated symbol, and the
+    # report's joint norms are the first of them, up to the first below 1.
+    mask = mask.scale(scale)
+    want = first_norms_agree(mask, n_max)
+    assert [scheme_norm(mask, n) for n in range(1, n_max + 1)] == want
     if not any(any(e) for i, row in enumerate(mask._num) for e in row[i:]):
         # Strictly lower: the iterate has vanished by n = d + 1.
-        assert want[mask.d :] == [0] * (5 - mask.d)
+        assert want[mask.d :] == [0] * (n_max - mask.d)
+    rep = check_contractive(mask, n_max=n_max)
+    assert list(rep.norms) == want[: len(rep.norms)]
+    below = [n for n, v in enumerate(rep.norms, start=1) if v < 1]
+    assert rep.n_star == (below[0] if below else None) and below[1:] == []
+    assert rep.triangular == is_lower_triangular_reference(mask)
+
+
+@given(spline_factors)
+@settings(max_examples=4, deadline=None)
+def test_spline_factor_norms_are_pinned_by_their_definition(case):
+    # The known failure: the d = r spline factors are not contractive,
+    # with every joint norm 2^(r+1) - 1.
+    r, factor = case
+    assert first_norms_agree(factor, 3) == [2 ** (r + 1) - 1] * 3
 
 
 @pytest.mark.parametrize(
@@ -259,17 +264,27 @@ def test_reference_factor_certificates(ref2):
     assert scheme_norm(bt, 6) < 1
 
 
-def _diagonal_certifies(mask, n_max):
-    """Every nonzero diagonal entry, as a 1x1 mask, has a norm below 1 at
-    some n <= n_max; read off the entry symbols with one Fraction each."""
+def _diagonal_certificate(mask, n_max):
+    """(norms, n_star) of the diagonal certificate by its definition: each
+    nonzero diagonal entry as a 1x1 mask, read off the entry symbols with
+    one Fraction each, has its norms taken from n = 1 to the first below 1
+    or to n_max, and reports the last; a zero entry reports 0. n_star is
+    the largest of those n, or None when an entry has none."""
+    norms, n_star = [], 0
     for i in range(mask.d + 1):
         sym = entry_symbol(mask, i, i)
         if sym.is_zero:
+            norms.append(F(0))
             continue
         scalar = Mask.from_symbol([[sym]])
-        if not any(scheme_norm_reference(scalar, n) < 1 for n in range(1, n_max + 1)):
-            return False
-    return True
+        for n in range(1, n_max + 1):
+            norms[i:] = [scheme_norm_reference(scalar, n)]
+            if norms[i] < 1:
+                n_star = n_star if n_star is None else max(n_star, n)
+                break
+        else:
+            n_star = None
+    return tuple(norms), n_star
 
 
 @given(sparse_masks(), st.booleans(), st.integers(min_value=1, max_value=4))
@@ -278,11 +293,15 @@ def test_contractive_is_either_certificate(mask, lower, n_max):
     if lower:
         mask = lower_triangular_part(mask)
     rep = check_contractive(mask, n_max=n_max)
-    diagonal = rep.triangular and _diagonal_certifies(mask, n_max)
+    diagonal = (), None
+    if rep.triangular:
+        diagonal = _diagonal_certificate(mask, n_max)
+    assert (rep.diagonal_norms, rep.diagonal_n_star) == diagonal
     joint = any(scheme_norm_reference(mask, n) < 1 for n in range(1, n_max + 1))
-    assert rep.contractive == (diagonal or joint)
-    assert (rep.diagonal_n_star is not None) == diagonal
-    if diagonal:
+    certified = rep.diagonal_n_star is not None
+    assert rep.contractive == (certified or joint)
+    assert rep.certified_by == ("joint" if rep.n_star else "diagonal" if certified else None)
+    if certified:
         limit = max(1, rep.diagonal_n_star)
         assert len(rep.norms) <= limit
         if rep.n_star is None:

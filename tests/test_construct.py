@@ -30,10 +30,13 @@ from hermiteforge.construct import (
 from hermiteforge.factor import Factorization
 from reference_kernels import (
     delta_symbol,
+    divide_exact,
     entry_symbol,
-    last_row_divisibility_reference,
+    identity_reference,
+    mask_symbol_reference,
     solve_square_reference,
-    unfactor_reference,
+    taylor_symbol_reference,
+    u_power,
 )
 from strategies import operators, rationals
 
@@ -102,8 +105,11 @@ def test_last_row_substitution_matches_gauss_jordan(op, n):
 
 
 def _unfactor_both_ways(op, factor, scale=None):
+    """unfactor's mask, which the identity's definition must accept: T*
+    invertible, the identity decides A from B."""
     got = unfactor(op, factor, scale)
-    assert got == unfactor_reference(op, factor, scale)
+    s = F(1, 2**op.d) if scale is None else scale
+    assert identity_reference(op, got, factor, s)
     return got
 
 
@@ -115,10 +121,10 @@ def _unfactor_both_ways(op, factor, scale=None):
 )
 @settings(max_examples=30, deadline=None)
 def test_unfactor_equals_the_entrywise_accumulation(op, n, g10, data):
-    # One mask product with the inverse numerators, field for field against
-    # one LaurentPoly product per term, at the synthesis scale 2^-d and at
-    # another nonzero scale; no product is checked inside, so each result
-    # must verify as a factorization.
+    # One mask product with the inverse numerators, at the synthesis scale
+    # 2^-d and at another nonzero scale, against the identity's definition;
+    # no product is checked inside, so each result must verify as a
+    # factorization too.
     g = {(1, 0): LaurentPoly({0: g10})} if op.d >= 2 else None
     res = synthesize(op, seed_power(n), g)
     factor = res.factorization.factor
@@ -143,7 +149,10 @@ def test_preset_unfactor_equals_the_entrywise_accumulation(preset):
 @settings(max_examples=60, deadline=None)
 def test_unfactor_refuses_exactly_the_last_rows_that_fail_divisibility(op, n, data):
     # A synthesized last row passes; one entry moved by a low-degree
-    # polynomial, times (z - 1)^k half the time, may or may not.
+    # polynomial, times (z - 1)^k half the time, may or may not. unfactor
+    # recovers A exactly when row l of G = B* T-tilde*(z^2) has the factor
+    # u^(l+1), u = z^-1 - 1 (the rows above the last have it by
+    # construction), and then A satisfies the identity.
     hs = list(synthesize(op, seed_power(n)).last_row)
     m = data.draw(st.integers(min_value=0, max_value=op.d))
     bump = LaurentPoly(
@@ -152,13 +161,17 @@ def test_unfactor_refuses_exactly_the_last_rows_that_fail_divisibility(op, n, da
     if data.draw(st.booleans()):
         bump = bump * LaurentPoly({1: 1, 0: -1}) ** data.draw(st.integers(1, op.d + 1))
     hs[m] = hs[m] + bump
+    factor = assemble_factor(op, hs)
+    g = mask_symbol_reference(factor) * taylor_symbol_reference(op, True).substitute_power(2)
     try:
-        last_row_divisibility_reference(op, hs)
+        for l, row in enumerate(g.rows):
+            for f in row:
+                divide_exact(f, u_power(l + 1))
     except NotDivisible:
         with pytest.raises(NotDivisible):
-            unfactor(op, assemble_factor(op, hs))
+            unfactor(op, factor)
     else:
-        unfactor(op, assemble_factor(op, hs))
+        assert identity_reference(op, unfactor(op, factor), factor, F(1, 2**op.d))
 
 
 def test_the_d0_last_row_system_is_empty():
@@ -178,6 +191,16 @@ def test_the_d0_last_row_system_is_empty():
         assert entry_symbol(res.factor, 0, 0) == LaurentPoly({-1: F(1, 2), 0: F(1, 2)})
         assert entry_symbol(res.mask, 0, 0) == want
         assert res.factorization.verify()
+
+
+@pytest.mark.parametrize("strategy", ["recurrence", "system"])
+@pytest.mark.parametrize("seed", [1, F(1), {0: 1}], ids=repr)
+def test_a_seed_must_be_a_laurent_poly(seed, strategy):
+    # Unchecked, each failed on a missing attribute; both last-row builders
+    # share the check.
+    want = f"the corner seed must be a LaurentPoly, got {type(seed).__name__}"
+    with pytest.raises(TypeError, match=f"^{re.escape(want)}$"):
+        synthesize(delta_operator(1), seed, strategy=strategy)
 
 
 def test_auto_strategy_picks_recurrence_for_difference_type(zero_g):

@@ -14,14 +14,15 @@ from reference_kernels import (
     bspline_value_reference,
     coeff,
     entry_symbol,
+    eigen_check_reference,
     scaled_bspline_derivative,
-    scalar_eigen_check,
     spline_cascade_reference,
 )
 from strategies import rationals
 from hermiteforge import (
     BadOrder,
     LaurentPoly,
+    Mask,
     allones_operator,
     cascade,
     check_spline_cascade,
@@ -38,6 +39,11 @@ from hermiteforge.splines import (
 
 def sym_coeffs(p):
     return [coeff(p, e) for e in range(p.lo, p.hi + 1)]
+
+
+def scalar_mask(p):
+    """The 1x1 mask with symbol p."""
+    return Mask(p.lo, tuple(((c,),) for c in sym_coeffs(p)))
 
 
 def test_scalar_symbol_is_binomial():
@@ -84,18 +90,17 @@ def test_refinement_equation():
 
 def test_eigen_relations_up_to_order():
     for r in range(1, 7):
-        p = scalar_spline_symbol(r)
-        coeffs = sym_coeffs(p)
+        mask = scalar_mask(scalar_spline_symbol(r))
         for i in range(r + 1):
-            hit = scalar_eigen_check(coeffs, p.lo, spline_eigenpoly(r, i), F(1, 2**i))
+            hit = eigen_check_reference(mask, [spline_eigenpoly(r, i)], F(1, 2**i))
             assert hit is None, f"r={r} i={i}: {hit}"
 
 
 def test_eigen_relation_fails_past_order():
     # degree r+1 is no longer reproduced at eigenvalue 2^-(r+1)
     r = 2
-    p = scalar_spline_symbol(r)
-    hit = scalar_eigen_check(sym_coeffs(p), p.lo, spline_eigenpoly(r + 1, r + 1), F(1, 2 ** (r + 1)))
+    mask = scalar_mask(scalar_spline_symbol(r))
+    hit = eigen_check_reference(mask, [spline_eigenpoly(r + 1, r + 1)], F(1, 2 ** (r + 1)))
     assert hit is not None
 
 

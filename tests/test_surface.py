@@ -5,8 +5,9 @@ the bench reads from a submodule exists, and so does the operator key its
 tracer reads; the bottom layer, exactalg, imports
 nothing from the package; no module, script or test imports a name it never
 uses; every public function, method and property of the package has a reader
-outside the tests; no module reads the environment; and every library
-refusal of a value is a ValueError, which the CLI never names."""
+outside the tests, and every public oracle of the tests a reader among them;
+no module reads the environment; and every library refusal of a value is a
+ValueError, which the CLI never names."""
 
 import ast
 import importlib
@@ -233,6 +234,31 @@ def test_every_public_function_has_a_reader():
         )
     }
     assert _unread_defs(probe, ["Sub().used()"]) == ["m.Base.selfish", "m.Sub.chained"]
+
+
+def _unread_oracles(source: str, readers: list[str]) -> list[str]:
+    """Each public top-level function or class of source whose name no
+    reader reads (as a name, an attribute or an import)."""
+    read = set().union(*map(_named, readers))
+    return sorted(
+        node.name
+        for node in ast.parse(source).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and node.name not in read
+    )
+
+
+def test_every_public_oracle_has_a_test_reader():
+    # Every public oracle in tests/reference_kernels.py is read by a test
+    # module, the strategies or the goldens; a helper that only other
+    # oracles call is private.
+    tests = ROOT / "tests"
+    readers = [path.read_text() for path in sorted(tests.glob("test_*.py"))]
+    readers += [(tests / name).read_text() for name in ("strategies.py", "goldens.py")]
+    assert not _unread_oracles((tests / "reference_kernels.py").read_text(), readers)
+    probe = "def read(): pass\ndef unread(): pass\nclass Unread: pass\ndef _helper(): unread()"
+    assert _unread_oracles(probe, ["from reference_kernels import read"]) == ["Unread", "unread"]
 
 
 _ENVIRONMENT = {"environ", "environb", "getenv", "getenvb", "putenv", "unsetenv"}
